@@ -257,53 +257,72 @@ let () =
   Printf.printf
     "  map2 add fp16 x%d: scalar shim %.0f ns, bulk kernel %.0f ns (%.2fx)\n%!"
     map2_len shim_ns bulk_ns (shim_ns /. bulk_ns);
+  (* Rounded to the precision the numbers carry: whole nanoseconds,
+     3-digit speedups vs 1, 2-digit other ratios. *)
+  let ns x = Obs.Jsonw.Int (int_of_float (Float.round x)) in
+  let digits d x =
+    let k = 10.0 ** float_of_int d in
+    Obs.Jsonw.Float (Float.round (x *. k) /. k)
+  in
+  let doc =
+    Obs.Jsonw.Obj
+      [
+        ("bench", Obs.Jsonw.String "BENCH_8");
+        ("generated_by", Obs.Jsonw.String "bench/bench_domains.ml");
+        ("smoke", Obs.Jsonw.Bool smoke);
+        ("host_cpus", Obs.Jsonw.Int host_cpus);
+        ("skipped_speedup_assertion", Obs.Jsonw.Bool skipped_speedup_assertion);
+        ("calibration_ns", ns calibration_ns);
+        ( "note",
+          Obs.Jsonw.String
+            "Host wall-clock of the functional MCScan simulation by domain \
+             count, with before/after micros for the bulk host engine. \
+             Outputs and simulated stats are bit-identical across rows; \
+             host_speedup_vs_1 > 1 requires host_cpus > 1 (on a single-CPU \
+             host domain dispatch can only add overhead). ns_per_run values \
+             are comparable across machines only after dividing by \
+             calibration_ns." );
+        ("mcscan_n", Obs.Jsonw.Int scan_n);
+        ("mcscan_sim_us", digits 3 (base_sim *. 1e6));
+        ("baseline_bench3_ns_per_run", ns baseline_bench3_ns_per_run);
+        ("speedup_vs_bench3", digits 2 speedup_vs_bench3);
+        ( "mcscan",
+          Obs.Jsonw.List
+            (List.map
+               (fun (dm, (run_ns, _)) ->
+                 Obs.Jsonw.Obj
+                   [
+                     ("domains", Obs.Jsonw.Int dm);
+                     ("ns_per_run", ns run_ns);
+                     ("host_speedup_vs_1", digits 3 (base_ns /. run_ns));
+                   ])
+               runs) );
+        ( "bulk_map2",
+          Obs.Jsonw.Obj
+            [
+              ("len", Obs.Jsonw.Int map2_len);
+              ("scalar_shim_ns", ns shim_ns);
+              ("bulk_kernel_ns", ns bulk_ns);
+              ("bulk_speedup", digits 2 (shim_ns /. bulk_ns));
+            ] );
+        ( "fp16_encode",
+          Obs.Jsonw.Obj
+            [
+              ("bit_trick_ns_per_64k", ns enc_trick_ns);
+              ("frexp_reference_ns_per_64k", ns enc_reference_ns);
+              ("bit_trick_speedup", digits 2 (enc_reference_ns /. enc_trick_ns));
+            ] );
+        ( "fp16_decode",
+          Obs.Jsonw.Obj
+            [
+              ("table_ns_per_64k", ns table_ns);
+              ("float_pow_reference_ns_per_64k", ns dec_reference_ns);
+              ("lut_speedup", digits 2 (dec_reference_ns /. table_ns));
+            ] );
+      ]
+  in
   let oc = open_out out_path in
-  let sim_us = base_sim *. 1e6 in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"bench\": \"BENCH_8\",\n";
-  Printf.fprintf oc "  \"generated_by\": \"bench/bench_domains.ml\",\n";
-  Printf.fprintf oc "  \"smoke\": %b,\n" smoke;
-  Printf.fprintf oc "  \"host_cpus\": %d,\n" host_cpus;
-  Printf.fprintf oc "  \"skipped_speedup_assertion\": %b,\n"
-    skipped_speedup_assertion;
-  Printf.fprintf oc "  \"calibration_ns\": %.0f,\n" calibration_ns;
-  Printf.fprintf oc "  \"note\": \"Host wall-clock of the functional MCScan \
-                     simulation by domain count, with before/after micros for \
-                     the bulk host engine. Outputs and simulated stats are \
-                     bit-identical across rows; host_speedup_vs_1 > 1 \
-                     requires host_cpus > 1 (on a single-CPU host domain \
-                     dispatch can only add overhead). ns_per_run values are \
-                     comparable across machines only after dividing by \
-                     calibration_ns.\",\n";
-  Printf.fprintf oc "  \"mcscan_n\": %d,\n" scan_n;
-  Printf.fprintf oc "  \"mcscan_sim_us\": %.3f,\n" sim_us;
-  Printf.fprintf oc "  \"baseline_bench3_ns_per_run\": %.0f,\n"
-    baseline_bench3_ns_per_run;
-  Printf.fprintf oc "  \"speedup_vs_bench3\": %.2f,\n" speedup_vs_bench3;
-  Printf.fprintf oc "  \"mcscan\": [\n";
-  List.iteri
-    (fun i (dm, (ns, _)) ->
-      Printf.fprintf oc
-        "    { \"domains\": %d, \"ns_per_run\": %.0f, \
-         \"host_speedup_vs_1\": %.3f }%s\n"
-        dm ns (base_ns /. ns)
-        (if i = List.length runs - 1 then "" else ","))
-    runs;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc
-    "  \"bulk_map2\": { \"len\": %d, \"scalar_shim_ns\": %.0f, \
-     \"bulk_kernel_ns\": %.0f, \"bulk_speedup\": %.2f },\n"
-    map2_len shim_ns bulk_ns (shim_ns /. bulk_ns);
-  Printf.fprintf oc
-    "  \"fp16_encode\": { \"bit_trick_ns_per_64k\": %.0f, \
-     \"frexp_reference_ns_per_64k\": %.0f, \"bit_trick_speedup\": %.2f },\n"
-    enc_trick_ns enc_reference_ns
-    (enc_reference_ns /. enc_trick_ns);
-  Printf.fprintf oc
-    "  \"fp16_decode\": { \"table_ns_per_64k\": %.0f, \
-     \"float_pow_reference_ns_per_64k\": %.0f, \"lut_speedup\": %.2f }\n"
-    table_ns dec_reference_ns
-    (dec_reference_ns /. table_ns);
-  Printf.fprintf oc "}\n";
+  output_string oc (Obs.Jsonw.to_string ~pretty:true doc);
+  output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s\n%!" out_path

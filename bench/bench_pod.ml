@@ -126,9 +126,11 @@ let run_pod ?store ?chaos () =
   let pod = Pod.create ~devices () in
   (Runtime.Pod_runner.batched_scan ?store ?chaos pod ~batch ~len ~input, pod)
 
-let pod_bytes (r : Runtime.Pod_runner.report) =
+let pod_bytes (r : Runtime.Resilient.batched_report) =
   Array.init (batch * len) (fun i ->
-      Int64.bits_of_float (Ascend.Global_tensor.get r.Runtime.Pod_runner.py i))
+      Int64.bits_of_float (Ascend.Global_tensor.get r.Runtime.Resilient.y i))
+
+let pod_of r = Option.get r.Runtime.Resilient.pod
 
 let bench_kill_recovery () =
   let sc =
@@ -142,9 +144,9 @@ let bench_kill_recovery () =
   in
   must_zero "kill: clean-vs-attrition byte diffs"
     (diffs (pod_bytes clean) (pod_bytes killed));
-  must_zero "kill: rows shed" killed.Runtime.Pod_runner.pshed_rows;
-  let clean_us = clean.Runtime.Pod_runner.pstats.Ascend.Stats.seconds *. 1e6 in
-  let killed_us = killed.Runtime.Pod_runner.pstats.Ascend.Stats.seconds *. 1e6 in
+  must_zero "kill: rows shed" killed.Runtime.Resilient.shed_rows;
+  let clean_us = clean.Runtime.Resilient.bstats.Ascend.Stats.seconds *. 1e6 in
+  let killed_us = killed.Runtime.Resilient.bstats.Ascend.Stats.seconds *. 1e6 in
   (* Compute-side recovery is 0 when the kill lands between launches
      (re-sharding is proactive, and the Stats are placement-invariant
      by design). The link delta is typically NEGATIVE: shards that land
@@ -154,8 +156,8 @@ let bench_kill_recovery () =
      interrupts an in-flight group and the runner retries it. *)
   let recovery_us = killed_us -. clean_us in
   let link_delta_us =
-    (killed.Runtime.Pod_runner.plink_seconds
-    -. clean.Runtime.Pod_runner.plink_seconds)
+    ((pod_of killed).Runtime.Resilient.link_seconds
+    -. (pod_of clean).Runtime.Resilient.link_seconds)
     *. 1e6
   in
   let dist_ns =
@@ -168,7 +170,7 @@ let bench_kill_recovery () =
      link delta %8.3f us  devices lost %d\n\
      %!"
     clean_us killed_us recovery_us link_delta_us
-    killed.Runtime.Pod_runner.pdevices_lost;
+    (pod_of killed).Runtime.Resilient.devices_lost;
   Obs.Jsonw.Obj
     [
       ("batch", Obs.Jsonw.Int batch);
@@ -178,9 +180,10 @@ let bench_kill_recovery () =
       ("attrition_sim_us", Obs.Jsonw.Float killed_us);
       ("recovery_latency_us", Obs.Jsonw.Float recovery_us);
       ("link_delta_us", Obs.Jsonw.Float link_delta_us);
-      ("devices_lost", Obs.Jsonw.Int killed.Runtime.Pod_runner.pdevices_lost);
+      ( "devices_lost",
+        Obs.Jsonw.Int (pod_of killed).Runtime.Resilient.devices_lost );
       ( "group_attempts",
-        Obs.Jsonw.Int killed.Runtime.Pod_runner.pgroup_attempts );
+        Obs.Jsonw.Int killed.Runtime.Resilient.group_attempts );
       ("byte_diffs", Obs.Jsonw.Int 0);
       ("dist_scan_host_ns", Obs.Jsonw.Float dist_ns);
     ]
@@ -217,10 +220,10 @@ let bench_partition scenario_path =
   let ref_r = run_leg ~skip_crashes:true () in
   let ref_bytes = pod_bytes ref_r in
   let retry_amp =
-    float_of_int ref_r.Runtime.Pod_runner.pgroup_attempts
+    float_of_int ref_r.Runtime.Resilient.group_attempts
     /. float_of_int
          (max 1
-            (Runtime.Checkpoint.commits ref_r.Runtime.Pod_runner.pcheckpoint))
+            (Runtime.Checkpoint.commits ref_r.Runtime.Resilient.checkpoint))
   in
   (* Crashed leg: Host_crash escapes mid-batch; only the store survives. *)
   let store =
@@ -241,7 +244,7 @@ let bench_partition scenario_path =
   in
   let res_r = run_leg ~store:resumed_store ~skip_crashes:true () in
   let rows_done =
-    Runtime.Checkpoint.done_count res_r.Runtime.Pod_runner.pcheckpoint
+    Runtime.Checkpoint.done_count res_r.Runtime.Resilient.checkpoint
   in
   let rows_lost = batch - rows_done in
   let byte_diffs = diffs ref_bytes (pod_bytes res_r) in
@@ -269,9 +272,9 @@ let bench_partition scenario_path =
     "  pod-partition: retry-amp %.2f  commits-at-crash %d  restored %d  lost \
      %d  diffs %d  rerouted %d  devices lost %d\n\
      %!"
-    retry_amp crashed_commits res_r.Runtime.Pod_runner.prestored_rows rows_lost
-    byte_diffs ref_r.Runtime.Pod_runner.prerouted
-    ref_r.Runtime.Pod_runner.pdevices_lost;
+    retry_amp crashed_commits res_r.Runtime.Resilient.restored_rows rows_lost
+    byte_diffs (pod_of ref_r).Runtime.Resilient.rerouted
+    (pod_of ref_r).Runtime.Resilient.devices_lost;
   must_zero "pod-partition: rows lost" rows_lost;
   must_zero "pod-partition: resume-vs-reference byte diffs" byte_diffs;
   must_zero "pod-partition: re-executed committed rows" reexecuted;
@@ -291,19 +294,21 @@ let bench_partition scenario_path =
       ("devices", Obs.Jsonw.Int devices);
       ( "reference_sim_us",
         Obs.Jsonw.Float
-          (ref_r.Runtime.Pod_runner.pstats.Ascend.Stats.seconds *. 1e6) );
+          (ref_r.Runtime.Resilient.bstats.Ascend.Stats.seconds *. 1e6) );
       ( "resume_sim_us",
         Obs.Jsonw.Float
-          (res_r.Runtime.Pod_runner.pstats.Ascend.Stats.seconds *. 1e6) );
+          (res_r.Runtime.Resilient.bstats.Ascend.Stats.seconds *. 1e6) );
       ("retry_amplification", Obs.Jsonw.Float retry_amp);
       ("store_commits_at_crash", Obs.Jsonw.Int crashed_commits);
-      ("restored_rows", Obs.Jsonw.Int res_r.Runtime.Pod_runner.prestored_rows);
+      ("restored_rows", Obs.Jsonw.Int res_r.Runtime.Resilient.restored_rows);
       ("torn_tail_on_reopen", Obs.Jsonw.Bool l.Runtime.Checkpoint_store.l_torn);
       ("rows_lost", Obs.Jsonw.Int rows_lost);
       ("resume_byte_diffs", Obs.Jsonw.Int byte_diffs);
       ("reexecuted_committed_rows", Obs.Jsonw.Int reexecuted);
-      ("rerouted_sends", Obs.Jsonw.Int ref_r.Runtime.Pod_runner.prerouted);
-      ("devices_lost", Obs.Jsonw.Int ref_r.Runtime.Pod_runner.pdevices_lost);
+      ( "rerouted_sends",
+        Obs.Jsonw.Int (pod_of ref_r).Runtime.Resilient.rerouted );
+      ( "devices_lost",
+        Obs.Jsonw.Int (pod_of ref_r).Runtime.Resilient.devices_lost );
     ]
 
 let () =

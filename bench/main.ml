@@ -787,8 +787,9 @@ let robustness_degraded () =
     (fun (name, fault) ->
       let d = Ascend.Device.create ?fault () in
       let r =
-        Runtime.Resilient.batched_scan ~granularity:4 ~max_attempts:5 d ~batch
-          ~len ~input:binput
+        Runtime.Resilient.batched_scan ~granularity:4
+          ~ctl:Runtime.Degrade_ctl.(create ~config:(fixed ~max_attempts:5 ()) ())
+          d ~batch ~len ~input:binput
       in
       if not r.Runtime.Resilient.bok then
         fail_verify "batched_checkpoint" (name ^ ": incomplete checkpoint");

@@ -11,10 +11,7 @@
    own host — so a slower CI machine does not register as a
    regression and a faster one does not mask a real slowdown.
 
-   The parser is a minimal field scanner (this repo adds no JSON
-   dependency): it finds the first occurrence of a quoted key and
-   reads the number after the colon, which is exactly the shape
-   bench_domains.ml emits. *)
+   Both documents are read through Obs.Jsonw. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -25,47 +22,21 @@ let read_file path =
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
 
-(* Index just past the first occurrence of ["key"] at or after [from]. *)
-let find_key json ~from key =
-  let pat = "\"" ^ key ^ "\"" in
-  let plen = String.length pat in
-  let jlen = String.length json in
-  let rec go i =
-    if i + plen > jlen then None
-    else if String.sub json i plen = pat then Some (i + plen)
-    else go (i + 1)
-  in
-  go from
+let parse_doc path text =
+  match Obs.Jsonw.parse text with
+  | Ok doc -> doc
+  | Error e -> fail "%s: invalid JSON: %s" path e
 
-(* The number following ["key":] at or after [from]. *)
-let number_after ?(from = 0) json ~path key =
-  match find_key json ~from key with
-  | None -> fail "%s: field \"%s\" not found" path key
-  | Some i ->
-      let n = String.length json in
-      let i = ref i in
-      while
-        !i < n && (json.[!i] = ':' || json.[!i] = ' ' || json.[!i] = '\n')
-      do
-        incr i
-      done;
-      let j = ref !i in
-      while
-        !j < n
-        && (match json.[!j] with
-           | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-           | _ -> false)
-      do
-        incr j
-      done;
-      if !j = !i then fail "%s: field \"%s\" has no numeric value" path key;
-      float_of_string (String.sub json !i (!j - !i))
+let number doc ~path key =
+  match Option.bind (Obs.Jsonw.member key doc) Obs.Jsonw.number_opt with
+  | Some v -> v
+  | None -> fail "%s: numeric field \"%s\" not found" path key
 
 (* ns_per_run of the domains=1 row: the first row bench_domains emits. *)
-let mcscan_d1 json ~path =
-  match find_key json ~from:0 "mcscan" with
-  | None -> fail "%s: field \"mcscan\" not found" path
-  | Some i -> number_after ~from:i json ~path "ns_per_run"
+let mcscan_d1 doc ~path =
+  match Option.bind (Obs.Jsonw.member "mcscan" doc) Obs.Jsonw.to_list_opt with
+  | Some (row :: _) -> number row ~path "ns_per_run"
+  | _ -> fail "%s: field \"mcscan\" has no rows" path
 
 (* --sim mode: simulated-cycle regression over BENCH_9 / BENCH_10
    documents. Cycles are deterministic model outputs — the same commit
@@ -75,51 +46,25 @@ let mcscan_d1 json ~path =
    bench (the emitters are deterministic, so equal row counts and
    order are guaranteed for the same bench version). *)
 
-let all_cycles json =
-  (* Every number following a key ending in "cycles", with the key's
-     position for error reporting. *)
-  let n = String.length json in
-  let out = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    (match json.[!i] with
-    | '"' -> (
-        let j = ref (!i + 1) in
-        while !j < n && json.[!j] <> '"' do
-          incr j
-        done;
-        if !j < n then begin
-          let key = String.sub json (!i + 1) (!j - !i - 1) in
-          let klen = String.length key in
-          if
-            klen >= 6
-            && String.sub key (klen - 6) 6 = "cycles"
-            && !j + 1 < n
-            && json.[!j + 1] = ':'
-          then begin
-            let k = ref (!j + 2) in
-            while !k < n && json.[!k] = ' ' do
-              incr k
-            done;
-            let e = ref !k in
-            while
-              !e < n
-              && (match json.[!e] with
-                 | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-                 | _ -> false)
-            do
-              incr e
-            done;
-            if !e > !k then
-              out :=
-                (key, float_of_string (String.sub json !k (!e - !k))) :: !out
-          end;
-          i := !j
-        end)
-    | _ -> ());
-    incr i
-  done;
-  List.rev !out
+(* Every numeric member whose key ends in "cycles", in document
+   order. *)
+let all_cycles doc =
+  let rec walk acc = function
+    | Obs.Jsonw.Obj members ->
+        List.fold_left
+          (fun acc (key, v) ->
+            let acc =
+              match Obs.Jsonw.number_opt v with
+              | Some x when String.ends_with ~suffix:"cycles" key ->
+                  (key, x) :: acc
+              | _ -> acc
+            in
+            walk acc v)
+          acc members
+    | Obs.Jsonw.List items -> List.fold_left walk acc items
+    | _ -> acc
+  in
+  List.rev (walk [] doc)
 
 let sim_gate ~threshold_pct baseline baseline_path current current_path =
   let base = all_cycles baseline and cur = all_cycles current in
@@ -129,15 +74,8 @@ let sim_gate ~threshold_pct baseline baseline_path current current_path =
       baseline_path current_path (List.length base) (List.length cur);
   (* A current run that failed its own internal gate is a regression
      regardless of the baseline. *)
-  (match find_key current ~from:0 "gate_ok" with
-  | Some i ->
-      let rest = String.sub current i (min 16 (String.length current - i)) in
-      if
-        String.length rest >= 6
-        && String.sub (String.trim (String.map (function ':' -> ' ' | c -> c) rest)) 0 4
-           = "fals"
-      then fail "%s: gate_ok is false" current_path
-  | None -> ());
+  if Obs.Jsonw.member "gate_ok" current = Some (Obs.Jsonw.Bool false) then
+    fail "%s: gate_ok is false" current_path;
   let worst = ref 0.0 in
   let failures = ref 0 in
   List.iter2
@@ -186,8 +124,8 @@ let () =
           "usage: perf_gate [--sim] BASELINE.json CURRENT.json \
            [--threshold-pct N]"
   in
-  let baseline = read_file baseline_path in
-  let current = read_file current_path in
+  let baseline = parse_doc baseline_path (read_file baseline_path) in
+  let current = parse_doc current_path (read_file current_path) in
   if !sim then begin
     (* Deterministic cycles: exact match expected by default. *)
     let threshold_pct = Option.value ~default:0.0 !threshold in
@@ -195,10 +133,10 @@ let () =
     exit 0
   end;
   let threshold_pct = Option.value ~default:25.0 !threshold in
-  let norm json path =
-    let cal = number_after json ~path "calibration_ns" in
+  let norm doc path =
+    let cal = number doc ~path "calibration_ns" in
     if cal <= 0.0 then fail "%s: calibration_ns must be positive" path;
-    let ns = mcscan_d1 json ~path in
+    let ns = mcscan_d1 doc ~path in
     (ns, cal, ns /. cal)
   in
   let base_ns, base_cal, base_norm = norm baseline baseline_path in

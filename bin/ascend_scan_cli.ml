@@ -532,7 +532,9 @@ let batched_cmd =
     if checkpoint then begin
       let input = Array.init (batch * len) gen in
       let r =
-        Runtime.Resilient.batched_scan ~s ?granularity ~backoff_s:1e-6
+        Runtime.Resilient.batched_scan ~s ?granularity
+          ~ctl:
+            Runtime.Degrade_ctl.(create ~config:(fixed ~backoff_s:1e-6 ()) ())
           ~schedule:algo device ~batch ~len ~input
       in
       Format.printf "%a@." Runtime.Resilient.pp_batched_report r;
@@ -730,6 +732,120 @@ let topk_cmd =
   let term = Term.(const run $ n_arg $ k_arg $ algo_arg $ seed_arg) in
   Cmd.v (Cmd.info "topk" ~doc:"Run a top-k selection.") term
 
+(* Argument checks of the chaos and pod run/resume commands. *)
+let check_geometry ~batch ~len ?devices granularity =
+  if batch < 1 then raise (Usage_error "--batch must be >= 1");
+  if len < 1 then raise (Usage_error "--len must be >= 1");
+  (match devices with
+  | Some d when d < 1 ->
+      raise
+        (Usage_error
+           (Printf.sprintf "--devices: device count must be >= 1 (got %d)" d))
+  | _ -> ());
+  match granularity with
+  | Some g when g < 1 -> raise (Usage_error "--granularity must be >= 1")
+  | _ -> ()
+
+let load_scenario file =
+  match Runtime.Chaos.load file with
+  | Ok sc -> sc
+  | Error msg -> raise (Usage_error msg)
+
+(* The run/resume storyline shared by the chaos and pod groups: open a
+   fresh store or reopen one (refusing a store whose meta pins a
+   different run), arm the degradation controller and the crash
+   handler, run, then print the report. [group] names the subcommand
+   group in usage errors, [narrator] prefixes the chaos narrative
+   lines. The caller prints its extra state through [after_ctl] (after
+   the controller log) and [after_store] (after the store line);
+   [profile] replaces the device trace as the critical-path profile
+   source. *)
+let checkpointed_run ~group ~narrator ~resume ~store_path ~meta ~batch ~len
+    ~seed ~crash_mode ~obs ?(after_ctl = ignore) ?(after_store = ignore)
+    ?profile ~device sc run =
+  let store =
+    match (store_path, resume) with
+    | None, true ->
+        raise (Usage_error (group ^ " resume requires --store FILE"))
+    | None, false -> None
+    | Some path, false ->
+        Some (Runtime.Checkpoint_store.create ~path ~rows:batch ~len ~meta ())
+    | Some path, true -> (
+        match Runtime.Checkpoint_store.reopen ~path with
+        | Error e -> raise (Usage_error ("--store: " ^ e))
+        | Ok (st, l) ->
+            if Runtime.Checkpoint_store.meta st <> meta then
+              raise
+                (Usage_error
+                   (Printf.sprintf
+                      "--store: meta mismatch: store was written by %S, this \
+                       invocation is %S"
+                      (Runtime.Checkpoint_store.meta st)
+                      meta));
+            Format.printf "%a@." Runtime.Checkpoint_store.pp_loaded l;
+            Some st)
+  in
+  let ctl =
+    Runtime.Degrade_ctl.create
+      ~on_decision:(fun d ->
+        match Ascend.Device.trace device with
+        | Some tr ->
+            Ascend.Trace.note tr Ascend.Trace.Degrade
+              ~name:(Format.asprintf "%a" Runtime.Degrade_ctl.pp_decision d)
+        | None -> ())
+      ()
+  in
+  let on_crash msg =
+    match crash_mode with
+    | `Raise -> raise (Runtime.Chaos.Host_crash msg)
+    | `Sigkill ->
+        (* The committed store is the only thing meant to survive;
+           flush the narrative first so the harness log is honest. *)
+        Format.printf "%s: %s -- dying with SIGKILL@." narrator msg;
+        Format.pp_print_flush Format.std_formatter ();
+        flush stdout;
+        flush stderr;
+        Unix.kill (Unix.getpid ()) Sys.sigkill
+  in
+  let chaos =
+    Option.map (Runtime.Chaos.arm ~skip_crashes:resume ~on_crash) sc
+  in
+  let gen i = if (i + seed) mod 53 = 0 then 1.0 else 0.0 in
+  let input = Array.init (batch * len) gen in
+  let r = run ~ctl ?chaos ?store input in
+  Format.printf "%a@." Runtime.Resilient.pp_batched_report r;
+  Option.iter
+    (fun ch ->
+      match Runtime.Chaos.fired ch with
+      | [] -> Format.printf "%s: no events fired@." narrator
+      | evs ->
+          List.iter
+            (fun (i, d) -> Format.printf "%s launch %d: %s@." narrator i d)
+            evs)
+    chaos;
+  Format.printf "%a@." Runtime.Degrade_ctl.pp ctl;
+  after_ctl ();
+  Option.iter
+    (fun st ->
+      Format.printf "store: %d commits durable at %s@."
+        (Runtime.Checkpoint_store.commits st)
+        (Runtime.Checkpoint_store.path st))
+    store;
+  after_store ();
+  print_stats r.Runtime.Resilient.bstats;
+  print_robustness device;
+  let obs =
+    match (profile, obs.profile_file) with
+    | Some doc, Some out ->
+        emit_profile ~out (doc ());
+        { obs with profile_file = None }
+    | _ -> obs
+  in
+  emit_obs device obs r.Runtime.Resilient.bstats ~extra:(fun m ->
+      Obs.Metrics.observe_batched_report m r;
+      Obs.Metrics.observe_ctl m ctl);
+  if not r.Runtime.Resilient.bok then exit 1
+
 (* chaos subcommand group: scenario-driven failure storylines over the
    checkpointed batched runner, with crash-consistent resume.
 
@@ -792,11 +908,6 @@ let chaos_cmd =
              while $(b,raise) aborts with a clean error (exit 1) for \
              in-process testing.")
   in
-  let load_scenario file =
-    match Runtime.Chaos.load file with
-    | Ok sc -> sc
-    | Error msg -> raise (Usage_error msg)
-  in
   (* The store's meta pins everything that shapes the bytes being
      resumed: scenario identity plus run geometry. A resume with a
      different scenario, size or workload would silently splice
@@ -807,88 +918,19 @@ let chaos_cmd =
   in
   let run_or_resume ~resume scenario_file store_path batch len s granularity
       crash_mode seed obs =
-    if batch < 1 then raise (Usage_error "--batch must be >= 1");
-    if len < 1 then raise (Usage_error "--len must be >= 1");
-    (match granularity with
-    | Some g when g < 1 -> raise (Usage_error "--granularity must be >= 1")
-    | _ -> ());
+    check_geometry ~batch ~len granularity;
     let sc = load_scenario scenario_file in
-    let meta = meta_of sc ~batch ~len ~s ~seed in
-    let store =
-      match (store_path, resume) with
-      | None, true -> raise (Usage_error "chaos resume requires --store FILE")
-      | None, false -> None
-      | Some path, false ->
-          Some (Runtime.Checkpoint_store.create ~path ~rows:batch ~len ~meta ())
-      | Some path, true -> (
-          match Runtime.Checkpoint_store.reopen ~path with
-          | Error e -> raise (Usage_error ("--store: " ^ e))
-          | Ok (st, l) ->
-              if Runtime.Checkpoint_store.meta st <> meta then
-                raise
-                  (Usage_error
-                     (Printf.sprintf
-                        "--store: meta mismatch: store was written by %S, \
-                         this invocation is %S"
-                        (Runtime.Checkpoint_store.meta st)
-                        meta));
-              Format.printf "%a@." Runtime.Checkpoint_store.pp_loaded l;
-              Some st)
-    in
     let device =
       Ascend.Device.create ~mode:Ascend.Device.Functional
         ~fault:(Runtime.Chaos.fault_config sc) ()
     in
     arm_obs device obs;
-    let ctl =
-      Runtime.Degrade_ctl.create
-        ~on_decision:(fun d ->
-          match Ascend.Device.trace device with
-          | Some tr ->
-              Ascend.Trace.note tr Ascend.Trace.Degrade
-                ~name:(Format.asprintf "%a" Runtime.Degrade_ctl.pp_decision d)
-          | None -> ())
-        ()
-    in
-    let on_crash msg =
-      match crash_mode with
-      | `Raise -> raise (Runtime.Chaos.Host_crash msg)
-      | `Sigkill ->
-          (* The committed store is the only thing meant to survive;
-             flush the narrative first so the harness log is honest. *)
-          Format.printf "chaos: %s -- dying with SIGKILL@." msg;
-          Format.pp_print_flush Format.std_formatter ();
-          flush stdout;
-          flush stderr;
-          Unix.kill (Unix.getpid ()) Sys.sigkill
-    in
-    let ch = Runtime.Chaos.arm ~skip_crashes:resume ~on_crash sc in
-    let gen i = if (i + seed) mod 53 = 0 then 1.0 else 0.0 in
-    let input = Array.init (batch * len) gen in
-    let r =
-      Runtime.Resilient.batched_scan ~s ?granularity ?store ~ctl ~chaos:ch
-        device ~batch ~len ~input
-    in
-    Format.printf "%a@." Runtime.Resilient.pp_batched_report r;
-    (match Runtime.Chaos.fired ch with
-    | [] -> Format.printf "chaos: no events fired@."
-    | evs ->
-        List.iter
-          (fun (i, d) -> Format.printf "chaos launch %d: %s@." i d)
-          evs);
-    Format.printf "%a@." Runtime.Degrade_ctl.pp ctl;
-    (match store with
-    | Some st ->
-        Format.printf "store: %d commits durable at %s@."
-          (Runtime.Checkpoint_store.commits st)
-          (Runtime.Checkpoint_store.path st)
-    | None -> ());
-    print_stats r.Runtime.Resilient.bstats;
-    print_robustness device;
-    emit_obs device obs r.Runtime.Resilient.bstats ~extra:(fun m ->
-        Obs.Metrics.observe_batched_report m r;
-        Obs.Metrics.observe_ctl m ctl);
-    if not r.Runtime.Resilient.bok then exit 1
+    checkpointed_run ~group:"chaos" ~narrator:"chaos" ~resume ~store_path
+      ~meta:(meta_of sc ~batch ~len ~s ~seed)
+      ~batch ~len ~seed ~crash_mode ~obs ~device (Some sc)
+      (fun ~ctl ?chaos ?store input ->
+        Runtime.Resilient.batched_scan ~s ?granularity ?store ~ctl ?chaos
+          device ~batch ~len ~input)
   in
   let run_term ~resume =
     Term.(
@@ -1035,11 +1077,6 @@ let pod_cmd =
             "What a $(b,crash) event does: $(b,sigkill) (default) or \
              $(b,raise) (clean exit 1).")
   in
-  let load_scenario file =
-    match Runtime.Chaos.load file with
-    | Ok sc -> sc
-    | Error msg -> raise (Usage_error msg)
-  in
   let meta_of sc ~batch ~len ~s ~seed ~devices ~topology =
     Printf.sprintf "pod|%s|seed=%d|batch=%d|len=%d|s=%d|wseed=%d|devices=%d|topology=%s"
       (match sc with
@@ -1051,39 +1088,8 @@ let pod_cmd =
   in
   let run_or_resume ~resume scenario_file store_path batch len s granularity
       devices topology schedule pod_trace crash_mode seed obs =
-    if batch < 1 then raise (Usage_error "--batch must be >= 1");
-    if len < 1 then raise (Usage_error "--len must be >= 1");
-    if devices < 1 then
-      raise
-        (Usage_error
-           (Printf.sprintf "--devices: device count must be >= 1 (got %d)"
-              devices));
-    (match granularity with
-    | Some g when g < 1 -> raise (Usage_error "--granularity must be >= 1")
-    | _ -> ());
+    check_geometry ~batch ~len ~devices granularity;
     let sc = Option.map load_scenario scenario_file in
-    let meta = meta_of sc ~batch ~len ~s ~seed ~devices ~topology in
-    let store =
-      match (store_path, resume) with
-      | None, true -> raise (Usage_error "pod resume requires --store FILE")
-      | None, false -> None
-      | Some path, false ->
-          Some (Runtime.Checkpoint_store.create ~path ~rows:batch ~len ~meta ())
-      | Some path, true -> (
-          match Runtime.Checkpoint_store.reopen ~path with
-          | Error e -> raise (Usage_error ("--store: " ^ e))
-          | Ok (st, l) ->
-              if Runtime.Checkpoint_store.meta st <> meta then
-                raise
-                  (Usage_error
-                     (Printf.sprintf
-                        "--store: meta mismatch: store was written by %S, \
-                         this invocation is %S"
-                        (Runtime.Checkpoint_store.meta st)
-                        meta));
-              Format.printf "%a@." Runtime.Checkpoint_store.pp_loaded l;
-              Some st)
-    in
     let primary =
       Ascend.Device.create ~mode:Ascend.Device.Functional
         ?fault:(Option.map Runtime.Chaos.fault_config sc)
@@ -1091,71 +1097,26 @@ let pod_cmd =
     in
     arm_obs primary obs;
     let pod = Pod.create_with ~topology ~primary ~devices () in
-    let ctl =
-      Runtime.Degrade_ctl.create
-        ~on_decision:(fun d ->
-          match Ascend.Device.trace primary with
-          | Some tr ->
-              Ascend.Trace.note tr Ascend.Trace.Degrade
-                ~name:(Format.asprintf "%a" Runtime.Degrade_ctl.pp_decision d)
-          | None -> ())
-        ()
-    in
-    let on_crash msg =
-      match crash_mode with
-      | `Raise -> raise (Runtime.Chaos.Host_crash msg)
-      | `Sigkill ->
-          Format.printf "pod chaos: %s -- dying with SIGKILL@." msg;
-          Format.pp_print_flush Format.std_formatter ();
-          flush stdout;
-          flush stderr;
-          Unix.kill (Unix.getpid ()) Sys.sigkill
-    in
-    let chaos =
-      Option.map (fun sc -> Runtime.Chaos.arm ~skip_crashes:resume ~on_crash sc) sc
-    in
-    let gen i = if (i + seed) mod 53 = 0 then 1.0 else 0.0 in
-    let input = Array.init (batch * len) gen in
-    let r =
-      Runtime.Pod_runner.batched_scan ~s ?granularity ?schedule ?store ~ctl
-        ?chaos pod ~batch ~len ~input
-    in
-    Format.printf "%a@." Runtime.Pod_runner.pp_report r;
-    (match chaos with
-    | Some ch -> (
-        match Runtime.Chaos.fired ch with
-        | [] -> Format.printf "pod chaos: no events fired@."
-        | evs ->
-            List.iter
-              (fun (i, d) -> Format.printf "pod chaos launch %d: %s@." i d)
-              evs)
-    | None -> ());
-    Format.printf "%a@." Runtime.Degrade_ctl.pp ctl;
-    Format.printf "%a@." Pod.pp pod;
-    (match store with
-    | Some st ->
-        Format.printf "store: %d commits durable at %s@."
-          (Runtime.Checkpoint_store.commits st)
-          (Runtime.Checkpoint_store.path st)
-    | None -> ());
-    (match pod_trace with
-    | Some file ->
-        write_file file (Obs.Pod_trace.to_string pod);
-        Format.printf "pod trace: %d events -> %s@."
-          (List.length (Pod.events pod))
-          file
-    | None -> ());
-    print_stats r.Runtime.Pod_runner.pstats;
-    print_robustness primary;
-    (* Pod runs profile the pod-level trace: the critical path crosses
-       link-transfer spans between devices, which the per-device trace
-       cannot see. *)
-    (match obs.profile_file with
-    | Some out -> emit_profile ~out (Obs.Pod_trace.json pod)
-    | None -> ());
-    emit_obs primary { obs with profile_file = None }
-      r.Runtime.Pod_runner.pstats;
-    if not r.Runtime.Pod_runner.pok then exit 1
+    checkpointed_run ~group:"pod" ~narrator:"pod chaos" ~resume ~store_path
+      ~meta:(meta_of sc ~batch ~len ~s ~seed ~devices ~topology)
+      ~batch ~len ~seed ~crash_mode ~obs
+      ~after_ctl:(fun () -> Format.printf "%a@." Pod.pp pod)
+      ~after_store:(fun () ->
+        Option.iter
+          (fun file ->
+            write_file file (Obs.Pod_trace.to_string pod);
+            Format.printf "pod trace: %d events -> %s@."
+              (List.length (Pod.events pod))
+              file)
+          pod_trace)
+        (* Pod runs profile the pod-level trace: the critical path
+           crosses link-transfer spans between devices, which the
+           per-device trace cannot see. *)
+      ~profile:(fun () -> Obs.Pod_trace.json pod)
+      ~device:primary sc
+      (fun ~ctl ?chaos ?store input ->
+        Runtime.Pod_runner.batched_scan ~s ?granularity ?schedule ?store ~ctl
+          ?chaos pod ~batch ~len ~input)
   in
   let run_term ~resume =
     Term.(

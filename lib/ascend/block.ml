@@ -8,8 +8,6 @@
    block-local, so the schedule — and therefore Stats and traces — is
    bit-identical across host domain counts and pod placements. *)
 
-type section = No_section | Section_serial | Section_overlap
-
 (* One committed async-copy group on an engine queue: everything issued
    since the previous [commit_group]. [g_end] is the completion time
    (max end of the member copies); [g_dsts] the local destination
@@ -36,20 +34,16 @@ type t = {
   pend_end : float array;  (* max end among them *)
   pend_dsts : Local_tensor.t list array;  (* their local dsts (sanitizer only) *)
   groups : group Queue.t array;  (* committed, un-waited groups per engine *)
-  mutable section : section;  (* legacy [pipelined] lowering *)
-  mutable sec_t0 : float;  (* program point at section start *)
   (* --- dependency recording (trace armed only) ---
      Invariants while recording: [last_id.(i)] is the last span issued
      on engine [i] (its end is [avail.(i)]); the max end over
-     [lane_src.(l)]'s spans is exactly [lanes.(l)]; the max end over
-     [sec_src]'s spans is exactly [sec_t0]. Each contributor carries
+     [lane_src.(l)]'s spans is exactly [lanes.(l)]. Each contributor carries
      the edge kind of the wait that introduced it, so the edges emitted
      at the next issue both explain the issue time bit-exactly and
      name the synchronisation mechanism. *)
   last_id : int array;  (* last span id per engine; -1 = none *)
   pend_last : int array;  (* last async span since commit, per engine *)
   lane_src : (int * Trace.edge_kind) list array;  (* per lane *)
-  mutable sec_src : (int * Trace.edge_kind) list;  (* overlap-section entry *)
   (* --- accounting --- *)
   mutable gm_read : int;
   mutable gm_write : int;
@@ -103,12 +97,9 @@ let make_on ~core ~device ~idx ~num_blocks =
     pend_end = Array.make n 0.0;
     pend_dsts = Array.make n [];
     groups = Array.init n (fun _ -> Queue.create ());
-    section = No_section;
-    sec_t0 = 0.0;
     last_id = Array.make n (-1);
     pend_last = Array.make n (-1);
     lane_src = Array.make (Engine.lane_count ~vec_per_core) [];
-    sec_src = [];
     gm_read = 0;
     gm_write = 0;
     touched_tbl = Hashtbl.create 8;
@@ -167,14 +158,9 @@ let bump_busy t i cycles =
     raise (Health.Core_dead { core = t.core; cycle = t.kill_at })
   end
 
-(* Issue time of the next op on engine [i] from the program's point of
-   view: the lane cursor outside sections, the section entry point
-   inside an overlap section (where every engine queues from the
-   section start — the legacy [pipelined] lowering). *)
-let issue_start t i l =
-  match t.section with
-  | Section_overlap -> Float.max t.sec_t0 t.avail.(i)
-  | No_section | Section_serial -> Float.max t.lanes.(l) t.avail.(i)
+(* Issue time of the next op on engine [i] from lane [l]'s point of
+   view: after both the lane cursor and the engine clock. *)
+let issue_start t i l = Float.max t.lanes.(l) t.avail.(i)
 
 let emit_span t ~op ~bytes engine i ~start ~cycles =
   match t.tb with
@@ -206,16 +192,10 @@ let emit_edges t ~dst preds =
       in
       go [] preds
 
-(* The program-order contributors a charge on engine [i] lane [l] sees:
-   the overlap-section entry set inside a section, the lane's
-   contributor set otherwise — exactly mirroring [issue_start]. *)
-let issue_src t i l =
-  let lane =
-    match t.section with
-    | Section_overlap -> t.sec_src
-    | No_section | Section_serial -> t.lane_src.(l)
-  in
-  (t.last_id.(i), Trace.Queue) :: lane
+(* The contributors a charge on engine [i] lane [l] sees — the queue
+   predecessor and the lane's contributor set, exactly mirroring
+   [issue_start]. *)
+let issue_src t i l = (t.last_id.(i), Trace.Queue) :: t.lane_src.(l)
 
 let charge ?(op = "charge") ?(bytes = 0) t engine cycles =
   let i = eindex t engine in
@@ -228,11 +208,8 @@ let charge ?(op = "charge") ?(bytes = 0) t engine cycles =
     t.last_id.(i) <- id
   end;
   t.avail.(i) <- stop;
-  (match t.section with
-  | Section_overlap -> ()
-  | No_section | Section_serial ->
-      t.lanes.(l) <- stop;
-      if id >= 0 then t.lane_src.(l) <- [ (id, Trace.Lane) ]);
+  t.lanes.(l) <- stop;
+  if id >= 0 then t.lane_src.(l) <- [ (id, Trace.Lane) ];
   bump_busy t i cycles
 
 let charge_async ?(op = "charge") ?(bytes = 0) ?dst t engine cycles =
@@ -310,8 +287,8 @@ let await_engine t ~lane_of ~on =
 
 (* Contributor set of the block-wide maximum: the per-engine last spans
    cover the engine clocks, the lane contributor sets cover the lane
-   cursors. Used by [wait_all] and the overlap-section close, which
-   join every lane at the makespan. *)
+   cursors. Used by [wait_all], which joins every lane at the
+   makespan. *)
 let makespan_src t kind =
   let seen = Hashtbl.create 32 in
   let acc = ref [] in
@@ -392,9 +369,7 @@ let charge_rows t engine ~count entries =
         done
       done;
       t.avail.(i) <- !clock;
-      match t.section with
-      | Section_overlap -> ()
-      | No_section | Section_serial -> t.lanes.(l) <- !clock
+      t.lanes.(l) <- !clock
     end
 
 let note_fault t =
@@ -428,68 +403,6 @@ let elapsed_cycles t =
   Array.iter (fun c -> if c > !m then m := c) t.lanes;
   Array.iter (fun c -> if c > !m then m := c) t.avail;
   !m
-
-(* Legacy analytic-pipeline sections, lowered onto the event model.
-   [iters = 1] runs the body with plain event semantics (ops chain on
-   their lane — the documented "no pipelining" meaning, which the old
-   closed-form code only approximated). [iters > 1] queues every charge
-   on its engine from the section entry point and joins all lanes at
-   the section's makespan: the overlap the old formula estimated as
-   [max_e busy + fill/iters], now computed from the actual issue
-   timeline (the fill term is subsumed by real issue gaps). *)
-let pipelined t ~iters f =
-  if t.section <> No_section then
-    invalid_arg "Block.pipelined: sections do not nest";
-  if iters < 1 then invalid_arg "Block.pipelined: iters must be >= 1";
-  if iters = 1 then begin
-    t.section <- Section_serial;
-    match f () with
-    | v ->
-        t.section <- No_section;
-        v
-    | exception e ->
-        t.section <- No_section;
-        raise e
-  end
-  else begin
-    let t0 = ref 0.0 in
-    Array.iter (fun c -> if c > !t0 then t0 := c) t.lanes;
-    t.sec_t0 <- !t0;
-    t.section <- Section_overlap;
-    (* The section-entry contributor set spans the lane cursors only
-       (not the engine clocks): [issue_start] queues section charges
-       from [max sec_t0 avail], and the queue predecessor supplies the
-       [avail] side. *)
-    if recording t then begin
-      let seen = Hashtbl.create 32 in
-      let acc = ref [] in
-      Array.iter
-        (List.iter (fun (id, _) ->
-             if not (Hashtbl.mem seen id) then begin
-               Hashtbl.add seen id ();
-               acc := (id, Trace.Section) :: !acc
-             end))
-        t.lane_src;
-      t.sec_src <- !acc
-    end;
-    let close () =
-      t.section <- No_section;
-      let m = elapsed_cycles t in
-      Array.fill t.lanes 0 (Array.length t.lanes) m;
-      if recording t then begin
-        let joined = makespan_src t Trace.Section in
-        Array.fill t.lane_src 0 (Array.length t.lane_src) joined;
-        t.sec_src <- []
-      end
-    in
-    match f () with
-    | v ->
-        close ();
-        v
-    | exception e ->
-        close ();
-        raise e
-  end
 
 let allocator t kind =
   match List.find_opt (fun (k, _) -> Mem_kind.equal k kind) t.allocators with

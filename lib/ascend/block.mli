@@ -186,24 +186,6 @@ val count_op_n : t -> string -> int -> unit
 val note_gm_traffic : t -> read:int -> write:int -> unit
 val note_touched : t -> Global_tensor.t -> unit
 
-val pipelined : t -> iters:int -> (unit -> 'a) -> 'a
-(** {b Deprecated} compatibility wrapper for the pre-event-model
-    analytic pipeline sections; new kernels should issue async copies
-    with {!Mte.copy_in_async}/{!Mte.copy_out_async} and wait groups
-    instead. [pipelined ~iters f] lowers onto the event timeline:
-
-    - [iters = 1] runs [f] with plain event semantics — ops chain on
-      their lane, which is the documented "no pipelining" behaviour
-      (the historical closed-form code only approximated it);
-    - [iters > 1] treats the section as one fully-overlapped software
-      pipeline: every charge inside queues on its engine from the
-      section entry point, and at section exit all lanes join at the
-      section makespan (the event-model refinement of the old
-      [max_e busy + fill/iters] estimate).
-
-    Sections do not nest; raises [Invalid_argument] on nesting or on
-    [iters < 1]. *)
-
 val alloc : t -> Mem_kind.t -> Dtype.t -> int -> Local_tensor.t
 (** Bump-allocate a local tensor; raises [Failure] when the scratchpad
     capacity of the memory kind is exceeded. *)

@@ -4,7 +4,8 @@
     [vec_per_core] AI Vector (AIV) cores. Each of these sub-cores has a
     compute engine and inbound/outbound Memory Transfer Engines (MTEs)
     with independent instruction queues, so within a software pipeline
-    they all run in parallel (see {!Block.pipelined}). *)
+    they all run in parallel (see {!Block.charge_async} and
+    {!Block.wait_group}). *)
 
 type t =
   | Cube_mte_in  (** MTE queue moving GM/L1 data into the cube core. *)

@@ -21,7 +21,7 @@ type span = {
   sp_bytes : int;
 }
 
-type edge_kind = Lane | Queue | Group | Fence | Await | Join | Section
+type edge_kind = Lane | Queue | Group | Fence | Await | Join
 
 let edge_kind_to_string = function
   | Lane -> "lane"
@@ -30,7 +30,6 @@ let edge_kind_to_string = function
   | Fence -> "fence"
   | Await -> "await"
   | Join -> "join"
-  | Section -> "section"
 
 type edge = { e_src : int; e_dst : int; e_kind : edge_kind }
 

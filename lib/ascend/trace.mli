@@ -67,7 +67,6 @@ type edge_kind =
   | Fence  (** A {!Block.fence} joined the lane to the source's engine. *)
   | Await  (** A {!Block.await_engine} cross-lane join. *)
   | Join  (** A {!Block.wait_all} full-block barrier. *)
-  | Section  (** Legacy {!Block.pipelined} overlap-section entry/exit. *)
 
 val edge_kind_to_string : edge_kind -> string
 

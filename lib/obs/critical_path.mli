@@ -3,8 +3,8 @@
 
     The engine model records, for every span, the dependency edges
     (lane program order, engine queue order, commit/wait-group
-    retirement, fences, [await_engine], [wait_all] joins,
-    overlap-section boundaries) that explain its issue time, and the
+    retirement, fences, [await_engine], [wait_all] joins) that
+    explain its issue time, and the
     Chrome export carries them as flow events together with exact
     block-local cycle endpoints ([args.c0]/[args.c1]). This module
     parses those bytes back, re-runs the forward pass over the DAG and

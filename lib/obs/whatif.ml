@@ -86,7 +86,7 @@ let retime_block scenario (b : Cp.block) =
              - every queue edge stays (engines issue in order);
              - lane/group/fence/await edges into non-load spans stay
                (work needs its load, store needs its work);
-             - join/section barriers and lane edges into loads go
+             - join barriers and lane edges into loads go
                (those are the serial schedule, not the dataflow). *)
           let kept =
             Array.to_list b.Cp.bk_edges
@@ -97,7 +97,7 @@ let retime_block scenario (b : Cp.block) =
                      && b.Cp.bk_spans.(di).Cp.x_queue = "MTE2"
                    in
                    match e.Cp.ed_kind with
-                   | "join" | "section" -> false
+                   | "join" -> false
                    | "lane" -> not dst_is_load
                    | _ -> not dst_is_load || e.Cp.ed_kind = "queue")
           in

@@ -16,7 +16,7 @@ type scenario =
   | Hbm of float  (** Scale the HBM/L2 bandwidth roof of every phase. *)
   | Pipeline
       (** Structural: drop the serial schedule's per-item barriers
-          (join/section edges and lane edges into loads), keep the RAW
+          (join edges and lane edges into loads), keep the RAW
           dataflow (queue order, load->compute->store), and pace loads
           by double-buffer slot reuse (load k waits for load k-2's
           consumer). Predicts what the Double/Triple walker schedules

@@ -273,33 +273,6 @@ let reopen ~path =
       if l.l_torn then persist t;
       Ok (t, l)
 
-let restore l ck y =
-  if Checkpoint.rows ck <> l.l_rows then
-    invalid_arg
-      (Printf.sprintf "Checkpoint_store.restore: checkpoint has %d rows, store %d"
-         (Checkpoint.rows ck) l.l_rows);
-  if Ascend.Global_tensor.length y <> l.l_rows * l.l_len then
-    invalid_arg
-      (Printf.sprintf "Checkpoint_store.restore: tensor length %d, store %d*%d"
-         (Ascend.Global_tensor.length y) l.l_rows l.l_len);
-  let seen = Array.make l.l_rows false in
-  let restored = ref 0 in
-  List.iter
-    (fun (lo, hi, values) ->
-      for r = lo to hi - 1 do
-        if not seen.(r) then begin
-          seen.(r) <- true;
-          incr restored
-        end;
-        for i = 0 to l.l_len - 1 do
-          Ascend.Global_tensor.set y ((r * l.l_len) + i)
-            values.(((r - lo) * l.l_len) + i)
-        done
-      done;
-      Checkpoint.mark ck ~lo ~hi)
-    l.l_groups;
-  !restored
-
 let pp_loaded fmt l =
   let rows_covered =
     let seen = Array.make l.l_rows false in

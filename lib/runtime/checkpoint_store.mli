@@ -83,13 +83,7 @@ val commits : t -> int
 
 val groups : t -> (int * int * float array) list
 (** The store's records in commit order — what a resumed
-    [Resilient.batched_scan] restores before touching the device. *)
-
-val restore : loaded -> Checkpoint.t -> Ascend.Global_tensor.t -> int
-(** Mark every stored group done in the checkpoint and write its
-    payload back into the output tensor; returns the number of
-    distinct rows restored. Raises [Invalid_argument] when the
-    checkpoint rows or tensor length do not match the store header. *)
+    [Resilient.run_groups] restores before touching the device. *)
 
 val crc32 : Bytes.t -> int
 (** The store's CRC-32 (IEEE 802.3, reflected 0xEDB88320) over a

@@ -103,6 +103,13 @@ let config ?(window = default_config.window)
     recover_after;
   }
 
+(* The breaker needs [min_samples] outcomes in a [window]-sized ring,
+   so a window smaller than [min_samples] never trips it: no cooldown,
+   no half-open probe, no brownout. *)
+let fixed ?(max_attempts = 3) ?(backoff_s = 0.0) () =
+  config ~window:1 ~min_samples:2 ~base_backoff_s:backoff_s
+    ~max_backoff_s:Float.infinity ~max_attempts ()
+
 type decision = {
   seq : int;
   d_state : state;
@@ -120,7 +127,6 @@ type t = {
   mutable failures : int;  (* failures currently in the window *)
   mutable st : state;
   mutable lvl : level;
-  mutable consec_failures : int;
   mutable consec_successes : int;
   mutable pending_cooldown : float;  (* charged by the next before_attempt *)
   mutable next_cooldown : float;  (* doubles on every re-open *)
@@ -139,7 +145,6 @@ let create ?(config = default_config) ?(on_decision = fun _ -> ()) () =
     failures = 0;
     st = Closed;
     lvl = Normal;
-    consec_failures = 0;
     consec_successes = 0;
     pending_cooldown = 0.0;
     next_cooldown = config.cooldown_s;
@@ -150,6 +155,7 @@ let create ?(config = default_config) ?(on_decision = fun _ -> ()) () =
 
 let state t = t.st
 let level t = t.lvl
+let can_open t = t.cfg.min_samples <= t.cfg.window
 let opens t = t.n_opens
 let decisions t = List.rev t.log
 
@@ -201,7 +207,6 @@ let open_breaker t reason =
 let record t ~ok =
   push_outcome t ~failed:(not ok);
   if ok then begin
-    t.consec_failures <- 0;
     t.consec_successes <- t.consec_successes + 1;
     (match t.st with
     | Half_open ->
@@ -223,7 +228,6 @@ let record t ~ok =
   end
   else begin
     t.consec_successes <- 0;
-    t.consec_failures <- t.consec_failures + 1;
     match t.st with
     | Half_open -> open_breaker t "half-open probe failed"
     | Closed ->
@@ -235,7 +239,7 @@ let record t ~ok =
     | Open -> ()
   end
 
-let before_attempt t ~retry =
+let before_attempt t ~attempt =
   let cooldown =
     match t.st with
     | Open ->
@@ -247,10 +251,9 @@ let before_attempt t ~retry =
     | Closed | Half_open -> 0.0
   in
   let backoff =
-    if retry && t.cfg.base_backoff_s > 0.0 then
+    if attempt > 1 && t.cfg.base_backoff_s > 0.0 then
       Float.min t.cfg.max_backoff_s
-        (t.cfg.base_backoff_s
-        *. (2.0 ** float_of_int (max 0 (t.consec_failures - 1))))
+        (t.cfg.base_backoff_s *. (2.0 ** float_of_int (attempt - 2)))
     else 0.0
   in
   cooldown +. backoff

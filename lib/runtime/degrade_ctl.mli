@@ -1,7 +1,8 @@
-(** Adaptive degradation controller: a circuit breaker plus a brownout
-    ladder, replacing the fixed [max_attempts]/[backoff_s] retry
-    constants of the resilient runners with policy driven by the
-    observed failure rate.
+(** Degradation controller: a circuit breaker plus a brownout ladder,
+    the one retry policy of the resilient runners. Every attempt
+    budget and backoff in {!Resilient} and {!Pod_runner} comes from
+    here; the plain fixed-budget policy is the {!fixed} configuration
+    (a breaker that cannot open).
 
     The Ascend serving field study (PAPERS.md) finds that recovery and
     degradation {e policy} — not raw kernel speed — dominates tail
@@ -12,7 +13,7 @@
 
     Group-attempt outcomes feed a sliding window. While the failure
     rate stays under [open_threshold] the breaker is {e closed} and
-    retries run with the full attempt budget and a small adaptive
+    retries run with the full attempt budget and an exponential
     backoff. When the rate trips the threshold the breaker {e opens}:
     the next attempt is preceded by a cooldown pause (simulated
     seconds, charged to the run's stats and doubling on every re-open)
@@ -97,6 +98,13 @@ val config :
     non-positive window/budget, a threshold outside (0,1], or a
     negative time. *)
 
+val fixed : ?max_attempts:int -> ?backoff_s:float -> unit -> config
+(** The fixed retry policy as a configuration: a breaker that can
+    never open (so no cooldown, probe or brownout), a per-group budget
+    of [max_attempts] (default 3) and an uncapped [backoff_s * 2^(k-1)]
+    backoff before the k-th retry ([backoff_s] defaults to 0). It is
+    the runners' default controller. *)
+
 type decision = {
   seq : int;  (** 0-based decision order. *)
   d_state : state;  (** Breaker state after the decision. *)
@@ -112,14 +120,20 @@ val create : ?config:config -> ?on_decision:(decision -> unit) -> unit -> t
 val state : t -> state
 val level : t -> level
 
+val can_open : t -> bool
+(** Whether the configured breaker can ever open ([min_samples <=
+    window]); false for {!fixed}. The batched runners grant grace
+    sweeps only to a controller that can. *)
+
 val record : t -> ok:bool -> unit
 (** Feed one group-attempt outcome; drives every transition. *)
 
-val before_attempt : t -> retry:bool -> float
-(** Simulated backoff seconds the caller must charge before the next
-    attempt: the pending open-state cooldown (the call moves an [Open]
-    breaker to [Half_open]) plus, when [retry], the adaptive
-    exponential backoff for the current consecutive-failure streak. *)
+val before_attempt : t -> attempt:int -> float
+(** Simulated backoff seconds the caller must charge before [attempt]
+    (1-based, counted within one group or one run): the pending
+    open-state cooldown (the call moves an [Open] breaker to
+    [Half_open]) plus, from the second attempt on,
+    [base_backoff_s * 2^(attempt-2)] capped at [max_backoff_s]. *)
 
 val attempts_allowed : t -> int
 (** The per-group budget under the current state: [max_attempts]

@@ -1,9 +1,8 @@
-(* Checkpointed distributed batched scan: Resilient.batched_scan's
-   storyline — restore, group launches at chaos boundaries, validate,
-   commit — with the group work running as Dist_scan rows across a pod
-   instead of a batched kernel on one device.
+(* Checkpointed distributed batched scan: Resilient.run_groups with
+   the group work running as Dist_scan rows across a pod instead of a
+   batched kernel on one device.
 
-   Failure semantics layered on top of the single-device runner:
+   Failure semantics layered on top of the shared loop:
 
    - a whole-device death (chaos [kill device=D], or every core of a
      device dying under fire) permanently removes the device from the
@@ -19,330 +18,109 @@
 
 open Ascend
 
-type report = {
-  py : Global_tensor.t;
-  pstats : Stats.t;
-  pcheckpoint : Checkpoint.t;
-  pgroup_attempts : int;
-  preplayed_rows : int;
-  prestored_rows : int;
-  pshed_rows : int;
-  pbackoff_seconds : float;
-  plink_seconds : float;
-  plink_sends : int;
-  plink_retries : int;
-  prerouted : int;
-  pdevices_lost : int;
-  pok : bool;
-}
-
-(* Same row oracle as the single-device runner: chain the fp16 host
-   reference per row, compare every 64th element plus the tail. *)
-let validate_rows ~input ~len y ~lo ~hi =
-  let ok = ref true in
-  for r = lo to hi - 1 do
-    if !ok then begin
-      let acc = ref 0.0 in
-      for i = 0 to len - 1 do
-        acc := Fp16.round (!acc +. input.((r * len) + i));
-        if
-          (i land 63 = 0 || i = len - 1)
-          && Global_tensor.get y ((r * len) + i) <> !acc
-        then ok := false
-      done
-    end
-  done;
-  !ok
-
-let batched_scan ?(s = 128) ?(max_attempts = 3) ?granularity ?schedule ?store
-    ?ctl ?chaos pod ~batch ~len ~input =
+let batched_scan ?(s = 128) ?granularity ?schedule ?store
+    ?(ctl = Resilient.fixed_ctl ()) ?chaos pod ~batch ~len ~input =
   let primary = Pod.primary pod in
-  if not (Device.functional primary) then
-    invalid_arg "Pod_runner.batched_scan: requires a functional-mode pod";
-  if batch < 1 || len < 1 then
-    invalid_arg "Pod_runner.batched_scan: batch and len must be positive";
-  if Array.length input < batch * len then
-    invalid_arg "Pod_runner.batched_scan: input shorter than batch * len";
-  if max_attempts < 1 then
-    invalid_arg "Pod_runner.batched_scan: max_attempts must be >= 1";
-  let base_granularity =
-    match granularity with
-    | None -> max 1 ((batch + 3) / 4)
-    | Some g when g >= 1 -> g
-    | Some _ -> invalid_arg "Pod_runner.batched_scan: granularity must be >= 1"
-  in
   let base_schedule =
     match schedule with
     | Some sch -> sch
     | None -> Scan.Dist_scan.default_schedule pod
   in
-  let other = function
-    | Scan.Dist_scan.Ring -> Scan.Dist_scan.All_gather
-    | Scan.Dist_scan.All_gather -> Scan.Dist_scan.Ring
-  in
-  let y = Device.alloc primary Dtype.F16 (batch * len) ~name:"pod_bscan_y" in
-  let ck = Checkpoint.create ~rows:batch in
   let note kind name =
     match Device.trace primary with
     | Some tr -> Trace.note tr kind ~name
     | None -> ()
   in
-  let restored_rows =
-    match store with
-    | None -> 0
-    | Some st ->
-        if Checkpoint_store.rows st <> batch || Checkpoint_store.len st <> len
-        then
-          invalid_arg
-            (Printf.sprintf
-               "Pod_runner.batched_scan: store is %d rows x %d, run is %d x %d"
-               (Checkpoint_store.rows st) (Checkpoint_store.len st) batch len);
-        List.iter
-          (fun (lo, hi, values) ->
-            for r = lo to hi - 1 do
-              for i = 0 to len - 1 do
-                Global_tensor.set y ((r * len) + i)
-                  values.(((r - lo) * len) + i)
-              done
-            done;
-            Checkpoint.mark ck ~lo ~hi;
-            note Trace.Checkpoint
-              (Printf.sprintf "rows %d-%d restored from store" lo hi))
-          (Checkpoint_store.groups st);
-        Checkpoint.done_count ck
-  in
-  let commits0 = Checkpoint.commits ck in
-  let stats_acc = ref [] in
-  let group_attempts = ref 0 in
-  let replayed_rows = ref 0 in
-  let backoff = ref 0.0 in
-  let elapsed = ref 0.0 in
   let link_s0 = Pod.link_seconds pod in
   let sends0 = Pod.link_sends pod in
   let retries0 = Pod.link_retries pod in
   let reroutes0 = Pod.reroutes pod in
   let devices_lost = ref 0 in
-  let dead_pod = ref false in
-  let fail_count = Array.make batch 0 in
-  let shed = Array.make batch false in
-  let charge_backoff sec =
-    if sec > 0.0 then begin
-      backoff := !backoff +. sec;
-      elapsed := !elapsed +. sec
-    end
-  in
   (* A device whose last core died under fire is a pod-level death:
      retire it so the next attempt re-shards around it. *)
   let retire_dead_devices () =
     for d = 0 to Pod.num_devices pod - 1 do
-      if Pod.alive pod d && Health.num_alive (Device.health (Pod.device pod d)) = 0
+      if
+        Pod.alive pod d
+        && Health.num_alive (Device.health (Pod.device pod d)) = 0
       then begin
         Pod.kill_device pod d;
         incr devices_lost;
         note Trace.Death (Printf.sprintf "pod device %d lost" d)
       end
-    done;
-    if Pod.alive_count pod = 0 then dead_pod := true
+    done
   in
-  let run_group (lo, hi) =
-    let rec go attempt =
-      (match chaos with
-      | Some ch ->
-          let before = Pod.alive_count pod in
-          Chaos.before_launch_pod ch pod ~launch_index:!group_attempts
-            ~elapsed_s:!elapsed;
-          let lost = before - Pod.alive_count pod in
-          if lost > 0 then devices_lost := !devices_lost + lost;
-          if Pod.alive_count pod = 0 then dead_pod := true
-      | None -> ());
-      if !dead_pod then false
-      else begin
-        (match ctl with
-        | Some c ->
-            charge_backoff (Degrade_ctl.before_attempt c ~retry:(attempt > 1))
-        | None -> ());
-        incr group_attempts;
-        if attempt > 1 then begin
-          replayed_rows := !replayed_rows + (hi - lo);
-          note Trace.Retry
-            (Printf.sprintf "pod rows %d-%d attempt %d" lo hi attempt)
-        end;
-        let sched =
-          match ctl with
-          | Some c when Degrade_ctl.switch_schedule c -> other base_schedule
-          | _ -> base_schedule
-        in
-        let shards =
-          match ctl with
-          | Some c when Degrade_ctl.shrink_exchange c ->
-              max 1 (Pod.alive_count pod / 2)
-          | _ -> Pod.num_devices pod
-        in
-        let budget =
-          match ctl with
-          | Some c -> Degrade_ctl.attempts_allowed c
-          | None -> max_attempts
-        in
-        let outcome =
-          match
-            for r = lo to hi - 1 do
-              let row =
-                Array.init len (fun i -> input.((r * len) + i))
-              in
-              let x =
-                Device.of_array primary Dtype.F16
-                  ~name:(Printf.sprintf "pod_row%d" r)
-                  row
-              in
-              let rr = Scan.Dist_scan.run ~s ~schedule:sched ~shards pod x in
-              for i = 0 to len - 1 do
-                Global_tensor.set y ((r * len) + i)
-                  (Global_tensor.get rr.Scan.Dist_scan.y i)
-              done;
-              stats_acc := rr.Scan.Dist_scan.stats :: !stats_acc;
-              elapsed :=
-                !elapsed
-                +. rr.Scan.Dist_scan.stats.Stats.seconds
-                +. rr.Scan.Dist_scan.link_seconds
-            done
-          with
-          | () ->
-              if validate_rows ~input ~len y ~lo ~hi then `Ok else `Failed
-          | exception Launch.Deadline_exceeded _ -> `Failed
-          | exception Pod.Partitioned _ ->
-              note Trace.Fault
-                (Printf.sprintf "pod rows %d-%d: exchange partitioned" lo hi);
-              `Failed
-          | exception Health.All_cores_dead ->
-              retire_dead_devices ();
-              if !dead_pod then `Dead else `Failed
-        in
-        match outcome with
-        | `Ok ->
-            (match ctl with
-            | Some c -> Degrade_ctl.record c ~ok:true
-            | None -> ());
-            Checkpoint.mark ck ~lo ~hi;
-            note Trace.Checkpoint (Printf.sprintf "rows %d-%d committed" lo hi);
-            (match store with
-            | Some st ->
-                let values =
-                  Array.init
-                    ((hi - lo) * len)
-                    (fun i -> Global_tensor.get y ((lo * len) + i))
-                in
-                Checkpoint_store.commit st ~lo ~hi ~values
-            | None -> ());
-            true
-        | `Failed -> (
-            (match ctl with
-            | Some c -> Degrade_ctl.record c ~ok:false
-            | None -> ());
-            for r = lo to hi - 1 do
-              fail_count.(r) <- fail_count.(r) + 1
-            done;
-            match ctl with
-            | Some c when Degrade_ctl.shed c ~group_attempts:fail_count.(lo) ->
-                for r = lo to hi - 1 do
-                  shed.(r) <- true
-                done;
-                note Trace.Degrade (Printf.sprintf "rows %d-%d shed" lo hi);
-                false
-            | _ -> if attempt < budget then go (attempt + 1) else false)
-        | `Dead -> false
-      end
+  let boundary ~launch_index ~elapsed_s =
+    Option.iter
+      (fun ch ->
+        let before = Pod.alive_count pod in
+        Chaos.before_launch_pod ch pod ~launch_index ~elapsed_s;
+        let lost = before - Pod.alive_count pod in
+        if lost > 0 then devices_lost := !devices_lost + lost)
+      chaos;
+    Pod.alive_count pod > 0
+  in
+  let exec y ~charge ~lo ~hi =
+    let sched =
+      match (Degrade_ctl.switch_schedule ctl, base_schedule) with
+      | false, sch -> sch
+      | true, Scan.Dist_scan.Ring -> Scan.Dist_scan.All_gather
+      | true, Scan.Dist_scan.All_gather -> Scan.Dist_scan.Ring
     in
-    go 1
-  in
-  let pending_groups () =
-    let g =
-      match ctl with
-      | Some c -> Degrade_ctl.granularity c ~base:base_granularity
-      | None -> base_granularity
+    let shards =
+      if Degrade_ctl.shrink_exchange ctl then max 1 (Pod.alive_count pod / 2)
+      else Pod.num_devices pod
     in
-    Checkpoint.pending ck ~granularity:g
-    |> List.concat_map (fun (lo, hi) ->
-           let acc = ref [] in
-           let start = ref (-1) in
-           for r = lo to hi - 1 do
-             if shed.(r) then begin
-               if !start >= 0 then begin
-                 acc := (!start, r) :: !acc;
-                 start := -1
-               end
-             end
-             else if !start < 0 then start := r
-           done;
-           if !start >= 0 then acc := (!start, hi) :: !acc;
-           List.rev !acc)
+    for r = lo to hi - 1 do
+      let row = Array.init len (fun i -> input.((r * len) + i)) in
+      let x =
+        Device.of_array primary Dtype.F16
+          ~name:(Printf.sprintf "pod_row%d" r)
+          row
+      in
+      let rr = Scan.Dist_scan.run ~s ~schedule:sched ~shards pod x in
+      for i = 0 to len - 1 do
+        Global_tensor.set y
+          ((r * len) + i)
+          (Global_tensor.get rr.Scan.Dist_scan.y i)
+      done;
+      charge rr.Scan.Dist_scan.stats ~link_s:rr.Scan.Dist_scan.link_seconds
+    done
   in
-  let grace = if ctl <> None then 3 else 0 in
-  let rec drain stalled =
-    match pending_groups () with
-    | [] -> ()
-    | groups ->
-        let any_ok =
-          List.fold_left
-            (fun acc g -> if !dead_pod then acc else run_group g || acc)
-            false groups
+  let on_exn ~lo ~hi = function
+    | Pod.Partitioned _ ->
+        note Trace.Fault
+          (Printf.sprintf "pod rows %d-%d: exchange partitioned" lo hi);
+        `Failed
+    | Health.All_cores_dead ->
+        retire_dead_devices ();
+        if Pod.alive_count pod = 0 then `Dead else `Failed
+    | e -> raise e
+  in
+  let r =
+    Resilient.run_groups ~who:"Pod_runner.batched_scan" ?granularity ?store ~ctl
+      primary ~batch ~len ~input (fun () ->
+        let y =
+          Device.alloc primary Dtype.F16 (batch * len) ~name:"pod_bscan_y"
         in
-        if !dead_pod then ()
-        else if any_ok then drain 0
-        else if stalled < grace then drain (stalled + 1)
-  in
-  drain 0;
-  let pstats =
-    match List.rev !stats_acc with
-    | [] ->
-        if restored_rows > 0 then Stats.empty ~name:"pod_bscan"
-        else raise Health.All_cores_dead
-    | stats ->
-        let st = Stats.combine ~name:"pod_bscan" stats in
         {
-          st with
-          Stats.seconds = st.Stats.seconds +. !backoff;
-          retries = !group_attempts - (Checkpoint.commits ck - commits0);
-        }
+          Resilient.out = y;
+          stats_name = "pod_bscan";
+          label = "pod";
+          boundary;
+          exec = exec y;
+          on_exn;
+        })
   in
   {
-    py = y;
-    pstats;
-    pcheckpoint = ck;
-    pgroup_attempts = !group_attempts;
-    preplayed_rows = !replayed_rows;
-    prestored_rows = restored_rows;
-    pshed_rows =
-      Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 shed;
-    pbackoff_seconds = !backoff;
-    plink_seconds = Pod.link_seconds pod -. link_s0;
-    plink_sends = Pod.link_sends pod - sends0;
-    plink_retries = Pod.link_retries pod - retries0;
-    prerouted = Pod.reroutes pod - reroutes0;
-    pdevices_lost = !devices_lost;
-    pok = Checkpoint.complete ck;
+    r with
+    Resilient.pod =
+      Some
+        {
+          Resilient.link_seconds = Pod.link_seconds pod -. link_s0;
+          link_sends = Pod.link_sends pod - sends0;
+          link_retries = Pod.link_retries pod - retries0;
+          rerouted = Pod.reroutes pod - reroutes0;
+          devices_lost = !devices_lost;
+        };
   }
-
-let pp_report fmt r =
-  Format.fprintf fmt
-    "@[<v>pod_bscan: %s, %a, %d group attempts, %d rows replayed%s%s%s%s@ \
-     links: %d sends, %d retries, %d rerouted, %.1f us%s@ %a@]"
-    (if r.pok then "ok"
-     else if r.pshed_rows > 0 then "DEGRADED (rows shed)"
-     else "FAILED")
-    Checkpoint.pp r.pcheckpoint r.pgroup_attempts r.preplayed_rows
-    (if r.prestored_rows > 0 then
-       Printf.sprintf ", %d rows restored from store" r.prestored_rows
-     else "")
-    (if r.pshed_rows > 0 then Printf.sprintf ", %d rows shed" r.pshed_rows
-     else "")
-    (if r.pdevices_lost > 0 then
-       Printf.sprintf ", %d device%s lost" r.pdevices_lost
-         (if r.pdevices_lost = 1 then "" else "s")
-     else "")
-    (if r.pbackoff_seconds > 0.0 then
-       Printf.sprintf ", %.1f us backoff" (r.pbackoff_seconds *. 1e6)
-     else "")
-    r.plink_sends r.plink_retries r.prerouted
-    (r.plink_seconds *. 1e6)
-    ""
-    Stats.pp_summary r.pstats

@@ -1,11 +1,11 @@
-(** Checkpointed distributed batched scan over a {!Pod}: the
-    pod-level sibling of {!Resilient.batched_scan}.
+(** Checkpointed distributed batched scan over a {!Pod}: the pod
+    target of {!Resilient.run_groups}.
 
     Each checkpoint group's rows run as {!Scan.Dist_scan} across the
     pod at the next chaos boundary, are validated against the fp16
     host reference, and commit to the optional {!Checkpoint_store}.
-    On top of the single-device runner's retry/validate/commit
-    storyline this adds the pod failure modes:
+    On top of the shared retry/validate/commit loop this adds the pod
+    failure modes:
 
     - {b device death} — a [kill device] chaos event, or a device
       whose last core dies, permanently retires the device; the
@@ -20,30 +20,8 @@
       runner halves the exchange group ([shards]), shedding link
       traffic before it sheds rows. *)
 
-open Ascend
-
-type report = {
-  py : Global_tensor.t;  (** [batch * len] output on the primary *)
-  pstats : Stats.t;
-      (** combined per-row dist-scan stats plus charged backoff;
-          [retries] counts group attempts that did not commit *)
-  pcheckpoint : Checkpoint.t;
-  pgroup_attempts : int;
-  preplayed_rows : int;  (** row re-executions due to retries *)
-  prestored_rows : int;  (** rows restored from the store, not run *)
-  pshed_rows : int;
-  pbackoff_seconds : float;
-  plink_seconds : float;  (** link time charged during this run *)
-  plink_sends : int;
-  plink_retries : int;
-  prerouted : int;
-  pdevices_lost : int;  (** pod devices retired during this run *)
-  pok : bool;  (** every row committed (none shed, pod survived) *)
-}
-
 val batched_scan :
   ?s:int ->
-  ?max_attempts:int ->
   ?granularity:int ->
   ?schedule:Scan.Dist_scan.schedule ->
   ?store:Checkpoint_store.t ->
@@ -53,14 +31,14 @@ val batched_scan :
   batch:int ->
   len:int ->
   input:float array ->
-  report
+  Resilient.batched_report
 (** Scan [batch] independent rows of [len] fp16 values across the
     pod. [schedule] defaults to the pod topology's schedule;
-    [granularity] defaults to quarter-batch groups. With [store],
-    already-committed groups are restored (never re-executed) and
-    every newly validated group is durably committed. Raises
+    [granularity] defaults to quarter-batch groups; [ctl] defaults to
+    {!Resilient.fixed_ctl}. With [store], already-committed groups are
+    restored (never re-executed) and every newly validated group is
+    durably committed. The report's [pod] field carries the link
+    counters and the devices lost. Raises
     [Ascend.Health.All_cores_dead] when the pod dies before anything
     ran or was restored; [Invalid_argument] on a non-functional pod
     or bad dimensions. *)
-
-val pp_report : Format.formatter -> report -> unit

@@ -16,22 +16,15 @@ type 'a report = {
   ok : bool;
 }
 
-let run ?(name = "resilient") ?(max_attempts = 3) ?(backoff_s = 0.0) ?fallback
+let fixed_ctl () = Degrade_ctl.create ~config:(Degrade_ctl.fixed ()) ()
+
+let run ?(name = "resilient") ?(ctl = fixed_ctl ()) ?fallback
     ?(on_event = fun _ -> ()) ~validate attempt =
-  if max_attempts < 1 then
-    invalid_arg "Resilient.run: max_attempts must be >= 1";
-  if backoff_s < 0.0 then invalid_arg "Resilient.run: negative backoff";
   let stats_acc = ref [] in
   let detections = ref 0 in
   let attempts = ref 0 in
   let backoff = ref 0.0 in
   let last_exn = ref None in
-  (* Exponential backoff before the k-th retry: backoff_s * 2^(k-1)
-     simulated seconds, folded into the combined stats. *)
-  let note_backoff () =
-    if backoff_s > 0.0 then
-      backoff := !backoff +. (backoff_s *. (2.0 ** float_of_int (!attempts - 1)))
-  in
   (* A launch aborted by the watchdog or by running out of cores is a
      detection like any other: the structured exceptions below count
      against the attempt budget instead of escaping mid-loop. *)
@@ -46,26 +39,21 @@ let run ?(name = "resilient") ?(max_attempts = 3) ?(backoff_s = 0.0) ?fallback
   in
   let rec primary () =
     incr attempts;
-    match guarded attempt with
-    | Some v -> (
-        match validate v with
-        | Ok () -> (Some v, true)
-        | Error _ ->
-            incr detections;
-            if !attempts < max_attempts then begin
-              note_backoff ();
-              on_event `Retry;
-              primary ()
-            end
-            else (Some v, false))
-    | None ->
-        incr detections;
-        if !attempts < max_attempts then begin
-          note_backoff ();
-          on_event `Retry;
-          primary ()
-        end
-        else (None, false)
+    backoff := !backoff +. Degrade_ctl.before_attempt ctl ~attempt:!attempts;
+    let v = guarded attempt in
+    let ok =
+      match v with Some v -> Result.is_ok (validate v) | None -> false
+    in
+    Degrade_ctl.record ctl ~ok;
+    if ok then (v, true)
+    else begin
+      incr detections;
+      if !attempts < Degrade_ctl.attempts_allowed ctl then begin
+        on_event `Retry;
+        primary ()
+      end
+      else (v, false)
+    end
   in
   let v, ok = primary () in
   let v, ok, degraded =
@@ -112,8 +100,8 @@ let trace_events device name =
       | `Retry -> Trace.note tr Trace.Retry ~name:(name ^ " retry")
       | `Degrade -> Trace.note tr Trace.Degrade ~name:(name ^ " degraded"))
 
-let launch ?name ?max_attempts ?fallback device ~blocks ~validate bodies =
-  run ?name ?max_attempts ?fallback
+let launch ?name ?ctl ?fallback device ~blocks ~validate bodies =
+  run ?name ?ctl ?fallback
     ~on_event:
       (trace_events device (Option.value ~default:"resilient launch" name))
     ~validate:(fun () -> validate ())
@@ -150,7 +138,8 @@ let scan_checksum ?(combine = ( +. )) ?(init = 0.0) ~round ~exclusive ~input
       in
       if (i mod step = 0 || i = n - 1) && !bad = None then begin
         let got = Global_tensor.get output i in
-        if got <> expect then bad := Some (i, expect, got)
+        if not (Scan.Scan_api.float_eq got expect) then
+          bad := Some (i, expect, got)
       end
     done;
     match !bad with
@@ -175,7 +164,7 @@ let validate_scan ~oracle ~round ~exclusive ~algo ~input output =
       Scan.Scan_api.check_scan ~round ~exclusive ~algo ~dtype:Dtype.F16 ~input
         ~output ()
 
-let scan ?(s = 128) ?max_attempts ?backoff_s ?(oracle = Checksum) ?fallback
+let scan ?(s = 128) ?ctl ?(oracle = Checksum) ?fallback
     ?(exclusive = false) ~algo device ~input =
   if not (Device.functional device) then
     invalid_arg "Resilient.scan: requires a functional-mode device";
@@ -202,12 +191,20 @@ let scan ?(s = 128) ?max_attempts ?backoff_s ?(oracle = Checksum) ?fallback
     ~on_event:
       (trace_events device
          ("resilient_" ^ Scan.Scan_api.algo_to_string algo))
-    ?max_attempts ?backoff_s ?fallback ~validate attempt
+    ?ctl ?fallback ~validate attempt
 
 type batched_schedule = U | Ul1
 
 let batched_schedule_to_string = function U -> "u" | Ul1 -> "ul1"
 let other_schedule = function U -> Ul1 | Ul1 -> U
+
+type pod_report = {
+  link_seconds : float;
+  link_sends : int;
+  link_retries : int;
+  rerouted : int;
+  devices_lost : int;
+}
 
 type batched_report = {
   y : Global_tensor.t;
@@ -219,11 +216,21 @@ type batched_report = {
   shed_rows : int;
   backoff_seconds : float;
   bok : bool;
+  pod : pod_report option;
+}
+
+type target = {
+  out : Global_tensor.t;
+  stats_name : string;
+  label : string;
+  boundary : launch_index:int -> elapsed_s:float -> bool;
+  exec : charge:(Stats.t -> link_s:float -> unit) -> lo:int -> hi:int -> unit;
+  on_exn : lo:int -> hi:int -> exn -> [ `Failed | `Dead ];
 }
 
 (* Validate rows [lo, hi): chain the fp16 host reference per row and
    compare every 64th element plus the row tail. *)
-let validate_batched_rows ~input ~len y ~lo ~hi =
+let validate_rows ~input ~len y ~lo ~hi =
   let ok = ref true in
   for r = lo to hi - 1 do
     if !ok then begin
@@ -232,31 +239,31 @@ let validate_batched_rows ~input ~len y ~lo ~hi =
         acc := Fp16.round (!acc +. input.((r * len) + i));
         if
           (i land 63 = 0 || i = len - 1)
-          && Global_tensor.get y ((r * len) + i) <> !acc
+          && not
+               (Scan.Scan_api.float_eq
+                  (Global_tensor.get y ((r * len) + i))
+                  !acc)
         then ok := false
       done
     end
   done;
   !ok
 
-let batched_scan ?(s = 128) ?(max_attempts = 3) ?(backoff_s = 0.0)
-    ?granularity ?(schedule = U) ?store ?ctl ?chaos device ~batch ~len ~input =
+let run_groups ~who ?granularity ?store ~ctl device ~batch ~len ~input setup =
   if not (Device.functional device) then
-    invalid_arg "Resilient.batched_scan: requires a functional-mode device";
+    invalid_arg (who ^ ": requires a functional-mode device");
   if batch < 1 || len < 1 then
-    invalid_arg "Resilient.batched_scan: batch and len must be positive";
+    invalid_arg (who ^ ": batch and len must be positive");
   if Array.length input < batch * len then
-    invalid_arg "Resilient.batched_scan: input shorter than batch * len";
-  if max_attempts < 1 then
-    invalid_arg "Resilient.batched_scan: max_attempts must be >= 1";
+    invalid_arg (who ^ ": input shorter than batch * len");
   let base_granularity =
     match granularity with
     | None -> max 1 ((batch + 3) / 4)
     | Some g when g >= 1 -> g
-    | Some _ -> invalid_arg "Resilient.batched_scan: granularity must be >= 1"
+    | Some _ -> invalid_arg (who ^ ": granularity must be >= 1")
   in
-  let x = Device.of_array device Dtype.F16 ~name:"bscan_x" input in
-  let y = Device.alloc device Dtype.F16 (batch * len) ~name:"bscan_y" in
+  let t = setup () in
+  let y = t.out in
   let ck = Checkpoint.create ~rows:batch in
   let note kind name =
     match Device.trace device with
@@ -274,8 +281,7 @@ let batched_scan ?(s = 128) ?(max_attempts = 3) ?(backoff_s = 0.0)
         if Checkpoint_store.rows st <> batch || Checkpoint_store.len st <> len
         then
           invalid_arg
-            (Printf.sprintf
-               "Resilient.batched_scan: store is %d rows x %d, run is %d x %d"
+            (Printf.sprintf "%s: store is %d rows x %d, run is %d x %d" who
                (Checkpoint_store.rows st) (Checkpoint_store.len st) batch len);
         List.iter
           (fun (lo, hi, values) ->
@@ -292,83 +298,54 @@ let batched_scan ?(s = 128) ?(max_attempts = 3) ?(backoff_s = 0.0)
         Checkpoint.done_count ck
   in
   let commits0 = Checkpoint.commits ck in
-  let run_rows sched rows =
-    match sched with
-    | U -> Scan.Batched_scan.run_u ~s ~rows ~y device ~batch ~len x
-    | Ul1 -> Scan.Batched_scan.run_ul1 ~s ~rows ~y device ~batch ~len x
-  in
   let stats_acc = ref [] in
   let group_attempts = ref 0 in
   let replayed_rows = ref 0 in
   let backoff = ref 0.0 in
   let elapsed = ref 0.0 in
-  let dead_device = ref false in
+  let dead = ref false in
   let fail_count = Array.make batch 0 in
   let shed = Array.make batch false in
+  let charge st ~link_s =
+    stats_acc := st :: !stats_acc;
+    elapsed := !elapsed +. st.Stats.seconds +. link_s
+  in
   let charge_backoff sec =
     if sec > 0.0 then begin
       backoff := !backoff +. sec;
       elapsed := !elapsed +. sec
     end
   in
-  (* One group: retry until its rows validate or the attempt budget is
-     spent. Already-checkpointed rows are never touched again — a
-     mid-batch failure replays only the unfinished remainder. The
-     budget, backoff and schedule come from the degradation controller
-     when one is armed, else from the fixed legacy constants. *)
+  (* One group: retry until its rows validate or the controller's
+     attempt budget is spent. Already-checkpointed rows are never
+     touched again — a mid-batch failure replays only the unfinished
+     remainder. *)
   let run_group (lo, hi) =
     let rec go attempt =
       (* Every group launch is a chaos boundary: due scenario events
          (kills, storms, crashes, expiries) land exactly here, so a
          storyline is a pure function of the attempt sequence. *)
-      (match chaos with
-      | Some ch ->
-          Chaos.before_launch ch device ~launch_index:!group_attempts
-            ~elapsed_s:!elapsed
-      | None -> ());
-      if !dead_device then false
+      if not (t.boundary ~launch_index:!group_attempts ~elapsed_s:!elapsed)
+      then dead := true;
+      if !dead then false
       else begin
-        (match ctl with
-        | Some c ->
-            charge_backoff (Degrade_ctl.before_attempt c ~retry:(attempt > 1))
-        | None ->
-            if attempt > 1 && backoff_s > 0.0 then
-              charge_backoff
-                (backoff_s *. (2.0 ** float_of_int (attempt - 2))));
+        charge_backoff (Degrade_ctl.before_attempt ctl ~attempt);
         incr group_attempts;
         if attempt > 1 then begin
           replayed_rows := !replayed_rows + (hi - lo);
           note Trace.Retry
-            (Printf.sprintf "bscan rows %d-%d attempt %d" lo hi attempt)
+            (Printf.sprintf "%s rows %d-%d attempt %d" t.label lo hi attempt)
         end;
-        let sched =
-          match ctl with
-          | Some c when Degrade_ctl.switch_schedule c ->
-              other_schedule schedule
-          | _ -> schedule
-        in
-        let budget =
-          match ctl with
-          | Some c -> Degrade_ctl.attempts_allowed c
-          | None -> max_attempts
-        in
+        let budget = Degrade_ctl.attempts_allowed ctl in
         let outcome =
-          match run_rows sched (lo, hi) with
-          | _, st ->
-              stats_acc := st :: !stats_acc;
-              elapsed := !elapsed +. st.Stats.seconds;
-              if validate_batched_rows ~input ~len y ~lo ~hi then `Ok
-              else `Failed
+          match t.exec ~charge ~lo ~hi with
+          | () -> if validate_rows ~input ~len y ~lo ~hi then `Ok else `Failed
           | exception Launch.Deadline_exceeded _ -> `Failed
-          | exception Health.All_cores_dead ->
-              dead_device := true;
-              `Dead
+          | exception e -> (t.on_exn ~lo ~hi e :> [ `Ok | `Failed | `Dead ])
         in
         match outcome with
         | `Ok ->
-            (match ctl with
-            | Some c -> Degrade_ctl.record c ~ok:true
-            | None -> ());
+            Degrade_ctl.record ctl ~ok:true;
             Checkpoint.mark ck ~lo ~hi;
             note Trace.Checkpoint
               (Printf.sprintf "rows %d-%d committed" lo hi);
@@ -382,25 +359,24 @@ let batched_scan ?(s = 128) ?(max_attempts = 3) ?(backoff_s = 0.0)
                 Checkpoint_store.commit st ~lo ~hi ~values
             | None -> ());
             true
-        | `Failed -> (
-            (match ctl with
-            | Some c -> Degrade_ctl.record c ~ok:false
-            | None -> ());
+        | `Failed ->
+            Degrade_ctl.record ctl ~ok:false;
             for r = lo to hi - 1 do
               fail_count.(r) <- fail_count.(r) + 1
             done;
-            match ctl with
-            | Some c when Degrade_ctl.shed c ~group_attempts:fail_count.(lo)
-              ->
-                (* Brownout floor: give the rows up so the rest of the
-                   batch completes instead of burning the budget. *)
-                for r = lo to hi - 1 do
-                  shed.(r) <- true
-                done;
-                note Trace.Degrade (Printf.sprintf "rows %d-%d shed" lo hi);
-                false
-            | _ -> if attempt < budget then go (attempt + 1) else false)
-        | `Dead -> false
+            if Degrade_ctl.shed ctl ~group_attempts:fail_count.(lo) then begin
+              (* Brownout floor: give the rows up so the rest of the
+                 batch completes instead of burning the budget. *)
+              for r = lo to hi - 1 do
+                shed.(r) <- true
+              done;
+              note Trace.Degrade (Printf.sprintf "rows %d-%d shed" lo hi);
+              false
+            end
+            else attempt < budget && go (attempt + 1)
+        | `Dead ->
+            dead := true;
+            false
       end
     in
     go 1
@@ -408,12 +384,8 @@ let batched_scan ?(s = 128) ?(max_attempts = 3) ?(backoff_s = 0.0)
   (* Pending groups at the controller's brownout granularity, with
      shed rows carved out (they stay un-done but are never retried). *)
   let pending_groups () =
-    let g =
-      match ctl with
-      | Some c -> Degrade_ctl.granularity c ~base:base_granularity
-      | None -> base_granularity
-    in
-    Checkpoint.pending ck ~granularity:g
+    Checkpoint.pending ck
+      ~granularity:(Degrade_ctl.granularity ctl ~base:base_granularity)
     |> List.concat_map (fun (lo, hi) ->
            let acc = ref [] in
            let start = ref (-1) in
@@ -429,21 +401,21 @@ let batched_scan ?(s = 128) ?(max_attempts = 3) ?(backoff_s = 0.0)
            if !start >= 0 then acc := (!start, hi) :: !acc;
            List.rev !acc)
   in
-  (* Keep sweeping while any group makes progress. With a controller
-     armed, a few zero-progress sweeps are tolerated: an open breaker
+  (* Keep sweeping while any group makes progress. A controller whose
+     breaker can open gets a few zero-progress sweeps: an open breaker
      fails its probes by design and needs a sweep or two before the
      cooldown, the brownout ladder or a chaos expiry turns the tide. *)
-  let grace = if ctl <> None then 3 else 0 in
+  let grace = if Degrade_ctl.can_open ctl then 3 else 0 in
   let rec drain stalled =
     match pending_groups () with
     | [] -> ()
     | groups ->
         let any_ok =
           List.fold_left
-            (fun acc g -> if !dead_device then acc else run_group g || acc)
+            (fun acc g -> if !dead then acc else run_group g || acc)
             false groups
         in
-        if !dead_device then ()
+        if !dead then ()
         else if any_ok then drain 0
         else if stalled < grace then drain (stalled + 1)
   in
@@ -452,17 +424,11 @@ let batched_scan ?(s = 128) ?(max_attempts = 3) ?(backoff_s = 0.0)
     match List.rev !stats_acc with
     | [] ->
         (* Nothing launched: legitimate when the store already covered
-           every row; otherwise the device died before any launch. *)
-        if restored_rows > 0 then
-          Stats.empty
-            ~name:("resilient_bscan_" ^ batched_schedule_to_string schedule)
+           every row; otherwise the target died before any launch. *)
+        if restored_rows > 0 then Stats.empty ~name:t.stats_name
         else raise Health.All_cores_dead
     | stats ->
-        let st =
-          Stats.combine
-            ~name:("resilient_bscan_" ^ batched_schedule_to_string schedule)
-            stats
-        in
+        let st = Stats.combine ~name:t.stats_name stats in
         { st with
           Stats.seconds = st.Stats.seconds +. !backoff;
           retries = !group_attempts - (Checkpoint.commits ck - commits0) }
@@ -478,11 +444,53 @@ let batched_scan ?(s = 128) ?(max_attempts = 3) ?(backoff_s = 0.0)
       Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 shed;
     backoff_seconds = !backoff;
     bok = Checkpoint.complete ck;
+    pod = None;
   }
 
+let batched_scan ?(s = 128) ?granularity ?(schedule = U) ?store
+    ?(ctl = fixed_ctl ()) ?chaos device ~batch ~len ~input =
+  run_groups ~who:"Resilient.batched_scan" ?granularity ?store ~ctl device
+    ~batch ~len ~input (fun () ->
+      let x = Device.of_array device Dtype.F16 ~name:"bscan_x" input in
+      let y = Device.alloc device Dtype.F16 (batch * len) ~name:"bscan_y" in
+      {
+        out = y;
+        stats_name = "resilient_bscan_" ^ batched_schedule_to_string schedule;
+        label = "bscan";
+        boundary =
+          (fun ~launch_index ~elapsed_s ->
+            Option.iter
+              (fun ch -> Chaos.before_launch ch device ~launch_index ~elapsed_s)
+              chaos;
+            true);
+        exec =
+          (fun ~charge ~lo ~hi ->
+            let run =
+              match
+                if Degrade_ctl.switch_schedule ctl then other_schedule schedule
+                else schedule
+              with
+              | U -> Scan.Batched_scan.run_u
+              | Ul1 -> Scan.Batched_scan.run_ul1
+            in
+            let _, st = run ~s ~rows:(lo, hi) ~y device ~batch ~len x in
+            charge st ~link_s:0.0);
+        on_exn =
+          (fun ~lo:_ ~hi:_ -> function
+            | Health.All_cores_dead -> `Dead
+            | e -> raise e);
+      })
+
+let pp_links fmt = function
+  | None -> ()
+  | Some p ->
+      Format.fprintf fmt "@ links: %d sends, %d retries, %d rerouted, %.1f us"
+        p.link_sends p.link_retries p.rerouted (p.link_seconds *. 1e6)
+
 let pp_batched_report fmt r =
+  let lost = match r.pod with Some p -> p.devices_lost | None -> 0 in
   Format.fprintf fmt
-    "@[<v>%s: %s, %a, %d group attempts, %d rows replayed%s%s%s@ %a@]"
+    "@[<v>%s: %s, %a, %d group attempts, %d rows replayed%s%s%s%s%a@ %a@]"
     r.bstats.Stats.name
     (if r.bok then "ok"
      else if r.shed_rows > 0 then "DEGRADED (rows shed)"
@@ -493,10 +501,13 @@ let pp_batched_report fmt r =
      else "")
     (if r.shed_rows > 0 then Printf.sprintf ", %d rows shed" r.shed_rows
      else "")
+    (if lost > 0 then
+       Printf.sprintf ", %d device%s lost" lost (if lost = 1 then "" else "s")
+     else "")
     (if r.backoff_seconds > 0.0 then
        Printf.sprintf ", %.1f us backoff" (r.backoff_seconds *. 1e6)
      else "")
-    Stats.pp_summary r.bstats
+    pp_links r.pod Stats.pp_summary r.bstats
 
 let pp_report pp_value fmt r =
   Format.fprintf fmt

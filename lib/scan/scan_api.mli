@@ -37,6 +37,11 @@ val run :
     surface as [Invalid_argument]; use {!Op_registry.run} directly for
     the [result]-typed error path. *)
 
+val float_eq : float -> float -> bool
+(** Bit-pattern float equality: [=] on ordinary values (so [0.0] and
+    [-0.0] agree) that also treats a NaN as equal to itself. Every
+    scan oracle compares through it. *)
+
 val check_against_reference :
   ?round:(float -> float) ->
   ?exclusive:bool ->

@@ -109,19 +109,6 @@ let pipeline_tiles ctx ?schedule ?out ~in_engine ~tile ~n ~load ~work () =
       work ~slot ~off ~len)
     ()
 
-(* ------------------------------------------------------------------ *)
-(* Tile iteration (legacy [Block.pipelined] lowering — kept for kernels
-   that have not moved to the explicit walker). *)
-
-let foreach_tile ctx ?(serial = false) ~tile ~n f =
-  let ntiles = Kernel_util.ceil_div n tile in
-  Block.pipelined ctx ~iters:(if serial then 1 else max 1 ntiles) (fun () ->
-      for t = 0 to ntiles - 1 do
-        let off = t * tile in
-        let len = min tile (n - off) in
-        f ~off ~len
-      done)
-
 let sub_block ~lo ~hi ~half v =
   let vlo = lo + (v * half) in
   let vhi = min hi (vlo + half) in

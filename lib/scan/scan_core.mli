@@ -91,18 +91,6 @@ val pipeline_tiles :
 (** {!pipeline} over [tile]-sized slices of [0, n): [load]/[work]
     receive each slice's offset and clipped length. *)
 
-val foreach_tile :
-  Block.t ->
-  ?serial:bool ->
-  tile:int ->
-  n:int ->
-  (off:int -> len:int -> unit) ->
-  unit
-(** Run the tile body for every [tile]-sized slice of [0, n) inside one
-    legacy {!Ascend.Block.pipelined} section ([iters] = tile count;
-    [serial] is the no-pipelining ablation hook). Kept for kernels that
-    have not moved to the explicit {!pipeline} walker. *)
-
 val sub_block : lo:int -> hi:int -> half:int -> int -> int * int
 (** [sub_block ~lo ~hi ~half v] is the [(vlo, vhi)] range of block
     chunk [\[lo, hi)] owned by vector core [v]. *)

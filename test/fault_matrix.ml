@@ -77,7 +77,8 @@ let () =
       let name = "scan/" ^ Scan.Scan_api.algo_to_string algo in
       let fallback = if is_sum algo then Some vec_only else None in
       match
-        Runtime.Resilient.scan ~max_attempts:5
+        Runtime.Resilient.scan
+          ~ctl:Runtime.Degrade_ctl.(create ~config:(fixed ~max_attempts:5 ()) ())
           ~oracle:Runtime.Resilient.Reference ?fallback ~algo (make_device ())
           ~input
       with
@@ -94,7 +95,8 @@ let () =
      Array.init (batch * len) (fun i -> if i mod 41 = 0 then 1.0 else 0.0)
    in
    match
-     Runtime.Resilient.batched_scan ~granularity:4 ~max_attempts:6
+     Runtime.Resilient.batched_scan ~granularity:4
+       ~ctl:Runtime.Degrade_ctl.(create ~config:(fixed ~max_attempts:6 ()) ())
        (make_device ()) ~batch ~len ~input:binput
    with
    | r ->

@@ -57,7 +57,7 @@ let run_batched ?store ?chaos () =
 
 let bytes_of r =
   Array.init (batch * len) (fun i ->
-      Int64.bits_of_float (Global_tensor.get r.Pod_runner.py i))
+      Int64.bits_of_float (Global_tensor.get r.Resilient.y i))
 
 let () =
   (* A fork-based harness cannot coexist with spawned domains (the
@@ -75,8 +75,9 @@ let () =
       ~chaos:(Chaos.arm ~skip_crashes:true ~on_crash:(fun _ -> ()) scenario)
       ()
   in
-  check "reference run completes" ref_r.Pod_runner.pok;
-  check "reference lost a device" (ref_r.Pod_runner.pdevices_lost = 1);
+  check "reference run completes" ref_r.Resilient.bok;
+  check "reference lost a device"
+    ((Option.get ref_r.Resilient.pod).Resilient.devices_lost = 1);
   let ref_bytes = bytes_of ref_r in
   (* A clean full-pod run agrees with the attrition run bit for bit:
      the re-sharding rule is placement-invariant. *)
@@ -136,11 +137,11 @@ let () =
                         scenario)
               ()
           in
-          check "resumed run completes" res_r.Pod_runner.pok;
+          check "resumed run completes" res_r.Resilient.bok;
           check "rows were restored from the store"
-            (res_r.Pod_runner.prestored_rows > 0);
+            (res_r.Resilient.restored_rows > 0);
           check "no rows lost"
-            (Checkpoint.done_count res_r.Pod_runner.pcheckpoint = batch);
+            (Checkpoint.done_count res_r.Resilient.checkpoint = batch);
           check "resume equals replay, byte for byte"
             (bytes_of res_r = ref_bytes);
           (* Zero re-executed committed row-groups: the resume's new

@@ -69,50 +69,6 @@ let test_await_engine () =
   Block.charge ctx (Engine.Vec 0) 10.0;
   check_floatish "vec after cube store" 90.0 (Block.elapsed_cycles ctx)
 
-(* The legacy [pipelined] wrapper lowers an [iters > 1] section onto
-   the overlap semantics: every charge queues on its engine from the
-   section entry, so the section costs the longest engine stream — the
-   fill term of the old closed-form [max + (sum - max)/iters] is now a
-   real issue-timeline effect, not an analytic surcharge. *)
-let test_pipelined_overlap () =
-  let dev = device () in
-  let ctx = Block.make ~device:dev ~idx:0 ~num_blocks:1 in
-  Block.pipelined ctx ~iters:10 (fun () ->
-      Block.charge ctx Engine.Cube 1000.0;
-      Block.charge ctx (Engine.Vec 0) 400.0;
-      Block.charge ctx (Engine.Vec_mte_in 0) 100.0);
-  check_floatish "pipelined = busiest engine" 1000.0
-    (Block.elapsed_cycles ctx);
-  (* The section joins all lanes at its makespan: later work chains
-     after it even on an engine that was idle inside. *)
-  Block.charge ctx Engine.Scalar 5.0;
-  check_floatish "section is a barrier" 1005.0 (Block.elapsed_cycles ctx)
-
-let test_pipelined_iters_one_is_serial () =
-  let dev = device () in
-  let ctx = Block.make ~device:dev ~idx:0 ~num_blocks:1 in
-  (* iters = 1: plain event semantics — documented as "no pipelining
-     across iterations", so same-lane ops chain... *)
-  Block.pipelined ctx ~iters:1 (fun () ->
-      Block.charge ctx Engine.Cube 10.0;
-      Block.charge ctx Engine.Cube_mte_out 20.0);
-  check_floatish "iters=1 chains a lane" 30.0 (Block.elapsed_cycles ctx);
-  (* ...but independent lanes still overlap (the old closed form
-     wrongly serialised them). *)
-  let ctx2 = Block.make ~device:dev ~idx:0 ~num_blocks:1 in
-  Block.pipelined ctx2 ~iters:1 (fun () ->
-      Block.charge ctx2 Engine.Cube 10.0;
-      Block.charge ctx2 (Engine.Vec 0) 20.0);
-  check_floatish "iters=1 lanes overlap" 20.0 (Block.elapsed_cycles ctx2)
-
-let test_pipelined_no_nesting () =
-  let dev = device () in
-  let ctx = Block.make ~device:dev ~idx:0 ~num_blocks:1 in
-  Alcotest.check_raises "nesting"
-    (Invalid_argument "Block.pipelined: sections do not nest") (fun () ->
-      Block.pipelined ctx ~iters:2 (fun () ->
-          Block.pipelined ctx ~iters:2 (fun () -> ())))
-
 let test_alloc_capacity () =
   let dev = device () in
   let ctx = Block.make ~device:dev ~idx:0 ~num_blocks:1 in
@@ -264,10 +220,6 @@ let () =
           Alcotest.test_case "wait_group depth" `Quick
             test_wait_group_outstanding;
           Alcotest.test_case "await engine" `Quick test_await_engine;
-          Alcotest.test_case "pipelined overlap" `Quick test_pipelined_overlap;
-          Alcotest.test_case "iters=1 serial" `Quick
-            test_pipelined_iters_one_is_serial;
-          Alcotest.test_case "no nesting" `Quick test_pipelined_no_nesting;
           Alcotest.test_case "alloc capacity" `Quick test_alloc_capacity;
           Alcotest.test_case "traffic/touched" `Quick
             test_gm_traffic_and_touched;

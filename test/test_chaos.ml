@@ -162,7 +162,7 @@ let test_breaker_opens_and_recovers () =
     (Degrade_ctl.level ctl = Degrade_ctl.Shrink_groups);
   check_int "probe budget when open" 1 (Degrade_ctl.attempts_allowed ctl);
   (* before_attempt charges the cooldown and half-opens the breaker *)
-  let cooldown = Degrade_ctl.before_attempt ctl ~retry:false in
+  let cooldown = Degrade_ctl.before_attempt ctl ~attempt:1 in
   check_bool "cooldown charged" true (cooldown > 0.0);
   check_bool "half-open probe" true
     (Degrade_ctl.state ctl = Degrade_ctl.Half_open);
@@ -179,10 +179,10 @@ let test_breaker_opens_and_recovers () =
 let test_failed_probe_doubles_cooldown () =
   let ctl = Degrade_ctl.create () in
   feed ctl [ false; false; false; false ];
-  let c1 = Degrade_ctl.before_attempt ctl ~retry:false in
+  let c1 = Degrade_ctl.before_attempt ctl ~attempt:1 in
   Degrade_ctl.record ctl ~ok:false;
   check_bool "re-opened" true (Degrade_ctl.state ctl = Degrade_ctl.Open);
-  let c2 = Degrade_ctl.before_attempt ctl ~retry:false in
+  let c2 = Degrade_ctl.before_attempt ctl ~attempt:1 in
   check_bool
     (Printf.sprintf "cooldown doubled (%.2g -> %.2g)" c1 c2)
     true (c2 > c1)
@@ -192,7 +192,7 @@ let test_ladder_escalates_to_shedding () =
   let trip () =
     feed ctl [ false; false; false; false ];
     (* half-open, then fail the probe to re-open and escalate *)
-    ignore (Degrade_ctl.before_attempt ctl ~retry:false);
+    ignore (Degrade_ctl.before_attempt ctl ~attempt:1);
     Degrade_ctl.record ctl ~ok:false
   in
   trip ();
@@ -215,7 +215,7 @@ let test_controller_is_deterministic () =
   let run () =
     let ctl = Degrade_ctl.create () in
     feed ctl [ false; false; true; false; false; false ];
-    ignore (Degrade_ctl.before_attempt ctl ~retry:true);
+    ignore (Degrade_ctl.before_attempt ctl ~attempt:2);
     feed ctl [ false; true; true; true; true; true ];
     List.map
       (fun (d : Degrade_ctl.decision) ->
@@ -224,6 +224,44 @@ let test_controller_is_deterministic () =
       (Degrade_ctl.decisions ctl)
   in
   check_bool "same outcome sequence, same decisions" true (run () = run ())
+
+(* The fixed policy is a configuration of the same controller: over
+   any outcome sequence the breaker stays closed at [Normal], nothing
+   is logged, the budget is [max_attempts] and the k-th retry of a
+   group backs off [b * 2^(k-1)]. *)
+let prop_fixed_policy =
+  QCheck.Test.make ~name:"Degrade_ctl.fixed never opens" ~count:300
+    QCheck.(
+      triple (int_range 1 8)
+        (oneofl [ 0.0; 1e-7; 1e-6; 2.5e-6 ])
+        (list_of_size Gen.(0 -- 64) bool))
+    (fun (max_attempts, b, outcomes) ->
+      let ctl =
+        Degrade_ctl.create
+          ~config:(Degrade_ctl.fixed ~max_attempts ~backoff_s:b ())
+          ()
+      in
+      let attempt = ref 1 in
+      List.for_all
+        (fun ok ->
+          let backoff = Degrade_ctl.before_attempt ctl ~attempt:!attempt in
+          let want =
+            if !attempt = 1 then 0.0
+            else
+              (* the k-th retry is attempt k + 1 *)
+              let k = !attempt - 1 in
+              b *. (2.0 ** float_of_int (k - 1))
+          in
+          Degrade_ctl.record ctl ~ok;
+          attempt :=
+            if ok || !attempt >= max_attempts then 1 else !attempt + 1;
+          backoff = want
+          && Degrade_ctl.state ctl = Degrade_ctl.Closed
+          && Degrade_ctl.level ctl = Degrade_ctl.Normal
+          && Degrade_ctl.decisions ctl = []
+          && Degrade_ctl.attempts_allowed ctl = max_attempts
+          && not (Degrade_ctl.can_open ctl))
+        outcomes)
 
 (* --- crash + resume, in process ------------------------------------ *)
 
@@ -372,6 +410,7 @@ let () =
             test_ladder_escalates_to_shedding;
           Alcotest.test_case "deterministic decisions" `Quick
             test_controller_is_deterministic;
+          QCheck_alcotest.to_alcotest prop_fixed_policy;
         ] );
       ( "crash_resume",
         [

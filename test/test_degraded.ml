@@ -263,7 +263,11 @@ let test_resilient_absorbs_deadline () =
   let validate y =
     Scan.Scan_api.check_against_reference ~round:Fp16.round ~input ~output:y ()
   in
-  let r = Runtime.Resilient.run ~max_attempts:2 ~fallback:loose ~validate tight in
+  let r =
+    Runtime.Resilient.run
+      ~ctl:Runtime.Degrade_ctl.(create ~config:(fixed ~max_attempts:2 ()) ())
+      ~fallback:loose ~validate tight
+  in
   check_bool "recovered via fallback" true r.Runtime.Resilient.ok;
   check_bool "degraded" true r.Runtime.Resilient.degraded;
   check_int "two aborted attempts detected" 2 r.Runtime.Resilient.detections
@@ -418,8 +422,11 @@ let test_checkpointed_batched_replays_only_pending () =
   in
   let d = Device.create ~fault:(Fault.config ~seed:9 ~rate:0.02 ()) () in
   let r =
-    Runtime.Resilient.batched_scan ~granularity:4 ~max_attempts:6
-      ~backoff_s:1e-7 d ~batch ~len ~input
+    Runtime.Resilient.batched_scan ~granularity:4
+      ~ctl:
+        Runtime.Degrade_ctl.(
+          create ~config:(fixed ~max_attempts:6 ~backoff_s:1e-7 ()) ())
+      d ~batch ~len ~input
   in
   check_bool "complete despite faults" true r.Runtime.Resilient.bok;
   check_bool "some groups retried" true (r.Runtime.Resilient.group_attempts > 4);

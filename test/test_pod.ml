@@ -285,15 +285,16 @@ let test_pod_runner_completes () =
   let input = gen_input (batch * len) 0 in
   let pod = Pod.create ~devices:3 () in
   let r = Runtime.Pod_runner.batched_scan pod ~batch ~len ~input in
-  check_bool "ok" true r.Runtime.Pod_runner.pok;
-  check_int "no devices lost" 0 r.Runtime.Pod_runner.pdevices_lost;
+  check_bool "ok" true r.Runtime.Resilient.bok;
+  check_int "no devices lost" 0
+    (Option.get r.Runtime.Resilient.pod).Runtime.Resilient.devices_lost;
   (* Spot-check one row tail against the host fp16 chain. *)
   let acc = ref 0.0 in
   for i = 0 to len - 1 do
     acc := Fp16.round (!acc +. input.((3 * len) + i))
   done;
   check_bool "row 3 tail" true
-    (Global_tensor.get r.Runtime.Pod_runner.py ((3 * len) + (len - 1)) = !acc)
+    (Global_tensor.get r.Runtime.Resilient.y ((3 * len) + (len - 1)) = !acc)
 
 let test_pod_runner_survives_device_kill () =
   let batch = 8 and len = 256 in
@@ -303,10 +304,11 @@ let test_pod_runner_survives_device_kill () =
   let ch = Runtime.Chaos.arm ~on_crash:(fun _ -> ()) sc in
   let pod = Pod.create ~devices:3 () in
   let r = Runtime.Pod_runner.batched_scan ~chaos:ch pod ~batch ~len ~input in
-  check_bool "ok after device kill" true r.Runtime.Pod_runner.pok;
-  check_int "one device lost" 1 r.Runtime.Pod_runner.pdevices_lost;
+  check_bool "ok after device kill" true r.Runtime.Resilient.bok;
+  check_int "one device lost" 1
+    (Option.get r.Runtime.Resilient.pod).Runtime.Resilient.devices_lost;
   check_bool "output bit-identical to full pod" true
-    (bytes_of clean.Runtime.Pod_runner.py = bytes_of r.Runtime.Pod_runner.py)
+    (bytes_of clean.Runtime.Resilient.y = bytes_of r.Runtime.Resilient.y)
 
 let () =
   Alcotest.run "pod"

@@ -11,6 +11,9 @@ let check_bool = Alcotest.(check bool)
 let n = 65536
 let input = Array.init n (fun i -> if (i + 3) mod 53 = 0 then 1.0 else 0.0)
 
+let fixed max_attempts =
+  Degrade_ctl.create ~config:(Degrade_ctl.fixed ~max_attempts ()) ()
+
 let reference_ok output =
   Scan.Scan_api.check_against_reference ~round:Fp16.round ~input ~output ()
 
@@ -69,7 +72,7 @@ let test_degrade_to_vec_only () =
   in
   let d = Device.create ~fault () in
   let r =
-    Resilient.scan ~max_attempts:2 ~oracle:Resilient.Reference
+    Resilient.scan ~ctl:(fixed 2) ~oracle:Resilient.Reference
       ~fallback:(Scan.Scan_api.get "vec_only") ~algo:(Scan.Scan_api.get "scanu") d ~input
   in
   check_bool "fallback saved the run" true r.Resilient.ok;
@@ -93,7 +96,7 @@ let test_run_retry_loop () =
     (!calls, st)
   in
   let validate v = if v >= 3 then Ok () else Error "too early" in
-  let r = Resilient.run ~max_attempts:5 ~validate attempt in
+  let r = Resilient.run ~ctl:(fixed 5) ~validate attempt in
   check_bool "ok" true r.Resilient.ok;
   check_int "three attempts" 3 r.Resilient.attempts;
   check_int "two detections" 2 r.Resilient.detections;
@@ -102,7 +105,7 @@ let test_run_retry_loop () =
 let test_run_exhausted_without_fallback () =
   let st = dummy_stats () in
   let r =
-    Resilient.run ~max_attempts:2 ~validate:(fun _ -> Error "always")
+    Resilient.run ~ctl:(fixed 2) ~validate:(fun _ -> Error "always")
       (fun () -> (0, st))
   in
   check_bool "failed" true (not r.Resilient.ok);
@@ -113,7 +116,7 @@ let test_run_validation () =
   check_bool "max_attempts < 1 rejected" true
     (try
        ignore
-         (Resilient.run ~max_attempts:0
+         (Resilient.run ~ctl:(fixed 0)
             ~validate:(fun _ -> Ok ())
             (fun () -> (0, dummy_stats ())));
        false
@@ -127,6 +130,28 @@ let test_run_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* A NaN in the input propagates through every later prefix, on the
+   device and in the host oracles alike: both oracles must accept the
+   NaN they expect instead of flagging it as corruption and burning
+   the retry budget. *)
+let test_nan_input_validates () =
+  let input =
+    Array.init 4096 (fun i ->
+        if i = 1000 then Float.nan else if i mod 53 = 0 then 1.0 else 0.0)
+  in
+  let r =
+    Resilient.scan ~algo:(Scan.Scan_api.get "scanu") (Device.create ()) ~input
+  in
+  check_bool "scan ok" true r.Resilient.ok;
+  check_int "scan single attempt" 1 r.Resilient.attempts;
+  check_int "scan no detections" 0 r.Resilient.detections;
+  let b =
+    Resilient.batched_scan ~granularity:1 (Device.create ()) ~batch:2
+      ~len:1024 ~input
+  in
+  check_bool "batched ok" true b.Resilient.bok;
+  check_int "batched one attempt per group" 2 b.Resilient.group_attempts
+
 let () =
   Alcotest.run "resilient"
     [
@@ -137,6 +162,8 @@ let () =
           Alcotest.test_case "rate-0 overhead" `Quick test_rate_zero_overhead;
           Alcotest.test_case "degrade to vec_only" `Quick
             test_degrade_to_vec_only;
+          Alcotest.test_case "nan input validates" `Quick
+            test_nan_input_validates;
         ] );
       ( "loop",
         [
