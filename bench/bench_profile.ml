@@ -49,13 +49,9 @@ type row = {
 let profile_of_trace tr =
   (* Round-trip through the actual bytes: the profiler must work from
      the trace file alone. *)
-  let bytes = Obs.Chrome_trace.to_string tr in
-  match Obs.Jsonw.parse bytes with
-  | Error e -> failwith ("BENCH_10: trace JSON did not parse: " ^ e)
-  | Ok doc -> (
-      match Obs.Critical_path.of_json doc with
-      | Error e -> failwith ("BENCH_10: profile failed: " ^ e)
-      | Ok p -> p)
+  match Obs.Critical_path.of_json (Obs.Chrome_trace.json tr) with
+  | Error e -> failwith ("BENCH_10: profile failed: " ^ e)
+  | Ok p -> p
 
 let run_rows () =
   List.map

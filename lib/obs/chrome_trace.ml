@@ -1,12 +1,15 @@
 module Trace = Ascend.Trace
 
-let arg_to_json = function
-  | Trace.I i -> Jsonw.Int i
-  | Trace.F f -> Jsonw.Float f
-  | Trace.S s -> Jsonw.String s
-  | Trace.B b -> Jsonw.Bool b
+let write_arg buf = function
+  | Trace.I i -> Jsonw.write_int buf i
+  | Trace.F f -> Jsonw.write_float buf f
+  | Trace.S s -> Jsonw.write_string buf s
+  | Trace.B b -> Buffer.add_string buf (if b then "true" else "false")
 
-let json tr =
+(* A little over the mean size of a span event with its cycle args. *)
+let bytes_per_event = 200
+
+let to_string tr =
   let placed = Trace.assemble tr in
   let clock = Trace.clock_hz tr in
   let us cycles = cycles /. clock *. 1e6 in
@@ -26,136 +29,125 @@ let json tr =
   let track_list =
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tracks [])
   in
-  let meta =
-    List.concat_map
-      (fun pid ->
-        let name = if pid = 0 then "device" else Printf.sprintf "core %d" (pid - 1) in
-        [
-          Jsonw.Obj
-            [
-              ("name", Jsonw.String "process_name");
-              ("ph", Jsonw.String "M");
-              ("pid", Jsonw.Int pid);
-              ("args", Jsonw.Obj [ ("name", Jsonw.String name) ]);
-            ];
-          Jsonw.Obj
-            [
-              ("name", Jsonw.String "process_sort_index");
-              ("ph", Jsonw.String "M");
-              ("pid", Jsonw.Int pid);
-              ("args", Jsonw.Obj [ ("sort_index", Jsonw.Int pid) ]);
-            ];
-        ])
-      pids
-    @ List.concat_map
-        (fun ((pid, tid), tname) ->
-          [
-            Jsonw.Obj
-              [
-                ("name", Jsonw.String "thread_name");
-                ("ph", Jsonw.String "M");
-                ("pid", Jsonw.Int pid);
-                ("tid", Jsonw.Int tid);
-                ("args", Jsonw.Obj [ ("name", Jsonw.String tname) ]);
-              ];
-            Jsonw.Obj
-              [
-                ("name", Jsonw.String "thread_sort_index");
-                ("ph", Jsonw.String "M");
-                ("pid", Jsonw.Int pid);
-                ("tid", Jsonw.Int tid);
-                ("args", Jsonw.Obj [ ("sort_index", Jsonw.Int tid) ]);
-              ];
-          ])
-        track_list
-  in
   let events =
-    List.map
-      (fun (p : Trace.placed) ->
-        let args =
-          match p.Trace.p_args with
-          | [] -> []
-          | args ->
-              [
-                ( "args",
-                  Jsonw.Obj (List.map (fun (k, v) -> (k, arg_to_json v)) args)
-                );
-              ]
-        in
-        match p.Trace.p_dur with
-        | Some dur ->
-            Jsonw.Obj
-              ([
-                 ("name", Jsonw.String p.Trace.p_name);
-                 ("cat", Jsonw.String p.Trace.p_cat);
-                 ("ph", Jsonw.String "X");
-                 ("pid", Jsonw.Int p.Trace.p_pid);
-                 ("tid", Jsonw.Int p.Trace.p_tid);
-                 ("ts", Jsonw.Float (us p.Trace.p_ts));
-                 ("dur", Jsonw.Float (us dur));
-               ]
-              @ args)
-        | None when
-            p.Trace.p_cat = "flow_out" || p.Trace.p_cat = "flow_in" ->
-            (* Dependency edges ride the Perfetto flow-event pair: ph
-               "s" at the source span's end, ph "f" (binding to the
-               enclosing slice's end) at the target's start, correlated
-               by the numeric id arg. *)
-            let flow_id =
-              match List.assoc_opt "id" p.Trace.p_args with
-              | Some (Trace.I i) -> i
-              | _ -> 0
-            in
-            Jsonw.Obj
-              ([
-                 ("name", Jsonw.String p.Trace.p_name);
-                 ("cat", Jsonw.String "flow");
-                 ( "ph",
-                   Jsonw.String
-                     (if p.Trace.p_cat = "flow_out" then "s" else "f") );
-               ]
-              @ (if p.Trace.p_cat = "flow_in" then
-                   [ ("bp", Jsonw.String "e") ]
-                 else [])
-              @ [
-                  ("id", Jsonw.Int flow_id);
-                  ("pid", Jsonw.Int p.Trace.p_pid);
-                  ("tid", Jsonw.Int p.Trace.p_tid);
-                  ("ts", Jsonw.Float (us p.Trace.p_ts));
-                ]
-              @ args)
-        | None ->
-            Jsonw.Obj
-              ([
-                 ("name", Jsonw.String p.Trace.p_name);
-                 ("cat", Jsonw.String p.Trace.p_cat);
-                 ("ph", Jsonw.String "i");
-                 ("s", Jsonw.String "p");
-                 ("pid", Jsonw.Int p.Trace.p_pid);
-                 ("tid", Jsonw.Int p.Trace.p_tid);
-                 ("ts", Jsonw.Float (us p.Trace.p_ts));
-               ]
-              @ args))
-      placed
+    List.length placed + (2 * (List.length pids + List.length track_list))
   in
-  Jsonw.Obj
-    [
-      ("traceEvents", Jsonw.List (meta @ events));
-      ("displayTimeUnit", Jsonw.String "us");
-      ( "otherData",
-        Jsonw.Obj
-          [
-            ("generator", Jsonw.String "ascend-scan-sim");
-            ("schema", Jsonw.String "ascend-trace-1");
-            ("clock_hz", Jsonw.Float clock);
-            ("spans", Jsonw.Int (Trace.span_count tr));
-            ("instants", Jsonw.Int (Trace.mark_count tr));
-            ("edges", Jsonw.Int (Trace.edge_count tr));
-            ("dropped", Jsonw.Int (Trace.dropped tr));
-          ] );
-    ]
+  let buf = Buffer.create ((bytes_per_event * events) + 256) in
+  (* [{"k":] opens an object at its first member; [,"k":] adds one. *)
+  let open_ k =
+    Buffer.add_char buf '{';
+    Jsonw.write_field buf k
+  in
+  let next k =
+    Buffer.add_char buf ',';
+    Jsonw.write_field buf k
+  in
+  let close () = Buffer.add_char buf '}' in
+  let str k v = next k; Jsonw.write_string buf v in
+  let int k v = next k; Jsonw.write_int buf v in
+  let num k v = next k; Jsonw.write_float buf v in
+  let args = function
+    | [] -> ()
+    | (k, v) :: rest ->
+        next "args";
+        open_ k;
+        write_arg buf v;
+        List.iter (fun (k, v) -> next k; write_arg buf v) rest;
+        close ()
+  in
+  let first = ref true in
+  let event name =
+    if !first then first := false else Buffer.add_char buf ',';
+    open_ "name";
+    Jsonw.write_string buf name
+  in
+  open_ "traceEvents";
+  Buffer.add_char buf '[';
+  List.iter
+    (fun pid ->
+      let name = if pid = 0 then "device" else Printf.sprintf "core %d" (pid - 1) in
+      event "process_name";
+      str "ph" "M";
+      int "pid" pid;
+      args [ ("name", Trace.S name) ];
+      close ();
+      event "process_sort_index";
+      str "ph" "M";
+      int "pid" pid;
+      args [ ("sort_index", Trace.I pid) ];
+      close ())
+    pids;
+  List.iter
+    (fun ((pid, tid), tname) ->
+      event "thread_name";
+      str "ph" "M";
+      int "pid" pid;
+      int "tid" tid;
+      args [ ("name", Trace.S tname) ];
+      close ();
+      event "thread_sort_index";
+      str "ph" "M";
+      int "pid" pid;
+      int "tid" tid;
+      args [ ("sort_index", Trace.I tid) ];
+      close ())
+    track_list;
+  List.iter
+    (fun (p : Trace.placed) ->
+      event p.Trace.p_name;
+      (match p.Trace.p_dur with
+      | Some dur ->
+          str "cat" p.Trace.p_cat;
+          str "ph" "X";
+          int "pid" p.Trace.p_pid;
+          int "tid" p.Trace.p_tid;
+          num "ts" (us p.Trace.p_ts);
+          num "dur" (us dur)
+      | None when p.Trace.p_cat = "flow_out" || p.Trace.p_cat = "flow_in" ->
+          (* Dependency edges ride the Perfetto flow-event pair: ph
+             "s" at the source span's end, ph "f" (binding to the
+             enclosing slice's end) at the target's start, correlated
+             by the numeric id arg. *)
+          let flow_in = p.Trace.p_cat = "flow_in" in
+          str "cat" "flow";
+          str "ph" (if flow_in then "f" else "s");
+          if flow_in then str "bp" "e";
+          int "id"
+            (match List.assoc_opt "id" p.Trace.p_args with
+            | Some (Trace.I i) -> i
+            | _ -> 0);
+          int "pid" p.Trace.p_pid;
+          int "tid" p.Trace.p_tid;
+          num "ts" (us p.Trace.p_ts)
+      | None ->
+          str "cat" p.Trace.p_cat;
+          str "ph" "i";
+          str "s" "p";
+          int "pid" p.Trace.p_pid;
+          int "tid" p.Trace.p_tid;
+          num "ts" (us p.Trace.p_ts));
+      args p.Trace.p_args;
+      close ())
+    placed;
+  Buffer.add_char buf ']';
+  str "displayTimeUnit" "us";
+  next "otherData";
+  open_ "generator";
+  Jsonw.write_string buf "ascend-scan-sim";
+  str "schema" "ascend-trace-1";
+  num "clock_hz" clock;
+  int "spans" (Trace.span_count tr);
+  int "instants" (Trace.mark_count tr);
+  int "edges" (Trace.edge_count tr);
+  int "dropped" (Trace.dropped tr);
+  close ();
+  close ();
+  Buffer.contents buf
 
-let to_string tr = Jsonw.to_string (json tr)
+let json tr =
+  match Jsonw.parse (to_string tr) with
+  | Ok doc -> doc
+  | Error e -> failwith ("Chrome_trace.json: export does not parse: " ^ e)
 
 type counts = {
   events : int;

@@ -16,14 +16,18 @@
     {!Jsonw.float_to_string}, so recordings of the same kernel at
     different [--domains] settings serialize identically. *)
 
-val json : Ascend.Trace.t -> Jsonw.t
-(** The trace as a JSON value: [{"traceEvents": [...], "displayTimeUnit":
-    "us", "otherData": {...}}], with the recorder clock and event
-    totals under ["otherData"]. *)
-
 val to_string : Ascend.Trace.t -> string
-(** [Jsonw.to_string (json t)] — the exact bytes written by the CLI's
-    [--trace]. *)
+(** The exact bytes written by the CLI's [--trace]: [{"traceEvents":
+    [...], "displayTimeUnit": "us", "otherData": {...}}], with the
+    recorder clock and event totals under ["otherData"]. Events stream
+    straight into one buffer through the {!Jsonw} write primitives, so
+    the bytes are those {!Jsonw.to_string} prints for the parsed
+    document. *)
+
+val json : Ascend.Trace.t -> Jsonw.t
+(** [Jsonw.parse (to_string t)]: in-process consumers (the CLI's
+    [--profile]/[--metrics], the tests) read the same bytes a file
+    reader would. *)
 
 type counts = {
   events : int;  (** All events incl. metadata. *)

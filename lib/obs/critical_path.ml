@@ -121,6 +121,13 @@ let analyze_block ~binst ~core spans edges =
           (Inconsistent
              (Printf.sprintf "block %d: edge %d->%d outside span range" binst
                 e.ed_src e.ed_dst));
+      (* The recorder only emits edges in issue order; a backward one
+         could close a cycle the critical-path walk would never leave. *)
+      if e.ed_src >= e.ed_dst then
+        raise
+          (Inconsistent
+             (Printf.sprintf "block %d: edge %d->%d not in issue order" binst
+                e.ed_src e.ed_dst));
       preds.(idx e.ed_dst) <- idx e.ed_src :: preds.(idx e.ed_dst);
       succs.(idx e.ed_src) <- idx e.ed_dst :: succs.(idx e.ed_src))
     edges;

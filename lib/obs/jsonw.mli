@@ -28,6 +28,23 @@ val float_to_string : float -> string
     an exponent where possible; non-finite values (invalid JSON)
     raise [Invalid_argument]. *)
 
+(** {2 Streaming primitives}
+
+    The tree writer is built from these, so a producer that writes
+    JSON straight into a buffer (the Chrome trace export) emits the
+    same bytes as {!to_string} of the equivalent tree. Separators
+    ([{], [,], [}], ...) are the caller's. *)
+
+val write_string : Buffer.t -> string -> unit
+(** A quoted, escaped string. *)
+
+val write_int : Buffer.t -> int -> unit
+val write_float : Buffer.t -> float -> unit
+(** Through {!float_to_string}. *)
+
+val write_field : Buffer.t -> string -> unit
+(** An object key and its [:]. *)
+
 val to_string : ?pretty:bool -> t -> string
 (** Serialize. [pretty] (default false) adds newlines and 2-space
     indentation; the compact form has no whitespace. *)
@@ -35,11 +52,15 @@ val to_string : ?pretty:bool -> t -> string
 val to_channel : ?pretty:bool -> out_channel -> t -> unit
 
 val parse : string -> (t, string) result
-(** Parse a complete JSON document (trailing whitespace allowed,
-    trailing garbage rejected). Numbers parse to [Int] when they are
-    integral and fit, else [Float]; [\uXXXX] escapes decode to UTF-8
-    (surrogate pairs supported). [Error] carries a message with the
-    byte offset of the failure. *)
+(** Parse a complete JSON document (RFC 8259; trailing whitespace
+    allowed, trailing garbage rejected). Numbers without a fraction or
+    exponent parse to [Int] when they fit, else [Float]; ["-0"] parses
+    to [Float (-0.)], so every [float_to_string] output reads back as
+    the same number, sign of zero included. Numbers with a leading
+    zero (["01"]) are rejected. [\uXXXX] escapes take exactly four
+    hex digits and decode to UTF-8 (surrogate pairs supported).
+    [Error] carries a message with the byte offset of the failure; no
+    input raises. *)
 
 (** {2 Accessors} *)
 
