@@ -165,12 +165,13 @@ let arm_obs device obs =
 (* Critical-path profile of a parsed trace document: print the
    human-readable report and write the combined profile.json
    (blame + what-if + roofline). Shared by the --profile run flag and
-   the offline [profile] subcommand. *)
-let emit_profile ?out doc =
+   the offline [profile] subcommand. [on_error] takes a document the
+   profiler rejects: by default a simulator bug (exit 1), since the
+   run flags profile the trace they just recorded. *)
+let emit_profile
+    ?(on_error = fun e -> Format.eprintf "profile: %s@." e; exit 1) ?out doc =
   match Obs.Critical_path.of_json doc with
-  | Error e ->
-      Format.eprintf "profile: %s@." e;
-      exit 1
+  | Error e -> on_error e
   | Ok p ->
       Format.printf "%a" Obs.Critical_path.pp p;
       Format.printf "%a" (fun ppf -> Obs.Whatif.pp ppf) p;
@@ -1253,7 +1254,16 @@ let profile_cmd =
   in
   let run file out =
     let out = match out with Some "none" -> None | o -> o in
-    emit_profile ?out (parse_trace_file file)
+    (* A file is untrusted input: schema-check it first (a corrupted
+       span can otherwise profile as an empty DAG) and treat any
+       rejection as a usage error, exit 2. *)
+    let bad e =
+      raise
+        (Usage_error (Printf.sprintf "%s: not a profilable trace: %s" file e))
+    in
+    let doc = parse_trace_file file in
+    (match Obs.Chrome_trace.validate doc with Ok _ -> () | Error e -> bad e);
+    emit_profile ~on_error:bad ?out doc
   in
   Cmd.v
     (Cmd.info "profile"

@@ -16,17 +16,21 @@ let check_shape what lt elems =
    triple loop. All paths accumulate in double and round to the
    accumulator data type on store, matching fp32/int32 accumulators.
 
-   The loops run over the raw Bigarray storage
-   ({!Host_buffer.data}): operand shapes were validated by [mmad], so
-   bounds checks are dropped and the accumulator-dtype rounding is
-   hoisted out of the loop — as a direct {!Dtype.round_f32} call on
-   the hot fp32-accumulator path, as a {!Dtype.rounder} closure
-   otherwise. The accumulation order (raw double adds, one rounding on
-   store) is that of the historical scalar get/set loops. *)
+   The loops run over the raw Bigarray storage, the operands through
+   {!Host_buffer.read_data} and the accumulator through
+   {!Host_buffer.write_data} with its written extent [m * n]: operand
+   shapes were validated by [mmad], so bounds checks are dropped and
+   the accumulator-dtype rounding is hoisted out of the loop — as a
+   direct {!Dtype.round_f32} call on the hot fp32-accumulator path, as
+   a {!Dtype.rounder} closure otherwise. The accumulation order (raw
+   double adds, one rounding on store) is that of the historical
+   scalar get/set loops. *)
 
 module BA1 = Bigarray.Array1
 
-let raw lt = Host_buffer.data (Local_tensor.buffer lt)
+let raw lt = Host_buffer.read_data (Local_tensor.buffer lt)
+let raw_out lt ~m ~n =
+  Host_buffer.write_data (Local_tensor.buffer lt) ~extent:(m * n)
 let acc_rounder lt = Dtype.rounder (Local_tensor.dtype lt)
 
 (* F32 rounding through a one-element float32 Bigarray: the store/load
@@ -50,7 +54,7 @@ let[@inline] round_f32 (tmp : f32cell) f =
   end
 
 let eval_general a b c ~m ~k ~n ~accumulate =
-  let ab = raw a and bb = raw b and cb = raw c in
+  let ab = raw a and bb = raw b and cb = raw_out c ~m ~n in
   let round = acc_rounder c in
   for i = 0 to m - 1 do
     for j = 0 to n - 1 do
@@ -69,7 +73,7 @@ let eval_general a b c ~m ~k ~n ~accumulate =
    scan and the simulator's hottest cube path, so the fp32-accumulator
    case gets its own loop with the rounding call inlined. *)
 let eval_b_upper_ones a c ~m ~k ~n ~accumulate =
-  let ab = raw a and cb = raw c in
+  let ab = raw a and cb = raw_out c ~m ~n in
   (match Local_tensor.dtype c with
   | Dtype.F32 when k = n && not accumulate ->
       (* McScan's exact shape: every element of the row contributes and
@@ -108,7 +112,7 @@ let eval_b_upper_ones a c ~m ~k ~n ~accumulate =
 
 (* C[i,j] (+)= sum_{t >= j} A[i,t]  — B = L (lower-triangular ones). *)
 let eval_b_lower_ones a c ~m ~k ~n ~accumulate =
-  let ab = raw a and cb = raw c in
+  let ab = raw a and cb = raw_out c ~m ~n in
   let round = acc_rounder c in
   for i = 0 to m - 1 do
     (* suffix sums of row i of A *)
@@ -126,7 +130,7 @@ let eval_b_lower_ones a c ~m ~k ~n ~accumulate =
 
 (* C[i,j] (+)= sum_t A[i,t]  — B = all-ones. *)
 let eval_b_all_ones a c ~m ~k ~n ~accumulate =
-  let ab = raw a and cb = raw c in
+  let ab = raw a and cb = raw_out c ~m ~n in
   let round = acc_rounder c in
   for i = 0 to m - 1 do
     let sum = ref 0.0 in
@@ -142,7 +146,7 @@ let eval_b_all_ones a c ~m ~k ~n ~accumulate =
 (* C[i,j] (+)= sum_{t < i} B[t,j]  — A = strict lower-triangular ones:
    column-wise exclusive prefix sums of B. *)
 let eval_a_strict_lower_ones b c ~m ~k ~n ~accumulate =
-  let bb = raw b and cb = raw c in
+  let bb = raw b and cb = raw_out c ~m ~n in
   let round = acc_rounder c in
   for j = 0 to n - 1 do
     let run = ref 0.0 in
@@ -155,7 +159,7 @@ let eval_a_strict_lower_ones b c ~m ~k ~n ~accumulate =
 
 (* C[i,j] (+)= sum_{t <= i} B[t,j]  — A = lower-triangular ones. *)
 let eval_a_lower_ones b c ~m ~k ~n ~accumulate =
-  let bb = raw b and cb = raw c in
+  let bb = raw b and cb = raw_out c ~m ~n in
   let round = acc_rounder c in
   for j = 0 to n - 1 do
     let run = ref 0.0 in

@@ -43,7 +43,10 @@ val retire : t -> unit
     on cost-only tensors). For kernel-internal intermediates that never
     escape their kernel — e.g. McScan's tile-local-scan and block-sum
     tensors — so repeated launches reuse instead of reallocating. The
-    tensor must not be used afterwards. *)
+    tensor must not be used afterwards. Only the written prefix is
+    re-zeroed; the blocks of a domain-parallel launch that wrote it
+    concurrently raise its extent atomically (see
+    {!Host_buffer.retire}). *)
 
 val to_array : t -> float array
 val pp : Format.formatter -> t -> unit

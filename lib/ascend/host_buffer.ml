@@ -11,7 +11,18 @@
 module BA1 = Bigarray.Array1
 
 type ba = (float, Bigarray.float64_elt, Bigarray.c_layout) BA1.t
-type t = { dtype : Dtype.t; data : ba; mutable retired : bool }
+(* [hi] is the dirty extent: every element at index [>= hi] is +0.0.
+   Every writer raises it to the end of the range it wrote, once per
+   call. It is atomic because a global tensor is written by
+   domain-parallel blocks at once, and a racy [max] could lose a raise;
+   McScan retires its intermediate globals, so a lost raise would pool
+   stale data. Block-local tensors pay one uncontended load per call. *)
+type t = {
+  dtype : Dtype.t;
+  data : ba;
+  hi : int Atomic.t;
+  mutable retired : bool;
+}
 
 (* Float rounding, local to this module. The classic (non-flambda)
    native backend boxes every float crossing a non-inlined call
@@ -57,10 +68,13 @@ let[@inline] round_f32 f =
    unmaps ~10 MB of 128 KB Bigarrays per run, and the GC's custom-block
    accounting paces dozens of major slices per run to reclaim them.
    Retired payloads are kept on a size-keyed free list (capped; excess
-   falls back to the GC) and handed back out by [create], zero-filled,
-   so steady-state launches allocate no storage at all. The pool is
-   shared across domains (blocks allocate and finish concurrently under
-   domain-parallel launches), hence the mutex. *)
+   falls back to the GC) and handed back out by [create], so
+   steady-state launches allocate no storage at all. Invariant: a
+   pooled payload is all +0.0. [retire] re-zeroes only the dirty
+   extent [0, hi) — tiles are sized for the largest case and most of
+   one is never written — and [create] zero-fills only fresh storage.
+   The pool is shared across domains (blocks allocate and finish
+   concurrently under domain-parallel launches), hence the mutex. *)
 let pool : (int, ba list ref) Hashtbl.t = Hashtbl.create 16
 let pool_mutex = Mutex.create ()
 let pool_bytes = ref 0
@@ -98,34 +112,60 @@ let create dtype n =
   let data =
     match pool_take n with
     | Some data -> data
-    | None -> BA1.create Bigarray.float64 Bigarray.c_layout n
+    | None ->
+        (* Array1.create does not zero *)
+        let data = BA1.create Bigarray.float64 Bigarray.c_layout n in
+        BA1.fill data 0.0;
+        data
   in
-  BA1.fill data 0.0;
-  (* Array1.create does not zero; pooled payloads hold stale data *)
-  { dtype; data; retired = false }
+  { dtype; data; hi = Atomic.make 0; retired = false }
 
 let retire t =
   if not t.retired then begin
     t.retired <- true;
+    let hi = Atomic.get t.hi in
+    if hi > 0 then BA1.fill (BA1.sub t.data 0 hi) 0.0;
     pool_put t.data
   end
 
+let rec raise_hi t e =
+  let h = Atomic.get t.hi in
+  if e > h && not (Atomic.compare_and_set t.hi h e) then raise_hi t e
+
+(* Record that [0, e) may hold non-zero data; [e] is in bounds. *)
+let[@inline] mark t e = if e > Atomic.get t.hi then raise_hi t e
+
 let dtype t = t.dtype
-let data t = t.data
 let length t = BA1.dim t.data
 let size_bytes t = length t * Dtype.size_bytes t.dtype
+let read_data t = t.data
+
+let write_data t ~extent =
+  if extent < 0 || extent > length t then
+    invalid_arg "Host_buffer.write_data: extent out of bounds";
+  mark t extent;
+  t.data
 
 (* Bounds-checked Array1 access raises the same
    [Invalid_argument "index out of bounds"] the historical array
    representation did. *)
 let get t i = BA1.get t.data i
-let set t i v = BA1.set t.data i (Dtype.round t.dtype v)
-let set_cast t i ~from v = BA1.set t.data i (Dtype.cast ~from ~into:t.dtype v)
 
-(* Unsafe accessors for validated inner loops (Cube's structured
-   matmul evaluators). [unsafe_set] still rounds through the dtype. *)
+let set t i v =
+  BA1.set t.data i (Dtype.round t.dtype v);
+  mark t (i + 1)
+
+let set_cast t i ~from v =
+  BA1.set t.data i (Dtype.cast ~from ~into:t.dtype v);
+  mark t (i + 1)
+
+(* Unsafe accessors for validated inner loops. [unsafe_set] still
+   rounds through the dtype. *)
 let[@inline] unsafe_get t i = BA1.unsafe_get t.data i
-let[@inline] unsafe_set t i v = BA1.unsafe_set t.data i (Dtype.round t.dtype v)
+
+let[@inline] unsafe_set t i v =
+  BA1.unsafe_set t.data i (Dtype.round t.dtype v);
+  mark t (i + 1)
 
 let check_range name t off len =
   if len < 0 || off < 0 || off + len > length t then
@@ -133,11 +173,15 @@ let check_range name t off len =
 
 let fill t v =
   let v = Dtype.round t.dtype v in
-  BA1.fill t.data v
+  BA1.fill t.data v;
+  mark t (length t)
 
 let fill_range t ~off ~len v =
   check_range "fill_range" t off len;
-  if len > 0 then BA1.fill (BA1.sub t.data off len) (Dtype.round t.dtype v)
+  if len > 0 then begin
+    BA1.fill (BA1.sub t.data off len) (Dtype.round t.dtype v);
+    mark t (off + len)
+  end
 
 (* Bulk element conversion with the dtype dispatch hoisted out of the
    loop; ranges must already be validated. Shared by the converting
@@ -145,6 +189,7 @@ let fill_range t ~off ~len v =
    so the rounding inlines instead of re-dispatching per element. *)
 let convert_into ~from ~(dst : t) ~(src : ba) ~src_off ~dst_off ~len =
   let d = dst.data in
+  mark dst (dst_off + len);
   match from, dst.dtype with
   | (Dtype.F16 | Dtype.F32), Dtype.F16 | Dtype.I8, Dtype.F16 ->
       for i = 0 to len - 1 do
@@ -169,10 +214,12 @@ let blit ~src ~src_off ~dst ~dst_off ~len =
     || dst_off + len > length dst
   then invalid_arg "Host_buffer.blit: range out of bounds";
   if len > 0 then
-    if Dtype.equal src.dtype dst.dtype then
+    if Dtype.equal src.dtype dst.dtype then begin
       (* Stored values are already canonical for the dtype: move them
          wholesale (memmove; overlap-safe), no per-element rounding. *)
-      BA1.blit (BA1.sub src.data src_off len) (BA1.sub dst.data dst_off len)
+      BA1.blit (BA1.sub src.data src_off len) (BA1.sub dst.data dst_off len);
+      mark dst (dst_off + len)
+    end
     else
       convert_into ~from:src.dtype ~dst ~src:src.data ~src_off ~dst_off ~len
 
@@ -180,6 +227,7 @@ let of_array dt a =
   let n = Array.length a in
   let t = create dt n in
   let d = t.data in
+  mark t n;
   (match dt with
   | Dtype.F16 ->
       for i = 0 to n - 1 do
@@ -199,6 +247,7 @@ let load_array t a =
   let n = Array.length a in
   check_range "load_array" t 0 n;
   let d = t.data in
+  mark t n;
   match t.dtype with
   | Dtype.F16 ->
       for i = 0 to n - 1 do
@@ -219,7 +268,8 @@ let copy t =
   let n = length t in
   let data = BA1.create Bigarray.float64 Bigarray.c_layout n in
   BA1.blit t.data data;
-  { dtype = t.dtype; data; retired = false }
+  (* [t] is +0.0 past its extent, and so is the copy *)
+  { dtype = t.dtype; data; hi = Atomic.make (Atomic.get t.hi); retired = false }
 
 (* ------------------------------------------------------------------ *)
 (* Bulk kernels. Each validates its ranges once, hoists the dtype and
@@ -236,6 +286,7 @@ let map2_binop op ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len =
   check_range "map2_binop" src0 src0_off len;
   check_range "map2_binop" src1 src1_off len;
   check_range "map2_binop" dst dst_off len;
+  mark dst (dst_off + len);
   let a = src0.data and b = src1.data and d = dst.data in
   let finish_generic dt f =
     for i = 0 to len - 1 do
@@ -285,6 +336,7 @@ let map2_binop op ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len =
 let map1_scalar op ~src ~src_off ~dst ~dst_off ~scalar ~len =
   check_range "map1_scalar" src src_off len;
   check_range "map1_scalar" dst dst_off len;
+  mark dst (dst_off + len);
   let s = src.data and d = dst.data in
   let finish_generic dt f =
     for i = 0 to len - 1 do
@@ -324,6 +376,7 @@ let map1_scalar op ~src ~src_off ~dst ~dst_off ~scalar ~len =
 let map1_f f ~src ~src_off ~dst ~dst_off ~len =
   check_range "map1_f" src src_off len;
   check_range "map1_f" dst dst_off len;
+  mark dst (dst_off + len);
   let s = src.data and d = dst.data in
   let dt = dst.dtype in
   for i = 0 to len - 1 do
@@ -335,6 +388,7 @@ let map2_f f ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len =
   check_range "map2_f" src0 src0_off len;
   check_range "map2_f" src1 src1_off len;
   check_range "map2_f" dst dst_off len;
+  mark dst (dst_off + len);
   let a = src0.data and b = src1.data and d = dst.data in
   let dt = dst.dtype in
   for i = 0 to len - 1 do
@@ -349,6 +403,7 @@ let select_range ~mask ~mask_off ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off
   check_range "select_range" src0 src0_off len;
   check_range "select_range" src1 src1_off len;
   check_range "select_range" dst dst_off len;
+  mark dst (dst_off + len);
   let m = mask.data and a = src0.data and b = src1.data and d = dst.data in
   let dt = dst.dtype in
   for i = 0 to len - 1 do
@@ -362,6 +417,7 @@ let select_range ~mask ~mask_off ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off
 
 let arange_range t ~off ~start ~len =
   check_range "arange_range" t off len;
+  mark t (off + len);
   let d = t.data in
   let dt = t.dtype in
   for i = 0 to len - 1 do
@@ -394,6 +450,7 @@ let reduce_max t ~off ~len =
 let scan_accum ~src ~dst ~len =
   check_range "scan_accum" src 0 len;
   check_range "scan_accum" dst 0 len;
+  mark dst len;
   let s = src.data and d = dst.data in
   let acc = ref 0.0 in
   (match dst.dtype with
@@ -423,6 +480,7 @@ let scan_accum ~src ~dst ~len =
 let scan_segment op t ~off ~len ~seg ~init =
   if seg <= 0 then invalid_arg "Host_buffer.scan_segment: seg must be positive";
   check_range "scan_segment" t off len;
+  mark t (off + len);
   let d = t.data in
   let dt = t.dtype in
   let carry = ref init in

@@ -19,28 +19,42 @@ type t
 type ba = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** The flat storage representation. *)
 
-val data : t -> ba
-(** The backing Bigarray — the escape hatch for engine evaluation
-    loops that validate their ranges up front and round explicitly
-    (see {!Cube}). Every element written must be canonical for
-    {!dtype} (pass it through {!Dtype.round} or a hoisted
-    {!Dtype.rounder}); the scalar/bulk APIs above maintain that
-    invariant automatically. *)
+val read_data : t -> ba
+(** The backing Bigarray, for reading only — the escape hatch for
+    engine evaluation loops that validate their ranges up front (see
+    {!Cube}). Writing through it breaks the pool invariant of
+    {!retire}; use {!write_data}. *)
+
+val write_data : t -> extent:int -> ba
+(** The backing Bigarray, for a loop that writes elements in
+    [[0, extent)] and nowhere else: marks that prefix dirty (see
+    {!retire}) and returns the storage. Every element written must be
+    canonical for {!dtype} (pass it through {!Dtype.round} or a
+    hoisted {!Dtype.rounder}); the scalar/bulk APIs below maintain
+    both invariants automatically. Raises [Invalid_argument] unless
+    [0 <= extent <= length t]. *)
 
 val create : Dtype.t -> int -> t
-(** [create dt n] is a zero-initialised buffer of [n] elements. The
-    storage may be recycled from the retired-buffer pool (see
-    {!retire}); contents are zeroed either way. *)
+(** [create dt n] is a buffer of [n] elements, all +0.0. The storage
+    is recycled from the retired-buffer pool when a payload of length
+    [n] is there (it is already all +0.0, see {!retire}); fresh
+    storage is zero-filled. *)
 
 val retire : t -> unit
 (** Return the buffer's storage to the internal free pool for reuse by
-    a later {!create} of the same length. Idempotent. The caller
-    asserts the buffer is dead: reading or writing it after [retire]
-    may observe or corrupt an unrelated buffer that inherited the
-    storage. Used by {!Block.finish} to recycle a finished block's
-    scratchpad tensors — simulated local memories never outlive their
-    block, mirroring the hardware. The pool is domain-safe and
-    size-capped (excess storage falls back to the GC). *)
+    a later {!create} of the same length. Idempotent. Every writer
+    records the buffer's dirty extent — an upper bound on the indices
+    it ever wrote — and [retire] zeroes only that prefix, so that a
+    pooled payload is all +0.0 and a tile that was barely written is
+    cheap to recycle. The caller asserts the buffer is dead: reading
+    or writing it after [retire] may observe or corrupt an unrelated
+    buffer that inherited the storage. Used by {!Block.finish} to
+    recycle a finished block's scratchpad tensors — simulated local
+    memories never outlive their block, mirroring the hardware. The
+    pool is domain-safe and size-capped (excess storage falls back to
+    the GC). The extent is domain-safe too: concurrent writers (the
+    blocks of one domain-parallel launch sharing a global tensor)
+    raise it atomically. *)
 
 val dtype : t -> Dtype.t
 val length : t -> int

@@ -100,13 +100,6 @@ let trace_events device name =
       | `Retry -> Trace.note tr Trace.Retry ~name:(name ^ " retry")
       | `Degrade -> Trace.note tr Trace.Degrade ~name:(name ^ " degraded"))
 
-let launch ?name ?ctl ?fallback device ~blocks ~validate bodies =
-  run ?name ?ctl ?fallback
-    ~on_event:
-      (trace_events device (Option.value ~default:"resilient launch" name))
-    ~validate:(fun () -> validate ())
-    (fun () -> ((), Launch.run_phases ?name device ~blocks bodies))
-
 (* Cheap scan oracle: one host pass chaining the dtype rounding, with
    comparisons only at [checksum_samples] strided positions plus the
    last element. O(n) time, O(1) space, no expected-array allocation.

@@ -65,19 +65,6 @@ val run :
     — the tracing hook ({!Ascend.Trace.note}); it defaults to a
     no-op. *)
 
-val launch :
-  ?name:string ->
-  ?ctl:Degrade_ctl.t ->
-  ?fallback:(unit -> unit * Ascend.Stats.t) ->
-  Ascend.Device.t ->
-  blocks:int ->
-  validate:(unit -> (unit, string) result) ->
-  (Ascend.Block.t -> unit) list ->
-  unit report
-(** Resilient {!Ascend.Launch.run_phases}: re-runs the same phase list
-    on validation failure. The caller's [validate] inspects the output
-    tensors it closed over. *)
-
 val scan :
   ?s:int ->
   ?ctl:Degrade_ctl.t ->

@@ -28,28 +28,25 @@ let config_for (entry : Reg.entry) ~n ~s =
     Reg.s;
     batch = (if batched then Some 4 else None);
     len = (if batched then Some (n / 4) else None);
-    k = Some 64;
+    k = Some (min 64 n);
     p = Some 0.9;
     theta = Some 0.4;
     seed = Some 3;
   }
 
+let input (entry : Reg.entry) device ~n =
+  let dt, data = input_data entry n in
+  let x = Device.of_array device dt ~name:"drv_x" data in
+  if entry.Reg.caps.Reg.masked then
+    Reg.Masked
+      { x; mask = Device.of_array device Dtype.I8 ~name:"drv_m" (flags_data n) }
+  else Reg.Tensor x
+
 let run ?(n = 4096) ?s ?domains ?(traced = true) (entry : Reg.entry) =
   if n < 16 then invalid_arg "Op_driver.run: n must be >= 16";
   let device = Device.create ?domains () in
   let trace = if traced then Some (Device.arm_trace device) else None in
-  let dt, data = input_data entry n in
-  let x = Device.of_array device dt ~name:"drv_x" data in
-  let input =
-    if entry.Reg.caps.Reg.masked then
-      Reg.Masked
-        {
-          x;
-          mask = Device.of_array device Dtype.I8 ~name:"drv_m" (flags_data n);
-        }
-    else Reg.Tensor x
-  in
-  match Reg.run entry (config_for entry ~n ~s) device input with
+  match Reg.run entry (config_for entry ~n ~s) device (input entry device ~n) with
   | Ok (_out, stats) -> Ok (stats, trace)
   | Error e -> Error e
 

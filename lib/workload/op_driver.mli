@@ -9,6 +9,17 @@
     test matrix and CI all share it, so an op added to the registry is
     automatically covered by each. *)
 
+val config_for :
+  Scan.Op_registry.entry -> n:int -> s:int option -> Scan.Op_registry.config
+(** The parameters {!run} passes: [batch = 4] rows of [n / 4] for
+    batched entries, [k = min 64 n], [p = 0.9], [theta = 0.4], [seed = 3]. *)
+
+val input :
+  Scan.Op_registry.entry -> Ascend.Device.t -> n:int -> Scan.Op_registry.input
+(** The synthetic input tensors {!run} stages on [device]: [n]
+    elements of the entry's first dtype, plus an I8 flags tensor for
+    masked entries. *)
+
 val run :
   ?n:int ->
   ?s:int ->

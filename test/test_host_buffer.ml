@@ -72,6 +72,172 @@ let test_set_cast () =
   Host_buffer.set_cast b 0 ~from:Dtype.F32 7.9;
   check_float "cast truncates" 7.0 (Host_buffer.get b 0)
 
+(* ------------------------------------------------------------------ *)
+(* Pool invariant: a retired payload is all +0.0 however it was
+   written. [retire] re-zeroes only the dirty extent, so a writer that
+   forgot to raise it would hand stale data to the next [create] of the
+   same length. Compared on [Int64.bits_of_float]: a stale -0.0 must
+   fail. *)
+
+module BA1 = Bigarray.Array1
+
+let all_dtypes = Dtype.[| F16; F32; I8; I16; U16; I32 |]
+
+let corners =
+  [| 0.0; -0.0; 1.0; -1.5; 2049.0; 65520.0; 1e-8; 0x1p-25; infinity;
+     neg_infinity; Float.nan; -.Float.nan;
+     Int64.float_of_bits 0x7FF0000000000001L;
+     Int64.float_of_bits 0xFFF8000000001234L;
+     Int64.float_of_bits 0x7FF4000000000000L; 3.4e38; 127.0; -129.0 |]
+
+let rand_value st =
+  match Random.State.int st 4 with
+  | 0 | 1 -> corners.(Random.State.int st (Array.length corners))
+  | 2 -> Int64.float_of_bits (Random.State.bits64 st)
+  | _ -> float_of_int (Random.State.int st 4001 - 2000)
+
+let rand_dtype st = all_dtypes.(Random.State.int st (Array.length all_dtypes))
+
+(* A random in-bounds [(off, len)] range of an [n]-element buffer. *)
+let rand_range st n =
+  let off = Random.State.int st (n + 1) in
+  (off, Random.State.int st (n - off + 1))
+
+let rand_buffer st dt n =
+  Host_buffer.of_array dt (Array.init n (fun _ -> rand_value st))
+
+let binops = Host_buffer.[| Add; Sub; Mul; Max; Min |]
+let scalar_ops = Host_buffer.[| Adds; Muls; Maxs; Mins |]
+
+(* Every writer of the module, and the raw write accessor. [of_array]
+   and [copy] produce the buffer under test (see [make]). *)
+let writers =
+  [| "set"; "set_cast"; "unsafe_set"; "fill"; "fill_range"; "blit";
+     "blit_convert"; "load_array"; "map2_binop"; "map1_scalar"; "map1_f";
+     "map2_f"; "select_range"; "arange_range"; "scan_accum"; "scan_segment";
+     "write_data" |]
+
+let apply_writer st b name =
+  let dt = Host_buffer.dtype b and n = Host_buffer.length b in
+  let v () = rand_value st in
+  let off, len = rand_range st n in
+  let src () = rand_buffer st dt n in
+  match name with
+  | "set" -> Host_buffer.set b (Random.State.int st n) (v ())
+  | "set_cast" ->
+      Host_buffer.set_cast b (Random.State.int st n) ~from:(rand_dtype st) (v ())
+  | "unsafe_set" -> Host_buffer.unsafe_set b (Random.State.int st n) (v ())
+  | "fill" -> Host_buffer.fill b (v ())
+  | "fill_range" -> Host_buffer.fill_range b ~off ~len (v ())
+  | "blit" ->
+      Host_buffer.blit ~src:(src ()) ~src_off:(n - len) ~dst:b ~dst_off:off ~len
+  | "blit_convert" ->
+      let other = if Dtype.equal dt Dtype.F32 then Dtype.I16 else Dtype.F32 in
+      Host_buffer.blit ~src:(rand_buffer st other n) ~src_off:0 ~dst:b
+        ~dst_off:off ~len
+  | "load_array" -> Host_buffer.load_array b (Array.init len (fun _ -> v ()))
+  | "map2_binop" ->
+      Host_buffer.map2_binop
+        binops.(Random.State.int st (Array.length binops))
+        ~src0:(src ()) ~src0_off:0 ~src1:(src ()) ~src1_off:(n - len) ~dst:b
+        ~dst_off:off ~len
+  | "map1_scalar" ->
+      Host_buffer.map1_scalar
+        scalar_ops.(Random.State.int st (Array.length scalar_ops))
+        ~src:(src ()) ~src_off:0 ~dst:b ~dst_off:off ~scalar:(v ()) ~len
+  | "map1_f" ->
+      Host_buffer.map1_f (fun x -> -.x) ~src:(src ()) ~src_off:0 ~dst:b
+        ~dst_off:off ~len
+  | "map2_f" ->
+      Host_buffer.map2_f Float.sub ~src0:(src ()) ~src0_off:0 ~src1:(src ())
+        ~src1_off:0 ~dst:b ~dst_off:off ~len
+  | "select_range" ->
+      Host_buffer.select_range ~mask:(rand_buffer st Dtype.I8 n) ~mask_off:0
+        ~src0:(src ()) ~src0_off:0 ~src1:(src ()) ~src1_off:0 ~dst:b
+        ~dst_off:off ~len
+  | "arange_range" -> Host_buffer.arange_range b ~off ~start:(v ()) ~len
+  | "scan_accum" -> ignore (Host_buffer.scan_accum ~src:(src ()) ~dst:b ~len)
+  | "scan_segment" ->
+      ignore
+        (Host_buffer.scan_segment
+           binops.(Random.State.int st (Array.length binops))
+           b ~off ~len ~seg:(1 + Random.State.int st 8) ~init:(v ()))
+  | "write_data" ->
+      let d = Host_buffer.write_data b ~extent:(off + len) in
+      for i = off to off + len - 1 do
+        BA1.set d i (Dtype.round dt (v ()))
+      done
+  | w -> invalid_arg w
+
+(* The buffer under test: fresh or recycled from [create], or built by
+   [of_array] or [copy]. *)
+let make st dt n =
+  match Random.State.int st 3 with
+  | 0 -> Host_buffer.create dt n
+  | 1 -> rand_buffer st dt n
+  | _ -> Host_buffer.copy (rand_buffer st dt n)
+
+let all_plus_zero b =
+  let ok = ref true in
+  for i = 0 to Host_buffer.length b - 1 do
+    if not (Int64.equal (Int64.bits_of_float (Host_buffer.get b i)) 0L) then
+      ok := false
+  done;
+  !ok
+
+(* Retire [b] and [create] the same length: the storage must come back
+   (the property would hold vacuously on fresh storage) and be +0.0. *)
+let recycles_clean b =
+  let storage = Host_buffer.read_data b in
+  Host_buffer.retire b;
+  let b' = Host_buffer.create (Host_buffer.dtype b) (Host_buffer.length b) in
+  let ok = Host_buffer.read_data b' == storage && all_plus_zero b' in
+  (b', ok)
+
+let prop_pool_invariant =
+  QCheck.Test.make ~name:"retired payloads come back all +0.0" ~count:500
+    QCheck.(pair small_nat (int_range 1 300))
+    (fun (seed, n) ->
+      let st = Random.State.make [| seed; n |] in
+      let b = make st (rand_dtype st) n in
+      for _ = 1 to 1 + Random.State.int st 4 do
+        apply_writer st b writers.(Random.State.int st (Array.length writers))
+      done;
+      let b', ok = recycles_clean b in
+      Host_buffer.retire b';
+      ok)
+
+(* Every writer alone, on every dtype, through two retire/create
+   generations of the same storage. *)
+let test_recycled_twice () =
+  let st = Random.State.make [| 14 |] in
+  Array.iter
+    (fun dt ->
+      Array.iter
+        (fun w ->
+          let b = ref (Host_buffer.create dt 97) in
+          for gen = 1 to 2 do
+            apply_writer st !b w;
+            apply_writer st !b "set";
+            let b', ok = recycles_clean !b in
+            if not ok then
+              Alcotest.failf "%s on %s: generation %d recycled dirty" w
+                (Dtype.to_string dt) gen;
+            b := b'
+          done;
+          Host_buffer.retire !b)
+        writers)
+    all_dtypes
+
+let test_write_data_extent () =
+  let b = Host_buffer.create Dtype.F32 4 in
+  Alcotest.check_raises "extent past the end"
+    (Invalid_argument "Host_buffer.write_data: extent out of bounds")
+    (fun () -> ignore (Host_buffer.write_data b ~extent:5));
+  Alcotest.check_raises "negative extent"
+    (Invalid_argument "Host_buffer.write_data: extent out of bounds")
+    (fun () -> ignore (Host_buffer.write_data b ~extent:(-1)))
+
 let () =
   Alcotest.run "host_buffer"
     [
@@ -86,5 +252,11 @@ let () =
           Alcotest.test_case "fill/copy/to_array" `Quick
             test_fill_copy_roundtrip;
           Alcotest.test_case "set_cast" `Quick test_set_cast;
+        ] );
+      ( "pool",
+        [
+          QCheck_alcotest.to_alcotest prop_pool_invariant;
+          Alcotest.test_case "recycled twice" `Quick test_recycled_twice;
+          Alcotest.test_case "write_data extent" `Quick test_write_data_extent;
         ] );
     ]

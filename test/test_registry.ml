@@ -178,6 +178,50 @@ let test_max_scan_through_registry () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "max_scan reference check: %s" e)
 
+(* Recycled scratch storage is invisible. Every entry runs twice in
+   one process, the second pass on tiles the first pass retired: at
+   n = 3000 most tiles are only partly written, so a write that did not
+   raise its buffer's dirty extent would leave stale data in the pool
+   and show up here as different output bits or Stats. *)
+
+let bits a = Array.map Int64.bits_of_float a
+
+type outcome = {
+  y : int64 array option;
+  aux : (string * int64) list;
+  stats : Stats.t;
+}
+
+let run_entry ~domains (e : Scan.Op_registry.entry) =
+  let n = 3000 in
+  let d = Device.create ~domains () in
+  let input = Workload.Op_driver.input e d ~n in
+  match
+    Scan.Op_registry.run e (Workload.Op_driver.config_for e ~n ~s:None) d input
+  with
+  | Error msg -> Alcotest.failf "%s: %s" e.Scan.Op_registry.name msg
+  | Ok (out, stats) ->
+      {
+        y = Option.map (fun y -> bits (Global_tensor.to_array y)) out.y;
+        aux = List.map (fun (k, v) -> (k, Int64.bits_of_float v)) out.aux;
+        stats;
+      }
+
+let same_outcome a b =
+  a.y = b.y && a.aux = b.aux
+  && Stats.equal_simulated a.stats b.stats
+  && a.stats.Stats.domains = b.stats.Stats.domains
+
+let test_recycled_deterministic domains () =
+  let pass () = List.map (fun e -> (e, run_entry ~domains e)) entries in
+  let first = pass () in
+  List.iter2
+    (fun ((e : Scan.Op_registry.entry), a) (_, b) ->
+      if not (same_outcome a b) then
+        Alcotest.failf "%s at %d domains: second run differs"
+          e.Scan.Op_registry.name domains)
+    first (pass ())
+
 let () =
   Alcotest.run "registry"
     [
@@ -190,6 +234,13 @@ let () =
               test_duplicate_registration_rejected;
             Alcotest.test_case "equality by name" `Quick test_equal_is_by_name;
           ] );
+      ( "recycled",
+        [
+          Alcotest.test_case "every entry twice, 1 domain" `Quick
+            (test_recycled_deterministic 1);
+          Alcotest.test_case "every entry twice, 4 domains" `Quick
+            (test_recycled_deterministic 4);
+        ] );
       ( "errors",
         [
           Alcotest.test_case "exclusive rejected uniformly" `Quick
