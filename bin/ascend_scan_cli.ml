@@ -1,19 +1,19 @@
 (* Command-line driver for the simulated Ascend scan library.
 
    Subcommands:
-     scan     run a scan algorithm over a synthetic workload
-     batched  run a batched scan (optionally checkpointed)
-     sort     run the radix sort (and optionally the bitonic baseline)
-     topp     run one top-p sampling step
+     run      run any registered operator (--list-ops) on a synthetic workload
+     chaos    scenario-driven failure storylines with crash-consistent resume
+     pod      the distributed runner on a simulated multi-NPU pod
+     trace    inspect recorded trace files
+     profile  critical-path analysis of a recorded trace
      info     print the device / cost-model description
 
    Examples:
-     ascend_scan_cli scan --algo mcscan -n 65536 --check
-     ascend_scan_cli scan --algo mcscan -n 1048576 --kill-core 3@5000
-     ascend_scan_cli scan --algo scanul1 -n 65536 -s 64 --cost-only
-     ascend_scan_cli batched --batch 64 --len 16384 --checkpoint
-     ascend_scan_cli sort -n 262144 --baseline
-     ascend_scan_cli topp -n 32768 -p 0.9 --theta 0.3 *)
+     ascend_scan_cli run --op mcscan -n 65536 --check
+     ascend_scan_cli run --op mcscan -n 1048576 --kill-core 3@5000
+     ascend_scan_cli run --op scanul1 -n 65536 -s 64 --cost-only
+     ascend_scan_cli run --op batched_u -n 1048576 --batch 64 --resilient
+     ascend_scan_cli run --op topp -n 32768 -p 0.9 --theta 0.3 *)
 
 open Cmdliner
 
@@ -328,95 +328,148 @@ let quarantine_arg =
           "Permanently quarantine a core after N injected faults land on it \
            (persistent-health scoring on top of --inject-faults).")
 
-(* scan subcommand. *)
+(* run subcommand: any registry entry, one set of flags. Inputs and
+   parameters come from [Op_driver], overlaid with the per-op flags the
+   entry declares; any other per-op flag is a usage error. *)
 
-let scan_cmd =
-  let algo_arg =
-    let algo_conv =
-      Arg.conv ~docv:"ALGO"
-        ( (fun s ->
-            match Scan.Scan_api.algo_of_string s with
-            | Some a -> Ok a
-            | None -> Error (`Msg ("unknown algorithm: " ^ s))),
-          fun fmt a ->
-            Format.pp_print_string fmt (Scan.Scan_api.algo_to_string a) )
-    in
+let op_conv =
+  Arg.conv ~docv:"OP"
+    ( (fun s ->
+        match Scan.Op_registry.find s with
+        | Some e -> Ok e
+        | None -> Error (`Msg ("unknown operator: " ^ s))),
+      fun fmt (e : Scan.Op_registry.entry) ->
+        Format.pp_print_string fmt e.Scan.Op_registry.name )
+
+(* Per-op parameter flags, named after [Op_registry.param_name]. Each
+   yields the config update it makes when given. *)
+let params_term =
+  let module R = Scan.Op_registry in
+  let opt c p ~docv ~doc =
+    Arg.(value & opt (some c) None & info [ R.param_name p ] ~docv ~doc)
+  in
+  let set p f = Option.map (fun v -> (p, fun cfg -> f cfg v)) in
+  Term.(
+    const (fun s exclusive bits k p theta devices batch ->
+        List.filter_map Fun.id
+          [
+            set R.S (fun c v -> { c with R.s = Some v }) s;
+            (if exclusive then
+               Some (R.Exclusive, fun c -> { c with R.exclusive = true })
+             else None);
+            set R.Bits (fun c v -> { c with R.bits = Some v }) bits;
+            set R.K (fun c v -> { c with R.k = Some v }) k;
+            set R.P (fun c v -> { c with R.p = Some v }) p;
+            set R.Theta (fun c v -> { c with R.theta = Some v }) theta;
+            set R.Devices (fun c v -> { c with R.devices = Some v }) devices;
+            set R.Batch (fun c v -> { c with R.batch = Some v }) batch;
+          ])
+    $ opt Arg.int R.S ~docv:"S" ~doc:"Matrix tile size (16..128)."
+    $ Arg.(
+        value & flag
+        & info [ R.param_name R.Exclusive ] ~doc:"Exclusive scan.")
+    $ opt Arg.int R.Bits ~docv:"BITS" ~doc:"Radix key width, in [1, 16]."
+    $ opt Arg.int R.K ~docv:"K" ~doc:"Number of largest values selected."
+    $ opt Arg.float R.P ~docv:"P" ~doc:"Nucleus mass, in (0, 1]."
+    $ opt Arg.float R.Theta ~docv:"T" ~doc:"Uniform draw, in [0, 1)."
+    $ opt Arg.int R.Devices ~docv:"D"
+        ~doc:"Pod size: the shards of a pod-backed entry run on D devices."
+    $ opt Arg.int R.Batch ~docv:"B"
+        ~doc:"Independent rows of a batched entry; each row is N / B long.")
+
+let run_cmd =
+  let module R = Scan.Op_registry in
+  let op_arg =
     Arg.(
       value
-      & opt algo_conv (Scan.Scan_api.get "mcscan")
-      & info [ "algo"; "a" ] ~docv:"ALGO"
-          ~doc:
-            ("Algorithm: "
-            ^ String.concat ", "
-                (List.map Scan.Scan_api.algo_to_string Scan.Scan_api.all_algos)
-            ^ " (any registry name or alias)."))
-  in
-  let exclusive_arg =
-    Arg.(
-      value & flag
-      & info [ "exclusive" ]
-          ~doc:"Exclusive scan (entries with the exclusive capability only).")
+      & opt op_conv (Option.get (R.find "mcscan"))
+      & info [ "op" ] ~docv:"OP"
+          ~doc:"Registry entry to run, by name or alias (see $(b,--list-ops)).")
   in
   let check_arg =
-    Arg.(value & flag & info [ "check" ] ~doc:"Validate against the reference oracle.")
+    Arg.(
+      value & flag
+      & info [ "check" ]
+          ~doc:"Validate a unary scan against the reference oracle.")
   in
   let resilient_arg =
     Arg.(
       value & flag
       & info [ "resilient" ]
           ~doc:
-            "Run through the self-checking resilient launcher: validate the \
-             output against a checksum oracle, retry on detected corruption \
-             and degrade to the vector-only kernel when retries are \
-             exhausted. Requires functional mode.")
+            "Run a unary scan through the self-checking resilient launcher \
+             (checksum oracle, retries, vector-only fallback), or a batched \
+             scan through the checkpointed row-group runner under the fixed \
+             retry policy. Requires functional mode.")
   in
-  let devices_arg =
+  let granularity_arg =
     Arg.(
       value
       & opt (some int) None
-      & info [ "devices" ] ~docv:"D"
+      & info [ "granularity" ] ~docv:"ROWS"
           ~doc:
-            "Pod size for pod-backed entries ($(b,dist_scan) runs its shards \
-             across D simulated devices); ignored by single-device kernels.")
+            "Rows per checkpoint group of $(b,--resilient) batched runs \
+             (default: quarter batches).")
   in
-  let run algo n s exclusive devices cost_only check resilient faults kills
-      quarantine deadline sanitize domains seed obs =
+  let run (entry : R.entry) n seed params check resilient granularity
+      cost_only faults kills quarantine deadline sanitize domains obs =
     check_n n;
-    (match devices with
-    | Some d when d < 1 ->
-        raise
-          (Usage_error
-             (Printf.sprintf "--devices: device count must be >= 1 (got %d)" d))
-    | _ -> ());
-    (* Capability violations are argument errors (exit 2), not runtime
-       kernel failures: check the registry before touching the device. *)
-    if exclusive && not algo.Scan.Op_registry.caps.Scan.Op_registry.exclusive
-    then
-      raise
-        (Usage_error
-           (Printf.sprintf "--exclusive: %s does not support exclusive scans"
-              (Scan.Scan_api.algo_to_string algo)));
+    let usage fmt = Printf.ksprintf (fun m -> raise (Usage_error m)) fmt in
+    let flag p =
+      let name = R.param_name p in
+      (if String.length name = 1 then "-" else "--") ^ name
+    in
+    List.iter
+      (fun (p, _) ->
+        if not (List.mem p entry.R.params) then
+          usage "%s takes no %s (its parameters: %s)" entry.R.name (flag p)
+            (match entry.R.params with
+            | [] -> "none"
+            | ps -> String.concat ", " (List.map flag ps)))
+      params;
+    let cfg =
+      List.fold_left
+        (fun cfg (_, set) -> set cfg)
+        (Workload.Op_driver.config_for entry ~n ~s:None)
+        params
+    in
+    let cfg =
+      match cfg.R.batch with
+      | Some b when b < 1 -> usage "--batch must be >= 1"
+      | Some b when entry.R.caps.R.batched -> { cfg with R.len = Some (n / b) }
+      | _ -> cfg
+    in
+    let unary = Scan.Scan_api.algo_of_string entry.R.name <> None in
+    if check && not unary then
+      usage "--check: %s has no reference oracle (unary scans only)" entry.R.name;
+    if resilient && not (unary || entry.R.caps.R.batched) then
+      usage "--resilient: %s is not a unary or batched scan" entry.R.name;
     if resilient && cost_only then
-      raise (Usage_error "--resilient requires functional mode (drop --cost-only)");
+      usage "--resilient requires functional mode (drop --cost-only)";
+    (match granularity with
+    | Some g when g < 1 -> usage "--granularity must be >= 1"
+    | Some _ when not (resilient && entry.R.caps.R.batched) ->
+        usage "--granularity applies to --resilient batched runs only"
+    | _ -> ());
     let device =
       make_device ?faults ~kills ?quarantine ?deadline ~sanitize ?domains
         cost_only
     in
     arm_obs device obs;
-    let gen i = if (i + seed) mod 53 = 0 then 1.0 else 0.0 in
-    if resilient then begin
-      let input = Array.init n gen in
+    let dtype = Workload.Op_driver.dtype entry in
+    let data () = Workload.Op_driver.data ~seed entry ~n in
+    if resilient && unary then begin
       let oracle =
         if check then Runtime.Resilient.Reference else Runtime.Resilient.Checksum
       in
       (* The vector-only kernel is a valid degradation target only for
          entries computing the same (sum) monoid. *)
       let fallback =
-        if is_sum_monoid algo then Some (Scan.Scan_api.get "vec_only") else None
+        if is_sum_monoid entry then Some (Scan.Scan_api.get "vec_only") else None
       in
       let r =
-        Runtime.Resilient.scan ~s ~exclusive ~oracle ?fallback ~algo device
-          ~input
+        Runtime.Resilient.scan ?s:cfg.R.s ~exclusive:cfg.R.exclusive ~oracle
+          ?fallback ~algo:entry device ~input:(data ())
       in
       Format.printf "%a@."
         (Runtime.Resilient.pp_report (fun fmt y ->
@@ -429,114 +482,18 @@ let scan_cmd =
         ~extra:(fun m -> Obs.Metrics.observe_report m r);
       if not r.Runtime.Resilient.ok then exit 1
     end
-    else begin
-      let x =
-        if cost_only then Ascend.Device.alloc device Ascend.Dtype.F16 n ~name:"x"
-        else Ascend.Device.of_array device Ascend.Dtype.F16 ~name:"x" (Array.init n gen)
+    else if resilient then begin
+      let schedule =
+        match entry.R.name with
+        | "batched_ul1" -> Runtime.Resilient.Ul1
+        | _ -> Runtime.Resilient.U
       in
-      let y, st = Scan.Scan_api.run ~s ~exclusive ?devices ~algo device x in
-      print_stats st;
-      Format.printf "effective scan bandwidth: %.1f GB/s@."
-        (Workload.Metrics.scan_bandwidth st ~n ~esize:2 /. 1e9);
-      print_robustness device;
-      emit_obs device obs st;
-      if check && not cost_only then begin
-        let input = Array.init n gen in
-        match
-          Scan.Scan_api.check_scan ~round:Ascend.Fp16.round ~exclusive ~algo
-            ~dtype:Ascend.Dtype.F16 ~input ~output:y ()
-        with
-        | Ok () -> Format.printf "check: ok@."
-        | Error e ->
-            Format.printf "check: FAILED (%s)@." e;
-            exit 1
-      end
-    end
-  in
-  let term =
-    Term.(
-      const run $ algo_arg $ n_arg $ s_arg $ exclusive_arg $ devices_arg
-      $ cost_only_arg $ check_arg $ resilient_arg $ faults_arg $ kill_arg
-      $ quarantine_arg $ deadline_arg $ sanitize_arg $ domains_arg $ seed_arg
-      $ obs_term)
-  in
-  Cmd.v (Cmd.info "scan" ~doc:"Run a parallel scan algorithm.") term
-
-(* batched subcommand. *)
-
-let batched_cmd =
-  let batch_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "batch"; "b" ] ~docv:"B" ~doc:"Number of independent rows.")
-  in
-  let len_arg =
-    Arg.(
-      value & opt int 16384
-      & info [ "len"; "l" ] ~docv:"L" ~doc:"Length of each row.")
-  in
-  let algo_arg =
-    (* The accepted schedules are the registry's batched entries mapped
-       to the resilient runner's schedule type; registering a new
-       batched kernel extends this enum through the name mapping. *)
-    let schedules =
-      List.filter_map
-        (fun (e : Scan.Op_registry.entry) ->
-          if not e.Scan.Op_registry.caps.Scan.Op_registry.batched then None
-          else
-            match e.Scan.Op_registry.name with
-            | "batched_u" -> Some ("u", Runtime.Resilient.U)
-            | "batched_ul1" -> Some ("ul1", Runtime.Resilient.Ul1)
-            | _ -> None)
-        (Scan.Op_registry.scans ())
-    in
-    Arg.(
-      value
-      & opt (enum schedules) Runtime.Resilient.U
-      & info [ "algo"; "a" ] ~docv:"ALGO"
-          ~doc:"Batched schedule: u (ScanU per row) or ul1 (L1-resident).")
-  in
-  let checkpoint_arg =
-    Arg.(
-      value & flag
-      & info [ "checkpoint" ]
-          ~doc:
-            "Run through the checkpointed resilient runner: commit validated \
-             row groups and replay only unfinished rows after a mid-batch \
-             failure. Requires functional mode.")
-  in
-  let granularity_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "granularity" ] ~docv:"ROWS"
-          ~doc:
-            "Rows per checkpoint group (default: quarter batches). Only \
-             meaningful with --checkpoint.")
-  in
-  let run batch len s algo checkpoint granularity cost_only faults kills
-      quarantine deadline sanitize domains seed obs =
-    if batch < 1 then raise (Usage_error "--batch must be >= 1");
-    if len < 1 then raise (Usage_error "--len must be >= 1");
-    (match granularity with
-    | Some g when g < 1 -> raise (Usage_error "--granularity must be >= 1")
-    | _ -> ());
-    if checkpoint && cost_only then
-      raise
-        (Usage_error "--checkpoint requires functional mode (drop --cost-only)");
-    let device =
-      make_device ?faults ~kills ?quarantine ?deadline ~sanitize ?domains
-        cost_only
-    in
-    arm_obs device obs;
-    let gen i = if (i + seed) mod 53 = 0 then 1.0 else 0.0 in
-    if checkpoint then begin
-      let input = Array.init (batch * len) gen in
       let r =
-        Runtime.Resilient.batched_scan ~s ?granularity
+        Runtime.Resilient.batched_scan ?s:cfg.R.s ?granularity
           ~ctl:
             Runtime.Degrade_ctl.(create ~config:(fixed ~backoff_s:1e-6 ()) ())
-          ~schedule:algo device ~batch ~len ~input
+          ~schedule device ~batch:(Option.get cfg.R.batch)
+          ~len:(Option.get cfg.R.len) ~input:(data ())
       in
       Format.printf "%a@." Runtime.Resilient.pp_batched_report r;
       print_stats r.Runtime.Resilient.bstats;
@@ -546,192 +503,55 @@ let batched_cmd =
       if not r.Runtime.Resilient.bok then exit 1
     end
     else begin
-      let x =
-        if cost_only then
-          Ascend.Device.alloc device Ascend.Dtype.F16 (batch * len) ~name:"x"
-        else
-          Ascend.Device.of_array device Ascend.Dtype.F16 ~name:"x"
-            (Array.init (batch * len) gen)
-      in
-      let _, st =
-        match algo with
-        | Runtime.Resilient.U -> Scan.Batched_scan.run_u ~s device ~batch ~len x
-        | Runtime.Resilient.Ul1 ->
-            Scan.Batched_scan.run_ul1 ~s device ~batch ~len x
+      let input = Workload.Op_driver.input ~seed entry device ~n in
+      let out, st =
+        match R.run entry cfg device input with
+        | Ok r -> r
+        | Error e -> (
+            (* Parameter and capability errors are raised before the
+               first launch; an error once injected faults have landed
+               is a kernel aborting on corrupted data. *)
+            match Ascend.Device.fault device with
+            | Some f when Ascend.Fault.count f > 0 -> failwith e
+            | _ -> raise (Usage_error e))
       in
       print_stats st;
+      if entry.R.kind = `Scan then
+        Format.printf "effective scan bandwidth: %.1f GB/s@."
+          (Workload.Metrics.scan_bandwidth st ~n
+             ~esize:(Ascend.Dtype.size_bytes dtype)
+          /. 1e9);
+      if not cost_only then
+        List.iter (fun (k, v) -> Format.printf "%s: %g@." k v) out.R.aux;
       print_robustness device;
-      emit_obs device obs st
+      emit_obs device obs st;
+      if check && not cost_only then
+        match
+          Scan.Scan_api.check_scan
+            ~round:(Ascend.Dtype.round dtype) ~exclusive:cfg.R.exclusive
+            ~algo:entry ~dtype ~input:(data ())
+            ~output:(Option.get out.R.y) ()
+        with
+        | Ok () -> Format.printf "check: ok@."
+        | Error e ->
+            Format.printf "check: FAILED (%s)@." e;
+            exit 1
     end
   in
   let term =
     Term.(
-      const run $ batch_arg $ len_arg $ s_arg $ algo_arg $ checkpoint_arg
-      $ granularity_arg $ cost_only_arg $ faults_arg $ kill_arg
-      $ quarantine_arg $ deadline_arg $ sanitize_arg $ domains_arg $ seed_arg
+      const run $ op_arg $ n_arg $ seed_arg $ params_term $ check_arg
+      $ resilient_arg $ granularity_arg $ cost_only_arg $ faults_arg
+      $ kill_arg $ quarantine_arg $ deadline_arg $ sanitize_arg $ domains_arg
       $ obs_term)
   in
   Cmd.v
-    (Cmd.info "batched"
-       ~doc:"Run a batched scan (one scan per row, optionally checkpointed).")
+    (Cmd.info "run"
+       ~doc:
+         "Run any registered operator (see $(b,--list-ops)) on the \
+          synthetic workload, with the device, fault and observability \
+          flags every operator shares plus the parameters it declares.")
     term
-
-(* sort subcommand. *)
-
-let sort_cmd =
-  let baseline_arg =
-    Arg.(value & flag & info [ "baseline" ] ~doc:"Also run the bitonic torch.sort model.")
-  in
-  let bits_arg =
-    Arg.(value & opt int 16 & info [ "bits" ] ~docv:"BITS" ~doc:"Radix passes (u16 keys).")
-  in
-  let run n s bits baseline cost_only faults kills quarantine deadline sanitize
-      domains seed obs =
-    check_n n;
-    let device =
-      make_device ?faults ~kills ?quarantine ?deadline ~sanitize ?domains
-        cost_only
-    in
-    arm_obs device obs;
-    (* Fewer than 16 bits selects the low-precision u16 key path. *)
-    let dtype = if bits < 16 then Ascend.Dtype.U16 else Ascend.Dtype.F16 in
-    let x =
-      if cost_only then Ascend.Device.alloc device dtype n ~name:"keys"
-      else if bits < 16 then
-        Ascend.Device.of_array device dtype ~name:"keys"
-          (Array.init n (fun i ->
-               float_of_int ((i * 2654435761) land ((1 lsl bits) - 1))))
-      else
-        Ascend.Device.of_array device dtype ~name:"keys"
-          (Workload.Generators.uniform_f16 ~seed ~lo:(-100.0) ~hi:100.0 n)
-    in
-    let r = Ops.Radix_sort.run ~s ~bits device x in
-    print_stats r.Ops.Radix_sort.stats;
-    print_robustness device;
-    if not cost_only then begin
-      let sorted = ref true in
-      for i = 1 to n - 1 do
-        if
-          Ascend.Global_tensor.get r.Ops.Radix_sort.values (i - 1)
-          > Ascend.Global_tensor.get r.Ops.Radix_sort.values i
-        then sorted := false
-      done;
-      Format.printf "sorted: %b@." !sorted
-    end;
-    if baseline then
-      if bits < 16 then
-        Format.printf "baseline: skipped (torch.sort model takes f16 keys)@."
-      else if n land (n - 1) <> 0 then
-        Format.printf "baseline: skipped (bitonic model needs a power-of-two n)@."
-      else begin
-        let _, st = Ops.Baseline.sort device x in
-        print_stats st;
-        Format.printf "radix speedup over torch.sort: %.2fx@."
-          (st.Ascend.Stats.seconds
-          /. r.Ops.Radix_sort.stats.Ascend.Stats.seconds)
-      end;
-    (* Emit after the optional baseline so the trace covers every
-       launch of the invocation. *)
-    emit_obs device obs r.Ops.Radix_sort.stats
-  in
-  let term =
-    Term.(
-      const run $ n_arg $ s_arg $ bits_arg $ baseline_arg $ cost_only_arg
-      $ faults_arg $ kill_arg $ quarantine_arg $ deadline_arg $ sanitize_arg
-      $ domains_arg $ seed_arg $ obs_term)
-  in
-  Cmd.v (Cmd.info "sort" ~doc:"Run the cube-split radix sort.") term
-
-(* topp subcommand. *)
-
-let topp_cmd =
-  let p_arg =
-    Arg.(value & opt float 0.9 & info [ "p" ] ~docv:"P" ~doc:"Nucleus mass.")
-  in
-  let theta_arg =
-    Arg.(value & opt float 0.4 & info [ "theta" ] ~docv:"T" ~doc:"Uniform draw in [0,1).")
-  in
-  let run n s p theta cost_only seed =
-    let device = make_device cost_only in
-    let probs =
-      if cost_only then Ascend.Device.alloc device Ascend.Dtype.F16 n ~name:"probs"
-      else
-        Ascend.Device.of_array device Ascend.Dtype.F16 ~name:"probs"
-          (Workload.Generators.softmax_probs ~seed n)
-    in
-    let r = Ops.Topp.sample ~s device ~probs ~p ~theta in
-    print_stats r.Ops.Topp.stats;
-    (match r.Ops.Topp.token with
-    | Some tok -> Format.printf "token: %d (nucleus %d tokens)@." tok r.Ops.Topp.kept
-    | None -> Format.printf "token: n/a (cost-only)@.")
-  in
-  let term =
-    Term.(const run $ n_arg $ s_arg $ p_arg $ theta_arg $ cost_only_arg $ seed_arg)
-  in
-  Cmd.v (Cmd.info "topp" ~doc:"Run one top-p (nucleus) sampling step.") term
-
-(* reduce subcommand. *)
-
-let reduce_cmd =
-  let engine_arg =
-    Arg.(
-      value
-      & opt (enum [ ("cube", `Cube); ("vec", `Vec) ]) `Cube
-      & info [ "engine" ] ~docv:"ENGINE" ~doc:"cube (matmul-only) or vec.")
-  in
-  let run n s engine cost_only seed =
-    let device = make_device cost_only in
-    let x =
-      if cost_only then Ascend.Device.alloc device Ascend.Dtype.F16 n ~name:"x"
-      else
-        Ascend.Device.of_array device Ascend.Dtype.F16 ~name:"x"
-          (Workload.Generators.small_ints ~seed ~max_value:3 n)
-    in
-    let total, _, st =
-      match engine with
-      | `Cube -> Scan.Cube_reduce.run_cube ~s device x
-      | `Vec -> Scan.Cube_reduce.run_vec device x
-    in
-    print_stats st;
-    if not cost_only then Format.printf "sum: %g@." total
-  in
-  let term =
-    Term.(const run $ n_arg $ s_arg $ engine_arg $ cost_only_arg $ seed_arg)
-  in
-  Cmd.v (Cmd.info "reduce" ~doc:"Run a sum reduction (cube or vector engines).") term
-
-(* topk subcommand. *)
-
-let topk_cmd =
-  let k_arg =
-    Arg.(value & opt int 256 & info [ "k" ] ~docv:"K" ~doc:"Number of largest values.")
-  in
-  let algo_arg =
-    Arg.(
-      value
-      & opt (enum [ ("stock", `Stock); ("quickselect", `Quick); ("radix", `Radix) ]) `Radix
-      & info [ "impl" ] ~docv:"IMPL" ~doc:"stock, quickselect or radix.")
-  in
-  let run n k algo seed =
-    let device = make_device false in
-    let x =
-      Ascend.Device.of_array device Ascend.Dtype.F16 ~name:"x"
-        (Workload.Generators.uniform_f16 ~seed ~lo:(-100.0) ~hi:100.0 n)
-    in
-    let out, st =
-      match algo with
-      | `Stock -> Ops.Baseline.topk device x ~k
-      | `Quick -> Ops.Topk.run device x ~k
-      | `Radix -> Ops.Radix_select.run device x ~k
-    in
-    print_stats st;
-    Format.printf "top-3: %g %g %g@."
-      (Ascend.Global_tensor.get out 0)
-      (Ascend.Global_tensor.get out (min 1 (k - 1)))
-      (Ascend.Global_tensor.get out (min 2 (k - 1)))
-  in
-  let term = Term.(const run $ n_arg $ k_arg $ algo_arg $ seed_arg) in
-  Cmd.v (Cmd.info "topk" ~doc:"Run a top-k selection.") term
 
 (* Argument checks of the chaos and pod run/resume commands. *)
 let check_geometry ~batch ~len ?devices granularity =
@@ -811,9 +631,9 @@ let checkpointed_run ~group ~narrator ~resume ~store_path ~meta ~batch ~len
   let chaos =
     Option.map (Runtime.Chaos.arm ~skip_crashes:resume ~on_crash) sc
   in
-  let gen i = if (i + seed) mod 53 = 0 then 1.0 else 0.0 in
-  let input = Array.init (batch * len) gen in
-  let r = run ~ctl ?chaos ?store input in
+  let r =
+    run ~ctl ?chaos ?store (Workload.Generators.sparse_ones ~seed (batch * len))
+  in
   Format.printf "%a@." Runtime.Resilient.pp_batched_report r;
   Option.iter
     (fun ch ->
@@ -1326,7 +1146,7 @@ let () =
         & info [ "list-ops" ]
             ~doc:
               "Print every registered operator (name, aliases, kind, dtypes, \
-               capabilities) as a markdown table and exit.")
+               capabilities, parameters) as a markdown table and exit.")
     in
     let trace_smoke_arg =
       Arg.(
@@ -1352,7 +1172,7 @@ let () =
              else `Help (`Pager, None))
         $ list_ops_arg $ trace_smoke_arg))
   in
-  let main = Cmd.group ~default (Cmd.info "ascend_scan_cli" ~doc) [ scan_cmd; batched_cmd; sort_cmd; topp_cmd; reduce_cmd; topk_cmd; info_cmd; trace_cmd; profile_cmd; chaos_cmd; pod_cmd ] in
+  let main = Cmd.group ~default (Cmd.info "ascend_scan_cli" ~doc) [ run_cmd; info_cmd; trace_cmd; profile_cmd; chaos_cmd; pod_cmd ] in
   (* Unknown flags and malformed arguments exit 2 with a usage pointer
      rather than cmdliner's 124; runtime kernel errors (e.g. a kernel
      aborted by injected fault corruption) exit 1 with a clean message

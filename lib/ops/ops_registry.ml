@@ -35,6 +35,7 @@ let () =
       kind = `Op;
       caps = caps ~dtypes:[ Dtype.F16; Dtype.I16; Dtype.U16 ] ~masked:true ();
       monoid = None;
+      params = [ S ];
       describe = "Mask-compaction via exclusive-scan addressing";
       run =
         (fun cfg device input ->
@@ -53,6 +54,7 @@ let () =
       kind = `Op;
       caps = caps ~dtypes:[ Dtype.F16; Dtype.I16; Dtype.U16 ] ~masked:true ();
       monoid = None;
+      params = [ S ];
       describe = "Stable flag-partition (trues first, then falses)";
       run =
         (fun cfg device input ->
@@ -71,6 +73,7 @@ let () =
       kind = `Op;
       caps = caps ~dtypes:[ Dtype.F16; Dtype.U16 ] ();
       monoid = None;
+      params = [ S; Bits ];
       describe = "LSD radix sort from repeated split";
       run =
         (fun cfg device input ->
@@ -85,6 +88,7 @@ let () =
       kind = `Op;
       caps = caps ();
       monoid = None;
+      params = [ S; K ];
       describe = "Top-k selection by iterative quickselect";
       run =
         (fun cfg device input ->
@@ -100,6 +104,7 @@ let () =
       kind = `Op;
       caps = caps ();
       monoid = None;
+      params = [ S; K ];
       describe = "Top-k selection by bitwise radix descent";
       run =
         (fun cfg device input ->
@@ -115,6 +120,7 @@ let () =
       kind = `Op;
       caps = caps ();
       monoid = None;
+      params = [ S; P; Theta ];
       describe = "Nucleus (top-p) sampling via sort + cumsum";
       run =
         (fun cfg device input ->
@@ -139,6 +145,7 @@ let () =
       kind = `Op;
       caps = caps ();
       monoid = None;
+      params = [ S; Theta ];
       describe = "Inverse-CDF weighted sampling over a scan";
       run =
         (fun cfg device input ->

@@ -20,5 +20,6 @@ val run :
   Ascend.Global_tensor.t ->
   k:int ->
   Ascend.Global_tensor.t * Ascend.Stats.t
-(** The [k] largest values ([F16]) in descending order. Functional
-    device mode only (raises in cost-only); [k] in [1 .. min n 4096]. *)
+(** The [k] largest values ([F16]) in descending order; [k] in
+    [1 .. min n 4096]. On a [Cost_only] device each bit is modelled as
+    splitting the candidates evenly. *)

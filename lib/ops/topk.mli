@@ -8,7 +8,8 @@
     streaming vector-sort baseline for small [k] ([k <= 4096]); it is
     retained for completeness and as a SplitInd stress test.
 
-    Functional device mode only (the recursion is data-dependent). *)
+    The recursion is data-dependent: on a [Cost_only] device each round
+    keeps half the candidates, a random pivot's expected rank. *)
 
 val run :
   ?s:int ->
@@ -18,5 +19,5 @@ val run :
   k:int ->
   Ascend.Global_tensor.t * Ascend.Stats.t
 (** The [k] largest values ([F16]) in descending order. [seed] drives
-    pivot selection. Raises [Invalid_argument] in cost-only mode or for
-    [k] outside [1 .. min n 4096]. *)
+    pivot selection. Raises [Invalid_argument] for [k] outside
+    [1 .. min n 4096]. *)

@@ -36,6 +36,8 @@ let mask_and_sample ?(s = 128) device ~sorted ~cdf ~p ~theta =
 
 let sample ?(s = 128) device ~probs ~p ~theta =
   if p <= 0.0 || p > 1.0 then invalid_arg "Topp.sample: p out of (0, 1]";
+  if theta < 0.0 || theta >= 1.0 then
+    invalid_arg "Topp.sample: theta out of [0, 1)";
   let r = Radix_sort.run ~s ~descending:true ~with_indices:true device probs in
   let sorted = r.Radix_sort.values in
   let cdf, st_scan = Scan.Mcscan.run ~s device sorted in

@@ -37,6 +37,18 @@ let default_config =
     devices = None;
   }
 
+type param = S | Exclusive | Bits | K | P | Theta | Devices | Batch
+
+let param_name = function
+  | S -> "s"
+  | Exclusive -> "exclusive"
+  | Bits -> "bits"
+  | K -> "k"
+  | P -> "p"
+  | Theta -> "theta"
+  | Devices -> "devices"
+  | Batch -> "batch"
+
 type input =
   | Tensor of Global_tensor.t
   | Masked of { x : Global_tensor.t; mask : Global_tensor.t }
@@ -49,6 +61,7 @@ type entry = {
   kind : [ `Scan | `Op ];
   caps : caps;
   monoid : (module Scan_op.S) option;
+  params : param list;
   describe : string;
   run : config -> Device.t -> input -> output * Stats.t;
 }
@@ -124,8 +137,10 @@ let validate e cfg input =
    --list-ops prints exactly this, and CI diffs it against the README
    section so the two can never drift. *)
 let pp_markdown_table fmt () =
-  Format.fprintf fmt "| Operator | Aliases | Kind | Dtypes | Capabilities | Description |@.";
-  Format.fprintf fmt "|---|---|---|---|---|---|@.";
+  Format.fprintf fmt
+    "| Operator | Aliases | Kind | Dtypes | Capabilities | Params | \
+     Description |@.";
+  Format.fprintf fmt "|---|---|---|---|---|---|---|@.";
   List.iter
     (fun e ->
       let capabilities =
@@ -139,11 +154,13 @@ let pp_markdown_table fmt () =
           ]
       in
       let or_dash = function [] -> "-" | l -> String.concat ", " l in
-      Format.fprintf fmt "| %s | %s | %s | %s | %s | %s |@." e.name
+      Format.fprintf fmt "| %s | %s | %s | %s | %s | %s | %s |@." e.name
         (or_dash e.aliases)
         (match e.kind with `Scan -> "scan" | `Op -> "op")
         (String.concat ", " (List.map Dtype.to_string e.caps.dtypes))
-        (or_dash capabilities) e.describe)
+        (or_dash capabilities)
+        (or_dash (List.map param_name e.params))
+        e.describe)
     (all ())
 
 let run e cfg device input =
@@ -181,6 +198,7 @@ let () =
       kind = `Scan;
       caps = caps ~dtypes:[ Dtype.F16; Dtype.F32 ] ();
       monoid = sum;
+      params = [];
       describe = "CumSum baseline: single block, vector core only";
       (* [s] is ignored: the CumSum tile shape is fixed at 128 x 128. *)
       run = simple (fun _cfg device x -> Scan_vec_only.run device x);
@@ -192,6 +210,7 @@ let () =
       kind = `Scan;
       caps = caps ();
       monoid = sum;
+      params = [ S ];
       describe = "Algorithm 1: cube local scans + vector propagation";
       run = simple (fun cfg device x -> Scan_u.run ?s:cfg.s device x);
     };
@@ -202,6 +221,7 @@ let () =
       kind = `Scan;
       caps = caps ();
       monoid = sum;
+      params = [ S ];
       describe = "Algorithm 2: three-matmul tiles staged through L1";
       run = simple (fun cfg device x -> Scan_ul1.run ?s:cfg.s device x);
     };
@@ -212,6 +232,7 @@ let () =
       kind = `Scan;
       caps = caps ~dtypes:[ Dtype.F16; Dtype.I8 ] ~exclusive:true ();
       monoid = sum;
+      params = [ S; Exclusive ];
       describe = "Algorithm 3: two-phase multi-core scan";
       run =
         simple (fun cfg device x ->
@@ -225,6 +246,7 @@ let () =
       kind = `Scan;
       caps = caps ();
       monoid = sum;
+      params = [ S ];
       describe = "Recursive matmul-only scan (TCU-model extension)";
       run = simple (fun cfg device x -> Tcu_scan.run ?s:cfg.s device x);
     };
@@ -235,6 +257,7 @@ let () =
       kind = `Scan;
       caps = caps ~dtypes:Scan_op.Max.(dtypes) ();
       monoid = Some (module Scan_op.Max : Scan_op.S);
+      params = [];
       describe = "Running maximum: vector-only two-phase engine";
       run = simple (fun cfg device x -> Max_scan.run ?blocks:cfg.blocks device x);
     };
@@ -245,6 +268,7 @@ let () =
       kind = `Scan;
       caps = caps ~segmented:true ~masked:true ();
       monoid = sum;
+      params = [];
       describe = "Segmented sum over (value, start-flag) pairs";
       run =
         (fun cfg device input ->
@@ -264,6 +288,7 @@ let () =
       kind = `Scan;
       caps = caps ~batched:true ();
       monoid = sum;
+      params = [ S; Batch ];
       describe = "Batched ScanU: row pairs per block, both vector cores";
       run =
         simple (fun cfg device x ->
@@ -277,6 +302,7 @@ let () =
       kind = `Scan;
       caps = caps ~batched:true ();
       monoid = sum;
+      params = [ S; Batch ];
       describe = "Batched ScanUL1: one full row scan per block";
       run =
         simple (fun cfg device x ->
@@ -290,6 +316,7 @@ let () =
       kind = `Scan;
       caps = caps ();
       monoid = sum;
+      params = [ S; Devices ];
       describe = "Distributed pod scan: local scans + link prefix exchange";
       (* The caller's device becomes the pod's primary, so its armed
          trace, faults and deadline apply to the shards it executes. *)
@@ -302,4 +329,20 @@ let () =
             in
             let r = Dist_scan.run ?s:cfg.s pod x in
             (r.Dist_scan.y, r.Dist_scan.stats));
+    };
+  register
+    {
+      name = "cube_reduce";
+      aliases = [ "reduce" ];
+      kind = `Op;
+      caps = caps ();
+      monoid = None;
+      params = [ S ];
+      describe = "Matmul-only sum reduction (tensor-core reduction lineage)";
+      run =
+        (fun cfg device input ->
+          let sum, y, st =
+            Cube_reduce.run_cube ?s:cfg.s device (tensor_in input)
+          in
+          ({ y = Some y; aux = [ ("sum", sum) ] }, st));
     }

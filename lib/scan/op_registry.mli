@@ -40,6 +40,15 @@ type config = {
 val default_config : config
 (** Everything unset: each operator applies its own defaults. *)
 
+type param = S | Exclusive | Bits | K | P | Theta | Devices | Batch
+(** A per-entry parameter a front-end may set, one per {!config} field
+    (or field pair: [Batch] sets [batch] and [len]). *)
+
+val param_name : param -> string
+(** The parameter's name, which is also its CLI flag: ["s"],
+    ["exclusive"], ["bits"], ["k"], ["p"], ["theta"], ["devices"],
+    ["batch"]. *)
+
 type input =
   | Tensor of Global_tensor.t
   | Masked of { x : Global_tensor.t; mask : Global_tensor.t }
@@ -60,6 +69,9 @@ type entry = {
       (** The associative operator a scan entry runs under ([None] for
           non-scan operators); front-ends use it for references and
           checksums. *)
+  params : param list;
+      (** The parameters the entry reads; a front-end rejects the others
+          ([validate] does not, so sweeps may set one config for all). *)
   describe : string;  (** One-line description for [--list-ops]. *)
   run : config -> Device.t -> input -> output * Stats.t;
       (** May raise [Invalid_argument] on bad parameters; use {!run}
@@ -93,9 +105,9 @@ val validate : entry -> config -> input -> (unit, string) result
 
 val pp_markdown_table : Format.formatter -> unit -> unit
 (** The full registry as a GitHub-markdown table (name, aliases, kind,
-    dtypes, capabilities, description) in registration order — what the
-    CLI's [--list-ops] prints and what the README embeds; CI diffs the
-    two. *)
+    dtypes, capabilities, params, description) in registration order —
+    what the CLI's [--list-ops] prints and what the README embeds; CI
+    diffs the two. *)
 
 val run :
   entry ->

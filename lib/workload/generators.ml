@@ -17,6 +17,9 @@ let small_ints ~seed ?(max_value = 9) n =
 
 let alternating n = Array.init n (fun i -> if i land 1 = 0 then 1.0 else 0.0)
 
+let sparse_ones ~seed n =
+  Array.init n (fun i -> if (i + seed) mod 53 = 0 then 1.0 else 0.0)
+
 let softmax_probs ~seed ?(temperature = 1.0) n =
   if temperature <= 0.0 then
     invalid_arg "Generators.softmax_probs: non-positive temperature";

@@ -19,6 +19,11 @@ val alternating : int -> float array
 (** Deterministic 1, 0, 1, 0, ... pattern (exact fp16 scans as long as
     the total stays below 2049). *)
 
+val sparse_ones : seed:int -> int -> float array
+(** [1.0] at every index [i] with [(i + seed) mod 53 = 0], else [0.0]:
+    the float workload of the CLI and {!Op_driver}. Prefix sums stay
+    exact in fp16 while the total is at most 2048 (n up to ~108k). *)
+
 val softmax_probs : seed:int -> ?temperature:float -> int -> float array
 (** A peaked LLM-style token distribution: softmax of [n] uniform
     logits in [0, 8\] divided by [temperature] (default 1.0), rounded

@@ -1,22 +1,21 @@
 open Ascend
 module Reg = Scan.Op_registry
 
-(* Deterministic inputs per dtype: strictly synthetic (no RNG), so
-   every front-end sharing the driver — CLI smoke, trace tests, CI —
-   sees the same tensors for the same (entry, n). Float data is kept
-   positive so probability-consuming operators (top-p, weighted
-   sampling) get a valid distribution from the same generator. *)
-let input_data (entry : Reg.entry) n =
-  let dt = match entry.Reg.caps.Reg.dtypes with d :: _ -> d | [] -> Dtype.F16 in
-  let gen =
-    match dt with
-    | Dtype.I8 -> fun i -> float_of_int ((i mod 7) - 3)
-    | Dtype.U16 -> fun i -> float_of_int ((i * 131) mod 251)
-    | Dtype.I16 | Dtype.I32 -> fun i -> float_of_int (((i * 131) mod 251) - 125)
-    | Dtype.F16 | Dtype.F32 ->
-        fun i -> if i mod 37 = 0 then 2.0 else 0.25
-  in
-  (dt, Array.init n gen)
+(* Deterministic inputs per dtype, so every front-end sharing the
+   driver — CLI, trace tests, CI — sees the same tensors for the same
+   (entry, n, seed). The default seed 0 puts a 1.0 at index 0, so
+   probability-consuming operators (top-p, weighted sampling) get
+   positive mass at every n. *)
+let dtype (entry : Reg.entry) =
+  match entry.Reg.caps.Reg.dtypes with d :: _ -> d | [] -> Dtype.F16
+
+let data ?(seed = 0) entry ~n =
+  let int_data gen = Array.init n (fun i -> float_of_int (gen i)) in
+  match dtype entry with
+  | Dtype.I8 -> int_data (fun i -> (i mod 7) - 3)
+  | Dtype.U16 -> int_data (fun i -> (i * 131) mod 251)
+  | Dtype.I16 | Dtype.I32 -> int_data (fun i -> ((i * 131) mod 251) - 125)
+  | Dtype.F16 | Dtype.F32 -> Generators.sparse_ones ~seed n
 
 let flags_data n =
   Array.init n (fun i -> if (i * 7) mod 13 < 2 then 1.0 else 0.0)
@@ -34,12 +33,16 @@ let config_for (entry : Reg.entry) ~n ~s =
     seed = Some 3;
   }
 
-let input (entry : Reg.entry) device ~n =
-  let dt, data = input_data entry n in
-  let x = Device.of_array device dt ~name:"drv_x" data in
+(* A Cost_only device gets unbacked tensors: no host array is built,
+   whatever [n]. *)
+let input ?seed (entry : Reg.entry) device ~n =
+  let stage dt name data =
+    if Device.functional device then Device.of_array device dt ~name (data ())
+    else Device.alloc device dt n ~name
+  in
+  let x = stage (dtype entry) "x" (fun () -> data ?seed entry ~n) in
   if entry.Reg.caps.Reg.masked then
-    Reg.Masked
-      { x; mask = Device.of_array device Dtype.I8 ~name:"drv_m" (flags_data n) }
+    Reg.Masked { x; mask = stage Dtype.I8 "mask" (fun () -> flags_data n) }
   else Reg.Tensor x
 
 let run ?(n = 4096) ?s ?domains ?(traced = true) (entry : Reg.entry) =

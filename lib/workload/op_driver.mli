@@ -5,7 +5,7 @@
     sampling parameters for the operators that need them).
 
     This is the one place front-ends go to "just run" every registered
-    op the same way: the CLI's [--trace-smoke], the trace-determinism
+    op the same way: the CLI's [run] and [--trace-smoke], the trace-determinism
     test matrix and CI all share it, so an op added to the registry is
     automatically covered by each. *)
 
@@ -14,11 +14,24 @@ val config_for :
 (** The parameters {!run} passes: [batch = 4] rows of [n / 4] for
     batched entries, [k = min 64 n], [p = 0.9], [theta = 0.4], [seed = 3]. *)
 
+val dtype : Scan.Op_registry.entry -> Ascend.Dtype.t
+(** The input dtype: the entry's first supported one. *)
+
+val data : ?seed:int -> Scan.Op_registry.entry -> n:int -> float array
+(** The [n] input values {!input} stages: {!Generators.sparse_ones}
+    under [seed] (default 0, so index 0 carries mass at any [n]) for
+    float dtypes, a fixed integer pattern otherwise. *)
+
 val input :
-  Scan.Op_registry.entry -> Ascend.Device.t -> n:int -> Scan.Op_registry.input
-(** The synthetic input tensors {!run} stages on [device]: [n]
-    elements of the entry's first dtype, plus an I8 flags tensor for
-    masked entries. *)
+  ?seed:int ->
+  Scan.Op_registry.entry ->
+  Ascend.Device.t ->
+  n:int ->
+  Scan.Op_registry.input
+(** The input tensors {!run} stages on [device]: {!data} in the entry's
+    {!dtype}, plus an I8 flags tensor for masked entries. On a
+    [Cost_only] device the tensors are unbacked and no host data is
+    built. *)
 
 val run :
   ?n:int ->

@@ -109,7 +109,8 @@ let outputs_equal (a : Reg.output) (b : Reg.output) =
   | None, None -> true
   | Some ya, Some yb -> tensor_bits ya = tensor_bits yb
   | _ -> false)
-  && a.Reg.aux = b.Reg.aux
+  && List.map (fun (k, v) -> (k, Int64.bits_of_float v)) a.Reg.aux
+     = List.map (fun (k, v) -> (k, Int64.bits_of_float v)) b.Reg.aux
 
 let equivalence_prop entry dtype c =
   match
