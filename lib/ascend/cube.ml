@@ -19,10 +19,9 @@ let check_shape what lt elems =
    The loops run over the raw Bigarray storage, the operands through
    {!Host_buffer.read_data} and the accumulator through
    {!Host_buffer.write_data} with its written extent [m * n]: operand
-   shapes were validated by [mmad], so bounds checks are dropped and
-   the accumulator-dtype rounding is hoisted out of the loop — as a
-   direct {!Dtype.round_f32} call on the hot fp32-accumulator path, as
-   a {!Dtype.rounder} closure otherwise. The accumulation order (raw
+   shapes were validated by [mmad], so bounds checks are dropped, and
+   the accumulator rounding is the [@inline] [round_acc] below, with no
+   closure and no cross-module call. The accumulation order (raw
    double adds, one rounding on store) is that of the historical
    scalar get/set loops. *)
 
@@ -31,7 +30,6 @@ module BA1 = Bigarray.Array1
 let raw lt = Host_buffer.read_data (Local_tensor.buffer lt)
 let raw_out lt ~m ~n =
   Host_buffer.write_data (Local_tensor.buffer lt) ~extent:(m * n)
-let acc_rounder lt = Dtype.rounder (Local_tensor.dtype lt)
 
 (* F32 rounding through a one-element float32 Bigarray: the store/load
    pair compiles to inline single-precision conversion instructions,
@@ -44,18 +42,26 @@ type f32cell = (float, Bigarray.float32_elt, Bigarray.c_layout) BA1.t
 
 let f32scratch () : f32cell = BA1.create Bigarray.float32 Bigarray.c_layout 1
 
-let[@inline] round_f32 (tmp : f32cell) f =
-  (* NaN payloads pass through untouched, as [Dtype.round_f32] (the
-     [acc_rounder] arms) does — the cell roundtrip would quiet them. *)
-  if Float.is_nan f then f
-  else begin
-    BA1.unsafe_set tmp 0 f;
-    BA1.unsafe_get tmp 0
-  end
+(* [Dtype.round] for the two accumulator types [mmad] admits, inlined
+   into every evaluator loop: F32 through the scratch cell, passing NaN
+   payloads through untouched as [Dtype.round_f32] does (the cell
+   roundtrip would quiet them); I32 by the mask-and-sign-fold wrap of
+   [Dtype.wrap_signed]. test_bulk.ml pins both to [Dtype.round]. *)
+let[@inline] round_acc dt (tmp : f32cell) f =
+  match dt with
+  | Dtype.F32 ->
+      if Float.is_nan f then f
+      else begin
+        BA1.unsafe_set tmp 0 f;
+        BA1.unsafe_get tmp 0
+      end
+  | _ ->
+      let h = 0x8000_0000 in
+      float_of_int (((int_of_float f land 0xFFFF_FFFF) lxor h) - h)
 
 let eval_general a b c ~m ~k ~n ~accumulate =
   let ab = raw a and bb = raw b and cb = raw_out c ~m ~n in
-  let round = acc_rounder c in
+  let dt = Local_tensor.dtype c and tmp = f32scratch () in
   for i = 0 to m - 1 do
     for j = 0 to n - 1 do
       let acc = ref (if accumulate then BA1.unsafe_get cb ((i * n) + j) else 0.0) in
@@ -64,56 +70,42 @@ let eval_general a b c ~m ~k ~n ~accumulate =
           !acc
           +. (BA1.unsafe_get ab ((i * k) + t) *. BA1.unsafe_get bb ((t * n) + j))
       done;
-      BA1.unsafe_set cb ((i * n) + j) (round !acc)
+      BA1.unsafe_set cb ((i * n) + j) (round_acc dt tmp !acc)
     done
   done
 
 (* C[i,j] (+)= sum_{t <= j} A[i,t]  — B = U (upper-triangular ones).
    Requires k = n; row-wise running sums. This is McScan's tile-local
-   scan and the simulator's hottest cube path, so the fp32-accumulator
-   case gets its own loop with the rounding call inlined. *)
+   scan and the simulator's hottest cube path. *)
 let eval_b_upper_ones a c ~m ~k ~n ~accumulate =
   let ab = raw a and cb = raw_out c ~m ~n in
-  (match Local_tensor.dtype c with
-  | Dtype.F32 when k = n && not accumulate ->
-      (* McScan's exact shape: every element of the row contributes and
-         the output overwrites — no per-element branches left. *)
-      let tmp = f32scratch () in
-      for i = 0 to m - 1 do
-        let run = ref 0.0 in
-        let arow = i * k and crow = i * n in
-        for j = 0 to n - 1 do
-          run := !run +. BA1.unsafe_get ab (arow + j);
-          BA1.unsafe_set cb (crow + j) (round_f32 tmp !run)
-        done
+  let dt = Local_tensor.dtype c and tmp = f32scratch () in
+  if k = n && not accumulate then
+    (* McScan's exact shape: every element of the row contributes and
+       the output overwrites — no per-element branches left. *)
+    for i = 0 to m - 1 do
+      let run = ref 0.0 in
+      let arow = i * k and crow = i * n in
+      for j = 0 to n - 1 do
+        run := !run +. BA1.unsafe_get ab (arow + j);
+        BA1.unsafe_set cb (crow + j) (round_acc dt tmp !run)
       done
-  | Dtype.F32 ->
-      let tmp = f32scratch () in
-      for i = 0 to m - 1 do
-        let run = ref 0.0 in
-        let arow = i * k and crow = i * n in
-        for j = 0 to n - 1 do
-          if j < k then run := !run +. BA1.unsafe_get ab (arow + j);
-          let base = if accumulate then BA1.unsafe_get cb (crow + j) else 0.0 in
-          BA1.unsafe_set cb (crow + j) (round_f32 tmp (base +. !run))
-        done
+    done
+  else
+    for i = 0 to m - 1 do
+      let run = ref 0.0 in
+      let arow = i * k and crow = i * n in
+      for j = 0 to n - 1 do
+        if j < k then run := !run +. BA1.unsafe_get ab (arow + j);
+        let base = if accumulate then BA1.unsafe_get cb (crow + j) else 0.0 in
+        BA1.unsafe_set cb (crow + j) (round_acc dt tmp (base +. !run))
       done
-  | _ ->
-      let round = acc_rounder c in
-      for i = 0 to m - 1 do
-        let run = ref 0.0 in
-        let arow = i * k and crow = i * n in
-        for j = 0 to n - 1 do
-          if j < k then run := !run +. BA1.unsafe_get ab (arow + j);
-          let base = if accumulate then BA1.unsafe_get cb (crow + j) else 0.0 in
-          BA1.unsafe_set cb (crow + j) (round (base +. !run))
-        done
-      done)
+    done
 
 (* C[i,j] (+)= sum_{t >= j} A[i,t]  — B = L (lower-triangular ones). *)
 let eval_b_lower_ones a c ~m ~k ~n ~accumulate =
   let ab = raw a and cb = raw_out c ~m ~n in
-  let round = acc_rounder c in
+  let dt = Local_tensor.dtype c and tmp = f32scratch () in
   for i = 0 to m - 1 do
     (* suffix sums of row i of A *)
     let run = ref 0.0 in
@@ -124,14 +116,14 @@ let eval_b_lower_ones a c ~m ~k ~n ~accumulate =
     done;
     for j = 0 to n - 1 do
       let base = if accumulate then BA1.unsafe_get cb ((i * n) + j) else 0.0 in
-      BA1.unsafe_set cb ((i * n) + j) (round (base +. suffix.(j)))
+      BA1.unsafe_set cb ((i * n) + j) (round_acc dt tmp (base +. suffix.(j)))
     done
   done
 
 (* C[i,j] (+)= sum_t A[i,t]  — B = all-ones. *)
 let eval_b_all_ones a c ~m ~k ~n ~accumulate =
   let ab = raw a and cb = raw_out c ~m ~n in
-  let round = acc_rounder c in
+  let dt = Local_tensor.dtype c and tmp = f32scratch () in
   for i = 0 to m - 1 do
     let sum = ref 0.0 in
     for t = 0 to k - 1 do
@@ -139,7 +131,7 @@ let eval_b_all_ones a c ~m ~k ~n ~accumulate =
     done;
     for j = 0 to n - 1 do
       let base = if accumulate then BA1.unsafe_get cb ((i * n) + j) else 0.0 in
-      BA1.unsafe_set cb ((i * n) + j) (round (base +. !sum))
+      BA1.unsafe_set cb ((i * n) + j) (round_acc dt tmp (base +. !sum))
     done
   done
 
@@ -147,12 +139,12 @@ let eval_b_all_ones a c ~m ~k ~n ~accumulate =
    column-wise exclusive prefix sums of B. *)
 let eval_a_strict_lower_ones b c ~m ~k ~n ~accumulate =
   let bb = raw b and cb = raw_out c ~m ~n in
-  let round = acc_rounder c in
+  let dt = Local_tensor.dtype c and tmp = f32scratch () in
   for j = 0 to n - 1 do
     let run = ref 0.0 in
     for i = 0 to m - 1 do
       let base = if accumulate then BA1.unsafe_get cb ((i * n) + j) else 0.0 in
-      BA1.unsafe_set cb ((i * n) + j) (round (base +. !run));
+      BA1.unsafe_set cb ((i * n) + j) (round_acc dt tmp (base +. !run));
       if i < k then run := !run +. BA1.unsafe_get bb ((i * n) + j)
     done
   done
@@ -160,13 +152,13 @@ let eval_a_strict_lower_ones b c ~m ~k ~n ~accumulate =
 (* C[i,j] (+)= sum_{t <= i} B[t,j]  — A = lower-triangular ones. *)
 let eval_a_lower_ones b c ~m ~k ~n ~accumulate =
   let bb = raw b and cb = raw_out c ~m ~n in
-  let round = acc_rounder c in
+  let dt = Local_tensor.dtype c and tmp = f32scratch () in
   for j = 0 to n - 1 do
     let run = ref 0.0 in
     for i = 0 to m - 1 do
       if i < k then run := !run +. BA1.unsafe_get bb ((i * n) + j);
       let base = if accumulate then BA1.unsafe_get cb ((i * n) + j) else 0.0 in
-      BA1.unsafe_set cb ((i * n) + j) (round (base +. !run))
+      BA1.unsafe_set cb ((i * n) + j) (round_acc dt tmp (base +. !run))
     done
   done
 

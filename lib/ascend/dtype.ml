@@ -28,16 +28,21 @@ let max_value = function
 let[@inline] round_f32 v =
   if Float.is_nan v then v else Int32.float_of_bits (Int32.bits_of_float v)
 
-(* Two's-complement wrap-around of a truncated float, for a field of
-   [bits] bits. Mirrors what the hardware stores on integer overflow. *)
-let wrap_signed bits v =
-  let m = 1 lsl bits in
-  let x = ((int_of_float v) mod m + m) mod m in
-  if x >= m / 2 then float_of_int (x - m) else float_of_int x
+(* The low [bits] bits of the truncated value [v], as an unsigned
+   field: [x land (2^bits - 1)] is [x mod 2^bits] folded into
+   [0, 2^bits) for every OCaml int, with no division. *)
+let[@inline] wrap_bits bits v = int_of_float v land ((1 lsl bits) - 1)
 
-let wrap_unsigned bits v =
-  let m = 1 lsl bits in
-  float_of_int (((int_of_float v) mod m + m) mod m)
+(* Two's-complement wrap-around of a truncated float, for a field of
+   [bits] bits: the unsigned field, sign-folded at [h = 2^(bits-1)].
+   Mirrors what the hardware stores on integer overflow. *)
+let[@inline] wrap_signed bits v =
+  let h = 1 lsl (bits - 1) in
+  float_of_int ((wrap_bits bits v lxor h) - h)
+
+let[@inline] wrap_unsigned bits v = float_of_int (wrap_bits bits v)
+
+let unsigned_field dt v = wrap_bits (size_bytes dt * 8) v
 
 let[@inline] round dt v =
   match dt with
@@ -52,24 +57,6 @@ let cast ~from ~into v =
   match from, into with
   | (F16 | F32), (I8 | I16 | U16 | I32) -> round into (Float.of_int (int_of_float v))
   | _, _ -> round into v
-
-(* Bulk-path variants: dispatch on the dtype once and return the bare
-   element function, so tight copy/convert loops (Host_buffer, MTE
-   DataCopy) hoist the per-element match out of the loop. *)
-let rounder = function
-  | F16 -> Fp16.round
-  | F32 -> round_f32
-  | I8 -> wrap_signed 8
-  | I16 -> wrap_signed 16
-  | U16 -> wrap_unsigned 16
-  | I32 -> wrap_signed 32
-
-let caster ~from ~into =
-  match from, into with
-  | (F16 | F32), (I8 | I16 | U16 | I32) ->
-      let r = rounder into in
-      fun v -> r (Float.of_int (int_of_float v))
-  | _, _ -> rounder into
 
 let equal a b =
   match a, b with

@@ -26,10 +26,16 @@ val round : t -> float -> float
 
 val round_f32 : float -> float
 (** The [F32] arm of {!round} directly (one binary32 roundtrip, NaN
-    passed through); exposed so bulk kernels can specialise their
-    inner loops without the dtype dispatch. *)
+    passed through): the reference that the inlined fp32 rounders of
+    the bulk kernels are tested against. *)
 
 val is_integer : t -> bool
+
+val unsigned_field : t -> float -> int
+(** [unsigned_field dt v] is the stored bit field of [v] in an integer
+    dtype: [v] truncated toward zero, wrapped to [size_bytes dt * 8]
+    bits and read as unsigned. The bit-wise vector ops and fault
+    injection see integer elements through it. *)
 
 val min_value : t -> float
 (** Smallest representable finite value ([neg_infinity] for floats
@@ -45,12 +51,3 @@ val to_string : t -> string
 val cast : from:t -> into:t -> float -> float
 (** Hardware cast semantics: integer-to-integer wraps, float-to-integer
     truncates toward zero then wraps, anything-to-float rounds. *)
-
-val rounder : t -> float -> float
-(** [rounder dt] is {!round}[ dt] with the dtype dispatch paid once;
-    partially apply it outside a loop and the loop body is the bare
-    per-element function. *)
-
-val caster : from:t -> into:t -> float -> float
-(** [caster ~from ~into] is {!cast}[ ~from ~into] with the dispatch
-    paid once, for bulk converting copies. *)

@@ -169,8 +169,7 @@ let flip_in_buffer buf ~index ~bit =
              (Int32.shift_left 1l (bit mod 32)))
     | Dtype.I8 | Dtype.I16 | Dtype.U16 | Dtype.I32 ->
         let bits = Dtype.size_bytes dt * 8 in
-        let m = 1 lsl bits in
-        let u = ((int_of_float v) mod m + m) mod m in
+        let u = Dtype.unsigned_field dt v in
         Dtype.round dt (float_of_int (u lxor (1 lsl (bit mod bits))))
   in
   Host_buffer.set buf index flipped

@@ -63,6 +63,34 @@ let[@inline] round_f32 f =
      suite in test_bulk.ml observes bit for bit. *)
   if Float.is_nan f then f else Int32.float_of_bits (Int32.bits_of_float f)
 
+(* The integer wraps and the dtype dispatch are local for the same
+   reason: [Dtype.round]/[Dtype.cast] called per element box their
+   argument and result. [round_dt]/[cast_dt] are [Dtype.round]/
+   [Dtype.cast] with every arm inlined — integer wrap by mask and sign
+   fold, no division — and test_bulk.ml pins them to [Dtype] on the
+   integer edge values. *)
+let[@inline] wrap_signed bits v =
+  let h = 1 lsl (bits - 1) in
+  float_of_int (((int_of_float v land ((1 lsl bits) - 1)) lxor h) - h)
+
+let[@inline] wrap_unsigned bits v =
+  float_of_int (int_of_float v land ((1 lsl bits) - 1))
+
+let[@inline] round_dt dt v =
+  match dt with
+  | Dtype.F16 -> round_f16 v
+  | Dtype.F32 -> round_f32 v
+  | Dtype.I8 -> wrap_signed 8 v
+  | Dtype.I16 -> wrap_signed 16 v
+  | Dtype.U16 -> wrap_unsigned 16 v
+  | Dtype.I32 -> wrap_signed 32 v
+
+let[@inline] cast_dt ~from ~into v =
+  match from, into with
+  | (Dtype.F16 | Dtype.F32), (Dtype.I8 | Dtype.I16 | Dtype.U16 | Dtype.I32) ->
+      round_dt into (Float.of_int (int_of_float v))
+  | _, _ -> round_dt into v
+
 (* Storage pool. Simulated scratchpads are allocated per block per
    launch — without reuse, a 20-block McScan launch maps, faults in and
    unmaps ~10 MB of 128 KB Bigarrays per run, and the GC's custom-block
@@ -152,11 +180,11 @@ let write_data t ~extent =
 let get t i = BA1.get t.data i
 
 let set t i v =
-  BA1.set t.data i (Dtype.round t.dtype v);
+  BA1.set t.data i (round_dt t.dtype v);
   mark t (i + 1)
 
 let set_cast t i ~from v =
-  BA1.set t.data i (Dtype.cast ~from ~into:t.dtype v);
+  BA1.set t.data i (cast_dt ~from ~into:t.dtype v);
   mark t (i + 1)
 
 (* Unsafe accessors for validated inner loops. [unsafe_set] still
@@ -164,7 +192,7 @@ let set_cast t i ~from v =
 let[@inline] unsafe_get t i = BA1.unsafe_get t.data i
 
 let[@inline] unsafe_set t i v =
-  BA1.unsafe_set t.data i (Dtype.round t.dtype v);
+  BA1.unsafe_set t.data i (round_dt t.dtype v);
   mark t (i + 1)
 
 let check_range name t off len =
@@ -172,14 +200,14 @@ let check_range name t off len =
     invalid_arg (Printf.sprintf "Host_buffer.%s: range out of bounds" name)
 
 let fill t v =
-  let v = Dtype.round t.dtype v in
+  let v = round_dt t.dtype v in
   BA1.fill t.data v;
   mark t (length t)
 
 let fill_range t ~off ~len v =
   check_range "fill_range" t off len;
   if len > 0 then begin
-    BA1.fill (BA1.sub t.data off len) (Dtype.round t.dtype v);
+    BA1.fill (BA1.sub t.data off len) (round_dt t.dtype v);
     mark t (off + len)
   end
 
@@ -204,7 +232,7 @@ let convert_into ~from ~(dst : t) ~(src : ba) ~src_off ~dst_off ~len =
   | _, _ ->
       for i = 0 to len - 1 do
         BA1.unsafe_set d (dst_off + i)
-          (Dtype.cast ~from ~into:dst.dtype (BA1.unsafe_get src (src_off + i)))
+          (cast_dt ~from ~into:dst.dtype (BA1.unsafe_get src (src_off + i)))
       done
 
 let blit ~src ~src_off ~dst ~dst_off ~len =
@@ -239,7 +267,7 @@ let of_array dt a =
       done
   | dt ->
       for i = 0 to n - 1 do
-        BA1.unsafe_set d i (Dtype.round dt (Array.unsafe_get a i))
+        BA1.unsafe_set d i (round_dt dt (Array.unsafe_get a i))
       done);
   t
 
@@ -259,10 +287,18 @@ let load_array t a =
       done
   | dt ->
       for i = 0 to n - 1 do
-        BA1.unsafe_set d i (Dtype.round dt (Array.unsafe_get a i))
+        BA1.unsafe_set d i (round_dt dt (Array.unsafe_get a i))
       done
 
-let to_array t = Array.init (length t) (fun i -> BA1.unsafe_get t.data i)
+(* A flat float array filled in place: [Array.init] would box every
+   element its closure returns. *)
+let to_array t =
+  let n = length t in
+  let a = Array.create_float n in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (BA1.unsafe_get t.data i)
+  done;
+  a
 
 let copy t =
   let n = length t in
@@ -291,7 +327,7 @@ let map2_binop op ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len =
   let finish_generic dt f =
     for i = 0 to len - 1 do
       BA1.unsafe_set d (dst_off + i)
-        (Dtype.round dt
+        (round_dt dt
            (f (BA1.unsafe_get a (src0_off + i)) (BA1.unsafe_get b (src1_off + i))))
     done
   in
@@ -341,7 +377,7 @@ let map1_scalar op ~src ~src_off ~dst ~dst_off ~scalar ~len =
   let finish_generic dt f =
     for i = 0 to len - 1 do
       BA1.unsafe_set d (dst_off + i)
-        (Dtype.round dt (f (BA1.unsafe_get s (src_off + i))))
+        (round_dt dt (f (BA1.unsafe_get s (src_off + i))))
     done
   in
   match op, dst.dtype with
@@ -381,7 +417,7 @@ let map1_f f ~src ~src_off ~dst ~dst_off ~len =
   let dt = dst.dtype in
   for i = 0 to len - 1 do
     BA1.unsafe_set d (dst_off + i)
-      (Dtype.round dt (f (BA1.unsafe_get s (src_off + i))))
+      (round_dt dt (f (BA1.unsafe_get s (src_off + i))))
   done
 
 let map2_f f ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len =
@@ -393,7 +429,7 @@ let map2_f f ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len =
   let dt = dst.dtype in
   for i = 0 to len - 1 do
     BA1.unsafe_set d (dst_off + i)
-      (Dtype.round dt
+      (round_dt dt
          (f (BA1.unsafe_get a (src0_off + i)) (BA1.unsafe_get b (src1_off + i))))
   done
 
@@ -412,7 +448,7 @@ let select_range ~mask ~mask_off ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off
         BA1.unsafe_get a (src0_off + i)
       else BA1.unsafe_get b (src1_off + i)
     in
-    BA1.unsafe_set d (dst_off + i) (Dtype.round dt v)
+    BA1.unsafe_set d (dst_off + i) (round_dt dt v)
   done
 
 let arange_range t ~off ~start ~len =
@@ -421,7 +457,7 @@ let arange_range t ~off ~start ~len =
   let d = t.data in
   let dt = t.dtype in
   for i = 0 to len - 1 do
-    BA1.unsafe_set d (off + i) (Dtype.round dt (start +. float_of_int i))
+    BA1.unsafe_set d (off + i) (round_dt dt (start +. float_of_int i))
   done
 
 (* Raw double-accumulator reductions, forward order, no final rounding
@@ -466,7 +502,7 @@ let scan_accum ~src ~dst ~len =
       done
   | dt ->
       for i = 0 to len - 1 do
-        acc := Dtype.round dt (!acc +. BA1.unsafe_get s i);
+        acc := round_dt dt (!acc +. BA1.unsafe_get s i);
         BA1.unsafe_set d i !acc
       done);
   !acc
@@ -476,7 +512,16 @@ let scan_accum ~src ~dst ~len =
    [map1_scalar] operand order (Add/Mul put the element left, Max/Min
    the carry left) and pick up the row's last stored value as the next
    carry. [seg = len] is one scalar-op sweep; [Scan_core.propagate_rows]
-   is the [seg = s] case. Returns the final carry. *)
+   is the [seg = s] case. Returns the final carry.
+
+   When two NaNs meet, the result is the element's NaN, quieted — the
+   left operand in source order. x86 [addsd]/[mulsd] return their
+   first operand's NaN, and ocamlopt swaps commutative float operands
+   to fold a load, so a plain [+.]/[*.] picks either NaN depending on
+   codegen (it differed between the dev and release profiles). Only a
+   NaN carry can meet an element NaN, so such a row spells the rule
+   out ([v +. v] quiets the element's NaN) and the other rows keep the
+   bare loops. *)
 let scan_segment op t ~off ~len ~seg ~init =
   if seg <= 0 then invalid_arg "Host_buffer.scan_segment: seg must be positive";
   check_range "scan_segment" t off len;
@@ -490,6 +535,16 @@ let scan_segment op t ~off ~len ~seg ~init =
     let base = off + !pos in
     let c = !carry in
     (match op, dt with
+    | (Add | Mul), dt when Float.is_nan c ->
+        for j = base to base + row_len - 1 do
+          let v = BA1.unsafe_get d j in
+          let r =
+            if Float.is_nan v then v +. v
+            else if op = Add then v +. c
+            else v *. c
+          in
+          BA1.unsafe_set d j (round_dt dt r)
+        done
     | Add, Dtype.F16 ->
         for j = base to base + row_len - 1 do
           BA1.unsafe_set d j (round_f16 (BA1.unsafe_get d j +. c))
@@ -500,28 +555,70 @@ let scan_segment op t ~off ~len ~seg ~init =
         done
     | Add, dt ->
         for j = base to base + row_len - 1 do
-          BA1.unsafe_set d j (Dtype.round dt (BA1.unsafe_get d j +. c))
+          BA1.unsafe_set d j (round_dt dt (BA1.unsafe_get d j +. c))
         done
     | Max, dt ->
         for j = base to base + row_len - 1 do
-          BA1.unsafe_set d j (Dtype.round dt (Float.max c (BA1.unsafe_get d j)))
+          BA1.unsafe_set d j (round_dt dt (Float.max c (BA1.unsafe_get d j)))
         done
     | Min, dt ->
         for j = base to base + row_len - 1 do
-          BA1.unsafe_set d j (Dtype.round dt (Float.min c (BA1.unsafe_get d j)))
+          BA1.unsafe_set d j (round_dt dt (Float.min c (BA1.unsafe_get d j)))
         done
     | Mul, dt ->
         for j = base to base + row_len - 1 do
-          BA1.unsafe_set d j (Dtype.round dt (BA1.unsafe_get d j *. c))
+          BA1.unsafe_set d j (round_dt dt (BA1.unsafe_get d j *. c))
         done
     | Sub, dt ->
         for j = base to base + row_len - 1 do
-          BA1.unsafe_set d j (Dtype.round dt (BA1.unsafe_get d j -. c))
+          BA1.unsafe_set d j (round_dt dt (BA1.unsafe_get d j -. c))
         done);
     carry := BA1.unsafe_get d (base + row_len - 1);
     pos := !pos + row_len
   done;
   !carry
+
+let count_nonzero t ~off ~len =
+  check_range "count_nonzero" t off len;
+  let d = t.data in
+  let k = ref 0 in
+  for i = off to off + len - 1 do
+    if BA1.unsafe_get d i <> 0.0 then incr k
+  done;
+  !k
+
+(* GatherMask: compact the [src] elements whose [mask] entry is
+   non-zero into [dst] from [dst_off], each rounded through [dst]'s
+   dtype as [set] does — a no-op between equal dtypes, whose stored
+   values are already canonical (as in the same-dtype [blit]). [dst]
+   needs room for the selected elements only, so they are counted
+   first when it cannot hold all [len]: an overflow raises before
+   anything is written. *)
+let gather_mask ~src ~src_off ~mask ~mask_off ~dst ~dst_off ~len =
+  check_range "gather_mask" src src_off len;
+  check_range "gather_mask" mask mask_off len;
+  check_range "gather_mask" dst dst_off
+    (if dst_off + len <= length dst then 0
+     else count_nonzero mask ~off:mask_off ~len);
+  let s = src.data and m = mask.data and d = dst.data in
+  let dt = dst.dtype in
+  let k = ref dst_off in
+  if Dtype.equal src.dtype dt then
+    for i = 0 to len - 1 do
+      if BA1.unsafe_get m (mask_off + i) <> 0.0 then begin
+        BA1.unsafe_set d !k (BA1.unsafe_get s (src_off + i));
+        incr k
+      end
+    done
+  else
+    for i = 0 to len - 1 do
+      if BA1.unsafe_get m (mask_off + i) <> 0.0 then begin
+        BA1.unsafe_set d !k (round_dt dt (BA1.unsafe_get s (src_off + i)));
+        incr k
+      end
+    done;
+  mark dst !k;
+  !k - dst_off
 
 let pp fmt t =
   let n = length t in

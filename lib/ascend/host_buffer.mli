@@ -29,8 +29,8 @@ val write_data : t -> extent:int -> ba
 (** The backing Bigarray, for a loop that writes elements in
     [[0, extent)] and nowhere else: marks that prefix dirty (see
     {!retire}) and returns the storage. Every element written must be
-    canonical for {!dtype} (pass it through {!Dtype.round} or a
-    hoisted {!Dtype.rounder}); the scalar/bulk APIs below maintain
+    canonical for {!dtype} (pass it through {!Dtype.round} or an
+    inlined copy pinned to it); the scalar/bulk APIs below maintain
     both invariants automatically. Raises [Invalid_argument] unless
     [0 <= extent <= length t]. *)
 
@@ -161,7 +161,20 @@ val scan_segment : binop -> t -> off:int -> len:int -> seg:int -> init:float -> 
     elements with the running carry (exact {!map1_scalar} operand
     order), the carry re-read from the row's last stored value.
     Returns the final carry. [seg = 1] degenerates to an element-wise
-    carry chain; raises [Invalid_argument] when [seg <= 0]. *)
+    carry chain; raises [Invalid_argument] when [seg <= 0]. Where an
+    element NaN meets a NaN carry under [Add] or [Mul], the result is
+    the element's NaN, quieted, whatever the codegen. *)
+
+val count_nonzero : t -> off:int -> len:int -> int
+(** The number of elements of [[off, off + len)] that are not [0.0]. *)
+
+val gather_mask :
+  src:t -> src_off:int -> mask:t -> mask_off:int -> dst:t -> dst_off:int ->
+  len:int -> int
+(** GatherMask: [dst.(dst_off + k) <- round src.(src_off + i)] for the
+    [i < len] with [mask.(mask_off + i) <> 0], in order; returns the
+    count. [dst] needs room for the selected elements only; an
+    overflow raises [Invalid_argument] before anything is written. *)
 
 val pp : Format.formatter -> t -> unit
 (** Debug printer showing dtype, length and the first few elements. *)

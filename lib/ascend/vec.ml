@@ -187,23 +187,18 @@ let select ctx ?(vec = 0) ?(mask_off = 0) ~mask ?(src0_off = 0) ~src0
       ~dst:(Local_tensor.buffer dst) ~dst_off ~len
   end
 
-(* Bit-wise ops view each element as the unsigned field of its dtype. *)
-let unsigned_field dt v =
-  let bits = Dtype.size_bytes dt * 8 in
-  let m = 1 lsl bits in
-  ((int_of_float v) mod m + m) mod m
-
 let require_integer what lt =
   if not (Dtype.is_integer (Local_tensor.dtype lt)) then
     invalid_arg
       (Printf.sprintf "Vec.%s: bit-wise ops require an integer data type" what)
 
+(* Bit-wise ops view each element as the unsigned field of its dtype. *)
 let bit_map name f ctx ~vec ~src ~src_off ~dst ~dst_off ~len =
   require_integer name src;
   require_integer name dst;
   let sdt = Local_tensor.dtype src in
   scalar_map name
-    (fun v -> float_of_int (f (unsigned_field sdt v)))
+    (fun v -> float_of_int (f (Dtype.unsigned_field sdt v)))
     ctx ~vec ~src ~src_off ~dst ~dst_off ~len
 
 let shift_right ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~bits
@@ -257,7 +252,8 @@ let bit_op ctx ?(vec = 0) op ~src0 ?(src0_off = 0) ~src1 ?(src1_off = 0) ~dst
   in
   let d0 = Local_tensor.dtype src0 and d1 = Local_tensor.dtype src1 in
   map2 ctx
-    (fun a b -> float_of_int (f (unsigned_field d0 a) (unsigned_field d1 b)))
+    (fun a b ->
+      float_of_int (f (Dtype.unsigned_field d0 a) (Dtype.unsigned_field d1 b)))
     ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len
 
 let arange ctx ?(vec = 0) ~dst ?(dst_off = 0) ~start ~len () =
@@ -382,24 +378,22 @@ let gather_mask ctx ?(vec = 0) ~src ?(src_off = 0) ~mask ?(mask_off = 0) ~dst
   require_ub "gather_mask" dst;
   check_range ctx "gather_mask" src src_off len;
   check_range ctx "gather_mask" mask mask_off len;
-  (* Destination holds at most [len] gathered elements. *)
-  check_range ctx "gather_mask" dst dst_off 0;
+  (* [dst] needs room for the selected elements only: on a functional
+     device they are counted when it cannot hold all [len], so an
+     overflow is a range error here, before anything is written. *)
+  check_range ctx "gather_mask" dst dst_off
+    (if Block.functional ctx && dst_off + len > Local_tensor.length dst then
+       Host_buffer.count_nonzero (Local_tensor.buffer mask) ~off:mask_off ~len
+     else 0);
   tick ctx "gather_mask";
   charge_op ctx ~vec ~op:"gather_mask" ~instrs:2 ~len ~esize:(esize src);
   charge_scalar ctx ~vec ~op:"gather_mask";
   if Block.functional ctx then begin
-    let sb = Local_tensor.buffer src
-    and mb = Local_tensor.buffer mask
-    and db = Local_tensor.buffer dst in
     Local_tensor.touch dst;
-    let k = ref 0 in
-    for i = 0 to len - 1 do
-      if Host_buffer.get mb (mask_off + i) <> 0.0 then begin
-        Host_buffer.set db (dst_off + !k) (Host_buffer.get sb (src_off + i));
-        incr k
-      end
-    done;
-    !k
+    Host_buffer.gather_mask
+      ~src:(Local_tensor.buffer src) ~src_off
+      ~mask:(Local_tensor.buffer mask) ~mask_off
+      ~dst:(Local_tensor.buffer dst) ~dst_off ~len
   end
   else 0
 

@@ -186,7 +186,10 @@ val gather_mask :
   mask:Local_tensor.t -> ?mask_off:int -> dst:Local_tensor.t ->
   ?dst_off:int -> len:int -> unit -> int
 (** AscendC [GatherMask]: compact the elements of [src] whose mask is
-    non-zero into contiguous positions of [dst]; returns the count. *)
+    non-zero into contiguous positions of [dst]; returns the count.
+    [dst] from [dst_off] needs room for the selected elements only; an
+    overflow is a range error (recorded by the sanitizer) raised before
+    anything is written. *)
 
 val gather_elements :
   Block.t -> ?vec:int -> src:Local_tensor.t -> idx:Local_tensor.t ->

@@ -32,10 +32,3 @@ let segmented_hillis_steele_tile ctx ~vec ~v ~f ~tmp_v ~tmp_f ~zero ~len =
       ~src1_off:0 ~dst:f ~dst_off:!d ~len:(len - !d) ();
     d := !d * 2
   done
-
-let cube_local_scans ctx ~x ~off ~len ~s ~l0a ~u ~l0c ~y =
-  let rows = ceil_div len s in
-  Mte.copy_in ctx ~engine:Engine.Cube_mte_in ~src:x ~src_off:off ~dst:l0a ~len ();
-  Cube.mmad ctx ~a:l0a ~b:u ~c:l0c ~m:rows ~k:s ~n:s ~accumulate:false;
-  Mte.copy_out ctx ~engine:Engine.Cube_mte_out ~src:l0c ~dst:y ~dst_off:off
-    ~len ()

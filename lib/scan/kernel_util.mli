@@ -1,20 +1,5 @@
 (** Building blocks shared by the scan kernels. *)
 
-val cube_local_scans :
-  Ascend.Block.t ->
-  x:Ascend.Global_tensor.t ->
-  off:int ->
-  len:int ->
-  s:int ->
-  l0a:Ascend.Local_tensor.t ->
-  u:Ascend.Local_tensor.t ->
-  l0c:Ascend.Local_tensor.t ->
-  y:Ascend.Global_tensor.t ->
-  unit
-(** Cube-core stage of one [s^2]-tile: load [x\[off, off+len)] into
-    L0A, multiply by [U_s] (local scans of the rows), and stream the
-    result to [y] in GM (the L0C -> GM copy casts to [y]'s data type). *)
-
 val hillis_steele_tile :
   Ascend.Block.t ->
   vec:int ->

@@ -114,14 +114,6 @@ let sub_block ~lo ~hi ~half v =
   let vhi = min hi (vlo + half) in
   (vlo, vhi)
 
-let foreach_ub_tile ~ub_tile ~vlo ~vhi f =
-  let t = ref vlo in
-  while !t < vhi do
-    let len = min ub_tile (vhi - !t) in
-    f ~off:!t ~len;
-    t := !t + ub_tile
-  done
-
 let block_partition ~n ~blocks ~vpc ~chunk_align ~half_align =
   let chunk = Kernel_util.round_up (Kernel_util.ceil_div n blocks) chunk_align in
   let half = Kernel_util.round_up (Kernel_util.ceil_div chunk vpc) half_align in

@@ -95,10 +95,6 @@ val sub_block : lo:int -> hi:int -> half:int -> int -> int * int
 (** [sub_block ~lo ~hi ~half v] is the [(vlo, vhi)] range of block
     chunk [\[lo, hi)] owned by vector core [v]. *)
 
-val foreach_ub_tile :
-  ub_tile:int -> vlo:int -> vhi:int -> (off:int -> len:int -> unit) -> unit
-(** Iterate a sub-block in UB-sized slices. *)
-
 val block_partition :
   n:int -> blocks:int -> vpc:int -> chunk_align:int -> half_align:int ->
   int * int

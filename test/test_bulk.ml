@@ -277,12 +277,15 @@ let prop_scan_segment =
           ~init:c.scalar
       in
       (* Combine with the carry in the map1_scalar operand order:
-         Add/Sub/Mul put the element left, Max/Min the carry left. *)
+         Add/Sub/Mul put the element left, Max/Min the carry left.
+         Where two NaNs meet under Add/Mul the element's NaN wins,
+         written out so that no codegen can swap the operands. *)
+      let nan_left v r = if Float.is_nan v then v +. v else r in
       let combine carry v =
         match c.bop with
-        | Host_buffer.Add -> v +. carry
+        | Host_buffer.Add -> nan_left v (v +. carry)
         | Host_buffer.Sub -> v -. carry
-        | Host_buffer.Mul -> v *. carry
+        | Host_buffer.Mul -> nan_left v (v *. carry)
         | Host_buffer.Max -> Float.max carry v
         | Host_buffer.Min -> Float.min carry v
       in
@@ -331,6 +334,294 @@ let prop_f32_set_is_round_f32 =
       Host_buffer.set b 0 v;
       same_float (Host_buffer.get b 0) (Dtype.round_f32 v))
 
+let prop_gather_mask =
+  test ~name:"gather_mask = scalar get/set compaction" (fun c ->
+      let src = Host_buffer.of_array c.dt2 c.a0 in
+      (* A mask with zeros (-0.0 among them) and non-zero entries, NaN
+         included, through the mask dtype's own rounding. *)
+      let mask =
+        Host_buffer.of_array c.dt2
+          (Array.mapi
+             (fun i v -> if i mod 3 = 0 then Float.copy_sign 0.0 v else v)
+             c.a1)
+      in
+      let bulk = Host_buffer.of_array c.dt c.d0 in
+      let shim = Host_buffer.of_array c.dt c.d0 in
+      let got =
+        Host_buffer.gather_mask ~src ~src_off:c.o0 ~mask ~mask_off:c.o1
+          ~dst:bulk ~dst_off:c.od ~len:c.len
+      in
+      let k = ref 0 in
+      for i = 0 to c.len - 1 do
+        if Host_buffer.get mask (c.o1 + i) <> 0.0 then begin
+          Host_buffer.set shim (c.od + !k) (Host_buffer.get src (c.o0 + i));
+          incr k
+        end
+      done;
+      (* One element short of the selection: raises, writes nothing. *)
+      let overflow_clean =
+        !k = 0
+        ||
+        let small = Host_buffer.of_array c.dt (Array.sub c.d0 0 (c.od + !k - 1)) in
+        let before = Host_buffer.copy small in
+        (try
+           ignore
+             (Host_buffer.gather_mask ~src ~src_off:c.o0 ~mask ~mask_off:c.o1
+                ~dst:small ~dst_off:c.od ~len:c.len);
+           false
+         with Invalid_argument _ -> true)
+        && same_buffer small before
+      in
+      got = !k && same_buffer bulk shim && overflow_clean)
+
+(* Every pair of distinct NaNs through the commutative kernels, on the
+   float dtypes: the random cases above meet two NaNs only now and then,
+   and which NaN survives depends on operand order in the generated
+   code, so each pairing is enumerated here. *)
+let test_two_nans () =
+  let nans =
+    [| Float.nan; -.Float.nan; Int64.float_of_bits 0x7FF0000000000001L;
+       Int64.float_of_bits 0xFFF8000000001234L |]
+  in
+  let n = Array.length nans in
+  let xs = Array.init (n * n) (fun i -> nans.(i / n))
+  and ys = Array.init (n * n) (fun i -> nans.(i mod n)) in
+  List.iter
+    (fun dt ->
+      let buf a = Host_buffer.of_array dt a in
+      let expect_same what f =
+        let bulk = buf xs and shim = buf xs in
+        f bulk shim;
+        if not (same_buffer bulk shim) then
+          Alcotest.failf "%s on %s" what (Dtype.to_string dt)
+      in
+      List.iter
+        (fun op ->
+          expect_same "map2_binop" (fun bulk shim ->
+              let a = buf xs and b = buf ys in
+              Host_buffer.map2_binop op ~src0:a ~src0_off:0 ~src1:b ~src1_off:0
+                ~dst:bulk ~dst_off:0 ~len:(n * n);
+              for i = 0 to (n * n) - 1 do
+                Host_buffer.set shim i
+                  (fun_of_binop op (Host_buffer.get a i) (Host_buffer.get b i))
+              done))
+        Host_buffer.[ Add; Mul ];
+      Array.iter
+        (fun scalar ->
+          List.iter
+            (fun op ->
+              expect_same "map1_scalar" (fun bulk shim ->
+                  let a = buf xs in
+                  Host_buffer.map1_scalar op ~src:a ~src_off:0 ~dst:bulk
+                    ~dst_off:0 ~scalar ~len:(n * n);
+                  for i = 0 to (n * n) - 1 do
+                    Host_buffer.set shim i
+                      (fun_of_scalar_op scalar op (Host_buffer.get a i))
+                  done))
+            Host_buffer.[ Adds; Muls ])
+        nans)
+    Dtype.[ F16; F32 ]
+
+(* ------------------------------------------------------------------ *)
+(* Integer dtypes on their edge values. [Host_buffer] and [Cube] each
+   keep an inlined copy of the dtype rounding (a cross-module call per
+   element would box); these cases pin both copies to [Dtype.round] and
+   [Dtype.cast] at the wrap points, on signed zeros, halves, NaN and
+   the infinities. *)
+
+let int_dtypes = Dtype.[ I8; I16; U16; I32 ]
+
+let edges =
+  let p k = Float.ldexp 1.0 k in
+  List.concat_map
+    (fun v -> [ v; -.v ])
+    [ p 7; p 7 -. 1.0; p 15; p 15 -. 1.0; p 16; p 31; p 31 -. 1.0; p 32;
+      p 40; p 40 +. 3.0; 0.5; 1.5; 255.0; 65535.0; infinity ]
+  @ [ -0.0; 0.0; Float.nan; -.Float.nan ]
+  |> Array.of_list
+
+let check_bits what expect got =
+  if not (same_float expect got) then
+    Alcotest.failf "%s: expected %h, got %h" what expect got
+
+let test_int_of_array () =
+  List.iter
+    (fun dt ->
+      let b = Host_buffer.of_array dt edges in
+      Array.iteri
+        (fun i v ->
+          check_bits
+            (Printf.sprintf "of_array %s %h" (Dtype.to_string dt) v)
+            (Dtype.round dt v) (Host_buffer.get b i))
+        edges)
+    int_dtypes
+
+let test_int_blit () =
+  List.iter
+    (fun into ->
+      List.iter
+        (fun from ->
+          let src = Host_buffer.of_array from edges in
+          let dst = Host_buffer.create into (Array.length edges) in
+          Host_buffer.blit ~src ~src_off:0 ~dst ~dst_off:0
+            ~len:(Array.length edges);
+          for i = 0 to Array.length edges - 1 do
+            let v = Host_buffer.get src i in
+            check_bits
+              (Printf.sprintf "blit %s->%s %h" (Dtype.to_string from)
+                 (Dtype.to_string into) v)
+              (Dtype.cast ~from ~into v) (Host_buffer.get dst i)
+          done)
+        all_dtypes)
+    int_dtypes
+
+let test_int_scan_segment () =
+  List.iter
+    (fun dt ->
+      List.iter
+        (fun op ->
+          Array.iter
+            (fun init ->
+              let b = Host_buffer.of_array dt edges in
+              let expect = Array.map (Dtype.round dt) edges in
+              let n = Array.length edges and seg = 5 in
+              let got = Host_buffer.scan_segment op b ~off:0 ~len:n ~seg ~init in
+              let carry = ref init and r = fun_of_binop op in
+              Array.iteri
+                (fun j v ->
+                  let v' =
+                    match op with
+                    | Host_buffer.Max | Host_buffer.Min -> r !carry v
+                    | _ -> r v !carry
+                  in
+                  expect.(j) <- Dtype.round dt v';
+                  if j mod seg = seg - 1 || j = n - 1 then carry := expect.(j))
+                expect;
+              check_bits "final carry" !carry got;
+              Array.iteri
+                (fun j e ->
+                  check_bits
+                    (Printf.sprintf "scan_segment %s init=%h [%d]"
+                       (Dtype.to_string dt) init j)
+                    e (Host_buffer.get b j))
+                expect)
+            edges)
+        Host_buffer.[ Add; Sub; Mul; Max; Min ])
+    int_dtypes
+
+(* I8 x I8 -> I32 products on every structured evaluator and the
+   general one, with and without accumulation into I32 contents taken
+   from the edges (so sums wrap at 2^31), against exact double sums
+   rounded by [Dtype.round I32]. *)
+let test_cube_i32 () =
+  let s = 8 and m = 8 in
+  let dev = Device.create ~domains:1 () in
+  let ctx = Block.make ~device:dev ~idx:0 ~num_blocks:1 in
+  let pick i = edges.(i mod Array.length edges) in
+  let general kind n =
+    let t = Block.alloc ctx kind Dtype.I8 n in
+    for i = 0 to n - 1 do Local_tensor.set t i (pick (7 * i)) done;
+    t
+  in
+  let cases =
+    [ ("U right", `Right Scan.Const_mat.Upper);
+      ("L right", `Right Scan.Const_mat.Lower);
+      ("1 right", `Right Scan.Const_mat.Ones);
+      ("L- left", `Left Scan.Const_mat.Strict_lower);
+      ("L left", `Left Scan.Const_mat.Lower);
+      ("general", `General) ]
+  in
+  List.iter
+    (fun (name, shape) ->
+      List.iter
+        (fun accumulate ->
+          let a, b =
+            match shape with
+            | `Right which ->
+                let b = Block.alloc ctx Mem_kind.L0b Dtype.I8 (s * s) in
+                Scan.Const_mat.fill b ~s which;
+                (general Mem_kind.L0a (m * s), b)
+            | `Left which ->
+                let a = Block.alloc ctx Mem_kind.L0a Dtype.I8 (m * m) in
+                Scan.Const_mat.fill a ~s:m which;
+                (a, general Mem_kind.L0b (m * s))
+            | `General -> (general Mem_kind.L0a (m * s), general Mem_kind.L0b (s * s))
+          in
+          let k = match shape with `Left _ -> m | _ -> s in
+          let c = Block.alloc ctx Mem_kind.L0c Dtype.I32 (m * s) in
+          for i = 0 to (m * s) - 1 do Local_tensor.set c i (pick (3 * i)) done;
+          let base = Array.init (m * s) (Local_tensor.get c) in
+          Cube.mmad ctx ~a ~b ~c ~m ~k ~n:s ~accumulate;
+          for i = 0 to m - 1 do
+            for j = 0 to s - 1 do
+              let sum = ref (if accumulate then base.((i * s) + j) else 0.0) in
+              for t = 0 to k - 1 do
+                sum :=
+                  !sum
+                  +. Local_tensor.get a ((i * k) + t)
+                     *. Local_tensor.get b ((t * s) + j)
+              done;
+              check_bits
+                (Printf.sprintf "%s acc=%b [%d,%d]" name accumulate i j)
+                (Dtype.round Dtype.I32 !sum)
+                (Local_tensor.get c ((i * s) + j))
+            done
+          done)
+        [ false; true ])
+    cases
+
+(* ------------------------------------------------------------------ *)
+(* Allocation guards: a bulk path that boxes allocates words per
+   element, so each of these must stay under one minor word per element
+   at 64K elements. *)
+
+let n64k = 65536
+
+let minor_words f =
+  f ();
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let check_alloc name f =
+  let w = minor_words f in
+  if w >= float_of_int n64k then
+    Alcotest.failf "%s: %.0f minor words for %d elements" name w n64k
+
+let test_alloc_guards () =
+  let ints = Array.init n64k (fun i -> float_of_int ((i * 7919) - 200_000)) in
+  let mask = Array.init n64k (fun i -> if i land 1 = 0 then 1.0 else 0.0) in
+  let i32 = Host_buffer.of_array Dtype.I32 ints in
+  let i16 = Host_buffer.create Dtype.I16 n64k in
+  let m8 = Host_buffer.of_array Dtype.I8 mask in
+  let f16 = Host_buffer.of_array Dtype.F16 ints in
+  let f16' = Host_buffer.create Dtype.F16 n64k in
+  check_alloc "of_array I8" (fun () ->
+      Host_buffer.retire (Host_buffer.of_array Dtype.I8 ints));
+  check_alloc "blit I32->I16" (fun () ->
+      Host_buffer.blit ~src:i32 ~src_off:0 ~dst:i16 ~dst_off:0 ~len:n64k);
+  check_alloc "scan_segment I32" (fun () ->
+      ignore
+        (Host_buffer.scan_segment Host_buffer.Add i32 ~off:0 ~len:n64k ~seg:128
+           ~init:1.0));
+  check_alloc "gather_mask F16" (fun () ->
+      ignore
+        (Host_buffer.gather_mask ~src:f16 ~src_off:0 ~mask:m8 ~mask_off:0
+           ~dst:f16' ~dst_off:0 ~len:n64k));
+  check_alloc "gather_mask I32" (fun () ->
+      ignore
+        (Host_buffer.gather_mask ~src:i32 ~src_off:0 ~mask:m8 ~mask_off:0
+           ~dst:i16 ~dst_off:0 ~len:n64k));
+  check_alloc "to_array" (fun () -> ignore (Host_buffer.to_array i32));
+  let dev = Device.create ~domains:1 () in
+  let x =
+    Device.of_array dev Dtype.F16 ~name:"x"
+      (Array.init n64k (fun i -> float_of_int (i land 3)))
+  in
+  check_alloc "ScanUL1 launch" (fun () ->
+      let y, _ = Scan.Scan_ul1.run dev x in
+      Global_tensor.retire y)
+
 let () =
   Alcotest.run "bulk"
     [
@@ -353,5 +644,19 @@ let () =
             prop_of_array_roundtrip;
             prop_f16_set_is_fp16_round;
             prop_f32_set_is_round_f32;
+            prop_gather_mask;
           ] );
+      ("two NaNs", [ Alcotest.test_case "kernels = shim" `Quick test_two_nans ]);
+      ( "int edges",
+        [
+          Alcotest.test_case "of_array = Dtype.round" `Quick test_int_of_array;
+          Alcotest.test_case "converting blit = Dtype.cast" `Quick test_int_blit;
+          Alcotest.test_case "scan_segment = Dtype.round" `Quick
+            test_int_scan_segment;
+          Alcotest.test_case "Cube I32 evaluators = Dtype.round" `Quick
+            test_cube_i32;
+        ] );
+      ( "allocation",
+        [ Alcotest.test_case "bulk paths stay unboxed" `Quick test_alloc_guards ]
+      );
     ]

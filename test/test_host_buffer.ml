@@ -115,7 +115,7 @@ let writers =
   [| "set"; "set_cast"; "unsafe_set"; "fill"; "fill_range"; "blit";
      "blit_convert"; "load_array"; "map2_binop"; "map1_scalar"; "map1_f";
      "map2_f"; "select_range"; "arange_range"; "scan_accum"; "scan_segment";
-     "write_data" |]
+     "gather_mask"; "write_data" |]
 
 let apply_writer st b name =
   let dt = Host_buffer.dtype b and n = Host_buffer.length b in
@@ -162,6 +162,11 @@ let apply_writer st b name =
         (Host_buffer.scan_segment
            binops.(Random.State.int st (Array.length binops))
            b ~off ~len ~seg:(1 + Random.State.int st 8) ~init:(v ()))
+  | "gather_mask" ->
+      ignore
+        (Host_buffer.gather_mask ~src:(src ()) ~src_off:0
+           ~mask:(rand_buffer st Dtype.I8 n) ~mask_off:0 ~dst:b ~dst_off:off
+           ~len)
   | "write_data" ->
       let d = Host_buffer.write_data b ~extent:(off + len) in
       for i = off to off + len - 1 do

@@ -163,6 +163,30 @@ let test_gather_mask () =
   check_int "count" 3 n;
   Alcotest.(check (array (float 0.0))) "gathered" [| 10.0; 30.0; 40.0 |] (dump d 3)
 
+(* A compaction that overflows [dst] is a typed range error, recorded
+   by the sanitizer, and writes nothing; a short [dst] that holds the
+   selection is fine. *)
+let test_gather_mask_overflow () =
+  let dev = Device.create ~sanitize:true () in
+  let c = Block.make ~device:dev ~idx:0 ~num_blocks:1 in
+  let a = ub c and m = ub ~dt:Dtype.I8 c in
+  load a [| 10.0; 20.0; 30.0; 40.0 |];
+  load m [| 1.0; 1.0; 0.0; 1.0 |];
+  let fits = ub ~n:3 c in
+  check_int "fits" 3 (Vec.gather_mask c ~src:a ~mask:m ~dst:fits ~len:4 ());
+  let d = ub ~n:3 c in
+  Alcotest.check_raises "overflow"
+    (Invalid_argument "Vec.gather_mask: range 1+3 out of bounds [0,3)")
+    (fun () ->
+      ignore (Vec.gather_mask c ~src:a ~mask:m ~dst:d ~dst_off:1 ~len:4 ()));
+  Alcotest.(check (array (float 0.0))) "nothing written" [| 0.0; 0.0; 0.0 |]
+    (dump d 3);
+  match Device.sanitizer dev with
+  | None -> Alcotest.fail "sanitizer not armed"
+  | Some san ->
+      check_int "one out-of-bounds record" 1
+        (Sanitizer.count_kind san Sanitizer.Out_of_bounds)
+
 let test_sort_region () =
   let c = ctx () in
   let a = ub ~n:64 c and d = ub ~n:64 c in
@@ -228,6 +252,8 @@ let () =
           Alcotest.test_case "reductions" `Quick test_reductions;
           Alcotest.test_case "cumsum" `Quick test_cumsum;
           Alcotest.test_case "gather_mask" `Quick test_gather_mask;
+          Alcotest.test_case "gather_mask overflow" `Quick
+            test_gather_mask_overflow;
           Alcotest.test_case "sort_region" `Quick test_sort_region;
           Alcotest.test_case "get/set" `Quick test_get_set;
           Alcotest.test_case "ub only" `Quick test_ub_only;
