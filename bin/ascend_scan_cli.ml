@@ -104,10 +104,13 @@ type obs_opts = {
   profile_file : string option;
 }
 
+(* An output path that cannot be written is a usage error, exit 2. *)
 let write_file path content =
-  let oc = open_out_bin path in
-  output_string oc content;
-  close_out oc
+  match open_out_bin path with
+  | oc ->
+      output_string oc content;
+      close_out oc
+  | exception Sys_error msg -> raise (Usage_error ("cannot write " ^ msg))
 
 let read_file path =
   let ic = open_in_bin path in
@@ -375,7 +378,9 @@ let params_term =
     $ opt Arg.int R.Devices ~docv:"D"
         ~doc:"Pod size: the shards of a pod-backed entry run on D devices."
     $ opt Arg.int R.Batch ~docv:"B"
-        ~doc:"Independent rows of a batched entry; each row is N / B long.")
+        ~doc:
+          "Independent rows of a batched entry (default 4); B must divide \
+           N, and each row is N / B long.")
 
 let run_cmd =
   let module R = Scan.Op_registry in
@@ -436,6 +441,8 @@ let run_cmd =
     let cfg =
       match cfg.R.batch with
       | Some b when b < 1 -> usage "--batch must be >= 1"
+      | Some b when entry.R.caps.R.batched && n mod b <> 0 ->
+          usage "--batch %d must divide N (got %d)" b n
       | Some b when entry.R.caps.R.batched -> { cfg with R.len = Some (n / b) }
       | _ -> cfg
     in
@@ -589,8 +596,9 @@ let checkpointed_run ~group ~narrator ~resume ~store_path ~meta ~batch ~len
     | None, true ->
         raise (Usage_error (group ^ " resume requires --store FILE"))
     | None, false -> None
-    | Some path, false ->
-        Some (Runtime.Checkpoint_store.create ~path ~rows:batch ~len ~meta ())
+    | Some path, false -> (
+        try Some (Runtime.Checkpoint_store.create ~path ~rows:batch ~len ~meta ())
+        with Sys_error msg -> raise (Usage_error ("--store: " ^ msg)))
     | Some path, true -> (
         match Runtime.Checkpoint_store.reopen ~path with
         | Error e -> raise (Usage_error ("--store: " ^ e))

@@ -140,7 +140,6 @@ let equal_simulated a b =
   && a.retries = b.retries && a.degraded = b.degraded
   && a.launches = b.launches
 
-let effective_bandwidth t ~bytes = float_of_int bytes /. t.seconds
 let elements_per_second t ~elements = float_of_int elements /. t.seconds
 
 let pp_summary fmt t =

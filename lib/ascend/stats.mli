@@ -105,11 +105,6 @@ val combine : name:string -> t list -> t
     phases concatenate, and per-engine busy cycles sum. Raises
     [Invalid_argument] on an empty list. *)
 
-val effective_bandwidth : t -> bytes:int -> float
-(** [bytes / seconds]: the bandwidth metric of the paper's figures, with
-    the caller choosing which bytes count (e.g. 2 x N x elem-size for a
-    scan: N read + N written). *)
-
 val elements_per_second : t -> elements:int -> float
 
 val pp : Format.formatter -> t -> unit

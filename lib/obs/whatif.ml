@@ -7,8 +7,9 @@
    barriers with double-buffered load pacing), and recompose phase and
    launch times from the launch-composition args the trace carries.
    The ranked report answers "which resource, sped up, buys the most
-   makespan" — and the pipeline prediction is gated in BENCH_10
-   against the measured serial->triple gain of BENCH_9. *)
+   makespan" — and the pipeline prediction is gated in
+   test/test_critical_path.ml against the measured serial->triple
+   gain. *)
 
 module Cp = Critical_path
 
@@ -204,10 +205,10 @@ let predict_cycles (t : Cp.t) scenario =
     0.0 t.Cp.launches
 
 (* Compute-only prediction: the sum over phases of the retimed
-   bounding-core chain, in cycles — the same quantity BENCH_9 gates on
-   (sum of per-phase compute_seconds x clock), so BENCH_10 can compare
-   the profiler's pipeline prediction directly against the measured
-   schedule gain. *)
+   bounding-core chain, in cycles — the same quantity test_pipeline pins
+   (sum of per-phase compute_seconds x clock), so test_critical_path
+   can compare the profiler's pipeline prediction directly against the
+   measured schedule gain. *)
 let predict_compute_cycles (t : Cp.t) scenario =
   List.fold_left
     (fun acc (l : Cp.launch) ->

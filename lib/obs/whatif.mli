@@ -20,7 +20,8 @@ type scenario =
           dataflow (queue order, load->compute->store), and pace loads
           by double-buffer slot reuse (load k waits for load k-2's
           consumer). Predicts what the Double/Triple walker schedules
-          buy over Serial — gated against BENCH_9 in BENCH_10. *)
+          buy over Serial — gated against the measured gain in
+          test/test_critical_path.ml. *)
 
 val label : scenario -> string
 
@@ -35,7 +36,7 @@ val retime_block : scenario -> Critical_path.block -> float
 
 val predict_compute_cycles : Critical_path.t -> scenario -> float
 (** Sum over phases of the retimed bounding-core block chain, in
-    cycles — the quantity BENCH_9 gates on (per-phase
+    cycles — the quantity test/test_pipeline.ml pins (per-phase
     [compute_seconds] x clock, no launch latency or SyncAll), so the
     pipeline prediction can be compared directly against a measured
     schedule gain. *)

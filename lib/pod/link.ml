@@ -254,7 +254,6 @@ let clear_quarantine t =
 let sends t = t.n_sends
 let delivered t = t.n_delivered
 let retries t = t.n_retries
-let drops t = t.n_drops
 let crc_detected t = t.n_crc
 let stalls t = t.n_stalls
 let seconds t = t.total_seconds

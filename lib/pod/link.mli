@@ -88,7 +88,6 @@ val delivered : t -> int
 val retries : t -> int
 (** Attempts beyond the first, summed over the link's lifetime. *)
 
-val drops : t -> int
 val crc_detected : t -> int
 val stalls : t -> int
 val seconds : t -> float

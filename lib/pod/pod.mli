@@ -130,7 +130,6 @@ val events : t -> event list
 val link_sends : t -> int
 val link_delivered : t -> int
 val link_retries : t -> int
-val link_drops : t -> int
 val link_crc_detected : t -> int
 val link_stalls : t -> int
 val link_seconds : t -> float

@@ -32,20 +32,6 @@ let softmax_probs ~seed ?(temperature = 1.0) n =
   let z = Array.fold_left ( +. ) 0.0 exps in
   Array.map (fun e -> Ascend.Fp16.round (e /. z)) exps
 
-let zipf_weights ~seed ?(exponent = 1.1) n =
-  let rng = Random.State.make [| seed |] in
-  let w =
-    Array.init n (fun i ->
-        Ascend.Fp16.round (1.0 /. Float.pow (float_of_int (i + 1)) exponent))
-  in
-  for i = n - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let t = w.(i) in
-    w.(i) <- w.(j);
-    w.(j) <- t
-  done;
-  w
-
 let permutation ~seed n =
   let rng = Random.State.make [| seed |] in
   let p = Array.init n Fun.id in

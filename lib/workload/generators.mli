@@ -29,9 +29,5 @@ val softmax_probs : seed:int -> ?temperature:float -> int -> float array
     logits in [0, 8\] divided by [temperature] (default 1.0), rounded
     to fp16. *)
 
-val zipf_weights : seed:int -> ?exponent:float -> int -> float array
-(** Zipf-like weights [1 / (rank+1)^exponent] (default 1.1) in a random
-    permutation, rounded to fp16. *)
-
 val permutation : seed:int -> int -> int array
 (** A uniformly random permutation of [0 .. n-1] (Fisher-Yates). *)

@@ -4,8 +4,10 @@
      every device, fault and observability flag given) and on
      [--cost-only] (with every parameter it declares), and its [--trace]
      passes [trace validate]. A per-op flag the entry does not declare,
-     and each out-of-range parameter, exits 2 with one error line (plus
-     the usage pointer).
+     each out-of-range parameter, a [--batch] that does not divide N,
+     and an output path that cannot be written ([--trace],
+     [--stats-json], [--profile], [chaos run --store]) exits 2 with one
+     error line (plus the usage pointer).
    - [profile]: a small trace, then truncated and byte-flipped copies of
      it. Every rejection exits 2 the same way, never with an uncaught
      exception, and a flip the profiler accepts still exits 0.
@@ -138,6 +140,11 @@ let out_of_range =
     [ "--op"; "dist_scan"; "--devices"; "0" ];
     [ "--op"; "topp"; "--check" ];
     [ "--op"; "split"; "--resilient" ];
+    [ "--op"; "batched_u"; "-n"; "100"; "--batch"; "3" ];
+    (* Unwritable output paths. *)
+    [ "--op"; "mcscan"; "-n"; "128"; "--trace"; "/nonexistent/x.json" ];
+    [ "--op"; "mcscan"; "-n"; "128"; "--stats-json"; "/nonexistent/x.json" ];
+    [ "--op"; "mcscan"; "-n"; "128"; "--profile"; "/nonexistent/x.json" ];
   ]
 
 let check_run () =
@@ -148,7 +155,12 @@ let check_run () =
   List.iter
     (fun args ->
       expect_usage ~what:(String.concat " " args) ("run" :: args))
-    out_of_range
+    out_of_range;
+  let scenario = Filename.temp_file "cli_harness" ".chaos" in
+  write_file scenario "name unwritable-store\nseed 1\n";
+  expect_usage ~what:"chaos run, unwritable --store"
+    [ "chaos"; "run"; "--scenario"; scenario; "--store"; "/nonexistent/d/x" ];
+  Sys.remove scenario
 
 (* ------------------------------------------------------------------ *)
 (* profile                                                             *)

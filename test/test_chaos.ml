@@ -1,7 +1,8 @@
 (* Tests of the chaos subsystem: the scenario DSL parser, the
    deterministic armed scheduler, the adaptive degradation
    controller's state machine, and the in-process crash/resume
-   storyline (resume-equals-replay, byte for byte). *)
+   storylines (resume-equals-replay, byte for byte, with no row lost
+   and no committed row re-executed). *)
 
 open Ascend
 open Runtime
@@ -269,11 +270,29 @@ let batch = 32
 let len = 2048
 let input = Array.init (batch * len) (fun i -> if i mod 53 = 0 then 1.0 else 0.0)
 
-let crash_scenario =
-  "name crash\n\
-   seed 11\n\
-   at launch 1 storm rate=0.3 kinds=dropped_copy for=2\n\
-   at launch 4 crash\n"
+(* The crash storylines: a storm then a crash, a cube-scoped storm on
+   a faulty base rate then a crash, and core attrition then a crash. *)
+let crash_storylines =
+  [
+    ( "crash_resume",
+      "name crash_resume\n\
+       seed 11\n\
+       at launch 1 storm rate=0.3 kinds=dropped_copy for=2\n\
+       at launch 4 crash\n" );
+    ( "storm_then_crash",
+      "name storm_then_crash\n\
+       seed 42\n\
+       rate 0.0005\n\
+       at launch 0 storm rate=0.7 kinds=dropped_copy,truncated_copy \
+       scope=cube for=3\n\
+       at launch 5 crash\n" );
+    ( "attrition_crash",
+      "name attrition_crash\n\
+       seed 7\n\
+       at launch 1 kill core=3\n\
+       at launch 2 quarantine core=5 for=2\n\
+       at launch 3 crash\n" );
+  ]
 
 let run_batched ?store ~skip_crashes sc =
   let device =
@@ -281,15 +300,30 @@ let run_batched ?store ~skip_crashes sc =
   in
   let ctl = Degrade_ctl.create () in
   let ch = Chaos.arm ~skip_crashes sc in
-  Resilient.batched_scan ?store ~ctl ~chaos:ch device ~batch ~len ~input
+  (Resilient.batched_scan ?store ~ctl ~chaos:ch device ~batch ~len ~input, ch)
 
 let bytes_of r =
   Array.init (batch * len) (Global_tensor.get r.Resilient.y)
 
-let test_crash_resume_is_byte_identical () =
-  let sc = parse_ok crash_scenario in
+(* Two fresh runs of each storyline fire the same log and write the
+   same bytes. *)
+let test_storylines_are_deterministic () =
+  List.iter
+    (fun (name, text) ->
+      let sc = parse_ok text in
+      let a, ch_a = run_batched ~skip_crashes:true sc in
+      let b, ch_b = run_batched ~skip_crashes:true sc in
+      check_bool (name ^ ": same fired log") true
+        (Chaos.fired ch_a = Chaos.fired ch_b);
+      check_bool (name ^ ": same bytes") true (bytes_of a = bytes_of b))
+    crash_storylines
+
+let crash_resume_is_byte_identical (name, text) =
+  let sc = parse_ok text in
+  let check_bool what = check_bool (name ^ ": " ^ what)
+  and check_int what = check_int (name ^ ": " ^ what) in
   (* reference storyline without the crash *)
-  let ref_r = run_batched ~skip_crashes:true sc in
+  let ref_r, _ = run_batched ~skip_crashes:true sc in
   check_bool "reference completes" true ref_r.Resilient.bok;
   let path = Filename.temp_file "test_chaos_" ".ckpt" in
   Fun.protect
@@ -299,7 +333,7 @@ let test_crash_resume_is_byte_identical () =
     (fun () ->
       let store = Checkpoint_store.create ~path ~rows:batch ~len () in
       (match run_batched ~store ~skip_crashes:false sc with
-      | _ -> Alcotest.fail "expected Host_crash mid-batch"
+      | _ -> Alcotest.failf "%s: expected Host_crash mid-batch" name
       | exception Chaos.Host_crash _ -> ());
       let commits_at_crash = Checkpoint_store.commits store in
       check_bool "partial progress durable" true
@@ -308,11 +342,11 @@ let test_crash_resume_is_byte_identical () =
       let resumed, l =
         match Checkpoint_store.reopen ~path with
         | Ok v -> v
-        | Error e -> Alcotest.failf "reopen: %s" e
+        | Error e -> Alcotest.failf "%s: reopen: %s" name e
       in
       check_bool "no torn tail (atomic rename)" true
         (not l.Checkpoint_store.l_torn);
-      let res_r = run_batched ~store:resumed ~skip_crashes:true sc in
+      let res_r, _ = run_batched ~store:resumed ~skip_crashes:true sc in
       check_bool "resume completes" true res_r.Resilient.bok;
       check_bool "rows were restored, not recomputed" true
         (res_r.Resilient.restored_rows > 0);
@@ -342,6 +376,9 @@ let test_crash_resume_is_byte_identical () =
         all;
       check_int "zero re-executed committed rows" 0 !reexec)
 
+let test_crash_resume_is_byte_identical () =
+  List.iter crash_resume_is_byte_identical crash_storylines
+
 let test_fully_covered_store_launches_nothing () =
   let sc = parse_ok "seed 1\n" in
   let path = Filename.temp_file "test_chaos_full_" ".ckpt" in
@@ -351,14 +388,14 @@ let test_fully_covered_store_launches_nothing () =
       try Sys.remove (path ^ ".tmp") with Sys_error _ -> ())
     (fun () ->
       let store = Checkpoint_store.create ~path ~rows:batch ~len () in
-      let full = run_batched ~store ~skip_crashes:true sc in
+      let full, _ = run_batched ~store ~skip_crashes:true sc in
       check_bool "first run completes" true full.Resilient.bok;
       let resumed =
         match Checkpoint_store.reopen ~path with
         | Ok (st, _) -> st
         | Error e -> Alcotest.failf "reopen: %s" e
       in
-      let res = run_batched ~store:resumed ~skip_crashes:true sc in
+      let res, _ = run_batched ~store:resumed ~skip_crashes:true sc in
       check_bool "resume completes" true res.Resilient.bok;
       check_int "every row restored" batch res.Resilient.restored_rows;
       check_int "zero launches" 0 res.Resilient.bstats.Stats.launches;
@@ -393,8 +430,9 @@ let () =
         ] );
       ( "scheduler",
         [
-          Alcotest.test_case "deterministic" `Quick
-            test_scheduler_is_deterministic;
+          Alcotest.test_case "deterministic" `Quick (fun () ->
+              test_scheduler_is_deterministic ();
+              test_storylines_are_deterministic ());
           Alcotest.test_case "quarantine revives" `Quick test_quarantine_revives;
           Alcotest.test_case "storm restores policy" `Quick
             test_storm_restores_base_policy;

@@ -10,7 +10,9 @@
    - the analysis itself: a hand-built diamond DAG produces the known
      critical path and the known per-span slack values;
    - derived outputs: the profile report is byte-identical across host
-     domain counts. *)
+     domain counts;
+   - prediction: the pipeline what-if, run on a serial MCScan trace,
+     lands within 5 points of the measured serial -> triple gain. *)
 
 open Ascend
 
@@ -217,6 +219,68 @@ let test_report_domain_identity () =
   check_string "report identical across domains 1/4" r1 (report ~domains:4)
 
 (* ------------------------------------------------------------------ *)
+(* The pipeline what-if, from a serial trace's bytes alone, predicts
+   the measured serial -> triple MCScan gain within 5 points. The
+   gain is over per-phase compute cycles, the quantity test_pipeline
+   pins; launch latency and SyncAll do not depend on the schedule. *)
+
+(* n, predicted triple compute cycles. *)
+let pinned_predictions = [ (65536, 6008); (262144, 6008); (1048576, 18332) ]
+
+let mcscan_compute_cycles ~schedule ~traced n =
+  Scan.Scan_core.with_schedule schedule (fun () ->
+      let dev = Device.create () in
+      if traced then ignore (Device.arm_trace dev);
+      let x =
+        Device.of_array dev Dtype.F16 ~name:"bx"
+          (Array.init n (fun i -> if i mod 37 = 0 then 1.0 else 0.0))
+      in
+      let st = snd (Scan.Mcscan.run dev x) in
+      let clock_hz = (Device.cost dev).Cost_model.clock_hz in
+      ( List.fold_left
+          (fun acc (p : Stats.phase) -> acc +. (p.Stats.compute_seconds *. clock_hz))
+          0.0 st.Stats.phases,
+        Device.trace dev ))
+
+let test_whatif_predicts_pipeline_gain () =
+  List.iter
+    (fun (n, pinned) ->
+      let serial, tr =
+        mcscan_compute_cycles ~schedule:Scan.Scan_core.Serial ~traced:true n
+      in
+      let triple, _ =
+        mcscan_compute_cycles ~schedule:Scan.Scan_core.Triple ~traced:false n
+      in
+      let p =
+        profile_of
+          (match tr with
+          | Some tr -> tr
+          | None -> Alcotest.fail "serial run recorded no trace")
+      in
+      let reconstructed =
+        Obs.Whatif.predict_compute_cycles p
+          (Obs.Whatif.Speedup { label = "baseline"; queues = []; factor = 1.0 })
+      in
+      check_bool
+        (Printf.sprintf "n=%d: reconstructed serial %.1f within 0.5 of %.1f" n
+           reconstructed serial)
+        true
+        (Float.abs (reconstructed -. serial) <= 0.5);
+      let predicted = Obs.Whatif.predict_compute_cycles p Obs.Whatif.Pipeline in
+      check_int
+        (Printf.sprintf "n=%d: predicted cycles" n)
+        pinned
+        (int_of_float (Float.round predicted));
+      let measured_gain = 100.0 *. (1.0 -. (triple /. serial))
+      and predicted_gain = 100.0 *. (1.0 -. (predicted /. serial)) in
+      check_bool
+        (Printf.sprintf "n=%d: predicted %.2f%% within 5 points of measured \
+                         %.2f%%" n predicted_gain measured_gain)
+        true
+        (Float.abs (predicted_gain -. measured_gain) <= 5.0))
+    pinned_predictions
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let matrix =
@@ -240,5 +304,7 @@ let () =
           Alcotest.test_case "diamond dag" `Quick test_diamond;
           Alcotest.test_case "report domain identity" `Quick
             test_report_domain_identity;
+          Alcotest.test_case "what-if predicts pipeline gain" `Quick
+            test_whatif_predicts_pipeline_gain;
         ] );
     ]

@@ -6,7 +6,11 @@
       serial schedule on the same corner-biased random input — async
       DataCopy is a timing construct only, never a numeric one.
 
-   2. A unit matrix of wait_group misuse, showing each hazard pattern
+   2. The schedules' simulated compute cycles for MCScan, ScanU and
+      the vector-only scan at 64K / 256K / 1M, pinned exactly, and the
+      floor on the triple-vs-serial MCScan gain.
+
+   3. A unit matrix of wait_group misuse, showing each hazard pattern
       is caught by the sanitizer with a clear diagnostic. *)
 
 open Ascend
@@ -144,6 +148,92 @@ let equivalence_tests =
                (equivalence_prop entry dtype)))
         entry.Reg.caps.Reg.dtypes)
     (Reg.all ())
+
+(* ------------------------------------------------------------------ *)
+(* Simulated compute cycles per schedule: the sum of per-phase
+   critical-path compute time, in core cycles (launch latency and the
+   bandwidth cap do not depend on the schedule). Cycles are
+   deterministic, so every value is pinned exactly; a timing-golden
+   [--why] bump updates this table in the same commit. The paper's
+   overlap claim is the floor: triple-buffered MCScan spends at least
+   20% fewer compute cycles than serial at every size. *)
+
+let compute_cycles (st : Stats.t) clock_hz =
+  List.fold_left
+    (fun acc (p : Stats.phase) -> acc +. (p.Stats.compute_seconds *. clock_hz))
+    0.0 st.Stats.phases
+
+let sparse_f16 n = Array.init n (fun i -> if i mod 37 = 0 then 1.0 else 0.0)
+
+let mixed_f32 n =
+  Array.init n (fun i ->
+      if i mod 37 = 0 then 2.0 else if i mod 5 = 0 then -0.5 else 0.25)
+
+let schedule_kernels =
+  [
+    ("mcscan", Dtype.F16, sparse_f16, fun dev x -> snd (Scan.Mcscan.run dev x));
+    ("scan_u", Dtype.F16, sparse_f16, fun dev x -> snd (Scan.Scan_u.run dev x));
+    ( "vec_only", Dtype.F32, mixed_f32,
+      fun dev x -> snd (Scan.Scan_vec_only.run dev x) );
+  ]
+
+(* kernel, n, (serial, double, triple) compute cycles. *)
+let pinned_cycles =
+  [
+    ("mcscan", 65536, (10846, 6061, 6061));
+    ("mcscan", 262144, (10847, 6061, 6061));
+    ("mcscan", 1048576, (40908, 20415, 18892));
+    ("scan_u", 65536, (37972, 33271, 33271));
+    ("scan_u", 262144, (150365, 126859, 126859));
+    ("scan_u", 1048576, (599937, 501213, 501213));
+    ("vec_only", 65536, (149000, 146003, 146003));
+    ("vec_only", 262144, (596001, 581016, 581016));
+    ("vec_only", 1048576, (2384005, 2321066, 2321066));
+  ]
+
+let measured_cycles =
+  lazy
+    (List.map
+       (fun (kernel, n, _) ->
+         let _, dt, data, run =
+           List.find (fun (k, _, _, _) -> k = kernel) schedule_kernels
+         in
+         let a = data n in
+         let at sched =
+           Scan.Scan_core.with_schedule sched (fun () ->
+               let dev = Device.create () in
+               let x = Device.of_array dev dt ~name:"bx" a in
+               compute_cycles (run dev x) (Device.cost dev).Cost_model.clock_hz)
+         in
+         ( kernel, n,
+           Scan.Scan_core.(at Serial, at Double, at Triple) ))
+       pinned_cycles)
+
+let test_cycles_pinned () =
+  List.iter2
+    (fun (kernel, n, (s, d, t)) (_, _, (ms, md, mt)) ->
+      let check sched want got =
+        check_int
+          (Printf.sprintf "%s n=%d %s cycles" kernel n sched)
+          want
+          (int_of_float (Float.round got))
+      in
+      check "serial" s ms;
+      check "double" d md;
+      check "triple" t mt)
+    pinned_cycles (Lazy.force measured_cycles)
+
+let test_triple_gain_floor () =
+  List.iter
+    (fun (kernel, n, (s, _, t)) ->
+      if kernel = "mcscan" then begin
+        let gain = 100.0 *. (1.0 -. (t /. s)) in
+        check_bool
+          (Printf.sprintf "mcscan n=%d: triple %.0f vs serial %.0f cycles, \
+                           %.1f%% gain >= 20%%" n t s gain)
+          true (gain >= 20.0)
+      end)
+    (Lazy.force measured_cycles)
 
 (* ------------------------------------------------------------------ *)
 (* wait_group misuse matrix: every row is a distinct async-discipline
@@ -295,6 +385,13 @@ let () =
   Alcotest.run "pipeline"
     [
       ("equivalence", equivalence_tests);
+      ( "schedule cycles",
+        [
+          Alcotest.test_case "pinned per kernel and size" `Quick
+            test_cycles_pinned;
+          Alcotest.test_case "mcscan triple >= 20% gain" `Quick
+            test_triple_gain_floor;
+        ] );
       ( "wait_group misuse",
         [
           Alcotest.test_case "use before any wait" `Quick

@@ -2,7 +2,8 @@
    distributed scan's placement-invariance contract (bit-identical
    output and stats across pod sizes and surviving-device subsets),
    the pod chaos DSL verbs, the checkpoint-store version guard, and
-   the checkpointed pod runner. *)
+   the checkpointed pod runner (device kill, and the pod-partition
+   scenario crashed and resumed). *)
 
 open Ascend
 
@@ -18,6 +19,7 @@ let bytes_of y =
    fp16, so the distributed scan must equal the single-device scan bit
    for bit (the same contract the blocked-scan tests rely on). *)
 let gen_input n seed = Array.init n (fun i -> if (i + seed) mod 7 = 0 then 1.0 else 0.0)
+let sparse_53 n = Array.init n (fun i -> if i mod 53 = 0 then 1.0 else 0.0)
 
 let single_device_scan input =
   let device = Device.create ~mode:Device.Functional () in
@@ -148,16 +150,26 @@ let test_dist_all_dead_raises () =
   Alcotest.check_raises "no survivors" Health.All_cores_dead (fun () ->
       ignore (Scan.Dist_scan.run pod x))
 
+(* Ring and all-gather fold in shard order, so their bytes agree at
+   every pod size; all-gather pays in link traffic. *)
 let test_schedules_agree () =
-  let input = gen_input 1234 3 in
-  let ring = dist_scan_on ~schedule:Scan.Dist_scan.Ring ~devices:4 ~kill:[] input in
-  let ag =
-    dist_scan_on ~schedule:Scan.Dist_scan.All_gather ~devices:4 ~kill:[] input
-  in
-  check_bool "outputs equal" true
-    (bytes_of ring.Scan.Dist_scan.y = bytes_of ag.Scan.Dist_scan.y);
-  check_bool "all-gather sends more" true
-    (ag.Scan.Dist_scan.exchange_sends > ring.Scan.Dist_scan.exchange_sends)
+  List.iter
+    (fun (d, input) ->
+      let what = Printf.sprintf "d=%d n=%d" d (Array.length input) in
+      let ring =
+        dist_scan_on ~schedule:Scan.Dist_scan.Ring ~devices:d ~kill:[] input
+      in
+      let ag =
+        dist_scan_on ~schedule:Scan.Dist_scan.All_gather ~devices:d ~kill:[]
+          input
+      in
+      check_bool (what ^ ": outputs equal") true
+        (bytes_of ring.Scan.Dist_scan.y = bytes_of ag.Scan.Dist_scan.y);
+      check_bool (what ^ ": all-gather sends more") true
+        (ag.Scan.Dist_scan.exchange_sends > ring.Scan.Dist_scan.exchange_sends))
+    (List.concat_map
+       (fun d -> [ (d, gen_input 1234 3); (d, sparse_53 32768) ])
+       [ 2; 4; 8 ])
 
 let test_link_faults_leave_output_intact () =
   let input = gen_input 999 4 in
@@ -296,19 +308,97 @@ let test_pod_runner_completes () =
   check_bool "row 3 tail" true
     (Global_tensor.get r.Runtime.Resilient.y ((3 * len) + (len - 1)) = !acc)
 
+(* A device killed between launches: its rows re-shard over the
+   survivors, none is shed, and the bytes equal the full pod's. *)
 let test_pod_runner_survives_device_kill () =
-  let batch = 8 and len = 256 in
-  let input = gen_input (batch * len) 5 in
-  let clean = Runtime.Pod_runner.batched_scan (Pod.create ~devices:3 ()) ~batch ~len ~input in
-  let sc = parse_ok "name k\nseed 1\nat launch 1 kill device=2\n" in
-  let ch = Runtime.Chaos.arm ~on_crash:(fun _ -> ()) sc in
-  let pod = Pod.create ~devices:3 () in
-  let r = Runtime.Pod_runner.batched_scan ~chaos:ch pod ~batch ~len ~input in
-  check_bool "ok after device kill" true r.Runtime.Resilient.bok;
-  check_int "one device lost" 1
-    (Option.get r.Runtime.Resilient.pod).Runtime.Resilient.devices_lost;
-  check_bool "output bit-identical to full pod" true
-    (bytes_of clean.Runtime.Resilient.y = bytes_of r.Runtime.Resilient.y)
+  List.iter
+    (fun (devices, batch, len, input, scenario) ->
+      let what = Printf.sprintf "%d devices, %dx%d" devices batch len in
+      let clean =
+        Runtime.Pod_runner.batched_scan (Pod.create ~devices ()) ~batch ~len
+          ~input
+      in
+      let ch = Runtime.Chaos.arm ~on_crash:(fun _ -> ()) (parse_ok scenario) in
+      let pod = Pod.create ~devices () in
+      let r = Runtime.Pod_runner.batched_scan ~chaos:ch pod ~batch ~len ~input in
+      check_bool (what ^ ": ok after device kill") true r.Runtime.Resilient.bok;
+      check_int (what ^ ": one device lost") 1
+        (Option.get r.Runtime.Resilient.pod).Runtime.Resilient.devices_lost;
+      check_int (what ^ ": no rows shed") 0 r.Runtime.Resilient.shed_rows;
+      check_bool (what ^ ": output bit-identical to full pod") true
+        (bytes_of clean.Runtime.Resilient.y = bytes_of r.Runtime.Resilient.y))
+    [
+      (3, 8, 256, gen_input (8 * 256) 5,
+       "name k\nseed 1\nat launch 1 kill device=2\n");
+      (4, 16, 2048, sparse_53 (16 * 2048),
+       "name k4\nseed 5\nat launch 1 kill device=2\n");
+    ]
+
+(* scenarios/pod-partition.chaos (a link outage, a fault storm, a
+   device kill, then a host crash) run as reference, crashed and
+   resumed legs against one checkpoint store. *)
+let test_pod_partition_crash_resume () =
+  let batch = 16 and len = 2048 and devices = 4 in
+  let input = sparse_53 (batch * len) in
+  let sc =
+    parse_ok
+      (In_channel.with_open_bin "../scenarios/pod-partition.chaos"
+         In_channel.input_all)
+  in
+  let run_leg ?store ~skip_crashes () =
+    let primary =
+      Device.create ~mode:Device.Functional
+        ~fault:(Runtime.Chaos.fault_config sc) ()
+    in
+    let pod = Pod.create_with ~primary ~devices () in
+    let chaos = Runtime.Chaos.arm ~skip_crashes sc in
+    Runtime.Pod_runner.batched_scan ?store ~chaos pod ~batch ~len ~input
+  in
+  let ref_r = run_leg ~skip_crashes:true () in
+  let amplification =
+    float_of_int ref_r.Runtime.Resilient.group_attempts
+    /. float_of_int
+         (max 1 (Runtime.Checkpoint.commits ref_r.Runtime.Resilient.checkpoint))
+  in
+  check_bool
+    (Printf.sprintf "retry amplification %.2f <= 2.0" amplification)
+    true (amplification <= 2.0);
+  let path = Filename.temp_file "test_pod_" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove path with Sys_error _ -> ());
+      try Sys.remove (path ^ ".tmp") with Sys_error _ -> ())
+    (fun () ->
+      let store =
+        Runtime.Checkpoint_store.create ~path ~rows:batch ~len ()
+      in
+      (match run_leg ~store ~skip_crashes:false () with
+      | _ -> Alcotest.fail "expected Host_crash mid-batch"
+      | exception Runtime.Chaos.Host_crash _ -> ());
+      let commits_at_crash = Runtime.Checkpoint_store.commits store in
+      let resumed =
+        match Runtime.Checkpoint_store.reopen ~path with
+        | Ok (st, _) -> st
+        | Error e -> Alcotest.failf "reopen: %s" e
+      in
+      let res_r = run_leg ~store:resumed ~skip_crashes:true () in
+      check_int "no rows lost" batch
+        (Runtime.Checkpoint.done_count res_r.Runtime.Resilient.checkpoint);
+      check_bool "resume equals replay, byte for byte" true
+        (bytes_of ref_r.Runtime.Resilient.y = bytes_of res_r.Runtime.Resilient.y);
+      (* No row of a group the crashed run committed is in a group the
+         resume committed. *)
+      let groups = Runtime.Checkpoint_store.groups resumed in
+      let covered ~restored r =
+        List.exists
+          (fun (lo, hi, _) -> lo <= r && r < hi)
+          (List.filteri (fun i _ -> i < commits_at_crash = restored) groups)
+      in
+      check_int "zero re-executed committed rows" 0
+        (List.length
+           (List.filter
+              (fun r -> covered ~restored:true r && covered ~restored:false r)
+              (List.init batch Fun.id))))
 
 let () =
   Alcotest.run "pod"
@@ -362,5 +452,7 @@ let () =
           Alcotest.test_case "completes" `Quick test_pod_runner_completes;
           Alcotest.test_case "survives device kill" `Quick
             test_pod_runner_survives_device_kill;
+          Alcotest.test_case "partition crash/resume" `Quick
+            test_pod_partition_crash_resume;
         ] );
     ]
