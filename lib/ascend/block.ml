@@ -24,7 +24,9 @@ type t = {
   health : Health.t;
   kill_at : float;  (* seeded kill threshold of [core]; infinity = never *)
   clock0 : float;  (* [core]'s cumulative busy cycles at block start *)
-  mutable charged : float;  (* busy cycles charged by this block so far *)
+  charged : float array;
+      (* one cell: busy cycles charged by this block so far (a float
+         array cell updates in place; a mutable float field would box) *)
   vec_per_core : int;
   busy_total : float array;
   (* --- event timeline --- *)
@@ -48,7 +50,12 @@ type t = {
   mutable gm_read : int;
   mutable gm_write : int;
   touched_tbl : (int, int) Hashtbl.t;
-  ops_tbl : (string, int) Hashtbl.t;
+  (* Instruction counts: [op_totals.(i)] issues of [op_names.(i)] for
+     [i < n_ops], in first-seen order (see [op_slot]); the spare slots
+     past [n_ops] hold 0. *)
+  mutable op_names : string array;
+  mutable op_totals : int array;
+  mutable n_ops : int;
   allocators : (Mem_kind.t * int ref) list;
   mutable scratch : Local_tensor.t list;  (* for recycling at [finish] *)
   tb : Trace.Block_builder.b option;
@@ -88,7 +95,7 @@ let make_on ~core ~device ~idx ~num_blocks =
     health;
     kill_at = Health.kill_threshold health core;
     clock0 = Health.cycles_done health core;
-    charged = 0.0;
+    charged = [| 0.0 |];
     vec_per_core;
     busy_total = Array.make n 0.0;
     lanes = Array.make (Engine.lane_count ~vec_per_core) 0.0;
@@ -103,7 +110,9 @@ let make_on ~core ~device ~idx ~num_blocks =
     gm_read = 0;
     gm_write = 0;
     touched_tbl = Hashtbl.create 8;
-    ops_tbl = Hashtbl.create 16;
+    op_names = Array.make 8 "";
+    op_totals = Array.make 8 0;
+    n_ops = 0;
     allocators = List.map (fun k -> (k, ref 0)) kinds;
     scratch = [];
     tb =
@@ -117,9 +126,6 @@ let make ~device ~idx ~num_blocks =
 
 let idx t = t.idx
 let num_blocks t = t.num_blocks
-let core t = t.core
-let charged_cycles t = t.charged
-let device t = t.device
 let cost t = Device.cost t.device
 let functional t = Device.functional t.device
 let fault t = Device.fault t.device
@@ -143,8 +149,8 @@ let lane_clock t engine = t.lanes.(elane t engine)
    Stats.engine_busy and the Health kill clock stay bit-identical. *)
 let bump_busy t i cycles =
   t.busy_total.(i) <- t.busy_total.(i) +. cycles;
-  t.charged <- t.charged +. cycles;
-  if t.clock0 +. t.charged >= t.kill_at then begin
+  t.charged.(0) <- t.charged.(0) +. cycles;
+  if t.clock0 +. t.charged.(0) >= t.kill_at then begin
     (* Sync the health clock to the kill point so the death record
        carries the seeded cycle, then let note_cycles mark it dead. *)
     Health.note_cycles t.health ~core:t.core
@@ -153,23 +159,14 @@ let bump_busy t i cycles =
     | Some tb ->
         Trace.Block_builder.mark tb Trace.Death
           ~name:(Printf.sprintf "core %d dead" t.core)
-          ~cycle:t.charged
+          ~cycle:t.charged.(0)
     | None -> ());
     raise (Health.Core_dead { core = t.core; cycle = t.kill_at })
   end
 
 (* Issue time of the next op on engine [i] from lane [l]'s point of
    view: after both the lane cursor and the engine clock. *)
-let issue_start t i l = Float.max t.lanes.(l) t.avail.(i)
-
-let emit_span t ~op ~bytes engine i ~start ~cycles =
-  match t.tb with
-  | Some tb ->
-      Trace.Block_builder.span tb ~track:i ~engine:(Engine.to_string engine)
-        ~queue:(Engine.queue engine) ~op ~start ~cycles ~bytes
-  | None ->
-      ignore i;
-      -1
+let[@inline] issue_start t i l = Float.max t.lanes.(l) t.avail.(i)
 
 let recording t = Option.is_some t.tb
 
@@ -197,32 +194,43 @@ let emit_edges t ~dst preds =
    [issue_start]. *)
 let issue_src t i l = (t.last_id.(i), Trace.Queue) :: t.lane_src.(l)
 
+(* Record the span of an op issued on engine [i] from lane [l], with
+   its dependency edges, and make it the engine's last span. Called
+   only with a trace armed: the untraced charge path keeps [start] and
+   [stop] unboxed and allocates nothing. *)
+let record_issue t tb ~op ~bytes engine i l ~start ~cycles =
+  let id =
+    Trace.Block_builder.span tb ~track:i ~engine:(Engine.to_string engine)
+      ~queue:(Engine.queue engine) ~op ~start ~cycles ~bytes
+  in
+  emit_edges t ~dst:id (issue_src t i l);
+  t.last_id.(i) <- id;
+  id
+
 let charge ?(op = "charge") ?(bytes = 0) t engine cycles =
   let i = eindex t engine in
   let l = elane t engine in
   let start = issue_start t i l in
+  (match t.tb with
+  | None -> ()
+  | Some tb ->
+      let id = record_issue t tb ~op ~bytes engine i l ~start ~cycles in
+      t.lane_src.(l) <- [ (id, Trace.Lane) ]);
   let stop = start +. cycles in
-  let id = emit_span t ~op ~bytes engine i ~start ~cycles in
-  if id >= 0 then begin
-    emit_edges t ~dst:id (issue_src t i l);
-    t.last_id.(i) <- id
-  end;
   t.avail.(i) <- stop;
   t.lanes.(l) <- stop;
-  if id >= 0 then t.lane_src.(l) <- [ (id, Trace.Lane) ];
   bump_busy t i cycles
 
 let charge_async ?(op = "charge") ?(bytes = 0) ?dst t engine cycles =
   let i = eindex t engine in
   let l = elane t engine in
   let start = issue_start t i l in
+  (match t.tb with
+  | None -> ()
+  | Some tb ->
+      t.pend_last.(i) <-
+        record_issue t tb ~op ~bytes engine i l ~start ~cycles);
   let stop = start +. cycles in
-  let id = emit_span t ~op ~bytes engine i ~start ~cycles in
-  if id >= 0 then begin
-    emit_edges t ~dst:id (issue_src t i l);
-    t.last_id.(i) <- id;
-    t.pend_last.(i) <- id
-  end;
   t.avail.(i) <- stop;
   t.pend_count.(i) <- t.pend_count.(i) + 1;
   if stop > t.pend_end.(i) then t.pend_end.(i) <- stop;
@@ -320,6 +328,8 @@ let wait_all t =
   Array.fill t.pend_dsts 0 (Array.length t.pend_dsts) [];
   Array.fill t.pend_last 0 (Array.length t.pend_last) (-1)
 
+(* Whether [lt] is the destination of an async copy no wait has
+   retired yet (tracked only while a sanitizer is armed). *)
 let async_in_flight t lt =
   let memq l = List.exists (fun x -> x == lt) l in
   let hit = ref false in
@@ -364,7 +374,7 @@ let charge_rows t engine ~count entries =
         for j = 0 to n - 1 do
           let _, c = Array.unsafe_get entries j in
           t.busy_total.(i) <- t.busy_total.(i) +. c;
-          t.charged <- t.charged +. c;
+          t.charged.(0) <- t.charged.(0) +. c;
           clock := !clock +. c
         done
       done;
@@ -375,18 +385,50 @@ let charge_rows t engine ~count entries =
 let note_fault t =
   (match t.tb with
   | Some tb ->
-      Trace.Block_builder.mark tb Trace.Fault ~name:"fault" ~cycle:t.charged
+      Trace.Block_builder.mark tb Trace.Fault ~name:"fault"
+        ~cycle:t.charged.(0)
   | None -> ());
-  Health.note_fault t.health ~core:t.core ~cycle:(t.clock0 +. t.charged)
+  Health.note_fault t.health ~core:t.core ~cycle:(t.clock0 +. t.charged.(0))
 
-let count_op t name =
-  Hashtbl.replace t.ops_tbl name
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.ops_tbl name))
+(* Slot of [name] in the op-count arrays, appended on first sight. Op
+   names are string literals at their call sites, so the physical
+   equality probe hits on every issue after the first; [String.equal]
+   catches an equal name that is a different string. Neither probe
+   hashes or allocates, so charging an instruction stays cheap. *)
+let rec find_phys names name i n =
+  if i >= n then -1
+  else if Array.unsafe_get names i == name then i
+  else find_phys names name (i + 1) n
 
-let count_op_n t name k =
-  if k > 0 then
-    Hashtbl.replace t.ops_tbl name
-      (k + Option.value ~default:0 (Hashtbl.find_opt t.ops_tbl name))
+let rec find_equal names name i n =
+  if i >= n then -1
+  else if String.equal (Array.unsafe_get names i) name then i
+  else find_equal names name (i + 1) n
+
+let op_slot t name =
+  let n = t.n_ops in
+  let i = find_phys t.op_names name 0 n in
+  if i >= 0 then i
+  else
+    let i = find_equal t.op_names name 0 n in
+    if i >= 0 then i
+    else begin
+      if n = Array.length t.op_names then begin
+        t.op_names <- Array.append t.op_names (Array.make n "");
+        t.op_totals <- Array.append t.op_totals (Array.make n 0)
+      end;
+      t.op_names.(n) <- name;
+      t.n_ops <- n + 1;
+      n
+    end
+
+let[@inline] count_op_n t name k =
+  if k > 0 then begin
+    let i = op_slot t name in
+    t.op_totals.(i) <- t.op_totals.(i) + k
+  end
+
+let count_op t name = count_op_n t name 1
 
 let note_gm_traffic t ~read ~write =
   t.gm_read <- t.gm_read + read;
@@ -441,6 +483,9 @@ let finish t =
     gm_read_bytes = t.gm_read;
     gm_write_bytes = t.gm_write;
     touched = Hashtbl.fold (fun id b acc -> (id, b) :: acc) t.touched_tbl [];
-    op_counts = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.ops_tbl [];
+    (* First-seen order: the order in which Launch's merge table
+       meets the names decides how tied counts sort in Stats. *)
+    op_counts =
+      List.init t.n_ops (fun i -> (t.op_names.(i), t.op_totals.(i)));
     trace = Option.map (fun tb -> Trace.Block_builder.finish tb ~cycles) t.tb;
   }

@@ -61,14 +61,6 @@ val make_on : core:int -> device:Device.t -> idx:int -> num_blocks:int -> t
 val idx : t -> int
 val num_blocks : t -> int
 
-val core : t -> int
-(** The physical AI core this block executes on. *)
-
-val charged_cycles : t -> float
-(** Busy cycles charged by this block so far (the clock the {!Health}
-    kill thresholds are measured against). *)
-
-val device : t -> Device.t
 val cost : t -> Cost_model.t
 
 val functional : t -> bool
@@ -148,16 +140,12 @@ val engine_clock : t -> Engine.t -> float
 val lane_clock : t -> Engine.t -> float
 (** Program cursor of the engine's lane. *)
 
-val async_in_flight : t -> Local_tensor.t -> bool
-(** Whether the tensor is the destination of an async copy that has not
-    been retired by a wait. Tracked only while a sanitizer is armed;
-    always [false] otherwise. *)
-
 val check_async_use : t -> op:string -> Local_tensor.t -> unit
 (** Record an {!Sanitizer.Async_hazard} diagnostic if [lt] is still
-    {!async_in_flight} — the caller is about to consume a tile whose
-    async copy has no intervening {!wait_group}. No-op without a
-    sanitizer. Called by the engine-op modules on every local operand. *)
+    the destination of an async copy that no wait has retired — the
+    caller is about to consume a tile whose async copy has no
+    intervening {!wait_group}. No-op without a sanitizer. Called by the
+    engine-op modules on every local operand. *)
 
 val note_fault : t -> unit
 (** Attribute one injected fault to the block's core ({!Health}

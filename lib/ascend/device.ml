@@ -68,7 +68,6 @@ let health t = t.health
 let deadline_cycles t = t.deadline_cycles
 let domains t = t.domains
 let trace t = t.trace
-let set_trace t tr = t.trace <- tr
 
 let arm_trace t =
   let tr = Trace.create ~clock_hz:t.cost.Cost_model.clock_hz () in
@@ -79,7 +78,6 @@ let functional t =
   match t.mode with Functional -> true | Cost_only -> false
 
 let num_cores t = t.cost.Cost_model.num_ai_cores
-let num_vec_cores t = num_cores t * t.cost.Cost_model.vec_per_core
 
 let alloc t dtype length ~name =
   if length < 0 then

@@ -70,11 +70,7 @@ val arm_trace : t -> Trace.t
 (** Attach (and return) a fresh {!Trace.t} using the device clock.
     Replaces any previously armed recorder. *)
 
-val set_trace : t -> Trace.t option -> unit
-(** Attach a custom recorder, or [None] to stop recording. *)
-
 val num_cores : t -> int
-val num_vec_cores : t -> int
 
 val alloc : t -> Dtype.t -> int -> name:string -> Global_tensor.t
 (** Allocate a global tensor (zero-initialised when backed). *)

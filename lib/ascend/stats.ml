@@ -140,8 +140,6 @@ let equal_simulated a b =
   && a.retries = b.retries && a.degraded = b.degraded
   && a.launches = b.launches
 
-let elements_per_second t ~elements = float_of_int elements /. t.seconds
-
 let pp_summary fmt t =
   Format.fprintf fmt "%-24s %10.3f us  %8.2f GB/s moved  %d blocks" t.name
     (t.seconds *. 1e6)

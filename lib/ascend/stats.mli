@@ -105,7 +105,5 @@ val combine : name:string -> t list -> t
     phases concatenate, and per-engine busy cycles sum. Raises
     [Invalid_argument] on an empty list. *)
 
-val elements_per_second : t -> elements:int -> float
-
 val pp : Format.formatter -> t -> unit
 val pp_summary : Format.formatter -> t -> unit

@@ -24,8 +24,11 @@ let check_range ctx what lt off len =
     invalid_arg msg
   end;
   (* Every vector-op operand funnels through here, so this one hook
-     covers the whole Vec surface for the async-copy hazard check. *)
-  Block.check_async_use ctx ~op:("Vec." ^ what) lt
+     covers the whole Vec surface for the async-copy hazard check. The
+     check is a no-op without a sanitizer: build its op name only when
+     one is armed. *)
+  if Option.is_some (Block.sanitizer ctx) then
+    Block.check_async_use ctx ~op:("Vec." ^ what) lt
 
 (* Charge [instrs] vector instructions processing [len] elements of the
    widest operand involved. *)

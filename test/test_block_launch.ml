@@ -97,6 +97,58 @@ let test_gm_traffic_and_touched () =
   check_int "touched dedup" 1 (List.length r.Block.touched);
   check_int "touched bytes" 2000 (snd (List.hd r.Block.touched))
 
+(* Per-block op counts: one entry per distinct name (equal names merge
+   even when they are different strings), any number of names, in
+   first-seen order; a count of zero records nothing. *)
+let test_op_counts () =
+  let dev = device () in
+  let ctx = Block.make ~device:dev ~idx:0 ~num_blocks:1 in
+  let a1 = String.concat "" [ "v"; "add" ] in
+  let a2 = String.concat "" [ "va"; "dd" ] in
+  check_bool "distinct strings" false (a1 == a2);
+  Block.count_op ctx a1;
+  Block.count_op ctx a2;
+  Block.count_op_n ctx "vadd" 3;
+  Block.count_op_n ctx "never" 0;
+  let names = List.init 20 (Printf.sprintf "op%02d") in
+  List.iteri (fun i name -> Block.count_op_n ctx name (i + 1)) names;
+  Block.count_op ctx "op00";
+  let r = Block.finish ctx in
+  let expected =
+    List.mapi (fun i name -> (name, if i = 0 then 2 else i + 1)) names
+  in
+  Alcotest.(check (list (pair string int)))
+    "merged, first-seen order" ((a1, 5) :: expected) r.Block.op_counts
+
+(* Counting an op the block has seen, or charging an engine with no
+   trace armed, allocates nothing: a deterministic count of minor
+   words, not a timing, so string hashing or a boxed float on that
+   path shows up as a failure. *)
+let test_charge_allocates_nothing () =
+  let dev = Device.create ~mode:Device.Cost_only () in
+  let ctx = Block.make ~device:dev ~idx:0 ~num_blocks:1 in
+  Block.count_op ctx "vadd";
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let overhead = words (fun () -> ()) in
+  let count () =
+    for _ = 1 to 10_000 do
+      Block.count_op ctx "vadd"
+    done
+  in
+  let charge () =
+    for _ = 1 to 10_000 do
+      Block.charge ctx (Engine.Vec 0) 1.0
+    done
+  in
+  check_floatish "count_op" 0.0 (words count -. overhead);
+  check_floatish "charge" 0.0 (words charge -. overhead);
+  check_int "all counted" 10_001
+    (List.assoc "vadd" (Block.finish ctx).Block.op_counts)
+
 let test_launch_compute_bound () =
   let dev = device () in
   let cm = Device.cost dev in
@@ -194,6 +246,40 @@ let test_stats_combine () =
   in
   check_floatish "busy adds" (busy "cube" a +. busy "cube" b) (busy "cube" c)
 
+(* Stats.op_counts sorts by count, and tied names keep the order in
+   which the launch's merge table meets them, which each block's
+   first-seen order decides. The pinned list is the order that
+   per-block hash-table counting gave, which op counting must keep;
+   golden_timing.expected pins the same order for the real kernels. *)
+let test_op_count_tie_order () =
+  let names =
+    [| "vadd"; "vsub"; "vmul"; "vmax"; "vmin"; "adds"; "muls"; "maxs";
+       "mins"; "vselect"; "vcompare"; "vcast"; "duplicate"; "copy";
+       "scalar_get"; "scalar_set"; "datacopy_in"; "datacopy_out"; "mmad";
+       "gather" |]
+  in
+  let n = Array.length names in
+  let dev = Device.create ~mode:Device.Cost_only () in
+  let st =
+    Launch.run dev ~blocks:3 (fun ctx ->
+        let b = Block.idx ctx in
+        for j = 0 to n - 1 do
+          Block.count_op ctx names.((j + (7 * b)) mod n)
+        done;
+        Block.count_op_n ctx "reduce_sum" 2;
+        Block.count_op_n ctx "cumsum_api" (b + 2))
+  in
+  Alcotest.(check (list (pair string int)))
+    "tied names in merge order"
+    [
+      ("cumsum_api", 9); ("reduce_sum", 6); ("muls", 3); ("maxs", 3);
+      ("duplicate", 3); ("datacopy_out", 3); ("vcast", 3); ("vmax", 3);
+      ("vsub", 3); ("copy", 3); ("mins", 3); ("vselect", 3); ("vcompare", 3);
+      ("vadd", 3); ("adds", 3); ("vmin", 3); ("mmad", 3); ("scalar_get", 3);
+      ("datacopy_in", 3); ("gather", 3); ("vmul", 3); ("scalar_set", 3);
+    ]
+    st.Stats.op_counts
+
 let test_device_modes () =
   let dev = Device.create ~mode:Device.Cost_only () in
   check_bool "not functional" false (Device.functional dev);
@@ -223,6 +309,9 @@ let () =
           Alcotest.test_case "alloc capacity" `Quick test_alloc_capacity;
           Alcotest.test_case "traffic/touched" `Quick
             test_gm_traffic_and_touched;
+          Alcotest.test_case "op counts" `Quick test_op_counts;
+          Alcotest.test_case "charge allocates nothing" `Quick
+            test_charge_allocates_nothing;
         ] );
       ( "launch",
         [
@@ -234,5 +323,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_launch_validation;
           Alcotest.test_case "stats combine" `Quick test_stats_combine;
           Alcotest.test_case "device modes" `Quick test_device_modes;
+          Alcotest.test_case "op count tie order" `Quick
+            test_op_count_tie_order;
         ] );
     ]

@@ -107,7 +107,11 @@ let test_oob_local_vec () =
    with Invalid_argument _ -> raised := true);
   check_bool "still raises" true !raised;
   check_int "diag recorded" 1
-    (Sanitizer.count_kind (san d) Sanitizer.Out_of_bounds)
+    (Sanitizer.count_kind (san d) Sanitizer.Out_of_bounds);
+  match Sanitizer.diagnostics (san d) with
+  | [ diag ] ->
+      Alcotest.(check string) "names the op" "Vec.adds" diag.Sanitizer.op
+  | _ -> Alcotest.fail "expected exactly one diagnostic"
 
 let test_oob_global_mte () =
   let d = device () in
@@ -124,7 +128,28 @@ let test_oob_global_mte () =
   check_int "diag recorded" 1
     (Sanitizer.count_kind (san d) Sanitizer.Out_of_bounds);
   match Sanitizer.diagnostics (san d) with
-  | [ diag ] -> check_bool "names the tensor" true (diag.Sanitizer.tensor = "g")
+  | [ diag ] ->
+      check_bool "names the tensor" true (diag.Sanitizer.tensor = "g");
+      Alcotest.(check string) "names the op" "Mte.copy_in" diag.Sanitizer.op
+  | _ -> Alcotest.fail "expected exactly one diagnostic"
+
+(* A vector op that reads a tile whose async copy no wait has retired
+   leaves an async-hazard diagnostic naming the consuming op. *)
+let test_async_use_names_op () =
+  let d = device () in
+  let g = Device.of_array d Dtype.F16 ~name:"g" (Array.make 64 1.0) in
+  ignore
+    (Launch.run d ~blocks:1 (fun ctx ->
+         let ub = Block.alloc ctx (Mem_kind.Ub 0) Dtype.F16 64 in
+         let out = Block.alloc ctx (Mem_kind.Ub 0) Dtype.F16 64 in
+         Mte.copy_in_async ctx ~engine:(Engine.Vec_mte_in 0) ~src:g ~dst:ub
+           ~len:64 ();
+         Vec.muls ctx ~src:ub ~dst:out ~scalar:2.0 ~len:64 ()));
+  match Sanitizer.diagnostics (san d) with
+  | [ diag ] ->
+      check_bool "async hazard" true
+        (diag.Sanitizer.kind = Sanitizer.Async_hazard);
+      Alcotest.(check string) "names the op" "Vec.muls" diag.Sanitizer.op
   | _ -> Alcotest.fail "expected exactly one diagnostic"
 
 (* AscendC queue discipline: enqueue past the buffer pool and dequeue
@@ -189,6 +214,8 @@ let () =
           Alcotest.test_case "disjoint tiles" `Quick test_disjoint_tiles_clean;
           Alcotest.test_case "scatter annotation" `Quick
             test_disjoint_annotation;
+          Alcotest.test_case "async use names op" `Quick
+            test_async_use_names_op;
         ] );
       ( "oob",
         [
