@@ -373,7 +373,7 @@ let assemble t =
             p_pid = 0;
             p_tid = device_timeline_tid;
             p_tname = "timeline";
-            p_name = Printf.sprintf "%s/phase%d" l.ln_name i;
+            p_name = l.ln_name ^ "/phase" ^ string_of_int i;
             p_cat = "phase";
             p_ts = phase_start;
             p_dur = Some phase_cycles;
@@ -403,14 +403,22 @@ let assemble t =
             let pid = b.b_core + 1 in
             let binst = !next_binst in
             incr next_binst;
-            (* Local span id -> (global sid, span), for this block
-               occurrence; edges then resolve through it. *)
-            let by_id = Hashtbl.create 64 in
+            (* Local span id -> global sid and span, for this block
+               occurrence; edges then resolve through it. Local ids
+               count up from 0 per block, so arrays index them. *)
+            let ids =
+              List.fold_left (fun m s -> max m (s.sp_id + 1)) 0 b.b_spans
+            in
+            let sids = Array.make ids (-1) in
+            let by_id = Array.make ids None in
+            (* Args every span of the block carries, built once. *)
+            let block_arg = ("block", I b.b_idx) and binst_arg = ("binst", I binst) in
             List.iter
               (fun s ->
                 let sid = !next_sid in
                 incr next_sid;
-                Hashtbl.replace by_id s.sp_id (sid, s);
+                sids.(s.sp_id) <- sid;
+                by_id.(s.sp_id) <- Some s;
                 emit
                   {
                     p_pid = pid;
@@ -421,9 +429,10 @@ let assemble t =
                     p_ts = start +. s.sp_start;
                     p_dur = Some (s.sp_end -. s.sp_start);
                     p_args =
-                      (("block", I s.sp_block)
+                      ((if s.sp_block = b.b_idx then block_arg
+                        else ("block", I s.sp_block))
                       :: ("sid", I sid)
-                      :: ("binst", I binst)
+                      :: binst_arg
                       :: ("c0", F s.sp_start)
                       :: ("c1", F s.sp_end)
                       ::
@@ -437,10 +446,10 @@ let assemble t =
                events; the profiler reads src/dst sids directly. *)
             List.iter
               (fun e ->
-                match
-                  (Hashtbl.find_opt by_id e.e_src, Hashtbl.find_opt by_id e.e_dst)
-                with
-                | Some (src_sid, src), Some (dst_sid, dst) ->
+                let find id = if id >= 0 && id < ids then by_id.(id) else None in
+                match (find e.e_src, find e.e_dst) with
+                | Some src, Some dst ->
+                    let src_sid = sids.(e.e_src) and dst_sid = sids.(e.e_dst) in
                     let fid = !next_flow in
                     incr next_flow;
                     let args =

@@ -9,6 +9,41 @@ let write_arg buf = function
 (* A little over the mean size of a span event with its cycle args. *)
 let bytes_per_event = 200
 
+(* Track keys: (pid, tid) packed into one int, ordered as the pair
+   (tids, engine indices and the events track, are below 2^24). *)
+let track_key pid tid = (pid lsl 24) lor tid
+let key_pid k = k lsr 24
+let key_tid k = k land 0xFFFFFF
+
+(* Fixed keys and constant values are written as pre-escaped literals:
+   [{"name":] opens an event, [,"k":] adds a member. *)
+let args buf = function
+  | [] -> ()
+  | (k, v) :: rest ->
+      Buffer.add_string buf {|,"args":{|};
+      Jsonw.write_field buf k;
+      write_arg buf v;
+      List.iter
+        (fun (k, v) ->
+          Buffer.add_char buf ',';
+          Jsonw.write_field buf k;
+          write_arg buf v)
+        rest;
+      Buffer.add_char buf '}'
+
+let metadata buf ~name ~pid ?tid arg =
+  Buffer.add_string buf {|{"name":|};
+  Jsonw.write_string buf name;
+  Buffer.add_string buf {|,"ph":"M","pid":|};
+  Jsonw.write_int buf pid;
+  Option.iter
+    (fun tid ->
+      Buffer.add_string buf {|,"tid":|};
+      Jsonw.write_int buf tid)
+    tid;
+  args buf [ arg ];
+  Buffer.add_string buf "},"
+
 let to_string tr =
   let placed = Trace.assemble tr in
   let clock = Trace.clock_hz tr in
@@ -19,129 +54,97 @@ let to_string tr =
   let tracks = Hashtbl.create 64 in
   List.iter
     (fun (p : Trace.placed) ->
-      if not (Hashtbl.mem procs p.Trace.p_pid) then
-        Hashtbl.add procs p.Trace.p_pid ();
-      let key = (p.Trace.p_pid, p.Trace.p_tid) in
-      if not (Hashtbl.mem tracks key) then
-        Hashtbl.add tracks key p.Trace.p_tname)
+      let key = track_key p.Trace.p_pid p.Trace.p_tid in
+      if not (Hashtbl.mem tracks key) then begin
+        Hashtbl.add tracks key p.Trace.p_tname;
+        Hashtbl.replace procs p.Trace.p_pid ()
+      end)
     placed;
   let pids = List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) procs []) in
   let track_list =
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tracks [])
+    List.sort
+      (fun (a, _) (b, _) -> Int.compare a b)
+      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tracks [])
   in
   let events =
     List.length placed + (2 * (List.length pids + List.length track_list))
   in
   let buf = Buffer.create ((bytes_per_event * events) + 256) in
-  (* [{"k":] opens an object at its first member; [,"k":] adds one. *)
-  let open_ k =
-    Buffer.add_char buf '{';
-    Jsonw.write_field buf k
+  let ts v =
+    Buffer.add_string buf {|,"ts":|};
+    Jsonw.write_float buf (us v)
   in
-  let next k =
-    Buffer.add_char buf ',';
-    Jsonw.write_field buf k
+  let pid_tid (p : Trace.placed) =
+    Buffer.add_string buf {|,"pid":|};
+    Jsonw.write_int buf p.Trace.p_pid;
+    Buffer.add_string buf {|,"tid":|};
+    Jsonw.write_int buf p.Trace.p_tid
   in
-  let close () = Buffer.add_char buf '}' in
-  let str k v = next k; Jsonw.write_string buf v in
-  let int k v = next k; Jsonw.write_int buf v in
-  let num k v = next k; Jsonw.write_float buf v in
-  let args = function
-    | [] -> ()
-    | (k, v) :: rest ->
-        next "args";
-        open_ k;
-        write_arg buf v;
-        List.iter (fun (k, v) -> next k; write_arg buf v) rest;
-        close ()
+  let cat c =
+    Buffer.add_string buf {|,"cat":|};
+    Jsonw.write_string buf c
   in
-  let first = ref true in
-  let event name =
-    if !first then first := false else Buffer.add_char buf ',';
-    open_ "name";
-    Jsonw.write_string buf name
-  in
-  open_ "traceEvents";
-  Buffer.add_char buf '[';
+  Buffer.add_string buf {|{"traceEvents":[|};
   List.iter
     (fun pid ->
       let name = if pid = 0 then "device" else Printf.sprintf "core %d" (pid - 1) in
-      event "process_name";
-      str "ph" "M";
-      int "pid" pid;
-      args [ ("name", Trace.S name) ];
-      close ();
-      event "process_sort_index";
-      str "ph" "M";
-      int "pid" pid;
-      args [ ("sort_index", Trace.I pid) ];
-      close ())
+      metadata buf ~name:"process_name" ~pid ("name", Trace.S name);
+      metadata buf ~name:"process_sort_index" ~pid ("sort_index", Trace.I pid))
     pids;
   List.iter
-    (fun ((pid, tid), tname) ->
-      event "thread_name";
-      str "ph" "M";
-      int "pid" pid;
-      int "tid" tid;
-      args [ ("name", Trace.S tname) ];
-      close ();
-      event "thread_sort_index";
-      str "ph" "M";
-      int "pid" pid;
-      int "tid" tid;
-      args [ ("sort_index", Trace.I tid) ];
-      close ())
+    (fun (key, tname) ->
+      let pid = key_pid key and tid = key_tid key in
+      metadata buf ~name:"thread_name" ~pid ~tid ("name", Trace.S tname);
+      metadata buf ~name:"thread_sort_index" ~pid ~tid ("sort_index", Trace.I tid))
     track_list;
   List.iter
     (fun (p : Trace.placed) ->
-      event p.Trace.p_name;
+      Buffer.add_string buf {|{"name":|};
+      Jsonw.write_string buf p.Trace.p_name;
       (match p.Trace.p_dur with
       | Some dur ->
-          str "cat" p.Trace.p_cat;
-          str "ph" "X";
-          int "pid" p.Trace.p_pid;
-          int "tid" p.Trace.p_tid;
-          num "ts" (us p.Trace.p_ts);
-          num "dur" (us dur)
+          cat p.Trace.p_cat;
+          Buffer.add_string buf {|,"ph":"X"|};
+          pid_tid p;
+          ts p.Trace.p_ts;
+          Buffer.add_string buf {|,"dur":|};
+          Jsonw.write_float buf (us dur)
       | None when p.Trace.p_cat = "flow_out" || p.Trace.p_cat = "flow_in" ->
           (* Dependency edges ride the Perfetto flow-event pair: ph
              "s" at the source span's end, ph "f" (binding to the
              enclosing slice's end) at the target's start, correlated
              by the numeric id arg. *)
-          let flow_in = p.Trace.p_cat = "flow_in" in
-          str "cat" "flow";
-          str "ph" (if flow_in then "f" else "s");
-          if flow_in then str "bp" "e";
-          int "id"
+          Buffer.add_string buf
+            (if p.Trace.p_cat = "flow_in" then {|,"cat":"flow","ph":"f","bp":"e","id":|}
+             else {|,"cat":"flow","ph":"s","id":|});
+          Jsonw.write_int buf
             (match List.assoc_opt "id" p.Trace.p_args with
             | Some (Trace.I i) -> i
             | _ -> 0);
-          int "pid" p.Trace.p_pid;
-          int "tid" p.Trace.p_tid;
-          num "ts" (us p.Trace.p_ts)
+          pid_tid p;
+          ts p.Trace.p_ts
       | None ->
-          str "cat" p.Trace.p_cat;
-          str "ph" "i";
-          str "s" "p";
-          int "pid" p.Trace.p_pid;
-          int "tid" p.Trace.p_tid;
-          num "ts" (us p.Trace.p_ts));
-      args p.Trace.p_args;
-      close ())
+          cat p.Trace.p_cat;
+          Buffer.add_string buf {|,"ph":"i","s":"p"|};
+          pid_tid p;
+          ts p.Trace.p_ts);
+      args buf p.Trace.p_args;
+      Buffer.add_string buf "},")
     placed;
-  Buffer.add_char buf ']';
-  str "displayTimeUnit" "us";
-  next "otherData";
-  open_ "generator";
-  Jsonw.write_string buf "ascend-scan-sim";
-  str "schema" "ascend-trace-1";
-  num "clock_hz" clock;
-  int "spans" (Trace.span_count tr);
-  int "instants" (Trace.mark_count tr);
-  int "edges" (Trace.edge_count tr);
-  int "dropped" (Trace.dropped tr);
-  close ();
-  close ();
+  (* Every event above ends in [,]: drop the last one. *)
+  if events > 0 then Buffer.truncate buf (Buffer.length buf - 1);
+  Buffer.add_string buf {|],"displayTimeUnit":"us","otherData":{|};
+  Buffer.add_string buf {|"generator":"ascend-scan-sim","schema":"ascend-trace-1","clock_hz":|};
+  Jsonw.write_float buf clock;
+  Buffer.add_string buf {|,"spans":|};
+  Jsonw.write_int buf (Trace.span_count tr);
+  Buffer.add_string buf {|,"instants":|};
+  Jsonw.write_int buf (Trace.mark_count tr);
+  Buffer.add_string buf {|,"edges":|};
+  Jsonw.write_int buf (Trace.edge_count tr);
+  Buffer.add_string buf {|,"dropped":|};
+  Jsonw.write_int buf (Trace.dropped tr);
+  Buffer.add_string buf "}}";
   Buffer.contents buf
 
 let json tr =
@@ -156,6 +159,34 @@ type counts = {
   flows : int;  (** Matched ph "s"/"f" pairs (dependency edges). *)
   processes : int;
 }
+
+(* [Jsonw.int_opt] and [number_opt] split into a test and a read, so
+   that checking an event allocates nothing. *)
+let is_int = function
+  | Jsonw.Int _ -> true
+  | Jsonw.Float f -> Float.is_integer f
+  | _ -> false
+
+let int_of = function Jsonw.Int i -> i | Jsonw.Float f -> int_of_float f | _ -> 0
+let is_num = function Jsonw.Int _ | Jsonw.Float _ -> true | _ -> false
+
+let[@inline] num_of = function
+  | Jsonw.Int i -> float_of_int i
+  | Jsonw.Float f -> f
+  | _ -> 0.0
+
+let is_string = function Jsonw.String _ -> true | _ -> false
+
+(* Stands for a missing member; no accessor accepts it. *)
+let absent = Jsonw.Obj []
+
+let find_or_add tbl k make =
+  match Hashtbl.find tbl k with
+  | v -> v
+  | exception Not_found ->
+      let v = make () in
+      Hashtbl.add tbl k v;
+      v
 
 let validate doc =
   let ( let* ) r f = Result.bind r f in
@@ -172,7 +203,14 @@ let validate doc =
   let module Track = struct
     type t = { mutable stack : float list; mutable last_ts : float }
   end in
-  let tracks : (int * int, Track.t) Hashtbl.t = Hashtbl.create 64 in
+  (* pid -> tid -> track *)
+  let tracks : (int, (int, Track.t) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
+  let track pid tid =
+    find_or_add
+      (find_or_add tracks pid (fun () -> Hashtbl.create 16))
+      tid
+      (fun () -> { Track.stack = []; last_ts = neg_infinity })
+  in
   let procs = Hashtbl.create 8 in
   let spans = ref 0 and instants = ref 0 in
   (* Flow pairing: every "s" must meet exactly one "f" with the same
@@ -183,107 +221,105 @@ let validate doc =
   (* Printing ts/dur at microsecond scale rounds in the last ulp; allow
      a nanosecond of slack when checking track monotonicity. *)
   let slack = 1e-3 in
+  let err i fmt =
+    Printf.ksprintf (fun m -> Error (Printf.sprintf "event %d: %s" i m)) fmt
+  in
+  let check i ev =
+    (* The members read, in one pass; as with [Jsonw.member], the first
+       occurrence of a key counts. *)
+    let ph = ref absent and name = ref absent and pid = ref absent in
+    let tid = ref absent and ts = ref absent and dur = ref absent in
+    let id = ref absent in
+    let members = ref (match ev with Jsonw.Obj m -> m | _ -> []) in
+    while match !members with [] -> false | _ -> true do
+      match !members with
+      | [] -> ()
+      | (k, v) :: rest ->
+          (match k with
+          | "ph" -> if !ph == absent then ph := v
+          | "name" -> if !name == absent then name := v
+          | "pid" -> if !pid == absent then pid := v
+          | "tid" -> if !tid == absent then tid := v
+          | "ts" -> if !ts == absent then ts := v
+          | "dur" -> if !dur == absent then dur := v
+          | "id" -> if !id == absent then id := v
+          | _ -> ());
+          members := rest
+    done;
+    match !ph with
+    | Jsonw.String "M" -> Ok ()
+    | Jsonw.String (("s" | "f") as ph) ->
+        if not (is_int !pid) then err i "flow missing pid"
+        else if not (is_int !tid) then err i "flow missing tid"
+        else if not (is_num !ts) then err i "flow missing ts"
+        else if not (is_int !id) then err i "flow missing id"
+        else
+          let ts = num_of !ts and id = int_of !id in
+          if ts < -.slack then err i "negative flow ts %g" ts
+          else
+            let open_n =
+              (if ph = "s" then 1 else -1)
+              + match Hashtbl.find flow_open id with
+                | n -> n
+                | exception Not_found -> 0
+            in
+            if open_n < -1 || open_n > 1 then
+              err i "flow id %d has repeated %S events" id ph
+            else begin
+              Hashtbl.replace flow_open id open_n;
+              if ph = "f" then incr flows;
+              Ok ()
+            end
+    | Jsonw.String (("X" | "i") as ph) ->
+        if not (is_int !pid) then err i "missing pid"
+        else if not (is_int !tid) then err i "missing tid"
+        else if not (is_num !ts) then err i "missing ts"
+        else if not (is_string !name) then err i "missing name"
+        else
+          let pid = int_of !pid and tid = int_of !tid and ts = num_of !ts in
+          if not (Hashtbl.mem procs pid) then Hashtbl.add procs pid ();
+          if ts < -.slack then err i "negative ts %g" ts
+          else if ph = "i" then begin
+            incr instants;
+            Ok ()
+          end
+          else if not (is_num !dur) then err i "span without dur"
+          else
+            let dur = num_of !dur in
+            if dur < 0.0 then err i "negative dur %g" dur
+            else begin
+              incr spans;
+              let tr = track pid tid in
+              if ts < tr.Track.last_ts -. slack then
+                err i "track (%d,%d) not sorted: span at ts %g after one at ts %g"
+                  pid tid ts tr.Track.last_ts
+              else begin
+                tr.Track.last_ts <- ts;
+                (* Close every span that ended before this one starts. *)
+                let stack = ref tr.Track.stack in
+                while
+                  match !stack with e :: _ -> e <= ts +. slack | [] -> false
+                do
+                  stack := List.tl !stack
+                done;
+                tr.Track.stack <- !stack;
+                match !stack with
+                | enclosing :: _ when ts +. dur > enclosing +. slack ->
+                    err i
+                      "track (%d,%d) spans partially overlap: [%g,%g] crosses \
+                       enclosing end %g"
+                      pid tid ts (ts +. dur) enclosing
+                | stack ->
+                    tr.Track.stack <- (ts +. dur) :: stack;
+                    Ok ()
+              end
+            end
+    | Jsonw.String ph -> err i "unknown ph %S" ph
+    | _ -> err i "missing ph"
+  in
   let rec go i = function
     | [] -> Ok ()
-    | ev :: rest ->
-        let err fmt =
-          Printf.ksprintf (fun m -> Error (Printf.sprintf "event %d: %s" i m)) fmt
-        in
-        let num k = Option.bind (Jsonw.member k ev) Jsonw.number_opt in
-        let* () =
-          match Option.bind (Jsonw.member "ph" ev) Jsonw.string_opt with
-          | Some "M" -> Ok ()
-          | Some (("s" | "f") as ph) -> (
-              match
-                ( Option.bind (Jsonw.member "pid" ev) Jsonw.int_opt,
-                  Option.bind (Jsonw.member "tid" ev) Jsonw.int_opt,
-                  num "ts",
-                  Option.bind (Jsonw.member "id" ev) Jsonw.int_opt )
-              with
-              | Some _, Some _, Some ts, Some id ->
-                  if ts < -.slack then err "negative flow ts %g" ts
-                  else begin
-                    let d = if ph = "s" then 1 else -1 in
-                    let open_n =
-                      d + Option.value ~default:0 (Hashtbl.find_opt flow_open id)
-                    in
-                    if open_n < -1 || open_n > 1 then
-                      err "flow id %d has repeated %S events" id ph
-                    else begin
-                      Hashtbl.replace flow_open id open_n;
-                      if ph = "f" then incr flows;
-                      Ok ()
-                    end
-                  end
-              | None, _, _, _ -> err "flow missing pid"
-              | _, None, _, _ -> err "flow missing tid"
-              | _, _, None, _ -> err "flow missing ts"
-              | _, _, _, None -> err "flow missing id")
-          | Some (("X" | "i") as ph) -> (
-              match
-                ( Option.bind (Jsonw.member "pid" ev) Jsonw.int_opt,
-                  Option.bind (Jsonw.member "tid" ev) Jsonw.int_opt,
-                  num "ts",
-                  Option.bind (Jsonw.member "name" ev) Jsonw.string_opt )
-              with
-              | Some pid, Some tid, Some ts, Some _ ->
-                  if not (Hashtbl.mem procs pid) then Hashtbl.add procs pid ();
-                  if ts < -.slack then err "negative ts %g" ts
-                  else if ph = "i" then begin
-                    incr instants;
-                    Ok ()
-                  end
-                  else begin
-                    match num "dur" with
-                    | None -> err "span without dur"
-                    | Some dur when dur < 0.0 -> err "negative dur %g" dur
-                    | Some dur ->
-                        incr spans;
-                        let key = (pid, tid) in
-                        let tr =
-                          match Hashtbl.find_opt tracks key with
-                          | Some tr -> tr
-                          | None ->
-                              let tr =
-                                { Track.stack = []; last_ts = neg_infinity }
-                              in
-                              Hashtbl.add tracks key tr;
-                              tr
-                        in
-                        if ts < tr.Track.last_ts -. slack then
-                          err
-                            "track (%d,%d) not sorted: span at ts %g after \
-                             one at ts %g"
-                            pid tid ts tr.Track.last_ts
-                        else begin
-                          tr.Track.last_ts <- ts;
-                          (* Close every span that ended before this one
-                             starts. *)
-                          let rec close = function
-                            | e :: rest when e <= ts +. slack -> close rest
-                            | stack -> stack
-                          in
-                          tr.Track.stack <- close tr.Track.stack;
-                          match tr.Track.stack with
-                          | enclosing :: _ when ts +. dur > enclosing +. slack
-                            ->
-                              err
-                                "track (%d,%d) spans partially overlap: \
-                                 [%g,%g] crosses enclosing end %g"
-                                pid tid ts (ts +. dur) enclosing
-                          | stack ->
-                              tr.Track.stack <- (ts +. dur) :: stack;
-                              Ok ()
-                        end
-                  end
-              | None, _, _, _ -> err "missing pid"
-              | _, None, _, _ -> err "missing tid"
-              | _, _, None, _ -> err "missing ts"
-              | _, _, _, None -> err "missing name")
-          | Some ph -> err "unknown ph %S" ph
-          | None -> err "missing ph"
-        in
-        go (i + 1) rest
+    | ev :: rest -> ( match check i ev with Ok () -> go (i + 1) rest | e -> e)
   in
   let* () = go 0 events in
   let* () =

@@ -85,10 +85,7 @@ let member k j = Jsonw.member k j
 let str_of k j = Option.bind (member k j) Jsonw.string_opt
 let int_of k j = Option.bind (member k j) Jsonw.int_opt
 let num_of k j = Option.bind (member k j) Jsonw.number_opt
-let arg k j = Option.bind (member "args" j) (member k)
-let arg_str k j = Option.bind (arg k j) Jsonw.string_opt
-let arg_int k j = Option.bind (arg k j) Jsonw.int_opt
-let arg_num k j = Option.bind (arg k j) Jsonw.number_opt
+let arg_int k j = Option.bind (Option.bind (member "args" j) (member k)) Jsonw.int_opt
 
 let tally tbl key v =
   Hashtbl.replace tbl key (v +. Option.value ~default:0.0 (Hashtbl.find_opt tbl key))
@@ -227,111 +224,191 @@ type raw_phase = {
   mutable rp_binsts : int list; (* newest first *)
 }
 
+(* Events are decoded in one pass over each member list, into local
+   refs (no allocation); as with [Jsonw.member], the first occurrence
+   of a key counts, and [absent] stands for a missing one. *)
+let absent = Jsonw.Obj []
+let members_of = function Jsonw.Obj m -> m | _ -> []
+let str ~default v = Option.value ~default (Jsonw.string_opt v)
+let int ~default v = Option.value ~default (Jsonw.int_opt v)
+let num ~default v = Option.value ~default (Jsonw.number_opt v)
+
+(* A span event's profiler args: [Some span] when it carries its sid,
+   block occurrence and exact cycle endpoints. *)
+let span_of ~pid ~tid ~track ~cat ~name ~ts args =
+  let sid = ref absent and binst = ref absent and c0 = ref absent in
+  let c1 = ref absent and bytes = ref absent in
+  let members = ref (members_of args) in
+  while match !members with [] -> false | _ -> true do
+    match !members with
+    | [] -> ()
+    | (k, v) :: rest ->
+        (match k with
+        | "sid" -> if !sid == absent then sid := v
+        | "binst" -> if !binst == absent then binst := v
+        | "c0" -> if !c0 == absent then c0 := v
+        | "c1" -> if !c1 == absent then c1 := v
+        | "bytes" -> if !bytes == absent then bytes := v
+        | _ -> ());
+        members := rest
+  done;
+  match
+    ( Jsonw.int_opt !sid,
+      Jsonw.int_opt !binst,
+      Jsonw.number_opt !c0,
+      Jsonw.number_opt !c1 )
+  with
+  | Some sid, Some binst, Some c0, Some c1 ->
+      Some
+        {
+          x_sid = sid;
+          x_binst = binst;
+          x_pid = pid;
+          x_tid = tid;
+          x_track = track;
+          x_queue = str ~default:"?" cat;
+          x_op = str ~default:"?" name;
+          x_c0 = c0;
+          x_c1 = c1;
+          x_bytes = int ~default:0 !bytes;
+          x_ts = num ~default:0.0 ts;
+        }
+  | _ -> None
+
+(* A flow start's args: its src/dst sids and the edge kind. *)
+let edge_of args =
+  let src = ref absent and dst = ref absent and kind = ref absent in
+  let members = ref (members_of args) in
+  while match !members with [] -> false | _ -> true do
+    match !members with
+    | [] -> ()
+    | (k, v) :: rest ->
+        (match k with
+        | "src" -> if !src == absent then src := v
+        | "dst" -> if !dst == absent then dst := v
+        | "kind" -> if !kind == absent then kind := v
+        | _ -> ());
+        members := rest
+  done;
+  match (Jsonw.int_opt !src, Jsonw.int_opt !dst) with
+  | Some src, Some dst ->
+      Some { ed_src = src; ed_dst = dst; ed_kind = str ~default:"?" !kind }
+  | _ -> None
+
+(* Launch and phase spans are few: their args go through [member]. *)
+let arg k args = Option.value ~default:absent (Jsonw.member k args)
+
 let of_device_json ~clock_hz events =
   (* One pass: launches, phases (file order = time order), spans with
-     profiler args, flow edges. *)
+     profiler args, flow edges. The span's op is its event name; the
+     engine (track) name rides on thread_name metadata keyed by (pid,
+     tid), which the export writes before any span. *)
   let launches = ref [] in
   let phases = ref [] in
   let spans = ref [] in
   let edges = ref [] in
+  let track_names : (int, (int, string) Hashtbl.t) Hashtbl.t = Hashtbl.create 32 in
+  let track_name pid tid =
+    match Hashtbl.find (Hashtbl.find track_names pid) tid with
+    | name -> name
+    | exception Not_found -> "?"
+  in
+  (* A name that arrives after a span was read renames every span at
+     the end. *)
+  let late_names = ref false in
   List.iter
     (fun ev ->
-      match str_of "ph" ev with
-      | Some "X" -> (
-          match (str_of "cat" ev, int_of "pid" ev) with
+      let ph = ref absent and cat = ref absent and name = ref absent in
+      let pid = ref absent and tid = ref absent and ts = ref absent in
+      let dur = ref absent and args = ref absent in
+      let members = ref (members_of ev) in
+      while match !members with [] -> false | _ -> true do
+        match !members with
+        | [] -> ()
+        | (k, v) :: rest ->
+            (match k with
+            | "ph" -> if !ph == absent then ph := v
+            | "cat" -> if !cat == absent then cat := v
+            | "name" -> if !name == absent then name := v
+            | "pid" -> if !pid == absent then pid := v
+            | "tid" -> if !tid == absent then tid := v
+            | "ts" -> if !ts == absent then ts := v
+            | "dur" -> if !dur == absent then dur := v
+            | "args" -> if !args == absent then args := v
+            | _ -> ());
+            members := rest
+      done;
+      let args = !args in
+      match !ph with
+      | Jsonw.String "X" -> (
+          match (Jsonw.string_opt !cat, Jsonw.int_opt !pid) with
           | Some "launch", _ ->
               launches :=
-                ( Option.value ~default:"?" (str_of "name" ev),
-                  Option.value ~default:0.0 (arg_num "seconds" ev),
-                  Option.value ~default:0.0 (arg_num "latency_cycles" ev),
-                  Option.value ~default:0.0 (arg_num "sync_cycles" ev),
-                  arg_int "phases" ev )
+                ( str ~default:"?" !name,
+                  num ~default:0.0 (arg "seconds" args),
+                  num ~default:0.0 (arg "latency_cycles" args),
+                  num ~default:0.0 (arg "sync_cycles" args),
+                  Jsonw.int_opt (arg "phases" args) )
                 :: !launches
           | Some "phase", _ ->
               phases :=
                 {
-                  rp_launch = Option.value ~default:"?" (arg_str "launch" ev);
-                  rp_index = Option.value ~default:0 (arg_int "index" ev);
-                  rp_ts = Option.value ~default:0.0 (num_of "ts" ev);
-                  rp_dur = Option.value ~default:0.0 (num_of "dur" ev);
-                  rp_seconds = Option.value ~default:0.0 (arg_num "seconds" ev);
-                  rp_compute =
-                    Option.value ~default:0.0 (arg_num "compute_seconds" ev);
-                  rp_bandwidth =
-                    Option.value ~default:0.0 (arg_num "bandwidth_seconds" ev);
-                  rp_bound = Option.value ~default:"compute" (arg_str "bound" ev);
-                  rp_gm = Option.value ~default:0 (arg_int "gm_bytes" ev);
+                  rp_launch = str ~default:"?" (arg "launch" args);
+                  rp_index = int ~default:0 (arg "index" args);
+                  rp_ts = num ~default:0.0 !ts;
+                  rp_dur = num ~default:0.0 !dur;
+                  rp_seconds = num ~default:0.0 (arg "seconds" args);
+                  rp_compute = num ~default:0.0 (arg "compute_seconds" args);
+                  rp_bandwidth = num ~default:0.0 (arg "bandwidth_seconds" args);
+                  rp_bound = str ~default:"compute" (arg "bound" args);
+                  rp_gm = int ~default:0 (arg "gm_bytes" args);
                   rp_binsts = [];
                 }
                 :: !phases
           | _, Some pid when pid > 0 -> (
+              let tid = int ~default:0 !tid in
               match
-                (arg_int "sid" ev, arg_int "binst" ev, arg_num "c0" ev,
-                 arg_num "c1" ev)
+                span_of ~pid ~tid ~track:(track_name pid tid) ~cat:!cat
+                  ~name:!name ~ts:!ts args
               with
-              | Some sid, Some binst, Some c0, Some c1 ->
-                  spans :=
-                    {
-                      x_sid = sid;
-                      x_binst = binst;
-                      x_pid = pid;
-                      x_tid = Option.value ~default:0 (int_of "tid" ev);
-                      x_track = "?";
-                      x_queue = Option.value ~default:"?" (str_of "cat" ev);
-                      x_op = Option.value ~default:"?" (str_of "name" ev);
-                      x_c0 = c0;
-                      x_c1 = c1;
-                      x_bytes = Option.value ~default:0 (arg_int "bytes" ev);
-                      x_ts = Option.value ~default:0.0 (num_of "ts" ev);
-                    }
-                    :: !spans
-              | _ -> ())
+              | Some s -> spans := s :: !spans
+              | None -> ())
           | _ -> ())
-      | Some "s" -> (
-          (* flow start: carries src/dst sids and the edge kind. *)
-          match (arg_int "src" ev, arg_int "dst" ev) with
-          | Some src, Some dst ->
-              edges :=
-                {
-                  ed_src = src;
-                  ed_dst = dst;
-                  ed_kind = Option.value ~default:"?" (arg_str "kind" ev);
-                }
-                :: !edges
+      | Jsonw.String "s" -> (
+          match edge_of args with Some e -> edges := e :: !edges | None -> ())
+      | Jsonw.String "M" when Jsonw.string_opt !name = Some "thread_name" -> (
+          match
+            ( Jsonw.int_opt !pid,
+              Jsonw.int_opt !tid,
+              Jsonw.string_opt (arg "name" args) )
+          with
+          | Some pid, Some tid, Some name ->
+              if !spans != [] then late_names := true;
+              Hashtbl.replace
+                (match Hashtbl.find track_names pid with
+                | t -> t
+                | exception Not_found ->
+                    let t = Hashtbl.create 16 in
+                    Hashtbl.add track_names pid t;
+                    t)
+                tid name
           | _ -> ())
       | _ -> ())
     events;
   let phases = Array.of_list (List.rev !phases) in
-  let spans = List.rev !spans in
+  let spans =
+    if !late_names then
+      List.rev_map (fun s -> { s with x_track = track_name s.x_pid s.x_tid }) !spans
+    else List.rev !spans
+  in
   let edges = List.rev !edges in
   if Array.length phases = 0 then Error "not a simulator trace: no phase spans"
   else begin
-    (* The span's op is its event name; the engine (track) name rides
-       on thread_name metadata keyed by (pid, tid). *)
-    let track_names : (int * int, string) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun ev ->
-        if str_of "ph" ev = Some "M" && str_of "name" ev = Some "thread_name"
-        then
-          match (int_of "pid" ev, int_of "tid" ev, arg_str "name" ev) with
-          | Some pid, Some tid, Some name ->
-              Hashtbl.replace track_names (pid, tid) name
-          | _ -> ())
-      events;
-    let spans =
-      List.map
-        (fun s ->
-          match Hashtbl.find_opt track_names (s.x_pid, s.x_tid) with
-          | Some name -> { s with x_track = name }
-          | None -> s)
-        spans
-    in
     (* Group spans into blocks and attribute each block (by its first
        span, in ts order — the file is ts-sorted) to the phase window
        containing it. *)
     let by_binst : (int, span list) Hashtbl.t = Hashtbl.create 64 in
     let binst_order = ref [] in
-    let binst_phase : (int, int) Hashtbl.t = Hashtbl.create 64 in
     let eps = 1e-6 in
     let cursor = ref 0 in
     List.iter
@@ -350,7 +427,6 @@ let of_device_json ~clock_hz events =
             do
               incr cursor
             done;
-            Hashtbl.replace binst_phase s.x_binst !cursor;
             phases.(!cursor).rp_binsts <-
               s.x_binst :: phases.(!cursor).rp_binsts))
       spans;
@@ -363,8 +439,7 @@ let of_device_json ~clock_hz events =
         match Hashtbl.find_opt sid_binst e.ed_src with
         | Some b ->
             Hashtbl.replace block_edges b
-              (e
-              :: Option.value ~default:[] (Hashtbl.find_opt block_edges b))
+              (e :: Option.value ~default:[] (Hashtbl.find_opt block_edges b))
         | None -> ())
       edges;
     match

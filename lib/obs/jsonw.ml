@@ -12,7 +12,8 @@ type t =
 
 (* The C primitive behind Printf's %f/%g conversions, called without
    CamlinternalFormat's interpretation of the format: same bytes,
-   a fraction of the cost. *)
+   a fraction of the cost. Only numbers outside [10^-6, 10^15) reach
+   it. *)
 external format_float : string -> float -> string = "caml_format_float"
 
 (* 10^i for every i whose power is an exact double. *)
@@ -23,13 +24,173 @@ let exact_pow10 =
   done;
   p
 
-(* For finite [a > 0]: false only when ["%.12g"] cannot round-trip,
-   so the formatter may skip trying it. Scale [a] to x = a·10^k in
-   [1e11, 1e12). If the 12-digit decimal M·10^-k that ["%.12g"] prints
-   reads back as [a], then M and the computed x are each within
-   2^-53·x < 1.2e-4 of the exact a·10^k, so M = round x; and M·10^-k
-   reads back as x rescaled, one correctly rounded operation on exact
-   doubles, as strtod rounds it. *)
+let int_pow10 = Array.init 18 (fun i -> int_of_float exact_pow10.(i))
+
+(* [pow10_at.(x + 6)] is the least double >= 10^x, for x in [-6, 15]:
+   [a >= pow10_at.(x + 6)] decides [a >= 10^x] exactly. *)
+let pow10_at =
+  Array.init 22 (fun i ->
+      let x = i - 6 in
+      if x >= 0 then exact_pow10.(x)
+      else
+        let d = float_of_string ("1e" ^ string_of_int x) in
+        (* d is 10^x rounded to nearest; d·10^-x - 1 keeps its sign. *)
+        if Float.fma d exact_pow10.(-x) (-1.0) < 0.0 then Float.succ d else d)
+
+(* floor(log10 a), exactly, for [a] in the decimal range. With 2^e <= a
+   < 2^(e+1), floor(e·log10 2) (78913/2^18 is log10 2 to 6 digits) is
+   floor(log10 a) or one below it. *)
+let decimal_exponent a =
+  let e = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float a) 52) - 1023 in
+  let x = ref ((e * 78913) asr 18) in
+  if !x < -6 then x := -6;
+  while a < pow10_at.(!x + 6) do
+    decr x
+  done;
+  while a >= pow10_at.(!x + 7) do
+    incr x
+  done;
+  !x
+
+(* The integer nearest the exact product a·10^k, ties to even, for [a]
+   in the decimal range and -3 <= k <= 22 (so the result is below
+   10^17).
+
+   k >= 0: 10^k is exact, so [hi + lo] with [lo = fma a 10^k (-hi)] is
+   the exact product and |lo| <= ulp(hi)/2. When [hi] has a fraction
+   (ulp(hi) <= 1/2), [hi - floor hi - 1/2] is exact and a multiple of
+   ulp(hi), so its sign decides unless it is 0, where [lo]'s sign does.
+   When [hi] is integral, [lo - round lo] is exact (Sterbenz), and a
+   tie shows as a distance of exactly 1/2.
+
+   k < 0 (a >= 10^11): [a = i + f] with [i] an integer below 2^50 and
+   [f] its fraction; [i mod 10^-k + f] is exact (26 bits at most). *)
+let scaled_round a k =
+  if k >= 0 then begin
+    let p = Array.unsafe_get exact_pow10 k in
+    let hi = a *. p in
+    let lo = Float.fma a p (-.hi) in
+    let h = Float.floor hi in
+    let m = int_of_float h in
+    if h <> hi then begin
+      let d = hi -. h -. 0.5 in
+      if d > 0.0 || (d = 0.0 && lo > 0.0) then m + 1
+      else if d < 0.0 || lo < 0.0 then m
+      else m + (m land 1)
+    end
+    else
+      let r = Float.round lo in
+      let m = m + int_of_float r in
+      if Float.abs (lo -. r) = 0.5 && m land 1 = 1 then
+        if lo > 0.0 then m - 1 else m + 1
+      else m
+  end
+  else
+    let i = Float.floor a in
+    let q = int_pow10.(-k) in
+    let i' = int_of_float i in
+    let m = i' / q in
+    let t = float_of_int (i' mod q) +. (a -. i) and half = 0.5 *. float_of_int q in
+    if t > half then m + 1 else if t < half then m else m + (m land 1)
+
+(* "00" "01" ... "99" *)
+let digit_pairs =
+  String.init 200 (fun i ->
+      Char.chr (Char.code '0' + if i land 1 = 0 then i / 20 else i / 2 mod 10))
+
+(* [n] digits of [v], zero-padded, at [o]; two at a time. *)
+let put_digits b o v n =
+  let v = ref v and i = ref (o + n - 1) in
+  while !i > o do
+    let q = !v / 100 in
+    let r = 2 * (!v - (q * 100)) in
+    Bytes.unsafe_set b !i (String.unsafe_get digit_pairs (r + 1));
+    Bytes.unsafe_set b (!i - 1) (String.unsafe_get digit_pairs r);
+    v := q;
+    i := !i - 2
+  done;
+  if !i = o then Bytes.unsafe_set b o (Char.unsafe_chr (Char.code '0' + (!v mod 10)))
+
+(* The ["%.<p>g"] layout of m·10^(x-p+1), m having [p] digits (or being
+   10^p, which rounding carried over): trailing zeros stripped, an
+   exponent of at least two digits when x < -4 or x >= p. Writes at
+   [o]; returns the end. *)
+let layout b o m p x =
+  let carry = m = int_pow10.(p) in
+  let m = if carry then int_pow10.(p - 1) else m and x = if carry then x + 1 else x in
+  let m = ref m and d = ref p in
+  while !d > 1 && !m mod 10 = 0 do
+    m := !m / 10;
+    decr d
+  done;
+  let m = !m and d = !d in
+  if x < -4 || x >= p then begin
+    put_digits b o (m / int_pow10.(d - 1)) 1;
+    let o =
+      if d = 1 then o + 1
+      else begin
+        Bytes.unsafe_set b (o + 1) '.';
+        put_digits b (o + 2) (m mod int_pow10.(d - 1)) (d - 1);
+        o + d + 1
+      end
+    in
+    Bytes.unsafe_set b o 'e';
+    Bytes.unsafe_set b (o + 1) (if x < 0 then '-' else '+');
+    put_digits b (o + 2) (abs x) 2;
+    o + 4
+  end
+  else if x < 0 then begin
+    Bytes.unsafe_set b o '0';
+    Bytes.unsafe_set b (o + 1) '.';
+    Bytes.unsafe_fill b (o + 2) (-x - 1) '0';
+    put_digits b (o + 1 - x) m d;
+    o + 1 - x + d
+  end
+  else if d <= x + 1 then begin
+    put_digits b o m d;
+    Bytes.unsafe_fill b (o + d) (x + 1 - d) '0';
+    o + x + 1
+  end
+  else begin
+    let fd = d - x - 1 in
+    put_digits b o (m / int_pow10.(fd)) (x + 1);
+    Bytes.unsafe_set b (o + x + 1) '.';
+    put_digits b (o + x + 2) (m mod int_pow10.(fd)) fd;
+    o + d + 1
+  end
+
+(* A number needs at most this many bytes in [10^-6, 10^15). *)
+let max_decimal_len = 24
+
+(* [f] as ["%.12g"] when that reads back as [f], else as ["%.17g"]
+   (printf's digits: the exact value rounded, ties to even), written
+   at the start of [b]; its length, or -1 when |f| is outside
+   [10^-6, 10^15) and only printf's formatter is proven to print it.
+   The 12 digits are M·10^-k with M the exact a·10^k rounded; they
+   read back as [f] iff M /. 10^k does, one correctly rounded
+   operation on exact doubles, as strtod rounds the decimal. *)
+let format_decimal b f =
+  let a = Float.abs f in
+  if not (a >= Array.unsafe_get pow10_at 0 && a < 1e15) then -1
+  else begin
+    let o = if f < 0.0 then (Bytes.unsafe_set b 0 '-'; 1) else 0 in
+    let x = decimal_exponent a in
+    let k = 11 - x in
+    let m = scaled_round a k in
+    let back =
+      if k >= 0 then float_of_int m /. exact_pow10.(k)
+      else float_of_int m *. exact_pow10.(-k)
+    in
+    if back = a then layout b o m 12 x else layout b o (scaled_round a (16 - x)) 17 x
+  end
+
+(* For finite [a > 0] outside the decimal range: false only when
+   ["%.12g"] cannot round-trip, so the formatter may skip trying it.
+   Scale [a] to x = a·10^k in [1e11, 1e12). If the 12-digit decimal
+   M·10^-k that ["%.12g"] prints reads back as [a], then M and the
+   computed x are each within 2^-53·x < 1.2e-4 of the exact a·10^k, so
+   M = round x; and M·10^-k reads back as x rescaled, one correctly
+   rounded operation on exact doubles, as strtod rounds it. *)
 let twelve_digits_may_round_trip a =
   let k0 = 11 - int_of_float (Float.floor (Float.log10 a)) in
   if k0 < -21 || k0 > 21 then true
@@ -40,11 +201,8 @@ let twelve_digits_may_round_trip a =
     let k = if x < 1e11 then k0 + 1 else if x >= 1e12 then k0 - 1 else k0 in
     scale (-k) (Float.round (scale k a)) = a
 
-let float_to_string f =
-  if not (Float.is_finite f) then
-    invalid_arg "Jsonw: non-finite numbers are not valid JSON";
-  if Float.is_integer f && Float.abs f < 1e15 then format_float "%.0f" f
-  else if twelve_digits_may_round_trip (Float.abs f) then
+let format_outside_range f =
+  if twelve_digits_may_round_trip (Float.abs f) then
     let s = format_float "%.12g" f in
     if float_of_string s = f then s else format_float "%.17g" f
   else format_float "%.17g" f
@@ -75,14 +233,39 @@ let write_string buf s =
   Buffer.add_substring buf s !run (String.length s - !run);
   Buffer.add_char buf '"'
 
-let rec write_digits buf i =
-  if i >= 10 then write_digits buf (i / 10);
-  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (i mod 10)))
-
 let write_int buf i =
-  if i >= 0 then write_digits buf i else Buffer.add_string buf (string_of_int i)
+  if i >= 0 && i < 10 then Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + i))
+  else if i < 0 then Buffer.add_string buf (string_of_int i)
+  else begin
+    (* Digits right to left into a local buffer, then one blit. *)
+    let b = Bytes.create 20 in
+    let v = ref i and o = ref 20 in
+    while !v > 0 do
+      decr o;
+      Bytes.unsafe_set b !o (Char.unsafe_chr (Char.code '0' + (!v mod 10)));
+      v := !v / 10
+    done;
+    Buffer.add_subbytes buf b !o (20 - !o)
+  end
 
-let write_float buf f = Buffer.add_string buf (float_to_string f)
+let write_float buf f =
+  if not (Float.is_finite f) then
+    invalid_arg "Jsonw: non-finite numbers are not valid JSON";
+  (* Integral values below 10^15 print as "%.0f" does: as the integer,
+     "-0" for negative zero. *)
+  if Float.is_integer f && Float.abs f < 1e15 then
+    if f = 0.0 && Float.sign_bit f then Buffer.add_string buf "-0"
+    else write_int buf (int_of_float f)
+  else
+    let b = Bytes.create max_decimal_len in
+    let n = format_decimal b f in
+    if n >= 0 then Buffer.add_subbytes buf b 0 n
+    else Buffer.add_string buf (format_outside_range f)
+
+let float_to_string f =
+  let buf = Buffer.create max_decimal_len in
+  write_float buf f;
+  Buffer.contents buf
 
 let write_field buf k =
   write_string buf k;
@@ -159,263 +342,380 @@ let max_int_digits = 18
 
 (* The tree the parser returns is what the GC has to promote, so values
    that repeat are shared rather than allocated again: small integers
-   (pids, tids, block ids) always, short strings (keys, phases, op and
-   track names) through a per-parse cache of the last string seen in
-   each slot. *)
+   (pids, tids, block ids) always, and through per-parse caches keyed
+   by source text, short strings (keys, phases, op and track names) and
+   whole members with a plain key and a number or plain string value
+   (["ph":"X"], ["pid":1], ["kind":"lane"]). A member found in the
+   cache is not converted again: a repeated float skips
+   [float_of_string]. *)
 let small_ints = Array.init 1024 (fun i -> Int i)
-let string_slots = 256
 let max_shared_len = 32
 
-let parse s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (!pos, msg)) in
-  (* The byte at [pos], or NUL past the end. NUL is invalid outside
-     strings, so it can stand for "end of input" wherever the caller
-     only dispatches on the byte; strings test [pos] themselves. *)
-  let peek () = if !pos < n then String.unsafe_get s !pos else '\000' in
-  let skip_ws () =
-    while
-      !pos < n
-      && match String.unsafe_get s !pos with
-         | ' ' | '\t' | '\n' | '\r' -> true
-         | _ -> false
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    if peek () = c then incr pos else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word v =
-    if !pos + String.length word <= n && matches_at s !pos word 0 then begin
-      pos := !pos + String.length word;
+(* Slot [i] holds the last value whose source text hashed to [i], with
+   the offset and length of that text, so a hit is a byte comparison
+   within the document. *)
+type 'a texts = { at : int array; len : int array; vals : 'a array }
+
+let texts slots dummy =
+  { at = Array.make slots (-1); len = Array.make slots 0; vals = Array.make slots dummy }
+
+let rec same_text s i j len =
+  len = 0
+  || (String.unsafe_get s i = String.unsafe_get s j && same_text s (i + 1) (j + 1) (len - 1))
+
+(* The slot holding the text [start, start + len) of [s], or [lnot] of
+   the slot it belongs in. *)
+let find tc s start len =
+  let h = ref len in
+  for i = start to start + len - 1 do
+    h := (!h * 31) + Char.code (String.unsafe_get s i)
+  done;
+  let slot = !h land (Array.length tc.at - 1) in
+  let at = Array.unsafe_get tc.at slot in
+  if at >= 0 && Array.unsafe_get tc.len slot = len && same_text s at start len then slot
+  else lnot slot
+
+let store tc slot start len v =
+  Array.unsafe_set tc.at slot start;
+  Array.unsafe_set tc.len slot len;
+  Array.unsafe_set tc.vals slot v
+
+(* The parser's state: top-level functions over one record rather than
+   closures over a [pos] ref, which the compiler would not inline. *)
+type cursor = {
+  s : string;
+  n : int;
+  mutable pos : int;
+  strings : t texts;
+  members : (string * t) texts;
+}
+
+let fail c msg = raise (Parse_error (c.pos, msg))
+
+(* The byte at [pos], or NUL past the end. NUL is invalid outside
+   strings, so it can stand for "end of input" wherever the caller only
+   dispatches on the byte; strings test [pos] themselves. *)
+let peek c = if c.pos < c.n then String.unsafe_get c.s c.pos else '\000'
+let advance c = c.pos <- c.pos + 1
+
+let skip_ws c =
+  let s = c.s and n = c.n in
+  let p = ref c.pos in
+  while
+    !p < n
+    && match String.unsafe_get s !p with
+       | ' ' | '\t' | '\n' | '\r' -> true
+       | _ -> false
+  do
+    incr p
+  done;
+  c.pos <- !p
+
+let expect c ch =
+  if peek c = ch then advance c else fail c (Printf.sprintf "expected %c" ch)
+
+let literal c word v =
+  if c.pos + String.length word <= c.n && matches_at c.s c.pos word 0 then begin
+    c.pos <- c.pos + String.length word;
+    v
+  end
+  else fail c ("expected " ^ word)
+
+let hex4 c =
+  if c.pos + 4 > c.n then fail c "truncated \\u escape";
+  let v = ref 0 in
+  for i = 0 to 3 do
+    let d = hex_digit (String.unsafe_get c.s (c.pos + i)) in
+    if d < 0 then fail c "bad \\u escape";
+    v := (!v lsl 4) lor d
+  done;
+  c.pos <- c.pos + 4;
+  !v
+
+(* Advance over bytes a string holds verbatim. *)
+let skip_plain c =
+  let s = c.s and n = c.n in
+  let p = ref c.pos in
+  while
+    !p < n
+    &&
+    let ch = String.unsafe_get s !p in
+    ch <> '"' && ch <> '\\' && Char.code ch >= 0x20
+  do
+    incr p
+  done;
+  c.pos <- !p
+
+let parse_escape c buf =
+  if c.pos >= c.n then fail c "unterminated escape";
+  let ch = String.unsafe_get c.s c.pos in
+  advance c;
+  match ch with
+  | '"' -> Buffer.add_char buf '"'
+  | '\\' -> Buffer.add_char buf '\\'
+  | '/' -> Buffer.add_char buf '/'
+  | 'b' -> Buffer.add_char buf '\b'
+  | 'f' -> Buffer.add_char buf '\012'
+  | 'n' -> Buffer.add_char buf '\n'
+  | 'r' -> Buffer.add_char buf '\r'
+  | 't' -> Buffer.add_char buf '\t'
+  | 'u' ->
+      let cp = hex4 c in
+      let cp =
+        (* High surrogate: consume the paired low surrogate. *)
+        if cp >= 0xD800 && cp <= 0xDBFF then begin
+          if c.pos + 2 <= c.n && c.s.[c.pos] = '\\' && c.s.[c.pos + 1] = 'u'
+          then begin
+            c.pos <- c.pos + 2;
+            let lo = hex4 c in
+            if lo < 0xDC00 || lo > 0xDFFF then fail c "invalid low surrogate";
+            0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
+          end
+          else fail c "lone high surrogate"
+        end
+        else if cp >= 0xDC00 && cp <= 0xDFFF then fail c "lone low surrogate"
+        else cp
+      in
+      Buffer.add_utf_8_uchar buf (Uchar.of_int cp)
+  | _ -> fail c "bad escape"
+
+let shared c start len =
+  if len = 0 || len > max_shared_len then String (String.sub c.s start len)
+  else
+    let i = find c.strings c.s start len in
+    if i >= 0 then Array.unsafe_get c.strings.vals i
+    else begin
+      let v = String (String.sub c.s start len) in
+      store c.strings (lnot i) start len v;
       v
     end
-    else fail ("expected " ^ word)
-  in
-  let hex4 () =
-    if !pos + 4 > n then fail "truncated \\u escape";
-    let v = ref 0 in
-    for i = 0 to 3 do
-      let d = hex_digit (String.unsafe_get s (!pos + i)) in
-      if d < 0 then fail "bad \\u escape";
-      v := (!v lsl 4) lor d
-    done;
-    pos := !pos + 4;
-    !v
-  in
-  (* Advance over bytes a string holds verbatim. *)
-  let skip_plain () =
-    while
-      !pos < n
-      &&
-      let c = String.unsafe_get s !pos in
-      c <> '"' && c <> '\\' && Char.code c >= 0x20
-    do
-      incr pos
-    done
-  in
-  let parse_escape buf =
-    if !pos >= n then fail "unterminated escape";
-    let c = String.unsafe_get s !pos in
-    incr pos;
-    match c with
-    | '"' -> Buffer.add_char buf '"'
-    | '\\' -> Buffer.add_char buf '\\'
-    | '/' -> Buffer.add_char buf '/'
-    | 'b' -> Buffer.add_char buf '\b'
-    | 'f' -> Buffer.add_char buf '\012'
-    | 'n' -> Buffer.add_char buf '\n'
-    | 'r' -> Buffer.add_char buf '\r'
-    | 't' -> Buffer.add_char buf '\t'
-    | 'u' ->
-        let cp = hex4 () in
-        let cp =
-          (* High surrogate: consume the paired low surrogate. *)
-          if cp >= 0xD800 && cp <= 0xDBFF then begin
-            if !pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u' then begin
-              pos := !pos + 2;
-              let lo = hex4 () in
-              if lo < 0xDC00 || lo > 0xDFFF then fail "invalid low surrogate";
-              0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
-            end
-            else fail "lone high surrogate"
-          end
-          else if cp >= 0xDC00 && cp <= 0xDFFF then fail "lone low surrogate"
-          else cp
-        in
-        Buffer.add_utf_8_uchar buf (Uchar.of_int cp)
-    | _ -> fail "bad escape"
-  in
-  let strings = Array.make string_slots Null in
-  let shared start len =
-    if len = 0 || len > max_shared_len then String (String.sub s start len)
-    else
-      let slot =
-        ((len * 31) + (Char.code s.[start] * 7) + Char.code s.[start + len - 1])
-        land (string_slots - 1)
-      in
-      match strings.(slot) with
-      | String c as v when String.length c = len && matches_at s start c 0 -> v
-      | _ ->
-          let v = String (String.sub s start len) in
-          strings.(slot) <- v;
-          v
-  in
-  (* A string value; plain ones end in [shared], escaped ones in a
-     buffer. *)
-  let parse_string () =
-    expect '"';
-    let start = !pos in
-    skip_plain ();
-    if peek () = '"' then begin
-      incr pos;
-      shared start (!pos - 1 - start)
-    end
-    else begin
-      (* Escapes: only now does the string need a buffer. *)
-      let buf = Buffer.create (2 * (!pos - start) + 16) in
-      Buffer.add_substring buf s start (!pos - start);
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        match String.unsafe_get s !pos with
-        | '"' -> incr pos
-        | '\\' ->
-            incr pos;
-            parse_escape buf;
-            let run = !pos in
-            skip_plain ();
-            Buffer.add_substring buf s run (!pos - run);
-            go ()
-        | _ -> fail "control character in string"
-      in
-      go ();
-      String (Buffer.contents buf)
-    end
-  in
-  let parse_key () =
-    match parse_string () with String k -> k | _ -> assert false
-  in
-  let digits () =
-    let d0 = !pos in
-    while
-      !pos < n && match String.unsafe_get s !pos with '0' .. '9' -> true | _ -> false
-    do
-      incr pos
-    done;
-    if !pos = d0 then fail "expected digit"
-  in
-  let parse_number () =
-    let start = !pos in
-    let neg = peek () = '-' in
-    if neg then incr pos;
-    let d0 = !pos in
-    let acc = ref 0 in
-    while
-      !pos < n && match String.unsafe_get s !pos with '0' .. '9' -> true | _ -> false
-    do
-      acc := (10 * !acc) + (Char.code (String.unsafe_get s !pos) - Char.code '0');
-      incr pos
-    done;
-    let len = !pos - d0 in
-    if len = 0 then fail "expected digit";
-    if len > 1 && s.[d0] = '0' then begin
-      pos := d0;
-      fail "leading zero in number"
-    end;
-    let is_float = ref false in
-    if peek () = '.' then begin
+
+(* The rest of a string after its first escape, into [buf]. *)
+let rec escaped_rest c buf =
+  if c.pos >= c.n then fail c "unterminated string";
+  match String.unsafe_get c.s c.pos with
+  | '"' -> advance c
+  | '\\' ->
+      advance c;
+      parse_escape c buf;
+      let run = c.pos in
+      skip_plain c;
+      Buffer.add_substring buf c.s run (c.pos - run);
+      escaped_rest c buf
+  | _ -> fail c "control character in string"
+
+(* A string value; plain ones end in [shared], escaped ones in a
+   buffer. *)
+let parse_string c =
+  expect c '"';
+  let start = c.pos in
+  skip_plain c;
+  if peek c = '"' then begin
+    advance c;
+    shared c start (c.pos - 1 - start)
+  end
+  else begin
+    (* Escapes: only now does the string need a buffer. *)
+    let buf = Buffer.create (2 * (c.pos - start) + 16) in
+    Buffer.add_substring buf c.s start (c.pos - start);
+    escaped_rest c buf;
+    String (Buffer.contents buf)
+  end
+
+let parse_key c = match parse_string c with String k -> k | _ -> assert false
+
+let digits c =
+  let d0 = c.pos in
+  let s = c.s and n = c.n in
+  let p = ref d0 in
+  while !p < n && match String.unsafe_get s !p with '0' .. '9' -> true | _ -> false do
+    incr p
+  done;
+  c.pos <- !p;
+  if !p = d0 then fail c "expected digit"
+
+(* Advances over a number; true when it has a fraction or an
+   exponent. *)
+let scan_number c =
+  if peek c = '-' then advance c;
+  let d0 = c.pos in
+  digits c;
+  if c.pos - d0 > 1 && c.s.[d0] = '0' then begin
+    c.pos <- d0;
+    fail c "leading zero in number"
+  end;
+  let is_float = ref false in
+  if peek c = '.' then begin
+    is_float := true;
+    advance c;
+    digits c
+  end;
+  (match peek c with
+  | 'e' | 'E' ->
       is_float := true;
-      incr pos;
-      digits ()
-    end;
-    (match peek () with
-    | 'e' | 'E' ->
-        is_float := true;
-        incr pos;
-        (match peek () with '+' | '-' -> incr pos | _ -> ());
-        digits ()
-    | _ -> ());
-    let text () = String.sub s start (!pos - start) in
-    if !is_float then Float (float_of_string (text ()))
-    else if len <= max_int_digits then
+      advance c;
+      (match peek c with '+' | '-' -> advance c | _ -> ());
+      digits c
+  | _ -> ());
+  !is_float
+
+(* The number scanned from [start] to [pos]. *)
+let number_value c start is_float =
+  let s = c.s in
+  let len = c.pos - start in
+  if is_float then Float (float_of_string (String.sub s start len))
+  else
+    let neg = String.unsafe_get s start = '-' in
+    let d0 = if neg then start + 1 else start in
+    if c.pos - d0 <= max_int_digits then begin
+      let acc = ref 0 in
+      for i = d0 to c.pos - 1 do
+        acc := (10 * !acc) + (Char.code (String.unsafe_get s i) - Char.code '0')
+      done;
       (* "-0" is the writer's spelling of negative zero. *)
       if neg && !acc = 0 then Float (-0.)
       else if neg then Int (- !acc)
       else if !acc < Array.length small_ints then small_ints.(!acc)
       else Int !acc
+    end
     else
-      match int_of_string_opt (text ()) with
+      let text = String.sub s start len in
+      match int_of_string_opt text with
       | Some i -> Int i
-      | None -> Float (float_of_string (text ()))
-  in
-  let rec parse_value depth =
-    if depth > 256 then fail "nesting too deep";
-    skip_ws ();
-    match peek () with
-    | '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = '}' then begin
-          incr pos;
-          Obj []
-        end
-        else begin
-          let members = ref [] in
-          let rec member () =
-            skip_ws ();
-            let k = parse_key () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value (depth + 1) in
-            members := (k, v) :: !members;
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                incr pos;
-                member ()
-            | '}' -> incr pos
-            | _ -> fail "expected , or }"
-          in
-          member ();
-          Obj (List.rev !members)
-        end
-    | '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = ']' then begin
-          incr pos;
-          List []
-        end
-        else begin
-          let items = ref [] in
-          let rec item () =
-            let v = parse_value (depth + 1) in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                incr pos;
-                item ()
-            | ']' -> incr pos
-            | _ -> fail "expected , or ]"
-          in
-          item ();
-          List (List.rev !items)
-        end
-    | '"' -> parse_string ()
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | 'n' -> literal "null" Null
-    | '-' | '0' .. '9' -> parse_number ()
-    | _ when !pos >= n -> fail "unexpected end of input"
-    | c -> fail (Printf.sprintf "unexpected character %C" c)
+      | None -> Float (float_of_string text)
+
+let parse_number c =
+  let start = c.pos in
+  let is_float = scan_number c in
+  number_value c start is_float
+
+(* At a string's opening quote: advances past the string and returns
+   true if it has no escapes, else stays and returns false. *)
+let plain_string c =
+  let start = c.pos in
+  peek c = '"'
+  && begin
+       advance c;
+       skip_plain c;
+       if peek c = '"' then begin
+         advance c;
+         true
+       end
+       else begin
+         c.pos <- start;
+         false
+       end
+     end
+
+(* The plain key whose quotes span [kstart, kend). *)
+let key c kstart kend =
+  match shared c (kstart + 1) (kend - kstart - 2) with String k -> k | _ -> assert false
+
+(* Member [m], which slot [lnot i] will hold: its text is [kstart, pos). *)
+let remember c i kstart m =
+  store c.members (lnot i) kstart (c.pos - kstart) m;
+  m
+
+let rec parse_value c depth =
+  if depth > 256 then fail c "nesting too deep";
+  skip_ws c;
+  match peek c with
+  | '{' ->
+      advance c;
+      skip_ws c;
+      if peek c = '}' then begin
+        advance c;
+        Obj []
+      end
+      else Obj (members c depth)
+  | '[' ->
+      advance c;
+      skip_ws c;
+      if peek c = ']' then begin
+        advance c;
+        List []
+      end
+      else List (items c depth)
+  | '"' -> parse_string c
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | 'n' -> literal c "null" Null
+  | '-' | '0' .. '9' -> parse_number c
+  | _ when c.pos >= c.n -> fail c "unexpected end of input"
+  | ch -> fail c (Printf.sprintf "unexpected character %C" ch)
+
+(* The members of an object after its [{], through its [}]. *)
+and[@tail_mod_cons] members c depth =
+  skip_ws c;
+  let m = member c depth in
+  skip_ws c;
+  match peek c with
+  | ',' ->
+      advance c;
+      m :: members c depth
+  | '}' ->
+      advance c;
+      [ m ]
+  | _ -> raise (Parse_error (c.pos, "expected , or }"))
+
+(* A member with a plain key and a number or plain string value is
+   looked up by its text before its key and value are built. *)
+and member c depth =
+  let kstart = c.pos in
+  if not (plain_string c) then begin
+    let k = parse_key c in
+    skip_ws c;
+    expect c ':';
+    (k, parse_value c (depth + 1))
+  end
+  else
+    let kend = c.pos in
+    skip_ws c;
+    expect c ':';
+    if depth >= 256 then fail c "nesting too deep";
+    skip_ws c;
+    let vstart = c.pos in
+    match peek c with
+    | '-' | '0' .. '9' ->
+        let is_float = scan_number c in
+        let i = find c.members c.s kstart (c.pos - kstart) in
+        if i >= 0 then Array.unsafe_get c.members.vals i
+        else remember c i kstart (key c kstart kend, number_value c vstart is_float)
+    | '"' when plain_string c ->
+        let i = find c.members c.s kstart (c.pos - kstart) in
+        if i >= 0 then Array.unsafe_get c.members.vals i
+        else
+          remember c i kstart
+            (key c kstart kend, shared c (vstart + 1) (c.pos - vstart - 2))
+    | _ -> (key c kstart kend, parse_value c (depth + 1))
+
+(* The items of a non-empty array after its [\[], through its [\]]. *)
+and[@tail_mod_cons] items c depth =
+  let v = parse_value c (depth + 1) in
+  skip_ws c;
+  match peek c with
+  | ',' ->
+      advance c;
+      v :: items c depth
+  | ']' ->
+      advance c;
+      [ v ]
+  | _ -> raise (Parse_error (c.pos, "expected , or ]"))
+
+let parse s =
+  let c =
+    {
+      s;
+      n = String.length s;
+      pos = 0;
+      strings = texts 256 Null;
+      members = texts 4096 ("", Null);
+    }
   in
   match
-    let v = parse_value 0 in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
+    let v = parse_value c 0 in
+    skip_ws c;
+    if c.pos <> c.n then fail c "trailing garbage";
     v
   with
   | v -> Ok v

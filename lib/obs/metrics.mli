@@ -48,16 +48,11 @@ val observe_batched_report : t -> Runtime.Resilient.batched_report -> unit
     report is the same: group attempts, replayed / restored / shed /
     committed row counters, backoff and outcome. *)
 
-val observe_decision : t -> Runtime.Degrade_ctl.decision -> unit
-(** Count one degradation-controller transition, labelled by the
-    resulting breaker state and brownout level; cooldown seconds
-    accumulate separately. Pass as [Degrade_ctl.create]'s
-    [on_decision] to stream decisions as they happen. *)
-
 val observe_ctl : t -> Runtime.Degrade_ctl.t -> unit
-(** {!observe_decision} over a controller's whole decision log, plus
-    the breaker-open counter — the after-the-fact alternative to the
-    [on_decision] hook. *)
+(** A controller's whole decision log: one count per transition,
+    labelled by the resulting breaker state and brownout level, with
+    cooldown seconds accumulated separately, plus the breaker-open
+    counter. *)
 
 val observe_profile : t -> Critical_path.t -> unit
 (** Fold a critical-path profile in as gauges:

@@ -23,17 +23,6 @@ type scenario =
           buy over Serial — gated against the measured gain in
           test/test_critical_path.ml. *)
 
-val label : scenario -> string
-
-val default_scenarios : scenario list
-(** [Pipeline], 2x/inf speedups of MTE, vector and cube, scalar inf,
-    and HBM 2x. *)
-
-val retime_block : scenario -> Critical_path.block -> float
-(** New makespan of one block under the scenario. With a no-op
-    scenario (e.g. [Speedup] with factor 1) this reproduces
-    [bk_cycles] bitwise. *)
-
 val predict_compute_cycles : Critical_path.t -> scenario -> float
 (** Sum over phases of the retimed bounding-core block chain, in
     cycles — the quantity test/test_pipeline.ml pins (per-phase
@@ -41,34 +30,15 @@ val predict_compute_cycles : Critical_path.t -> scenario -> float
     pipeline prediction can be compared directly against a measured
     schedule gain. *)
 
-type prediction = {
-  wi_label : string;
-  wi_cycles : float;  (** Predicted end-to-end cycles. *)
-  wi_gain : float;  (** Fraction of the baseline makespan saved. *)
-}
-
-val predict : Critical_path.t -> scenario -> prediction
-val rank : ?scenarios:scenario list -> Critical_path.t -> prediction list
-(** Predictions sorted by gain, descending (ties by label). *)
-
-type roof = {
-  rf_name : string;  (** Engine track, or ["HBM (device)"]. *)
-  rf_bytes : int;
-  rf_busy_cycles : float;
-  rf_achieved : float;  (** bytes per busy cycle. *)
-  rf_peak : float;  (** Cost-model ceiling, bytes per cycle. *)
-}
-
-val roofline : ?cm:Ascend.Cost_model.t -> Critical_path.t -> roof list
-(** Achieved vs peak bytes/cycle per MTE and vector track (tracks that
-    moved bytes), plus the device-level HBM roof over the end-to-end
-    makespan. *)
-
 val report :
   ?scenarios:scenario list -> ?cm:Ascend.Cost_model.t -> Critical_path.t ->
   Jsonw.t
 (** Deterministic what-if + roofline document, embedded in the CLI's
-    [profile.json]. *)
+    [profile.json]: each scenario's predicted cycles and gain, best
+    first, and achieved vs peak bytes/cycle per MTE and vector track
+    plus the device-level HBM roof. [scenarios] defaults to
+    [Pipeline], 2x/inf speedups of MTE, vector and cube, scalar inf,
+    and HBM 2x. *)
 
 val pp :
   ?scenarios:scenario list -> ?cm:Ascend.Cost_model.t ->

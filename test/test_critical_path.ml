@@ -219,6 +219,46 @@ let test_report_domain_identity () =
   check_string "report identical across domains 1/4" r1 (report ~domains:4)
 
 (* ------------------------------------------------------------------ *)
+(* What the trace readers take from the bytes is pinned: the schema
+   check's counts and the profile report, for the three profile-64k
+   kernels at 2^12. A reader that skipped or re-read a member would
+   change one of them. *)
+
+(* name, (events, spans, instants, flows, processes), MD5 of the
+   report. *)
+let pinned_profiles =
+  [
+    ("mcscan", (250, 79, 1, 75, 2), "2ae815c07236612bb87abcd30b16ed0d");
+    ("compress", (1294, 363, 1, 319, 21), "afb73b0bd448d2d09a6ff4439fa138b2");
+    ("weighted_sampling", (3108, 926, 2, 944, 21), "ae0cc5a1b810003917288cc7cedee5e7");
+  ]
+
+let test_profiles_pinned () =
+  List.iter
+    (fun (name, (events, spans, instants, flows, processes), md5) ->
+      let entry = Option.get (Scan.Op_registry.find name) in
+      let tr =
+        match Workload.Op_driver.run ~n:4096 entry with
+        | Ok (_, Some tr) -> tr
+        | _ -> Alcotest.failf "%s: no trace" name
+      in
+      let doc = Obs.Chrome_trace.json tr in
+      (match Obs.Chrome_trace.validate doc with
+      | Ok c ->
+          check_int (name ^ " events") events c.Obs.Chrome_trace.events;
+          check_int (name ^ " spans") spans c.spans;
+          check_int (name ^ " instants") instants c.instants;
+          check_int (name ^ " flows") flows c.flows;
+          check_int (name ^ " processes") processes c.processes
+      | Error e -> Alcotest.failf "%s: %s" name e);
+      match Obs.Critical_path.of_json doc with
+      | Ok p ->
+          check_string (name ^ " report md5") md5
+            (Digest.to_hex (Digest.string (Obs.Jsonw.to_string (Obs.Critical_path.report p))))
+      | Error e -> Alcotest.failf "%s: %s" name e)
+    pinned_profiles
+
+(* ------------------------------------------------------------------ *)
 (* The pipeline what-if, from a serial trace's bytes alone, predicts
    the measured serial -> triple MCScan gain within 5 points. The
    gain is over per-phase compute cycles, the quantity test_pipeline
@@ -304,6 +344,7 @@ let () =
           Alcotest.test_case "diamond dag" `Quick test_diamond;
           Alcotest.test_case "report domain identity" `Quick
             test_report_domain_identity;
+          Alcotest.test_case "profiles pinned" `Quick test_profiles_pinned;
           Alcotest.test_case "what-if predicts pipeline gain" `Quick
             test_whatif_predicts_pipeline_gain;
         ] );

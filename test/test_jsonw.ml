@@ -2,12 +2,17 @@
 
    - The float formatter equals its Printf definition (the oracle
      below) on random bit patterns, trace-style timestamps and edge
-     cases; every output reads back as the same number.
+     cases, and on the values where its integer path could go wrong:
+     rounding ties, powers of ten, the ends of its range; every output
+     reads back as the same number.
    - Writer and parser round-trip random trees with escapes, control
      characters and astral code points, and [\u] escapes with
      surrogate pairs decode to the same strings.
    - RFC 8259 edges: exactly four hex digits per [\u] escape, no
      leading zeros, "-0" reads back as negative zero.
+   - Parser errors: the exact message and byte offset for each kind of
+     malformed input; a flat array of a million items parses in a
+     small stack.
    - Mutation fuzz of an exported Chrome trace: every reader of trace
      JSON returns [Ok] or [Error] and never raises. *)
 
@@ -50,6 +55,54 @@ let test_edge_floats () =
     (fun f ->
       Alcotest.(check string) (Printf.sprintf "%h" f) (reference_float f) (J.float_to_string f))
     (edge_floats @ List.filter Float.is_finite powers)
+
+(* Where the integer path of the formatter decides something. *)
+let integer_path_floats =
+  let around f = [ Float.pred f; f; Float.succ f ] in
+  (* Exact decimals of 13 and 18 significant digits ending in 5: ties
+     at the 12th and the 17th digit. x = n / 2^j with n odd has j
+     digits after the point, the last a 5. *)
+  let ties digits =
+    List.concat_map
+      (fun x ->
+        let j = digits - 1 - x in
+        List.map
+          (fun n -> Float.ldexp (float_of_int n) (-j))
+          [
+            (int_of_float (10.0 ** float_of_int x) lsl j) + 1;
+            (int_of_float (10.0 ** float_of_int x) lsl j) + 12345;
+            (int_of_float (3.0 *. (10.0 ** float_of_int x)) lsl j) + 98765;
+            (int_of_float (10.0 ** float_of_int (x + 1)) lsl j) - 1;
+          ])
+      (List.init (digits - 4) Fun.id)
+  in
+  let powers_of_ten =
+    List.concat_map
+      (fun k -> around (float_of_string (Printf.sprintf "1e%d" k)))
+      (List.init 25 (fun k -> k - 8))
+  in
+  let range_ends = around 1e-6 @ around 1e15 @ around 1e-5 @ around 1e11 @ around 1e12 in
+  let trace_shaped =
+    List.init 2000 (fun k -> float_of_int (k * 7919) /. 1800.0)
+    @ List.init 2000 (fun k -> float_of_int (k * 104729) /. 1.8e9 *. 1e6)
+  in
+  let subnormals = [ 5e-324; 1e-310; 2.2250738585072009e-308; Float.min_float ] in
+  let base =
+    ties 13 @ ties 18 @ powers_of_ten @ range_ends @ trace_shaped @ subnormals
+    @ [ 0.0; 0.5; 2.5; 999999999999.5; 99999999999.95; 9.9999999999995e-5 ]
+  in
+  base @ List.map Float.neg base
+
+let test_integer_path () =
+  List.iter
+    (fun f ->
+      let want = reference_float f in
+      Alcotest.(check string) (Printf.sprintf "%h" f) want (J.float_to_string f);
+      let b = Buffer.create 32 in
+      J.write_float b f;
+      Alcotest.(check string) (Printf.sprintf "write_float %h" f) want (Buffer.contents b))
+    integer_path_floats;
+  Alcotest.(check string) "negative zero" "-0" (J.float_to_string (-0.0))
 
 let test_non_finite () =
   List.iter
@@ -245,6 +298,80 @@ let test_negative_zero () =
   | Error e -> Alcotest.fail e
 
 (* ------------------------------------------------------------------ *)
+(* Parser errors                                                       *)
+
+let nested n = String.concat "" (List.init n (fun _ -> {|{"a":|})) ^ "1" ^ String.make n '}'
+
+(* Each malformed input with its exact error: message and byte offset. *)
+let error_table =
+  [
+    ({|"\u12|}, "JSON parse error at byte 3: truncated \\u escape");
+    ({|"\uD800"|}, "JSON parse error at byte 7: lone high surrogate");
+    ({|"\uDC00"|}, "JSON parse error at byte 7: lone low surrogate");
+    ({|"\uD800\u0041"|}, "JSON parse error at byte 13: invalid low surrogate");
+    ({|["\uDBFF\uDBFF"]|}, "JSON parse error at byte 14: invalid low surrogate");
+    ({|{"a\u00":1}|}, "JSON parse error at byte 5: bad \\u escape");
+    ("01", "JSON parse error at byte 0: leading zero in number");
+    ("-01", "JSON parse error at byte 1: leading zero in number");
+    ({|{"a":01}|}, "JSON parse error at byte 5: leading zero in number");
+    ("-", "JSON parse error at byte 1: expected digit");
+    ({|{"a":-}|}, "JSON parse error at byte 6: expected digit");
+    ("1e+", "JSON parse error at byte 3: expected digit");
+    ("[1,2] x", "JSON parse error at byte 6: trailing garbage");
+    ("{} {}", "JSON parse error at byte 3: trailing garbage");
+    (String.make 300 '[', "JSON parse error at byte 257: nesting too deep");
+    (nested 257, "JSON parse error at byte 1285: nesting too deep");
+    ({|"abc|}, "JSON parse error at byte 4: unterminated string");
+    ({|{"a":"x}|}, "JSON parse error at byte 8: unterminated string");
+    ("\"a\001b\"", "JSON parse error at byte 2: control character in string");
+    ("[1,]", "JSON parse error at byte 3: unexpected character ']'");
+    ({|{"a" 1}|}, "JSON parse error at byte 5: expected :");
+    ({|{"a":1,}|}, "JSON parse error at byte 7: expected \"");
+    ({|{"a":1 "b":2}|}, "JSON parse error at byte 7: expected , or }");
+    ("[1 2]", "JSON parse error at byte 3: expected , or ]");
+    ({|{"a":1,"a":tru}|}, "JSON parse error at byte 11: expected true");
+    ("", "JSON parse error at byte 0: unexpected end of input");
+    ({|"\x"|}, "JSON parse error at byte 3: bad escape");
+    ({|"ab\|}, "JSON parse error at byte 4: unterminated escape");
+  ]
+
+let test_error_table () =
+  List.iter
+    (fun (input, want) ->
+      match J.parse input with
+      | Error got -> Alcotest.(check string) (String.escaped input) want got
+      | Ok v -> Alcotest.failf "%S parsed as %s" input (J.to_string v))
+    error_table;
+  (* One level less than the limit still parses. *)
+  Alcotest.(check bool) "256 levels parse" true (Result.is_ok (J.parse (nested 256)))
+
+(* Lists are built in constant stack: a million items parse with the
+   stack limited to 256 KiB. *)
+let test_flat_array () =
+  let n = 1_000_000 in
+  let items = String.concat "," (List.init n (fun i -> string_of_int (i land 7))) in
+  let members =
+    String.concat "," (List.init (n / 10) (fun i -> Printf.sprintf {|"k%d":%d|} i i))
+  in
+  let old = Gc.get () in
+  Gc.set { old with Gc.stack_limit = 32768 };
+  let arr, obj =
+    Fun.protect
+      ~finally:(fun () -> Gc.set old)
+      (fun () -> (J.parse ("[" ^ items ^ "]"), J.parse ("{" ^ members ^ "}")))
+  in
+  (match arr with
+  | Ok (J.List l) -> Alcotest.(check int) "items" n (List.length l)
+  | Ok _ -> Alcotest.fail "not a list"
+  | Error e -> Alcotest.fail e);
+  match obj with
+  | Ok (J.Obj l) ->
+      Alcotest.(check int) "members" (n / 10) (List.length l);
+      Alcotest.(check bool) "last member" true (List.nth l (n / 10 - 1) = ("k99999", J.Int 99999))
+  | Ok _ -> Alcotest.fail "not an object"
+  | Error e -> Alcotest.fail e
+
+(* ------------------------------------------------------------------ *)
 (* Trace-JSON mutation fuzz                                            *)
 
 let trace_text =
@@ -399,6 +526,7 @@ let () =
           Alcotest.test_case "edge cases = Printf definition" `Quick test_edge_floats;
           Alcotest.test_case "edge cases read back" `Quick test_edge_floats_read_back;
           Alcotest.test_case "non-finite rejected" `Quick test_non_finite;
+          Alcotest.test_case "integer path = Printf definition" `Quick test_integer_path;
         ]
         @ qc [ prop_formatter_bits; prop_formatter_ts; prop_formatter_decimals ] );
       ("roundtrip", qc [ prop_roundtrip; prop_unicode_escapes ]);
@@ -407,6 +535,11 @@ let () =
           Alcotest.test_case "\\u takes exactly four hex digits" `Quick test_hex4_exact;
           Alcotest.test_case "leading zeros rejected" `Quick test_leading_zero;
           Alcotest.test_case "negative zero fixpoint" `Quick test_negative_zero;
+        ] );
+      ( "errors",
+        [
+          Alcotest.test_case "messages and offsets pinned" `Quick test_error_table;
+          Alcotest.test_case "flat array in constant stack" `Quick test_flat_array;
         ] );
       ( "trace-fuzz",
         Alcotest.test_case "unmutated trace reads" `Quick test_unmutated_trace
