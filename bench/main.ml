@@ -1,8 +1,8 @@
 (* Benchmark harness: regenerates every figure of the paper's
    evaluation section (Figures 3, 5, 8, 9, 10, 11, 12, 13), the two
-   headline speedup claims, and the ablations of DESIGN.md, then runs
-   a Bechamel wall-clock micro-benchmark of the simulator itself (one
-   Test.make per figure).
+   headline speedup claims, and the ablations of DESIGN.md. The
+   simulator's own host time is measured by the ledger (bench/ledger),
+   not here.
 
    Simulated timings come from the cost model (DESIGN.md section 4);
    EXPERIMENTS.md records the paper-vs-measured comparison. Every
@@ -813,59 +813,6 @@ let robustness_degraded () =
   note_verified "batched_checkpoint(kill+faults mid-batch)";
   emit t2
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel: wall-clock micro-benchmarks of the simulator itself.     *)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let fn_dev = dev_fn () in
-  let data = Array.init 16384 (fun i -> if i mod 37 = 0 then 1.0 else 0.0) in
-  let x16k = Ascend.Device.of_array fn_dev Ascend.Dtype.F16 ~name:"x" data in
-  let mask =
-    Ascend.Device.of_array fn_dev Ascend.Dtype.I8 ~name:"m"
-      (Array.init 16384 (fun i -> if i mod 2 = 0 then 1.0 else 0.0))
-  in
-  let stage f = Staged.stage f in
-  let tests =
-    [
-      Test.make ~name:"fig3_scanul1_16k" (stage (fun () -> ignore (Scan.Scan_ul1.run fn_dev x16k)));
-      Test.make ~name:"fig5_batched_u" (stage (fun () ->
-          ignore (Scan.Batched_scan.run_u fn_dev ~batch:4 ~len:4096 x16k)));
-      Test.make ~name:"fig8_mcscan_16k" (stage (fun () -> ignore (Scan.Mcscan.run fn_dev x16k)));
-      Test.make ~name:"fig9_mcscan_i8" (stage (fun () -> ignore (Scan.Mcscan.run fn_dev mask)));
-      Test.make ~name:"fig10_compress" (stage (fun () ->
-          ignore (Ops.Compress.run fn_dev ~x:x16k ~mask ())));
-      Test.make ~name:"fig11_radix_16k" (stage (fun () -> ignore (Ops.Radix_sort.run fn_dev x16k)));
-      Test.make ~name:"fig12_batched_scan" (stage (fun () ->
-          ignore (Scan.Batched_scan.run_ul1 fn_dev ~batch:4 ~len:4096 x16k)));
-      Test.make ~name:"fig13_topp_4k"
-        (stage
-           (let probs = Generators.softmax_probs ~seed:3 4096 in
-            let pt = Ascend.Device.of_array fn_dev Ascend.Dtype.F16 ~name:"p" probs in
-            fun () -> ignore (Ops.Topp.sample fn_dev ~probs:pt ~p:0.9 ~theta:0.3)));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:50 ~quota:(Time.second 0.25) ~kde:(Some 10) ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false
-      ~predictors:[| Measure.run |]
-  in
-  Printf.printf "\n== Bechamel: simulator wall-clock (ns per simulated kernel) ==\n";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analysis = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "%-24s %12.0f ns/run\n" name est
-          | _ -> Printf.printf "%-24s (no estimate)\n" name)
-        analysis)
-    tests
-
 let () =
   let t0 = Sys.time () in
   Format.printf "Ascend parallel-scan reproduction benchmark harness@.";
@@ -889,5 +836,4 @@ let () =
   robustness_degraded ();
   Printf.printf "\nFunctionally verified against reference oracles: %s\n"
     (String.concat ", " (List.rev !verified));
-  bechamel_suite ();
   Printf.printf "\nTotal harness time: %.1f s (cpu)\n" (Sys.time () -. t0)

@@ -165,35 +165,46 @@ let arm_obs device obs =
   if obs.trace_file <> None || obs.metrics || obs.profile_file <> None then
     ignore (Ascend.Device.arm_trace device)
 
-(* Critical-path profile of a parsed trace document: print the
-   human-readable report and write the combined profile.json
-   (blame + what-if + roofline). Shared by the --profile run flag and
-   the offline [profile] subcommand. [on_error] takes a document the
-   profiler rejects: by default a simulator bug (exit 1), since the
-   run flags profile the trace they just recorded. *)
-let emit_profile
-    ?(on_error = fun e -> Format.eprintf "profile: %s@." e; exit 1) ?out doc =
-  match Obs.Critical_path.of_json doc with
-  | Error e -> on_error e
-  | Ok p ->
-      Format.printf "%a" Obs.Critical_path.pp p;
-      Format.printf "%a" (fun ppf -> Obs.Whatif.pp ppf) p;
-      (match out with
-      | Some file ->
-          let merged =
-            match (Obs.Critical_path.report p, Obs.Whatif.report p) with
-            | Obs.Jsonw.Obj a, Obs.Jsonw.Obj b ->
-                Obs.Jsonw.Obj
-                  (a
-                  @ List.filter (fun (k, _) -> k <> "baseline_cycles") b)
-            | a, _ -> a
-          in
-          write_file file (Obs.Jsonw.to_string merged);
-          Format.printf "profile json -> %s@." file
-      | None -> ())
+(* Critical-path profile: print the human-readable report and write
+   the combined profile.json (blame + what-if + roofline). Shared by
+   the --profile run flag and the offline [profile] subcommand. *)
+let emit_profile ?out p =
+  Format.printf "%a" Obs.Critical_path.pp p;
+  Format.printf "%a" (fun ppf -> Obs.Whatif.pp ppf) p;
+  match out with
+  | Some file ->
+      let merged =
+        match (Obs.Critical_path.report p, Obs.Whatif.report p) with
+        | Obs.Jsonw.Obj a, Obs.Jsonw.Obj b ->
+            Obs.Jsonw.Obj
+              (a @ List.filter (fun (k, _) -> k <> "baseline_cycles") b)
+        | a, _ -> a
+      in
+      write_file file (Obs.Jsonw.to_string merged);
+      Format.printf "profile json -> %s@." file
+  | None -> ()
 
+(* The run flags profile the trace they just recorded: a rejection is
+   a simulator bug, exit 1. *)
+let recorded_profile = function
+  | Ok p -> p
+  | Error e ->
+      Format.eprintf "profile: %s@." e;
+      exit 1
+
+(* One recording, one export, one profile: --trace writes the exported
+   bytes, and --profile and --metrics share the profile of their parse,
+   so the three flags cannot disagree. *)
 let emit_obs ?extra device obs st =
   let trace = Ascend.Device.trace device in
+  let exported = lazy (Option.map Obs.Chrome_trace.to_string trace) in
+  let profile =
+    lazy
+      (Option.map
+         (fun bytes ->
+           Result.bind (Obs.Jsonw.parse bytes) Obs.Critical_path.of_json)
+         (Lazy.force exported))
+  in
   (match (obs.trace_file, trace) with
   | Some file, Some tr ->
       (match Ascend.Trace.check tr with
@@ -202,14 +213,17 @@ let emit_obs ?extra device obs st =
           (* A consistency failure is a simulator bug, not a user error:
              still write the file (it is the evidence), but say so. *)
           Format.eprintf "trace: internal consistency check FAILED: %s@." e);
-      write_file file (Obs.Chrome_trace.to_string tr);
+      write_file file (Option.get (Lazy.force exported));
       Format.printf "trace: %d events -> %s@."
         (Ascend.Trace.event_count tr)
         file
   | _ -> ());
-  (match (obs.profile_file, trace) with
-  | Some out, Some tr -> emit_profile ~out (Obs.Chrome_trace.json tr)
-  | _ -> ());
+  Option.iter
+    (fun out ->
+      Option.iter
+        (fun r -> emit_profile ~out (recorded_profile r))
+        (Lazy.force profile))
+    obs.profile_file;
   (match obs.stats_json_file with
   | Some file ->
       write_file file (Obs.Stats_json.to_string st);
@@ -221,12 +235,10 @@ let emit_obs ?extra device obs st =
     Option.iter (Obs.Metrics.observe_trace m) trace;
     (* Critical-path gauges (per-phase overlap ratio, makespan blame)
        ride along whenever a recording exists — --metrics arms one. *)
-    Option.iter
-      (fun tr ->
-        match Obs.Critical_path.of_json (Obs.Chrome_trace.json tr) with
-        | Ok p -> Obs.Metrics.observe_profile m p
-        | Error e -> Format.eprintf "metrics: profile skipped: %s@." e)
-      trace;
+    (match Lazy.force profile with
+    | Some (Ok p) -> Obs.Metrics.observe_profile m p
+    | Some (Error e) -> Format.eprintf "metrics: profile skipped: %s@." e
+    | None -> ());
     (* Subcommand-specific series (resilient reports, controller
        decisions) ride on the same registry and exposition. *)
     (match extra with Some f -> f m | None -> ());
@@ -666,7 +678,8 @@ let checkpointed_run ~group ~narrator ~resume ~store_path ~meta ~batch ~len
   let obs =
     match (profile, obs.profile_file) with
     | Some doc, Some out ->
-        emit_profile ~out (doc ());
+        emit_profile ~out
+          (recorded_profile (Obs.Critical_path.of_json (doc ())));
         { obs with profile_file = None }
     | _ -> obs
   in
@@ -1022,28 +1035,35 @@ let parse_trace_file file =
   | Error e ->
       raise (Usage_error (Printf.sprintf "%s: invalid JSON: %s" file e))
 
+(* A trace file is untrusted input: schema-check it (a corrupted span
+   can otherwise profile as an empty DAG) before profiling it, and
+   treat any rejection as a usage error, exit 2. *)
+let profile_trace_file file =
+  let bad e =
+    raise (Usage_error (Printf.sprintf "%s: not a profilable trace: %s" file e))
+  in
+  let doc = parse_trace_file file in
+  (match Obs.Chrome_trace.validate doc with Ok _ -> () | Error e -> bad e);
+  match Obs.Critical_path.of_json doc with Ok p -> p | Error e -> bad e
+
 let trace_cmd =
   let file_arg = trace_file_arg in
-  let parse_file = parse_trace_file in
   let summary_cmd =
     let run file =
-      match Obs.Trace_summary.of_json (parse_file file) with
-      | Ok summaries -> Format.printf "%a" Obs.Trace_summary.pp summaries
-      | Error e ->
-          Format.eprintf "trace summary: %s@." e;
-          exit 1
+      Format.printf "%a" Obs.Critical_path.pp_summary (profile_trace_file file)
     in
     Cmd.v
       (Cmd.info "summary"
          ~doc:
-           "Print per-phase engine occupancy and the bounding resource \
-            (busiest engine, or HBM/L2 bandwidth) for each launch in a \
-            recorded trace.")
+           "Print per-phase engine occupancy, the bounding resource \
+            (busiest engine, or HBM/L2 bandwidth) and the MTE/compute \
+            overlap for each launch in a recorded device or pod trace; \
+            exit 2 when the file is not a profilable trace.")
       Term.(const run $ file_arg)
   in
   let validate_cmd =
     let run file =
-      match Obs.Chrome_trace.validate (parse_file file) with
+      match Obs.Chrome_trace.validate (parse_trace_file file) with
       | Ok c ->
           Format.printf
             "valid: %d events (%d spans, %d instants, %d flows) across %d \
@@ -1082,16 +1102,7 @@ let profile_cmd =
   in
   let run file out =
     let out = match out with Some "none" -> None | o -> o in
-    (* A file is untrusted input: schema-check it first (a corrupted
-       span can otherwise profile as an empty DAG) and treat any
-       rejection as a usage error, exit 2. *)
-    let bad e =
-      raise
-        (Usage_error (Printf.sprintf "%s: not a profilable trace: %s" file e))
-    in
-    let doc = parse_trace_file file in
-    (match Obs.Chrome_trace.validate doc with Ok _ -> () | Error e -> bad e);
-    emit_profile ~on_error:bad ?out doc
+    emit_profile ?out (profile_trace_file file)
   in
   Cmd.v
     (Cmd.info "profile"

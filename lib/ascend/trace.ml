@@ -534,10 +534,3 @@ let assemble t =
           let c = Int.compare a.p_tid b.p_tid in
           if c <> 0 then c else String.compare a.p_name b.p_name)
     (List.rev !out)
-
-let pp_summary ppf t =
-  Format.fprintf ppf "trace: %d events (%d spans, %d instants) across %d \
-                      launches%s"
-    (event_count t) t.spans (t.marks + t.notes)
-    (List.length (launches t))
-    (if t.drops > 0 then Printf.sprintf ", %d DROPPED" t.drops else "")

@@ -227,5 +227,3 @@ val assemble : t -> placed list
     both carrying [id]/[kind]/[src]/[dst] args — the Chrome writer maps
     them onto ph ["s"]/["f"] flow events. *)
 
-val pp_summary : Format.formatter -> t -> unit
-(** One-line recorder summary (events, launches, drops). *)

@@ -25,9 +25,8 @@ val to_string : Ascend.Trace.t -> string
     document. *)
 
 val json : Ascend.Trace.t -> Jsonw.t
-(** [Jsonw.parse (to_string t)]: in-process consumers (the CLI's
-    [--profile]/[--metrics], the tests) read the same bytes a file
-    reader would. *)
+(** [Jsonw.parse (to_string t)]: in-process consumers (the tests)
+    read the same bytes a file reader would. *)
 
 type counts = {
   events : int;  (** All events incl. metadata. *)

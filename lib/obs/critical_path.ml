@@ -51,6 +51,7 @@ type phase = {
   ph_compute_seconds : float;
   ph_bandwidth_seconds : float;
   ph_bound : string;
+  ph_dur_us : float; (* the phase span's window length in the file *)
   ph_gm_bytes : int;
   ph_blocks : block list; (* in assembly order *)
   ph_cores : (int * float) list; (* core -> serialised chain cycles *)
@@ -76,6 +77,7 @@ type t = {
   spans_total : int;
   edges_total : int;
   cp_spans : int;
+  pod_phases : phase list; (* pod traces only; [] for device traces *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -85,7 +87,6 @@ let member k j = Jsonw.member k j
 let str_of k j = Option.bind (member k j) Jsonw.string_opt
 let int_of k j = Option.bind (member k j) Jsonw.int_opt
 let num_of k j = Option.bind (member k j) Jsonw.number_opt
-let arg_int k j = Option.bind (Option.bind (member "args" j) (member k)) Jsonw.int_opt
 
 let tally tbl key v =
   Hashtbl.replace tbl key (v +. Option.value ~default:0.0 (Hashtbl.find_opt tbl key))
@@ -223,6 +224,51 @@ type raw_phase = {
   rp_gm : int;
   mutable rp_binsts : int list; (* newest first *)
 }
+
+(* Phase windows and the events are both in file (= time) order, so
+   the window holding a start [ts] is found by a cursor that only moves
+   forward: past a window once [ts] reaches both its end and the next
+   window's start. *)
+let eps = 1e-6
+
+let advance phases cursor ts =
+  while
+    !cursor < Array.length phases - 1
+    && ts >= phases.(!cursor).rp_ts +. phases.(!cursor).rp_dur -. eps
+    && ts >= phases.(!cursor + 1).rp_ts -. eps
+  do
+    incr cursor
+  done
+
+(* A phase with its blocks (by occurrence, [rp_binsts] newest first)
+   and the per-core serial chains they form. *)
+let phase_of block rp =
+  let blks = List.rev_map block rp.rp_binsts in
+  let cores = Hashtbl.create 16 in
+  List.iter (fun b -> tally cores b.bk_core b.bk_cycles) blks;
+  let cores =
+    List.sort
+      (fun (a, _) (b, _) -> Int.compare a b)
+      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) cores [])
+  in
+  let bounding_core, _ =
+    List.fold_left
+      (fun (bc, bcy) (c, cy) -> if cy > bcy then (c, cy) else (bc, bcy))
+      (-1, neg_infinity) cores
+  in
+  {
+    ph_launch = rp.rp_launch;
+    ph_index = rp.rp_index;
+    ph_seconds = rp.rp_seconds;
+    ph_compute_seconds = rp.rp_compute;
+    ph_bandwidth_seconds = rp.rp_bandwidth;
+    ph_bound = rp.rp_bound;
+    ph_dur_us = rp.rp_dur;
+    ph_gm_bytes = rp.rp_gm;
+    ph_blocks = blks;
+    ph_cores = cores;
+    ph_bounding_core = (if blks = [] then -1 else bounding_core);
+  }
 
 (* Events are decoded in one pass over each member list, into local
    refs (no allocation); as with [Jsonw.member], the first occurrence
@@ -409,7 +455,6 @@ let of_device_json ~clock_hz events =
        containing it. *)
     let by_binst : (int, span list) Hashtbl.t = Hashtbl.create 64 in
     let binst_order = ref [] in
-    let eps = 1e-6 in
     let cursor = ref 0 in
     List.iter
       (fun s ->
@@ -419,14 +464,7 @@ let of_device_json ~clock_hz events =
             Hashtbl.add by_binst s.x_binst [ s ];
             binst_order := s.x_binst :: !binst_order;
             (* phase attribution by the block's first span *)
-            while
-              !cursor < Array.length phases - 1
-              && s.x_ts
-                 >= phases.(!cursor).rp_ts +. phases.(!cursor).rp_dur -. eps
-              && s.x_ts >= phases.(!cursor + 1).rp_ts -. eps
-            do
-              incr cursor
-            done;
+            advance phases cursor s.x_ts;
             phases.(!cursor).rp_binsts <-
               s.x_binst :: phases.(!cursor).rp_binsts))
       spans;
@@ -461,42 +499,9 @@ let of_device_json ~clock_hz events =
         let blocks = List.rev blocks_rev in
         let block_tbl = Hashtbl.create 64 in
         List.iter (fun b -> Hashtbl.add block_tbl b.bk_binst b) blocks;
-        (* Assemble phases with per-core serial chains. *)
-        let mk_phase rp =
-          let blks =
-            List.rev_map
-              (fun binst -> Hashtbl.find block_tbl binst)
-              rp.rp_binsts
-          in
-          let cores = Hashtbl.create 16 in
-          List.iter
-            (fun b -> tally cores b.bk_core b.bk_cycles)
-            blks;
-          let cores =
-            List.sort
-              (fun (a, _) (b, _) -> Int.compare a b)
-              (Hashtbl.fold (fun k v acc -> (k, v) :: acc) cores [])
-          in
-          let bounding_core, _ =
-            List.fold_left
-              (fun (bc, bcy) (c, cy) ->
-                if cy > bcy then (c, cy) else (bc, bcy))
-              (-1, neg_infinity) cores
-          in
-          {
-            ph_launch = rp.rp_launch;
-            ph_index = rp.rp_index;
-            ph_seconds = rp.rp_seconds;
-            ph_compute_seconds = rp.rp_compute;
-            ph_bandwidth_seconds = rp.rp_bandwidth;
-            ph_bound = rp.rp_bound;
-            ph_gm_bytes = rp.rp_gm;
-            ph_blocks = blks;
-            ph_cores = cores;
-            ph_bounding_core = (if blks = [] then -1 else bounding_core);
-          }
+        let phase_list =
+          Array.to_list (Array.map (phase_of (Hashtbl.find block_tbl)) phases)
         in
-        let phase_list = Array.to_list (Array.map mk_phase phases) in
         (* Group phases under their launch occurrences. Both lists are
            in file (= time) order and launches are sequential, so each
            launch owns the next run of phases — exactly the count its
@@ -610,6 +615,7 @@ let of_device_json ~clock_hz events =
             spans_total = List.length spans;
             edges_total = List.length edges;
             cp_spans = !cp_spans;
+            pod_phases = [];
           }
   end
 
@@ -617,26 +623,56 @@ let of_device_json ~clock_hz events =
 (* Pod-trace profile: structural DAG over kernel/link spans — per-track
    program order plus link-transfer arrival edges. Units are
    microseconds (clock_hz = 1e6 makes the cycle/us conversion the
-   identity). *)
+   identity). Each device span is its own one-span block, and blocks
+   belong to the pod phase window their span starts in. *)
 
 let of_pod_json events =
-  (* Collect spans per (pid, tid) with device processes only. *)
-  let all = ref [] in
+  (* Spans of device processes, with their link destination; phase
+     windows from the pod process. *)
+  let all = ref [] and next = ref 0 in
+  let windows = ref [] in
   List.iter
     (fun ev ->
-      match (str_of "ph" ev, int_of "pid" ev, int_of "tid" ev) with
-      | Some "X", Some pid, Some tid when pid > 0 -> (
-          match (num_of "ts" ev, num_of "dur" ev) with
-          | Some ts, Some dur ->
-              let cat = Option.value ~default:"?" (str_of "cat" ev) in
+      match (str_of "ph" ev, num_of "ts" ev, num_of "dur" ev) with
+      | Some "X", Some ts, Some dur -> (
+          let args = Option.value ~default:absent (member "args" ev) in
+          let cat = Option.value ~default:"?" (str_of "cat" ev) in
+          if cat = "phase" then
+            windows :=
+              {
+                rp_launch = str ~default:"?" (arg "launch" args);
+                rp_index = int ~default:0 (arg "index" args);
+                rp_ts = ts;
+                rp_dur = dur;
+                rp_seconds = dur /. 1e6;
+                rp_compute = 0.0;
+                rp_bandwidth = 0.0;
+                rp_bound = str ~default:"compute" (arg "bound" args);
+                rp_gm = 0;
+                rp_binsts = [];
+              }
+              :: !windows;
+          match (int_of "pid" ev, int_of "tid" ev) with
+          | Some pid, Some tid when pid > 0 ->
+              let i = !next in
+              incr next;
               all :=
-                ( pid,
-                  tid,
-                  cat,
-                  Option.value ~default:"?" (str_of "name" ev),
-                  ts,
-                  dur,
-                  arg_int "dst" ev )
+                ( {
+                    x_sid = i;
+                    x_binst = i;
+                    x_pid = pid;
+                    x_tid = tid;
+                    x_track =
+                      Printf.sprintf "device %d:%s" (pid - 1)
+                        (if tid = 1 then "link" else "compute");
+                    x_queue = cat;
+                    x_op = Option.value ~default:"?" (str_of "name" ev);
+                    x_c0 = 0.0;
+                    x_c1 = dur;
+                    x_bytes = 0;
+                    x_ts = ts;
+                  },
+                  Jsonw.int_opt (arg "dst" args) )
                 :: !all
           | _ -> ())
       | _ -> ())
@@ -645,33 +681,31 @@ let of_pod_json events =
   if Array.length arr = 0 then Error "pod trace has no device spans"
   else begin
     let n = Array.length arr in
+    let ends = Array.map (fun (s, _) -> s.x_ts +. s.x_c1) arr in
     let preds = Array.make n [] in
     (* Track order. *)
     let last_on : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
     Array.iteri
-      (fun i (pid, tid, _, _, _, _, _) ->
-        (match Hashtbl.find_opt last_on (pid, tid) with
+      (fun i (s, _) ->
+        (match Hashtbl.find_opt last_on (s.x_pid, s.x_tid) with
         | Some j -> preds.(i) <- j :: preds.(i)
         | None -> ());
-        Hashtbl.replace last_on (pid, tid) i)
+        Hashtbl.replace last_on (s.x_pid, s.x_tid) i)
       arr;
     (* Link arrivals: a link span on device d with args.dst = p gates
        the earliest span on device p starting at or after its end. *)
     let slack_us = 1e-6 in
     Array.iteri
-      (fun i (_, _, cat, _, ts, dur, dst) ->
-        match (cat, dst) with
+      (fun i (s, dst) ->
+        match (s.x_queue, dst) with
         | "link", Some peer ->
-            let e = ts +. dur in
             let best = ref (-1) in
             Array.iteri
-              (fun j (pid', _, _, _, ts', _, _) ->
+              (fun j (s', _) ->
                 if
-                  pid' = peer + 1 && ts' >= e -. slack_us
-                  && (!best < 0
-                     ||
-                     let _, _, _, _, bts, _, _ = arr.(!best) in
-                     ts' < bts)
+                  s'.x_pid = peer + 1
+                  && s'.x_ts >= ends.(i) -. slack_us
+                  && (!best < 0 || s'.x_ts < (fst arr.(!best)).x_ts)
                 then best := j)
               arr;
             if !best >= 0 then preds.(!best) <- i :: preds.(!best)
@@ -679,41 +713,57 @@ let of_pod_json events =
       arr;
     (* Longest path by end time; walk back over preds, counting gaps
        as idle wait. *)
-    let ends = Array.map (fun (_, _, _, _, ts, dur, _) -> ts +. dur) arr in
     let sink = ref 0 in
     Array.iteri (fun i e -> if e > ends.(!sink) then sink := i) ends;
     let blame = Hashtbl.create 16 in
     let op_blame = Hashtbl.create 16 in
-    let cp = ref [] in
+    let cp_spans = ref 0 in
     let cur = ref !sink in
     let continue = ref true in
     let total = ends.(!sink) in
     while !continue do
-      cp := !cur :: !cp;
-      let pid, tid, cat, name, ts, dur, _ = arr.(!cur) in
-      let track =
-        Printf.sprintf "device %d:%s" (pid - 1)
-          (if tid = 1 then "link" else "compute")
-      in
-      ignore cat;
-      tally blame track dur;
-      tally op_blame name dur;
+      incr cp_spans;
+      let s, _ = arr.(!cur) in
+      tally blame s.x_track s.x_c1;
+      tally op_blame s.x_op s.x_c1;
       let best = ref (-1) in
       List.iter
         (fun j ->
           if !best < 0 || ends.(j) > ends.(!best) then best := j)
         preds.(!cur);
       if !best >= 0 then begin
-        let gap = ts -. ends.(!best) in
+        let gap = s.x_ts -. ends.(!best) in
         if gap > 0.0 then tally blame "idle wait" gap;
         cur := !best
       end
       else begin
-        if ts > 0.0 then tally blame "idle wait" ts;
+        if s.x_ts > 0.0 then tally blame "idle wait" s.x_ts;
         continue := false
       end
     done;
-    ignore !cp;
+    let windows = Array.of_list (List.rev !windows) in
+    if Array.length windows > 0 then begin
+      let cursor = ref 0 in
+      Array.iteri
+        (fun i (s, _) ->
+          advance windows cursor s.x_ts;
+          let w = windows.(!cursor) in
+          if s.x_ts >= w.rp_ts -. eps && s.x_ts < w.rp_ts +. w.rp_dur +. eps
+          then w.rp_binsts <- i :: w.rp_binsts)
+        arr
+    end;
+    let block i =
+      let s, _ = arr.(i) in
+      {
+        bk_binst = i;
+        bk_core = s.x_pid - 1;
+        bk_spans = [| s |];
+        bk_edges = [||];
+        bk_cycles = s.x_c1;
+        bk_cp = [ i ];
+        bk_slack = [| 0.0 |];
+      }
+    in
     Ok
       {
         schema = "ascend-pod-trace-1";
@@ -725,7 +775,8 @@ let of_pod_json events =
         queue_blame = [];
         spans_total = n;
         edges_total = 0;
-        cp_spans = List.length !cp;
+        cp_spans = !cp_spans;
+        pod_phases = Array.to_list (Array.map (phase_of block) windows);
       }
   end
 
@@ -751,6 +802,115 @@ let of_json doc =
 (* Reports. *)
 
 let us_of t cycles = cycles /. t.clock_hz *. 1e6
+
+(* Interval unions: [merge] sorts and coalesces spans into disjoint
+   ones; [length] and [intersection] measure them. *)
+let merge ivs =
+  let rec go acc cur = function
+    | [] -> List.rev (match cur with Some iv -> iv :: acc | None -> acc)
+    | (s', e') :: tl -> (
+        match cur with
+        | None -> go acc (Some (s', e')) tl
+        | Some (s, e) ->
+            if s' <= e then go acc (Some (s, Float.max e e')) tl
+            else go ((s, e) :: acc) (Some (s', e')) tl)
+  in
+  go [] None (List.sort compare ivs)
+
+let length ivs = List.fold_left (fun acc (s, e) -> acc +. (e -. s)) 0.0 ivs
+
+let rec intersection acc a b =
+  match (a, b) with
+  | [], _ | _, [] -> acc
+  | (sa, ea) :: ta, (sb, eb) :: tb ->
+      let lo = Float.max sa sb and hi = Float.min ea eb in
+      let acc = if hi > lo then acc +. (hi -. lo) else acc in
+      if ea < eb then intersection acc ta b else intersection acc a tb
+
+let overlap p =
+  let inter = ref 0.0 and denom = ref 0.0 in
+  List.iter
+    (fun b ->
+      let mte = ref [] and compute = ref [] in
+      Array.iter
+        (fun s ->
+          if s.x_c1 > s.x_c0 then
+            let iv = (s.x_c0, s.x_c1) in
+            match s.x_queue with
+            | "MTE2" | "MTE3" -> mte := iv :: !mte
+            | _ -> compute := iv :: !compute)
+        b.bk_spans;
+      let mte = merge !mte and compute = merge !compute in
+      denom := !denom +. Float.min (length mte) (length compute);
+      inter := !inter +. intersection 0.0 mte compute)
+    p.ph_blocks;
+  if !denom <= 0.0 then 0.0 else !inter /. !denom
+
+type summary = {
+  engines : (string * float) list;
+  bounding : string;
+  overlap : float;
+}
+
+let summaries t =
+  let phases =
+    match t.launches with
+    | [] -> t.pod_phases
+    | launches -> List.concat_map (fun l -> l.ln_phases) launches
+  in
+  let iter_spans f p =
+    List.iter (fun b -> Array.iter f b.bk_spans) p.ph_blocks
+  in
+  (* An engine's occupancy is a mean over every track of that name in
+     the trace (one per core that ran it). *)
+  let tracks = Hashtbl.create 64 in
+  List.iter
+    (iter_spans (fun s -> Hashtbl.replace tracks (s.x_track, s.x_pid, s.x_tid) ()))
+    phases;
+  let n_tracks = Hashtbl.create 32 in
+  Hashtbl.iter (fun (name, _, _) () -> tally n_tracks name 1.0) tracks;
+  List.map
+    (fun p ->
+      let busy = Hashtbl.create 16 in
+      iter_spans (fun s -> tally busy s.x_track (us_of t (s.x_c1 -. s.x_c0))) p;
+      let occupancy = Hashtbl.create 16 in
+      Hashtbl.iter
+        (fun name us ->
+          Hashtbl.replace occupancy name
+            (if p.ph_dur_us <= 0.0 then 0.0
+             else us /. (p.ph_dur_us *. Hashtbl.find n_tracks name)))
+        busy;
+      let engines = sorted_blame occupancy in
+      let bounding =
+        if p.ph_bound = "bandwidth" then "HBM/L2 bandwidth"
+        else match engines with (name, _) :: _ -> name | [] -> "launch overhead"
+      in
+      (p, { engines; bounding; overlap = overlap p }))
+    phases
+
+let pp_summary ppf t =
+  let current = ref "" in
+  List.iter
+    (fun (p, s) ->
+      if p.ph_launch <> !current then begin
+        current := p.ph_launch;
+        Format.fprintf ppf "launch %s@." p.ph_launch
+      end;
+      Format.fprintf ppf "  phase %d: %.3f us, %s-bound, bounded by %s@."
+        p.ph_index p.ph_dur_us p.ph_bound s.bounding;
+      match List.filter (fun (_, o) -> o > 0.0005) s.engines with
+      | [] -> ()
+      | engines ->
+          Format.fprintf ppf "    occupancy:";
+          List.iter
+            (fun (name, occ) ->
+              Format.fprintf ppf " %s %.1f%%" name (100.0 *. occ))
+            engines;
+          Format.fprintf ppf "@.";
+          if s.overlap > 0.0005 then
+            Format.fprintf ppf "    mte/compute overlap %.1f%%@."
+              (100.0 *. s.overlap))
+    (summaries t)
 
 let report t =
   let pairs l =

@@ -58,6 +58,8 @@ type phase = {
   ph_compute_seconds : float;
   ph_bandwidth_seconds : float;
   ph_bound : string;  (** ["compute"] or ["bandwidth"]. *)
+  ph_dur_us : float;  (** Length of the phase span's window in the trace
+                          (us). *)
   ph_gm_bytes : int;
   ph_blocks : block list;
   ph_cores : (int * float) list;
@@ -88,6 +90,11 @@ type t = {
   spans_total : int;
   edges_total : int;
   cp_spans : int;
+  pod_phases : phase list;
+      (** Pod traces only ([launches] is empty there): the pod's phase
+          windows, each device span a one-span block of the window it
+          starts in, with [x_c0 = 0] and [x_c1] its duration in us.
+          [[]] for device traces. *)
 }
 
 val of_json : Jsonw.t -> (t, string) result
@@ -104,3 +111,40 @@ val report : t -> Jsonw.t
 val pp : Format.formatter -> t -> unit
 (** Human-readable report: blame table, top critical-path ops, and
     per-phase bounding cores. *)
+
+(** {2 Per-phase occupancy (the CLI's [trace summary])}
+
+    Computed on demand from a profile: {!of_json} does none of this
+    work. *)
+
+val overlap : phase -> float
+(** MTE/compute overlap of a phase in [0, 1], the one definition behind
+    [trace summary] and the [--metrics] gauge. Within each block, take
+    the union of its MTE-queue (MTE2/MTE3) spans and the union of its
+    other spans, in block-local cycles; sum the length of their
+    intersection over blocks, and divide by the sum over blocks of the
+    smaller union. Intervals never pool across blocks: overlap is only
+    physical inside one core's pipeline. [0] under a serial schedule or
+    when no block uses both sides; [1] when data movement hides
+    entirely behind compute. *)
+
+type summary = {
+  engines : (string * float) list;
+      (** Busy time per engine name as a fraction of the phase window,
+          averaged over every track of that name in the trace; sorted
+          descending. *)
+  bounding : string;
+      (** What limits the phase: ["HBM/L2 bandwidth"] for
+          bandwidth-bound phases, else the busiest engine (["launch
+          overhead"] when no engine ran). *)
+  overlap : float;  (** {!overlap} of the phase. *)
+}
+
+val summaries : t -> (phase * summary) list
+(** Every phase of the trace in file order (each launch's phases, or a
+    pod trace's phase windows) with its summary. *)
+
+val pp_summary : Format.formatter -> t -> unit
+(** Human-readable {!summaries}: one block per launch, one line per
+    phase with its bounding resource, then occupancy percentages and
+    the overlap. *)

@@ -43,6 +43,8 @@ let series m ~labels ~make =
       m.series <- m.series @ [ (labels, s) ];
       s
 
+(* Add to a counter, created on first use; negative increments clamp to
+   0, since counters are monotonic. *)
 let inc t ?(labels = []) ?(help = "") name v =
   let labels = sort_labels labels in
   let m = metric t ~help name in
@@ -51,6 +53,7 @@ let inc t ?(labels = []) ?(help = "") name v =
   | Gauge _ | Histogram _ ->
       invalid_arg (Printf.sprintf "Metrics.inc: %s is not a counter" name)
 
+(* Set a gauge, created on first use: the last write wins. *)
 let set t ?(labels = []) ?(help = "") name v =
   let labels = sort_labels labels in
   let m = metric t ~help name in
@@ -59,6 +62,8 @@ let set t ?(labels = []) ?(help = "") name v =
   | Counter _ | Histogram _ ->
       invalid_arg (Printf.sprintf "Metrics.set: %s is not a gauge" name)
 
+(* Record one observation into a histogram with ascending upper bounds
+   (a +Inf bucket is implicit); the first call's [buckets] win. *)
 let observe t ?(labels = []) ?(help = "") ~buckets name v =
   let labels = sort_labels labels in
   let m = metric t ~help name in
@@ -230,8 +235,7 @@ let observe_trace t tr =
       (float_of_int (Trace.dropped tr))
 
 (* Critical-path profile gauges: makespan blame per resource and the
-   per-phase MTE/compute overlap ratio, recomputed from each phase's
-   block spans with the interval primitives of {!Trace_summary}. *)
+   per-phase MTE/compute overlap ratio ({!Critical_path.overlap}). *)
 let observe_profile t (p : Critical_path.t) =
   let module Cp = Critical_path in
   set t "ascend_cp_total_cycles"
@@ -248,27 +252,6 @@ let observe_profile t (p : Critical_path.t) =
     (fun li (l : Cp.launch) ->
       List.iter
         (fun (ph : Cp.phase) ->
-          (* Busy intervals are block-local; overlap is meaningful
-             within a block, so intersections and denominators
-             accumulate per block before the ratio is taken. *)
-          let inter = ref 0.0 and denom = ref 0.0 in
-          List.iter
-            (fun (b : Cp.block) ->
-              let miv = ref [] and civ = ref [] in
-              Array.iter
-                (fun (s : Cp.span) ->
-                  if s.Cp.x_c1 > s.Cp.x_c0 then
-                    let iv = (s.Cp.x_c0, s.Cp.x_c1) in
-                    match s.Cp.x_queue with
-                    | "MTE2" | "MTE3" -> miv := iv :: !miv
-                    | _ -> civ := iv :: !civ)
-                b.Cp.bk_spans;
-              let m = Trace_summary.union_length !miv
-              and c = Trace_summary.union_length !civ in
-              denom := !denom +. Float.min m c;
-              inter := !inter +. Trace_summary.intersection_length !miv !civ)
-            ph.Cp.ph_blocks;
-          let ratio = if !denom <= 0.0 then 0.0 else !inter /. !denom in
           set t "ascend_phase_mte_compute_overlap_ratio"
             ~help:
               "Per-phase MTE/compute overlap: busy-interval intersection \
@@ -280,7 +263,7 @@ let observe_profile t (p : Critical_path.t) =
                 ("seq", string_of_int li);
                 ("phase", string_of_int ph.Cp.ph_index);
               ]
-            ratio)
+            (Cp.overlap ph))
         l.Cp.ln_phases)
     p.Cp.launches
 

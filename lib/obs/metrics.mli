@@ -11,28 +11,6 @@ type t
 
 val create : unit -> t
 
-val inc :
-  t -> ?labels:(string * string) list -> ?help:string -> string -> float -> unit
-(** Add to a counter (created on first use). Negative increments are
-    clamped to 0 — counters are monotonic. *)
-
-val set :
-  t -> ?labels:(string * string) list -> ?help:string -> string -> float -> unit
-(** Set a gauge (created on first use) to the given value — last
-    write wins, unlike the accumulating {!inc}. *)
-
-val observe :
-  t ->
-  ?labels:(string * string) list ->
-  ?help:string ->
-  buckets:float array ->
-  string ->
-  float ->
-  unit
-(** Record one observation into a histogram with the given upper
-    bounds (sorted ascending; a [+Inf] bucket is implicit). The
-    [buckets] of the first observation win; later calls reuse them. *)
-
 val observe_stats : t -> Ascend.Stats.t -> unit
 (** Fold one launch's (or combined) statistics in: launch/seconds/GM
     byte counters, per-op issue counters, per-engine busy-cycle
@@ -58,9 +36,8 @@ val observe_profile : t -> Critical_path.t -> unit
 (** Fold a critical-path profile in as gauges:
     [ascend_cp_total_cycles], per-resource [ascend_cp_blame_cycles],
     and [ascend_phase_mte_compute_overlap_ratio] per launch phase
-    (labels [launch]/[seq]/[phase]) — the busy-interval intersection
-    of MTE vs compute tracks over the smaller of the two busy unions,
-    accumulated per block. *)
+    (labels [launch]/[seq]/[phase]) — {!Critical_path.overlap}, the
+    same number [trace summary] prints. *)
 
 val observe_trace : t -> Ascend.Trace.t -> unit
 (** Fold a recording in: span/instant counters per issue queue and

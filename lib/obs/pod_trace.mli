@@ -3,8 +3,8 @@
 
     Layout: pid 0 is the ["pod"] process, whose single track carries
     the distributed scan's phase timeline as [cat = "phase"] spans
-    (with the [launch]/[index]/[bound] args {!Trace_summary} groups
-    by); pid [d + 1] is process ["device d"] with a ["compute"] track
+    (with the [launch]/[index]/[bound] args {!Critical_path.summaries}
+    groups by); pid [d + 1] is process ["device d"] with a ["compute"] track
     (local-scan and fixup spans), a ["link"] track (link-transfer
     spans, [dst] in args) and an ["events"] track for instants
     (device kills, reroutes, notes). Times are the pod's simulated

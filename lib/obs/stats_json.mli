@@ -8,5 +8,4 @@
     output that {e is} identical across [--domains] settings
     (mirroring {!Ascend.Stats.equal_simulated}). *)
 
-val json : ?simulated_only:bool -> Ascend.Stats.t -> Jsonw.t
 val to_string : ?simulated_only:bool -> Ascend.Stats.t -> string

@@ -26,6 +26,3 @@ val run :
     given vector core [vec]; the tile buffers ([ins], [out]) and the
     requested [scratch] tiles all hold [len] valid elements.
     [scratch] data types are given by the [scratch] argument. *)
-
-val tile_elems : int
-(** UB tile granularity used by the pass. *)

@@ -16,11 +16,6 @@ let topology_to_string = function
   | Ring -> "ring"
   | Fully_connected -> "full"
 
-let topology_of_string = function
-  | "ring" -> Ok Ring
-  | "full" | "fully_connected" | "all" -> Ok Fully_connected
-  | s -> Error (Printf.sprintf "unknown topology %S (expected ring or full)" s)
-
 type event_kind =
   | Local_scan
   | Fixup

@@ -28,7 +28,6 @@ module Link = Link
 type topology = Ring | Fully_connected
 
 val topology_to_string : topology -> string
-val topology_of_string : string -> (topology, string) result
 
 type event_kind =
   | Local_scan

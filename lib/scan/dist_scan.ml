@@ -18,13 +18,6 @@ type schedule = Ring | All_gather
 
 let schedule_to_string = function Ring -> "ring" | All_gather -> "allgather"
 
-let schedule_of_string = function
-  | "ring" -> Ok Ring
-  | "allgather" | "all_gather" | "all-gather" -> Ok All_gather
-  | s ->
-      Error
-        (Printf.sprintf "unknown schedule %S (expected ring or allgather)" s)
-
 let default_schedule pod =
   match P.topology pod with P.Ring -> Ring | P.Fully_connected -> All_gather
 

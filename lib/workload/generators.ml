@@ -15,8 +15,6 @@ let small_ints ~seed ?(max_value = 9) n =
   let rng = Random.State.make [| seed |] in
   Array.init n (fun _ -> float_of_int (Random.State.int rng (max_value + 1)))
 
-let alternating n = Array.init n (fun i -> if i land 1 = 0 then 1.0 else 0.0)
-
 let sparse_ones ~seed n =
   Array.init n (fun i -> if (i + seed) mod 53 = 0 then 1.0 else 0.0)
 
@@ -31,14 +29,3 @@ let softmax_probs ~seed ?(temperature = 1.0) n =
   let exps = Array.map (fun v -> Stdlib.exp (v -. m)) logits in
   let z = Array.fold_left ( +. ) 0.0 exps in
   Array.map (fun e -> Ascend.Fp16.round (e /. z)) exps
-
-let permutation ~seed n =
-  let rng = Random.State.make [| seed |] in
-  let p = Array.init n Fun.id in
-  for i = n - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let t = p.(i) in
-    p.(i) <- p.(j);
-    p.(j) <- t
-  done;
-  p

@@ -15,10 +15,6 @@ val small_ints : seed:int -> ?max_value:int -> int -> float array
 (** Non-negative integers in [\[0, max_value\]] (default 9); keeps fp16
     cumulative sums exact for short arrays. *)
 
-val alternating : int -> float array
-(** Deterministic 1, 0, 1, 0, ... pattern (exact fp16 scans as long as
-    the total stays below 2049). *)
-
 val sparse_ones : seed:int -> int -> float array
 (** [1.0] at every index [i] with [(i + seed) mod 53 = 0], else [0.0]:
     the float workload of the CLI and {!Op_driver}. Prefix sums stay
@@ -29,5 +25,3 @@ val softmax_probs : seed:int -> ?temperature:float -> int -> float array
     logits in [0, 8\] divided by [temperature] (default 1.0), rounded
     to fp16. *)
 
-val permutation : seed:int -> int -> int array
-(** A uniformly random permutation of [0 .. n-1] (Fisher-Yates). *)

@@ -10,8 +10,6 @@ val giga_elements_per_second : Ascend.Stats.t -> n:int -> float
 val speedup : baseline:Ascend.Stats.t -> Ascend.Stats.t -> float
 (** [baseline.seconds / this.seconds]. *)
 
-val gb : float -> float
-(** Bytes/s to GB/s (1e9). *)
 
 val percent_of_peak : ?peak:float -> float -> float
 (** Bandwidth as a percentage of the device peak (default 800 GB/s). *)

@@ -42,7 +42,6 @@ let print t =
 let fmt_time_us s = Printf.sprintf "%.1f" (s *. 1e6)
 let fmt_gbs b = Printf.sprintf "%.1f" (b /. 1e9)
 let fmt_float ?(digits = 2) v = Printf.sprintf "%.*f" digits v
-let fmt_int = string_of_int
 
 let slug title =
   let b = Buffer.create (String.length title) in

@@ -22,4 +22,3 @@ val fmt_gbs : float -> string
 (** Bytes/s to a GB/s cell. *)
 
 val fmt_float : ?digits:int -> float -> string
-val fmt_int : int -> string

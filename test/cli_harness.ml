@@ -8,9 +8,10 @@
      and an output path that cannot be written ([--trace],
      [--stats-json], [--profile], [chaos run --store]) exits 2 with one
      error line (plus the usage pointer).
-   - [profile]: a small trace, then truncated and byte-flipped copies of
-     it. Every rejection exits 2 the same way, never with an uncaught
-     exception, and a flip the profiler accepts still exits 0.
+   - [profile] and [trace summary]: a small trace, then truncated and
+     byte-flipped copies of it and an empty event list. Every rejection
+     exits 2 the same way, never with an uncaught exception, and a flip
+     the profiler accepts still exits 0.
 
    Usage: cli_harness.exe PATH/TO/ascend_scan_cli.exe *)
 
@@ -163,20 +164,25 @@ let check_run () =
   Sys.remove scenario
 
 (* ------------------------------------------------------------------ *)
-(* profile                                                             *)
+(* profile and trace summary                                           *)
 
-(* Profile [bytes]; [expect] is [`Reject] (exit 2) or [`Either] (exit 0,
-   or exit 2 as for [`Reject]). *)
+(* Feed [bytes] to [profile] and to [trace summary], which read a trace
+   file the same way; [expect] is [`Reject] (exit 2) or [`Either] (exit
+   0, or exit 2 as for [`Reject]). *)
 let profile ~what ~expect bytes =
   let file = Filename.temp_file "cli_harness" ".json" in
   write_file file bytes;
-  let code, _, lines = run_cli [ "profile"; file; "-o"; "none" ] in
-  Sys.remove file;
-  match (code, lines) with
-  | 0, _ when expect = `Either -> ()
-  | 2, [ e; u ] when is_error_line e && is_usage_line u -> ()
-  | _ ->
-      fail "%s: exit %d, stderr:\n  %s" what code (String.concat "\n  " lines)
+  List.iter
+    (fun args ->
+      let code, _, lines = run_cli args in
+      match (code, lines) with
+      | 0, _ when expect = `Either -> ()
+      | 2, [ e; u ] when is_error_line e && is_usage_line u -> ()
+      | _ ->
+          fail "%s, %s: exit %d, stderr:\n  %s" (List.hd args) what code
+            (String.concat "\n  " lines))
+    [ [ "profile"; file; "-o"; "none" ]; [ "trace"; "summary"; file ] ];
+  Sys.remove file
 
 let index_of ~sub s =
   let m = String.length sub in
@@ -211,6 +217,7 @@ let check_profile () =
      "Y" — valid JSON that profiled as an empty DAG before the schema
      check. *)
   profile ~what:"flipped opening brace" ~expect:`Reject (flip good 0 0x01);
+  profile ~what:"no events" ~expect:`Reject {|{"traceEvents":[]}|};
   let ph = {|"cat":"launch","ph":"|} in
   profile ~what:"launch span ph X->Y" ~expect:`Reject
     (flip good (index_of ~sub:ph good + String.length ph) 0x01);

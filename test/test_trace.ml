@@ -10,6 +10,9 @@
      block window;
    - the exported JSON survives its own validator and parser, and the
      occupancy summary derived from it never exceeds 100% per engine;
+   - [trace summary] is a view of the profile: its occupancy and
+     bounding lines are pinned for a device and a pod trace, and its
+     MTE/compute overlap is the [--metrics] gauge of the same phase;
    - the Stats additions (launch counting under [combine], the
      zero-time guards) behave. *)
 
@@ -88,29 +91,137 @@ let test_json_roundtrip () =
       check_string "print/parse/print is a fixpoint" s
         (Obs.Jsonw.to_string doc)
 
+let profile_of tr =
+  match Obs.Critical_path.of_json (Obs.Chrome_trace.json tr) with
+  | Ok p -> p
+  | Error msg -> Alcotest.failf "profile: %s" msg
+
 let test_occupancy_bounds () =
   List.iter
     (fun name ->
       let entry = Option.get (Scan.Op_registry.find name) in
       let _, tr = trace_of entry ~domains:1 in
-      let doc = Obs.Chrome_trace.json tr in
-      match Obs.Trace_summary.of_json doc with
-      | Error msg -> Alcotest.failf "%s: %s" name msg
-      | Ok phases ->
-          check_bool "at least one phase" true (phases <> []);
+      let phases = Obs.Critical_path.summaries (profile_of tr) in
+      check_bool "at least one phase" true (phases <> []);
+      List.iter
+        (fun ((ph : Obs.Critical_path.phase), (s : Obs.Critical_path.summary)) ->
+          check_bool "bounding resource named" true
+            (s.Obs.Critical_path.bounding <> "");
           List.iter
-            (fun (p : Obs.Trace_summary.phase_sum) ->
-              check_bool "bounding resource named" true
-                (p.Obs.Trace_summary.bounding <> "");
-              List.iter
-                (fun (engine, occ) ->
-                  if occ < 0.0 || occ > 1.0 +. 1e-6 then
-                    Alcotest.failf "%s phase %d: engine %s occupancy %g out \
-                                    of [0,1]"
-                      name p.Obs.Trace_summary.index engine occ)
-                p.Obs.Trace_summary.engines)
-            phases)
+            (fun (engine, occ) ->
+              if occ < 0.0 || occ > 1.0 +. 1e-6 then
+                Alcotest.failf "%s phase %d: engine %s occupancy %g out of [0,1]"
+                  name ph.Obs.Critical_path.ph_index engine occ)
+            s.Obs.Critical_path.engines)
+        phases)
     [ "scanu"; "mcscan"; "vec_only" ]
+
+(* ------------------------------------------------------------------ *)
+(* trace summary: a view of the one profile.                          *)
+
+let summary_lines p =
+  String.split_on_char '\n'
+    (Format.asprintf "%a" Obs.Critical_path.pp_summary p)
+
+let is_overlap_line l =
+  String.starts_with ~prefix:"    mte/compute overlap " l
+
+let without_overlap p =
+  String.concat "\n" (List.filter (fun l -> not (is_overlap_line l)) (summary_lines p))
+
+let profile_at_64k name =
+  let entry = Option.get (Scan.Op_registry.find name) in
+  match Workload.Op_driver.run ~n:65536 ~domains:1 entry with
+  | Ok (_, Some tr) -> profile_of tr
+  | Ok (_, None) -> Alcotest.fail "driver returned no trace"
+  | Error msg -> Alcotest.failf "%s: %s" name msg
+
+(* Every phase's overlap line in [trace summary] prints the value of
+   its [ascend_phase_mte_compute_overlap_ratio] gauge: both read from
+   the exposition and the report text, so a second definition of the
+   overlap on either side shows here (multi-block phases pooled
+   across cores read 24.2% against a 6.9% gauge for mcscan phase 1). *)
+let test_overlap_agrees name () =
+  let p = profile_at_64k name in
+  let m = Obs.Metrics.create () in
+  Obs.Metrics.observe_profile m p;
+  let gauge = "ascend_phase_mte_compute_overlap_ratio{" in
+  let gauges =
+    List.filter_map
+      (fun l ->
+        if String.starts_with ~prefix:gauge l then
+          Some (float_of_string (List.nth (String.split_on_char ' ' l) 1))
+        else None)
+      (String.split_on_char '\n'
+         (Format.asprintf "%a" Obs.Metrics.pp_prometheus m))
+  in
+  (* Per phase of the report: its overlap line, if any, and whether it
+     printed occupancy (the overlap line rides under it). *)
+  let rec phases acc = function
+    | [] -> List.rev acc
+    | l :: rest when String.starts_with ~prefix:"  phase " l ->
+        let body, rest =
+          match rest with
+          | o :: v :: rest' when is_overlap_line v -> ([ o; v ], rest')
+          | o :: rest' when String.starts_with ~prefix:"    occupancy:" o ->
+              ([ o ], rest')
+          | _ -> ([], rest)
+        in
+        phases (body :: acc) rest
+    | _ :: rest -> phases acc rest
+  in
+  let reported = phases [] (summary_lines p) in
+  check_int (name ^ ": one gauge per reported phase") (List.length reported)
+    (List.length gauges);
+  List.iteri
+    (fun i (g, body) ->
+      let printed = List.find_opt is_overlap_line body in
+      let expected =
+        if body <> [] && g > 0.0005 then
+          Some (Printf.sprintf "    mte/compute overlap %.1f%%" (100.0 *. g))
+        else None
+      in
+      Alcotest.(check (option string))
+        (Printf.sprintf "%s phase #%d: summary overlap = gauge %g" name i g)
+        expected printed)
+    (List.combine gauges reported)
+
+(* The occupancy and bounding lines, as the summary printed them
+   before it became a view of the profile. *)
+let pinned_compress =
+  {|launch mcscan_exclusive
+  phase 0: 0.737 us, compute-bound, bounded by cube.mte_in
+    occupancy: cube.mte_in 39.5% cube.mte_out 38.2% cube 22.3% vec0.mte_in 2.1% vec1.mte_in 2.1% vec0 1.7% vec1 1.7% vec0.mte_out 0.2% vec1.mte_out 0.2%
+  phase 1: 2.387 us, compute-bound, bounded by vec1
+    occupancy: vec1 16.3% vec0 16.3% vec0.mte_out 2.4% vec1.mte_out 2.4% vec0.mte_in 1.3% vec1.mte_in 1.3%
+launch split_gather
+  phase 0: 0.563 us, bandwidth-bound, bounded by HBM/L2 bandwidth
+    occupancy: vec0.mte_in 21.7% vec1.mte_in 21.7% vec0 12.8% vec1 12.8% vec0.mte_out 2.3% vec1.mte_out 2.3%
+|}
+
+let pinned_pod =
+  {|launch dist_scan
+  phase 0: 23.343 us, compute-bound, bounded by device 3:compute
+    occupancy: device 3:compute 100.0% device 0:compute 50.0% device 1:compute 50.0%
+  phase 1: 1.501 us, bandwidth-bound, bounded by HBM/L2 bandwidth
+    occupancy: device 0:link 100.0% device 1:link 100.0%
+  phase 2: 16.139 us, compute-bound, bounded by device 3:compute
+    occupancy: device 3:compute 100.0% device 1:compute 50.0%
+|}
+
+let test_summary_pinned () =
+  check_string "compress 64K device trace" pinned_compress
+    (without_overlap (profile_at_64k "compress"));
+  (* A 4-device pod with device 2 killed: its rows re-shard, so the
+     phases are uneven across devices. *)
+  let pod = Pod.create ~devices:4 () in
+  Pod.kill_device pod 2;
+  let input = Array.init 4096 (fun i -> if i mod 7 = 0 then 1.0 else 0.0) in
+  let x = Device.of_array (Pod.primary pod) Dtype.F16 ~name:"x" input in
+  ignore (Scan.Dist_scan.run pod x);
+  match Obs.Critical_path.of_json (Obs.Pod_trace.json pod) with
+  | Error msg -> Alcotest.failf "pod profile: %s" msg
+  | Ok p -> check_string "4-device pod trace" pinned_pod (without_overlap p)
 
 (* ------------------------------------------------------------------ *)
 (* Stats satellites: combine launch counting and zero-time guards.    *)
@@ -184,6 +295,15 @@ let () =
           Alcotest.test_case "span accounting" `Quick test_span_accounting;
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "occupancy bounds" `Quick test_occupancy_bounds;
+        ] );
+      ( "summary",
+        [
+          Alcotest.test_case "overlap = gauge: mcscan 64K" `Quick
+            (test_overlap_agrees "mcscan");
+          Alcotest.test_case "overlap = gauge: compress 64K" `Quick
+            (test_overlap_agrees "compress");
+          Alcotest.test_case "occupancy and bounding pinned" `Quick
+            test_summary_pinned;
         ] );
       ( "stats",
         [
