@@ -16,18 +16,27 @@
    queue is in-order), -1 when no trace is armed. *)
 type group = { g_end : float; g_dsts : Local_tensor.t list; g_last : int }
 
+(* Instruction counts: [totals.(i)] issues of [names.(i)] for [i < n],
+   in first-seen order (see [tally_slot]); the spare slots past [n] hold 0. *)
+type tally = {
+  mutable names : string array;
+  mutable totals : int array;
+  mutable n : int;
+}
+
 type t = {
   device : Device.t;
-  idx : int;
+  mutable idx : int;
   num_blocks : int;
-  core : int;
+  mutable core : int;
   health : Health.t;
-  kill_at : float;  (* seeded kill threshold of [core]; infinity = never *)
-  clock0 : float;  (* [core]'s cumulative busy cycles at block start *)
+  mutable kill_at : float;  (* seeded kill threshold of [core]; infinity = never *)
+  mutable clock0 : float;  (* [core]'s cumulative busy cycles at block start *)
   charged : float array;
       (* one cell: busy cycles charged by this block so far (a float
          array cell updates in place; a mutable float field would box) *)
   vec_per_core : int;
+  names : string array;  (* engine names by index, for trace spans *)
   busy_total : float array;
   (* --- event timeline --- *)
   lanes : float array;  (* program cursor per lane (Engine.lane) *)
@@ -49,16 +58,17 @@ type t = {
   (* --- accounting --- *)
   mutable gm_read : int;
   mutable gm_write : int;
-  touched_tbl : (int, int) Hashtbl.t;
-  (* Instruction counts: [op_totals.(i)] issues of [op_names.(i)] for
-     [i < n_ops], in first-seen order (see [op_slot]); the spare slots
-     past [n_ops] hold 0. *)
-  mutable op_names : string array;
-  mutable op_totals : int array;
-  mutable n_ops : int;
-  allocators : (Mem_kind.t * int ref) list;
-  mutable scratch : Local_tensor.t list;  (* for recycling at [finish] *)
-  tb : Trace.Block_builder.b option;
+  mutable touched : (int * int) list;  (* distinct (tensor id, bytes) *)
+  ops : tally;
+  (* --- scratchpads ---
+     Bump offsets per memory kind, indexed by [mem_slot]. [scratch]
+     holds this block's tiles, newest first; [spare] the tiles of the
+     previous block on this context, oldest first, which [alloc] hands
+     out again while the requests repeat (see [reset]). *)
+  offsets : int array;
+  mutable scratch : Local_tensor.t list;
+  mutable spare : Local_tensor.t list;
+  mutable tb : Trace.Block_builder.b option;
 }
 
 type result = {
@@ -71,22 +81,26 @@ type result = {
   trace : Trace.block_rec option;
 }
 
-let make_on ~core ~device ~idx ~num_blocks =
+let check_idx ~idx ~num_blocks =
   if num_blocks < 1 then
     invalid_arg
       (Printf.sprintf "Block.make: num_blocks must be >= 1 (got %d)" num_blocks);
   if idx < 0 || idx >= num_blocks then
     invalid_arg
       (Printf.sprintf "Block.make: block index %d out of range [0,%d)" idx
-         num_blocks);
+         num_blocks)
+
+let builder device ~idx ~core =
+  match Device.trace device with
+  | Some tr -> Some (Trace.block_builder tr ~idx ~core)
+  | None -> None
+
+let make_on ~core ~device ~idx ~num_blocks =
+  check_idx ~idx ~num_blocks;
   let cm = Device.cost device in
   let health = Device.health device in
   let vec_per_core = cm.Cost_model.vec_per_core in
   let n = Engine.count ~vec_per_core in
-  let kinds =
-    Mem_kind.L1 :: Mem_kind.L0a :: Mem_kind.L0b :: Mem_kind.L0c
-    :: List.init vec_per_core (fun i -> Mem_kind.Ub i)
-  in
   {
     device;
     idx;
@@ -97,6 +111,7 @@ let make_on ~core ~device ~idx ~num_blocks =
     clock0 = Health.cycles_done health core;
     charged = [| 0.0 |];
     vec_per_core;
+    names = Engine.names ~vec_per_core;
     busy_total = Array.make n 0.0;
     lanes = Array.make (Engine.lane_count ~vec_per_core) 0.0;
     avail = Array.make n 0.0;
@@ -109,20 +124,60 @@ let make_on ~core ~device ~idx ~num_blocks =
     lane_src = Array.make (Engine.lane_count ~vec_per_core) [];
     gm_read = 0;
     gm_write = 0;
-    touched_tbl = Hashtbl.create 8;
-    op_names = Array.make 8 "";
-    op_totals = Array.make 8 0;
-    n_ops = 0;
-    allocators = List.map (fun k -> (k, ref 0)) kinds;
+    touched = [];
+    ops = { names = Array.make 8 ""; totals = Array.make 8 0; n = 0 };
+    offsets = Array.make (4 + vec_per_core) 0;
     scratch = [];
-    tb =
-      Option.map
-        (fun tr -> Trace.block_builder tr ~idx ~core)
-        (Device.trace device);
+    spare = [];
+    tb = builder device ~idx ~core;
   }
 
 let make ~device ~idx ~num_blocks =
   make_on ~core:(idx mod Device.num_cores device) ~device ~idx ~num_blocks
+
+let retire_all = List.iter Local_tensor.retire
+
+let reset t ~core ~idx =
+  check_idx ~idx ~num_blocks:t.num_blocks;
+  t.idx <- idx;
+  t.core <- core;
+  t.kill_at <- Health.kill_threshold t.health core;
+  t.clock0 <- Health.cycles_done t.health core;
+  t.charged.(0) <- 0.0;
+  for i = 0 to Array.length t.avail - 1 do
+    t.busy_total.(i) <- 0.0;
+    t.avail.(i) <- 0.0;
+    t.pend_count.(i) <- 0;
+    t.pend_end.(i) <- 0.0;
+    t.pend_dsts.(i) <- [];
+    Queue.clear t.groups.(i);
+    t.last_id.(i) <- -1;
+    t.pend_last.(i) <- -1
+  done;
+  for l = 0 to Array.length t.lanes - 1 do
+    t.lanes.(l) <- 0.0;
+    t.lane_src.(l) <- []
+  done;
+  t.gm_read <- 0;
+  t.gm_write <- 0;
+  t.touched <- [];
+  for i = 0 to t.ops.n - 1 do
+    t.ops.totals.(i) <- 0
+  done;
+  t.ops.n <- 0;
+  for k = 0 to Array.length t.offsets - 1 do
+    t.offsets.(k) <- 0
+  done;
+  retire_all t.spare;
+  t.spare <- List.rev t.scratch;
+  t.scratch <- [];
+  t.tb <- builder t.device ~idx ~core
+
+let release t =
+  retire_all t.spare;
+  retire_all t.scratch;
+  t.spare <- [];
+  t.scratch <- []
 
 let idx t = t.idx
 let num_blocks t = t.num_blocks
@@ -200,7 +255,7 @@ let issue_src t i l = (t.last_id.(i), Trace.Queue) :: t.lane_src.(l)
    [stop] unboxed and allocates nothing. *)
 let record_issue t tb ~op ~bytes engine i l ~start ~cycles =
   let id =
-    Trace.Block_builder.span tb ~track:i ~engine:(Engine.to_string engine)
+    Trace.Block_builder.span tb ~track:i ~engine:t.names.(i)
       ~queue:(Engine.queue engine) ~op ~start ~cycles ~bytes
   in
   emit_edges t ~dst:id (issue_src t i l);
@@ -390,11 +445,11 @@ let note_fault t =
   | None -> ());
   Health.note_fault t.health ~core:t.core ~cycle:(t.clock0 +. t.charged.(0))
 
-(* Slot of [name] in the op-count arrays, appended on first sight. Op
-   names are string literals at their call sites, so the physical
-   equality probe hits on every issue after the first; [String.equal]
-   catches an equal name that is a different string. Neither probe
-   hashes or allocates, so charging an instruction stays cheap. *)
+(* Slot of [name] in a tally, appended on first sight. Op names are
+   string literals at their call sites, so the physical equality probe
+   hits on every issue after the first; [String.equal] catches an equal
+   name that is a different string. Neither probe hashes or allocates,
+   so charging an instruction stays cheap. *)
 let rec find_phys names name i n =
   if i >= n then -1
   else if Array.unsafe_get names i == name then i
@@ -405,28 +460,30 @@ let rec find_equal names name i n =
   else if String.equal (Array.unsafe_get names i) name then i
   else find_equal names name (i + 1) n
 
-let op_slot t name =
-  let n = t.n_ops in
-  let i = find_phys t.op_names name 0 n in
+let tally_slot tl name =
+  let n = tl.n in
+  let i = find_phys tl.names name 0 n in
   if i >= 0 then i
   else
-    let i = find_equal t.op_names name 0 n in
+    let i = find_equal tl.names name 0 n in
     if i >= 0 then i
     else begin
-      if n = Array.length t.op_names then begin
-        t.op_names <- Array.append t.op_names (Array.make n "");
-        t.op_totals <- Array.append t.op_totals (Array.make n 0)
+      if n = Array.length tl.names then begin
+        tl.names <- Array.append tl.names (Array.make n "");
+        tl.totals <- Array.append tl.totals (Array.make n 0)
       end;
-      t.op_names.(n) <- name;
-      t.n_ops <- n + 1;
+      tl.names.(n) <- name;
+      tl.n <- n + 1;
       n
     end
 
-let[@inline] count_op_n t name k =
-  if k > 0 then begin
-    let i = op_slot t name in
-    t.op_totals.(i) <- t.op_totals.(i) + k
-  end
+let[@inline] tally_add tl name k =
+  let i = tally_slot tl name in
+  tl.totals.(i) <- tl.totals.(i) + k
+
+let tally_list tl = List.init tl.n (fun i -> (tl.names.(i), tl.totals.(i)))
+
+let[@inline] count_op_n t name k = if k > 0 then tally_add t.ops name k
 
 let count_op t name = count_op_n t name 1
 
@@ -434,58 +491,95 @@ let note_gm_traffic t ~read ~write =
   t.gm_read <- t.gm_read + read;
   t.gm_write <- t.gm_write + write
 
-let note_touched t gt =
+let rec has_id id = function
+  | [] -> false
+  | (i, _) :: rest -> i = id || has_id id rest
+
+let note_touched (t : t) gt =
   let id = Global_tensor.id gt in
-  if not (Hashtbl.mem t.touched_tbl id) then
-    Hashtbl.add t.touched_tbl id (Global_tensor.size_bytes gt)
+  if not (has_id id t.touched) then
+    t.touched <- (id, Global_tensor.size_bytes gt) :: t.touched
 
 let elapsed_cycles t =
   (* Makespan: queued async work is covered by the engine clocks. *)
   let m = ref 0.0 in
-  Array.iter (fun c -> if c > !m then m := c) t.lanes;
-  Array.iter (fun c -> if c > !m then m := c) t.avail;
+  for l = 0 to Array.length t.lanes - 1 do
+    if t.lanes.(l) > !m then m := t.lanes.(l)
+  done;
+  for i = 0 to Array.length t.avail - 1 do
+    if t.avail.(i) > !m then m := t.avail.(i)
+  done;
   !m
 
-let allocator t kind =
-  match List.find_opt (fun (k, _) -> Mem_kind.equal k kind) t.allocators with
-  | Some (_, off) -> off
-  | None ->
+(* [offsets] slot of a memory kind: the cube-side buffers first, then
+   one UB per vector core. *)
+let mem_slot t kind =
+  match kind with
+  | Mem_kind.L1 -> 0
+  | Mem_kind.L0a -> 1
+  | Mem_kind.L0b -> 2
+  | Mem_kind.L0c -> 3
+  | Mem_kind.Ub i when i >= 0 && i < t.vec_per_core -> 4 + i
+  | Mem_kind.Ub _ ->
       invalid_arg
         (Printf.sprintf "Block.alloc: no memory %s on this core"
            (Mem_kind.to_string kind))
 
+(* A tile of the previous block when this request repeats the one the
+   previous block made at the same point, zeroed to read as fresh;
+   otherwise a new tile, and the previous block's unclaimed tiles go
+   back to the pool at once. *)
+let take_tile t kind dtype length =
+  match t.spare with
+  | lt :: rest
+    when Mem_kind.equal (Local_tensor.kind lt) kind
+         && Dtype.equal (Local_tensor.dtype lt) dtype
+         && Local_tensor.length lt = length ->
+      t.spare <- rest;
+      Local_tensor.recycle lt;
+      lt
+  | spare ->
+      retire_all spare;
+      t.spare <- [];
+      Local_tensor.make ~kind ~dtype ~length
+
 let alloc t kind dtype length =
-  let off = allocator t kind in
+  let slot = mem_slot t kind in
+  let off = t.offsets.(slot) in
   let bytes = length * Dtype.size_bytes dtype in
   let cap = Mem_kind.capacity_bytes kind in
-  if !off + bytes > cap then
+  if off + bytes > cap then
     failwith
       (Printf.sprintf
          "Block.alloc: %s overflow (%d B requested, %d of %d B in use)"
-         (Mem_kind.to_string kind) bytes !off cap);
-  off := !off + bytes;
-  let lt = Local_tensor.make ~kind ~dtype ~length in
+         (Mem_kind.to_string kind) bytes off cap);
+  t.offsets.(slot) <- off + bytes;
+  let lt = take_tile t kind dtype length in
   t.scratch <- lt :: t.scratch;
   lt
 
-let reset_mem t kind = allocator t kind := 0
+let reset_mem t kind = t.offsets.(mem_slot t kind) <- 0
 
 let finish t =
-  (* Local scratchpad tensors never outlive their block (mirroring the
-     hardware); recycle their storage through the Host_buffer pool so
-     steady-state launches allocate nothing. *)
-  List.iter Local_tensor.retire t.scratch;
-  t.scratch <- [];
   let cycles = elapsed_cycles t in
   {
     cycles;
     busy = Array.copy t.busy_total;
     gm_read_bytes = t.gm_read;
     gm_write_bytes = t.gm_write;
-    touched = Hashtbl.fold (fun id b acc -> (id, b) :: acc) t.touched_tbl [];
+    touched = t.touched;
     (* First-seen order: the order in which Launch's merge table
        meets the names decides how tied counts sort in Stats. *)
-    op_counts =
-      List.init t.n_ops (fun i -> (t.op_names.(i), t.op_totals.(i)));
-    trace = Option.map (fun tb -> Trace.Block_builder.finish tb ~cycles) t.tb;
+    op_counts = tally_list t.ops;
+    trace =
+      (match t.tb with
+      | Some tb -> Some (Trace.Block_builder.finish tb ~cycles)
+      | None -> None);
   }
+
+let merge_op_counts results =
+  let tl = { names = Array.make 16 ""; totals = Array.make 16 0; n = 0 } in
+  List.iter
+    (fun r -> List.iter (fun (name, k) -> tally_add tl name k) r.op_counts)
+    results;
+  tally_list tl

@@ -58,6 +58,31 @@ val make_on : core:int -> device:Device.t -> idx:int -> num_blocks:int -> t
 (** [make] with an explicit physical core: how {!Launch} pins blocks to
     the surviving core set of a degraded device. *)
 
+(** {2 Lifecycle}
+
+    A context serves one block at a time: {!make_on} (or {!reset}),
+    the kernel body, then {!finish}. {!Launch} runs a phase's blocks
+    one after another on one context, calling {!reset} between them,
+    and calls {!release} when the phase is done. Local tensors never
+    outlive their block, mirroring the hardware: a tile allocated by
+    one block is either handed to the next block of the context by
+    {!alloc} (zeroed, so it reads as fresh) or returned to the
+    {!Host_buffer} pool. *)
+
+val reset : t -> core:int -> idx:int -> unit
+(** Ready the context for block [idx] on physical [core] of the same
+    device and phase: clocks, queues, counts, traffic and offsets read
+    as in a fresh {!make_on}, and a fresh trace builder is started when
+    a trace is armed. The previous block's tiles become reusable by
+    {!alloc}: while the new block asks for the same kind, dtype and
+    length in the same order, it gets them back zeroed, and the first
+    request that differs retires the rest. The previous block's
+    {!result} must already have been taken with {!finish}. *)
+
+val release : t -> unit
+(** Return every tile the context holds to the {!Host_buffer} pool.
+    The context's tensors must not be used afterwards. *)
+
 val idx : t -> int
 val num_blocks : t -> int
 
@@ -171,15 +196,27 @@ val count_op_n : t -> string -> int -> unit
 (** [count_op_n t name k] records [k] issued instructions at once
     (no-op when [k <= 0]). *)
 
+val merge_op_counts : result list -> (string * int) list
+(** The blocks' {!result.op_counts} summed by name, each name listed
+    where the blocks first list it. How {!Launch} merges a launch's
+    counts without hashing every block's names: the order decides how
+    tied counts sort in {!Stats.t.op_counts}. *)
+
 val note_gm_traffic : t -> read:int -> write:int -> unit
 val note_touched : t -> Global_tensor.t -> unit
 
 val alloc : t -> Mem_kind.t -> Dtype.t -> int -> Local_tensor.t
-(** Bump-allocate a local tensor; raises [Failure] when the scratchpad
-    capacity of the memory kind is exceeded. *)
+(** Bump-allocate a local tensor, all +0.0; raises [Failure] when the
+    scratchpad capacity of the memory kind is exceeded and
+    [Invalid_argument] for a UB the core does not have. The storage is
+    the previous block's tile when {!reset} left a matching one,
+    otherwise a new one from the {!Host_buffer} pool. *)
 
 val reset_mem : t -> Mem_kind.t -> unit
 (** Release all allocations in one scratchpad (arena reset). *)
 
 val elapsed_cycles : t -> float
+
 val finish : t -> result
+(** The block's result. Its tiles stay live until the next {!reset}
+    or {!release}. *)

@@ -86,3 +86,18 @@ let all ~vec_per_core =
       (List.init vec_per_core Fun.id)
   in
   [ Cube_mte_in; Cube; Cube_mte_out; Scalar ] @ vec_engines
+
+(* The names in index order, built once per vector-core count: a
+   launch reports every engine by name and a traced block names every
+   span, and [to_string] formats the vector engines' names. The cell
+   holds the last count asked for; a domain that loses a race to set
+   it only builds an equal array again. *)
+let names_cache = Atomic.make (0, [||])
+
+let names ~vec_per_core =
+  match Atomic.get names_cache with
+  | v, names when v = vec_per_core -> names
+  | _ ->
+      let names = Array.of_list (List.map to_string (all ~vec_per_core)) in
+      Atomic.set names_cache (vec_per_core, names);
+      names

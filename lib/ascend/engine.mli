@@ -47,3 +47,7 @@ val to_string : t -> string
 
 val all : vec_per_core:int -> t list
 (** All engines of one AI core, in {!index} order. *)
+
+val names : vec_per_core:int -> string array
+(** [to_string] of every engine in {!index} order, built once per
+    [vec_per_core] and shared: the caller must not mutate it. *)

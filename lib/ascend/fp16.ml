@@ -7,8 +7,6 @@ let pos_infinity = 0x7C00
 let neg_infinity = 0xFC00
 let nan = 0x7E00
 let max_value = 65504.0
-let min_positive_normal = 0x1p-14
-let min_positive_subnormal = 0x1p-24
 
 let bits_sign h = (h lsr 15) land 1
 let bits_exponent h = (h lsr 10) land 0x1F
@@ -94,7 +92,6 @@ let[@inline] round f = to_float (of_float f)
 let add a b = round (a +. b)
 let sub a b = round (a -. b)
 let mul a b = round (a *. b)
-let equal_bits = Int.equal
 
 let compare_value a b =
   let fa = to_float a and fb = to_float b in

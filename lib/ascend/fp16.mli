@@ -22,12 +22,6 @@ val nan : t
 val max_value : float
 (** Largest finite binary16 value, [65504.0]. *)
 
-val min_positive_normal : float
-(** Smallest positive normal binary16 value, [2^-14]. *)
-
-val min_positive_subnormal : float
-(** Smallest positive subnormal binary16 value, [2^-24]. *)
-
 val of_float : float -> t
 (** [of_float f] converts with round-to-nearest-even. Values above
     {!max_value} in magnitude become infinities; NaN is preserved. *)
@@ -66,8 +60,6 @@ val add : float -> float -> float
 
 val mul : float -> float -> float
 val sub : float -> float -> float
-
-val equal_bits : t -> t -> bool
 
 val compare_value : t -> t -> int
 (** Total order on bit patterns by represented value (IEEE semantics,

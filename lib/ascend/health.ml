@@ -69,10 +69,6 @@ let cycles_done t core =
   check_core t core;
   t.cycles.(core)
 
-let fault_count t core =
-  check_core t core;
-  t.faults.(core)
-
 let alive t core =
   check_core t core;
   (not t.dead.(core)) && t.cycles.(core) < t.kill_at.(core)
@@ -128,7 +124,6 @@ let revive t ~core =
   end
 
 let deaths t = List.rev t.deaths
-let death_count t = t.num_dead
 (* Monotonic: [num_dead] would alias a kill->revive cycle back to the
    starting stamp, leaving a snapshot taken while the core was dead
    looking fresh after the revive. *)

@@ -30,8 +30,6 @@ exception All_cores_dead
 
 type reason = Killed | Quarantined of int | Marked
 
-val reason_to_string : reason -> string
-
 type t
 
 val create :
@@ -59,9 +57,6 @@ val cycles_done : t -> int -> float
 (** Cumulative charged busy cycles executed on a core (the clock the
     kill thresholds are measured against). *)
 
-val fault_count : t -> int -> int
-(** Injected faults attributed to a core (the quarantine score). *)
-
 val note_cycles : t -> core:int -> float -> unit
 (** Advance a core's cycle clock by one finished block's busy cycles;
     marks the core dead if the clock crossed its kill threshold. *)
@@ -83,9 +78,6 @@ val revive : t -> core:int -> unit
 
 val deaths : t -> (int * float * reason) list
 (** [(core, cycle, reason)] per death, in death order. *)
-
-val death_count : t -> int
-(** O(1) count of dead cores. *)
 
 val generation : t -> int
 (** O(1) alive-set generation stamp: bumps on every death {e and}

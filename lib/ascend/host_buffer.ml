@@ -95,25 +95,33 @@ let[@inline] cast_dt ~from ~into v =
    launch — without reuse, a 20-block McScan launch maps, faults in and
    unmaps ~10 MB of 128 KB Bigarrays per run, and the GC's custom-block
    accounting paces dozens of major slices per run to reclaim them.
-   Retired payloads are kept on a size-keyed free list (capped; excess
+   Retired payloads are kept on per-length free lists (capped; excess
    falls back to the GC) and handed back out by [create], so
-   steady-state launches allocate no storage at all. Invariant: a
-   pooled payload is all +0.0. [retire] re-zeroes only the dirty
-   extent [0, hi) — tiles are sized for the largest case and most of
-   one is never written — and [create] zero-fills only fresh storage.
-   The pool is shared across domains (blocks allocate and finish
-   concurrently under domain-parallel launches), hence the mutex. *)
-let pool : (int, ba list ref) Hashtbl.t = Hashtbl.create 16
+   steady-state launches allocate no storage at all. A run meets a
+   handful of distinct lengths, so the lists are found by a linear
+   scan rather than by hashing the length. Invariant: a pooled payload
+   is all +0.0. [retire] re-zeroes only the dirty extent [0, hi) —
+   tiles are sized for the largest case and most of one is never
+   written — and [create] zero-fills only fresh storage. The pool is
+   shared across domains (blocks allocate and finish concurrently
+   under domain-parallel launches), hence the mutex. *)
+type free_list = { size : int; mutable free : ba list }
+
+let pool : free_list list ref = ref []
 let pool_mutex = Mutex.create ()
 let pool_bytes = ref 0
 let pool_cap_bytes = 64 * 1024 * 1024
 
+let rec find_list n = function
+  | [] -> None
+  | fl :: rest -> if fl.size = n then Some fl else find_list n rest
+
 let pool_take n =
   Mutex.lock pool_mutex;
   let r =
-    match Hashtbl.find_opt pool n with
-    | Some ({ contents = ba :: rest } as cell) ->
-        cell := rest;
+    match find_list n !pool with
+    | Some ({ free = ba :: rest; _ } as fl) ->
+        fl.free <- rest;
         pool_bytes := !pool_bytes - (n * 8);
         Some ba
     | _ -> None
@@ -127,9 +135,9 @@ let pool_put (data : ba) =
   if n > 0 then begin
     Mutex.lock pool_mutex;
     if !pool_bytes + bytes <= pool_cap_bytes then begin
-      (match Hashtbl.find_opt pool n with
-      | Some cell -> cell := data :: !cell
-      | None -> Hashtbl.add pool n (ref [ data ]));
+      (match find_list n !pool with
+      | Some fl -> fl.free <- data :: fl.free
+      | None -> pool := { size = n; free = [ data ] } :: !pool);
       pool_bytes := !pool_bytes + bytes
     end;
     Mutex.unlock pool_mutex
@@ -148,11 +156,23 @@ let create dtype n =
   in
   { dtype; data; hi = Atomic.make 0; retired = false }
 
+(* Zero the dirty extent [0, hi): a store loop for the few elements a
+   tile usually holds, one C fill of a sub-array for a long extent. *)
+let zero_dirty t =
+  let hi = Atomic.get t.hi in
+  if hi > 256 then BA1.fill (BA1.sub t.data 0 hi) 0.0
+  else
+    for i = 0 to hi - 1 do
+      BA1.unsafe_set t.data i 0.0
+    done;
+  Atomic.set t.hi 0
+
+let clear t = if Atomic.get t.hi > 0 then zero_dirty t
+
 let retire t =
   if not t.retired then begin
     t.retired <- true;
-    let hi = Atomic.get t.hi in
-    if hi > 0 then BA1.fill (BA1.sub t.data 0 hi) 0.0;
+    zero_dirty t;
     pool_put t.data
   end
 
@@ -406,9 +426,10 @@ let map1_scalar op ~src ~src_off ~dst ~dst_off ~scalar ~len =
   | Maxs, dt -> finish_generic dt (Float.max scalar)
   | Mins, dt -> finish_generic dt (Float.min scalar)
 
-(* Closure fall-backs for the cold element-wise paths (compare, bit
-   ops, exp, ...): still one range validation and no per-element
-   bounds checks, but the element function stays a closure. *)
+(* Closure fall-back for the cold element-wise paths ([exp]): still
+   one range validation and no per-element bounds checks, but the
+   element function stays a closure, which boxes the float it is given
+   and the float it returns. *)
 let map1_f f ~src ~src_off ~dst ~dst_off ~len =
   check_range "map1_f" src src_off len;
   check_range "map1_f" dst dst_off len;
@@ -420,17 +441,92 @@ let map1_f f ~src ~src_off ~dst ~dst_off ~len =
       (round_dt dt (f (BA1.unsafe_get s (src_off + i))))
   done
 
-let map2_f f ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len =
-  check_range "map2_f" src0 src0_off len;
-  check_range "map2_f" src1 src1_off len;
-  check_range "map2_f" dst dst_off len;
+(* Integer and compare kernels. A bit-wise op views each element as
+   the unsigned field of its dtype ([Dtype.unsigned_field]: the
+   truncated value masked to the dtype's width), combines the fields
+   as ints and rounds the result into the destination dtype; a compare
+   writes 1 or 0 by [Float.compare] (NaN equals NaN and is below every
+   other value, -0 equals +0). *)
+type bit_scalar = Shift_right | Shift_left | Ands | Ors | Xors
+type bitop = And | Or | Xor
+type cmp = Eq | Ne | Lt | Le | Gt | Ge
+
+let[@inline] field_mask dt = (1 lsl (Dtype.size_bytes dt * 8)) - 1
+
+let[@inline] holds cmp c =
+  match cmp with
+  | Eq -> c = 0
+  | Ne -> c <> 0
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | Ge -> c >= 0
+
+(* The op is loop-invariant, so matching it per element costs a
+   predictable branch, not a closure call. *)
+let map1_bits op ~src ~src_off ~dst ~dst_off ~arg ~len =
+  check_range "map1_bits" src src_off len;
+  check_range "map1_bits" dst dst_off len;
+  mark dst (dst_off + len);
+  let s = src.data and d = dst.data in
+  let dt = dst.dtype and m = field_mask src.dtype in
+  for i = 0 to len - 1 do
+    let u = int_of_float (BA1.unsafe_get s (src_off + i)) land m in
+    let r =
+      match op with
+      | Shift_right -> u lsr arg
+      | Shift_left -> u lsl arg
+      | Ands -> u land arg
+      | Ors -> u lor arg
+      | Xors -> u lxor arg
+    in
+    BA1.unsafe_set d (dst_off + i) (round_dt dt (float_of_int r))
+  done
+
+let map2_bits op ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len =
+  check_range "map2_bits" src0 src0_off len;
+  check_range "map2_bits" src1 src1_off len;
+  check_range "map2_bits" dst dst_off len;
   mark dst (dst_off + len);
   let a = src0.data and b = src1.data and d = dst.data in
   let dt = dst.dtype in
+  let ma = field_mask src0.dtype and mb = field_mask src1.dtype in
+  for i = 0 to len - 1 do
+    let u = int_of_float (BA1.unsafe_get a (src0_off + i)) land ma in
+    let v = int_of_float (BA1.unsafe_get b (src1_off + i)) land mb in
+    let r = match op with And -> u land v | Or -> u lor v | Xor -> u lxor v in
+    BA1.unsafe_set d (dst_off + i) (round_dt dt (float_of_int r))
+  done
+
+let map1_compare cmp ~src ~src_off ~dst ~dst_off ~scalar ~len =
+  check_range "map1_compare" src src_off len;
+  check_range "map1_compare" dst dst_off len;
+  mark dst (dst_off + len);
+  let s = src.data and d = dst.data in
+  let one = round_dt dst.dtype 1.0 and zero = round_dt dst.dtype 0.0 in
   for i = 0 to len - 1 do
     BA1.unsafe_set d (dst_off + i)
-      (round_dt dt
-         (f (BA1.unsafe_get a (src0_off + i)) (BA1.unsafe_get b (src1_off + i))))
+      (if holds cmp (Float.compare (BA1.unsafe_get s (src_off + i)) scalar)
+       then one
+       else zero)
+  done
+
+let map2_compare cmp ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len =
+  check_range "map2_compare" src0 src0_off len;
+  check_range "map2_compare" src1 src1_off len;
+  check_range "map2_compare" dst dst_off len;
+  mark dst (dst_off + len);
+  let a = src0.data and b = src1.data and d = dst.data in
+  let one = round_dt dst.dtype 1.0 and zero = round_dt dst.dtype 0.0 in
+  for i = 0 to len - 1 do
+    BA1.unsafe_set d (dst_off + i)
+      (if
+         holds cmp
+           (Float.compare
+              (BA1.unsafe_get a (src0_off + i))
+              (BA1.unsafe_get b (src1_off + i)))
+       then one
+       else zero)
   done
 
 let select_range ~mask ~mask_off ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off

@@ -48,13 +48,18 @@ val retire : t -> unit
     pooled payload is all +0.0 and a tile that was barely written is
     cheap to recycle. The caller asserts the buffer is dead: reading
     or writing it after [retire] may observe or corrupt an unrelated
-    buffer that inherited the storage. Used by {!Block.finish} to
-    recycle a finished block's scratchpad tensors — simulated local
+    buffer that inherited the storage. Used by {!Block} to recycle the
+    scratchpad tensors that no later block takes over — simulated local
     memories never outlive their block, mirroring the hardware. The
     pool is domain-safe and size-capped (excess storage falls back to
     the GC). The extent is domain-safe too: concurrent writers (the
     blocks of one domain-parallel launch sharing a global tensor)
     raise it atomically. *)
+
+val clear : t -> unit
+(** Zero the dirty extent in place, so the buffer reads all +0.0 as
+    if fresh from {!create}, and keep the storage: how {!Block} hands a
+    finished block's scratch tile to the next block of its phase. *)
 
 val dtype : t -> Dtype.t
 val length : t -> int
@@ -128,13 +133,47 @@ val map1_scalar :
 val map1_f :
   (float -> float) ->
   src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
-(** Closure fall-back for the cold element-wise paths; still a single
-    range validation and a bounds-check-free loop. *)
+(** Closure fall-back for the cold element-wise paths ([Vec.exp]);
+    still a single range validation and a bounds-check-free loop. *)
 
-val map2_f :
-  (float -> float -> float) ->
+(** The integer and compare kernels. A bit-wise op views each source
+    element as the unsigned field of its dtype
+    ({!Dtype.unsigned_field}), combines fields as ints and rounds the
+    result into the destination dtype. A compare stores 1 where
+    [Float.compare] of the operands satisfies the relation and 0
+    elsewhere, so NaN equals NaN and sorts below every other value,
+    and -0 equals +0. *)
+
+type bit_scalar = Shift_right | Shift_left | Ands | Ors | Xors
+
+type bitop = And | Or | Xor
+
+type cmp = Eq | Ne | Lt | Le | Gt | Ge
+
+val map1_bits :
+  bit_scalar ->
+  src:t -> src_off:int -> dst:t -> dst_off:int -> arg:int -> len:int -> unit
+(** [dst.(i) <- round (u op arg)] for the field [u] of [src.(i)]:
+    [lsr], [lsl], [land], [lor] or [lxor]. *)
+
+val map2_bits :
+  bitop ->
   src0:t -> src0_off:int -> src1:t -> src1_off:int ->
   dst:t -> dst_off:int -> len:int -> unit
+(** [dst.(i) <- round (u0 op u1)] for the fields of [src0.(i)] and
+    [src1.(i)], each masked to its own dtype's width. *)
+
+val map1_compare :
+  cmp ->
+  src:t -> src_off:int -> dst:t -> dst_off:int -> scalar:float ->
+  len:int -> unit
+(** [dst.(i) <- Float.compare src.(i) scalar] satisfies [cmp] ? 1 : 0. *)
+
+val map2_compare :
+  cmp ->
+  src0:t -> src0_off:int -> src1:t -> src1_off:int ->
+  dst:t -> dst_off:int -> len:int -> unit
+(** [dst.(i) <- Float.compare src0.(i) src1.(i)] satisfies [cmp] ? 1 : 0. *)
 
 val select_range :
   mask:t -> mask_off:int -> src0:t -> src0_off:int -> src1:t ->

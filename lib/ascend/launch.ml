@@ -54,7 +54,8 @@ let exec_blocks_parallel device ~blocks ~alive body =
       let core = alive.(idx mod n_alive) in
       let ctx = Block.make_on ~core ~device ~idx ~num_blocks:blocks in
       body ctx;
-      out.(idx) <- Some (Block.finish ctx));
+      out.(idx) <- Some (Block.finish ctx);
+      Block.release ctx);
   Array.map
     (function Some r -> r | None -> failwith "Launch: lost block result")
     out
@@ -70,7 +71,11 @@ let run_phase device ~blocks body =
   let core_used = Array.make num_cores false in
   let partials = ref [] in
   let account core (r : Block.result) =
-    let busy = Array.fold_left ( +. ) 0.0 r.Block.busy in
+    let busy = ref 0.0 in
+    for i = 0 to Array.length r.Block.busy - 1 do
+      busy := !busy +. r.Block.busy.(i)
+    done;
+    let busy = !busy in
     core_cycles.(core) <- core_cycles.(core) +. r.Block.cycles;
     core_busy.(core) <- core_busy.(core) +. busy;
     busy
@@ -110,38 +115,61 @@ let run_phase device ~blocks body =
              r)
            raw)
     end
-    else
-      List.init blocks (fun idx ->
-          (* [delay] serialises a replay behind its failed predecessors:
-             the replacement block cannot start before the victim died,
-             so the dead time is charged to the replay core's
-             timeline. *)
-          let rec exec delay =
-            refresh_alive ();
-            let a = !alive in
-            let n_alive = Array.length a in
-            if n_alive = 0 then raise Health.All_cores_dead;
-            let core = a.(idx mod n_alive) in
-            core_used.(core) <- true;
+    else begin
+      (* One context serves the phase's blocks in turn: [Block.reset]
+         readies it for the next block in place, and hands that block
+         the previous block's scratch tiles while its requests repeat.
+         A block whose core dies leaves its context behind; the replay
+         and the blocks after it start on a fresh one. *)
+      let reused = ref None in
+      let context ~core ~idx =
+        match !reused with
+        | Some ctx ->
+            Block.reset ctx ~core ~idx;
+            ctx
+        | None ->
             let ctx = Block.make_on ~core ~device ~idx ~num_blocks:blocks in
-            match body ctx with
-            | () ->
-                let r = Block.finish ctx in
-                let busy = account core r in
-                core_cycles.(core) <- core_cycles.(core) +. delay;
-                Health.note_cycles health ~core busy;
-                r
-            | exception Health.Core_dead _ ->
-                (* The dying core's partial work happened: its timeline,
-                   traffic and instruction counts are real, only its
-                   writes are untrusted. Replay the block on a
-                   survivor. *)
-                let partial = Block.finish ctx in
-                ignore (account core partial);
-                partials := partial :: !partials;
-                exec (delay +. partial.Block.cycles)
-          in
-          exec 0.0)
+            reused := Some ctx;
+            ctx
+      in
+      let results =
+        List.init blocks (fun idx ->
+            (* [delay] serialises a replay behind its failed predecessors:
+               the replacement block cannot start before the victim died,
+               so the dead time is charged to the replay core's
+               timeline. *)
+            let rec exec delay =
+              refresh_alive ();
+              let a = !alive in
+              let n_alive = Array.length a in
+              if n_alive = 0 then raise Health.All_cores_dead;
+              let core = a.(idx mod n_alive) in
+              core_used.(core) <- true;
+              let ctx = context ~core ~idx in
+              match body ctx with
+              | () ->
+                  let r = Block.finish ctx in
+                  let busy = account core r in
+                  core_cycles.(core) <- core_cycles.(core) +. delay;
+                  Health.note_cycles health ~core busy;
+                  r
+              | exception Health.Core_dead _ ->
+                  (* The dying core's partial work happened: its timeline,
+                     traffic and instruction counts are real, only its
+                     writes are untrusted. Replay the block on a
+                     survivor. *)
+                  let partial = Block.finish ctx in
+                  Block.release ctx;
+                  reused := None;
+                  ignore (account core partial);
+                  partials := partial :: !partials;
+                  exec (delay +. partial.Block.cycles)
+            in
+            exec 0.0)
+      in
+      Option.iter Block.release !reused;
+      results
+    end
   in
   Option.iter Sanitizer.end_phase san;
   let results = results @ !partials in
@@ -155,15 +183,21 @@ let run_phase device ~blocks body =
       0 results
   in
   let footprint =
-    let tbl = Hashtbl.create 16 in
+    (* Distinct tensors over the phase's blocks; a phase touches a
+       handful, so a list of seen ids beats hashing them. *)
+    let rec seen id = function [] -> false | i :: rest -> i = id || seen id rest in
+    let ids = ref [] and bytes = ref 0 in
     List.iter
       (fun (r : Block.result) ->
         List.iter
-          (fun (id, bytes) ->
-            if not (Hashtbl.mem tbl id) then Hashtbl.add tbl id bytes)
+          (fun (id, b) ->
+            if not (seen id !ids) then begin
+              ids := id :: !ids;
+              bytes := !bytes + b
+            end)
           r.Block.touched)
       results;
-    Hashtbl.fold (fun _ b acc -> acc + b) tbl 0
+    !bytes
   in
   let effective_bw =
     if footprint <= cm.Cost_model.l2_capacity_bytes then
@@ -242,27 +276,22 @@ let run_phases ?(name = "kernel") device ~blocks bodies =
       (0, 0) results
   in
   let vec_per_core = cm.Cost_model.vec_per_core in
-  let engines = Engine.all ~vec_per_core in
   let busy = Array.make (Engine.count ~vec_per_core) 0.0 in
   List.iter
     (fun (res : Block.result) ->
-      Array.iteri (fun i c -> busy.(i) <- busy.(i) +. c) res.Block.busy)
+      for i = 0 to Array.length busy - 1 do
+        busy.(i) <- busy.(i) +. res.Block.busy.(i)
+      done)
     results;
   let engine_busy =
-    List.map
-      (fun e -> (Engine.to_string e, busy.(Engine.index ~vec_per_core e)))
-      engines
+    Array.to_list
+      (Array.mapi (fun i name -> (name, busy.(i))) (Engine.names ~vec_per_core))
   in
   let op_counts =
     let tbl = Hashtbl.create 16 in
     List.iter
-      (fun (res : Block.result) ->
-        List.iter
-          (fun (k, v) ->
-            Hashtbl.replace tbl k
-              (v + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-          res.Block.op_counts)
-      results;
+      (fun (name, k) -> Hashtbl.replace tbl name k)
+      (Block.merge_op_counts results);
     List.sort
       (fun (_, a) (_, b) -> compare b a)
       (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])

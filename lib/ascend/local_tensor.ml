@@ -24,6 +24,11 @@ let structure t = t.structure
 let set_structure t s = t.structure <- s
 let touch t = t.structure <- General
 let retire t = Host_buffer.retire t.buf
+
+let recycle t =
+  Host_buffer.clear t.buf;
+  t.structure <- General
+
 let get t i = Host_buffer.get t.buf i
 
 let set t i v =

@@ -39,8 +39,15 @@ val touch : t -> unit
 
 val retire : t -> unit
 (** Recycle the backing storage ({!Host_buffer.retire}). Called by
-    {!Block.finish} on every tensor the block allocated; the tensor
-    must not be used afterwards. *)
+    {!Block} on every tile that no later block of the phase takes
+    over; the tensor must not be used afterwards. *)
+
+val recycle : t -> unit
+(** Make the tensor read as fresh from {!make}: zero its dirty extent
+    ({!Host_buffer.clear}) and reset the structure tag to [General].
+    How {!Block.alloc} hands a tile of the previous block on the same
+    context to the next block, which the previous block must no longer
+    use. *)
 
 val get : t -> int -> float
 val set : t -> int -> float -> unit

@@ -9,7 +9,6 @@ let plan device ~n =
 
 let blocks t = t.blocks
 let alive t = t.alive
-let total_cores t = t.total_cores
 let degraded t = t.blocks < t.total_cores
 
 let chunk t ~n ~grain =

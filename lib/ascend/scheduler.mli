@@ -26,7 +26,6 @@ val blocks : t -> int
 val alive : t -> int list
 (** The surviving physical core ids behind the plan, ascending. *)
 
-val total_cores : t -> int
 val degraded : t -> bool
 
 val chunk : t -> n:int -> grain:int -> int

@@ -68,8 +68,6 @@ type edge_kind =
   | Await  (** A {!Block.await_engine} cross-lane join. *)
   | Join  (** A {!Block.wait_all} full-block barrier. *)
 
-val edge_kind_to_string : edge_kind -> string
-
 type edge = {
   e_src : int;  (** {!span.sp_id} of the predecessor. *)
   e_dst : int;  (** {!span.sp_id} of the dependent span. *)

@@ -1,5 +1,5 @@
 type binop = Add | Sub | Mul | Max | Min
-type cmp = Eq | Ne | Lt | Le | Gt | Ge
+type cmp = Host_buffer.cmp = Eq | Ne | Lt | Le | Gt | Ge
 
 let require_ub what lt =
   match Local_tensor.kind lt with
@@ -45,26 +45,6 @@ let charge_scalar ctx ~vec ~op =
 
 let esize lt = Dtype.size_bytes (Local_tensor.dtype lt)
 
-(* Element-wise loops now route through the Host_buffer bulk kernels:
-   one range validation, then a bounds-check-free dtype-specialised
-   inner loop over the flat Bigarray storage. *)
-let map1 ctx f ~src ~src_off ~dst ~dst_off ~len =
-  if Block.functional ctx then begin
-    Local_tensor.touch dst;
-    Host_buffer.map1_f f
-      ~src:(Local_tensor.buffer src) ~src_off
-      ~dst:(Local_tensor.buffer dst) ~dst_off ~len
-  end
-
-let map2 ctx f ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len =
-  if Block.functional ctx then begin
-    Local_tensor.touch dst;
-    Host_buffer.map2_f f
-      ~src0:(Local_tensor.buffer src0) ~src0_off
-      ~src1:(Local_tensor.buffer src1) ~src1_off
-      ~dst:(Local_tensor.buffer dst) ~dst_off ~len
-  end
-
 let hb_binop = function
   | Add -> Host_buffer.Add
   | Sub -> Host_buffer.Sub
@@ -108,10 +88,6 @@ let scalar_prologue name ctx ~vec ~src ~src_off ~dst ~dst_off ~len =
   check_range ctx name dst dst_off len;
   charge_op ctx ~vec ~op:name ~instrs:1 ~len ~esize:(esize dst)
 
-let scalar_map name f ctx ~vec ~src ~src_off ~dst ~dst_off ~len =
-  scalar_prologue name ctx ~vec ~src ~src_off ~dst ~dst_off ~len;
-  map1 ctx f ~src ~src_off ~dst ~dst_off ~len
-
 let scalar_map_spec name op ctx ~vec ~src ~src_off ~dst ~dst_off ~scalar ~len =
   scalar_prologue name ctx ~vec ~src ~src_off ~dst ~dst_off ~len;
   if Block.functional ctx then begin
@@ -138,22 +114,23 @@ let mins ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~scalar ~len () 
     ~scalar ~len
 
 let exp ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~len () =
-  scalar_map "exp" Stdlib.exp ctx ~vec ~src ~src_off ~dst ~dst_off ~len
-
-let fun_of_cmp = function
-  | Eq -> ( = )
-  | Ne -> ( <> )
-  | Lt -> ( < )
-  | Le -> ( <= )
-  | Gt -> ( > )
-  | Ge -> ( >= )
+  scalar_prologue "exp" ctx ~vec ~src ~src_off ~dst ~dst_off ~len;
+  if Block.functional ctx then begin
+    Local_tensor.touch dst;
+    Host_buffer.map1_f Stdlib.exp
+      ~src:(Local_tensor.buffer src) ~src_off
+      ~dst:(Local_tensor.buffer dst) ~dst_off ~len
+  end
 
 let compare_scalar ctx ?(vec = 0) cmp ~src ?(src_off = 0) ~dst ?(dst_off = 0)
     ~scalar ~len () =
-  let test = fun_of_cmp cmp in
-  scalar_map "compare_scalar"
-    (fun v -> if test (Float.compare v scalar) 0 then 1.0 else 0.0)
-    ctx ~vec ~src ~src_off ~dst ~dst_off ~len
+  scalar_prologue "compare_scalar" ctx ~vec ~src ~src_off ~dst ~dst_off ~len;
+  if Block.functional ctx then begin
+    Local_tensor.touch dst;
+    Host_buffer.map1_compare cmp
+      ~src:(Local_tensor.buffer src) ~src_off
+      ~dst:(Local_tensor.buffer dst) ~dst_off ~scalar ~len
+  end
 
 let compare ctx ?(vec = 0) cmp ~src0 ~src1 ~dst ~len () =
   require_ub "compare" src0;
@@ -164,10 +141,13 @@ let compare ctx ?(vec = 0) cmp ~src0 ~src1 ~dst ~len () =
   check_range ctx "compare" dst 0 len;
   tick ctx "vcompare";
   charge_op ctx ~vec ~op:"vcompare" ~instrs:1 ~len ~esize:(esize src0);
-  let test = fun_of_cmp cmp in
-  map2 ctx
-    (fun a b -> if test (Float.compare a b) 0 then 1.0 else 0.0)
-    ~src0 ~src0_off:0 ~src1 ~src1_off:0 ~dst ~dst_off:0 ~len
+  if Block.functional ctx then begin
+    Local_tensor.touch dst;
+    Host_buffer.map2_compare cmp
+      ~src0:(Local_tensor.buffer src0) ~src0_off:0
+      ~src1:(Local_tensor.buffer src1) ~src1_off:0
+      ~dst:(Local_tensor.buffer dst) ~dst_off:0 ~len
+  end
 
 let select ctx ?(vec = 0) ?(mask_off = 0) ~mask ?(src0_off = 0) ~src0
     ?(src1_off = 0) ~src1 ?(dst_off = 0) ~dst ~len () =
@@ -195,45 +175,48 @@ let require_integer what lt =
     invalid_arg
       (Printf.sprintf "Vec.%s: bit-wise ops require an integer data type" what)
 
-(* Bit-wise ops view each element as the unsigned field of its dtype. *)
-let bit_map name f ctx ~vec ~src ~src_off ~dst ~dst_off ~len =
+(* Bit-wise ops view each element as the unsigned field of its dtype
+   (Host_buffer.map1_bits/map2_bits). *)
+let bit_map name op ~arg ctx ~vec ~src ~src_off ~dst ~dst_off ~len =
   require_integer name src;
   require_integer name dst;
-  let sdt = Local_tensor.dtype src in
-  scalar_map name
-    (fun v -> float_of_int (f (Dtype.unsigned_field sdt v)))
-    ctx ~vec ~src ~src_off ~dst ~dst_off ~len
+  scalar_prologue name ctx ~vec ~src ~src_off ~dst ~dst_off ~len;
+  if Block.functional ctx then begin
+    Local_tensor.touch dst;
+    Host_buffer.map1_bits op
+      ~src:(Local_tensor.buffer src) ~src_off
+      ~dst:(Local_tensor.buffer dst) ~dst_off ~arg ~len
+  end
 
 let shift_right ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~bits
     ~len () =
-  bit_map "shift_right" (fun u -> u lsr bits) ctx ~vec ~src ~src_off ~dst
-    ~dst_off ~len
+  bit_map "shift_right" Host_buffer.Shift_right ~arg:bits ctx ~vec ~src
+    ~src_off ~dst ~dst_off ~len
 
 let shift_left ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~bits
     ~len () =
-  bit_map "shift_left" (fun u -> u lsl bits) ctx ~vec ~src ~src_off ~dst
-    ~dst_off ~len
+  bit_map "shift_left" Host_buffer.Shift_left ~arg:bits ctx ~vec ~src ~src_off
+    ~dst ~dst_off ~len
 
 let bit_ands ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~mask ~len () =
-  bit_map "bit_ands" (fun u -> u land mask) ctx ~vec ~src ~src_off ~dst
+  bit_map "bit_ands" Host_buffer.Ands ~arg:mask ctx ~vec ~src ~src_off ~dst
     ~dst_off ~len
 
 let bit_ors ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~mask ~len () =
-  bit_map "bit_ors" (fun u -> u lor mask) ctx ~vec ~src ~src_off ~dst
+  bit_map "bit_ors" Host_buffer.Ors ~arg:mask ctx ~vec ~src ~src_off ~dst
     ~dst_off ~len
 
 let bit_xors ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~mask ~len () =
-  bit_map "bit_xors" (fun u -> u lxor mask) ctx ~vec ~src ~src_off ~dst
+  bit_map "bit_xors" Host_buffer.Xors ~arg:mask ctx ~vec ~src ~src_off ~dst
     ~dst_off ~len
 
 let bit_not ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~len () =
   require_integer "bit_not" src;
   let bits = Dtype.size_bytes (Local_tensor.dtype src) * 8 in
-  let full = (1 lsl bits) - 1 in
-  bit_map "bit_not" (fun u -> u lxor full) ctx ~vec ~src ~src_off ~dst
-    ~dst_off ~len
+  bit_map "bit_not" Host_buffer.Xors ~arg:((1 lsl bits) - 1) ctx ~vec ~src
+    ~src_off ~dst ~dst_off ~len
 
-type bitop = And | Or | Xor
+type bitop = Host_buffer.bitop = And | Or | Xor
 
 let bit_op ctx ?(vec = 0) op ~src0 ?(src0_off = 0) ~src1 ?(src1_off = 0) ~dst
     ?(dst_off = 0) ~len () =
@@ -248,16 +231,13 @@ let bit_op ctx ?(vec = 0) op ~src0 ?(src0_off = 0) ~src1 ?(src1_off = 0) ~dst
   check_range ctx "bit_op" dst dst_off len;
   tick ctx "vbitop";
   charge_op ctx ~vec ~op:"vbitop" ~instrs:1 ~len ~esize:(esize dst);
-  let f = match op with
-    | And -> ( land )
-    | Or -> ( lor )
-    | Xor -> ( lxor )
-  in
-  let d0 = Local_tensor.dtype src0 and d1 = Local_tensor.dtype src1 in
-  map2 ctx
-    (fun a b ->
-      float_of_int (f (Dtype.unsigned_field d0 a) (Dtype.unsigned_field d1 b)))
-    ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len
+  if Block.functional ctx then begin
+    Local_tensor.touch dst;
+    Host_buffer.map2_bits op
+      ~src0:(Local_tensor.buffer src0) ~src0_off
+      ~src1:(Local_tensor.buffer src1) ~src1_off
+      ~dst:(Local_tensor.buffer dst) ~dst_off ~len
+  end
 
 let arange ctx ?(vec = 0) ~dst ?(dst_off = 0) ~start ~len () =
   require_ub "arange" dst;

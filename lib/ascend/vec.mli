@@ -13,7 +13,7 @@
 
 type binop = Add | Sub | Mul | Max | Min
 
-type cmp = Eq | Ne | Lt | Le | Gt | Ge
+type cmp = Host_buffer.cmp = Eq | Ne | Lt | Le | Gt | Ge
 
 (** {2 Element-wise, tensor-tensor} *)
 
@@ -104,7 +104,7 @@ val bit_not :
   Block.t -> ?vec:int -> src:Local_tensor.t -> ?src_off:int ->
   dst:Local_tensor.t -> ?dst_off:int -> len:int -> unit -> unit
 
-type bitop = And | Or | Xor
+type bitop = Host_buffer.bitop = And | Or | Xor
 
 val bit_op :
   Block.t -> ?vec:int -> bitop -> src0:Local_tensor.t -> ?src0_off:int ->

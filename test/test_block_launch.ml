@@ -295,6 +295,232 @@ let test_device_modes () =
   check_floatish "of_array" 2.0 (Global_tensor.get tf 1);
   check_int "allocated bytes" (100 * 2 + 0) (Device.allocated_bytes dev)
 
+(* ------------------------------------------------------------------ *)
+(* Block reuse. [Launch] runs a phase's blocks on one context, reset in
+   place between blocks, and hands each block the previous block's
+   tiles while its requests repeat. A reset context must be
+   indistinguishable from a fresh one. *)
+
+let blocks = 20
+
+(* Six tile requests per block; every third block asks for a shorter
+   fourth tile, so the previous block's tiles from there on are retired
+   at the mismatch and the rest come from the pool. *)
+let tile_specs idx =
+  [ (Mem_kind.Ub 0, Dtype.F16, 8192); (Mem_kind.Ub 0, Dtype.I8, 4096);
+    (Mem_kind.Ub 1, Dtype.F32, 2048);
+    (Mem_kind.Ub 1, Dtype.I16, if idx mod 3 = 2 then 1000 else 2048);
+    (Mem_kind.L1, Dtype.F16, 16384); (Mem_kind.L0c, Dtype.F32, 4096) ]
+
+let reads_fresh lt =
+  Local_tensor.structure lt = Local_tensor.General
+  &&
+  let ok = ref true in
+  for i = 0 to Local_tensor.length lt - 1 do
+    if Int64.bits_of_float (Local_tensor.get lt i) <> 0L then ok := false
+  done;
+  !ok
+
+let op_names = [| "vadd"; "vsub"; "vmul"; "duplicate"; "copy"; "gather" |]
+
+(* A body that leaves every piece of per-block state dirty: tiles
+   written and tagged, op names first seen in a block-dependent order,
+   an async group committed and never waited, an async charge never
+   committed, traffic on block-dependent tensors. [stale] records a
+   block that found a tile not reading as fresh. *)
+let dirty_body ~ins ~out ~stale ctx =
+  let idx = Block.idx ctx in
+  let tiles =
+    List.map (fun (k, dt, n) -> Block.alloc ctx k dt n) (tile_specs idx)
+  in
+  if Block.functional ctx && not (List.for_all reads_fresh tiles) then
+    stale := idx :: !stale;
+  List.iteri
+    (fun j lt ->
+      for i = 0 to 63 + (j * idx) do
+        Local_tensor.set lt i (float_of_int (i + idx + 1))
+      done;
+      Local_tensor.set_structure lt Local_tensor.Upper_ones)
+    tiles;
+  let n = Array.length op_names in
+  for j = 0 to n - 1 do
+    Block.count_op_n ctx op_names.((j + idx) mod n) (1 + ((j * idx) mod 4))
+  done;
+  let t0 = List.nth tiles 0 and t2 = List.nth tiles 2 in
+  Vec.adds ctx ~vec:0 ~src:t0 ~dst:t0 ~scalar:1.0 ~len:(64 + idx) ();
+  Mte.copy_in_async ctx ~engine:(Engine.Vec_mte_in 1)
+    ~src:ins.(idx mod Array.length ins) ~dst:t2 ~len:(32 + idx) ();
+  Block.commit_group ctx (Engine.Vec_mte_in 1);
+  Vec.adds ctx ~vec:1 ~src:t2 ~dst:t2 ~scalar:2.0 ~len:16 ();
+  Mte.copy_out ctx ~engine:(Engine.Vec_mte_out 0) ~src:t0 ~dst:out
+    ~dst_off:(idx * 64) ~len:64 ();
+  Block.charge_async ctx Engine.Cube_mte_in (float_of_int (50 * idx));
+  Block.charge ctx Engine.Cube (float_of_int (150 * idx))
+
+let reuse_device ?(sanitize = false) ?(kills = []) ?(trace = false)
+    ?(domains = 1) () =
+  let fault =
+    if kills = [] then None else Some (Fault.config ~seed:0 ~rate:0.0 ~kills ())
+  in
+  let dev = Device.create ?fault ~sanitize ~domains () in
+  if trace then ignore (Device.arm_trace dev);
+  let ins =
+    Array.init 3 (fun k ->
+        Device.of_array dev Dtype.F32 ~name:(Printf.sprintf "in%d" k)
+          (Array.init (256 + k) float_of_int))
+  in
+  let out = Device.alloc dev Dtype.F16 (64 * blocks) ~name:"out" in
+  (dev, dirty_body ~ins ~out)
+
+(* Run the blocks one after another, each on [ctx idx], the way a
+   phase does; a block whose core dies keeps its partial result. *)
+let run_blocks body ctx =
+  Array.init blocks (fun idx ->
+      let c = ctx idx in
+      (try body c with Health.Core_dead _ -> ());
+      Block.finish c)
+
+let fresh_ctx dev idx = Block.make ~device:dev ~idx ~num_blocks:blocks
+
+let reused_ctx dev =
+  let ctx = ref None in
+  fun idx ->
+    match !ctx with
+    | Some c ->
+        Block.reset c ~core:(idx mod Device.num_cores dev) ~idx;
+        c
+    | None ->
+        let c = fresh_ctx dev idx in
+        ctx := Some c;
+        c
+
+let same_result idx (a : Block.result) (b : Block.result) =
+  let bits = Int64.bits_of_float in
+  let what = Printf.sprintf "block %d" idx in
+  check_bool (what ^ " cycles") true (bits a.Block.cycles = bits b.Block.cycles);
+  check_bool (what ^ " busy") true
+    (Array.map bits a.Block.busy = Array.map bits b.Block.busy);
+  check_int (what ^ " gm read") a.Block.gm_read_bytes b.Block.gm_read_bytes;
+  check_int (what ^ " gm write") a.Block.gm_write_bytes b.Block.gm_write_bytes;
+  Alcotest.(check (list (pair int int)))
+    (what ^ " touched") a.Block.touched b.Block.touched;
+  Alcotest.(check (list (pair string int)))
+    (what ^ " op counts") a.Block.op_counts b.Block.op_counts;
+  check_bool (what ^ " trace") true (a.Block.trace = b.Block.trace)
+
+(* One sequence on fresh contexts, one on a single reset context, each
+   on its own device: every block's result must agree. The kill case
+   dies mid-body in block 4 and resets the dead block's context for
+   block 5, which [Launch] never does (it starts a fresh one). *)
+let check_reset_equals_fresh ?sanitize ?kills ?trace () =
+  let dev_a, body_a = reuse_device ?sanitize ?kills ?trace () in
+  let dev_b, body_b = reuse_device ?sanitize ?kills ?trace () in
+  let stale_a = ref [] and stale_b = ref [] in
+  let fresh = run_blocks (body_a ~stale:stale_a) (fresh_ctx dev_a) in
+  let reused = run_blocks (body_b ~stale:stale_b) (reused_ctx dev_b) in
+  Array.iteri (fun idx r -> same_result idx r reused.(idx)) fresh;
+  Alcotest.(check (list int)) "fresh tiles read +0.0" [] (!stale_a @ !stale_b);
+  (dev_a, dev_b, fresh)
+
+let test_reset_equals_fresh () =
+  ignore (check_reset_equals_fresh ());
+  ignore (check_reset_equals_fresh ~trace:true ())
+
+let test_reset_equals_fresh_sanitized () =
+  let dev_a, dev_b, _ = check_reset_equals_fresh ~sanitize:true () in
+  let diags d =
+    List.length (Sanitizer.diagnostics (Option.get (Device.sanitizer d)))
+  in
+  check_bool "hazards seen" true (diags dev_a > 0);
+  check_int "same diagnostics" (diags dev_a) (diags dev_b)
+
+let test_reset_equals_fresh_killed () =
+  let dev_a, _, fresh =
+    check_reset_equals_fresh ~kills:[ (4, 700.0) ] ~trace:true ()
+  in
+  check_bool "core 4 died" false (Health.alive (Device.health dev_a) 4);
+  let marks = (Option.get fresh.(4).Block.trace).Trace.b_marks in
+  check_bool "block 4 died mid-body" true
+    (List.exists (fun m -> m.Trace.mk_kind = Trace.Death) marks)
+
+let stats_bytes (st : Stats.t) =
+  Marshal.to_string
+    { st with Stats.host_seconds = 0.0; domains = 0 }
+    [ Marshal.No_sharing ]
+
+let block_recs tr =
+  List.concat_map
+    (fun l -> List.concat_map (fun p -> p.Trace.ph_blocks) l.Trace.ln_phases)
+    (Trace.launches tr)
+
+(* The same launch through [Launch]: one reset context on one domain,
+   fresh contexts on two domains, where every block still reads fresh
+   tiles, including with a sanitizer armed. *)
+let test_launch_reuse_equals_fresh () =
+  let run ?sanitize ~domains () =
+    let dev, body = reuse_device ?sanitize ~trace:true ~domains () in
+    let stale = ref [] in
+    let st = Launch.run_phases dev ~blocks [ body ~stale; body ~stale ] in
+    Alcotest.(check (list int)) "fresh tiles read +0.0" [] !stale;
+    (stats_bytes st, block_recs (Option.get (Device.trace dev)))
+  in
+  let st1, recs1 = run ~domains:1 () in
+  let st2, recs2 = run ~domains:2 () in
+  let st_san, recs_san = run ~sanitize:true ~domains:1 () in
+  check_bool "stats reused = fresh" true (String.equal st1 st2);
+  check_bool "blocks reused = fresh" true (recs1 = recs2);
+  check_bool "stats sanitized = fresh" true (String.equal st_san st2);
+  check_bool "blocks sanitized = fresh" true (recs_san = recs2)
+
+(* A core killed mid-phase: the dead block's replay, and every block
+   after it, runs as it does on a healthy device. *)
+let test_launch_reuse_killed () =
+  let run kills =
+    let dev, body = reuse_device ~kills ~trace:true () in
+    let stale = ref [] in
+    ignore (Launch.run dev ~blocks (body ~stale));
+    Alcotest.(check (list int)) "fresh tiles read +0.0" [] !stale;
+    block_recs (Option.get (Device.trace dev))
+  in
+  let healthy = run [] and killed = run [ (4, 700.0) ] in
+  check_int "one partial block" (blocks + 1) (List.length killed);
+  let last idx recs =
+    List.fold_left (fun acc r -> if r.Trace.b_idx = idx then Some r else acc) None recs
+    |> Option.get
+  in
+  for idx = 0 to blocks - 1 do
+    let h = last idx healthy and k = last idx killed in
+    check_bool
+      (Printf.sprintf "block %d as healthy" idx)
+      true
+      (h.Trace.b_cycles = k.Trace.b_cycles
+      && h.Trace.b_spans = k.Trace.b_spans
+      && h.Trace.b_edges = k.Trace.b_edges)
+  done
+
+(* Minor words per block of a 20-block launch whose blocks allocate
+   six tiles: a deterministic count, not a timing. A fresh context per
+   block (about 250 words of arrays, queues and tables) or a
+   hash-table allocator or touched set puts it over the bound; a
+   reused context with reused tiles stays under it. *)
+let test_block_allocation () =
+  let dev = Device.create ~mode:Device.Cost_only ~domains:1 () in
+  let body ctx =
+    List.iter
+      (fun (k, dt, n) -> ignore (Block.alloc ctx k dt n))
+      (tile_specs 0)
+  in
+  let launch () = ignore (Launch.run dev ~blocks body) in
+  launch ();
+  let launches = 50 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to launches do
+    launch ()
+  done;
+  let per_block = (Gc.minor_words () -. w0) /. float_of_int (launches * blocks) in
+  if per_block > 200.0 then
+    Alcotest.failf "%.1f minor words per block (bound 200)" per_block
+
 let () =
   Alcotest.run "block_launch"
     [
@@ -325,5 +551,19 @@ let () =
           Alcotest.test_case "device modes" `Quick test_device_modes;
           Alcotest.test_case "op count tie order" `Quick
             test_op_count_tie_order;
+        ] );
+      ( "reuse",
+        [
+          Alcotest.test_case "reset = fresh" `Quick test_reset_equals_fresh;
+          Alcotest.test_case "reset = fresh, sanitized" `Quick
+            test_reset_equals_fresh_sanitized;
+          Alcotest.test_case "reset = fresh, core killed" `Quick
+            test_reset_equals_fresh_killed;
+          Alcotest.test_case "launch reuse = fresh contexts" `Quick
+            test_launch_reuse_equals_fresh;
+          Alcotest.test_case "launch reuse, core killed" `Quick
+            test_launch_reuse_killed;
+          Alcotest.test_case "block allocation bound" `Quick
+            test_block_allocation;
         ] );
     ]

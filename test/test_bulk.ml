@@ -156,18 +156,32 @@ let prop_map1_f =
       done;
       same_buffer bulk shim)
 
-let prop_map2_f =
-  test ~name:"map2_f = scalar shim" (fun c ->
-      let f a b = ((a -. b) *. 0.5) +. c.scalar in
+let cmps = Host_buffer.[| Eq; Ne; Lt; Le; Gt; Ge |]
+
+let fun_of_cmp : Host_buffer.cmp -> int -> int -> bool = function
+  | Host_buffer.Eq -> ( = )
+  | Host_buffer.Ne -> ( <> )
+  | Host_buffer.Lt -> ( < )
+  | Host_buffer.Le -> ( <= )
+  | Host_buffer.Gt -> ( > )
+  | Host_buffer.Ge -> ( >= )
+
+(* The closure [Vec.compare] ran before the typed kernel. *)
+let compare_closure cmp a b =
+  if fun_of_cmp cmp (Float.compare a b) 0 then 1.0 else 0.0
+
+let prop_map2_compare =
+  test ~name:"map2_compare = scalar shim" (fun c ->
+      let cmp = cmps.(c.seg mod Array.length cmps) in
       let src0 = Host_buffer.of_array c.dt2 c.a0 in
       let src1 = Host_buffer.of_array c.dt2 c.a1 in
       let bulk = Host_buffer.of_array c.dt c.d0 in
       let shim = Host_buffer.of_array c.dt c.d0 in
-      Host_buffer.map2_f f ~src0 ~src0_off:c.o0 ~src1 ~src1_off:c.o1 ~dst:bulk
-        ~dst_off:c.od ~len:c.len;
+      Host_buffer.map2_compare cmp ~src0 ~src0_off:c.o0 ~src1 ~src1_off:c.o1
+        ~dst:bulk ~dst_off:c.od ~len:c.len;
       for i = 0 to c.len - 1 do
         Host_buffer.set shim (c.od + i)
-          (f
+          (compare_closure cmp
              (Host_buffer.get src0 (c.o0 + i))
              (Host_buffer.get src1 (c.o1 + i)))
       done;
@@ -622,6 +636,146 @@ let test_alloc_guards () =
       let y, _ = Scan.Scan_ul1.run dev x in
       Global_tensor.retire y)
 
+(* The typed integer and compare kernels against the per-element
+   closures [Vec] ran before them, through the [Vec] ops themselves:
+   every I8, I16 and U16 source value, into every integer dtype, in
+   UB tiles of [chunk] elements. *)
+let chunk = 8192
+
+let vec_ctx () =
+  Block.make ~device:(Device.create ~domains:1 ()) ~idx:0 ~num_blocks:1
+
+let all_values dt =
+  let lo = int_of_float (Dtype.min_value dt)
+  and hi = int_of_float (Dtype.max_value dt) in
+  Array.init (hi - lo + 1) (fun i -> float_of_int (lo + i))
+
+let int_dsts = Dtype.[ I8; I16; U16; I32 ]
+
+(* Run [op] over [values] (and [values1] as the second source) chunk
+   by chunk, and compare every destination element with [expect]. *)
+let check_chunks ctx ~what ~sdt ?(sdt1 = sdt) ~ddt ?values1 values op expect =
+  let n = Array.length values in
+  let pos = ref 0 in
+  while !pos < n do
+    let len = min chunk (n - !pos) in
+    Block.reset_mem ctx (Mem_kind.Ub 0);
+    let src = Block.alloc ctx (Mem_kind.Ub 0) sdt len in
+    let src1 = Block.alloc ctx (Mem_kind.Ub 0) sdt1 len in
+    let dst = Block.alloc ctx (Mem_kind.Ub 0) ddt len in
+    for i = 0 to len - 1 do
+      Local_tensor.set src i values.(!pos + i);
+      Option.iter (fun v1 -> Local_tensor.set src1 i v1.(!pos + i)) values1
+    done;
+    op ~src ~src1 ~dst ~len;
+    for i = 0 to len - 1 do
+      let a = Local_tensor.get src i and b = Local_tensor.get src1 i in
+      let e = Dtype.round ddt (expect a b) in
+      let g = Local_tensor.get dst i in
+      if not (same_float e g) then
+        Alcotest.failf "%s %s,%s->%s: src %h, %h: expected %h, got %h" what
+          (Dtype.to_string sdt) (Dtype.to_string sdt1) (Dtype.to_string ddt) a
+          b e g
+    done;
+    pos := !pos + len
+  done
+
+let test_typed_bits () =
+  let ctx = vec_ctx () in
+  List.iter
+    (fun sdt ->
+      let values = all_values sdt in
+      let n = Array.length values in
+      (* A second source that pairs each value with a distant one. *)
+      let values1 = Array.init n (fun i -> values.((i * 40503) mod n)) in
+      let bits = Dtype.size_bytes sdt * 8 in
+      (* [bit_op]'s second source has another dtype, masked to its own
+         width. *)
+      let sdt1 =
+        match sdt with Dtype.I8 -> Dtype.I16 | Dtype.I16 -> Dtype.U16 | _ -> Dtype.I8
+      in
+      List.iter
+        (fun ddt ->
+          let check ?(sdt1 = sdt) what op f =
+            check_chunks ctx ~what ~sdt ~sdt1 ~ddt ~values1 values op (fun a b ->
+                float_of_int
+                  (f (Dtype.unsigned_field sdt a) (Dtype.unsigned_field sdt1 b)))
+          in
+          List.iter
+            (fun k ->
+              check (Printf.sprintf "shift_right %d" k)
+                (fun ~src ~src1:_ ~dst ~len ->
+                  Vec.shift_right ctx ~src ~dst ~bits:k ~len ())
+                (fun u _ -> u lsr k);
+              check (Printf.sprintf "shift_left %d" k)
+                (fun ~src ~src1:_ ~dst ~len ->
+                  Vec.shift_left ctx ~src ~dst ~bits:k ~len ())
+                (fun u _ -> u lsl k))
+            [ 0; 1; 3; 7; 8; 15; bits ];
+          List.iter
+            (fun m ->
+              check (Printf.sprintf "bit_ands %#x" m)
+                (fun ~src ~src1:_ ~dst ~len ->
+                  Vec.bit_ands ctx ~src ~dst ~mask:m ~len ())
+                (fun u _ -> u land m);
+              check (Printf.sprintf "bit_ors %#x" m)
+                (fun ~src ~src1:_ ~dst ~len ->
+                  Vec.bit_ors ctx ~src ~dst ~mask:m ~len ())
+                (fun u _ -> u lor m);
+              check (Printf.sprintf "bit_xors %#x" m)
+                (fun ~src ~src1:_ ~dst ~len ->
+                  Vec.bit_xors ctx ~src ~dst ~mask:m ~len ())
+                (fun u _ -> u lxor m))
+            [ 0; 0x5A; 0xFF; 0x8001; 0xFFFF; 0x1_0000 ];
+          check "bit_not"
+            (fun ~src ~src1:_ ~dst ~len -> Vec.bit_not ctx ~src ~dst ~len ())
+            (fun u _ -> u lxor ((1 lsl bits) - 1));
+          List.iter
+            (fun (name, op, f) ->
+              check ~sdt1 name
+                (fun ~src ~src1 ~dst ~len ->
+                  Vec.bit_op ctx op ~src0:src ~src1 ~dst ~len ())
+                f)
+            [ ("bit_op and", Vec.And, ( land ));
+              ("bit_op or", Vec.Or, ( lor ));
+              ("bit_op xor", Vec.Xor, ( lxor )) ])
+        int_dsts)
+    Dtype.[ I8; I16; U16 ]
+
+(* Every ordered pair of the special values, as tensor-scalar and as
+   tensor-tensor compares, from f16 and f32 sources into every dtype. *)
+let test_typed_compares () =
+  let specials =
+    [| Float.nan; -.Float.nan; Int64.float_of_bits 0x7FF0000000000001L;
+       0.0; -0.0; infinity; neg_infinity; 0x1p-24; -0x1p-24; 0x1p-25;
+       0x1p-14; 0x1.ff8p-15; 65504.0; -65504.0; 65520.0; 0x1p-149;
+       -0x1p-149; 0x1p-1074; 1.0; -1.0 |]
+  in
+  let n = Array.length specials in
+  let lhs = Array.init (n * n) (fun i -> specials.(i / n)) in
+  let rhs = Array.init (n * n) (fun i -> specials.(i mod n)) in
+  let ctx = vec_ctx () in
+  List.iter
+    (fun sdt ->
+      List.iter
+        (fun ddt ->
+          Array.iter
+            (fun cmp ->
+              check_chunks ctx ~what:"compare" ~sdt ~ddt ~values1:rhs lhs
+                (fun ~src ~src1 ~dst ~len ->
+                  Vec.compare ctx cmp ~src0:src ~src1 ~dst ~len ())
+                (compare_closure cmp);
+              Array.iter
+                (fun scalar ->
+                  check_chunks ctx ~what:"compare_scalar" ~sdt ~ddt specials
+                    (fun ~src ~src1:_ ~dst ~len ->
+                      Vec.compare_scalar ctx cmp ~src ~dst ~scalar ~len ())
+                    (fun a _ -> compare_closure cmp a scalar))
+                specials)
+            cmps)
+        all_dtypes)
+    Dtype.[ F16; F32 ]
+
 let () =
   Alcotest.run "bulk"
     [
@@ -631,7 +785,7 @@ let () =
             prop_map2_binop;
             prop_map1_scalar;
             prop_map1_f;
-            prop_map2_f;
+            prop_map2_compare;
             prop_select_range;
             prop_fill_range;
             prop_arange_range;
@@ -647,6 +801,11 @@ let () =
             prop_gather_mask;
           ] );
       ("two NaNs", [ Alcotest.test_case "kernels = shim" `Quick test_two_nans ]);
+      ( "typed ops",
+        [
+          Alcotest.test_case "bit ops = closures" `Quick test_typed_bits;
+          Alcotest.test_case "compares = closures" `Quick test_typed_compares;
+        ] );
       ( "int edges",
         [
           Alcotest.test_case "of_array = Dtype.round" `Quick test_int_of_array;

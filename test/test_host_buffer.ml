@@ -114,8 +114,8 @@ let scalar_ops = Host_buffer.[| Adds; Muls; Maxs; Mins |]
 let writers =
   [| "set"; "set_cast"; "unsafe_set"; "fill"; "fill_range"; "blit";
      "blit_convert"; "load_array"; "map2_binop"; "map1_scalar"; "map1_f";
-     "map2_f"; "select_range"; "arange_range"; "scan_accum"; "scan_segment";
-     "gather_mask"; "write_data" |]
+     "map1_bits"; "map2_bits"; "map1_compare"; "map2_compare"; "select_range";
+     "arange_range"; "scan_accum"; "scan_segment"; "gather_mask"; "write_data" |]
 
 let apply_writer st b name =
   let dt = Host_buffer.dtype b and n = Host_buffer.length b in
@@ -148,9 +148,19 @@ let apply_writer st b name =
   | "map1_f" ->
       Host_buffer.map1_f (fun x -> -.x) ~src:(src ()) ~src_off:0 ~dst:b
         ~dst_off:off ~len
-  | "map2_f" ->
-      Host_buffer.map2_f Float.sub ~src0:(src ()) ~src0_off:0 ~src1:(src ())
-        ~src1_off:0 ~dst:b ~dst_off:off ~len
+  | "map1_bits" ->
+      Host_buffer.map1_bits Host_buffer.Xors ~src:(rand_buffer st Dtype.I16 n)
+        ~src_off:0 ~dst:b ~dst_off:off ~arg:0x5A5A ~len
+  | "map2_bits" ->
+      Host_buffer.map2_bits Host_buffer.Or ~src0:(rand_buffer st Dtype.U16 n)
+        ~src0_off:0 ~src1:(rand_buffer st Dtype.I8 n) ~src1_off:0 ~dst:b
+        ~dst_off:off ~len
+  | "map1_compare" ->
+      Host_buffer.map1_compare Host_buffer.Ge ~src:(src ()) ~src_off:0 ~dst:b
+        ~dst_off:off ~scalar:(v ()) ~len
+  | "map2_compare" ->
+      Host_buffer.map2_compare Host_buffer.Ne ~src0:(src ()) ~src0_off:0
+        ~src1:(src ()) ~src1_off:0 ~dst:b ~dst_off:off ~len
   | "select_range" ->
       Host_buffer.select_range ~mask:(rand_buffer st Dtype.I8 n) ~mask_off:0
         ~src0:(src ()) ~src0_off:0 ~src1:(src ()) ~src1_off:0 ~dst:b
@@ -234,6 +244,24 @@ let test_recycled_twice () =
         writers)
     all_dtypes
 
+(* [clear] zeroes what every writer dirtied and keeps the storage. *)
+let test_clear () =
+  let st = Random.State.make [| 15 |] in
+  Array.iter
+    (fun dt ->
+      Array.iter
+        (fun w ->
+          let b = Host_buffer.create dt 97 in
+          let storage = Host_buffer.read_data b in
+          apply_writer st b w;
+          apply_writer st b "set";
+          Host_buffer.clear b;
+          if not (Host_buffer.read_data b == storage && all_plus_zero b) then
+            Alcotest.failf "%s on %s: cleared dirty" w (Dtype.to_string dt);
+          Host_buffer.retire b)
+        writers)
+    all_dtypes
+
 let test_write_data_extent () =
   let b = Host_buffer.create Dtype.F32 4 in
   Alcotest.check_raises "extent past the end"
@@ -262,6 +290,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_pool_invariant;
           Alcotest.test_case "recycled twice" `Quick test_recycled_twice;
+          Alcotest.test_case "clear" `Quick test_clear;
           Alcotest.test_case "write_data extent" `Quick test_write_data_extent;
         ] );
     ]
