@@ -407,36 +407,6 @@ let check_async_use t ~op lt =
                 flight (no wait_group between the async copy and this use)"
                op)
 
-(* Tile-batched charging: repeat the charge sequence [entries] exactly
-   [count] times, as [count] iterations of per-charge [charge] calls
-   would (same engine accumulator, same float-addition order, zero
-   payload bytes). With a trace armed or a finite kill threshold the
-   slow per-charge path runs so span granularity and kill semantics
-   are untouched; otherwise the dispatch (engine index, trace match,
-   kill check) is paid once per tile instead of once per row. *)
-let charge_rows t engine ~count entries =
-  if count > 0 && Array.length entries > 0 then
-    if Option.is_some t.tb || Float.is_finite t.kill_at then
-      for _ = 1 to count do
-        Array.iter (fun (op, c) -> charge ~op t engine c) entries
-      done
-    else begin
-      let i = eindex t engine in
-      let l = elane t engine in
-      let n = Array.length entries in
-      let clock = ref (issue_start t i l) in
-      for _ = 1 to count do
-        for j = 0 to n - 1 do
-          let _, c = Array.unsafe_get entries j in
-          t.busy_total.(i) <- t.busy_total.(i) +. c;
-          t.charged.(0) <- t.charged.(0) +. c;
-          clock := !clock +. c
-        done
-      done;
-      t.avail.(i) <- !clock;
-      t.lanes.(l) <- !clock
-    end
-
 let note_fault t =
   (match t.tb with
   | Some tb ->
@@ -486,6 +456,48 @@ let tally_list tl = List.init tl.n (fun i -> (tl.names.(i), tl.totals.(i)))
 let[@inline] count_op_n t name k = if k > 0 then tally_add t.ops name k
 
 let count_op t name = count_op_n t name 1
+
+(* Tile-batched charging: repeat the charge sequence [cycles] (charge
+   [j] named [names.(j mod m)]) exactly [count] times, as [count]
+   iterations of per-charge [charge] calls would (same engine
+   accumulator, same float-addition order, zero payload bytes). With a
+   trace armed or a finite kill threshold the slow per-charge path runs
+   so span granularity and kill semantics are untouched; otherwise the
+   dispatch (engine index, trace match, kill check) is paid once per
+   tile instead of once per row. The [counts] of a batch are recorded
+   all at once on the fast path; the slow path counts each charge just
+   before it, as a per-instruction issue does, so a kill inside the
+   batch leaves only the instructions issued before it counted. *)
+let charge_rows ?counts t engine ~count ~names cycles =
+  let n = Array.length cycles in
+  if count > 0 && n > 0 then
+    if Option.is_some t.tb || Float.is_finite t.kill_at then begin
+      let counted = Option.is_some counts in
+      let m = Array.length names in
+      for _ = 1 to count do
+        for j = 0 to n - 1 do
+          let op = names.(j mod m) in
+          if counted then count_op t op;
+          charge ~op t engine cycles.(j)
+        done
+      done
+    end
+    else begin
+      Option.iter (Array.iter (fun (name, k) -> count_op_n t name k)) counts;
+      let i = eindex t engine in
+      let l = elane t engine in
+      let clock = ref (issue_start t i l) in
+      for _ = 1 to count do
+        for j = 0 to n - 1 do
+          let c = Array.unsafe_get cycles j in
+          t.busy_total.(i) <- t.busy_total.(i) +. c;
+          t.charged.(0) <- t.charged.(0) +. c;
+          clock := !clock +. c
+        done
+      done;
+      t.avail.(i) <- !clock;
+      t.lanes.(l) <- !clock
+    end
 
 let note_gm_traffic t ~read ~write =
   t.gm_read <- t.gm_read + read;

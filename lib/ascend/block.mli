@@ -177,16 +177,34 @@ val note_fault : t -> unit
     quarantine scoring); called by the MTE fault hook. Raises
     {!Health.Core_dead} when the core trips its quarantine budget. *)
 
-val charge_rows : t -> Engine.t -> count:int -> (string * float) array -> unit
-(** [charge_rows t e ~count entries] charges the sequence [entries]
-    (op name, cycles) to engine [e] exactly [count] times, with the
-    same accumulator-addition order — and therefore bit-identical
+val charge_rows :
+  ?counts:(string * int) array ->
+  t ->
+  Engine.t ->
+  count:int ->
+  names:string array ->
+  float array ->
+  unit
+(** [charge_rows t e ~count ~names cycles] charges the sequence
+    [cycles] to engine [e] exactly [count] times, charge [j] under the
+    op name [names.(j mod (Array.length names))], with the same
+    accumulator-addition order — and therefore bit-identical
     {!result} cycles — as [count] rounds of individual {!charge}
-    calls. When a trace is armed or the core has a finite kill
-    threshold it degrades to exactly those per-charge calls, so span
+    calls. [names] must not be empty when [cycles] is not. When a
+    trace is armed or the core has a finite kill threshold it
+    degrades to exactly those per-charge calls, so span
     granularity and the kill point are unchanged; otherwise the
     engine/trace/kill dispatch is paid once per batch instead of once
-    per row. Used by tile-batched engine ops ({!Vec.scan_rows}). *)
+    per row. Used by tile-batched engine ops ({!Vec.scan_rows},
+    {!Vec.hillis_steele}, {!Vec.segmented_hillis_steele}).
+
+    [counts], when given, makes each charge also one issued
+    instruction of its name: it must list the per-name totals of the
+    [count] rounds in the order the names first occur in the
+    sequence. The batched path records them with {!count_op_n}; the
+    per-charge path counts each charge just before it, so a kill
+    inside the batch leaves exactly the instructions issued before it
+    counted, as per-instruction {!count_op} + {!charge} would. *)
 
 val count_op : t -> string -> unit
 (** Record one issued instruction of the named op (the per-kernel

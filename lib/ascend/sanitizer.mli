@@ -71,9 +71,6 @@ val exempt_tensor : t -> tensor_id:int -> reason:string -> unit
 
 val record_oob : t -> block:int -> op:string -> tensor:string -> message:string -> unit
 
-val record_queue_violation :
-  t -> block:int -> queue:string -> message:string -> unit
-
 val record_async_hazard :
   t -> block:int -> op:string -> tensor:string -> message:string -> unit
 (** Called by {!Block.check_async_use} when an engine op consumes a
@@ -86,7 +83,6 @@ val count : t -> int
 val count_kind : t -> kind -> int
 val clear : t -> unit
 
-val pp_diag : Format.formatter -> diag -> unit
 val pp_report : Format.formatter -> t -> unit
 
 (** Checked AscendC queue discipline (EnQue/DeQue over a fixed buffer

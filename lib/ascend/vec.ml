@@ -52,6 +52,10 @@ let hb_binop = function
   | Max -> Host_buffer.Max
   | Min -> Host_buffer.Min
 
+let binop_name = function
+  | Add -> "vadd" | Sub -> "vsub" | Mul -> "vmul" | Max -> "vmax"
+  | Min -> "vmin"
+
 let binop ctx ?(vec = 0) op ~src0 ?(src0_off = 0) ~src1 ?(src1_off = 0) ~dst
     ?(dst_off = 0) ~len () =
   require_ub "binop" src0;
@@ -60,11 +64,7 @@ let binop ctx ?(vec = 0) op ~src0 ?(src0_off = 0) ~src1 ?(src1_off = 0) ~dst
   check_range ctx "binop" src0 src0_off len;
   check_range ctx "binop" src1 src1_off len;
   check_range ctx "binop" dst dst_off len;
-  let name =
-    match op with
-    | Add -> "vadd" | Sub -> "vsub" | Mul -> "vmul" | Max -> "vmax"
-    | Min -> "vmin"
-  in
+  let name = binop_name op in
   tick ctx name;
   charge_op ctx ~vec ~op:name ~instrs:1 ~len ~esize:(esize dst);
   if Block.functional ctx then begin
@@ -450,10 +450,8 @@ let scan_rows ctx ?(vec = 0) ~op ~buf ~len ~s ~init () =
     Block.count_op_n ctx "scalar_get" nrows;
     let c_scalar = cm.Cost_model.scalar_access_cycles in
     Block.charge_rows ctx (Engine.Vec vec) ~count:full
-      [|
-        (name, Cost_model.vec_op_cycles cm ~bytes:(s * esz));
-        ("scalar_get", c_scalar);
-      |];
+      ~names:[| name; "scalar_get" |]
+      [| Cost_model.vec_op_cycles cm ~bytes:(s * esz); c_scalar |];
     if rem > 0 then begin
       Block.charge ~op:name ctx (Engine.Vec vec)
         (Cost_model.vec_op_cycles cm ~bytes:(rem * esz));
@@ -468,4 +466,150 @@ let scan_rows ctx ?(vec = 0) ~op ~buf ~len ~s ~init () =
       (* Cost-only devices return 0.0 from scalar reads; the carry after
          at least one row is therefore 0.0, matching the scalar path. *)
       0.0
+  end
+
+(* Tile-batched Hillis-Steele networks. Each is the log-step loop
+
+     for d = 1, 2, 4, ... while d < len: <the step's instructions at d>
+
+   that the max and segmented scan kernels ran per UB tile, issued as
+   one op. Every later step's ranges lie inside the first step's
+   (d = 1), so the residency, dtype and range checks run once, at
+   d = 1, in the order of the step's instructions; an armed sanitizer
+   then replays the later steps' async-hazard checks in issue order,
+   so its diagnostics are those of the per-instruction loop. Counts
+   and cycles go through one Block.charge_rows, data through the same
+   per-step Host_buffer kernels in the same order. *)
+
+(* The steps of a network over [len] elements: one per shift
+   [d = 2^k < len]. *)
+let net_steps len =
+  let rec go k d = if d < len then go (k + 1) (2 * d) else k in
+  go 0 1
+
+(* [f k d] for each step [k] and its shift [d]. *)
+let iter_shifts len f =
+  for k = 0 to net_steps len - 1 do
+    f k (1 lsl k)
+  done
+
+(* One operand of a network instruction at shift [d]: range- and
+   hazard-checked at d = 1, hazard-checked only at later steps. *)
+let net_operand ctx ~d what lt off len =
+  if d = 1 then check_range ctx what lt off len
+  else Block.check_async_use ctx ~op:("Vec." ^ what) lt
+
+(* Check every step: the d = 1 step always, the later ones only for
+   the hazard replay of an armed sanitizer. *)
+let check_steps ctx ~len step =
+  step 1;
+  if Option.is_some (Block.sanitizer ctx) then
+    iter_shifts len (fun _ d -> if d > 1 then step d)
+
+let hillis_steele ctx ?(vec = 0) ~op ~buf ~tmp ~len () =
+  if len > 1 then begin
+    (* Step d: tmp[d..] <- op buf[d..] buf[..len-d]; buf[d..] <- tmp[d..]. *)
+    check_steps ctx ~len (fun d ->
+        let n = len - d in
+        if d = 1 then begin
+          require_ub "binop" buf;
+          require_ub "binop" tmp
+        end;
+        net_operand ctx ~d "binop" buf d n;
+        net_operand ctx ~d "binop" buf 0 n;
+        net_operand ctx ~d "binop" tmp d n;
+        net_operand ctx ~d "copy" tmp d n;
+        net_operand ctx ~d "copy" buf d n);
+    let name = binop_name op in
+    let cm = Block.cost ctx in
+    let steps = net_steps len in
+    let cycles = Array.make (2 * steps) 0.0 in
+    let e_tmp = esize tmp and e_buf = esize buf in
+    iter_shifts len (fun k d ->
+        let n = len - d in
+        cycles.(2 * k) <- Cost_model.vec_op_cycles cm ~bytes:(n * e_tmp);
+        cycles.((2 * k) + 1) <- Cost_model.vec_op_cycles cm ~bytes:(n * e_buf));
+    Block.charge_rows ctx (Engine.Vec vec) ~count:1
+      ~counts:[| (name, steps); ("copy", steps) |]
+      ~names:[| name; "copy" |] cycles;
+    if Block.functional ctx then begin
+      Local_tensor.touch tmp;
+      Local_tensor.touch buf;
+      let hop = hb_binop op in
+      let b = Local_tensor.buffer buf and t = Local_tensor.buffer tmp in
+      iter_shifts len (fun _ d ->
+          let n = len - d in
+          Host_buffer.map2_binop hop ~src0:b ~src0_off:d ~src1:b ~src1_off:0
+            ~dst:t ~dst_off:d ~len:n;
+          Host_buffer.blit ~src:t ~src_off:d ~dst:b ~dst_off:d ~len:n)
+    end
+  end
+
+let segmented_hillis_steele ctx ?(vec = 0) ~v ~f ~tmp_v ~tmp_f ~zero ~len () =
+  if len > 1 then begin
+    (* Step d: tmp_v[d..] <- select f[d..] zero v[..len-d];
+       v[d..] <- v[d..] + tmp_v[d..]; tmp_f <- f;
+       f[d..] <- tmp_f[d..] lor tmp_f[..len-d]. *)
+    check_steps ctx ~len (fun d ->
+        let n = len - d in
+        if d = 1 then begin
+          require_ub "select" f;
+          require_ub "select" zero;
+          require_ub "select" v;
+          require_ub "select" tmp_v
+        end;
+        net_operand ctx ~d "select" f d n;
+        net_operand ctx ~d "select" zero 0 n;
+        net_operand ctx ~d "select" v 0 n;
+        net_operand ctx ~d "select" tmp_v d n;
+        net_operand ctx ~d "binop" v d n;
+        net_operand ctx ~d "binop" tmp_v d n;
+        net_operand ctx ~d "binop" v d n;
+        if d = 1 then require_ub "copy" tmp_f;
+        net_operand ctx ~d "copy" f 0 len;
+        net_operand ctx ~d "copy" tmp_f 0 len;
+        if d = 1 then begin
+          require_integer "bit_op" tmp_f;
+          require_integer "bit_op" f
+        end;
+        net_operand ctx ~d "bit_op" tmp_f d n;
+        net_operand ctx ~d "bit_op" tmp_f 0 n;
+        net_operand ctx ~d "bit_op" f d n);
+    let cm = Block.cost ctx in
+    let cycles_of e n = Cost_model.vec_op_cycles cm ~bytes:(n * e) in
+    let e_tmp_v = esize tmp_v and e_v = esize v and e_f = esize f in
+    let copy_cycles = cycles_of (esize tmp_f) len in
+    let steps = net_steps len in
+    let cycles = Array.make (4 * steps) 0.0 in
+    iter_shifts len (fun k d ->
+        let n = len - d in
+        cycles.(4 * k) <- cycles_of e_tmp_v n;
+        cycles.((4 * k) + 1) <- cycles_of e_v n;
+        cycles.((4 * k) + 2) <- copy_cycles;
+        cycles.((4 * k) + 3) <- cycles_of e_f n);
+    Block.charge_rows ctx (Engine.Vec vec) ~count:1
+      ~counts:
+        [|
+          ("vselect", steps);
+          ("vadd", steps);
+          ("copy", steps);
+          ("vbitop", steps);
+        |]
+      ~names:[| "vselect"; "vadd"; "copy"; "vbitop" |]
+      cycles;
+    if Block.functional ctx then begin
+      List.iter Local_tensor.touch [ tmp_v; v; tmp_f; f ];
+      let vb = Local_tensor.buffer v and fb = Local_tensor.buffer f in
+      let tvb = Local_tensor.buffer tmp_v and tfb = Local_tensor.buffer tmp_f in
+      let zb = Local_tensor.buffer zero in
+      iter_shifts len (fun _ d ->
+          let n = len - d in
+          Host_buffer.select_range ~mask:fb ~mask_off:d ~src0:zb ~src0_off:0
+            ~src1:vb ~src1_off:0 ~dst:tvb ~dst_off:d ~len:n;
+          Host_buffer.map2_binop Host_buffer.Add ~src0:vb ~src0_off:d ~src1:tvb
+            ~src1_off:d ~dst:vb ~dst_off:d ~len:n;
+          Host_buffer.blit ~src:fb ~src_off:0 ~dst:tfb ~dst_off:0 ~len;
+          Host_buffer.map2_bits Host_buffer.Or ~src0:tfb ~src0_off:d ~src1:tfb
+            ~src1_off:0 ~dst:fb ~dst_off:d ~len:n)
+    end
   end

@@ -3,7 +3,9 @@
     All operands must live in the Unified Buffer of the vector core the
     op runs on ([?vec], default 0). Each call models one (or a small
     fixed number of) vector instruction(s): a fixed issue cost plus the
-    datapath time for the processed bytes. Scalar transfers ({!get},
+    datapath time for the processed bytes; the tile-batched ops
+    ({!scan_rows}, {!hillis_steele}, {!segmented_hillis_steele}) issue
+    a whole per-tile loop of them as one call. Scalar transfers ({!get},
     {!set}, and the implicit result readout of reductions) serialise the
     issuing vector core's pipeline and are charged to it.
 
@@ -172,6 +174,41 @@ val scan_rows :
     single op with one batched cost charge and one in-place data sweep.
     Raises [Invalid_argument] for [Sub] (no tensor-scalar form) or
     [s <= 0]. *)
+
+val hillis_steele :
+  Block.t -> ?vec:int -> op:binop -> buf:Local_tensor.t ->
+  tmp:Local_tensor.t -> len:int -> unit -> unit
+(** Tile-batched in-UB inclusive scan of [buf.(0 .. len)] under [op]
+    with the log-step Hillis-Steele network: for each shift
+    [d = 1, 2, 4, ...] below [len], one {!binop}
+    [tmp.(d..) <- op buf.(d..) buf.(0..len-d)] and one {!copy}
+    [buf.(d..) <- tmp.(d..)], [(len - d)] elements each. [tmp] is a
+    scratch tile of at least [len] elements. Bit-identical — in output
+    data, charged cycles, trace spans, instruction counts and their
+    first-seen order, the cycle at which a core kill lands, and
+    sanitizer diagnostics — to that per-instruction loop, but
+    dispatched as a single op: UB residency and the widest ([d = 1])
+    ranges are checked once, in the loop's order and with its
+    messages, and the steps are charged with one
+    {!Block.charge_rows}. A [len <= 1] issues, checks and counts
+    nothing. *)
+
+val segmented_hillis_steele :
+  Block.t -> ?vec:int -> v:Local_tensor.t -> f:Local_tensor.t ->
+  tmp_v:Local_tensor.t -> tmp_f:Local_tensor.t -> zero:Local_tensor.t ->
+  len:int -> unit -> unit
+(** Tile-batched in-UB inclusive {e segmented} scan of the (value,
+    segment-start flag) pairs [v.(i), f.(i)] under
+    [(v2,f2) . (v1,f1) = ((if f2 then v2 else v1+v2), f1 or f2)]: for
+    each shift [d = 1, 2, 4, ...] below [len], a {!select} of the
+    contribution from [d] back (zeroed where [f] is set, into
+    [tmp_v]), a {!binop} [Add] into [v], a {!copy} of the [len] flags
+    into [tmp_f] and a {!bit_op} [Or] that propagates them into [f].
+    [f] and [tmp_f] are integer (int8) tiles; [zero] is a zero-filled
+    value tile. After the call [v] holds the segmented inclusive scan
+    and [f.(i)] is non-zero iff a segment boundary lies in [\[0, i\]].
+    The same equivalence contract as {!hillis_steele}, the dtype
+    checks included. *)
 
 val sort_region :
   Block.t -> ?vec:int -> ?descending:bool -> src:Local_tensor.t ->

@@ -10,11 +10,6 @@
 
 type fault_kind = Drop | Corrupt | Stall
 
-let fault_kind_to_string = function
-  | Drop -> "drop"
-  | Corrupt -> "corrupt"
-  | Stall -> "stall"
-
 type config = {
   bandwidth_bytes_per_s : float;
   latency_s : float;
@@ -247,15 +242,9 @@ let set_down t b = t.is_down <- b
 let down t = t.is_down
 let quarantined t = t.is_quarantined
 
-let clear_quarantine t =
-  t.is_quarantined <- false;
-  t.consec_failures <- 0
-
 let sends t = t.n_sends
-let delivered t = t.n_delivered
 let retries t = t.n_retries
 let crc_detected t = t.n_crc
-let stalls t = t.n_stalls
 let seconds t = t.total_seconds
 
 let pp fmt t =

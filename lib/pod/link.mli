@@ -18,15 +18,13 @@
     Retries back off exponentially ([backoff_s * 2^(attempt-2)]). A send
     that exhausts [max_attempts] is undelivered and counts one
     consecutive failure; [quarantine_after] consecutive failed sends
-    quarantine the link (subsequent sends fail fast until
-    {!clear_quarantine}). Chaos link outages use {!set_down}.
+    quarantine the link for good (subsequent sends fail fast). Chaos
+    link outages use {!set_down}.
 
     Everything is a pure function of the config, the seed and the send
     sequence — two links with the same history behave identically. *)
 
 type fault_kind = Drop | Corrupt | Stall
-
-val fault_kind_to_string : fault_kind -> string
 
 type config = {
   bandwidth_bytes_per_s : float;  (** payload rate; default 25 GB/s *)
@@ -44,8 +42,6 @@ val default_config : config
 (** Fault-free 25 GB/s link: 1.5 us latency, 4 attempts, 1 us backoff
     base, 10 us drop timeout, stall factor 4, quarantine after 3
     consecutive failed sends. *)
-
-val validate_config : config -> (unit, string) result
 
 type t
 
@@ -78,18 +74,14 @@ val down : t -> bool
 
 val quarantined : t -> bool
 
-val clear_quarantine : t -> unit
-
 (* Lifetime counters. *)
 
 val sends : t -> int
-val delivered : t -> int
 
 val retries : t -> int
 (** Attempts beyond the first, summed over the link's lifetime. *)
 
 val crc_detected : t -> int
-val stalls : t -> int
 val seconds : t -> float
 
 val crc32 : Bytes.t -> int

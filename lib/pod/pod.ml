@@ -266,10 +266,7 @@ let fold_links t f init =
   !acc
 
 let link_sends t = fold_links t (fun a l -> a + Link.sends l) 0
-let link_delivered t = fold_links t (fun a l -> a + Link.delivered l) 0
 let link_retries t = fold_links t (fun a l -> a + Link.retries l) 0
-let link_crc_detected t = fold_links t (fun a l -> a + Link.crc_detected l) 0
-let link_stalls t = fold_links t (fun a l -> a + Link.stalls l) 0
 let link_seconds t = fold_links t (fun a l -> a +. Link.seconds l) 0.0
 
 let reroutes t = t.n_reroutes

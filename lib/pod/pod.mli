@@ -127,12 +127,8 @@ val events : t -> event list
 (* Pod-wide link counters (summed over the matrix). *)
 
 val link_sends : t -> int
-val link_delivered : t -> int
 val link_retries : t -> int
-val link_crc_detected : t -> int
-val link_stalls : t -> int
 val link_seconds : t -> float
 val reroutes : t -> int
-val quarantined_links : t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -59,7 +59,6 @@ type level =
   | Shed_rows
 
 val level_to_string : level -> string
-val level_rank : level -> int
 
 type config = {
   window : int;  (** Sliding outcome window size. *)

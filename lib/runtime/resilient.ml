@@ -2,10 +2,6 @@ open Ascend
 
 type oracle = Checksum | Reference
 
-let oracle_to_string = function
-  | Checksum -> "checksum"
-  | Reference -> "reference"
-
 type 'a report = {
   value : 'a;
   stats : Stats.t;

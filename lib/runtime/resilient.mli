@@ -25,8 +25,6 @@ type oracle =
           strided sample positions plus the last element. O(1) space. *)
   | Reference  (** Full element-wise comparison against {!Scan.Reference}. *)
 
-val oracle_to_string : oracle -> string
-
 type 'a report = {
   value : 'a;  (** Result of the last attempt (the validated one if [ok]). *)
   stats : Ascend.Stats.t;
@@ -95,8 +93,6 @@ val pp_report :
     {!Pod_runner.batched_scan} are its two targets. *)
 
 type batched_schedule = U  (** {!Scan.Batched_scan.run_u}. *) | Ul1
-
-val batched_schedule_to_string : batched_schedule -> string
 
 type pod_report = {
   link_seconds : float;  (** Link time charged during this run. *)

@@ -16,8 +16,6 @@ module P = Pod
 
 type schedule = Ring | All_gather
 
-let schedule_to_string = function Ring -> "ring" | All_gather -> "allgather"
-
 let default_schedule pod =
   match P.topology pod with P.Ring -> Ring | P.Fully_connected -> All_gather
 

@@ -37,8 +37,6 @@ open Ascend
 
 type schedule = Ring | All_gather
 
-val schedule_to_string : schedule -> string
-
 val default_schedule : Pod.t -> schedule
 (** Ring pods exchange in a ring; fully-connected pods all-gather. *)
 

@@ -4,7 +4,7 @@
     purely vectorial: it is exactly
     {!Scan_core.run_vec_blocks}[ (module Scan_op.Max)] — within each UB
     tile a log-step Hillis-Steele network (see
-    {!Kernel_util.hillis_steele_tile}), across tiles and blocks the
+    {!Ascend.Vec.hillis_steele}), across tiles and blocks the
     same two-phase recomputation structure as MCScan with
     max-reductions instead of sums.
 

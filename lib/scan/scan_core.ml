@@ -243,8 +243,8 @@ let vec_phase2 (module Op : Scan_op.S) ~x ~y ~r ~chunk ~half ~n ~dt ctx =
                 ~src_off:(vlo + off) ~dst:slots.(slot) ~len ())
             ~work:(fun ~slot ~off ~len ->
               let ub = slots.(slot) in
-              Kernel_util.hillis_steele_tile ctx ~vec:v ~op:Op.vec_binop
-                ~buf:ub ~tmp ~len;
+              Vec.hillis_steele ctx ~vec:v ~op:Op.vec_binop ~buf:ub ~tmp ~len
+                ();
               partial :=
                 Vec.scan_rows ctx ~vec:v ~op:Op.vec_binop ~buf:ub ~len ~s:len
                   ~init:!partial ();

@@ -165,6 +165,6 @@ val run_vec_blocks :
 (** Vector-only two-phase multi-block scan under the operator: phase I
     reduces every vector-core sub-block into an intermediate tensor
     [r]; phase II folds the preceding entries of [r] into a base and
-    rescans each UB tile with {!Kernel_util.hillis_steele_tile} under
-    the operator's binop. This is the whole of the former bespoke
+    rescans each UB tile with {!Ascend.Vec.hillis_steele} under the
+    operator's binop. This is the whole of the former bespoke
     max-scan kernel, for any {!Scan_op.S}. *)

@@ -70,12 +70,6 @@ let compute_tile ctx ~schedule ~y ~off ~len ~s ~bufs ~slot =
   Scan_core.stage_out ctx ~schedule ~engine:Engine.Cube_mte_out ~src:c2 ~dst:y
     ~dst_off:off ~len ()
 
-(* Whole-tile form for callers that run outside the pipeline walker
-   (the TCU carry-tree kernel): synchronous copies, slot 0. *)
-let cube_tile ctx ~x ~y ~off ~len ~s ~bufs =
-  load_tile ctx ~schedule:Scan_core.Serial ~x ~off ~len ~bufs ~slot:0;
-  compute_tile ctx ~schedule:Scan_core.Serial ~y ~off ~len ~s ~bufs ~slot:0
-
 let run ?(s = 128) device x =
   if s <= 0 then invalid_arg "Scan_ul1.run: s must be positive";
   if not (Dtype.equal (Global_tensor.dtype x) Dtype.F16) then

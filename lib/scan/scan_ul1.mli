@@ -52,16 +52,3 @@ val compute_tile :
   unit
 (** Evaluate Equation 1 over the staged slot and store C2 slot [slot]
     to [y\[off, off+len)] — the work stage of the walker. *)
-
-val cube_tile :
-  Ascend.Block.t ->
-  x:Ascend.Global_tensor.t ->
-  y:Ascend.Global_tensor.t ->
-  off:int ->
-  len:int ->
-  s:int ->
-  bufs:bufs ->
-  unit
-(** Whole tile with synchronous copies on slot 0 ([load_tile] then
-    [compute_tile] under [Serial]), for callers outside the pipeline
-    walker. *)

@@ -40,8 +40,8 @@ let load_tile ctx ~schedule ~vec ~b ~x ~flags ~off ~len ~slot =
    with [base] applied, tile had a boundary). The applied last value is
    the carry into the next tile. *)
 let compute_tile ctx ~vec ~b ~len ~base ~slot =
-  Kernel_util.segmented_hillis_steele_tile ctx ~vec ~v:b.v.(slot)
-    ~f:b.f.(slot) ~tmp_v:b.tmp_v ~tmp_f:b.tmp_f ~zero:b.zero ~len;
+  Vec.segmented_hillis_steele ctx ~vec ~v:b.v.(slot) ~f:b.f.(slot)
+    ~tmp_v:b.tmp_v ~tmp_f:b.tmp_f ~zero:b.zero ~len ();
   (* Elements not preceded by an in-tile boundary continue the incoming
      segment: add the carry there. *)
   Vec.adds ctx ~vec ~src:b.v.(slot) ~dst:b.tmp_v ~scalar:base ~len ();

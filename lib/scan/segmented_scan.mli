@@ -9,7 +9,7 @@
 
     The segmented combine [(v2,f2) . (v1,f1)] is not a matrix product,
     so the in-tile scans run on the vector cores as a log-step network
-    over (value, flag) pairs ({!Kernel_util.segmented_hillis_steele_tile});
+    over (value, flag) pairs ({!Ascend.Vec.segmented_hillis_steele});
     across tiles and blocks the kernel keeps MCScan's two-phase
     recomputation structure, with per-sub-block carries (end value, had
     boundary) in place of plain sums. *)

@@ -187,6 +187,58 @@ let test_cost_only_runs_everything () =
   ignore (Ops.Baseline.sort d x);
   check_bool "all ran" true true
 
+(* Registry entries whose charging does not depend on the data: a
+   Cost_only run charges exactly what a functional run does — the same
+   [seconds] bit for bit, engine busy cycles and op counts in order —
+   so the paper-scale Cost_only sweeps cost what golden_timing pins on
+   functional devices. At n = 99,996 over two blocks the vector
+   sub-blocks span several UB tiles, the last one ragged. *)
+let data_independent =
+  [ "vec_only"; "scanu"; "scanul1"; "mcscan"; "tcu"; "max_scan";
+    "segmented_scan"; "batched_u"; "batched_ul1"; "dist_scan"; "cube_reduce" ]
+
+let test_cost_only_equals_functional () =
+  let n = 99_996 and batch = 4 in
+  let cfg =
+    { Scan.Op_registry.default_config with
+      blocks = Some 2; batch = Some batch; len = Some (n / batch) }
+  in
+  List.iter
+    (fun name ->
+      let e = Option.get (Scan.Op_registry.find name) in
+      let stats mode =
+        let d = Device.create ~mode () in
+        let tensor dt f =
+          if mode = Device.Functional then
+            Device.of_array d dt ~name:"x" (Array.init n f)
+          else Device.alloc d dt n ~name:"x"
+        in
+        let x = tensor Dtype.F16 (fun i -> if i mod 37 = 0 then 1.0 else 0.0) in
+        let input =
+          if e.Scan.Op_registry.caps.masked then
+            Scan.Op_registry.Masked
+              {
+                x;
+                mask =
+                  tensor Dtype.I8 (fun i -> if i mod 97 = 5 then 1.0 else 0.0);
+              }
+          else Scan.Op_registry.Tensor x
+        in
+        match Scan.Op_registry.run e cfg d input with
+        | Ok (_, st) -> st
+        | Error msg -> Alcotest.failf "%s: %s" name msg
+      in
+      let f = stats Device.Functional and c = stats Device.Cost_only in
+      let bits = Int64.bits_of_float in
+      check_bool (name ^ " seconds") true
+        (bits f.Stats.seconds = bits c.Stats.seconds);
+      check_bool (name ^ " engine busy") true
+        (List.map (fun (k, v) -> (k, bits v)) f.Stats.engine_busy
+        = List.map (fun (k, v) -> (k, bits v)) c.Stats.engine_busy);
+      Alcotest.(check (list (pair string int)))
+        (name ^ " op counts") f.Stats.op_counts c.Stats.op_counts)
+    data_independent
+
 let () =
   Alcotest.run "cost_shapes"
     [
@@ -212,5 +264,7 @@ let () =
             test_tcu_competitive_at_scale;
           Alcotest.test_case "cost-only coverage" `Quick
             test_cost_only_runs_everything;
+          Alcotest.test_case "cost-only = functional stats" `Quick
+            test_cost_only_equals_functional;
         ] );
     ]
