@@ -239,6 +239,171 @@ let test_cost_only_equals_functional () =
         (name ^ " op counts") f.Stats.op_counts c.Stats.op_counts)
     data_independent
 
+(* The paper-sweep entries at 2^24 on Cost_only devices, as the
+   paper-scale figures run them: [Stats] pinned so a change to the
+   charging fast path (Block, Mte, Vec) cannot move a cycle, a count
+   or a byte of traffic at paper scale. [busy] is the MD5 of the
+   engine and core busy cycles' float bits (see [busy_rendering]).
+   Batched entries run 16 rows of 2^20; weighted_sampling draws at
+   theta = 0.3. *)
+type sweep_pin = {
+  entry : string;
+  seconds : int64;  (** Bits of [Stats.seconds]. *)
+  gm : int * int;  (** GM read and write bytes. *)
+  busy : string;
+  ops : (string * int) list;  (** [Stats.op_counts], in order. *)
+}
+
+let sweep_pins =
+  [
+    { entry = "vec_only";
+      seconds = 0x3f93fb7f24efa834L;
+      gm = (33554432, 33554432);
+      busy = "e8baa37a20957eef182fc024bd0daea8";
+      ops =
+        [ ("datacopy_out", 1024); ("cumsum_api", 1024); ("adds", 1024);
+          ("datacopy_in", 1024); ("scalar_get", 1024) ] };
+    { entry = "scanu";
+      seconds = 0x3f7235e7dc130ea4L;
+      gm = (67141632, 67108864);
+      busy = "55304999039b9db18735160f7c8c6681";
+      ops =
+        [ ("adds", 131072); ("scalar_get", 131072); ("datacopy_out", 2048);
+          ("datacopy_in", 2048); ("mmad", 1024) ] };
+    { entry = "scanul1";
+      seconds = 0x3f606b512a94a75dL;
+      gm = (67207168, 67108864);
+      busy = "a5bdb893369212d160a308dc965eaa02";
+      ops =
+        [ ("datacopy_local", 5120); ("mmad", 3072); ("datacopy_out", 2048);
+          ("datacopy_in", 2048); ("adds", 1024); ("scalar_get", 1024) ] };
+    { entry = "mcscan";
+      seconds = 0x3f2ee98b00c9de3fL;
+      gm = (101325056, 67109024);
+      busy = "eb9aa97d8741fee930be639447dbf2d7";
+      ops =
+        [ ("adds", 131072); ("scalar_get", 131072); ("datacopy_in", 3112);
+          ("datacopy_out", 2088); ("reduce_sum", 1063); ("mmad", 1024);
+          ("scalar_set", 40) ] };
+    { entry = "tcu";
+      seconds = 0x3f2b29600fbc4c40L;
+      gm = (69148670, 67082240);
+      busy = "3277b149ffffa068dd4ea4d968554d89";
+      ops =
+        [ ("datacopy_local", 5125); ("datacopy_in", 4096); ("mmad", 3075);
+          ("datacopy_out", 3073); ("adds", 1024); ("scalar_get", 1024) ] };
+    { entry = "max_scan";
+      seconds = 0x3f20f6fe1babbb67L;
+      gm = (67112064, 33554512);
+      busy = "e86d86894829dd50ce86f2faeab71377";
+      ops =
+        [ ("vmax", 26624); ("copy", 26624); ("datacopy_in", 4136);
+          ("datacopy_out", 2088); ("reduce_max", 2087); ("maxs", 2048);
+          ("scalar_get", 2048); ("scalar_set", 40) ] };
+    { entry = "segmented_scan";
+      seconds = 0x3f2f9122c441d582L;
+      gm = (100671296, 33554632);
+      busy = "c423f9efe0b5412ebc6c6a07bf89d6a9";
+      ops =
+        [ ("vselect", 57344); ("copy", 53248); ("vadd", 53248);
+          ("vbitop", 53248); ("scalar_get", 9752); ("datacopy_in", 8272);
+          ("adds", 4096); ("datacopy_out", 2128); ("duplicate", 80);
+          ("scalar_set", 80) ] };
+    { entry = "batched_u";
+      seconds = 0x3f32cb01f32995c9L;
+      gm = (67371008, 67108864);
+      busy = "f35e5d6656b4e5f1db309ddba021f41d";
+      ops =
+        [ ("adds", 131072); ("scalar_get", 131072); ("datacopy_out", 2048);
+          ("datacopy_in", 2048); ("mmad", 1024) ] };
+    { entry = "batched_ul1";
+      seconds = 0x3f25fce0c663aadcL;
+      gm = (68681728, 67108864);
+      busy = "222a5405c2a095816547e3c098c7fb3e";
+      ops =
+        [ ("datacopy_local", 5120); ("mmad", 3072); ("datacopy_out", 2048);
+          ("datacopy_in", 2048); ("adds", 1024); ("scalar_get", 1024) ] };
+    { entry = "dist_scan";
+      seconds = 0x3f3d15f3a84112f4L;
+      gm = (118764032, 83886400);
+      busy = "6bf6188c2463a84a01577bdda48d0a3e";
+      ops =
+        [ ("adds", 131584); ("scalar_get", 131072); ("datacopy_in", 3664);
+          ("datacopy_out", 2640); ("reduce_sum", 1102); ("mmad", 1024);
+          ("scalar_set", 80) ] };
+    { entry = "compress";
+      seconds = 0x3f388e02945ac2fcL;
+      gm = (184883456, 117440632);
+      busy = "edf909181d35ff73fb253108b1394f95";
+      ops =
+        [ ("scalar_get", 133152); ("adds", 131072); ("datacopy_in", 9352);
+          ("datacopy_out", 4169); ("gather_mask", 2080); ("reduce_sum", 1063);
+          ("mmad", 1024); ("scalar_set", 41) ] };
+    { entry = "split";
+      seconds = 0x3f39d928695c502aL;
+      gm = (184883456, 134217886);
+      busy = "e8e5fe71fab12c8278be4116ad6c3041";
+      ops =
+        [ ("scalar_get", 133152); ("adds", 131072); ("datacopy_in", 9352);
+          ("datacopy_out", 6249); ("gather_mask", 4160);
+          ("compare_scalar", 2080); ("reduce_sum", 1063); ("mmad", 1024);
+          ("scalar_set", 41) ] };
+    { entry = "weighted_sampling";
+      seconds = 0x3f49f79dd89a814eL;
+      gm = (319762944, 285212986);
+      busy = "c09225bec23956512ca8eb92be30cbfe";
+      ops =
+        [ ("scalar_get", 264224); ("adds", 262144); ("datacopy_out", 14577);
+          ("datacopy_in", 14544); ("gather_mask", 8320);
+          ("compare_scalar", 4160); ("reduce_sum", 2126); ("arange", 2080);
+          ("mmad", 2048); ("scalar_set", 81) ] };
+  ]
+
+let sweep_stats name =
+  let n = 1 lsl 24 and batch = 16 in
+  let e = Option.get (Scan.Op_registry.find name) in
+  let caps = e.Scan.Op_registry.caps in
+  let cfg =
+    if caps.batched then
+      { Scan.Op_registry.default_config with
+        batch = Some batch; len = Some (n / batch) }
+    else { Scan.Op_registry.default_config with theta = Some 0.3 }
+  in
+  let d = dev () in
+  let x = Device.alloc d (List.hd caps.dtypes) n ~name:"x" in
+  let input =
+    if caps.masked then
+      Scan.Op_registry.Masked { x; mask = Device.alloc d Dtype.I8 n ~name:"mask" }
+    else Scan.Op_registry.Tensor x
+  in
+  match Scan.Op_registry.run e cfg d input with
+  | Ok (_, st) -> st
+  | Error msg -> Alcotest.failf "%s: %s" name msg
+
+let float_bits f = Printf.sprintf "%Lx" (Int64.bits_of_float f)
+
+let busy_rendering (st : Stats.t) =
+  String.concat ";"
+    (List.map (fun (k, v) -> k ^ "=" ^ float_bits v) st.Stats.engine_busy
+    @ Array.to_list (Array.map float_bits st.Stats.core_busy))
+
+let test_paper_sweep_pinned () =
+  Ops.Ops_registry.install ();
+  List.iter
+    (fun p ->
+      let st = sweep_stats p.entry in
+      Alcotest.(check string) (p.entry ^ " seconds bits")
+        (Printf.sprintf "%Lx" p.seconds) (float_bits st.Stats.seconds);
+      Alcotest.(check (pair int int)) (p.entry ^ " gm bytes") p.gm
+        (st.Stats.gm_read_bytes, st.Stats.gm_write_bytes);
+      Alcotest.(check string)
+        (p.entry ^ " busy digest of " ^ busy_rendering st)
+        p.busy
+        (Digest.to_hex (Digest.string (busy_rendering st)));
+      Alcotest.(check (list (pair string int))) (p.entry ^ " op counts") p.ops
+        st.Stats.op_counts)
+    sweep_pins
+
 let () =
   Alcotest.run "cost_shapes"
     [
@@ -266,5 +431,7 @@ let () =
             test_cost_only_runs_everything;
           Alcotest.test_case "cost-only = functional stats" `Quick
             test_cost_only_equals_functional;
+          Alcotest.test_case "paper sweep 2^24 stats pinned" `Quick
+            test_paper_sweep_pinned;
         ] );
     ]
