@@ -423,10 +423,11 @@ let set ctx ?(vec = 0) lt i v =
      <scalar-op> buf[row] (op carry); carry <- scalar get of last elt
 
    i.e. exactly the adds/maxs + Vec.get loop scan kernels ran per UB
-   tile, but issued as one op: costs are charged through
-   Block.charge_rows in the same per-row (vector op, scalar_get)
-   order, instruction counts through count_op_n, and the data pass is
-   a single in-place Host_buffer.scan_segment sweep. *)
+   tile, but issued as one op: costs and instruction counts are
+   charged through Block.charge_rows in the same per-row (vector op,
+   scalar_get) order, so a core killed inside the tile counts only
+   the rows issued before the kill, and the data pass is a single
+   in-place Host_buffer.scan_segment sweep. *)
 let scan_rows ctx ?(vec = 0) ~op ~buf ~len ~s ~init () =
   require_ub "scan_rows" buf;
   check_range ctx "scan_rows" buf 0 len;
@@ -445,16 +446,16 @@ let scan_rows ctx ?(vec = 0) ~op ~buf ~len ~s ~init () =
     let esz = esize buf in
     let full = len / s in
     let rem = len - (full * s) in
-    let nrows = full + (if rem > 0 then 1 else 0) in
-    Block.count_op_n ctx name nrows;
-    Block.count_op_n ctx "scalar_get" nrows;
     let c_scalar = cm.Cost_model.scalar_access_cycles in
     Block.charge_rows ctx (Engine.Vec vec) ~count:full
+      ~counts:[| (name, full); ("scalar_get", full) |]
       ~names:[| name; "scalar_get" |]
       [| Cost_model.vec_op_cycles cm ~bytes:(s * esz); c_scalar |];
     if rem > 0 then begin
+      tick ctx name;
       Block.charge ~op:name ctx (Engine.Vec vec)
         (Cost_model.vec_op_cycles cm ~bytes:(rem * esz));
+      tick ctx "scalar_get";
       Block.charge ~op:"scalar_get" ctx (Engine.Vec vec) c_scalar
     end;
     if Block.functional ctx then begin

@@ -169,7 +169,8 @@ val scan_rows :
     ([Add] -> [adds], [Max] -> [maxs], ...), then re-read the carry from
     the row's last element; returns the final carry (the [init] when
     [len = 0]). Bit-identical — in output data, charged cycles, trace
-    spans and instruction counts — to the per-row [adds]/[maxs] +
+    spans and instruction counts, also the partial counts of a core
+    killed inside the tile — to the per-row [adds]/[maxs] +
     {!get} loop scan kernels historically issued, but dispatched as a
     single op with one batched cost charge and one in-place data sweep.
     Raises [Invalid_argument] for [Sub] (no tensor-scalar form) or

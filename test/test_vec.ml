@@ -231,6 +231,72 @@ let test_cost_charged_to_engine () =
   check_bool "vec1 charged" true (busy (Engine.Vec 1) > 0.0);
   check_bool "vec0 idle" true (busy (Engine.Vec 0) = 0.0)
 
+(* [scan_rows] against the per-row [adds] + [get] loop it batches, in
+   a two-block launch whose core 0 dies inside block 0's tile: the
+   dead block's partial op counts (part of [Stats]) count only the
+   rows issued before the kill. *)
+let scan_rows_launch ~mode ~trace ~kill ~len ~batched =
+  let fault = Fault.config ~seed:0 ~rate:0.0 ~kills:[ (0, kill) ] () in
+  let dev = Device.create ~mode ~fault () in
+  if trace then ignore (Device.arm_trace dev);
+  let s = 128 in
+  let st =
+    Launch.run dev ~blocks:2 (fun c ->
+        let buf = ub ~n:len c in
+        if batched then
+          ignore (Vec.scan_rows c ~op:Vec.Add ~buf ~len ~s ~init:0.0 ())
+        else begin
+          let carry = ref 0.0 in
+          for r = 0 to ((len + s - 1) / s) - 1 do
+            let off = r * s in
+            let l = min s (len - off) in
+            Vec.adds c ~src:buf ~src_off:off ~dst:buf ~dst_off:off
+              ~scalar:!carry ~len:l ();
+            carry := Vec.get c buf (off + l - 1)
+          done
+        end)
+  in
+  let recs =
+    match Device.trace dev with
+    | None -> []
+    | Some tr -> Trace.launches tr
+  in
+  (st, recs)
+
+let test_scan_rows_killed () =
+  List.iter
+    (fun (mode, trace, kill, len) ->
+      let what =
+        Printf.sprintf "%s%s len=%d killed at %g"
+          (if mode = Device.Cost_only then "cost-only" else "functional")
+          (if trace then " traced" else "")
+          len kill
+      in
+      let a, ta = scan_rows_launch ~mode ~trace ~kill ~len ~batched:false in
+      let b, tb = scan_rows_launch ~mode ~trace ~kill ~len ~batched:true in
+      let bytes st =
+        Marshal.to_string { st with Stats.host_seconds = 0.0 } []
+      in
+      Alcotest.(check (list (pair string int)))
+        (what ^ ": op counts") a.Stats.op_counts b.Stats.op_counts;
+      check_bool (what ^ ": stats") true (bytes a = bytes b);
+      check_bool (what ^ ": trace") true (ta = tb))
+    [
+      (Device.Cost_only, false, 3000.0, 8192);
+      (Device.Cost_only, true, 3000.0, 8192);
+      (Device.Functional, false, 3000.0, 8192);
+      (Device.Cost_only, false, 1234.5, 8100);
+      (Device.Functional, true, 2999.0, 8100);
+    ];
+  (* 64 rows in each of the two full blocks, plus 57 rows of the
+     killed block issued before the kill. *)
+  let st, _ =
+    scan_rows_launch ~mode:Device.Cost_only ~trace:false ~kill:3000.0
+      ~len:8192 ~batched:true
+  in
+  check_int "adds" 185 (Stats.op_count st "adds");
+  check_int "scalar_get" 185 (Stats.op_count st "scalar_get")
+
 let () =
   Alcotest.run "vec"
     [
@@ -261,5 +327,7 @@ let () =
             test_structure_invalidated_by_write;
           Alcotest.test_case "engine attribution" `Quick
             test_cost_charged_to_engine;
+          Alcotest.test_case "scan_rows killed inside the tile" `Quick
+            test_scan_rows_killed;
         ] );
     ]
