@@ -17,21 +17,43 @@
 type group = { g_end : float; g_dsts : Local_tensor.t list; g_last : int }
 
 (* Instruction counts: [totals.(i)] issues of [names.(i)] for [i < n],
-   in first-seen order (see [tally_slot]); the spare slots past [n] hold 0. *)
+   in first-seen order; the spare slots past [n] hold 0. [index] is an
+   open-addressing table over the names (see [tally_slot]): each cell
+   holds [i + 1] for a listed name, 0 when empty, and it is always at
+   least twice as long as [names], so it is never more than half full. *)
 type tally = {
   mutable names : string array;
   mutable totals : int array;
   mutable n : int;
+  mutable index : int array;
+}
+
+(* The distinct global tensors a block touched: [list] newest first, as
+   {!result.touched} reports them, and [ids] an open-addressing set of
+   their ids (each cell [id + 1], 0 when empty, at most half full). *)
+type touched = {
+  mutable list : (int * int) list;
+  mutable count : int;
+  mutable ids : int array;
 }
 
 type t = {
   device : Device.t;
+  cm : Cost_model.t;
+  is_functional : bool;
+  fault_model : Fault.t option;
+  san : Sanitizer.t option;
   mutable idx : int;
   num_blocks : int;
   mutable core : int;
   health : Health.t;
   mutable kill_at : float;  (* seeded kill threshold of [core]; infinity = never *)
   mutable clock0 : float;  (* [core]'s cumulative busy cycles at block start *)
+  mutable copy_bytes : int;
+  mutable copy_cycles : float;
+      (* [Cost_model.mte_copy_cycles] of the last GM copy size: a tile
+         loop copies one size over and over, and reusing the boxed cost
+         keeps a repeated copy from allocating *)
   charged : float array;
       (* one cell: busy cycles charged by this block so far (a float
          array cell updates in place; a mutable float field would box) *)
@@ -58,7 +80,7 @@ type t = {
   (* --- accounting --- *)
   mutable gm_read : int;
   mutable gm_write : int;
-  mutable touched : (int * int) list;  (* distinct (tensor id, bytes) *)
+  touched : touched;
   ops : tally;
   (* --- scratchpads ---
      Bump offsets per memory kind, indexed by [mem_slot]. [scratch]
@@ -95,6 +117,14 @@ let builder device ~idx ~core =
   | Some tr -> Some (Trace.block_builder tr ~idx ~core)
   | None -> None
 
+let new_tally cap =
+  {
+    names = Array.make cap "";
+    totals = Array.make cap 0;
+    n = 0;
+    index = Array.make (2 * cap) 0;
+  }
+
 let make_on ~core ~device ~idx ~num_blocks =
   check_idx ~idx ~num_blocks;
   let cm = Device.cost device in
@@ -103,12 +133,18 @@ let make_on ~core ~device ~idx ~num_blocks =
   let n = Engine.count ~vec_per_core in
   {
     device;
+    cm;
+    is_functional = Device.functional device;
+    fault_model = Device.fault device;
+    san = Device.sanitizer device;
     idx;
     num_blocks;
     core;
     health;
     kill_at = Health.kill_threshold health core;
     clock0 = Health.cycles_done health core;
+    copy_bytes = -1;
+    copy_cycles = 0.0;
     charged = [| 0.0 |];
     vec_per_core;
     names = Engine.names ~vec_per_core;
@@ -124,8 +160,8 @@ let make_on ~core ~device ~idx ~num_blocks =
     lane_src = Array.make (Engine.lane_count ~vec_per_core) [];
     gm_read = 0;
     gm_write = 0;
-    touched = [];
-    ops = { names = Array.make 8 ""; totals = Array.make 8 0; n = 0 };
+    touched = { list = []; count = 0; ids = Array.make 16 0 };
+    ops = new_tally 8;
     offsets = Array.make (4 + vec_per_core) 0;
     scratch = [];
     spare = [];
@@ -160,11 +196,14 @@ let reset t ~core ~idx =
   done;
   t.gm_read <- 0;
   t.gm_write <- 0;
-  t.touched <- [];
+  t.touched.list <- [];
+  t.touched.count <- 0;
+  Array.fill t.touched.ids 0 (Array.length t.touched.ids) 0;
   for i = 0 to t.ops.n - 1 do
     t.ops.totals.(i) <- 0
   done;
   t.ops.n <- 0;
+  Array.fill t.ops.index 0 (Array.length t.ops.index) 0;
   for k = 0 to Array.length t.offsets - 1 do
     t.offsets.(k) <- 0
   done;
@@ -181,13 +220,12 @@ let release t =
 
 let idx t = t.idx
 let num_blocks t = t.num_blocks
-let cost t = Device.cost t.device
-let functional t = Device.functional t.device
-let fault t = Device.fault t.device
-let sanitizer t = Device.sanitizer t.device
+let cost t = t.cm
+let functional t = t.is_functional
+let sanitizer t = t.san
 
 let assume_disjoint_writes t gt ~reason =
-  match sanitizer t with
+  match t.san with
   | None -> ()
   | Some san ->
       Sanitizer.exempt_tensor san ~tensor_id:(Global_tensor.id gt) ~reason
@@ -262,7 +300,7 @@ let record_issue t tb ~op ~bytes engine i l ~start ~cycles =
   t.last_id.(i) <- id;
   id
 
-let charge ?(op = "charge") ?(bytes = 0) t engine cycles =
+let issue t ~op ~bytes engine cycles =
   let i = eindex t engine in
   let l = elane t engine in
   let start = issue_start t i l in
@@ -276,7 +314,10 @@ let charge ?(op = "charge") ?(bytes = 0) t engine cycles =
   t.lanes.(l) <- stop;
   bump_busy t i cycles
 
-let charge_async ?(op = "charge") ?(bytes = 0) ?dst t engine cycles =
+let charge ?(op = "charge") ?(bytes = 0) t engine cycles =
+  issue t ~op ~bytes engine cycles
+
+let issue_async t ~op ~bytes dst engine cycles =
   let i = eindex t engine in
   let l = elane t engine in
   let start = issue_start t i l in
@@ -290,10 +331,13 @@ let charge_async ?(op = "charge") ?(bytes = 0) ?dst t engine cycles =
   t.pend_count.(i) <- t.pend_count.(i) + 1;
   if stop > t.pend_end.(i) then t.pend_end.(i) <- stop;
   (match dst with
-  | Some lt when Option.is_some (sanitizer t) ->
+  | Some lt when Option.is_some t.san ->
       t.pend_dsts.(i) <- lt :: t.pend_dsts.(i)
   | _ -> ());
   bump_busy t i cycles
+
+let charge_async ?(op = "charge") ?(bytes = 0) ?dst t engine cycles =
+  issue_async t ~op ~bytes dst engine cycles
 
 let commit_group t engine =
   let i = eindex t engine in
@@ -395,7 +439,7 @@ let async_in_flight t lt =
   !hit
 
 let check_async_use t ~op lt =
-  match sanitizer t with
+  match t.san with
   | None -> ()
   | Some san ->
       if async_in_flight t lt then
@@ -415,37 +459,66 @@ let note_fault t =
   | None -> ());
   Health.note_fault t.health ~core:t.core ~cycle:(t.clock0 +. t.charged.(0))
 
-(* Slot of [name] in a tally, appended on first sight. Op names are
-   string literals at their call sites, so the physical equality probe
-   hits on every issue after the first; [String.equal] catches an equal
-   name that is a different string. Neither probe hashes or allocates,
-   so charging an instruction stays cheap. *)
-let rec find_phys names name i n =
-  if i >= n then -1
-  else if Array.unsafe_get names i == name then i
-  else find_phys names name (i + 1) n
+(* A cheap hash of an op name: its length and three of its characters,
+   mixed by a multiply. Equal names hash alike, which is all the index
+   needs; names that collide only probe one cell further. *)
+let name_hash name =
+  let n = String.length name in
+  if n = 0 then 0
+  else
+    let first = Char.code (String.unsafe_get name 0)
+    and mid = Char.code (String.unsafe_get name (n / 2))
+    and last = Char.code (String.unsafe_get name (n - 1)) in
+    ((((((n * 31) + first) * 31) + mid) * 31 + last) * 0x9E3779B1) lsr 16
 
-let rec find_equal names name i n =
-  if i >= n then -1
-  else if String.equal (Array.unsafe_get names i) name then i
-  else find_equal names name (i + 1) n
+(* The first empty cell of an open-addressing table from [h] on, and
+   the insertion of [v] there (the table is never full). The probes
+   are top-level functions, so probing allocates no closure. *)
+let rec free_cell cells h =
+  if Array.unsafe_get cells h = 0 then h
+  else free_cell cells ((h + 1) land (Array.length cells - 1))
+
+let cell_add cells h v = Array.unsafe_set cells (free_cell cells h) v
+
+(* Enter tally slot [i] (its name listed) in the index. *)
+let index_add index name i =
+  cell_add index (name_hash name land (Array.length index - 1)) (i + 1)
+
+(* Slot of [name] in a tally, appended on first sight. The index probe
+   compares physically first: op names are string literals at their
+   call sites, so it hits on every issue after the first, and
+   [String.equal] catches an equal name that is a different string. A
+   repeated name costs one hash and (almost always) one probe, however
+   many names the tally lists; no probe allocates. *)
+let rec find_name tl name h =
+  let cell = Array.unsafe_get tl.index h in
+  if cell = 0 then -1 - h
+  else
+    let listed = Array.unsafe_get tl.names (cell - 1) in
+    if listed == name || String.equal listed name then cell - 1
+    else find_name tl name ((h + 1) land (Array.length tl.index - 1))
 
 let tally_slot tl name =
-  let n = tl.n in
-  let i = find_phys tl.names name 0 n in
-  if i >= 0 then i
-  else
-    let i = find_equal tl.names name 0 n in
-    if i >= 0 then i
-    else begin
-      if n = Array.length tl.names then begin
-        tl.names <- Array.append tl.names (Array.make n "");
-        tl.totals <- Array.append tl.totals (Array.make n 0)
-      end;
-      tl.names.(n) <- name;
-      tl.n <- n + 1;
-      n
+  let found =
+    find_name tl name (name_hash name land (Array.length tl.index - 1))
+  in
+  if found >= 0 then found
+  else begin
+    let n = tl.n in
+    if n = Array.length tl.names then begin
+      tl.names <- Array.append tl.names (Array.make n "");
+      tl.totals <- Array.append tl.totals (Array.make n 0);
+      tl.index <- Array.make (4 * n) 0;
+      for j = 0 to n - 1 do
+        index_add tl.index tl.names.(j) j
+      done;
+      index_add tl.index name n
     end
+    else Array.unsafe_set tl.index (-1 - found) (n + 1);
+    tl.names.(n) <- name;
+    tl.n <- n + 1;
+    n
+  end
 
 let[@inline] tally_add tl name k =
   let i = tally_slot tl name in
@@ -478,23 +551,35 @@ let charge_rows ?counts t engine ~count ~names cycles =
         for j = 0 to n - 1 do
           let op = names.(j mod m) in
           if counted then count_op t op;
-          charge ~op t engine cycles.(j)
+          issue t ~op ~bytes:0 engine cycles.(j)
         done
       done
     end
     else begin
-      Option.iter (Array.iter (fun (name, k) -> count_op_n t name k)) counts;
+      (match counts with
+      | Some counts ->
+          for k = 0 to Array.length counts - 1 do
+            let name, c = counts.(k) in
+            count_op_n t name c
+          done
+      | None -> ());
       let i = eindex t engine in
       let l = elane t engine in
+      (* The three accumulators live in registers for the whole batch
+         and are stored once; each still adds every charge in order. *)
       let clock = ref (issue_start t i l) in
+      let busy = ref t.busy_total.(i) in
+      let charged = ref t.charged.(0) in
       for _ = 1 to count do
         for j = 0 to n - 1 do
           let c = Array.unsafe_get cycles j in
-          t.busy_total.(i) <- t.busy_total.(i) +. c;
-          t.charged.(0) <- t.charged.(0) +. c;
+          busy := !busy +. c;
+          charged := !charged +. c;
           clock := !clock +. c
         done
       done;
+      t.busy_total.(i) <- !busy;
+      t.charged.(0) <- !charged;
       t.avail.(i) <- !clock;
       t.lanes.(l) <- !clock
     end
@@ -503,14 +588,73 @@ let note_gm_traffic t ~read ~write =
   t.gm_read <- t.gm_read + read;
   t.gm_write <- t.gm_write + write
 
-let rec has_id id = function
-  | [] -> false
-  | (i, _) :: rest -> i = id || has_id id rest
+(* Enter [id] in an id set whose cells are [id + 1]. Tensor ids count
+   up from 0 on each device, so [id land mask] spreads them evenly. *)
+let ids_add ids id = cell_add ids (id land (Array.length ids - 1)) (id + 1)
 
+let rec has_id ids id h =
+  let cell = Array.unsafe_get ids h in
+  cell = id + 1
+  || (cell <> 0 && has_id ids id ((h + 1) land (Array.length ids - 1)))
+
+(* A repeated tensor costs one probe of the id set (almost always),
+   however many tensors the block has touched. *)
 let note_touched (t : t) gt =
   let id = Global_tensor.id gt in
-  if not (has_id id t.touched) then
-    t.touched <- (id, Global_tensor.size_bytes gt) :: t.touched
+  let tc = t.touched in
+  if not (has_id tc.ids id (id land (Array.length tc.ids - 1))) then begin
+    tc.list <- (id, Global_tensor.size_bytes gt) :: tc.list;
+    tc.count <- tc.count + 1;
+    if 2 * tc.count > Array.length tc.ids then begin
+      tc.ids <- Array.make (2 * Array.length tc.ids) 0;
+      List.iter (fun (id, _) -> ids_add tc.ids id) tc.list
+    end
+    else ids_add tc.ids id
+  end
+
+(* One GM copy on an MTE queue, after the caller's range, async-use and
+   sanitizer checks: counted, its fault drawn from the device fault
+   model (a drawn fault is charged to the core's quarantine score,
+   before the payload lands), charged at its faulted cost
+   (asynchronously when [async]), and its traffic and tensor recorded.
+   [write] is the direction (local tile [lt] to [gt]); an async copy
+   into [lt] leaves [lt] tracked for the sanitizer's async-use check. *)
+let charge_copy t ~async ~op ~bytes dst engine cycles =
+  if async then issue_async t ~op ~bytes dst engine cycles
+  else issue t ~op ~bytes engine cycles
+
+let gm_copy t engine ~async ~write gt lt ~dst_off ~len =
+  let op = if write then "datacopy_out" else "datacopy_in" in
+  count_op t op;
+  let bytes = len * Dtype.size_bytes (Global_tensor.dtype gt) in
+  let act =
+    match t.fault_model with
+    | None -> Fault.No_fault
+    | Some f ->
+        let dst_dtype =
+          if write then Global_tensor.dtype gt else Local_tensor.dtype lt
+        in
+        let act =
+          Fault.draw f ~engine ~op ~tensor:(Global_tensor.name gt) ~dst_off
+            ~len ~elem_bits:(8 * Dtype.size_bytes dst_dtype)
+        in
+        (match act with Fault.No_fault -> () | _ -> note_fault t);
+        act
+  in
+  if bytes <> t.copy_bytes then begin
+    t.copy_cycles <- Cost_model.mte_copy_cycles t.cm ~bytes;
+    t.copy_bytes <- bytes
+  end;
+  (* Only a copy into the tile is tracked, and only for a sanitizer. *)
+  let dst = if write || Option.is_none t.san then None else Some lt in
+  (match act with
+  | Fault.Stall m ->
+      charge_copy t ~async ~op ~bytes dst engine (t.copy_cycles *. m)
+  | _ -> charge_copy t ~async ~op ~bytes dst engine t.copy_cycles);
+  if write then t.gm_write <- t.gm_write + bytes
+  else t.gm_read <- t.gm_read + bytes;
+  note_touched t gt;
+  act
 
 let elapsed_cycles t =
   (* Makespan: queued async work is covered by the engine clocks. *)
@@ -579,7 +723,7 @@ let finish t =
     busy = Array.copy t.busy_total;
     gm_read_bytes = t.gm_read;
     gm_write_bytes = t.gm_write;
-    touched = t.touched;
+    touched = t.touched.list;
     (* First-seen order: the order in which Launch's merge table
        meets the names decides how tied counts sort in Stats. *)
     op_counts = tally_list t.ops;
@@ -590,7 +734,7 @@ let finish t =
   }
 
 let merge_op_counts results =
-  let tl = { names = Array.make 16 ""; totals = Array.make 16 0; n = 0 } in
+  let tl = new_tally 16 in
   List.iter
     (fun r -> List.iter (fun (name, k) -> tally_add tl name k) r.op_counts)
     results;

@@ -91,9 +91,6 @@ val cost : t -> Cost_model.t
 val functional : t -> bool
 (** Whether engine ops should compute data (device not in cost-only). *)
 
-val fault : t -> Fault.t option
-(** The device fault model, consulted by the MTE ops. *)
-
 val sanitizer : t -> Sanitizer.t option
 (** The device sanitizer, consulted by the engine-op modules. *)
 
@@ -172,11 +169,6 @@ val check_async_use : t -> op:string -> Local_tensor.t -> unit
     intervening {!wait_group}. No-op without a sanitizer. Called by the
     engine-op modules on every local operand. *)
 
-val note_fault : t -> unit
-(** Attribute one injected fault to the block's core ({!Health}
-    quarantine scoring); called by the MTE fault hook. Raises
-    {!Health.Core_dead} when the core trips its quarantine budget. *)
-
 val charge_rows :
   ?counts:(string * int) array ->
   t ->
@@ -222,6 +214,32 @@ val merge_op_counts : result list -> (string * int) list
 
 val note_gm_traffic : t -> read:int -> write:int -> unit
 val note_touched : t -> Global_tensor.t -> unit
+
+val gm_copy :
+  t ->
+  Engine.t ->
+  async:bool ->
+  write:bool ->
+  Global_tensor.t ->
+  Local_tensor.t ->
+  dst_off:int ->
+  len:int ->
+  Fault.action
+(** [gm_copy t e ~async ~write gt lt ~dst_off ~len] issues one DataCopy
+    of [len] elements between global tensor [gt] and local tile [lt] on
+    MTE engine [e], from [lt] to [gt] when [write]: the step every
+    {!Mte} GM copy takes after its range, async-use and sanitizer
+    checks. In order, it counts one ["datacopy_in"] (or
+    ["datacopy_out"]) instruction; draws the copy's fault from the
+    device fault model, if any (a drawn fault counts against the
+    core's {!Health} quarantine budget and may raise
+    {!Health.Core_dead}); charges {!Cost_model.mte_copy_cycles} of
+    [gt]'s bytes, stretched by a [Stall], with {!charge} or, when
+    [async], {!charge_async} (an async copy into [lt] leaves it tracked
+    for {!check_async_use}); and records the GM traffic and [gt] as
+    touched. Returns the drawn fault, which the caller applies to the
+    payload ([dst_off] is the destination offset the fault model
+    sees). *)
 
 val alloc : t -> Mem_kind.t -> Dtype.t -> int -> Local_tensor.t
 (** Bump-allocate a local tensor, all +0.0; raises [Failure] when the

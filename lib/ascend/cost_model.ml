@@ -56,6 +56,14 @@ let seconds_to_cycles t s = s *. t.clock_hz
 let vec_op_cycles t ~bytes =
   t.vec_issue_cycles +. (float_of_int bytes /. t.vec_bytes_per_cycle)
 
+let vec_shift_cycles t ~len ~esize dst ~pos ~stride =
+  let d = ref 1 and k = ref pos in
+  while !d < len do
+    dst.(!k) <- vec_op_cycles t ~bytes:((len - !d) * esize);
+    d := 2 * !d;
+    k := !k + stride
+  done
+
 let mte_copy_cycles t ~bytes =
   t.mte_issue_cycles
   +. (float_of_int bytes *. t.clock_hz /. t.mte_stream_bandwidth)

@@ -51,6 +51,16 @@ val seconds_to_cycles : t -> float -> float
 val vec_op_cycles : t -> bytes:int -> float
 (** Cost of one vector instruction processing [bytes] of data. *)
 
+val vec_shift_cycles :
+  t -> len:int -> esize:int -> float array -> pos:int -> stride:int -> unit
+(** [vec_shift_cycles t ~len ~esize dst ~pos ~stride] costs one
+    instruction column of a log-step network over [len] elements: for
+    each shift [d = 2^k < len], [dst.(pos + k * stride)] becomes the
+    {!vec_op_cycles} of an instruction over [len - d] elements of
+    [esize] bytes. A tile-batched network ({!Vec.hillis_steele}) fills
+    its per-step costs with one call per column, not one per
+    instruction. *)
+
 val mte_copy_cycles : t -> bytes:int -> float
 (** Cost of one DataCopy of [bytes] through a single MTE queue. *)
 

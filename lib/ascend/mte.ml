@@ -1,4 +1,3 @@
-let gm_bytes gt len = len * Dtype.size_bytes (Global_tensor.dtype gt)
 let local_bytes lt len = len * Dtype.size_bytes (Local_tensor.dtype lt)
 
 let check ctx what ~tensor ~len ~src_off ~dst_off ~src_len ~dst_len =
@@ -18,30 +17,71 @@ let check ctx what ~tensor ~len ~src_off ~dst_off ~src_len ~dst_len =
   end
 
 (* Record one GM access span for the cross-block hazard analysis. *)
-let san_access ctx gt ~write ~off ~len ~op =
-  match Block.sanitizer ctx with
+let san_access san ctx gt ~write ~off ~len =
+  Sanitizer.record_global_access san ~block:(Block.idx ctx)
+    ~tensor_id:(Global_tensor.id gt) ~tensor_name:(Global_tensor.name gt)
+    ~write ~off ~len ~op:(if write then "datacopy_out" else "datacopy_in")
+
+(* A GM copy of [len] elements at [gt_off], between [gt] and the local
+   tile [lt] ([write]: from [lt] to [gt]), after its range check: the
+   sanitizer's async-use check of [lt] and its access record, then the
+   one Block step that counts, draws the fault, charges and records the
+   copy. Returns the fault to apply to the payload. *)
+let issue_gm ~async ~write ctx ~engine ~what gt ~gt_off lt ~dst_off ~len =
+  (match Block.sanitizer ctx with
   | None -> ()
   | Some san ->
-      Sanitizer.record_global_access san ~block:(Block.idx ctx)
-        ~tensor_id:(Global_tensor.id gt) ~tensor_name:(Global_tensor.name gt)
-        ~write ~off ~len ~op
+      Block.check_async_use ctx ~op:("Mte." ^ what) lt;
+      san_access san ctx gt ~write ~off:gt_off ~len);
+  Block.gm_copy ctx engine ~async ~write gt lt ~dst_off ~len
 
-(* Consult the device fault model about one GM<->UB transfer. *)
-let draw_fault ctx ~engine ~op ~tensor ~dst_off ~len ~dst_dtype =
-  match Block.fault ctx with
-  | None -> Fault.No_fault
-  | Some f ->
-      let act =
-        Fault.draw f ~engine ~op ~tensor ~dst_off ~len
-          ~elem_bits:(8 * Dtype.size_bytes dst_dtype)
-      in
-      (* Persistent-health scoring: a core whose fault count trips the
-         quarantine budget dies here, before the faulty payload lands. *)
-      (match act with Fault.No_fault -> () | _ -> Block.note_fault ctx);
-      act
+(* The payload of a contiguous copy under fault [act]: a dropped copy
+   lands nothing, a truncated one its first [keep] elements, a flip
+   lands the data and then flips one bit of [dst]. *)
+let land_payload act ~src ~src_off ~dst ~dst_off ~len =
+  (match act with
+  | Fault.Drop -> ()
+  | Fault.Truncate keep ->
+      if keep > 0 then Host_buffer.blit ~src ~src_off ~dst ~dst_off ~len:keep
+  | _ -> Host_buffer.blit ~src ~src_off ~dst ~dst_off ~len);
+  match act with
+  | Fault.Flip { index; bit } ->
+      Fault.flip_in_buffer dst ~index:(dst_off + index) ~bit
+  | _ -> ()
 
-let faulted_cycles act cycles =
-  match act with Fault.Stall m -> cycles *. m | _ -> cycles
+(* The payload of a strided copy of [count] bursts under fault [act]:
+   elements past a truncation are not landed, a flip hits element
+   [index] of the burst-major order. Degenerate strides describe one
+   contiguous span: the per-burst loop collapses into a single bulk
+   blit. *)
+let land_strided act ~src ~src_off ~src_stride ~dst ~dst_off ~dst_stride
+    ~burst ~count =
+  let len = burst * count in
+  let keep =
+    match act with
+    | Fault.Drop -> 0
+    | Fault.Truncate k -> k
+    | _ -> len
+  in
+  if src_stride = burst && dst_stride = burst then begin
+    let blen = min keep len in
+    if blen > 0 then Host_buffer.blit ~src ~src_off ~dst ~dst_off ~len:blen
+  end
+  else
+    for c = 0 to count - 1 do
+      let blen = min burst (max 0 (keep - (c * burst))) in
+      if blen > 0 then
+        Host_buffer.blit ~src
+          ~src_off:(src_off + (c * src_stride))
+          ~dst
+          ~dst_off:(dst_off + (c * dst_stride))
+          ~len:blen
+    done;
+  match act with
+  | Fault.Flip { index; bit } ->
+      let c = index / burst and j = index mod burst in
+      Fault.flip_in_buffer dst ~index:(dst_off + (c * dst_stride) + j) ~bit
+  | _ -> ()
 
 (* The functional payload of every copy executes eagerly at issue time
    (host blits), in program order — only the *timing* of an async copy
@@ -49,39 +89,16 @@ let faulted_cycles act cycles =
    between sync and async schedules; the sanitizer's async-hazard check
    is what models the race a real device would expose. *)
 let copy_in_impl ~async ctx ~engine ~src ~src_off ~dst ~dst_off ~len =
-  Block.count_op ctx "datacopy_in";
   check ctx "copy_in" ~tensor:(Global_tensor.name src) ~len ~src_off ~dst_off
     ~src_len:(Global_tensor.length src) ~dst_len:(Local_tensor.length dst);
-  Block.check_async_use ctx ~op:"Mte.copy_in" dst;
-  san_access ctx src ~write:false ~off:src_off ~len ~op:"datacopy_in";
-  let bytes = gm_bytes src len in
   let act =
-    draw_fault ctx ~engine ~op:"datacopy_in" ~tensor:(Global_tensor.name src)
-      ~dst_off ~len ~dst_dtype:(Local_tensor.dtype dst)
+    issue_gm ~async ~write:false ctx ~engine ~what:"copy_in" src ~gt_off:src_off
+      dst ~dst_off ~len
   in
-  let cycles =
-    faulted_cycles act (Cost_model.mte_copy_cycles (Block.cost ctx) ~bytes)
-  in
-  if async then Block.charge_async ~op:"datacopy_in" ~bytes ~dst ctx engine cycles
-  else Block.charge ~op:"datacopy_in" ~bytes ctx engine cycles;
-  Block.note_gm_traffic ctx ~read:bytes ~write:0;
-  Block.note_touched ctx src;
   if Block.functional ctx then begin
     Local_tensor.touch dst;
-    (match act with
-    | Fault.Drop -> ()
-    | Fault.Truncate keep ->
-        if keep > 0 then
-          Host_buffer.blit ~src:(Global_tensor.buffer src) ~src_off
-            ~dst:(Local_tensor.buffer dst) ~dst_off ~len:keep
-    | _ ->
-        Host_buffer.blit ~src:(Global_tensor.buffer src) ~src_off
-          ~dst:(Local_tensor.buffer dst) ~dst_off ~len);
-    match act with
-    | Fault.Flip { index; bit } ->
-        Fault.flip_in_buffer (Local_tensor.buffer dst) ~index:(dst_off + index)
-          ~bit
-    | _ -> ()
+    land_payload act ~src:(Global_tensor.buffer src) ~src_off
+      ~dst:(Local_tensor.buffer dst) ~dst_off ~len
   end
 
 let copy_in ctx ~engine ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~len () =
@@ -90,96 +107,44 @@ let copy_in ctx ~engine ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~len () =
 let copy_in_async ctx ~engine ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~len () =
   copy_in_impl ~async:true ctx ~engine ~src ~src_off ~dst ~dst_off ~len
 
+(* A strided copy is hazard-checked before its burst shape is
+   validated, and its access record spans first to last burst. *)
+let check_strided ctx what lt ~burst ~count =
+  if Option.is_some (Block.sanitizer ctx) then
+    Block.check_async_use ctx ~op:("Mte." ^ what) lt;
+  if burst < 0 || count < 0 then
+    invalid_arg (Printf.sprintf "Mte.%s: negative burst or count" what)
+
 let copy_in_strided ctx ~engine ~src ~src_off ~src_stride ~dst ~dst_off
     ~dst_stride ~burst ~count =
-  Block.count_op ctx "datacopy_in";
-  Block.check_async_use ctx ~op:"Mte.copy_in_strided" dst;
-  if burst < 0 || count < 0 then
-    invalid_arg "Mte.copy_in_strided: negative burst or count";
-  let len = burst * count in
-  let bytes = gm_bytes src len in
-  if count > 0 then
-    san_access ctx src ~write:false ~off:src_off
-      ~len:(((count - 1) * src_stride) + burst)
-      ~op:"datacopy_in";
+  check_strided ctx "copy_in_strided" dst ~burst ~count;
+  (match Block.sanitizer ctx with
+  | Some san when count > 0 ->
+      san_access san ctx src ~write:false ~off:src_off
+        ~len:(((count - 1) * src_stride) + burst)
+  | _ -> ());
   let act =
-    draw_fault ctx ~engine ~op:"datacopy_in" ~tensor:(Global_tensor.name src)
-      ~dst_off ~len ~dst_dtype:(Local_tensor.dtype dst)
+    Block.gm_copy ctx engine ~async:false ~write:false src dst ~dst_off
+      ~len:(burst * count)
   in
-  Block.charge ~op:"datacopy_in" ~bytes ctx engine
-    (faulted_cycles act (Cost_model.mte_copy_cycles (Block.cost ctx) ~bytes));
-  Block.note_gm_traffic ctx ~read:bytes ~write:0;
-  Block.note_touched ctx src;
   if Block.functional ctx then begin
     Local_tensor.touch dst;
-    let keep =
-      match act with
-      | Fault.Drop -> 0
-      | Fault.Truncate k -> k
-      | _ -> len
-    in
-    (* Degenerate strides describe one contiguous span: collapse the
-       per-burst loop into a single bulk blit. *)
-    if src_stride = burst && dst_stride = burst then begin
-      let blen = min keep len in
-      if blen > 0 then
-        Host_buffer.blit ~src:(Global_tensor.buffer src) ~src_off
-          ~dst:(Local_tensor.buffer dst) ~dst_off ~len:blen
-    end
-    else
-      for c = 0 to count - 1 do
-        let blen = min burst (max 0 (keep - (c * burst))) in
-        if blen > 0 then
-          Host_buffer.blit ~src:(Global_tensor.buffer src)
-            ~src_off:(src_off + (c * src_stride))
-            ~dst:(Local_tensor.buffer dst)
-            ~dst_off:(dst_off + (c * dst_stride))
-            ~len:blen
-      done;
-    match act with
-    | Fault.Flip { index; bit } ->
-        let c = index / burst and j = index mod burst in
-        Fault.flip_in_buffer (Local_tensor.buffer dst)
-          ~index:(dst_off + (c * dst_stride) + j) ~bit
-    | _ -> ()
+    land_strided act ~src:(Global_tensor.buffer src) ~src_off ~src_stride
+      ~dst:(Local_tensor.buffer dst) ~dst_off ~dst_stride ~burst ~count
   end
 
 let copy_out_impl ~async ctx ~engine ~src ~src_off ~dst ~dst_off ~len =
-  Block.count_op ctx "datacopy_out";
   check ctx "copy_out" ~tensor:(Global_tensor.name dst) ~len ~src_off ~dst_off
     ~src_len:(Local_tensor.length src) ~dst_len:(Global_tensor.length dst);
-  Block.check_async_use ctx ~op:"Mte.copy_out" src;
-  san_access ctx dst ~write:true ~off:dst_off ~len ~op:"datacopy_out";
-  let bytes = gm_bytes dst len in
-  let act =
-    draw_fault ctx ~engine ~op:"datacopy_out" ~tensor:(Global_tensor.name dst)
-      ~dst_off ~len ~dst_dtype:(Global_tensor.dtype dst)
-  in
-  let cycles =
-    faulted_cycles act (Cost_model.mte_copy_cycles (Block.cost ctx) ~bytes)
-  in
   (* The destination is GM, so there is no local tile to track: an
      outbound group is only ever waited to pace the store queue. *)
-  if async then Block.charge_async ~op:"datacopy_out" ~bytes ctx engine cycles
-  else Block.charge ~op:"datacopy_out" ~bytes ctx engine cycles;
-  Block.note_gm_traffic ctx ~read:0 ~write:bytes;
-  Block.note_touched ctx dst;
-  if Block.functional ctx then begin
-    (match act with
-    | Fault.Drop -> ()
-    | Fault.Truncate keep ->
-        if keep > 0 then
-          Host_buffer.blit ~src:(Local_tensor.buffer src) ~src_off
-            ~dst:(Global_tensor.buffer dst) ~dst_off ~len:keep
-    | _ ->
-        Host_buffer.blit ~src:(Local_tensor.buffer src) ~src_off
-          ~dst:(Global_tensor.buffer dst) ~dst_off ~len);
-    match act with
-    | Fault.Flip { index; bit } ->
-        Fault.flip_in_buffer (Global_tensor.buffer dst) ~index:(dst_off + index)
-          ~bit
-    | _ -> ()
-  end
+  let act =
+    issue_gm ~async ~write:true ctx ~engine ~what:"copy_out" dst ~gt_off:dst_off
+      src ~dst_off ~len
+  in
+  if Block.functional ctx then
+    land_payload act ~src:(Local_tensor.buffer src) ~src_off
+      ~dst:(Global_tensor.buffer dst) ~dst_off ~len
 
 let copy_out ctx ~engine ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~len () =
   copy_out_impl ~async:false ctx ~engine ~src ~src_off ~dst ~dst_off ~len
@@ -189,55 +154,19 @@ let copy_out_async ctx ~engine ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~len () =
 
 let copy_out_strided ctx ~engine ~src ~src_off ~src_stride ~dst ~dst_off
     ~dst_stride ~burst ~count =
-  Block.count_op ctx "datacopy_out";
-  Block.check_async_use ctx ~op:"Mte.copy_out_strided" src;
-  if burst < 0 || count < 0 then
-    invalid_arg "Mte.copy_out_strided: negative burst or count";
-  let len = burst * count in
-  let bytes = gm_bytes dst len in
-  if count > 0 then
-    san_access ctx dst ~write:true ~off:dst_off
-      ~len:(((count - 1) * dst_stride) + burst)
-      ~op:"datacopy_out";
+  check_strided ctx "copy_out_strided" src ~burst ~count;
+  (match Block.sanitizer ctx with
+  | Some san when count > 0 ->
+      san_access san ctx dst ~write:true ~off:dst_off
+        ~len:(((count - 1) * dst_stride) + burst)
+  | _ -> ());
   let act =
-    draw_fault ctx ~engine ~op:"datacopy_out" ~tensor:(Global_tensor.name dst)
-      ~dst_off ~len ~dst_dtype:(Global_tensor.dtype dst)
+    Block.gm_copy ctx engine ~async:false ~write:true dst src ~dst_off
+      ~len:(burst * count)
   in
-  Block.charge ~op:"datacopy_out" ~bytes ctx engine
-    (faulted_cycles act (Cost_model.mte_copy_cycles (Block.cost ctx) ~bytes));
-  Block.note_gm_traffic ctx ~read:0 ~write:bytes;
-  Block.note_touched ctx dst;
-  if Block.functional ctx then begin
-    let keep =
-      match act with
-      | Fault.Drop -> 0
-      | Fault.Truncate k -> k
-      | _ -> len
-    in
-    (* Contiguous-span collapse, as in [copy_in_strided]. *)
-    if src_stride = burst && dst_stride = burst then begin
-      let blen = min keep len in
-      if blen > 0 then
-        Host_buffer.blit ~src:(Local_tensor.buffer src) ~src_off
-          ~dst:(Global_tensor.buffer dst) ~dst_off ~len:blen
-    end
-    else
-      for c = 0 to count - 1 do
-        let blen = min burst (max 0 (keep - (c * burst))) in
-        if blen > 0 then
-          Host_buffer.blit ~src:(Local_tensor.buffer src)
-            ~src_off:(src_off + (c * src_stride))
-            ~dst:(Global_tensor.buffer dst)
-            ~dst_off:(dst_off + (c * dst_stride))
-            ~len:blen
-      done;
-    match act with
-    | Fault.Flip { index; bit } ->
-        let c = index / burst and j = index mod burst in
-        Fault.flip_in_buffer (Global_tensor.buffer dst)
-          ~index:(dst_off + (c * dst_stride) + j) ~bit
-    | _ -> ()
-  end
+  if Block.functional ctx then
+    land_strided act ~src:(Local_tensor.buffer src) ~src_off ~src_stride
+      ~dst:(Global_tensor.buffer dst) ~dst_off ~dst_stride ~burst ~count
 
 (* On-chip transfers: the scratchpad SRAM paths are assumed reliable,
    so the fault model only targets the GM<->UB copies above. *)

@@ -488,10 +488,10 @@ let net_steps len =
   let rec go k d = if d < len then go (k + 1) (2 * d) else k in
   go 0 1
 
-(* [f k d] for each step [k] and its shift [d]. *)
+(* [f d] for each step's shift [d]. *)
 let iter_shifts len f =
   for k = 0 to net_steps len - 1 do
-    f k (1 lsl k)
+    f (1 lsl k)
   done
 
 (* One operand of a network instruction at shift [d]: range- and
@@ -505,7 +505,7 @@ let net_operand ctx ~d what lt off len =
 let check_steps ctx ~len step =
   step 1;
   if Option.is_some (Block.sanitizer ctx) then
-    iter_shifts len (fun _ d -> if d > 1 then step d)
+    iter_shifts len (fun d -> if d > 1 then step d)
 
 let hillis_steele ctx ?(vec = 0) ~op ~buf ~tmp ~len () =
   if len > 1 then begin
@@ -525,11 +525,10 @@ let hillis_steele ctx ?(vec = 0) ~op ~buf ~tmp ~len () =
     let cm = Block.cost ctx in
     let steps = net_steps len in
     let cycles = Array.make (2 * steps) 0.0 in
-    let e_tmp = esize tmp and e_buf = esize buf in
-    iter_shifts len (fun k d ->
-        let n = len - d in
-        cycles.(2 * k) <- Cost_model.vec_op_cycles cm ~bytes:(n * e_tmp);
-        cycles.((2 * k) + 1) <- Cost_model.vec_op_cycles cm ~bytes:(n * e_buf));
+    Cost_model.vec_shift_cycles cm ~len ~esize:(esize tmp) cycles ~pos:0
+      ~stride:2;
+    Cost_model.vec_shift_cycles cm ~len ~esize:(esize buf) cycles ~pos:1
+      ~stride:2;
     Block.charge_rows ctx (Engine.Vec vec) ~count:1
       ~counts:[| (name, steps); ("copy", steps) |]
       ~names:[| name; "copy" |] cycles;
@@ -538,7 +537,7 @@ let hillis_steele ctx ?(vec = 0) ~op ~buf ~tmp ~len () =
       Local_tensor.touch buf;
       let hop = hb_binop op in
       let b = Local_tensor.buffer buf and t = Local_tensor.buffer tmp in
-      iter_shifts len (fun _ d ->
+      iter_shifts len (fun d ->
           let n = len - d in
           Host_buffer.map2_binop hop ~src0:b ~src0_off:d ~src1:b ~src1_off:0
             ~dst:t ~dst_off:d ~len:n;
@@ -577,17 +576,18 @@ let segmented_hillis_steele ctx ?(vec = 0) ~v ~f ~tmp_v ~tmp_f ~zero ~len () =
         net_operand ctx ~d "bit_op" tmp_f 0 n;
         net_operand ctx ~d "bit_op" f d n);
     let cm = Block.cost ctx in
-    let cycles_of e n = Cost_model.vec_op_cycles cm ~bytes:(n * e) in
-    let e_tmp_v = esize tmp_v and e_v = esize v and e_f = esize f in
-    let copy_cycles = cycles_of (esize tmp_f) len in
     let steps = net_steps len in
-    let cycles = Array.make (4 * steps) 0.0 in
-    iter_shifts len (fun k d ->
-        let n = len - d in
-        cycles.(4 * k) <- cycles_of e_tmp_v n;
-        cycles.((4 * k) + 1) <- cycles_of e_v n;
-        cycles.((4 * k) + 2) <- copy_cycles;
-        cycles.((4 * k) + 3) <- cycles_of e_f n);
+    (* The flag copy moves the whole tile at every step. *)
+    let cycles =
+      Array.make (4 * steps)
+        (Cost_model.vec_op_cycles cm ~bytes:(len * esize tmp_f))
+    in
+    Cost_model.vec_shift_cycles cm ~len ~esize:(esize tmp_v) cycles ~pos:0
+      ~stride:4;
+    Cost_model.vec_shift_cycles cm ~len ~esize:(esize v) cycles ~pos:1
+      ~stride:4;
+    Cost_model.vec_shift_cycles cm ~len ~esize:(esize f) cycles ~pos:3
+      ~stride:4;
     Block.charge_rows ctx (Engine.Vec vec) ~count:1
       ~counts:
         [|
@@ -603,7 +603,7 @@ let segmented_hillis_steele ctx ?(vec = 0) ~v ~f ~tmp_v ~tmp_f ~zero ~len () =
       let vb = Local_tensor.buffer v and fb = Local_tensor.buffer f in
       let tvb = Local_tensor.buffer tmp_v and tfb = Local_tensor.buffer tmp_f in
       let zb = Local_tensor.buffer zero in
-      iter_shifts len (fun _ d ->
+      iter_shifts len (fun d ->
           let n = len - d in
           Host_buffer.select_range ~mask:fb ~mask_off:d ~src0:zb ~src0_off:0
             ~src1:vb ~src1_off:0 ~dst:tvb ~dst_off:d ~len:n;

@@ -120,14 +120,29 @@ let test_op_counts () =
   Alcotest.(check (list (pair string int)))
     "merged, first-seen order" ((a1, 5) :: expected) r.Block.op_counts
 
-(* Counting an op the block has seen, or charging an engine with no
-   trace armed, allocates nothing: a deterministic count of minor
-   words, not a timing, so string hashing or a boxed float on that
-   path shows up as a failure. *)
+(* Counting an op the block has seen, charging an engine, a batch of
+   rows, or a GM copy of a size, tensor and direction the block has
+   seen, with no trace armed, allocates nothing: a deterministic count
+   of minor words, not a timing, so a closure, an option or a boxed
+   float on that path shows up as a failure. *)
 let test_charge_allocates_nothing () =
   let dev = Device.create ~mode:Device.Cost_only () in
   let ctx = Block.make ~device:dev ~idx:0 ~num_blocks:1 in
+  let g = Device.alloc dev Dtype.F16 1024 ~name:"g" in
+  let lt = Block.alloc ctx (Mem_kind.Ub 0) Dtype.F16 256 in
   Block.count_op ctx "vadd";
+  let gm_in () =
+    Block.gm_copy ctx (Engine.Vec_mte_in 0) ~async:false ~write:false g lt
+      ~dst_off:0 ~len:256
+  in
+  let gm_out () =
+    Block.gm_copy ctx (Engine.Vec_mte_out 0) ~async:true ~write:true g lt
+      ~dst_off:512 ~len:256
+  in
+  check_bool "no fault" true (gm_in () = Fault.No_fault && gm_out () = Fault.No_fault);
+  let names = [| "adds"; "scalar_get" |] and cycles = [| 25.0; 28.0 |] in
+  let counts = Some [| ("adds", 64); ("scalar_get", 64) |] in
+  Block.charge_rows ?counts ctx (Engine.Vec 0) ~count:64 ~names cycles;
   let words f =
     let w0 = Gc.minor_words () in
     f ();
@@ -144,10 +159,93 @@ let test_charge_allocates_nothing () =
       Block.charge ctx (Engine.Vec 0) 1.0
     done
   in
+  let copies () =
+    for _ = 1 to 10_000 do
+      ignore (gm_in ());
+      ignore (gm_out ())
+    done
+  in
+  let mte () =
+    for _ = 1 to 10_000 do
+      Mte.copy_in ctx ~engine:(Engine.Vec_mte_in 0) ~src:g ~dst:lt ~len:256 ();
+      Mte.copy_out_async ctx ~engine:(Engine.Vec_mte_out 0) ~src:lt ~dst:g
+        ~dst_off:256 ~len:256 ()
+    done
+  in
+  let rows () =
+    for _ = 1 to 1_000 do
+      Block.charge_rows ?counts ctx (Engine.Vec 0) ~count:64 ~names cycles
+    done
+  in
   check_floatish "count_op" 0.0 (words count -. overhead);
   check_floatish "charge" 0.0 (words charge -. overhead);
-  check_int "all counted" 10_001
-    (List.assoc "vadd" (Block.finish ctx).Block.op_counts)
+  check_floatish "gm_copy" 0.0 (words copies -. overhead);
+  check_floatish "Mte copies" 0.0 (words mte -. overhead);
+  check_floatish "charge_rows" 0.0 (words rows -. overhead);
+  let r = Block.finish ctx in
+  check_int "all counted" 10_001 (List.assoc "vadd" r.Block.op_counts);
+  check_int "copies counted" 20_001 (List.assoc "datacopy_in" r.Block.op_counts);
+  check_int "rows counted" (64 * 1_001) (List.assoc "adds" r.Block.op_counts)
+
+(* The touched-tensor set and the op-name index against a list-walk
+   reference: random sequences of tensors (more than the id set's first
+   capacity, ids colliding in it) and op names (more than the tally's
+   first capacity, with an equal name that is a different string and
+   counts of 0) give the same [touched] list and [op_counts] in order,
+   on a fresh context and on one reset after an earlier block. *)
+let test_bookkeeping_reference () =
+  let dev = Device.create ~mode:Device.Cost_only () in
+  let tensors =
+    Array.init 100 (fun i ->
+        Device.alloc dev Dtype.F16 (1 + i) ~name:(Printf.sprintf "t%d" i))
+  in
+  let names =
+    Array.append
+      [| "adds"; "scalar_get"; "datacopy_in"; "datacopy_out"; "mmad";
+         "vadd"; "copy"; "vselect"; "vbitop"; "reduce_sum"; "" |]
+      (Array.init 12 (Printf.sprintf "op%02d"))
+  in
+  let adds_again = String.concat "" [ "ad"; "ds" ] in
+  check_bool "a different string" false (adds_again == names.(0));
+  let names = Array.append names [| adds_again |] in
+  let rng = Random.State.make [| 24 |] in
+  let block ctx =
+    let touched = ref [] and counts = ref [] in
+    for _ = 1 to Random.State.int rng 300 do
+      if Random.State.bool rng then begin
+        let g = tensors.(Random.State.int rng (1 + Random.State.int rng 100)) in
+        let id = Global_tensor.id g in
+        if not (List.exists (fun (i, _) -> i = id) !touched) then
+          touched := (id, Global_tensor.size_bytes g) :: !touched;
+        Block.note_touched ctx g
+      end
+      else begin
+        let name = names.(Random.State.int rng (Array.length names)) in
+        let k = Random.State.int rng 4 in
+        if k > 0 then
+          counts :=
+            if List.exists (fun (n, _) -> String.equal n name) !counts then
+              List.map
+                (fun (n, c) -> if String.equal n name then (n, c + k) else (n, c))
+                !counts
+            else !counts @ [ (name, k) ];
+        Block.count_op_n ctx name k
+      end
+    done;
+    let r = Block.finish ctx in
+    Alcotest.(check (list (pair int int))) "touched" !touched r.Block.touched;
+    Alcotest.(check (list (pair string int))) "op counts" !counts
+      r.Block.op_counts
+  in
+  for trial = 0 to 49 do
+    let ctx = Block.make ~device:dev ~idx:0 ~num_blocks:4 in
+    block ctx;
+    for idx = 1 to 3 do
+      Block.reset ctx ~core:(trial mod 4) ~idx;
+      block ctx
+    done;
+    Block.release ctx
+  done
 
 let test_launch_compute_bound () =
   let dev = device () in
@@ -536,6 +634,8 @@ let () =
           Alcotest.test_case "traffic/touched" `Quick
             test_gm_traffic_and_touched;
           Alcotest.test_case "op counts" `Quick test_op_counts;
+          Alcotest.test_case "bookkeeping = list-walk reference" `Quick
+            test_bookkeeping_reference;
           Alcotest.test_case "charge allocates nothing" `Quick
             test_charge_allocates_nothing;
         ] );
