@@ -230,8 +230,31 @@ let assume_disjoint_writes t gt ~reason =
   | Some san ->
       Sanitizer.exempt_tensor san ~tensor_id:(Global_tensor.id gt) ~reason
 
-let eindex t e = Engine.index ~vec_per_core:t.vec_per_core e
-let elane t e = Engine.lane ~vec_per_core:t.vec_per_core e
+(* [Engine.index] and [Engine.lane] of an engine of this core, which
+   every charge needs: matched here, because a call into another
+   module (compiled with -opaque in the dev profile) costs more than
+   the match. An engine the core does not have goes to [Engine] for
+   its error. test_block_launch "engine slots" pins both to [Engine]. *)
+let eindex t (e : Engine.t) =
+  match e with
+  | Cube_mte_in -> 0
+  | Cube -> 1
+  | Cube_mte_out -> 2
+  | Scalar -> 3
+  | Vec_mte_in i when i >= 0 && i < t.vec_per_core -> 4 + (3 * i)
+  | Vec i when i >= 0 && i < t.vec_per_core -> 5 + (3 * i)
+  | Vec_mte_out i when i >= 0 && i < t.vec_per_core -> 6 + (3 * i)
+  | Vec_mte_in _ | Vec _ | Vec_mte_out _ ->
+      Engine.index ~vec_per_core:t.vec_per_core e
+
+let elane t (e : Engine.t) =
+  match e with
+  | Cube_mte_in | Cube | Cube_mte_out | Scalar -> 0
+  | (Vec_mte_in i | Vec i | Vec_mte_out i) when i >= 0 && i < t.vec_per_core
+    ->
+      1 + i
+  | Vec_mte_in _ | Vec _ | Vec_mte_out _ ->
+      Engine.lane ~vec_per_core:t.vec_per_core e
 
 let engine_clock t engine = t.avail.(eindex t engine)
 let lane_clock t engine = t.lanes.(elane t engine)
@@ -258,8 +281,13 @@ let bump_busy t i cycles =
   end
 
 (* Issue time of the next op on engine [i] from lane [l]'s point of
-   view: after both the lane cursor and the engine clock. *)
-let[@inline] issue_start t i l = Float.max t.lanes.(l) t.avail.(i)
+   view: after both the lane cursor and the engine clock. [Float.max]
+   decides only ties and NaNs, so two ordered clocks cost no call. *)
+let[@inline] issue_start t i l =
+  let lane = t.lanes.(l) and engine = t.avail.(i) in
+  if lane > engine then lane
+  else if engine > lane then engine
+  else Float.max lane engine
 
 let recording t = Option.is_some t.tb
 
