@@ -640,17 +640,16 @@ let note_touched (t : t) gt =
     else ids_add tc.ids id
   end
 
-(* One GM copy on an MTE queue, after the caller's range, async-use and
-   sanitizer checks: counted, its fault drawn from the device fault
-   model (a drawn fault is charged to the core's quarantine score,
-   before the payload lands), charged at its faulted cost
-   (asynchronously when [async]), and its traffic and tensor recorded.
-   [write] is the direction (local tile [lt] to [gt]); an async copy
-   into [lt] leaves [lt] tracked for the sanitizer's async-use check. *)
 let charge_copy t ~async ~op ~bytes dst engine cycles =
   if async then issue_async t ~op ~bytes dst engine cycles
   else issue t ~op ~bytes engine cycles
 
+(* One GM copy on an MTE queue, after the caller's range, async-use and
+   sanitizer checks. The fault is drawn after the count and before the
+   charge, and a drawn fault is scored against the core's quarantine
+   budget before the payload lands. The copy's cost is passed on boxed
+   as [copy_cycles] holds it (or stretched by a stall), so an
+   unfaulted copy allocates nothing. *)
 let gm_copy t engine ~async ~write gt lt ~dst_off ~len =
   let op = if write then "datacopy_out" else "datacopy_in" in
   count_op t op;

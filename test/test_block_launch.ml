@@ -188,7 +188,8 @@ let test_charge_allocates_nothing () =
     Block.gm_copy ctx (Engine.Vec_mte_out 0) ~async:true ~write:true g lt
       ~dst_off:512 ~len:256
   in
-  check_bool "no fault" true (gm_in () = Fault.No_fault && gm_out () = Fault.No_fault);
+  check_bool "no fault" true
+    (gm_in () = Fault.No_fault && gm_out () = Fault.No_fault);
   let names = [| "adds"; "scalar_get" |] and cycles = [| 25.0; 28.0 |] in
   let counts = Some [| ("adds", 64); ("scalar_get", 64) |] in
   Block.charge_rows ?counts ctx (Engine.Vec 0) ~count:64 ~names cycles;
@@ -233,8 +234,34 @@ let test_charge_allocates_nothing () =
   check_floatish "charge_rows" 0.0 (words rows -. overhead);
   let r = Block.finish ctx in
   check_int "all counted" 10_001 (List.assoc "vadd" r.Block.op_counts);
-  check_int "copies counted" 20_001 (List.assoc "datacopy_in" r.Block.op_counts);
+  check_int "copies counted" 20_001
+    (List.assoc "datacopy_in" r.Block.op_counts);
   check_int "rows counted" (64 * 1_001) (List.assoc "adds" r.Block.op_counts)
+
+(* A GM copy is counted before its fault is drawn: a fault that trips
+   the core's quarantine budget kills the block at that copy, and the
+   dead block's partial op counts (part of [Stats]) include it. Its
+   charge and traffic never happen. *)
+let test_gm_copy_quarantined () =
+  let fault =
+    Fault.config ~kinds:[ Fault.Engine_stall ] ~quarantine_after:1 ~seed:1
+      ~rate:1.0 ()
+  in
+  let dev = Device.create ~mode:Device.Cost_only ~fault () in
+  let g = Device.alloc dev Dtype.F16 256 ~name:"g" in
+  let ctx = Block.make ~device:dev ~idx:0 ~num_blocks:1 in
+  let lt = Block.alloc ctx (Mem_kind.Ub 0) Dtype.F16 256 in
+  (match
+     Block.gm_copy ctx (Engine.Vec_mte_in 0) ~async:false ~write:false g lt
+       ~dst_off:0 ~len:256
+   with
+  | _ -> Alcotest.fail "the quarantined core should die at its first fault"
+  | exception Health.Core_dead _ -> ());
+  let r = Block.finish ctx in
+  Alcotest.(check (list (pair string int)))
+    "counted" [ ("datacopy_in", 1) ] r.Block.op_counts;
+  check_floatish "not charged" 0.0 r.Block.cycles;
+  check_int "no traffic" 0 r.Block.gm_read_bytes
 
 (* The touched-tensor set and the op-name index against a list-walk
    reference: random sequences of tensors (more than the id set's first
@@ -275,7 +302,8 @@ let test_bookkeeping_reference () =
           counts :=
             if List.exists (fun (n, _) -> String.equal n name) !counts then
               List.map
-                (fun (n, c) -> if String.equal n name then (n, c + k) else (n, c))
+                (fun (n, c) ->
+                  if String.equal n name then (n, c + k) else (n, c))
                 !counts
             else !counts @ [ (name, k) ];
         Block.count_op_n ctx name k
@@ -686,6 +714,8 @@ let () =
           Alcotest.test_case "op counts" `Quick test_op_counts;
           Alcotest.test_case "bookkeeping = list-walk reference" `Quick
             test_bookkeeping_reference;
+          Alcotest.test_case "gm_copy counted before its fault" `Quick
+            test_gm_copy_quarantined;
           Alcotest.test_case "charge allocates nothing" `Quick
             test_charge_allocates_nothing;
         ] );

@@ -373,7 +373,8 @@ let sweep_stats name =
   let x = Device.alloc d (List.hd caps.dtypes) n ~name:"x" in
   let input =
     if caps.masked then
-      Scan.Op_registry.Masked { x; mask = Device.alloc d Dtype.I8 n ~name:"mask" }
+      Scan.Op_registry.Masked
+        { x; mask = Device.alloc d Dtype.I8 n ~name:"mask" }
     else Scan.Op_registry.Tensor x
   in
   match Scan.Op_registry.run e cfg d input with
