@@ -39,10 +39,6 @@ type touched = {
 
 type t = {
   device : Device.t;
-  cm : Cost_model.t;
-  is_functional : bool;
-  fault_model : Fault.t option;
-  san : Sanitizer.t option;
   mutable idx : int;
   num_blocks : int;
   mutable core : int;
@@ -133,10 +129,6 @@ let make_on ~core ~device ~idx ~num_blocks =
   let n = Engine.count ~vec_per_core in
   {
     device;
-    cm;
-    is_functional = Device.functional device;
-    fault_model = Device.fault device;
-    san = Device.sanitizer device;
     idx;
     num_blocks;
     core;
@@ -220,41 +212,18 @@ let release t =
 
 let idx t = t.idx
 let num_blocks t = t.num_blocks
-let cost t = t.cm
-let functional t = t.is_functional
-let sanitizer t = t.san
+let cost t = Device.cost t.device
+let functional t = Device.functional t.device
+let sanitizer t = Device.sanitizer t.device
 
 let assume_disjoint_writes t gt ~reason =
-  match t.san with
+  match sanitizer t with
   | None -> ()
   | Some san ->
       Sanitizer.exempt_tensor san ~tensor_id:(Global_tensor.id gt) ~reason
 
-(* [Engine.index] and [Engine.lane] of an engine of this core, which
-   every charge needs: matched here, because a call into another
-   module (compiled with -opaque in the dev profile) costs more than
-   the match. An engine the core does not have goes to [Engine] for
-   its error. test_block_launch "engine slots" pins both to [Engine]. *)
-let eindex t (e : Engine.t) =
-  match e with
-  | Cube_mte_in -> 0
-  | Cube -> 1
-  | Cube_mte_out -> 2
-  | Scalar -> 3
-  | Vec_mte_in i when i >= 0 && i < t.vec_per_core -> 4 + (3 * i)
-  | Vec i when i >= 0 && i < t.vec_per_core -> 5 + (3 * i)
-  | Vec_mte_out i when i >= 0 && i < t.vec_per_core -> 6 + (3 * i)
-  | Vec_mte_in _ | Vec _ | Vec_mte_out _ ->
-      Engine.index ~vec_per_core:t.vec_per_core e
-
-let elane t (e : Engine.t) =
-  match e with
-  | Cube_mte_in | Cube | Cube_mte_out | Scalar -> 0
-  | (Vec_mte_in i | Vec i | Vec_mte_out i) when i >= 0 && i < t.vec_per_core
-    ->
-      1 + i
-  | Vec_mte_in _ | Vec _ | Vec_mte_out _ ->
-      Engine.lane ~vec_per_core:t.vec_per_core e
+let eindex t e = Engine.index ~vec_per_core:t.vec_per_core e
+let elane t e = Engine.lane ~vec_per_core:t.vec_per_core e
 
 let engine_clock t engine = t.avail.(eindex t engine)
 let lane_clock t engine = t.lanes.(elane t engine)
@@ -281,13 +250,8 @@ let bump_busy t i cycles =
   end
 
 (* Issue time of the next op on engine [i] from lane [l]'s point of
-   view: after both the lane cursor and the engine clock. [Float.max]
-   decides only ties and NaNs, so two ordered clocks cost no call. *)
-let[@inline] issue_start t i l =
-  let lane = t.lanes.(l) and engine = t.avail.(i) in
-  if lane > engine then lane
-  else if engine > lane then engine
-  else Float.max lane engine
+   view: after both the lane cursor and the engine clock. *)
+let[@inline] issue_start t i l = Float.max t.lanes.(l) t.avail.(i)
 
 let recording t = Option.is_some t.tb
 
@@ -359,7 +323,7 @@ let issue_async t ~op ~bytes dst engine cycles =
   t.pend_count.(i) <- t.pend_count.(i) + 1;
   if stop > t.pend_end.(i) then t.pend_end.(i) <- stop;
   (match dst with
-  | Some lt when Option.is_some t.san ->
+  | Some lt when Option.is_some (sanitizer t) ->
       t.pend_dsts.(i) <- lt :: t.pend_dsts.(i)
   | _ -> ());
   bump_busy t i cycles
@@ -467,7 +431,7 @@ let async_in_flight t lt =
   !hit
 
 let check_async_use t ~op lt =
-  match t.san with
+  match sanitizer t with
   | None -> ()
   | Some san ->
       if async_in_flight t lt then
@@ -655,7 +619,7 @@ let gm_copy t engine ~async ~write gt lt ~dst_off ~len =
   count_op t op;
   let bytes = len * Dtype.size_bytes (Global_tensor.dtype gt) in
   let act =
-    match t.fault_model with
+    match Device.fault t.device with
     | None -> Fault.No_fault
     | Some f ->
         let dst_dtype =
@@ -669,11 +633,11 @@ let gm_copy t engine ~async ~write gt lt ~dst_off ~len =
         act
   in
   if bytes <> t.copy_bytes then begin
-    t.copy_cycles <- Cost_model.mte_copy_cycles t.cm ~bytes;
+    t.copy_cycles <- Cost_model.mte_copy_cycles (cost t) ~bytes;
     t.copy_bytes <- bytes
   end;
   (* Only a copy into the tile is tracked, and only for a sanitizer. *)
-  let dst = if write || Option.is_none t.san then None else Some lt in
+  let dst = if write || Option.is_none (sanitizer t) then None else Some lt in
   (match act with
   | Fault.Stall m ->
       charge_copy t ~async ~op ~bytes dst engine (t.copy_cycles *. m)

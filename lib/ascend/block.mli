@@ -125,7 +125,9 @@ val charge_async :
     retired by a later {!wait_group} (or {!fence}/{!wait_all}). [dst]
     registers the local tensor the op writes so the sanitizer can flag
     uses before the matching wait ({!check_async_use}). Busy-cycle
-    accounting and the kill check are identical to {!charge}. *)
+    accounting and the kill check are identical to {!charge}. The
+    library's async copies charge through {!gm_copy}; this entry point
+    drives the async timeline directly (the block tests use it). *)
 
 val commit_group : t -> Engine.t -> unit
 (** Close the current group of async charges on an engine: everything

@@ -36,7 +36,7 @@
     microseconds of the Chrome trace-event format. *)
 
 type kind =
-  | Fault  (** An injected fault landed (from {!Block.note_fault}). *)
+  | Fault  (** An injected fault landed (from {!Block.gm_copy}). *)
   | Death  (** A core crossed its kill threshold mid-block. *)
   | Retry  (** A resilient-runner re-execution. *)
   | Degrade  (** A resilient-runner fallback switch. *)

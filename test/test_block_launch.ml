@@ -69,55 +69,6 @@ let test_await_engine () =
   Block.charge ctx (Engine.Vec 0) 10.0;
   check_floatish "vec after cube store" 90.0 (Block.elapsed_cycles ctx)
 
-(* A charge lands on the engine and lane [Engine] numbers it by, for
-   every engine of the core; an engine the core lacks is [Engine]'s
-   error. *)
-let test_engine_slots () =
-  let dev = device () in
-  let vec_per_core = (Device.cost dev).Cost_model.vec_per_core in
-  let engines =
-    Engine.[ Cube_mte_in; Cube; Cube_mte_out; Scalar ]
-    @ List.concat
-        (List.init vec_per_core (fun i ->
-             Engine.[ Vec_mte_in i; Vec i; Vec_mte_out i ]))
-  in
-  check_int "every engine" (Engine.count ~vec_per_core) (List.length engines);
-  List.iter
-    (fun e ->
-      let ctx = Block.make ~device:dev ~idx:0 ~num_blocks:1 in
-      Block.charge ctx e 7.0;
-      List.iter
-        (fun e' ->
-          let same_lane =
-            Engine.lane ~vec_per_core e' = Engine.lane ~vec_per_core e
-          in
-          check_floatish
-            (Engine.to_string e ^ " lane of " ^ Engine.to_string e')
-            (if same_lane then 7.0 else 0.0)
-            (Block.lane_clock ctx e'))
-        engines;
-      let busy = (Block.finish ctx).Block.busy in
-      Array.iteri
-        (fun i b ->
-          check_floatish
-            (Printf.sprintf "%s busy %d" (Engine.to_string e) i)
-            (if i = Engine.index ~vec_per_core e then 7.0 else 0.0)
-            b)
-        busy)
-    engines;
-  let ctx = Block.make ~device:dev ~idx:0 ~num_blocks:1 in
-  List.iter
-    (fun e ->
-      let expected =
-        try
-          ignore (Engine.index ~vec_per_core e);
-          "no error"
-        with Invalid_argument msg -> msg
-      in
-      Alcotest.check_raises (Engine.to_string e) (Invalid_argument expected)
-        (fun () -> Block.charge ctx e 1.0))
-    Engine.[ Vec vec_per_core; Vec_mte_in (-1); Vec_mte_out vec_per_core ]
-
 let test_alloc_capacity () =
   let dev = device () in
   let ctx = Block.make ~device:dev ~idx:0 ~num_blocks:1 in
@@ -707,7 +658,6 @@ let () =
           Alcotest.test_case "wait_group depth" `Quick
             test_wait_group_outstanding;
           Alcotest.test_case "await engine" `Quick test_await_engine;
-          Alcotest.test_case "engine slots" `Quick test_engine_slots;
           Alcotest.test_case "alloc capacity" `Quick test_alloc_capacity;
           Alcotest.test_case "traffic/touched" `Quick
             test_gm_traffic_and_touched;
