@@ -359,20 +359,6 @@ let wait_group t engine ~outstanding =
       t.lane_src.(l) <- (g.g_last, Trace.Group) :: t.lane_src.(l)
   done
 
-let fence t engine =
-  (* Pipe barrier on one queue: the lane waits for everything issued on
-     the engine, committed or not. *)
-  let i = eindex t engine in
-  let l = elane t engine in
-  if t.avail.(i) > t.lanes.(l) then t.lanes.(l) <- t.avail.(i);
-  if recording t && t.last_id.(i) >= 0 then
-    t.lane_src.(l) <- (t.last_id.(i), Trace.Fence) :: t.lane_src.(l);
-  Queue.clear t.groups.(i);
-  t.pend_count.(i) <- 0;
-  t.pend_end.(i) <- 0.0;
-  t.pend_dsts.(i) <- [];
-  t.pend_last.(i) <- -1
-
 let await_engine t ~lane_of ~on =
   (* Cross-lane dependency: [lane_of]'s program waits until everything
      issued so far on engine [on] (typically another lane's MTE) has

@@ -62,8 +62,9 @@ val make_on : core:int -> device:Device.t -> idx:int -> num_blocks:int -> t
 
     A context serves one block at a time: {!make_on} (or {!reset}),
     the kernel body, then {!finish}. {!Launch} runs a phase's blocks
-    one after another on one context, calling {!reset} between them,
-    and calls {!release} when the phase is done. Local tensors never
+    in runs of consecutive blocks on one context, calling {!reset}
+    between them (and before the replay of a block whose core died),
+    and calls {!release} when the run is done. Local tensors never
     outlive their block, mirroring the hardware: a tile allocated by
     one block is either handed to the next block of the context by
     {!alloc} (zeroed, so it reads as fresh) or returned to the
@@ -122,7 +123,7 @@ val charge_async :
   unit
 (** {!charge}, but asynchronous: the engine clock advances while the
     lane cursor does not — the program runs ahead of the op, which is
-    retired by a later {!wait_group} (or {!fence}/{!wait_all}). [dst]
+    retired by a later {!wait_group} (or {!wait_all}). [dst]
     registers the local tensor the op writes so the sanitizer can flag
     uses before the matching wait ({!check_async_use}). Busy-cycle
     accounting and the kill check are identical to {!charge}. The
@@ -141,11 +142,6 @@ val wait_group : t -> Engine.t -> outstanding:int -> unit
     (FIFO) and advancing the lane cursor to their completion times.
     [~outstanding:0] drains the queue. Raises [Invalid_argument] on a
     negative [outstanding]. *)
-
-val fence : t -> Engine.t -> unit
-(** Single-queue pipe barrier: the engine's lane waits for everything
-    issued on the engine so far — committed, pending, or synchronous —
-    and all of the engine's async state retires. *)
 
 val wait_all : t -> unit
 (** Full intra-block barrier: every lane joins at the timeline makespan

@@ -18,9 +18,8 @@
 type task = {
   run : int -> unit;
   total : int;
-  grain : int;  (* indices claimed per counter access *)
   mutable next_idx : int;  (* next unclaimed index *)
-  mutable in_flight : int;  (* chunks claimed but not yet finished *)
+  mutable in_flight : int;  (* indices claimed but not yet finished *)
   mutable slots : int;  (* worker slots still allowed to join *)
   mutable errors : (int * exn) list;
 }
@@ -54,28 +53,21 @@ let create ?(max_workers = max_pool_workers) () =
 
 let size t = t.spawned
 
-(* Drain loop indices of [task], [task.grain] indices per claim.
-   Called and returned with [t.mutex] held; the mutex is released
-   around the body invocations, so a larger grain amortises the
-   counter lock over a whole chunk of indices. Every index still runs
-   exactly once: an index that raises is recorded and the rest of its
-   chunk runs anyway (matching the one-index-per-claim behaviour,
-   where other workers kept claiming past a failed index). *)
+(* Drain loop indices of [task], one per claim. Called and returned
+   with [t.mutex] held; the mutex is released around each body
+   invocation. Every index runs exactly once: an index that raises is
+   recorded and the other workers keep claiming past it. *)
 let drain t task =
   while task.next_idx < task.total do
-    let i0 = task.next_idx in
-    let i1 = min task.total (i0 + task.grain) in
-    task.next_idx <- i1;
+    let i = task.next_idx in
+    task.next_idx <- i + 1;
     task.in_flight <- task.in_flight + 1;
     Mutex.unlock t.mutex;
-    let errs = ref [] in
-    for i = i0 to i1 - 1 do
-      match task.run i with
-      | () -> ()
-      | exception e -> errs := (i, e) :: !errs
-    done;
+    let error =
+      match task.run i with () -> None | exception e -> Some (i, e)
+    in
     Mutex.lock t.mutex;
-    task.errors <- List.rev_append !errs task.errors;
+    Option.iter (fun e -> task.errors <- e :: task.errors) error;
     task.in_flight <- task.in_flight - 1;
     if task.in_flight = 0 && task.next_idx >= task.total then
       Condition.broadcast t.finished
@@ -110,9 +102,8 @@ let run_sequential ~n body =
     body i
   done
 
-let parallel_for t ?(grain = 1) ~slots ~n body =
+let parallel_for t ~slots ~n body =
   if n < 0 then invalid_arg "Domain_pool.parallel_for: negative bound";
-  if grain < 1 then invalid_arg "Domain_pool.parallel_for: grain must be >= 1";
   if n > 0 then
     if slots <= 1 || n = 1 || t.max_workers = 0 then run_sequential ~n body
     else begin
@@ -127,8 +118,8 @@ let parallel_for t ?(grain = 1) ~slots ~n body =
         let slots = min slots n in
         ensure_workers t (slots - 1);
         let task =
-          { run = body; total = n; grain; next_idx = 0; in_flight = 0;
-            slots; errors = [] }
+          { run = body; total = n; next_idx = 0; in_flight = 0; slots;
+            errors = [] }
         in
         t.task <- Some task;
         Condition.broadcast t.has_work;

@@ -18,7 +18,7 @@ val create : ?max_workers:int -> unit -> t
 val size : t -> int
 (** Number of worker domains spawned so far (grows lazily). *)
 
-val parallel_for : t -> ?grain:int -> slots:int -> n:int -> (int -> unit) -> unit
+val parallel_for : t -> slots:int -> n:int -> (int -> unit) -> unit
 (** [parallel_for t ~slots ~n body] runs [body i] exactly once for
     every [i] in [[0, n)], using at most [slots] concurrent domains
     (the caller included), and returns after all of them finished.
@@ -29,14 +29,9 @@ val parallel_for : t -> ?grain:int -> slots:int -> n:int -> (int -> unit) -> uni
     same pool (nested calls degrade rather than deadlock). If bodies
     raised, the exception of the {e smallest} failing index is
     re-raised after the join — the error a sequential left-to-right
-    loop would have surfaced first.
-
-    [grain] (default [1]) is the number of consecutive indices a
-    worker claims per access to the shared counter: work-stealing
-    stays index-exact, but the counter lock is amortised over [grain]
-    body runs. An index that raises never prevents the other indices
-    of its chunk from running. Raises [Invalid_argument] when
-    [grain < 1]. *)
+    loop would have surfaced first. Callers with many short bodies
+    batch them into fewer indices ({!Launch} hands over runs of
+    blocks). *)
 
 val shutdown : t -> unit
 (** Stop and join all workers. Subsequent [parallel_for] calls on the

@@ -188,10 +188,6 @@ let events_since t n =
 let count_kind t kind =
   List.fold_left (fun acc e -> if e.kind = kind then acc + 1 else acc) 0 t.events
 
-let clear t =
-  t.events <- [];
-  t.n_events <- 0
-
 let pp_event fmt e =
   Format.fprintf fmt "#%d %s %s on %s[%s]: %s" e.seq (kind_to_string e.kind)
     e.op e.tensor e.engine e.detail

@@ -128,7 +128,6 @@ val events_since : t -> int -> event list
 
 val count : t -> int
 val count_kind : t -> kind -> int
-val clear : t -> unit
 
 val pp_event : Format.formatter -> event -> unit
 val pp_summary : Format.formatter -> t -> unit

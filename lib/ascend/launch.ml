@@ -38,27 +38,30 @@ let () =
    fault-injection, kill/replay and sanitizer semantics are
    untouched. *)
 
-(* Execute the blocks of a provably-stateless phase across the global
-   domain pool. Returns per-block results indexed by block id. *)
-let exec_blocks_parallel device ~blocks ~alive body =
-  let n_alive = Array.length alive in
-  let out = Array.make blocks None in
-  let slots = Device.domains device in
-  (* Coarse dispatch grain: ~4 chunks per domain slot keeps enough
-     chunks in the bag for load balancing while amortising the shared
-     counter lock over whole runs of blocks — block bodies can be
-     microseconds long, where a per-index claim is measurable. *)
-  let grain = max 1 ((blocks + (slots * 4) - 1) / (slots * 4)) in
-  Domain_pool.parallel_for (Domain_pool.global ()) ~grain ~slots ~n:blocks
-    (fun idx ->
-      let core = alive.(idx mod n_alive) in
-      let ctx = Block.make_on ~core ~device ~idx ~num_blocks:blocks in
-      body ctx;
-      out.(idx) <- Some (Block.finish ctx);
-      Block.release ctx);
-  Array.map
-    (function Some r -> r | None -> failwith "Launch: lost block result")
-    out
+(* A run: blocks [lo, hi) executed in order on one context, their
+   results stored in [out]. The first block makes the context;
+   [Block.reset] readies it in place for each next block (a replay
+   included) and hands that block the previous block's scratch tiles
+   while its requests repeat; [Block.release] returns the tiles when
+   the run ends. [exec context idx] executes block [idx] on
+   [context ~core ~idx]. A run stops at its first block that raises,
+   leaving its tiles to the GC. *)
+let run_blocks device ~blocks ~lo ~hi out exec =
+  let held = ref None in
+  let context ~core ~idx =
+    match !held with
+    | Some ctx ->
+        Block.reset ctx ~core ~idx;
+        ctx
+    | None ->
+        let ctx = Block.make_on ~core ~device ~idx ~num_blocks:blocks in
+        held := Some ctx;
+        ctx
+  in
+  for idx = lo to hi - 1 do
+    out.(idx) <- Some (exec context idx)
+  done;
+  Option.iter Block.release !held
 
 let run_phase device ~blocks body =
   let cm = Device.cost device in
@@ -92,87 +95,78 @@ let run_phase device ~blocks body =
       alive_gen := Health.generation health
     end
   in
+  let slots = Device.domains device in
   let parallel =
-    Device.domains device > 1 && blocks > 1
+    slots > 1 && blocks > 1
     && Option.is_none (Device.fault device)
     && Option.is_none san && Health.inert health
   in
-  let results =
-    if parallel then begin
-      let raw = exec_blocks_parallel device ~blocks ~alive:!alive body in
-      (* Deterministic post-join merge: identical statements, in the
-         identical block order, as the sequential loop below — the
-         core timelines and the health clock see the same
-         float-addition sequence bit for bit. *)
-      let n_alive = Array.length !alive in
-      Array.to_list
-        (Array.mapi
-           (fun idx r ->
-             let core = !alive.(idx mod n_alive) in
-             core_used.(core) <- true;
-             let busy = account core r in
-             Health.note_cycles health ~core busy;
-             r)
-           raw)
-    end
-    else begin
-      (* One context serves the phase's blocks in turn: [Block.reset]
-         readies it for the next block in place, and hands that block
-         the previous block's scratch tiles while its requests repeat.
-         A block whose core dies leaves its context behind; the replay
-         and the blocks after it start on a fresh one. *)
-      let reused = ref None in
-      let context ~core ~idx =
-        match !reused with
-        | Some ctx ->
-            Block.reset ctx ~core ~idx;
-            ctx
-        | None ->
-            let ctx = Block.make_on ~core ~device ~idx ~num_blocks:blocks in
-            reused := Some ctx;
-            ctx
-      in
-      let results =
-        List.init blocks (fun idx ->
-            (* [delay] serialises a replay behind its failed predecessors:
-               the replacement block cannot start before the victim died,
-               so the dead time is charged to the replay core's
-               timeline. *)
-            let rec exec delay =
-              refresh_alive ();
-              let a = !alive in
-              let n_alive = Array.length a in
-              if n_alive = 0 then raise Health.All_cores_dead;
-              let core = a.(idx mod n_alive) in
-              core_used.(core) <- true;
-              let ctx = context ~core ~idx in
-              match body ctx with
-              | () ->
-                  let r = Block.finish ctx in
-                  let busy = account core r in
-                  core_cycles.(core) <- core_cycles.(core) +. delay;
-                  Health.note_cycles health ~core busy;
-                  r
-              | exception Health.Core_dead _ ->
-                  (* The dying core's partial work happened: its timeline,
-                     traffic and instruction counts are real, only its
-                     writes are untrusted. Replay the block on a
-                     survivor. *)
-                  let partial = Block.finish ctx in
-                  Block.release ctx;
-                  reused := None;
-                  ignore (account core partial);
-                  partials := partial :: !partials;
-                  exec (delay +. partial.Block.cycles)
-            in
-            exec 0.0)
-      in
-      Option.iter Block.release !reused;
-      results
-    end
-  in
+  let out = Array.make blocks None in
+  if parallel then begin
+    (* About four runs per domain slot: enough runs in the pool's bag
+       to balance the load, each long enough to reuse its context and
+       amortise the pool's counter lock. *)
+    let a = !alive in
+    let n_alive = Array.length a in
+    let len = max 1 ((blocks + (slots * 4) - 1) / (slots * 4)) in
+    Domain_pool.parallel_for (Domain_pool.global ()) ~slots
+      ~n:((blocks + len - 1) / len)
+      (fun run ->
+        run_blocks device ~blocks ~lo:(run * len)
+          ~hi:(min blocks ((run + 1) * len))
+          out
+          (fun context idx ->
+            let ctx = context ~core:a.(idx mod n_alive) ~idx in
+            body ctx;
+            Block.finish ctx));
+    (* Deterministic post-join merge: identical statements, in the
+       identical block order, as the sequential loop below — the core
+       timelines and the health clock see the same float-addition
+       sequence bit for bit. *)
+    Array.iteri
+      (fun idx r ->
+        let core = a.(idx mod n_alive) in
+        core_used.(core) <- true;
+        let busy = account core (Option.get r) in
+        Health.note_cycles health ~core busy)
+      out
+  end
+  else
+    run_blocks device ~blocks ~lo:0 ~hi:blocks out (fun context idx ->
+        (* [delay] serialises a replay behind its failed predecessors:
+           the replacement block cannot start before the victim died,
+           so the dead time is charged to the replay core's
+           timeline. *)
+        let rec exec delay =
+          refresh_alive ();
+          let a = !alive in
+          let n_alive = Array.length a in
+          if n_alive = 0 then raise Health.All_cores_dead;
+          let core = a.(idx mod n_alive) in
+          core_used.(core) <- true;
+          let ctx = context ~core ~idx in
+          match body ctx with
+          | () ->
+              let r = Block.finish ctx in
+              let busy = account core r in
+              core_cycles.(core) <- core_cycles.(core) +. delay;
+              Health.note_cycles health ~core busy;
+              r
+          | exception Health.Core_dead _ ->
+              (* The dying core's partial work happened: its timeline,
+                 traffic and instruction counts are real, only its
+                 writes are untrusted. Replay the block on a
+                 survivor. *)
+              let partial = Block.finish ctx in
+              ignore (account core partial);
+              partials := partial :: !partials;
+              exec (delay +. partial.Block.cycles)
+        in
+        exec 0.0);
   Option.iter Sanitizer.end_phase san;
-  let results = results @ !partials in
+  let results =
+    Array.fold_right (fun r acc -> Option.get r :: acc) out !partials
+  in
   let compute_seconds =
     Cost_model.cycles_to_seconds cm (Array.fold_left Float.max 0.0 core_cycles)
   in

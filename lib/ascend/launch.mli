@@ -30,7 +30,10 @@
     {e and} the phase is provably stateless on the host side — no
     fault model, no sanitizer, {!Health.inert} monitor — its blocks
     are dispatched across a pool of OCaml domains instead of being
-    replayed sequentially. The contract is strict determinism: tensor
+    replayed sequentially. Either way blocks execute in {e runs} of
+    consecutive blocks on one reused {!Block.t}: the sequential path
+    is one run over all blocks, the parallel path hands the pool about
+    four runs per domain. The contract is strict determinism: tensor
     outputs are bit-identical and the resulting {!Stats.t} is
     {!Stats.equal_simulated} to the sequential run for {e any} domain
     count, because block bodies only touch block-disjoint tensor

@@ -145,13 +145,6 @@ let count t = t.n_diags
 let count_kind t k =
   List.fold_left (fun acc d -> if d.kind = k then acc + 1 else acc) 0 t.diags
 
-let clear t =
-  t.diags <- [];
-  t.n_diags <- 0;
-  t.phase <- -1;
-  Hashtbl.reset t.spans;
-  Hashtbl.reset t.exempt
-
 let pp_diag fmt d =
   Format.fprintf fmt "[%s] phase %d block %d op %s tensor %s: %s"
     (kind_to_string d.kind) d.phase d.block d.op d.tensor d.message

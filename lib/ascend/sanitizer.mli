@@ -81,7 +81,6 @@ val diagnostics : t -> diag list
 
 val count : t -> int
 val count_kind : t -> kind -> int
-val clear : t -> unit
 
 val pp_report : Format.formatter -> t -> unit
 

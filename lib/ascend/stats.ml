@@ -26,9 +26,6 @@ type t = {
   launches : int;
 }
 
-let host_speedup ~baseline t =
-  if t.host_seconds <= 0.0 then 0.0 else baseline.host_seconds /. t.host_seconds
-
 let host_seconds_per_launch t =
   if t.launches <= 0 then 0.0 else t.host_seconds /. float_of_int t.launches
 

@@ -83,11 +83,6 @@ val host_seconds_per_launch : t -> float
 
 val gm_bytes : t -> int
 
-val host_speedup : baseline:t -> t -> float
-(** [baseline.host_seconds / t.host_seconds]: host wall-clock speedup
-    of [t] over [baseline] (e.g. a multi-domain run over its
-    sequential twin); 0 when [t] recorded no wall-clock. *)
-
 val equal_simulated : t -> t -> bool
 (** Equality of every simulation-determined field — all of them except
     [host_seconds] and [domains], which depend on the host machine.

@@ -21,13 +21,12 @@ type span = {
   sp_bytes : int;
 }
 
-type edge_kind = Lane | Queue | Group | Fence | Await | Join
+type edge_kind = Lane | Queue | Group | Await | Join
 
 let edge_kind_to_string = function
   | Lane -> "lane"
   | Queue -> "queue"
   | Group -> "group"
-  | Fence -> "fence"
   | Await -> "await"
   | Join -> "join"
 

@@ -64,7 +64,6 @@ type edge_kind =
   | Lane  (** Program order: previous synchronous op on the same lane. *)
   | Queue  (** Engine order: previous op issued on the same in-order queue. *)
   | Group  (** A {!Block.wait_group} retired the source's async group. *)
-  | Fence  (** A {!Block.fence} joined the lane to the source's engine. *)
   | Await  (** A {!Block.await_engine} cross-lane join. *)
   | Join  (** A {!Block.wait_all} full-block barrier. *)
 

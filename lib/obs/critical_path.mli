@@ -3,7 +3,7 @@
 
     The engine model records, for every span, the dependency edges
     (lane program order, engine queue order, commit/wait-group
-    retirement, fences, [await_engine], [wait_all] joins) that
+    retirement, [await_engine], [wait_all] joins) that
     explain its issue time, and the
     Chrome export carries them as flow events together with exact
     block-local cycle endpoints ([args.c0]/[args.c1]). This module

@@ -85,7 +85,7 @@ let retime_block scenario (b : Cp.block) =
             b.Cp.bk_edges;
           (* Keep RAW structure, drop serial artifacts:
              - every queue edge stays (engines issue in order);
-             - lane/group/fence/await edges into non-load spans stay
+             - lane/group/await edges into non-load spans stay
                (work needs its load, store needs its work);
              - join barriers and lane edges into loads go
                (those are the serial schedule, not the dataflow). *)

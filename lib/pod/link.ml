@@ -239,7 +239,6 @@ let send t ~bytes =
   end
 
 let set_down t b = t.is_down <- b
-let down t = t.is_down
 let quarantined t = t.is_quarantined
 
 let sends t = t.n_sends

@@ -70,8 +70,6 @@ val send : t -> bytes:int -> outcome
 val set_down : t -> bool -> unit
 (** Chaos control: force the link down (or back up). *)
 
-val down : t -> bool
-
 val quarantined : t -> bool
 
 (* Lifetime counters. *)
@@ -85,7 +83,8 @@ val crc_detected : t -> int
 val seconds : t -> float
 
 val crc32 : Bytes.t -> int
-(** The receiver-side checksum (same polynomial as the checkpoint
-    store); exposed for tests that model payload verification. *)
+(** CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven:
+    the receiver-side checksum, and the checkpoint store's header and
+    record checksum. *)
 
 val pp : Format.formatter -> t -> unit

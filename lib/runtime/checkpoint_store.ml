@@ -1,25 +1,6 @@
 let magic = "ASCKPT"
 let version = 1
 
-(* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 bytes =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  for i = 0 to Bytes.length bytes - 1 do
-    c := table.((!c lxor Char.code (Bytes.unsafe_get bytes i)) land 0xFF)
-         lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF
-
 (* Little-endian integer helpers over Buffer. *)
 let add_u16 buf v =
   Buffer.add_char buf (Char.chr (v land 0xFF));
@@ -62,7 +43,7 @@ let header_bytes t =
   add_u32 buf (String.length t.st_meta);
   Buffer.add_string buf t.st_meta;
   let body = Buffer.to_bytes buf in
-  add_u32 buf (crc32 body);
+  add_u32 buf (Pod.Link.crc32 body);
   Buffer.to_bytes buf
 
 let record_bytes (lo, hi, values) =
@@ -72,7 +53,7 @@ let record_bytes (lo, hi, values) =
   add_u32 buf (Array.length values * 8);
   Array.iter (fun v -> add_f64 buf v) values;
   let body = Buffer.to_bytes buf in
-  add_u32 buf (crc32 body);
+  add_u32 buf (Pod.Link.crc32 body);
   Buffer.to_bytes buf
 
 (* Snapshot-rename commit protocol: the full store lands in [.tmp],
@@ -180,7 +161,10 @@ let parse_record ~rows ~len s pos =
     else
       let body_end = !pos in
       let* crc = read_u32 s pos in
-      if crc <> crc32 (Bytes.of_string (String.sub s start (body_end - start)))
+      if
+        crc
+        <> Pod.Link.crc32
+             (Bytes.of_string (String.sub s start (body_end - start)))
       then None
       else Some (lo, hi, values)
   end
@@ -212,8 +196,9 @@ let load ~path =
             let* meta = read_str s pos meta_len in
             let body_end = !pos in
             let* crc = read_u32 s pos in
-            if crc <> crc32 (Bytes.of_string (String.sub s 0 body_end)) then
-              None
+            if
+              crc <> Pod.Link.crc32 (Bytes.of_string (String.sub s 0 body_end))
+            then None
             else Some (Ok (rows, len, meta))
       in
       match header with

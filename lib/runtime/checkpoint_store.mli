@@ -85,8 +85,4 @@ val groups : t -> (int * int * float array) list
 (** The store's records in commit order — what a resumed
     [Resilient.run_groups] restores before touching the device. *)
 
-val crc32 : Bytes.t -> int
-(** The store's CRC-32 (IEEE 802.3, reflected 0xEDB88320) over a
-    buffer — exposed for tests. *)
-
 val pp_loaded : Format.formatter -> loaded -> unit

@@ -537,7 +537,7 @@ let same_result idx (a : Block.result) (b : Block.result) =
 (* One sequence on fresh contexts, one on a single reset context, each
    on its own device: every block's result must agree. The kill case
    dies mid-body in block 4 and resets the dead block's context for
-   block 5, which [Launch] never does (it starts a fresh one). *)
+   block 5 (a [Launch] resets it for the dead block's replay). *)
 let check_reset_equals_fresh ?sanitize ?kills ?trace () =
   let dev_a, body_a = reuse_device ?sanitize ?kills ?trace () in
   let dev_b, body_b = reuse_device ?sanitize ?kills ?trace () in
@@ -579,24 +579,64 @@ let block_recs tr =
     (fun l -> List.concat_map (fun p -> p.Trace.ph_blocks) l.Trace.ln_phases)
     (Trace.launches tr)
 
-(* The same launch through [Launch]: one reset context on one domain,
-   fresh contexts on two domains, where every block still reads fresh
-   tiles, including with a sanitizer armed. *)
-let test_launch_reuse_equals_fresh () =
-  let run ?sanitize ~domains () =
-    let dev, body = reuse_device ?sanitize ~trace:true ~domains () in
-    let stale = ref [] in
-    let st = Launch.run_phases dev ~blocks [ body ~stale; body ~stale ] in
-    Alcotest.(check (list int)) "fresh tiles read +0.0" [] !stale;
-    (stats_bytes st, block_recs (Option.get (Device.trace dev)))
+(* Each block's trace record on a fresh context, over the two phases
+   the launches below run: the reference a reused context must match. *)
+let fresh_recs () =
+  let dev, body = reuse_device ~trace:true () in
+  let stale = ref [] in
+  let phase () =
+    Array.to_list
+      (Array.map
+         (fun r -> Option.get r.Block.trace)
+         (run_blocks (body ~stale) (fresh_ctx dev)))
   in
-  let st1, recs1 = run ~domains:1 () in
-  let st2, recs2 = run ~domains:2 () in
-  let st_san, recs_san = run ~sanitize:true ~domains:1 () in
-  check_bool "stats reused = fresh" true (String.equal st1 st2);
-  check_bool "blocks reused = fresh" true (recs1 = recs2);
-  check_bool "stats sanitized = fresh" true (String.equal st_san st2);
-  check_bool "blocks sanitized = fresh" true (recs_san = recs2)
+  let recs = phase () @ phase () in
+  Alcotest.(check (list int)) "fresh tiles read +0.0" [] !stale;
+  recs
+
+(* A two-phase launch of [blocks] blocks; every block must find its
+   tiles reading fresh. At two domains each phase runs as seven runs of
+   at most three blocks, so every run reuses its context. *)
+let launch_reuse ?sanitize ~domains () =
+  let dev, body = reuse_device ?sanitize ~trace:true ~domains () in
+  let stale = ref [] in
+  let st = Launch.run_phases dev ~blocks [ body ~stale; body ~stale ] in
+  Alcotest.(check (list int)) "fresh tiles read +0.0" [] !stale;
+  (stats_bytes st, block_recs (Option.get (Device.trace dev)))
+
+(* The launch through [Launch], one domain, with and without a
+   sanitizer: block by block the same records as fresh contexts. *)
+let test_launch_reuse_equals_fresh () =
+  let fresh = fresh_recs () in
+  let st, recs = launch_reuse ~domains:1 () in
+  let st_san, recs_san = launch_reuse ~sanitize:true ~domains:1 () in
+  check_bool "blocks reused = fresh" true (recs = fresh);
+  check_bool "blocks sanitized = fresh" true (recs_san = fresh);
+  check_bool "stats sanitized = plain" true (String.equal st_san st)
+
+(* Runs on two domains against the one sequential run. *)
+let test_launch_runs_equal_sequential () =
+  let st1, recs1 = launch_reuse ~domains:1 () in
+  let st2, recs2 = launch_reuse ~domains:2 () in
+  check_bool "stats 2 domains = 1 domain" true (String.equal st1 st2);
+  check_bool "blocks 2 domains = 1 domain" true (recs1 = recs2)
+
+(* Blocks 4 and 13 raise. On two domains they fall in different runs,
+   and the launch surfaces block 4's exception, as one domain does. *)
+let test_launch_runs_first_error () =
+  let launch domains =
+    let dev = Device.create ~mode:Device.Cost_only ~domains () in
+    match
+      Launch.run dev ~blocks (fun ctx ->
+          let idx = Block.idx ctx in
+          Block.charge ctx Engine.Cube 100.0;
+          if idx = 4 || idx = 13 then failwith (Printf.sprintf "block %d" idx))
+    with
+    | _ -> Alcotest.fail "launch did not raise"
+    | exception Failure msg -> msg
+  in
+  Alcotest.(check string) "1 domain" "block 4" (launch 1);
+  Alcotest.(check string) "2 domains" "block 4" (launch 2)
 
 (* A core killed mid-phase: the dead block's replay, and every block
    after it, runs as it does on a healthy device. *)
@@ -691,6 +731,10 @@ let () =
             test_reset_equals_fresh_killed;
           Alcotest.test_case "launch reuse = fresh contexts" `Quick
             test_launch_reuse_equals_fresh;
+          Alcotest.test_case "launch runs: 2 domains = 1 domain" `Quick
+            test_launch_runs_equal_sequential;
+          Alcotest.test_case "launch runs: lowest block's error" `Quick
+            test_launch_runs_first_error;
           Alcotest.test_case "launch reuse, core killed" `Quick
             test_launch_reuse_killed;
           Alcotest.test_case "block allocation bound" `Quick

@@ -182,8 +182,6 @@ let test_host_stats_surface () =
   let x = Device.of_array d Dtype.F16 ~name:"x" scan_input in
   let _, st = Scan.Mcscan.run d x in
   check_bool "host wall-clock measured" true (st.Stats.host_seconds > 0.0);
-  check_bool "speedup vs self is ~1" true
-    (Float.abs (Stats.host_speedup ~baseline:st st -. 1.0) < 1e-9);
   (* equal_simulated deliberately ignores the host-side fields. *)
   let st' = { st with Stats.host_seconds = st.Stats.host_seconds *. 10.0 } in
   check_bool "host_seconds not part of simulated equality" true

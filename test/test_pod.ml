@@ -84,6 +84,13 @@ let test_link_crc_detects_corruption () =
   ignore (Pod.Link.send l ~bytes:128);
   check_bool "every corruption detected" true (Pod.Link.crc_detected l > 0)
 
+(* The one CRC-32 (links and the checkpoint store): the standard
+   check value of IEEE 802.3 CRC-32 over the ASCII digits 1..9. *)
+let test_crc32_check_value () =
+  check_int "crc32 \"123456789\"" 0xCBF43926
+    (Pod.Link.crc32 (Bytes.of_string "123456789"));
+  check_int "crc32 \"\"" 0 (Pod.Link.crc32 Bytes.empty)
+
 (* --- pod construction and routing ----------------------------------- *)
 
 let test_pod_rejects_zero_devices () =
@@ -271,7 +278,7 @@ let test_store_refuses_newer_version () =
   add_u32 4;
   add_u32 8;
   add_u32 0;
-  let crc = Runtime.Checkpoint_store.crc32 (Buffer.to_bytes buf) in
+  let crc = Pod.Link.crc32 (Buffer.to_bytes buf) in
   add_u32 crc;
   let oc = open_out_bin path in
   output_bytes oc (Buffer.to_bytes buf);
@@ -413,6 +420,7 @@ let () =
             test_link_quarantines_after_exhaustion;
           Alcotest.test_case "crc detects corruption" `Quick
             test_link_crc_detects_corruption;
+          Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
         ] );
       ( "pod",
         [
