@@ -3,7 +3,6 @@
    Subcommands:
      run      run any registered operator (--list-ops) on a synthetic workload
      chaos    scenario-driven failure storylines with crash-consistent resume
-     pod      the distributed runner on a simulated multi-NPU pod
      trace    inspect recorded trace files
      profile  critical-path analysis of a recorded trace
      info     print the device / cost-model description
@@ -388,7 +387,7 @@ let params_term =
     $ opt Arg.float R.P ~docv:"P" ~doc:"Nucleus mass, in (0, 1]."
     $ opt Arg.float R.Theta ~docv:"T" ~doc:"Uniform draw, in [0, 1)."
     $ opt Arg.int R.Devices ~docv:"D"
-        ~doc:"Pod size: the shards of a pod-backed entry run on D devices."
+        ~doc:"Device count: the entry's shards run on D simulated devices."
     $ opt Arg.int R.Batch ~docv:"B"
         ~doc:
           "Independent rows of a batched entry (default 4); B must divide \
@@ -572,16 +571,10 @@ let run_cmd =
           flags every operator shares plus the parameters it declares.")
     term
 
-(* Argument checks of the chaos and pod run/resume commands. *)
-let check_geometry ~batch ~len ?devices granularity =
+(* Argument checks of the chaos run/resume commands. *)
+let check_geometry ~batch ~len granularity =
   if batch < 1 then raise (Usage_error "--batch must be >= 1");
   if len < 1 then raise (Usage_error "--len must be >= 1");
-  (match devices with
-  | Some d when d < 1 ->
-      raise
-        (Usage_error
-           (Printf.sprintf "--devices: device count must be >= 1 (got %d)" d))
-  | _ -> ());
   match granularity with
   | Some g when g < 1 -> raise (Usage_error "--granularity must be >= 1")
   | _ -> ()
@@ -591,22 +584,15 @@ let load_scenario file =
   | Ok sc -> sc
   | Error msg -> raise (Usage_error msg)
 
-(* The run/resume storyline shared by the chaos and pod groups: open a
-   fresh store or reopen one (refusing a store whose meta pins a
-   different run), arm the degradation controller and the crash
-   handler, run, then print the report. [group] names the subcommand
-   group in usage errors, [narrator] prefixes the chaos narrative
-   lines. The caller prints its extra state through [after_ctl] (after
-   the controller log) and [after_store] (after the store line);
-   [profile] replaces the device trace as the critical-path profile
-   source. *)
-let checkpointed_run ~group ~narrator ~resume ~store_path ~meta ~batch ~len
-    ~seed ~crash_mode ~obs ?(after_ctl = ignore) ?(after_store = ignore)
-    ?profile ~device sc run =
+(* The chaos run/resume storyline: open a fresh store or reopen one
+   (refusing a store whose meta pins a different run), arm the
+   degradation controller and the crash handler, run the checkpointed
+   batched scan under the scenario, then print the report. *)
+let checkpointed_run ~resume ~store_path ~meta ~batch ~len ~s ?granularity
+    ~seed ~crash_mode ~obs ~device sc =
   let store =
     match (store_path, resume) with
-    | None, true ->
-        raise (Usage_error (group ^ " resume requires --store FILE"))
+    | None, true -> raise (Usage_error "chaos resume requires --store FILE")
     | None, false -> None
     | Some path, false -> (
         try Some (Runtime.Checkpoint_store.create ~path ~rows:batch ~len ~meta ())
@@ -642,47 +628,32 @@ let checkpointed_run ~group ~narrator ~resume ~store_path ~meta ~batch ~len
     | `Sigkill ->
         (* The committed store is the only thing meant to survive;
            flush the narrative first so the harness log is honest. *)
-        Format.printf "%s: %s -- dying with SIGKILL@." narrator msg;
+        Format.printf "chaos: %s -- dying with SIGKILL@." msg;
         Format.pp_print_flush Format.std_formatter ();
         flush stdout;
         flush stderr;
         Unix.kill (Unix.getpid ()) Sys.sigkill
   in
-  let chaos =
-    Option.map (Runtime.Chaos.arm ~skip_crashes:resume ~on_crash) sc
-  in
+  let chaos = Runtime.Chaos.arm ~skip_crashes:resume ~on_crash sc in
   let r =
-    run ~ctl ?chaos ?store (Workload.Generators.sparse_ones ~seed (batch * len))
+    Runtime.Resilient.batched_scan ~s ?granularity ?store ~ctl ~chaos device
+      ~batch ~len
+      ~input:(Workload.Generators.sparse_ones ~seed (batch * len))
   in
   Format.printf "%a@." Runtime.Resilient.pp_batched_report r;
-  Option.iter
-    (fun ch ->
-      match Runtime.Chaos.fired ch with
-      | [] -> Format.printf "%s: no events fired@." narrator
-      | evs ->
-          List.iter
-            (fun (i, d) -> Format.printf "%s launch %d: %s@." narrator i d)
-            evs)
-    chaos;
+  (match Runtime.Chaos.fired chaos with
+  | [] -> Format.printf "chaos: no events fired@."
+  | evs ->
+      List.iter (fun (i, d) -> Format.printf "chaos launch %d: %s@." i d) evs);
   Format.printf "%a@." Runtime.Degrade_ctl.pp ctl;
-  after_ctl ();
   Option.iter
     (fun st ->
       Format.printf "store: %d commits durable at %s@."
         (Runtime.Checkpoint_store.commits st)
         (Runtime.Checkpoint_store.path st))
     store;
-  after_store ();
   print_stats r.Runtime.Resilient.bstats;
   print_robustness device;
-  let obs =
-    match (profile, obs.profile_file) with
-    | Some doc, Some out ->
-        emit_profile ~out
-          (recorded_profile (Obs.Critical_path.of_json (doc ())));
-        { obs with profile_file = None }
-    | _ -> obs
-  in
   emit_obs device obs r.Runtime.Resilient.bstats ~extra:(fun m ->
       Obs.Metrics.observe_batched_report m r;
       Obs.Metrics.observe_ctl m ctl);
@@ -767,12 +738,9 @@ let chaos_cmd =
         ~fault:(Runtime.Chaos.fault_config sc) ()
     in
     arm_obs device obs;
-    checkpointed_run ~group:"chaos" ~narrator:"chaos" ~resume ~store_path
+    checkpointed_run ~resume ~store_path
       ~meta:(meta_of sc ~batch ~len ~s ~seed)
-      ~batch ~len ~seed ~crash_mode ~obs ~device (Some sc)
-      (fun ~ctl ?chaos ?store input ->
-        Runtime.Resilient.batched_scan ~s ?granularity ?store ~ctl ?chaos
-          device ~batch ~len ~input)
+      ~batch ~len ~s ?granularity ~seed ~crash_mode ~obs ~device sc
   in
   let run_term ~resume =
     Term.(
@@ -829,193 +797,6 @@ let chaos_cmd =
           crash-consistent checkpointing and adaptive degradation.")
     [ run_cmd; resume_cmd; report_cmd ]
 
-(* pod subcommand group: the distributed runner under chaos, with the
-   same run/resume/report shape as [chaos] but a multi-device pod
-   behind the launches. The store's meta additionally pins the pod
-   geometry (devices, topology): resuming a 4-device run on a 2-device
-   pod would re-shard the remaining rows differently than the bytes
-   already committed claim, so it is refused up front. *)
-
-let pod_cmd =
-  let scenario_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "scenario" ] ~docv:"FILE"
-          ~doc:
-            "Chaos scenario file; pod scenarios may add $(b,kill device=D) \
-             and $(b,link src=A dst=B for=N) events. Malformed files exit 2.")
-  in
-  let store_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"FILE"
-          ~doc:
-            "Crash-consistent checkpoint store path; $(b,pod resume) \
-             continues from it and refuses a store whose pinned pod \
-             geometry differs.")
-  in
-  let batch_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "batch"; "b" ] ~docv:"B" ~doc:"Number of independent rows.")
-  in
-  let len_arg =
-    Arg.(
-      value & opt int 4096
-      & info [ "len"; "l" ] ~docv:"L" ~doc:"Length of each row.")
-  in
-  let granularity_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "granularity" ] ~docv:"ROWS"
-          ~doc:"Base rows per checkpoint group (default: quarter batches).")
-  in
-  let devices_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "devices" ] ~docv:"D" ~doc:"Pod size (simulated NPUs).")
-  in
-  let topology_arg =
-    Arg.(
-      value
-      & opt (enum [ ("ring", Pod.Ring); ("full", Pod.Fully_connected) ]) Pod.Ring
-      & info [ "topology" ] ~docv:"TOPO"
-          ~doc:"Pod topology: $(b,ring) or $(b,full) (fully connected).")
-  in
-  let schedule_arg =
-    Arg.(
-      value
-      & opt
-          (some
-             (enum
-                [
-                  ("ring", Scan.Dist_scan.Ring);
-                  ("allgather", Scan.Dist_scan.All_gather);
-                ]))
-          None
-      & info [ "schedule" ] ~docv:"SCHED"
-          ~doc:
-            "Prefix-exchange schedule: $(b,ring) or $(b,allgather) \
-             (default: the topology's native schedule).")
-  in
-  let pod_trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "pod-trace" ] ~docv:"FILE"
-          ~doc:
-            "Write the pod-level Chrome trace (one Perfetto process per \
-             device, link-transfer spans, phase timeline).")
-  in
-  let crash_mode_arg =
-    Arg.(
-      value
-      & opt (enum [ ("sigkill", `Sigkill); ("raise", `Raise) ]) `Sigkill
-      & info [ "crash-mode" ] ~docv:"MODE"
-          ~doc:
-            "What a $(b,crash) event does: $(b,sigkill) (default) or \
-             $(b,raise) (clean exit 1).")
-  in
-  let meta_of sc ~batch ~len ~s ~seed ~devices ~topology =
-    Printf.sprintf "pod|%s|seed=%d|batch=%d|len=%d|s=%d|wseed=%d|devices=%d|topology=%s"
-      (match sc with
-      | Some sc -> sc.Runtime.Chaos.sc_name
-      | None -> "-")
-      (match sc with Some sc -> sc.Runtime.Chaos.sc_seed | None -> 0)
-      batch len s seed devices
-      (Pod.topology_to_string topology)
-  in
-  let run_or_resume ~resume scenario_file store_path batch len s granularity
-      devices topology schedule pod_trace crash_mode seed obs =
-    check_geometry ~batch ~len ~devices granularity;
-    let sc = Option.map load_scenario scenario_file in
-    let primary =
-      Ascend.Device.create ~mode:Ascend.Device.Functional
-        ?fault:(Option.map Runtime.Chaos.fault_config sc)
-        ()
-    in
-    arm_obs primary obs;
-    let pod = Pod.create_with ~topology ~primary ~devices () in
-    checkpointed_run ~group:"pod" ~narrator:"pod chaos" ~resume ~store_path
-      ~meta:(meta_of sc ~batch ~len ~s ~seed ~devices ~topology)
-      ~batch ~len ~seed ~crash_mode ~obs
-      ~after_ctl:(fun () -> Format.printf "%a@." Pod.pp pod)
-      ~after_store:(fun () ->
-        Option.iter
-          (fun file ->
-            write_file file (Obs.Pod_trace.to_string pod);
-            Format.printf "pod trace: %d events -> %s@."
-              (List.length (Pod.events pod))
-              file)
-          pod_trace)
-        (* Pod runs profile the pod-level trace: the critical path
-           crosses link-transfer spans between devices, which the
-           per-device trace cannot see. *)
-      ~profile:(fun () -> Obs.Pod_trace.json pod)
-      ~device:primary sc
-      (fun ~ctl ?chaos ?store input ->
-        Runtime.Pod_runner.batched_scan ~s ?granularity ?schedule ?store ~ctl
-          ?chaos pod ~batch ~len ~input)
-  in
-  let run_term ~resume =
-    Term.(
-      const (run_or_resume ~resume)
-      $ scenario_arg $ store_arg $ batch_arg $ len_arg $ s_arg
-      $ granularity_arg $ devices_arg $ topology_arg $ schedule_arg
-      $ pod_trace_arg $ crash_mode_arg $ seed_arg $ obs_term)
-  in
-  let run_cmd =
-    Cmd.v
-      (Cmd.info "run"
-         ~doc:
-           "Run a checkpointed batched scan distributed across a simulated \
-            multi-NPU pod, optionally under a chaos scenario with link \
-            faults and whole-device kills. Device deaths re-shard the scan \
-            over the survivors with bit-identical output.")
-      (run_term ~resume:false)
-  in
-  let resume_cmd =
-    Cmd.v
-      (Cmd.info "resume"
-         ~doc:
-           "Resume a pod run killed mid-batch from its checkpoint store \
-            (committed row groups are never re-executed); the store's \
-            pinned pod geometry must match this invocation.")
-      (run_term ~resume:true)
-  in
-  let report_cmd =
-    let run scenario_file store_path =
-      (match scenario_file with
-      | Some file ->
-          Format.printf "%a@." Runtime.Chaos.pp_scenario (load_scenario file)
-      | None -> ());
-      match store_path with
-      | None -> ()
-      | Some path -> (
-          match Runtime.Checkpoint_store.load ~path with
-          | Ok l -> Format.printf "%a@." Runtime.Checkpoint_store.pp_loaded l
-          | Error e ->
-              Format.eprintf "pod report: %s@." e;
-              exit 1)
-    in
-    Cmd.v
-      (Cmd.info "report"
-         ~doc:
-           "Validate and pretty-print a pod chaos scenario and/or the \
-            durable contents of a checkpoint store.")
-      Term.(const run $ scenario_arg $ store_arg)
-  in
-  Cmd.group
-    (Cmd.info "pod"
-       ~doc:
-         "Distributed scans on a simulated multi-NPU pod: link/device \
-          fault injection, failover re-sharding and crash-consistent \
-          resume.")
-    [ run_cmd; resume_cmd; report_cmd ]
-
 (* trace subcommand group: offline inspection of recorded trace
    files. Both tools run from the JSON alone, so traces produced on
    another machine (or checked into CI artifacts) work too. *)
@@ -1057,7 +838,7 @@ let trace_cmd =
          ~doc:
            "Print per-phase engine occupancy, the bounding resource \
             (busiest engine, or HBM/L2 bandwidth) and the MTE/compute \
-            overlap for each launch in a recorded device or pod trace; \
+            overlap for each launch in a recorded trace; \
             exit 2 when the file is not a profilable trace.")
       Term.(const run $ file_arg)
   in
@@ -1088,7 +869,7 @@ let trace_cmd =
     [ summary_cmd; validate_cmd ]
 
 (* profile subcommand: offline critical-path analysis of a recorded
-   trace file (device or pod schema). *)
+   trace file. *)
 
 let profile_cmd =
   let out_arg =
@@ -1110,8 +891,7 @@ let profile_cmd =
          "Reconstruct the launch DAG from a recorded trace (flow events + \
           exact cycle endpoints), print critical-path blame, what-if \
           analysis and roofline utilization, and write the profile \
-          document. Works on device traces ($(b,--trace)) and pod traces \
-          ($(b,--pod-trace)).")
+          document from a $(b,--trace) file.")
     Term.(const run $ trace_file_arg $ out_arg)
 
 (* Every-registered-op tracing smoke check (rides next to --list-ops so
@@ -1191,7 +971,7 @@ let () =
              else `Help (`Pager, None))
         $ list_ops_arg $ trace_smoke_arg))
   in
-  let main = Cmd.group ~default (Cmd.info "ascend_scan_cli" ~doc) [ run_cmd; info_cmd; trace_cmd; profile_cmd; chaos_cmd; pod_cmd ] in
+  let main = Cmd.group ~default (Cmd.info "ascend_scan_cli" ~doc) [ run_cmd; info_cmd; trace_cmd; profile_cmd; chaos_cmd ] in
   (* Unknown flags and malformed arguments exit 2 with a usage pointer
      rather than cmdliner's 124; runtime kernel errors (e.g. a kernel
      aborted by injected fault corruption) exit 1 with a clean message

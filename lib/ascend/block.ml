@@ -6,7 +6,7 @@
    joins the lane again at its [wait_group]. The block's elapsed cycles
    are the makespan over all cursors and clocks. All state is
    block-local, so the schedule — and therefore Stats and traces — is
-   bit-identical across host domain counts and pod placements. *)
+   bit-identical across host domain counts. *)
 
 (* One committed async-copy group on an engine queue: everything issued
    since the previous [commit_group]. [g_end] is the completion time

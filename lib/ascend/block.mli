@@ -33,8 +33,8 @@
     The block's elapsed cycles are the makespan — the maximum over all
     lane cursors and engine clocks. All state is block-local and the
     schedule is replayed identically regardless of host parallelism, so
-    {!Stats} and traces are bit-identical across [--domains] settings
-    and pod placements. *)
+    {!Stats} and traces are bit-identical across [--domains]
+    settings. *)
 
 type t
 

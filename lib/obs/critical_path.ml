@@ -12,11 +12,7 @@
    per-span slack, and rolls the whole run up into a blame table —
    cycles of end-to-end makespan attributed to each engine, op and
    queue, plus the launch latency, SyncAll and bandwidth terms of the
-   phase composition.
-
-   Pod traces (schema "ascend-pod-trace-1") carry no flow events; their
-   DAG is structural — per-track span order plus link-transfer arrivals
-   — and is profiled at link/kernel granularity in microseconds. *)
+   phase composition. *)
 
 type span = {
   x_sid : int;
@@ -77,16 +73,12 @@ type t = {
   spans_total : int;
   edges_total : int;
   cp_spans : int;
-  pod_phases : phase list; (* pod traces only; [] for device traces *)
 }
 
 (* ------------------------------------------------------------------ *)
 (* JSON helpers. *)
 
 let member k j = Jsonw.member k j
-let str_of k j = Option.bind (member k j) Jsonw.string_opt
-let int_of k j = Option.bind (member k j) Jsonw.int_opt
-let num_of k j = Option.bind (member k j) Jsonw.number_opt
 
 let tally tbl key v =
   Hashtbl.replace tbl key (v +. Option.value ~default:0.0 (Hashtbl.find_opt tbl key))
@@ -615,169 +607,7 @@ let of_device_json ~clock_hz events =
             spans_total = List.length spans;
             edges_total = List.length edges;
             cp_spans = !cp_spans;
-            pod_phases = [];
           }
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Pod-trace profile: structural DAG over kernel/link spans — per-track
-   program order plus link-transfer arrival edges. Units are
-   microseconds (clock_hz = 1e6 makes the cycle/us conversion the
-   identity). Each device span is its own one-span block, and blocks
-   belong to the pod phase window their span starts in. *)
-
-let of_pod_json events =
-  (* Spans of device processes, with their link destination; phase
-     windows from the pod process. *)
-  let all = ref [] and next = ref 0 in
-  let windows = ref [] in
-  List.iter
-    (fun ev ->
-      match (str_of "ph" ev, num_of "ts" ev, num_of "dur" ev) with
-      | Some "X", Some ts, Some dur -> (
-          let args = Option.value ~default:absent (member "args" ev) in
-          let cat = Option.value ~default:"?" (str_of "cat" ev) in
-          if cat = "phase" then
-            windows :=
-              {
-                rp_launch = str ~default:"?" (arg "launch" args);
-                rp_index = int ~default:0 (arg "index" args);
-                rp_ts = ts;
-                rp_dur = dur;
-                rp_seconds = dur /. 1e6;
-                rp_compute = 0.0;
-                rp_bandwidth = 0.0;
-                rp_bound = str ~default:"compute" (arg "bound" args);
-                rp_gm = 0;
-                rp_binsts = [];
-              }
-              :: !windows;
-          match (int_of "pid" ev, int_of "tid" ev) with
-          | Some pid, Some tid when pid > 0 ->
-              let i = !next in
-              incr next;
-              all :=
-                ( {
-                    x_sid = i;
-                    x_binst = i;
-                    x_pid = pid;
-                    x_tid = tid;
-                    x_track =
-                      Printf.sprintf "device %d:%s" (pid - 1)
-                        (if tid = 1 then "link" else "compute");
-                    x_queue = cat;
-                    x_op = Option.value ~default:"?" (str_of "name" ev);
-                    x_c0 = 0.0;
-                    x_c1 = dur;
-                    x_bytes = 0;
-                    x_ts = ts;
-                  },
-                  Jsonw.int_opt (arg "dst" args) )
-                :: !all
-          | _ -> ())
-      | _ -> ())
-    events;
-  let arr = Array.of_list (List.rev !all) in
-  if Array.length arr = 0 then Error "pod trace has no device spans"
-  else begin
-    let n = Array.length arr in
-    let ends = Array.map (fun (s, _) -> s.x_ts +. s.x_c1) arr in
-    let preds = Array.make n [] in
-    (* Track order. *)
-    let last_on : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
-    Array.iteri
-      (fun i (s, _) ->
-        (match Hashtbl.find_opt last_on (s.x_pid, s.x_tid) with
-        | Some j -> preds.(i) <- j :: preds.(i)
-        | None -> ());
-        Hashtbl.replace last_on (s.x_pid, s.x_tid) i)
-      arr;
-    (* Link arrivals: a link span on device d with args.dst = p gates
-       the earliest span on device p starting at or after its end. *)
-    let slack_us = 1e-6 in
-    Array.iteri
-      (fun i (s, dst) ->
-        match (s.x_queue, dst) with
-        | "link", Some peer ->
-            let best = ref (-1) in
-            Array.iteri
-              (fun j (s', _) ->
-                if
-                  s'.x_pid = peer + 1
-                  && s'.x_ts >= ends.(i) -. slack_us
-                  && (!best < 0 || s'.x_ts < (fst arr.(!best)).x_ts)
-                then best := j)
-              arr;
-            if !best >= 0 then preds.(!best) <- i :: preds.(!best)
-        | _ -> ())
-      arr;
-    (* Longest path by end time; walk back over preds, counting gaps
-       as idle wait. *)
-    let sink = ref 0 in
-    Array.iteri (fun i e -> if e > ends.(!sink) then sink := i) ends;
-    let blame = Hashtbl.create 16 in
-    let op_blame = Hashtbl.create 16 in
-    let cp_spans = ref 0 in
-    let cur = ref !sink in
-    let continue = ref true in
-    let total = ends.(!sink) in
-    while !continue do
-      incr cp_spans;
-      let s, _ = arr.(!cur) in
-      tally blame s.x_track s.x_c1;
-      tally op_blame s.x_op s.x_c1;
-      let best = ref (-1) in
-      List.iter
-        (fun j ->
-          if !best < 0 || ends.(j) > ends.(!best) then best := j)
-        preds.(!cur);
-      if !best >= 0 then begin
-        let gap = s.x_ts -. ends.(!best) in
-        if gap > 0.0 then tally blame "idle wait" gap;
-        cur := !best
-      end
-      else begin
-        if s.x_ts > 0.0 then tally blame "idle wait" s.x_ts;
-        continue := false
-      end
-    done;
-    let windows = Array.of_list (List.rev !windows) in
-    if Array.length windows > 0 then begin
-      let cursor = ref 0 in
-      Array.iteri
-        (fun i (s, _) ->
-          advance windows cursor s.x_ts;
-          let w = windows.(!cursor) in
-          if s.x_ts >= w.rp_ts -. eps && s.x_ts < w.rp_ts +. w.rp_dur +. eps
-          then w.rp_binsts <- i :: w.rp_binsts)
-        arr
-    end;
-    let block i =
-      let s, _ = arr.(i) in
-      {
-        bk_binst = i;
-        bk_core = s.x_pid - 1;
-        bk_spans = [| s |];
-        bk_edges = [||];
-        bk_cycles = s.x_c1;
-        bk_cp = [ i ];
-        bk_slack = [| 0.0 |];
-      }
-    in
-    Ok
-      {
-        schema = "ascend-pod-trace-1";
-        clock_hz = 1e6;
-        total_cycles = total;
-        launches = [];
-        blame = sorted_blame blame;
-        op_blame = sorted_blame op_blame;
-        queue_blame = [];
-        spans_total = n;
-        edges_total = 0;
-        cp_spans = !cp_spans;
-        pod_phases = Array.to_list (Array.map (phase_of block) windows);
-      }
   end
 
 let of_json doc =
@@ -789,7 +619,12 @@ let of_json doc =
             Option.bind (member "schema" o) Jsonw.string_opt)
       in
       match schema with
-      | Some "ascend-pod-trace-1" -> of_pod_json events
+      | Some ("ascend-pod-trace-1" as sc) ->
+          Error
+            (Printf.sprintf
+               "schema %S is a multi-device pod trace, which this build no \
+                longer reads"
+               sc)
       | _ ->
           let clock_hz =
             Option.value ~default:1.8e9
@@ -853,11 +688,7 @@ type summary = {
 }
 
 let summaries t =
-  let phases =
-    match t.launches with
-    | [] -> t.pod_phases
-    | launches -> List.concat_map (fun l -> l.ln_phases) launches
-  in
+  let phases = List.concat_map (fun l -> l.ln_phases) t.launches in
   let iter_spans f p =
     List.iter (fun b -> Array.iter f b.bk_spans) p.ph_blocks
   in

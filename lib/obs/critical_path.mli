@@ -13,12 +13,7 @@
     critical path of every block, per-span slack, and a blame table
     attributing cycles of the end-to-end makespan to engines, ops and
     queues alongside the launch-latency, SyncAll and HBM-bandwidth
-    terms of the launch composition.
-
-    Pod traces (schema ["ascend-pod-trace-1"]) carry no flow events;
-    their DAG is structural — per-track span order plus link-transfer
-    arrival edges — and is profiled at kernel/link granularity with
-    microsecond units ([clock_hz = 1e6]). *)
+    terms of the launch composition. *)
 
 type span = {
   x_sid : int;  (** Trace-unique span id (issue order within block). *)
@@ -90,18 +85,14 @@ type t = {
   spans_total : int;
   edges_total : int;
   cp_spans : int;
-  pod_phases : phase list;
-      (** Pod traces only ([launches] is empty there): the pod's phase
-          windows, each device span a one-span block of the window it
-          starts in, with [x_c0 = 0] and [x_c1] its duration in us.
-          [[]] for device traces. *)
 }
 
 val of_json : Jsonw.t -> (t, string) result
-(** Profile a parsed trace document. Dispatches on
-    [otherData.schema]; fails if the trace is not a simulator trace or
-    if any span's recomputed issue time differs bitwise from the
-    recorded one (a corrupted or hand-edited trace). *)
+(** Profile a parsed trace document. Fails if the trace is not a
+    simulator trace, if [otherData.schema] names the retired
+    multi-device pod trace (["ascend-pod-trace-1"]; the error names the
+    schema), or if any span's recomputed issue time differs bitwise
+    from the recorded one (a corrupted or hand-edited trace). *)
 
 val report : t -> Jsonw.t
 (** Deterministic profile document (schema ["ascend-profile-1"]) — the
@@ -141,8 +132,8 @@ type summary = {
 }
 
 val summaries : t -> (phase * summary) list
-(** Every phase of the trace in file order (each launch's phases, or a
-    pod trace's phase windows) with its summary. *)
+(** Every phase of the trace in file order (each launch's phases)
+    with its summary. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** Human-readable {!summaries}: one block per launch, one line per

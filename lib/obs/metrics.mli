@@ -22,9 +22,8 @@ val observe_report : t -> _ Runtime.Resilient.report -> unit
     into [resilient_*_total] counters (runs labelled by outcome). *)
 
 val observe_batched_report : t -> Runtime.Resilient.batched_report -> unit
-(** Fold one checkpointed batched scan in — single-device or pod, the
-    report is the same: group attempts, replayed / restored / shed /
-    committed row counters, backoff and outcome. *)
+(** Fold one checkpointed batched scan in: group attempts, replayed /
+    restored / shed / committed row counters, backoff and outcome. *)
 
 val observe_ctl : t -> Runtime.Degrade_ctl.t -> unit
 (** A controller's whole decision log: one count per transition,

@@ -340,8 +340,7 @@ let roofline ?(cm = Ascend.Cost_model.default) (t : Cp.t) =
 (* Reports. *)
 
 let report ?scenarios ?cm t =
-  (* Pod-schema profiles carry no launch composition — there is
-     nothing to re-time. *)
+  (* A profile without launch spans has nothing to re-time. *)
   if t.Cp.launches = [] then Jsonw.Obj []
   else
   let preds = rank ?scenarios t in

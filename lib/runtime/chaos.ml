@@ -4,9 +4,7 @@ exception Host_crash of string
 
 type action =
   | Kill of { core : int }
-  | Kill_device of { device : int }
   | Quarantine of { core : int; for_launches : int }
-  | Link_down of { src : int; dst : int; for_launches : int }
   | Storm of {
       rate : float;
       kinds : Fault.kind list;
@@ -34,11 +32,8 @@ let scope_to_string = function
 
 let action_to_string = function
   | Kill { core } -> Printf.sprintf "kill core=%d" core
-  | Kill_device { device } -> Printf.sprintf "kill device=%d" device
   | Quarantine { core; for_launches } ->
       Printf.sprintf "quarantine core=%d for=%d" core for_launches
-  | Link_down { src; dst; for_launches } ->
-      Printf.sprintf "link src=%d dst=%d for=%d" src dst for_launches
   | Storm { rate; kinds; scope; stall_factor; for_launches } ->
       Printf.sprintf "storm rate=%g kinds=%s scope=%s%s for=%d" rate
         (String.concat "," (List.map Fault.kind_to_string kinds))
@@ -153,21 +148,17 @@ let parse_action ln = function
   | verb :: args -> (
       let* kvs = parse_kvs ln args in
       match verb with
-      | "kill" -> (
-          let* () = reject_unknown ln kvs [ "core"; "device" ] in
-          match (find_kv kvs "core", find_kv kvs "device") with
-          | Some _, Some _ ->
-              fail_line ln "kill: give exactly one of core=C or device=D"
-          | None, None ->
-              fail_line ln "kill: missing required argument core=C or device=D"
-          | Some core_s, None ->
-              let* core = parse_int ln "core" core_s in
-              if core < 0 then fail_line ln "core: must be >= 0"
-              else Ok (Kill { core })
-          | None, Some dev_s ->
-              let* device = parse_int ln "device" dev_s in
-              if device < 0 then fail_line ln "device: must be >= 0"
-              else Ok (Kill_device { device }))
+      | "kill" ->
+          if find_kv kvs "device" <> None then
+            fail_line ln
+              "kill device=D: whole-device kills are not supported (a run \
+               has one device); use kill core=C"
+          else
+            let* () = reject_unknown ln kvs [ "core" ] in
+            let* core_s = require_kv ln kvs "core" in
+            let* core = parse_int ln "core" core_s in
+            if core < 0 then fail_line ln "core: must be >= 0"
+            else Ok (Kill { core })
       | "quarantine" ->
           let* () = reject_unknown ln kvs [ "core"; "for" ] in
           let* core_s = require_kv ln kvs "core" in
@@ -231,26 +222,17 @@ let parse_action ln = function
                    for_launches;
                  })
       | "link" ->
-          let* () = reject_unknown ln kvs [ "src"; "dst"; "for" ] in
-          let* src_s = require_kv ln kvs "src" in
-          let* src = parse_int ln "src" src_s in
-          let* dst_s = require_kv ln kvs "dst" in
-          let* dst = parse_int ln "dst" dst_s in
-          if src < 0 || dst < 0 then
-            fail_line ln "src/dst: device indices must be >= 0"
-          else if src = dst then
-            fail_line ln "link: src and dst must be different devices"
-          else
-            let* for_launches = parse_for ln kvs ~default:None in
-            Ok (Link_down { src; dst; for_launches })
+          fail_line ln
+            "link: device-link outages are not supported (a run has one \
+             device and no links)"
       | "crash" ->
           let* () = reject_unknown ln kvs [] in
           Ok Crash
       | _ ->
           fail_line ln
             (Printf.sprintf
-               "unknown action %S (expected kill, quarantine, storm, stall, \
-                link or crash)"
+               "unknown action %S (expected kill, quarantine, storm, stall \
+                or crash)"
                verb))
 
 let parse contents =
@@ -342,7 +324,7 @@ let fault_config sc =
 (* ------------------------------------------------------------------ *)
 (* Armed scheduler *)
 
-type expiry = Restore_fault of Fault.config | Revive of int | Link_up of int * int
+type expiry = Restore_fault of Fault.config | Revive of int
 
 type t = {
   sc : scenario;
@@ -378,7 +360,7 @@ let note t device ~launch_index msg =
   | Some tr -> Trace.note tr Trace.Info ~name:("chaos: " ^ msg)
   | None -> ()
 
-let apply_expiry t device ?pod ~launch_index = function
+let apply_expiry t device ~launch_index = function
   | Restore_fault cfg -> (
       match Device.fault device with
       | Some f ->
@@ -389,53 +371,8 @@ let apply_expiry t device ?pod ~launch_index = function
       Health.revive (Device.health device) ~core;
       note t device ~launch_index
         (Printf.sprintf "quarantine expired, core %d revived" core)
-  | Link_up (src, dst) -> (
-      match pod with
-      | Some p when src < Pod.num_devices p && dst < Pod.num_devices p ->
-          Pod.Link.set_down (Pod.link p ~src ~dst) false;
-          note t device ~launch_index
-            (Printf.sprintf "link outage expired, link %d->%d up" src dst)
-      | _ ->
-          note t device ~launch_index
-            (Printf.sprintf "link restore skipped: no pod armed (%d->%d)" src
-               dst))
 
-let apply t device ?pod ~launch_index = function
-  | Kill_device { device = d } -> (
-      match pod with
-      | None ->
-          note t device ~launch_index
-            (Printf.sprintf "kill device skipped: no pod armed (device %d)" d)
-      | Some p ->
-          if d >= Pod.num_devices p then
-            note t device ~launch_index
-              (Printf.sprintf "kill skipped: device %d out of range" d)
-          else if not (Pod.alive p d) then
-            note t device ~launch_index
-              (Printf.sprintf "kill skipped: device %d already dead" d)
-          else begin
-            Pod.kill_device p d;
-            note t device ~launch_index (Printf.sprintf "killed device %d" d)
-          end)
-  | Link_down { src; dst; for_launches } -> (
-      match pod with
-      | None ->
-          note t device ~launch_index
-            (Printf.sprintf "link outage skipped: no pod armed (%d->%d)" src
-               dst)
-      | Some p ->
-          if src >= Pod.num_devices p || dst >= Pod.num_devices p then
-            note t device ~launch_index
-              (Printf.sprintf "link outage skipped: %d->%d out of range" src
-                 dst)
-          else begin
-            Pod.Link.set_down (Pod.link p ~src ~dst) true;
-            t.expiries <-
-              t.expiries @ [ (launch_index + for_launches, Link_up (src, dst)) ];
-            note t device ~launch_index
-              (Printf.sprintf "link %d->%d down for %d launches" src dst
-                 for_launches)
-          end)
+let apply t device ~launch_index = function
   | Kill { core } ->
       if core < Device.num_cores device then begin
         Health.mark_dead (Device.health device) ~core;
@@ -503,22 +440,14 @@ let due trigger ~launch_index ~elapsed_s =
   | At_launch n -> launch_index >= n
   | At_time s -> elapsed_s >= s
 
-let step t device ?pod ~launch_index ~elapsed_s () =
+let before_launch t device ~launch_index ~elapsed_s =
   let due_exp, rest =
     List.partition (fun (at, _) -> launch_index >= at) t.expiries
   in
   t.expiries <- rest;
-  List.iter (fun (_, e) -> apply_expiry t device ?pod ~launch_index e) due_exp;
+  List.iter (fun (_, e) -> apply_expiry t device ~launch_index e) due_exp;
   let fire, keep =
     List.partition (fun e -> due e.trigger ~launch_index ~elapsed_s) t.pending
   in
   t.pending <- keep;
-  List.iter (fun e -> apply t device ?pod ~launch_index e.action) fire
-
-let before_launch t device ~launch_index ~elapsed_s =
-  step t device ~launch_index ~elapsed_s ()
-
-(* The pod-aware boundary: device-level actions land on the pod's
-   primary, kill-device and link events on the pod itself. *)
-let before_launch_pod t p ~launch_index ~elapsed_s =
-  step t (Pod.primary p) ~pod:p ~launch_index ~elapsed_s ()
+  List.iter (fun e -> apply t device ~launch_index e.action) fire

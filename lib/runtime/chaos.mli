@@ -30,10 +30,6 @@
     once. Actions:
 
     - [kill core=C] — permanent core death;
-    - [kill device=D] — permanent {e whole-device} death (pod runs
-      only; a single-device run notes and skips it);
-    - [link src=D dst=E for=K] — take the directed pod link D->E down
-      for K launches (pod runs only);
     - [quarantine core=C for=K] — {e transient} quarantine: the core
       is retired now and revived K launches later;
     - [storm rate=R \[kinds=..\] \[scope=all|cube|vec\] \[factor=F\]
@@ -51,9 +47,7 @@ exception Host_crash of string
 
 type action =
   | Kill of { core : int }
-  | Kill_device of { device : int }
   | Quarantine of { core : int; for_launches : int }
-  | Link_down of { src : int; dst : int; for_launches : int }
   | Storm of {
       rate : float;
       kinds : Ascend.Fault.kind list;
@@ -77,7 +71,9 @@ type scenario = {
 val parse : string -> (scenario, string) result
 (** Parse scenario file contents; [Error] carries the offending line
     number and a usage hint (the CLI maps it to exit 2, consistent
-    with {!Ascend.Fault.parse_spec}). *)
+    with {!Ascend.Fault.parse_spec}). The device-level actions of the
+    retired multi-device runner, [kill device=D] and
+    [link src=D dst=E for=K], are parse errors. *)
 
 val load : string -> (scenario, string) result
 (** {!parse} the file at a path; unreadable files are [Error]s. *)
@@ -107,17 +103,7 @@ val before_launch :
     windows first, then fire events whose launch index or simulated
     time has arrived. Mutates the device's fault model and health
     monitor; notes each application on the device trace. Called by
-    [Resilient.batched_scan] before every group launch. Pod-scale
-    actions (kill device, link) are noted and skipped — arm the
-    scenario through {!before_launch_pod} to make them bite. *)
-
-val before_launch_pod : t -> Pod.t -> launch_index:int -> elapsed_s:float -> unit
-(** {!before_launch} against a pod: device-level actions apply to the
-    pod's primary device, [kill device=D] kills pod device [D] (cores
-    marked dead, shards re-placed by the distributed scan's failover
-    rule) and [link src dst for] takes the directed link down until its
-    window expires. Called by [Pod_runner.batched_scan] before every
-    group launch. *)
+    [Resilient.batched_scan] before every group launch. *)
 
 val fired : t -> (int * string) list
 (** [(launch_index, description)] log of applied events, oldest

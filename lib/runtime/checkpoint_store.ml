@@ -1,6 +1,25 @@
 let magic = "ASCKPT"
 let version = 1
 
+(* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven. *)
+let crc_table =
+  lazy
+    (Array.init 256 (fun n ->
+         let c = ref n in
+         for _ = 0 to 7 do
+           if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1)
+           else c := !c lsr 1
+         done;
+         !c))
+
+let crc32 (b : Bytes.t) =
+  let table = Lazy.force crc_table in
+  let c = ref 0xFFFFFFFF in
+  for i = 0 to Bytes.length b - 1 do
+    c := table.((!c lxor Char.code (Bytes.get b i)) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF land 0xFFFFFFFF
+
 (* Little-endian integer helpers over Buffer. *)
 let add_u16 buf v =
   Buffer.add_char buf (Char.chr (v land 0xFF));
@@ -43,7 +62,7 @@ let header_bytes t =
   add_u32 buf (String.length t.st_meta);
   Buffer.add_string buf t.st_meta;
   let body = Buffer.to_bytes buf in
-  add_u32 buf (Pod.Link.crc32 body);
+  add_u32 buf (crc32 body);
   Buffer.to_bytes buf
 
 let record_bytes (lo, hi, values) =
@@ -53,7 +72,7 @@ let record_bytes (lo, hi, values) =
   add_u32 buf (Array.length values * 8);
   Array.iter (fun v -> add_f64 buf v) values;
   let body = Buffer.to_bytes buf in
-  add_u32 buf (Pod.Link.crc32 body);
+  add_u32 buf (crc32 body);
   Buffer.to_bytes buf
 
 (* Snapshot-rename commit protocol: the full store lands in [.tmp],
@@ -163,7 +182,7 @@ let parse_record ~rows ~len s pos =
       let* crc = read_u32 s pos in
       if
         crc
-        <> Pod.Link.crc32
+        <> crc32
              (Bytes.of_string (String.sub s start (body_end - start)))
       then None
       else Some (lo, hi, values)
@@ -197,7 +216,7 @@ let load ~path =
             let body_end = !pos in
             let* crc = read_u32 s pos in
             if
-              crc <> Pod.Link.crc32 (Bytes.of_string (String.sub s 0 body_end))
+              crc <> crc32 (Bytes.of_string (String.sub s 0 body_end))
             then None
             else Some (Ok (rows, len, meta))
       in

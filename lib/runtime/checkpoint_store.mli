@@ -63,6 +63,10 @@ val load : path:string -> (loaded, string) result
 val version : int
 (** The store format version this build reads and writes. *)
 
+val crc32 : Bytes.t -> int
+(** CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven:
+    the header and record checksum. *)
+
 val reopen : path:string -> (t * loaded, string) result
 (** {!load}, then return a store handle that continues committing to
     the same path with the surviving records preserved. *)

@@ -271,8 +271,6 @@ let granularity t ~base =
 
 let switch_schedule t = level_rank t.lvl >= level_rank Switch_schedule
 
-let shrink_exchange t = level_rank t.lvl >= level_rank Shrink_exchange
-
 let shed t ~group_attempts =
   t.lvl = Shed_rows && group_attempts >= t.cfg.shed_attempts
 

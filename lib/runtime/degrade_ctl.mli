@@ -1,6 +1,6 @@
 (** Degradation controller: a circuit breaker plus a brownout ladder,
     the one retry policy of the resilient runners. Every attempt
-    budget and backoff in {!Resilient} and {!Pod_runner} comes from
+    budget and backoff in {!Resilient} comes from
     here; the plain fixed-budget policy is the {!fixed} configuration
     (a breaker that cannot open).
 
@@ -30,9 +30,10 @@
       failure replays fewer rows;
     + [Switch_schedule] — also switch the batched schedule to the
       alternate kernel (a failing cube path is routed around);
-    + [Shrink_exchange] — pod-level brownout: also shrink the
-      distributed scan's exchange group (fewer shard slots, fewer link
-      hops) before any work is given up;
+    + [Shrink_exchange] — changes no runner behaviour (the
+      [Switch_schedule] granularity and schedule hold). It stays
+      because it delays [Shed_rows] by one breaker opening: removing
+      it would change chaos decision logs and metrics;
     + [Shed_rows] — also give up on groups that keep failing past
       [shed_attempts] total attempts, shedding their rows so the rest
       of the batch completes.
@@ -144,10 +145,6 @@ val granularity : t -> base:int -> int
 
 val switch_schedule : t -> bool
 (** Whether the ladder has reached [Switch_schedule]. *)
-
-val shrink_exchange : t -> bool
-(** Whether the ladder has reached [Shrink_exchange] (the pod runner
-    halves the exchange group while this holds). *)
 
 val shed : t -> group_attempts:int -> bool
 (** Whether a group that has burned [group_attempts] attempts should

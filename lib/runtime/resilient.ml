@@ -187,14 +187,6 @@ type batched_schedule = U | Ul1
 let batched_schedule_to_string = function U -> "u" | Ul1 -> "ul1"
 let other_schedule = function U -> Ul1 | Ul1 -> U
 
-type pod_report = {
-  link_seconds : float;
-  link_sends : int;
-  link_retries : int;
-  rerouted : int;
-  devices_lost : int;
-}
-
 type batched_report = {
   y : Global_tensor.t;
   bstats : Stats.t;
@@ -205,16 +197,6 @@ type batched_report = {
   shed_rows : int;
   backoff_seconds : float;
   bok : bool;
-  pod : pod_report option;
-}
-
-type target = {
-  out : Global_tensor.t;
-  stats_name : string;
-  label : string;
-  boundary : launch_index:int -> elapsed_s:float -> bool;
-  exec : charge:(Stats.t -> link_s:float -> unit) -> lo:int -> hi:int -> unit;
-  on_exn : lo:int -> hi:int -> exn -> [ `Failed | `Dead ];
 }
 
 (* Validate rows [lo, hi): chain the fp16 host reference per row and
@@ -238,7 +220,9 @@ let validate_rows ~input ~len y ~lo ~hi =
   done;
   !ok
 
-let run_groups ~who ?granularity ?store ~ctl device ~batch ~len ~input setup =
+let batched_scan ?(s = 128) ?granularity ?(schedule = U) ?store
+    ?(ctl = fixed_ctl ()) ?chaos device ~batch ~len ~input =
+  let who = "Resilient.batched_scan" in
   if not (Device.functional device) then
     invalid_arg (who ^ ": requires a functional-mode device");
   if batch < 1 || len < 1 then
@@ -251,8 +235,11 @@ let run_groups ~who ?granularity ?store ~ctl device ~batch ~len ~input setup =
     | Some g when g >= 1 -> g
     | Some _ -> invalid_arg (who ^ ": granularity must be >= 1")
   in
-  let t = setup () in
-  let y = t.out in
+  let x = Device.of_array device Dtype.F16 ~name:"bscan_x" input in
+  let y = Device.alloc device Dtype.F16 (batch * len) ~name:"bscan_y" in
+  let stats_name =
+    "resilient_bscan_" ^ batched_schedule_to_string schedule
+  in
   let ck = Checkpoint.create ~rows:batch in
   let note kind name =
     match Device.trace device with
@@ -295,9 +282,18 @@ let run_groups ~who ?granularity ?store ~ctl device ~batch ~len ~input setup =
   let dead = ref false in
   let fail_count = Array.make batch 0 in
   let shed = Array.make batch false in
-  let charge st ~link_s =
+  let exec ~lo ~hi =
+    let run =
+      match
+        if Degrade_ctl.switch_schedule ctl then other_schedule schedule
+        else schedule
+      with
+      | U -> Scan.Batched_scan.run_u
+      | Ul1 -> Scan.Batched_scan.run_ul1
+    in
+    let _, st = run ~s ~rows:(lo, hi) ~y device ~batch ~len x in
     stats_acc := st :: !stats_acc;
-    elapsed := !elapsed +. st.Stats.seconds +. link_s
+    elapsed := !elapsed +. st.Stats.seconds
   in
   let charge_backoff sec =
     if sec > 0.0 then begin
@@ -314,8 +310,11 @@ let run_groups ~who ?granularity ?store ~ctl device ~batch ~len ~input setup =
       (* Every group launch is a chaos boundary: due scenario events
          (kills, storms, crashes, expiries) land exactly here, so a
          storyline is a pure function of the attempt sequence. *)
-      if not (t.boundary ~launch_index:!group_attempts ~elapsed_s:!elapsed)
-      then dead := true;
+      Option.iter
+        (fun ch ->
+          Chaos.before_launch ch device ~launch_index:!group_attempts
+            ~elapsed_s:!elapsed)
+        chaos;
       if !dead then false
       else begin
         charge_backoff (Degrade_ctl.before_attempt ctl ~attempt);
@@ -323,14 +322,14 @@ let run_groups ~who ?granularity ?store ~ctl device ~batch ~len ~input setup =
         if attempt > 1 then begin
           replayed_rows := !replayed_rows + (hi - lo);
           note Trace.Retry
-            (Printf.sprintf "%s rows %d-%d attempt %d" t.label lo hi attempt)
+            (Printf.sprintf "bscan rows %d-%d attempt %d" lo hi attempt)
         end;
         let budget = Degrade_ctl.attempts_allowed ctl in
         let outcome =
-          match t.exec ~charge ~lo ~hi with
+          match exec ~lo ~hi with
           | () -> if validate_rows ~input ~len y ~lo ~hi then `Ok else `Failed
           | exception Launch.Deadline_exceeded _ -> `Failed
-          | exception e -> (t.on_exn ~lo ~hi e :> [ `Ok | `Failed | `Dead ])
+          | exception Health.All_cores_dead -> `Dead
         in
         match outcome with
         | `Ok ->
@@ -414,10 +413,10 @@ let run_groups ~who ?granularity ?store ~ctl device ~batch ~len ~input setup =
     | [] ->
         (* Nothing launched: legitimate when the store already covered
            every row; otherwise the target died before any launch. *)
-        if restored_rows > 0 then Stats.empty ~name:t.stats_name
+        if restored_rows > 0 then Stats.empty ~name:stats_name
         else raise Health.All_cores_dead
     | stats ->
-        let st = Stats.combine ~name:t.stats_name stats in
+        let st = Stats.combine ~name:stats_name stats in
         { st with
           Stats.seconds = st.Stats.seconds +. !backoff;
           retries = !group_attempts - (Checkpoint.commits ck - commits0) }
@@ -433,53 +432,11 @@ let run_groups ~who ?granularity ?store ~ctl device ~batch ~len ~input setup =
       Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 shed;
     backoff_seconds = !backoff;
     bok = Checkpoint.complete ck;
-    pod = None;
   }
 
-let batched_scan ?(s = 128) ?granularity ?(schedule = U) ?store
-    ?(ctl = fixed_ctl ()) ?chaos device ~batch ~len ~input =
-  run_groups ~who:"Resilient.batched_scan" ?granularity ?store ~ctl device
-    ~batch ~len ~input (fun () ->
-      let x = Device.of_array device Dtype.F16 ~name:"bscan_x" input in
-      let y = Device.alloc device Dtype.F16 (batch * len) ~name:"bscan_y" in
-      {
-        out = y;
-        stats_name = "resilient_bscan_" ^ batched_schedule_to_string schedule;
-        label = "bscan";
-        boundary =
-          (fun ~launch_index ~elapsed_s ->
-            Option.iter
-              (fun ch -> Chaos.before_launch ch device ~launch_index ~elapsed_s)
-              chaos;
-            true);
-        exec =
-          (fun ~charge ~lo ~hi ->
-            let run =
-              match
-                if Degrade_ctl.switch_schedule ctl then other_schedule schedule
-                else schedule
-              with
-              | U -> Scan.Batched_scan.run_u
-              | Ul1 -> Scan.Batched_scan.run_ul1
-            in
-            let _, st = run ~s ~rows:(lo, hi) ~y device ~batch ~len x in
-            charge st ~link_s:0.0);
-        on_exn =
-          (fun ~lo:_ ~hi:_ -> function
-            | Health.All_cores_dead -> `Dead
-            | e -> raise e);
-      })
-
-let pp_links fmt = function
-  | None -> ()
-  | Some p ->
-      Format.fprintf fmt "@ links: %d sends, %d retries, %d rerouted, %.1f us"
-        p.link_sends p.link_retries p.rerouted (p.link_seconds *. 1e6)
-
 let pp_batched_report fmt r =
-  let lost = match r.pod with Some p -> p.devices_lost | None -> 0 in
   Format.fprintf fmt
-    "@[<v>%s: %s, %a, %d group attempts, %d rows replayed%s%s%s%s%a@ %a@]"
+    "@[<v>%s: %s, %a, %d group attempts, %d rows replayed%s%s%s@ %a@]"
     r.bstats.Stats.name
     (if r.bok then "ok"
      else if r.shed_rows > 0 then "DEGRADED (rows shed)"
@@ -490,13 +447,10 @@ let pp_batched_report fmt r =
      else "")
     (if r.shed_rows > 0 then Printf.sprintf ", %d rows shed" r.shed_rows
      else "")
-    (if lost > 0 then
-       Printf.sprintf ", %d device%s lost" lost (if lost = 1 then "" else "s")
-     else "")
     (if r.backoff_seconds > 0.0 then
        Printf.sprintf ", %.1f us backoff" (r.backoff_seconds *. 1e6)
      else "")
-    pp_links r.pod Stats.pp_summary r.bstats
+    Stats.pp_summary r.bstats
 
 let pp_report pp_value fmt r =
   Format.fprintf fmt

@@ -37,11 +37,6 @@ type 'a report = {
   ok : bool;  (** Whether the final output validated. *)
 }
 
-val fixed_ctl : unit -> Degrade_ctl.t
-(** A fresh controller on {!Degrade_ctl.fixed}[ ()]: 3 attempts, no
-    backoff, a breaker that never opens. The default [ctl] of every
-    runner below. *)
-
 val run :
   ?name:string ->
   ?ctl:Degrade_ctl.t ->
@@ -51,7 +46,8 @@ val run :
   (unit -> 'a * Ascend.Stats.t) ->
   'a report
 (** [run ~validate attempt] executes [attempt] until it validates or
-    [ctl]'s attempt budget is spent, then tries [fallback] once if
+    [ctl]'s attempt budget is spent (default: a fresh controller on
+    {!Degrade_ctl.fixed}[ ()]), then tries [fallback] once if
     provided. A structured degraded-mode abort escaping an attempt
     ({!Ascend.Launch.Deadline_exceeded} or
     {!Ascend.Health.All_cores_dead}) counts as a detection against the
@@ -89,18 +85,9 @@ val pp_report :
     failure — a core death absorbed by the launch replay, a watchdog
     abort, or corruption caught by the per-row oracle — replays only
     the unfinished rows with retry/backoff; checkpointed rows are never
-    re-executed. {!run_groups} is the one loop; {!batched_scan} and
-    {!Pod_runner.batched_scan} are its two targets. *)
+    re-executed. *)
 
 type batched_schedule = U  (** {!Scan.Batched_scan.run_u}. *) | Ul1
-
-type pod_report = {
-  link_seconds : float;  (** Link time charged during this run. *)
-  link_sends : int;
-  link_retries : int;
-  rerouted : int;
-  devices_lost : int;  (** Pod devices retired during this run. *)
-}
 
 type batched_report = {
   y : Ascend.Global_tensor.t;  (** The [(batch * len)] output tensor. *)
@@ -118,50 +105,7 @@ type batched_report = {
           floor; they stay pending in [checkpoint]. *)
   backoff_seconds : float;  (** Simulated retry backoff folded in. *)
   bok : bool;  (** Whether every row checkpointed. *)
-  pod : pod_report option;  (** [Some] only from {!Pod_runner}. *)
 }
-
-(** What a runner plugs into {!run_groups}. *)
-type target = {
-  out : Ascend.Global_tensor.t;  (** The [(batch * len)] output. *)
-  stats_name : string;  (** Name of the combined stats. *)
-  label : string;  (** Prefix of the retry trace notes. *)
-  boundary : launch_index:int -> elapsed_s:float -> bool;
-      (** Runs before every group attempt (the chaos hook); [false]
-          once the target is dead. *)
-  exec :
-    charge:(Ascend.Stats.t -> link_s:float -> unit) -> lo:int -> hi:int -> unit;
-      (** Compute rows [lo, hi) into [out], passing every launch's
-          stats (and any link time) to [charge]. *)
-  on_exn : lo:int -> hi:int -> exn -> [ `Failed | `Dead ];
-      (** Classify an exception escaping [exec] (other than
-          {!Ascend.Launch.Deadline_exceeded}, always a failed
-          attempt); re-raise the ones that are not the runner's. *)
-}
-
-val run_groups :
-  who:string ->
-  ?granularity:int ->
-  ?store:Checkpoint_store.t ->
-  ctl:Degrade_ctl.t ->
-  Ascend.Device.t ->
-  batch:int ->
-  len:int ->
-  input:float array ->
-  (unit -> target) ->
-  batched_report
-(** The checkpointed row-group loop: check the arguments ([who]
-    prefixes the [Invalid_argument] messages), build the target,
-    restore the [store]'s groups, then sweep the pending groups — at
-    [ctl]'s brownout granularity (default: quarter batches) — until
-    none is left or a sweep makes no progress. Each attempt crosses
-    the target's [boundary], charges [ctl]'s backoff, runs [exec],
-    validates the rows against the fp16 host reference and then
-    commits them (to [store] too) or counts a failure, sheds or
-    retries within [ctl]'s budget. A controller whose breaker can
-    open gets 3 extra zero-progress sweeps. Trace notes go to
-    [device]. Raises {!Ascend.Health.All_cores_dead} when the target
-    dies before any launch and nothing was restored. *)
 
 val batched_scan :
   ?s:int ->
@@ -176,9 +120,11 @@ val batched_scan :
   input:float array ->
   batched_report
 (** Checkpointed batched scan of [input] (row-major [(batch, len)])
-    on one device: {!run_groups} over the batched kernel.
-    [granularity] caps the rows per group (default: quarter batches).
-    Requires a functional-mode device.
+    on one device. [granularity] caps the rows per group (default:
+    quarter batches). Requires a functional-mode device; raises
+    [Invalid_argument] on bad dimensions and
+    {!Ascend.Health.All_cores_dead} when every core dies before any
+    launch and nothing was restored.
 
     [store] makes the run crash-consistent: the store's surviving
     groups are replayed into the output {e before} any launch (their
@@ -187,9 +133,10 @@ val batched_scan :
     bit-identical final output. The store's [rows]/[len] must match
     [batch]/[len] ([Invalid_argument] otherwise).
 
-    [ctl] (default {!fixed_ctl}) is the retry policy: attempt budgets,
-    backoff, group granularity, schedule switching and row shedding
-    all come from it, and it observes every attempt outcome.
+    [ctl] is the retry policy (default: a fresh controller on
+    {!Degrade_ctl.fixed}[ ()], 3 attempts and no backoff): attempt
+    budgets, backoff, group granularity, schedule switching and row
+    shedding all come from it, and it observes every attempt outcome.
 
     [chaos] arms a {!Chaos} scheduler: its due events are applied at
     every group-launch boundary, making an injected storyline a

@@ -317,18 +317,14 @@ let () =
       caps = caps ();
       monoid = sum;
       params = [ S; Devices ];
-      describe = "Distributed pod scan: local scans + link prefix exchange";
-      (* The caller's device becomes the pod's primary, so its armed
-         trace, faults and deadline apply to the shards it executes. *)
+      describe = "Sharded scan over N devices: local scans + prefix fixup";
+      (* The caller's device is the primary, so its armed trace, faults
+         and deadline apply to the shard it executes. *)
       run =
         simple (fun cfg device x ->
-            let devices = Option.value ~default:2 cfg.devices in
-            let pod =
-              Pod.create_with ~topology:Pod.Ring ~primary:device
-                ~devices ()
-            in
-            let r = Dist_scan.run ?s:cfg.s pod x in
-            (r.Dist_scan.y, r.Dist_scan.stats));
+            Dist_scan.run ?s:cfg.s
+              ~devices:(Option.value ~default:2 cfg.devices)
+              device x);
     };
   register
     {

@@ -33,8 +33,8 @@ type config = {
   theta : float option;  (** Uniform draw for sampling. *)
   seed : int option;
   devices : int option;
-      (** Pod size for distributed entries (must be [>= 1] when set;
-          others ignore it). *)
+      (** Device count of [dist_scan] (must be [>= 1] when set; other
+          entries ignore it). *)
 }
 
 val default_config : config

@@ -30,9 +30,8 @@ val run :
   Ascend.Device.t ->
   Ascend.Global_tensor.t ->
   Ascend.Global_tensor.t * Ascend.Stats.t
-(** Dispatch through the registry. [devices] feeds the pod size of
-    pod-backed entries ([dist_scan]) and is ignored by single-device
-    kernels. Capability violations (exclusive on a non-supporting
+(** Dispatch through the registry. [devices] feeds the device count
+    of [dist_scan] and is ignored by single-device kernels. Capability violations (exclusive on a non-supporting
     kernel, unsupported dtype) and operator-side parameter errors
     surface as [Invalid_argument]; use {!Op_registry.run} directly for
     the [result]-typed error path. *)

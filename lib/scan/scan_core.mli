@@ -20,14 +20,12 @@ type schedule =
 
 val schedule_name : schedule -> string
 
-val default_schedule : schedule ref
-(** The schedule kernels run under when not overridden per call.
-    Defaults to [Triple]. *)
-
 val current_schedule : unit -> schedule
+(** The schedule kernels run under when not overridden per call:
+    [Triple] outside {!with_schedule}. *)
 
 val with_schedule : schedule -> (unit -> 'a) -> 'a
-(** Run [f] with {!default_schedule} temporarily replaced — how the
+(** Run [f] with {!current_schedule} temporarily replaced — how the
     equivalence tests and the pipeline bench run one kernel under
     several schedules. Restores the previous schedule on exit. *)
 
@@ -75,7 +73,7 @@ val pipeline :
     slots with commit/wait groups; [out = (engine, slots)] (honoured
     under [Triple]) additionally paces [slots] ping-pong store buffers
     whose stores [work] issues via {!stage_out}. [schedule] defaults
-    to {!default_schedule}. *)
+    to {!current_schedule}[ ()]. *)
 
 val pipeline_tiles :
   Block.t ->

@@ -9,9 +9,12 @@
      [--stats-json], [--profile], [chaos run --store]) exits 2 with one
      error line (plus the usage pointer).
    - [profile] and [trace summary]: a small trace, then truncated and
-     byte-flipped copies of it and an empty event list. Every rejection
-     exits 2 the same way, never with an uncaught exception, and a flip
-     the profiler accepts still exits 0.
+     byte-flipped copies of it, an empty event list and a document of
+     the retired pod-trace schema. Every rejection exits 2 the same
+     way, never with an uncaught exception, and a flip the profiler
+     accepts still exits 0.
+   - [chaos report]: a scenario using a retired multi-device action
+     ([kill device=D], [link ...]) exits 2.
 
    Usage: cli_harness.exe PATH/TO/ascend_scan_cli.exe *)
 
@@ -139,6 +142,7 @@ let out_of_range =
     [ "--op"; "cube_reduce"; "-n"; "0" ];
     [ "--op"; "batched_u"; "--batch"; "0" ];
     [ "--op"; "dist_scan"; "--devices"; "0" ];
+    [ "--op"; "mcscan"; "-n"; "128"; "--deadline=-5" ];
     [ "--op"; "topp"; "--check" ];
     [ "--op"; "split"; "--resilient" ];
     [ "--op"; "batched_u"; "-n"; "100"; "--batch"; "3" ];
@@ -161,15 +165,31 @@ let check_run () =
   write_file scenario "name unwritable-store\nseed 1\n";
   expect_usage ~what:"chaos run, unwritable --store"
     [ "chaos"; "run"; "--scenario"; scenario; "--store"; "/nonexistent/d/x" ];
+  List.iter
+    (fun action ->
+      write_file scenario ("name retired\nseed 1\nat launch 1 " ^ action ^ "\n");
+      expect_usage ~what:("chaos report, " ^ action)
+        [ "chaos"; "report"; "--scenario"; scenario ])
+    [ "kill device=1"; "link src=0 dst=1 for=2" ];
   Sys.remove scenario
 
 (* ------------------------------------------------------------------ *)
 (* profile and trace summary                                           *)
 
+let index_of_opt ~sub s =
+  let m = String.length sub in
+  let rec go i =
+    if i + m > String.length s then None
+    else if String.sub s i m = sub then Some i
+    else go (i + 1)
+  in
+  go 0
+
 (* Feed [bytes] to [profile] and to [trace summary], which read a trace
    file the same way; [expect] is [`Reject] (exit 2) or [`Either] (exit
-   0, or exit 2 as for [`Reject]). *)
-let profile ~what ~expect bytes =
+   0, or exit 2 as for [`Reject]); a [needle] must appear in the error
+   line. *)
+let profile ?(needle = "") ~what ~expect bytes =
   let file = Filename.temp_file "cli_harness" ".json" in
   write_file file bytes;
   List.iter
@@ -177,21 +197,16 @@ let profile ~what ~expect bytes =
       let code, _, lines = run_cli args in
       match (code, lines) with
       | 0, _ when expect = `Either -> ()
-      | 2, [ e; u ] when is_error_line e && is_usage_line u -> ()
+      | 2, [ e; u ]
+        when is_error_line e && is_usage_line u
+             && (needle = "" || Option.is_some (index_of_opt ~sub:needle e)) ->
+          ()
       | _ ->
           fail "%s, %s: exit %d, stderr:\n  %s" (List.hd args) what code
             (String.concat "\n  " lines))
     [ [ "profile"; file; "-o"; "none" ]; [ "trace"; "summary"; file ] ];
   Sys.remove file
 
-let index_of ~sub s =
-  let m = String.length sub in
-  let rec go i =
-    if i + m > String.length s then raise Not_found
-    else if String.sub s i m = sub then i
-    else go (i + 1)
-  in
-  go 0
 
 let flip bytes i mask =
   let b = Bytes.of_string bytes in
@@ -220,7 +235,17 @@ let check_profile () =
   profile ~what:"no events" ~expect:`Reject {|{"traceEvents":[]}|};
   let ph = {|"cat":"launch","ph":"|} in
   profile ~what:"launch span ph X->Y" ~expect:`Reject
-    (flip good (index_of ~sub:ph good + String.length ph) 0x01);
+    (flip good (Option.get (index_of_opt ~sub:ph good) + String.length ph) 0x01);
+  (* A valid Chrome trace of the retired multi-device pod schema: a
+     typed error naming the schema, not a profile of the wrong DAG. *)
+  profile ~what:"pod-trace schema" ~expect:`Reject
+    ~needle:{|schema "ascend-pod-trace-1"|}
+    {|{"traceEvents":[
+{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"pod"}},
+{"name":"local scans","cat":"phase","ph":"X","pid":0,"tid":0,"ts":0,"dur":1.5,
+ "args":{"launch":"dist_scan","index":0,"bound":"compute"}},
+{"name":"shard 0: local scan","cat":"local_scan","ph":"X","pid":1,"tid":0,"ts":0,"dur":1.5}],
+"otherData":{"schema":"ascend-pod-trace-1"}}|};
   (* Seeded random single-bit flips: accepted or rejected cleanly. *)
   let st = Random.State.make [| 2025 |] in
   for k = 1 to 40 do

@@ -1,4 +1,5 @@
-(* Tests of the chaos subsystem: the scenario DSL parser, the
+(* Tests of the chaos subsystem: the scenario DSL parser (and a
+   mutation fuzz of the committed scenario files), the
    deterministic armed scheduler, the adaptive degradation
    controller's state machine, and the in-process crash/resume
    storylines (resume-equals-replay, byte for byte, with no row lost
@@ -56,6 +57,11 @@ let test_parse_full_scenario () =
       check_bool "stall kind" true (kinds = [ Fault.Engine_stall ])
   | a -> Alcotest.failf "expected stall storm, got %s" (Chaos.action_to_string a)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
 let test_parse_errors_carry_line_numbers () =
   let cases =
     [
@@ -68,11 +74,6 @@ let test_parse_errors_carry_line_numbers () =
       ("at launch 1 storm rate=0.5 kinds=meteor for=1\n", "meteor");
       ("bogus directive\n", "bogus");
     ]
-  in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    nn = 0 || go 0
   in
   List.iter
     (fun (text, needle) ->
@@ -201,7 +202,6 @@ let test_ladder_escalates_to_shedding () =
   check_bool "schedule switched" true (Degrade_ctl.switch_schedule ctl);
   trip ();
   check_bool "level 3" true (Degrade_ctl.level ctl = Degrade_ctl.Shrink_exchange);
-  check_bool "exchange shrunk" true (Degrade_ctl.shrink_exchange ctl);
   check_bool "not yet shedding" true
     (not (Degrade_ctl.shed ctl ~group_attempts:7));
   trip ();
@@ -419,6 +419,90 @@ let test_trace_stays_consistent_under_chaos () =
   | Error e -> Alcotest.failf "trace inconsistent: %s" e);
   check_bool "chaos events visible in trace" true (Trace.mark_count tr > 0)
 
+(* The multi-device actions are gone from the DSL: each is a
+   line-numbered parse error, not an event that is noted and skipped. *)
+let test_kill_device_rejected () =
+  List.iter
+    (fun text ->
+      let e = parse_err text in
+      check_bool (e ^ ": line 3") true (contains e "line 3");
+      check_bool (e ^ ": names kill device") true (contains e "kill device=D"))
+    [
+      "name x\nseed 1\nat launch 1 kill device=3\n";
+      "name x\nseed 1\nat launch 1 kill core=1 device=2\n";
+    ]
+
+let test_link_rejected () =
+  let e = parse_err "name x\n\nat launch 2 link src=0 dst=1 for=2\n" in
+  check_bool (e ^ ": line 3") true (contains e "line 3");
+  check_bool (e ^ ": names link") true (contains e "link:")
+
+(* Mutations of the committed scenarios: byte flips, dropped lines and
+   duplicated lines. [Chaos.parse] must answer [Ok] or [Error] and
+   never raise. *)
+let scenario_texts =
+  lazy
+    (Sys.readdir "../scenarios" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".chaos")
+    |> List.sort compare
+    |> List.map (fun f ->
+           In_channel.with_open_bin (Filename.concat "../scenarios" f)
+             In_channel.input_all))
+
+type edit = Flip_byte of int * int | Drop_line of int | Dup_line of int
+
+let apply_edit text = function
+  | Flip_byte (i, bit) ->
+      let b = Bytes.of_string text in
+      if Bytes.length b > 0 then begin
+        let i = i mod Bytes.length b in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)))
+      end;
+      Bytes.to_string b
+  | Drop_line i ->
+      let lines = String.split_on_char '\n' text in
+      let i = i mod List.length lines in
+      String.concat "\n" (List.filteri (fun j _ -> j <> i) lines)
+  | Dup_line i ->
+      let lines = String.split_on_char '\n' text in
+      let i = i mod List.length lines in
+      String.concat "\n"
+        (List.concat (List.mapi (fun j l -> if j = i then [ l; l ] else [ l ]) lines))
+
+let edit_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (fun i b -> Flip_byte (i, b)) (int_range 0 10_000) (int_range 0 7);
+        map (fun i -> Drop_line i) (int_range 0 100);
+        map (fun i -> Dup_line i) (int_range 0 100);
+      ])
+
+let prop_mutated_scenarios_parse =
+  let arb =
+    QCheck.make
+      ~print:(fun (f, edits) ->
+        Printf.sprintf "scenario %d, %d edits" f (List.length edits))
+      QCheck.Gen.(pair (int_range 0 100) (list_size (int_range 1 4) edit_gen))
+  in
+  QCheck.Test.make ~name:"mutated scenarios parse to Ok or Error" ~count:300
+    arb (fun (f, edits) ->
+      let texts = Lazy.force scenario_texts in
+      QCheck.assume (texts <> []);
+      let text =
+        List.fold_left apply_edit (List.nth texts (f mod List.length texts)) edits
+      in
+      match Chaos.parse text with
+      | Ok _ | Error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "parse raised %s on %S"
+            (Printexc.to_string e) text)
+
+let test_committed_scenarios_parse () =
+  let texts = Lazy.force scenario_texts in
+  check_int "four committed scenarios" 4 (List.length texts);
+  List.iter (fun t -> ignore (parse_ok t)) texts
+
 let () =
   Alcotest.run "chaos"
     [
@@ -427,6 +511,12 @@ let () =
           Alcotest.test_case "full scenario" `Quick test_parse_full_scenario;
           Alcotest.test_case "errors carry line numbers" `Quick
             test_parse_errors_carry_line_numbers;
+          Alcotest.test_case "kill device rejected" `Quick
+            test_kill_device_rejected;
+          Alcotest.test_case "link rejected" `Quick test_link_rejected;
+          Alcotest.test_case "committed scenarios parse" `Quick
+            test_committed_scenarios_parse;
+          QCheck_alcotest.to_alcotest prop_mutated_scenarios_parse;
         ] );
       ( "scheduler",
         [

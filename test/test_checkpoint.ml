@@ -1,7 +1,9 @@
-(* Property-based tests (QCheck) of the row-granular Checkpoint and
-   the crash-consistent Checkpoint_store: pending/done bookkeeping
-   under random mark interleavings, and serialization roundtrips with
-   torn-tail recovery. *)
+(* Tests of the row-granular Checkpoint and the crash-consistent
+   Checkpoint_store: pending/done bookkeeping under random mark
+   interleavings (QCheck), serialization roundtrips with torn-tail
+   recovery, the on-disk format pinned by a literal file, the CRC-32
+   check value, and byte mutations that must never make [load]
+   raise. *)
 
 open Runtime
 
@@ -165,6 +167,173 @@ let prop_store_torn_tail_is_prefix =
               && l.Checkpoint_store.l_groups
                  = List.filteri (fun i _ -> i < k) groups))
 
+(* Byte mutations of a whole store file: bit flips, records swapped,
+   a record duplicated. [load] must return a typed error or groups
+   whose records passed their CRC (each one a committed group), and
+   never raise. Swapped and duplicated records are intact, so they
+   load as exactly the mutated record sequence. *)
+let header_len meta = String.length "ASCKPT" + 2 + 4 + 4 + 4 + String.length meta + 4
+let record_len len (lo, hi, _) = 12 + ((hi - lo) * len * 8) + 4
+
+type mutation = Flip of int list | Swap of int * int | Dup of int
+
+let print_mutation = function
+  | Flip bits ->
+      Printf.sprintf "flip bits [%s]"
+        (String.concat ";" (List.map string_of_int bits))
+  | Swap (i, j) -> Printf.sprintf "swap records %d,%d" i j
+  | Dup i -> Printf.sprintf "duplicate record %d" i
+
+let mutation_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun l -> Flip l) (list_size (int_range 1 4) (int_range 0 100_000));
+        map2 (fun i j -> Swap (i, j)) (int_range 0 100) (int_range 0 100);
+        map (fun i -> Dup i) (int_range 0 100);
+      ])
+
+let bits_of_group (lo, hi, v) = (lo, hi, Array.map Int64.bits_of_float v)
+
+let prop_store_mutations_never_raise =
+  QCheck.Test.make ~name:"mutated store bytes: typed error or CRC-valid groups"
+    ~count:150
+    (QCheck.pair arb_store_case (QCheck.make ~print:print_mutation mutation_gen))
+    (fun ((rows, len, groups), mutation) ->
+      QCheck.assume (groups <> []);
+      with_temp_store (fun path ->
+          let st = Checkpoint_store.create ~path ~rows ~len ~meta:"mut" () in
+          List.iter
+            (fun (lo, hi, values) -> Checkpoint_store.commit st ~lo ~hi ~values)
+            groups;
+          let full = In_channel.with_open_bin path In_channel.input_all in
+          let h = header_len "mut" in
+          let records =
+            let pos = ref h in
+            List.map
+              (fun g ->
+                let r = String.sub full !pos (record_len len g) in
+                pos := !pos + String.length r;
+                r)
+              groups
+          in
+          let k = List.length groups in
+          let pick l idx = List.filteri (fun i _ -> i = idx mod k) l in
+          let bytes, expected =
+            match mutation with
+            | Flip bits ->
+                let b = Bytes.of_string full in
+                List.iter
+                  (fun bit ->
+                    let bit = bit mod (Bytes.length b * 8) in
+                    let i = bit / 8 in
+                    Bytes.set b i
+                      (Char.chr
+                         (Char.code (Bytes.get b i) lxor (1 lsl (bit land 7)))))
+                  bits;
+                (Bytes.to_string b, None)
+            | Swap (i, j) ->
+                let i = i mod k and j = j mod k in
+                let order =
+                  List.init k (fun x ->
+                      if x = i then j else if x = j then i else x)
+                in
+                let perm l = List.map (fun x -> List.nth l x) order in
+                ( String.sub full 0 h ^ String.concat "" (perm records),
+                  Some (perm groups) )
+            | Dup i ->
+                ( full ^ String.concat "" (pick records i),
+                  Some (groups @ pick groups i) )
+          in
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc bytes);
+          let committed = List.map bits_of_group groups in
+          match Checkpoint_store.load ~path with
+          | exception e ->
+              QCheck.Test.fail_reportf "load raised %s" (Printexc.to_string e)
+          | Error _ -> expected = None
+          | Ok l -> (
+              let got = List.map bits_of_group l.Checkpoint_store.l_groups in
+              match expected with
+              | Some e -> got = List.map bits_of_group e
+              | None -> List.for_all (fun g -> List.mem g committed) got)))
+
+(* The standard check value of IEEE 802.3 CRC-32 over the ASCII
+   digits 1..9. *)
+let test_crc32_check_value () =
+  Alcotest.(check int)
+    "crc32 \"123456789\"" 0xCBF43926
+    (Checkpoint_store.crc32 (Bytes.of_string "123456789"));
+  Alcotest.(check int) "crc32 \"\"" 0 (Checkpoint_store.crc32 Bytes.empty)
+
+let has needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* A valid-magic header one version ahead is refused with a message
+   naming the versions, never misparsed as corruption. *)
+let test_store_refuses_newer_version () =
+  with_temp_store (fun path ->
+      let buf = Buffer.create 64 in
+      Buffer.add_string buf "ASCKPT";
+      let add_u16 v =
+        Buffer.add_char buf (Char.chr (v land 0xFF));
+        Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF))
+      in
+      let add_u32 v =
+        add_u16 (v land 0xFFFF);
+        add_u16 ((v lsr 16) land 0xFFFF)
+      in
+      add_u16 (Checkpoint_store.version + 1);
+      add_u32 4;
+      add_u32 8;
+      add_u32 0;
+      add_u32 (Checkpoint_store.crc32 (Buffer.to_bytes buf));
+      Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc buf);
+      match Checkpoint_store.load ~path with
+      | Ok _ -> Alcotest.fail "newer-versioned store accepted"
+      | Error msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "names the version (%s)" msg)
+            true
+            (has "newer than this build" msg))
+
+(* A version-1 store written by an earlier build: a 3x2 store with
+   meta "v1", rows 1-3 committed, then row 0. It must load, and the
+   same commits must write the same bytes today. *)
+let v1_store =
+  "\x41\x53\x43\x4b\x50\x54\x01\x00\x03\x00\x00\x00\x02\x00\x00\x00\
+   \x02\x00\x00\x00\x76\x31\xc9\x5d\x44\xd2\x01\x00\x00\x00\x03\x00\
+   \x00\x00\x20\x00\x00\x00\x00\x00\x00\x00\x00\x00\xf0\x3f\x00\x00\
+   \x00\x00\x00\x00\x04\x40\x00\x00\x00\x00\x00\x00\xe0\xbf\x00\x00\
+   \x00\x00\x00\xfc\xef\x40\x87\xfa\x8c\xc6\x00\x00\x00\x00\x01\x00\
+   \x00\x00\x10\x00\x00\x00\x00\x00\x00\x00\x00\x00\xc0\x3f\x00\x00\
+   \x00\x00\x00\x00\x08\xc0\xf1\xf0\x19\x3b"
+
+let test_store_loads_v1_file () =
+  let v1_groups =
+    [ (1, 3, [| 1.0; 2.5; -0.5; 65504.0 |]); (0, 1, [| 0.125; -3.0 |]) ]
+  in
+  with_temp_store (fun path ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc v1_store);
+      (match Checkpoint_store.load ~path with
+      | Error e -> Alcotest.failf "v1 store rejected: %s" e
+      | Ok l ->
+          Alcotest.(check (triple int int string))
+            "rows, len, meta" (3, 2, "v1")
+            (l.Checkpoint_store.l_rows, l.l_len, l.l_meta);
+          Alcotest.(check bool) "not torn" false l.l_torn;
+          Alcotest.(check bool) "groups" true (l.l_groups = v1_groups));
+      let st = Checkpoint_store.create ~path ~rows:3 ~len:2 ~meta:"v1" () in
+      List.iter
+        (fun (lo, hi, values) -> Checkpoint_store.commit st ~lo ~hi ~values)
+        v1_groups;
+      Alcotest.(check string)
+        "same bytes written" v1_store
+        (In_channel.with_open_bin path In_channel.input_all))
+
 let () =
   Alcotest.run "checkpoint"
     [
@@ -176,5 +345,14 @@ let () =
             prop_commits_counts_marks;
             prop_store_roundtrip;
             prop_store_torn_tail_is_prefix;
+            prop_store_mutations_never_raise;
           ] );
+      ( "store",
+        [
+          Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
+          Alcotest.test_case "refuses newer version" `Quick
+            test_store_refuses_newer_version;
+          Alcotest.test_case "loads a version-1 file" `Quick
+            test_store_loads_v1_file;
+        ] );
     ]

@@ -244,6 +244,74 @@ let test_algo_names_roundtrip () =
   check_int "unknown" 0
     (match Scan.Scan_api.algo_of_string "nope" with Some _ -> 1 | None -> 0)
 
+(* dist_scan's oracle: on 0/1 inputs every partial sum is exact in
+   fp16, so the sharded scan equals the single-device MCScan bit for
+   bit at any device count. *)
+let bits_of y =
+  Array.init (Global_tensor.length y) (fun i ->
+      Int64.bits_of_float (Global_tensor.get y i))
+
+let sevenths n seed =
+  Array.init n (fun i -> if (i + seed) mod 7 = 0 then 1.0 else 0.0)
+
+let single_device_scan input =
+  let dev = Device.create () in
+  fst (Scan.Mcscan.run dev (Device.of_array dev Dtype.F16 ~name:"x" input))
+
+let prop_dist_equals_single =
+  let arb =
+    QCheck.make
+      ~print:(fun (n, seed, d) ->
+        Printf.sprintf "n=%d seed=%d devices=%d" n seed d)
+      QCheck.Gen.(triple (int_range 1 3000) (int_range 0 100) (int_range 1 8))
+  in
+  QCheck.Test.make ~name:"dist_scan(d devices) = single-device scan" ~count:40
+    arb (fun (n, seed, d) ->
+      let input = sevenths n seed in
+      let dev = Device.create () in
+      let x = Device.of_array dev Dtype.F16 ~name:"x" input in
+      let y, _ = Scan.Dist_scan.run ~devices:d dev x in
+      bits_of (single_device_scan input) = bits_of y)
+
+let test_registry_dist_scan () =
+  let e = Option.get (Scan.Op_registry.find "dist_scan") in
+  let input = sevenths 777 1 in
+  let dev = Device.create () in
+  let x = Device.of_array dev Dtype.F16 ~name:"x" input in
+  let cfg =
+    { Scan.Op_registry.default_config with Scan.Op_registry.devices = Some 3 }
+  in
+  (match Scan.Op_registry.run e cfg dev (Scan.Op_registry.Tensor x) with
+  | Ok (out, _) ->
+      check_bool "registry path bit-identical" true
+        (bits_of (single_device_scan input)
+        = bits_of (Option.get out.Scan.Op_registry.y))
+  | Error e -> Alcotest.failf "registry run failed: %s" e);
+  match
+    Scan.Op_registry.run e
+      { cfg with Scan.Op_registry.devices = Some 0 }
+      dev (Scan.Op_registry.Tensor x)
+  with
+  | Error msg ->
+      Alcotest.(check string)
+        "validation message" "devices: device count must be >= 1 (got 0)" msg
+  | Ok _ -> Alcotest.fail "devices=0 accepted"
+
+let test_dist_rejects_zero_devices () =
+  let dev = Device.create () in
+  let x = Device.of_array dev Dtype.F16 ~name:"x" (sevenths 64 0) in
+  Alcotest.check_raises "devices=0"
+    (Invalid_argument "Dist_scan.run: devices must be >= 1 (got 0)")
+    (fun () -> ignore (Scan.Dist_scan.run ~devices:0 dev x))
+
+let dist_scan_cases =
+  [
+    QCheck_alcotest.to_alcotest prop_dist_equals_single;
+    Alcotest.test_case "registry entry" `Quick test_registry_dist_scan;
+    Alcotest.test_case "rejects zero devices" `Quick
+      test_dist_rejects_zero_devices;
+  ]
+
 (* The per-algorithm correctness matrix enumerates the registry: a new
    unary scan entry joins every length (and, where meaningful, tile
    size) case with no edit here. *)
@@ -258,6 +326,7 @@ let per_algo_suites =
         @
         if List.mem name small_s_algos then small_s_cases algo name else []
       in
+      let cases = if name = "dist_scan" then cases @ dist_scan_cases else cases in
       (name, cases))
     Scan.Scan_api.all_algos
 

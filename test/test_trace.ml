@@ -11,7 +11,7 @@
    - the exported JSON survives its own validator and parser, and the
      occupancy summary derived from it never exceeds 100% per engine;
    - [trace summary] is a view of the profile: its occupancy and
-     bounding lines are pinned for a device and a pod trace, and its
+     bounding lines are pinned for a device trace, and its
      MTE/compute overlap is the [--metrics] gauge of the same phase;
    - the Stats additions (launch counting under [combine], the
      zero-time guards) behave. *)
@@ -199,29 +199,9 @@ launch split_gather
     occupancy: vec0.mte_in 21.7% vec1.mte_in 21.7% vec0 12.8% vec1 12.8% vec0.mte_out 2.3% vec1.mte_out 2.3%
 |}
 
-let pinned_pod =
-  {|launch dist_scan
-  phase 0: 23.343 us, compute-bound, bounded by device 3:compute
-    occupancy: device 3:compute 100.0% device 0:compute 50.0% device 1:compute 50.0%
-  phase 1: 1.501 us, bandwidth-bound, bounded by HBM/L2 bandwidth
-    occupancy: device 0:link 100.0% device 1:link 100.0%
-  phase 2: 16.139 us, compute-bound, bounded by device 3:compute
-    occupancy: device 3:compute 100.0% device 1:compute 50.0%
-|}
-
 let test_summary_pinned () =
   check_string "compress 64K device trace" pinned_compress
-    (without_overlap (profile_at_64k "compress"));
-  (* A 4-device pod with device 2 killed: its rows re-shard, so the
-     phases are uneven across devices. *)
-  let pod = Pod.create ~devices:4 () in
-  Pod.kill_device pod 2;
-  let input = Array.init 4096 (fun i -> if i mod 7 = 0 then 1.0 else 0.0) in
-  let x = Device.of_array (Pod.primary pod) Dtype.F16 ~name:"x" input in
-  ignore (Scan.Dist_scan.run pod x);
-  match Obs.Critical_path.of_json (Obs.Pod_trace.json pod) with
-  | Error msg -> Alcotest.failf "pod profile: %s" msg
-  | Ok p -> check_string "4-device pod trace" pinned_pod (without_overlap p)
+    (without_overlap (profile_at_64k "compress"))
 
 (* ------------------------------------------------------------------ *)
 (* Stats satellites: combine launch counting and zero-time guards.    *)
