@@ -265,7 +265,7 @@ let prop_dist_equals_single =
         Printf.sprintf "n=%d seed=%d devices=%d" n seed d)
       QCheck.Gen.(triple (int_range 1 3000) (int_range 0 100) (int_range 1 8))
   in
-  QCheck.Test.make ~name:"dist_scan(d devices) = single-device scan" ~count:40
+  QCheck.Test.make ~name:"dist_scan(d devices) = single-device" ~count:40
     arb (fun (n, seed, d) ->
       let input = sevenths n seed in
       let dev = Device.create () in
