@@ -264,6 +264,51 @@ let prop_fixed_policy =
           && not (Degrade_ctl.can_open ctl))
         outcomes)
 
+(* The committed cube-storm scenario, run in process as [chaos run]
+   runs it (32 rows of 4096, s = 128, workload seed 1), pins the
+   adaptive controller's whole storyline: three openings climb the
+   ladder to [Shrink_exchange], the storm expires, a probe validates
+   there and sustained success walks back down. Without that rung the
+   third opening would land on [Shed_rows]. *)
+let test_cube_storm_storyline () =
+  let sc =
+    match Chaos.load "../scenarios/cube-storm.chaos" with
+    | Ok sc -> sc
+    | Error e -> Alcotest.failf "cube-storm: %s" e
+  in
+  let batch = 32 and len = 4096 in
+  let device =
+    Device.create ~mode:Device.Functional ~fault:(Chaos.fault_config sc) ()
+  in
+  let ctl = Degrade_ctl.create () in
+  let r =
+    Resilient.batched_scan ~s:128 ~ctl ~chaos:(Chaos.arm sc) device ~batch
+      ~len ~input:(Workload.Generators.sparse_ones ~seed:1 (batch * len))
+  in
+  Alcotest.(check (list string))
+    "decision log"
+    [
+      "#0 open/shrink_groups (4.0 us cooldown): failure rate 0.50 >= 0.50 \
+       over 4";
+      "#1 half_open/shrink_groups: cooldown elapsed, half-open probe";
+      "#2 open/switch_schedule (8.0 us cooldown): half-open probe failed";
+      "#3 half_open/switch_schedule: cooldown elapsed, half-open probe";
+      "#4 open/shrink_exchange (16.0 us cooldown): half-open probe failed";
+      "#5 half_open/shrink_exchange: cooldown elapsed, half-open probe";
+      "#6 closed/shrink_exchange: half-open probe validated";
+      "#7 closed/switch_schedule: 4 consecutive successes, de-escalating";
+      "#8 closed/shrink_groups: 4 consecutive successes, de-escalating";
+    ]
+    (List.map
+       (Format.asprintf "%a" Degrade_ctl.pp_decision)
+       (Degrade_ctl.decisions ctl));
+  check_int "openings" 3 (Degrade_ctl.opens ctl);
+  check_int "group attempts" 14 r.Resilient.group_attempts;
+  check_int "rows replayed" 16 r.Resilient.replayed_rows;
+  check_int "rows shed" 0 r.Resilient.shed_rows;
+  check_int "rows done" batch (Checkpoint.done_count r.Resilient.checkpoint);
+  check_bool "completes" true r.Resilient.bok
+
 (* --- crash + resume, in process ------------------------------------ *)
 
 let batch = 32
@@ -539,6 +584,8 @@ let () =
           Alcotest.test_case "deterministic decisions" `Quick
             test_controller_is_deterministic;
           QCheck_alcotest.to_alcotest prop_fixed_policy;
+          Alcotest.test_case "cube-storm storyline" `Quick
+            test_cube_storm_storyline;
         ] );
       ( "crash_resume",
         [
