@@ -458,7 +458,10 @@ let ablation_pipeline () =
       let d = dev_cost () in
       let x = alloc_f16 d n in
       let _, sp = Scan.Scan_u.run d x in
-      let _, ss = Scan.Scan_u.run ~no_pipeline:true d x in
+      let _, ss =
+        Scan.Scan_core.with_schedule Scan.Scan_core.Serial (fun () ->
+            Scan.Scan_u.run d x)
+      in
       Table.add_row t
         [ string_of_int n; us sp.Ascend.Stats.seconds;
           us ss.Ascend.Stats.seconds;
@@ -510,7 +513,7 @@ let ablation_extensions () =
       let x = alloc_f16 d n in
       let flags = alloc_i8 d n in
       let _, smc = Scan.Mcscan.run d x in
-      let _, sseg = Scan.Segmented_scan.run d ~x ~flags () in
+      let _, sseg = Scan.Segmented_scan.run d ~x ~flags in
       let _, _, scr = Scan.Cube_reduce.run_cube d x in
       let _, _, svr = Scan.Cube_reduce.run_vec d x in
       Table.add_row t
@@ -788,7 +791,7 @@ let robustness_degraded () =
       let d = Ascend.Device.create ?fault () in
       let r =
         Runtime.Resilient.batched_scan ~granularity:4
-          ~ctl:Runtime.Degrade_ctl.(create ~config:(fixed ~max_attempts:5 ()) ())
+          ~ctl:Runtime.Degrade_ctl.(create ~policy:(fixed ~max_attempts:5 ()) ())
           d ~batch ~len ~input:binput
       in
       if not r.Runtime.Resilient.bok then

@@ -169,7 +169,7 @@ let arm_obs device obs =
    the --profile run flag and the offline [profile] subcommand. *)
 let emit_profile ?out p =
   Format.printf "%a" Obs.Critical_path.pp p;
-  Format.printf "%a" (fun ppf -> Obs.Whatif.pp ppf) p;
+  Format.printf "%a" Obs.Whatif.pp p;
   match out with
   | Some file ->
       let merged =
@@ -509,7 +509,7 @@ let run_cmd =
       let r =
         Runtime.Resilient.batched_scan ?s:cfg.R.s ?granularity
           ~ctl:
-            Runtime.Degrade_ctl.(create ~config:(fixed ~backoff_s:1e-6 ()) ())
+            Runtime.Degrade_ctl.(create ~policy:(fixed ~backoff_s:1e-6 ()) ())
           ~schedule device ~batch:(Option.get cfg.R.batch)
           ~len:(Option.get cfg.R.len) ~input:(data ())
       in
@@ -912,12 +912,8 @@ let trace_smoke () =
           match Ascend.Trace.check tr with
           | Error msg -> fail e msg
           | Ok () ->
-              if Ascend.Trace.dropped tr > 0 then
-                fail e
-                  (Printf.sprintf "%d dropped events" (Ascend.Trace.dropped tr))
-              else
-                Format.printf "%-18s ok: %d events@." e.Scan.Op_registry.name
-                  (Ascend.Trace.event_count tr)))
+              Format.printf "%-18s ok: %d events@." e.Scan.Op_registry.name
+                (Ascend.Trace.event_count tr)))
     (Workload.Op_driver.run_all ());
   if !failures > 0 then begin
     Format.printf "trace smoke: %d operator(s) FAILED@." !failures;
@@ -953,9 +949,9 @@ let () =
         & info [ "trace-smoke" ]
             ~doc:
               "Run every registered operator once under tracing and check \
-               that the recorder captured a consistent event stream (zero \
-               dropped events, monotone per-engine tracks); exit 1 on any \
-               violation.")
+               that the recorder captured a consistent event stream \
+               (monotone per-engine tracks, spans explained by their \
+               dependency edges); exit 1 on any violation.")
     in
     Term.(
       ret

@@ -110,7 +110,7 @@ let check_idx ~idx ~num_blocks =
 
 let builder device ~idx ~core =
   match Device.trace device with
-  | Some tr -> Some (Trace.block_builder tr ~idx ~core)
+  | Some _ -> Some (Trace.block_builder ~idx ~core)
   | None -> None
 
 let new_tally cap =

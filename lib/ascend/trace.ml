@@ -46,7 +46,6 @@ type block_rec = {
   b_spans : span list;
   b_edges : edge list;
   b_marks : mark list;
-  b_dropped : int;
 }
 
 type phase_rec = { ph_stats : Stats.phase; ph_blocks : block_rec list }
@@ -63,16 +62,14 @@ type item = Launch of launch_rec | Note of kind * string
 
 type t = {
   clock_hz : float;
-  cap : int;
   mutable items : item list; (* newest first *)
   mutable spans : int;
   mutable edges : int;
   mutable marks : int;
   mutable notes : int;
-  mutable drops : int;
 }
 
-let create ?clock_hz ?(max_spans_per_block = max_int) () =
+let create ?clock_hz () =
   let clock_hz =
     match clock_hz with
     | Some hz -> hz
@@ -80,13 +77,11 @@ let create ?clock_hz ?(max_spans_per_block = max_int) () =
   in
   {
     clock_hz;
-    cap = max_spans_per_block;
     items = [];
     spans = 0;
     edges = 0;
     marks = 0;
     notes = 0;
-    drops = 0;
   }
 
 let clock_hz t = t.clock_hz
@@ -94,7 +89,6 @@ let span_count t = t.spans
 let edge_count t = t.edges
 let mark_count t = t.marks
 let event_count t = t.spans + t.marks + t.notes
-let dropped t = t.drops
 
 let launches t =
   List.rev
@@ -104,35 +98,28 @@ module Block_builder = struct
   type b = {
     idx : int;
     core : int;
-    cap : int;
     mutable rspans : span list; (* newest first *)
     mutable redges : edge list; (* newest first *)
     mutable rmarks : mark list;
-    mutable nspans : int;
-    mutable next_id : int; (* ids also cover dropped spans, so they stay stable *)
-    mutable ndropped : int;
+    mutable next_id : int;
   }
 
   let span b ~track ~engine ~queue ~op ~start ~cycles ~bytes =
     let id = b.next_id in
     b.next_id <- id + 1;
-    if b.nspans >= b.cap then b.ndropped <- b.ndropped + 1
-    else begin
-      b.rspans <-
-        {
-          sp_id = id;
-          sp_block = b.idx;
-          sp_track = track;
-          sp_engine = engine;
-          sp_queue = queue;
-          sp_op = op;
-          sp_start = start;
-          sp_end = start +. cycles;
-          sp_bytes = bytes;
-        }
-        :: b.rspans;
-      b.nspans <- b.nspans + 1
-    end;
+    b.rspans <-
+      {
+        sp_id = id;
+        sp_block = b.idx;
+        sp_track = track;
+        sp_engine = engine;
+        sp_queue = queue;
+        sp_op = op;
+        sp_start = start;
+        sp_end = start +. cycles;
+        sp_bytes = bytes;
+      }
+      :: b.rspans;
     id
 
   let edge b ~kind ~src ~dst =
@@ -152,21 +139,17 @@ module Block_builder = struct
       b_spans = List.rev b.rspans;
       b_edges = List.rev b.redges;
       b_marks = List.rev b.rmarks;
-      b_dropped = b.ndropped;
     }
 end
 
-let block_builder t ~idx ~core =
+let block_builder ~idx ~core =
   {
     Block_builder.idx;
     core;
-    cap = t.cap;
     rspans = [];
     redges = [];
     rmarks = [];
-    nspans = 0;
     next_id = 0;
-    ndropped = 0;
   }
 
 let record_launch t ~name ~seconds ~latency_cycles ~sync_cycles ~phases =
@@ -179,8 +162,7 @@ let record_launch t ~name ~seconds ~latency_cycles ~sync_cycles ~phases =
         (fun b ->
           t.spans <- t.spans + List.length b.b_spans;
           t.edges <- t.edges + List.length b.b_edges;
-          t.marks <- t.marks + List.length b.b_marks;
-          t.drops <- t.drops + b.b_dropped)
+          t.marks <- t.marks + List.length b.b_marks)
         p.ph_blocks)
     phases;
   t.items <-
@@ -210,7 +192,6 @@ let check t =
   let eps = 1e-9 in
   let bad = ref None in
   let fail fmt = Format.kasprintf (fun s -> bad := Some s) fmt in
-  if t.drops > 0 then fail "%d spans dropped by the per-block cap" t.drops;
   let check_block ln b =
     (* last seen end per engine track *)
     let tracks = Hashtbl.create 8 in

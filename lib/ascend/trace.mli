@@ -92,7 +92,6 @@ type block_rec = {
   b_spans : span list;  (** In issue order. *)
   b_edges : edge list;  (** Dependency edges, in recording order. *)
   b_marks : mark list;
-  b_dropped : int;  (** Spans discarded by the per-block cap. *)
 }
 
 type phase_rec = { ph_stats : Stats.phase; ph_blocks : block_rec list }
@@ -107,12 +106,11 @@ type launch_rec = {
 
 type t
 
-val create : ?clock_hz:float -> ?max_spans_per_block:int -> unit -> t
+val create : ?clock_hz:float -> unit -> t
 (** A fresh recorder. [clock_hz] (default {!Cost_model.default}'s
-    clock) converts cycles to trace microseconds;
-    [max_spans_per_block] (default unbounded) caps per-block span
-    memory — excess spans are counted as dropped, never silently
-    lost. *)
+    clock) converts cycles to trace microseconds. It keeps every span:
+    there is no cap, so nothing is ever dropped, and the
+    [ascend-trace-1] export's ["dropped"] count is the constant 0. *)
 
 val clock_hz : t -> float
 
@@ -126,9 +124,6 @@ val mark_count : t -> int
 
 val event_count : t -> int
 (** [span_count + mark_count] plus one note per global instant. *)
-
-val dropped : t -> int
-(** Spans discarded by the per-block cap; 0 in any healthy recording. *)
 
 val launches : t -> launch_rec list
 (** Recorded launches, oldest first. *)
@@ -150,9 +145,8 @@ module Block_builder : sig
     cycles:float ->
     bytes:int ->
     int
-  (** Returns the span's block-local id ({!span.sp_id}); ids are also
-      consumed by spans dropped under the per-block cap, so edge
-      endpoints stay stable. *)
+  (** Returns the span's block-local id ({!span.sp_id}): 0, 1, 2, …
+      in issue order. *)
 
   val edge : b -> kind:edge_kind -> src:int -> dst:int -> unit
   (** Record that span [dst] could not issue before [src] ended.
@@ -162,7 +156,7 @@ module Block_builder : sig
   val finish : b -> cycles:float -> block_rec
 end
 
-val block_builder : t -> idx:int -> core:int -> Block_builder.b
+val block_builder : idx:int -> core:int -> Block_builder.b
 
 val record_launch :
   t ->
@@ -182,8 +176,7 @@ val note : t -> kind -> name:string -> unit
     at the current end of the timeline. *)
 
 val check : t -> (unit, string) result
-(** Recorder invariants: zero dropped spans, non-negative span
-    durations, and per-(block, engine-track) non-overlap — each span
+(** Recorder invariants: non-negative span durations, and per-(block, engine-track) non-overlap — each span
     starts at or after the previous one on its track ended (engines
     are in-order queues; gaps are stalls), and no span outruns the
     block's makespan. Tracks of one block are allowed — expected — to

@@ -229,10 +229,7 @@ let observe_trace t tr =
                 b.Trace.b_marks)
             p.Trace.ph_blocks)
         l.Trace.ln_phases)
-    (Trace.launches tr);
-  if Trace.dropped tr > 0 then
-    inc t "ascend_trace_dropped_total" ~help:"Spans dropped by the cap"
-      (float_of_int (Trace.dropped tr))
+    (Trace.launches tr)
 
 (* Critical-path profile gauges: makespan blame per resource and the
    per-phase MTE/compute overlap ratio ({!Critical_path.overlap}). *)

@@ -12,45 +12,38 @@ let phase_json (p : Stats.phase) =
       ("bandwidth_bound", Jsonw.Bool p.Stats.bandwidth_bound);
     ]
 
-let json ?(simulated_only = false) (st : Stats.t) =
-  let host =
-    if simulated_only then []
-    else
-      [
-        ("host_seconds", Jsonw.Float st.Stats.host_seconds);
-        ("domains", Jsonw.Int st.Stats.domains);
-        ("launches", Jsonw.Int st.Stats.launches);
-      ]
-  in
+let json (st : Stats.t) =
   Jsonw.Obj
-    ([
-       ("name", Jsonw.String st.Stats.name);
-       ("seconds", Jsonw.Float st.Stats.seconds);
-       ("phases", Jsonw.List (List.map phase_json st.Stats.phases));
-       ("blocks", Jsonw.Int st.Stats.blocks);
-       ("cores_used", Jsonw.Int st.Stats.cores_used);
-       ("gm_read_bytes", Jsonw.Int st.Stats.gm_read_bytes);
-       ("gm_write_bytes", Jsonw.Int st.Stats.gm_write_bytes);
-       ( "engine_busy",
-         Jsonw.Obj
-           (List.map (fun (e, c) -> (e, Jsonw.Float c)) st.Stats.engine_busy)
-       );
-       ( "core_busy",
-         Jsonw.List
-           (Array.to_list
-              (Array.map (fun b -> Jsonw.Float b) st.Stats.core_busy)) );
-       ( "op_counts",
-         Jsonw.Obj
-           (List.map (fun (o, c) -> (o, Jsonw.Int c)) st.Stats.op_counts) );
-       ( "faults",
-         Jsonw.List
-           (List.map
-              (fun (e : Fault.event) ->
-                Jsonw.String (Format.asprintf "%a" Fault.pp_event e))
-              st.Stats.faults) );
-       ("retries", Jsonw.Int st.Stats.retries);
-       ("degraded", Jsonw.Int st.Stats.degraded);
-     ]
-    @ host)
+    [
+      ("name", Jsonw.String st.Stats.name);
+      ("seconds", Jsonw.Float st.Stats.seconds);
+      ("phases", Jsonw.List (List.map phase_json st.Stats.phases));
+      ("blocks", Jsonw.Int st.Stats.blocks);
+      ("cores_used", Jsonw.Int st.Stats.cores_used);
+      ("gm_read_bytes", Jsonw.Int st.Stats.gm_read_bytes);
+      ("gm_write_bytes", Jsonw.Int st.Stats.gm_write_bytes);
+      ( "engine_busy",
+        Jsonw.Obj
+          (List.map (fun (e, c) -> (e, Jsonw.Float c)) st.Stats.engine_busy)
+      );
+      ( "core_busy",
+        Jsonw.List
+          (Array.to_list
+             (Array.map (fun b -> Jsonw.Float b) st.Stats.core_busy)) );
+      ( "op_counts",
+        Jsonw.Obj
+          (List.map (fun (o, c) -> (o, Jsonw.Int c)) st.Stats.op_counts) );
+      ( "faults",
+        Jsonw.List
+          (List.map
+             (fun (e : Fault.event) ->
+               Jsonw.String (Format.asprintf "%a" Fault.pp_event e))
+             st.Stats.faults) );
+      ("retries", Jsonw.Int st.Stats.retries);
+      ("degraded", Jsonw.Int st.Stats.degraded);
+      ("host_seconds", Jsonw.Float st.Stats.host_seconds);
+      ("domains", Jsonw.Int st.Stats.domains);
+      ("launches", Jsonw.Int st.Stats.launches);
+    ]
 
-let to_string ?simulated_only st = Jsonw.to_string (json ?simulated_only st)
+let to_string st = Jsonw.to_string (json st)

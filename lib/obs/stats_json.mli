@@ -4,8 +4,7 @@
     Unlike the trace export, this includes the host-side fields
     ([host_seconds], [domains], [launches]) — stats JSON describes one
     concrete run, it is not covered by the cross-domain byte-identity
-    contract. Pass [~simulated_only:true] to drop those fields and get
-    output that {e is} identical across [--domains] settings
-    (mirroring {!Ascend.Stats.equal_simulated}). *)
+    contract. The other fields are {!Ascend.Stats.equal_simulated}'s
+    and are identical across [--domains] settings. *)
 
-val to_string : ?simulated_only:bool -> Ascend.Stats.t -> string
+val to_string : Ascend.Stats.t -> string

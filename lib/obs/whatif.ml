@@ -24,7 +24,7 @@ let label = function
   | Hbm f -> Printf.sprintf "HBM %gx" f
   | Pipeline -> "pipelined overlap"
 
-let default_scenarios =
+let scenarios =
   [
     Pipeline;
     Speedup { label = "MTE 2x"; queues = [ "MTE2"; "MTE3" ]; factor = 2.0 };
@@ -246,7 +246,7 @@ let predict t scenario =
        else 0.0);
   }
 
-let rank ?(scenarios = default_scenarios) t =
+let rank t =
   List.sort
     (fun a b ->
       let c = Float.compare b.wi_gain a.wi_gain in
@@ -265,13 +265,15 @@ type roof = {
   rf_peak : float; (* cost-model ceiling, bytes / cycle *)
 }
 
-let peak_of_queue (cm : Ascend.Cost_model.t) = function
+let cm = Ascend.Cost_model.default
+
+let peak_of_queue = function
   | "MTE2" | "MTE3" ->
       Some (cm.Ascend.Cost_model.mte_stream_bandwidth /. cm.Ascend.Cost_model.clock_hz)
   | "V" -> Some cm.Ascend.Cost_model.vec_bytes_per_cycle
   | _ -> None
 
-let roofline ?(cm = Ascend.Cost_model.default) (t : Cp.t) =
+let roofline (t : Cp.t) =
   let tracks : (string, string * int * float) Hashtbl.t = Hashtbl.create 32 in
   List.iter
     (fun (l : Cp.launch) ->
@@ -296,7 +298,7 @@ let roofline ?(cm = Ascend.Cost_model.default) (t : Cp.t) =
   let rows =
     Hashtbl.fold
       (fun name (q, bytes, busy) acc ->
-        match peak_of_queue cm q with
+        match peak_of_queue q with
         | Some peak when busy > 0.0 ->
             {
               rf_name = name;
@@ -339,12 +341,12 @@ let roofline ?(cm = Ascend.Cost_model.default) (t : Cp.t) =
 (* ------------------------------------------------------------------ *)
 (* Reports. *)
 
-let report ?scenarios ?cm t =
+let report t =
   (* A profile without launch spans has nothing to re-time. *)
   if t.Cp.launches = [] then Jsonw.Obj []
   else
-  let preds = rank ?scenarios t in
-  let roofs = roofline ?cm t in
+  let preds = rank t in
+  let roofs = roofline t in
   Jsonw.Obj
     [
       ("baseline_cycles", Jsonw.Float t.Cp.total_cycles);
@@ -378,17 +380,17 @@ let report ?scenarios ?cm t =
              roofs) );
     ]
 
-let pp ?scenarios ?cm ppf t =
+let pp ppf t =
   if t.Cp.launches = [] then ()
   else
-  let preds = rank ?scenarios t in
+  let preds = rank t in
   Format.fprintf ppf "what-if (predicted from the reconstructed DAG):@.";
   List.iter
     (fun w ->
       Format.fprintf ppf "  %-20s %14.0f cycles  %+6.1f%%@." w.wi_label
         w.wi_cycles (-100.0 *. w.wi_gain))
     preds;
-  match roofline ?cm t with
+  match roofline t with
   | [] -> ()
   | roofs ->
       Format.fprintf ppf "roofline (achieved vs peak bytes/cycle):@.";

@@ -30,16 +30,13 @@ val predict_compute_cycles : Critical_path.t -> scenario -> float
     pipeline prediction can be compared directly against a measured
     schedule gain. *)
 
-val report :
-  ?scenarios:scenario list -> ?cm:Ascend.Cost_model.t -> Critical_path.t ->
-  Jsonw.t
+val report : Critical_path.t -> Jsonw.t
 (** Deterministic what-if + roofline document, embedded in the CLI's
-    [profile.json]: each scenario's predicted cycles and gain, best
+    [profile.json]: the predicted cycles and gain of [Pipeline], 2x/inf
+    speedups of MTE, vector and cube, scalar inf and HBM 2x, best
     first, and achieved vs peak bytes/cycle per MTE and vector track
-    plus the device-level HBM roof. [scenarios] defaults to
-    [Pipeline], 2x/inf speedups of MTE, vector and cube, scalar inf,
-    and HBM 2x. *)
+    plus the device-level HBM roof, with the peaks of
+    {!Ascend.Cost_model.default}. *)
 
-val pp :
-  ?scenarios:scenario list -> ?cm:Ascend.Cost_model.t ->
-  Format.formatter -> Critical_path.t -> unit
+val pp : Format.formatter -> Critical_path.t -> unit
+(** The same report as text. *)

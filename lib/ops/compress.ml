@@ -4,10 +4,8 @@ type result = {
   stats : Ascend.Stats.t;
 }
 
-let run ?s ?expected_density device ~x ~mask () =
-  let r =
-    Split.run ?s ?expected_density ~emit_falses:false device ~x ~flags:mask ()
-  in
+let run ?s device ~x ~mask () =
+  let r = Split.run ?s ~emit_falses:false device ~x ~flags:mask () in
   {
     values = r.Split.values;
     count = r.Split.true_count;

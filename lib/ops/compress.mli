@@ -14,11 +14,11 @@ type result = {
 
 val run :
   ?s:int ->
-  ?expected_density:float ->
   Ascend.Device.t ->
   x:Ascend.Global_tensor.t ->
   mask:Ascend.Global_tensor.t ->
   unit ->
   result
 (** [x] must be a 16-bit data type, [mask] an [I8] 0/1 tensor of the
-    same length. Defaults: [s = 128], [expected_density = 0.5]. *)
+    same length. Default [s = 128]; cost-only mode sizes the output
+    at {!Split.run}'s default density of 0.5. *)

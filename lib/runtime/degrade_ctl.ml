@@ -33,82 +33,26 @@ let level_of_rank = function
   | 3 -> Shrink_exchange
   | _ -> Shed_rows
 
-type config = {
-  window : int;
-  min_samples : int;
-  open_threshold : float;
-  cooldown_s : float;
-  max_cooldown_s : float;
-  base_backoff_s : float;
-  max_backoff_s : float;
-  max_attempts : int;
-  probe_attempts : int;
-  shed_attempts : int;
-  recover_after : int;
-}
+type policy = Adaptive | Fixed of { max_attempts : int; backoff_s : float }
 
-let default_config =
-  {
-    window = 8;
-    min_samples = 4;
-    open_threshold = 0.5;
-    cooldown_s = 4e-6;
-    max_cooldown_s = 1e-3;
-    base_backoff_s = 1e-6;
-    max_backoff_s = 1e-4;
-    max_attempts = 3;
-    probe_attempts = 1;
-    shed_attempts = 6;
-    recover_after = 4;
-  }
-
-let config ?(window = default_config.window)
-    ?(min_samples = default_config.min_samples)
-    ?(open_threshold = default_config.open_threshold)
-    ?(cooldown_s = default_config.cooldown_s)
-    ?(max_cooldown_s = default_config.max_cooldown_s)
-    ?(base_backoff_s = default_config.base_backoff_s)
-    ?(max_backoff_s = default_config.max_backoff_s)
-    ?(max_attempts = default_config.max_attempts)
-    ?(probe_attempts = default_config.probe_attempts)
-    ?(shed_attempts = default_config.shed_attempts)
-    ?(recover_after = default_config.recover_after) () =
-  if window < 1 then invalid_arg "Degrade_ctl.config: window must be >= 1";
-  if min_samples < 1 then
-    invalid_arg "Degrade_ctl.config: min_samples must be >= 1";
-  if
-    open_threshold <= 0.0 || open_threshold > 1.0
-    || Float.is_nan open_threshold
-  then invalid_arg "Degrade_ctl.config: open_threshold must be in (0,1]";
-  if cooldown_s < 0.0 || max_cooldown_s < 0.0 || base_backoff_s < 0.0
-     || max_backoff_s < 0.0
-  then invalid_arg "Degrade_ctl.config: negative time";
-  if max_attempts < 1 || probe_attempts < 1 then
-    invalid_arg "Degrade_ctl.config: attempt budgets must be >= 1";
-  if shed_attempts < 1 then
-    invalid_arg "Degrade_ctl.config: shed_attempts must be >= 1";
-  if recover_after < 1 then
-    invalid_arg "Degrade_ctl.config: recover_after must be >= 1";
-  {
-    window;
-    min_samples;
-    open_threshold;
-    cooldown_s;
-    max_cooldown_s;
-    base_backoff_s;
-    max_backoff_s;
-    max_attempts;
-    probe_attempts;
-    shed_attempts;
-    recover_after;
-  }
-
-(* The breaker needs [min_samples] outcomes in a [window]-sized ring,
-   so a window smaller than [min_samples] never trips it: no cooldown,
-   no half-open probe, no brownout. *)
 let fixed ?(max_attempts = 3) ?(backoff_s = 0.0) () =
-  config ~window:1 ~min_samples:2 ~base_backoff_s:backoff_s
-    ~max_backoff_s:Float.infinity ~max_attempts ()
+  if max_attempts < 1 then
+    invalid_arg "Degrade_ctl.fixed: max_attempts must be >= 1";
+  if backoff_s < 0.0 then invalid_arg "Degrade_ctl.fixed: negative backoff";
+  Fixed { max_attempts; backoff_s }
+
+(* The adaptive policy's constants, documented in the interface. *)
+let window = 8
+let min_samples = 4
+let open_threshold = 0.5
+let cooldown_s = 4e-6
+let max_cooldown_s = 1e-3
+let base_backoff_s = 1e-6
+let max_backoff_s = 1e-4
+let max_attempts = 3
+let probe_attempts = 1
+let shed_attempts = 6
+let recover_after = 4
 
 type decision = {
   seq : int;
@@ -118,11 +62,11 @@ type decision = {
   d_reason : string;
 }
 
-type t = {
-  cfg : config;
+(* The breaker and ladder state of the adaptive policy. *)
+type breaker = {
   on_decision : decision -> unit;
   outcomes : bool array;  (* ring buffer, true = failure *)
-  mutable filled : int;  (* samples in the window, <= cfg.window *)
+  mutable filled : int;  (* samples in the window, <= window *)
   mutable cursor : int;
   mutable failures : int;  (* failures currently in the window *)
   mutable st : state;
@@ -135,29 +79,38 @@ type t = {
   mutable n_decisions : int;
 }
 
-let create ?(config = default_config) ?(on_decision = fun _ -> ()) () =
-  {
-    cfg = config;
-    on_decision;
-    outcomes = Array.make config.window false;
-    filled = 0;
-    cursor = 0;
-    failures = 0;
-    st = Closed;
-    lvl = Normal;
-    consec_successes = 0;
-    pending_cooldown = 0.0;
-    next_cooldown = config.cooldown_s;
-    n_opens = 0;
-    log = [];
-    n_decisions = 0;
-  }
+(* A fixed controller has no state: its breaker never opens. *)
+type t = Budget of { max_attempts : int; backoff_s : float } | Breaker of breaker
 
-let state t = t.st
-let level t = t.lvl
-let can_open t = t.cfg.min_samples <= t.cfg.window
-let opens t = t.n_opens
-let decisions t = List.rev t.log
+let create ?(policy = Adaptive) ?(on_decision = fun _ -> ()) () =
+  match policy with
+  | Fixed { max_attempts; backoff_s } -> Budget { max_attempts; backoff_s }
+  | Adaptive ->
+      Breaker
+        {
+          on_decision;
+          outcomes = Array.make window false;
+          filled = 0;
+          cursor = 0;
+          failures = 0;
+          st = Closed;
+          lvl = Normal;
+          consec_successes = 0;
+          pending_cooldown = 0.0;
+          next_cooldown = cooldown_s;
+          n_opens = 0;
+          log = [];
+          n_decisions = 0;
+        }
+
+let policy = function
+  | Budget { max_attempts; backoff_s } -> Fixed { max_attempts; backoff_s }
+  | Breaker _ -> Adaptive
+
+let state = function Budget _ -> Closed | Breaker t -> t.st
+let level = function Budget _ -> Normal | Breaker t -> t.lvl
+let opens = function Budget _ -> 0 | Breaker t -> t.n_opens
+let decisions = function Budget _ -> [] | Breaker t -> List.rev t.log
 
 let decide t ?(cooldown = 0.0) reason =
   let d =
@@ -174,17 +127,17 @@ let decide t ?(cooldown = 0.0) reason =
   t.on_decision d
 
 let push_outcome t ~failed =
-  if t.filled = t.cfg.window then begin
+  if t.filled = window then begin
     (* Evict the oldest sample before overwriting its slot. *)
     if t.outcomes.(t.cursor) then t.failures <- t.failures - 1
   end
   else t.filled <- t.filled + 1;
   t.outcomes.(t.cursor) <- failed;
   if failed then t.failures <- t.failures + 1;
-  t.cursor <- (t.cursor + 1) mod t.cfg.window
+  t.cursor <- (t.cursor + 1) mod window
 
 let clear_window t =
-  Array.fill t.outcomes 0 t.cfg.window false;
+  Array.fill t.outcomes 0 window false;
   t.filled <- 0;
   t.cursor <- 0;
   t.failures <- 0
@@ -200,11 +153,11 @@ let open_breaker t reason =
   t.n_opens <- t.n_opens + 1;
   t.pending_cooldown <- t.next_cooldown;
   let cooldown = t.pending_cooldown in
-  t.next_cooldown <- Float.min t.cfg.max_cooldown_s (t.next_cooldown *. 2.0);
+  t.next_cooldown <- Float.min max_cooldown_s (t.next_cooldown *. 2.0);
   escalate t;
   decide t ~cooldown reason
 
-let record t ~ok =
+let record_breaker t ~ok =
   push_outcome t ~failed:(not ok);
   if ok then begin
     t.consec_successes <- t.consec_successes + 1;
@@ -216,14 +169,14 @@ let record t ~ok =
         t.consec_successes <- 1
     | Closed | Open -> ());
     if
-      t.consec_successes >= t.cfg.recover_after
+      t.consec_successes >= recover_after
       && level_rank t.lvl > 0 && t.st = Closed
     then begin
       t.lvl <- level_of_rank (level_rank t.lvl - 1);
       t.consec_successes <- 0;
       decide t
         (Printf.sprintf "%d consecutive successes, de-escalating"
-           t.cfg.recover_after)
+           recover_after)
     end
   end
   else begin
@@ -232,47 +185,53 @@ let record t ~ok =
     | Half_open -> open_breaker t "half-open probe failed"
     | Closed ->
         let rate = failure_rate t in
-        if t.filled >= t.cfg.min_samples && rate >= t.cfg.open_threshold then
+        if t.filled >= min_samples && rate >= open_threshold then
           open_breaker t
             (Printf.sprintf "failure rate %.2f >= %.2f over %d" rate
-               t.cfg.open_threshold t.filled)
+               open_threshold t.filled)
     | Open -> ()
   end
 
-let before_attempt t ~attempt =
-  let cooldown =
-    match t.st with
-    | Open ->
-        let c = t.pending_cooldown in
-        t.pending_cooldown <- 0.0;
-        t.st <- Half_open;
-        decide t "cooldown elapsed, half-open probe";
-        c
-    | Closed | Half_open -> 0.0
-  in
-  let backoff =
-    if attempt > 1 && t.cfg.base_backoff_s > 0.0 then
-      Float.min t.cfg.max_backoff_s
-        (t.cfg.base_backoff_s *. (2.0 ** float_of_int (attempt - 2)))
-    else 0.0
-  in
-  cooldown +. backoff
+let record ctl ~ok =
+  match ctl with Budget _ -> () | Breaker t -> record_breaker t ~ok
 
-let attempts_allowed t =
-  match t.st with
-  | Closed -> t.cfg.max_attempts
-  | Open | Half_open -> t.cfg.probe_attempts
+(* [base * 2^(attempt-2)] capped at [cap], from the second attempt on. *)
+let backoff ~base ~cap ~attempt =
+  if attempt > 1 && base > 0.0 then
+    Float.min cap (base *. (2.0 ** float_of_int (attempt - 2)))
+  else 0.0
 
-let granularity t ~base =
-  match t.lvl with
+let before_attempt ctl ~attempt =
+  match ctl with
+  | Budget b -> backoff ~base:b.backoff_s ~cap:Float.infinity ~attempt
+  | Breaker t ->
+      let cooldown =
+        match t.st with
+        | Open ->
+            let c = t.pending_cooldown in
+            t.pending_cooldown <- 0.0;
+            t.st <- Half_open;
+            decide t "cooldown elapsed, half-open probe";
+            c
+        | Closed | Half_open -> 0.0
+      in
+      cooldown +. backoff ~base:base_backoff_s ~cap:max_backoff_s ~attempt
+
+let attempts_allowed = function
+  | Budget b -> b.max_attempts
+  | Breaker { st = Closed; _ } -> max_attempts
+  | Breaker { st = Open | Half_open; _ } -> probe_attempts
+
+let granularity ctl ~base =
+  match level ctl with
   | Normal -> base
   | Shrink_groups -> max 1 (base / 2)
   | Switch_schedule | Shrink_exchange | Shed_rows -> max 1 (base / 4)
 
-let switch_schedule t = level_rank t.lvl >= level_rank Switch_schedule
+let switch_schedule ctl = level_rank (level ctl) >= level_rank Switch_schedule
 
-let shed t ~group_attempts =
-  t.lvl = Shed_rows && group_attempts >= t.cfg.shed_attempts
+let shed ctl ~group_attempts =
+  level ctl = Shed_rows && group_attempts >= shed_attempts
 
 let pp_decision fmt d =
   Format.fprintf fmt "#%d %s/%s%s: %s" d.seq
@@ -283,12 +242,16 @@ let pp_decision fmt d =
      else "")
     d.d_reason
 
-let pp fmt t =
+let pp fmt ctl =
+  let ds = decisions ctl in
+  let n_opens = opens ctl and n_decisions = List.length ds in
   Format.fprintf fmt
     "@[<v>degrade controller: %s/%s, %d opening%s, %d decision%s"
-    (state_to_string t.st) (level_to_string t.lvl) t.n_opens
-    (if t.n_opens = 1 then "" else "s")
-    t.n_decisions
-    (if t.n_decisions = 1 then "" else "s");
-  List.iter (fun d -> Format.fprintf fmt "@   %a" pp_decision d) (decisions t);
+    (state_to_string (state ctl))
+    (level_to_string (level ctl))
+    n_opens
+    (if n_opens = 1 then "" else "s")
+    n_decisions
+    (if n_decisions = 1 then "" else "s");
+  List.iter (fun d -> Format.fprintf fmt "@   %a" pp_decision d) ds;
   Format.fprintf fmt "@]"

@@ -1,8 +1,8 @@
-(** Degradation controller: a circuit breaker plus a brownout ladder,
-    the one retry policy of the resilient runners. Every attempt
-    budget and backoff in {!Resilient} comes from
-    here; the plain fixed-budget policy is the {!fixed} configuration
-    (a breaker that cannot open).
+(** Degradation controller: the one retry policy of the resilient
+    runners. Every attempt budget and backoff in {!Resilient} comes
+    from here. A {!policy} has two cases: [Adaptive], a circuit
+    breaker plus a brownout ladder (below), and [Fixed], a plain
+    attempt budget with no breaker.
 
     The Ascend serving field study (PAPERS.md) finds that recovery and
     degradation {e policy} — not raw kernel speed — dominates tail
@@ -12,7 +12,7 @@
     {2 Circuit breaker}
 
     Group-attempt outcomes feed a sliding window. While the failure
-    rate stays under [open_threshold] the breaker is {e closed} and
+    rate stays under the threshold the breaker is {e closed} and
     retries run with the full attempt budget and an exponential
     backoff. When the rate trips the threshold the breaker {e opens}:
     the next attempt is preceded by a cooldown pause (simulated
@@ -31,15 +31,16 @@
     + [Switch_schedule] — also switch the batched schedule to the
       alternate kernel (a failing cube path is routed around);
     + [Shrink_exchange] — changes no runner behaviour (the
-      [Switch_schedule] granularity and schedule hold). It stays
-      because it delays [Shed_rows] by one breaker opening: removing
-      it would change chaos decision logs and metrics;
+      [Switch_schedule] granularity and schedule hold). It delays
+      [Shed_rows] by one breaker opening: the committed cube-storm
+      scenario reaches it at its third opening and recovers there
+      with no row shed, where without it the run would shed;
     + [Shed_rows] — also give up on groups that keep failing past
-      [shed_attempts] total attempts, shedding their rows so the rest
-      of the batch completes.
+      the shed budget of total attempts, shedding their rows so the
+      rest of the batch completes.
 
-    Sustained success ([recover_after] consecutive validated groups)
-    walks the ladder back down one level at a time.
+    Sustained success (a run of consecutive validated groups) walks
+    the ladder back down one level at a time.
 
     Everything is deterministic: no wall clock, no randomness — the
     controller is a pure function of the outcome sequence, so chaos
@@ -61,49 +62,27 @@ type level =
 
 val level_to_string : level -> string
 
-type config = {
-  window : int;  (** Sliding outcome window size. *)
-  min_samples : int;  (** Outcomes required before the breaker can trip. *)
-  open_threshold : float;  (** Window failure rate in [0,1] that opens it. *)
-  cooldown_s : float;  (** First-open cooldown, simulated seconds. *)
-  max_cooldown_s : float;  (** Cap for the doubling cooldown. *)
-  base_backoff_s : float;  (** Adaptive retry backoff base. *)
-  max_backoff_s : float;  (** Per-retry backoff cap. *)
-  max_attempts : int;  (** Per-group attempt budget, breaker closed. *)
-  probe_attempts : int;  (** Per-group budget for a half-open probe. *)
-  shed_attempts : int;  (** Group attempts before [Shed_rows] sheds it. *)
-  recover_after : int;  (** Consecutive successes per de-escalation. *)
-}
+type policy =
+  | Adaptive
+      (** The circuit breaker and brownout ladder above, with these
+          constants: a window of 8 outcomes, which can trip once it
+          holds 4 samples, at a failure rate of 0.5; a 4 us first
+          cooldown that doubles on every re-open, capped at 1 ms; a
+          retry backoff of [1 us * 2^(k-1)] before the k-th retry,
+          capped at 100 us; 3 attempts per group while closed and 1
+          probe while open or half-open; groups shed after 6 attempts
+          at [Shed_rows]; one level of de-escalation per 4 consecutive
+          successes. *)
+  | Fixed of { max_attempts : int; backoff_s : float }
+      (** A fixed budget of [max_attempts] attempts per group and an
+          uncapped [backoff_s * 2^(k-1)] backoff before the k-th
+          retry. Its breaker never opens: no cooldown, probe,
+          brownout or decision. *)
 
-val default_config : config
-(** window 8, min_samples 4, open_threshold 0.5, cooldown 4us (cap
-    1ms), base backoff 1us (cap 100us), 3 attempts, 1 probe, shed
-    after 6, recover after 4. *)
-
-val config :
-  ?window:int ->
-  ?min_samples:int ->
-  ?open_threshold:float ->
-  ?cooldown_s:float ->
-  ?max_cooldown_s:float ->
-  ?base_backoff_s:float ->
-  ?max_backoff_s:float ->
-  ?max_attempts:int ->
-  ?probe_attempts:int ->
-  ?shed_attempts:int ->
-  ?recover_after:int ->
-  unit ->
-  config
-(** {!default_config} with overrides; raises [Invalid_argument] on a
-    non-positive window/budget, a threshold outside (0,1], or a
-    negative time. *)
-
-val fixed : ?max_attempts:int -> ?backoff_s:float -> unit -> config
-(** The fixed retry policy as a configuration: a breaker that can
-    never open (so no cooldown, probe or brownout), a per-group budget
-    of [max_attempts] (default 3) and an uncapped [backoff_s * 2^(k-1)]
-    backoff before the k-th retry ([backoff_s] defaults to 0). It is
-    the runners' default controller. *)
+val fixed : ?max_attempts:int -> ?backoff_s:float -> unit -> policy
+(** [Fixed] with [max_attempts] (default 3) and [backoff_s] (default
+    0); raises [Invalid_argument] when [max_attempts < 1] or
+    [backoff_s < 0]. The resilient runners default to [fixed ()]. *)
 
 type decision = {
   seq : int;  (** 0-based decision order. *)
@@ -115,15 +94,14 @@ type decision = {
 
 type t
 
-val create : ?config:config -> ?on_decision:(decision -> unit) -> unit -> t
+val create : ?policy:policy -> ?on_decision:(decision -> unit) -> unit -> t
+(** A fresh controller on [policy] (default [Adaptive]). [on_decision]
+    sees every transition; a [Fixed] controller makes none. *)
+
+val policy : t -> policy
 
 val state : t -> state
 val level : t -> level
-
-val can_open : t -> bool
-(** Whether the configured breaker can ever open ([min_samples <=
-    window]); false for {!fixed}. The batched runners grant grace
-    sweeps only to a controller that can. *)
 
 val record : t -> ok:bool -> unit
 (** Feed one group-attempt outcome; drives every transition. *)
@@ -132,12 +110,12 @@ val before_attempt : t -> attempt:int -> float
 (** Simulated backoff seconds the caller must charge before [attempt]
     (1-based, counted within one group or one run): the pending
     open-state cooldown (the call moves an [Open] breaker to
-    [Half_open]) plus, from the second attempt on,
-    [base_backoff_s * 2^(attempt-2)] capped at [max_backoff_s]. *)
+    [Half_open]) plus, from the second attempt on, the policy's
+    backoff. *)
 
 val attempts_allowed : t -> int
-(** The per-group budget under the current state: [max_attempts]
-    closed, [probe_attempts] otherwise. *)
+(** The per-group budget under the current state: the full budget
+    while closed, one probe otherwise. *)
 
 val granularity : t -> base:int -> int
 (** The brownout-adjusted checkpoint granularity: [base] at [Normal],
@@ -148,7 +126,7 @@ val switch_schedule : t -> bool
 
 val shed : t -> group_attempts:int -> bool
 (** Whether a group that has burned [group_attempts] attempts should
-    be shed ([Shed_rows] level and past the [shed_attempts] budget). *)
+    be shed ([Shed_rows] level and at least 6 attempts). *)
 
 val decisions : t -> decision list
 (** All transitions, oldest first. *)

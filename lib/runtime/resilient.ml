@@ -12,7 +12,7 @@ type 'a report = {
   ok : bool;
 }
 
-let fixed_ctl () = Degrade_ctl.create ~config:(Degrade_ctl.fixed ()) ()
+let fixed_ctl () = Degrade_ctl.create ~policy:(Degrade_ctl.fixed ()) ()
 
 let run ?(name = "resilient") ?(ctl = fixed_ctl ()) ?fallback
     ?(on_event = fun _ -> ()) ~validate attempt =
@@ -389,11 +389,13 @@ let batched_scan ?(s = 128) ?granularity ?(schedule = U) ?store
            if !start >= 0 then acc := (!start, hi) :: !acc;
            List.rev !acc)
   in
-  (* Keep sweeping while any group makes progress. A controller whose
-     breaker can open gets a few zero-progress sweeps: an open breaker
-     fails its probes by design and needs a sweep or two before the
-     cooldown, the brownout ladder or a chaos expiry turns the tide. *)
-  let grace = if Degrade_ctl.can_open ctl then 3 else 0 in
+  (* Keep sweeping while any group makes progress. The adaptive
+     policy gets a few zero-progress sweeps: an open breaker fails its
+     probes by design and needs a sweep or two before the cooldown,
+     the brownout ladder or a chaos expiry turns the tide. *)
+  let grace =
+    match Degrade_ctl.policy ctl with Adaptive -> 3 | Fixed _ -> 0
+  in
   let rec drain stalled =
     match pending_groups () with
     | [] -> ()

@@ -2,7 +2,7 @@
    with the Max operator (max has no matmul encoding, so the cube
    kernels do not apply). *)
 
-let run ?blocks device x =
+let run device x =
   Scan_core.run_vec_blocks
     (module Scan_op.Max)
-    ?blocks ~kernel_name:"max_scan" ~suffix:"_maxscan" device x
+    ~kernel_name:"max_scan" ~suffix:"_maxscan" device x

@@ -57,7 +57,7 @@ let stage_out ctx ~schedule ~engine ~src ?(src_off = 0) ~dst ?(dst_off = 0)
 
    [Serial] is the no-overlap ablation: everything synchronous with a
    full barrier between items, charging the serial sum of all engine
-   work (the historical [no_pipeline] semantics). *)
+   work. *)
 let pipeline ctx ?schedule ?out ~in_engine ~n ~load ~work () =
   let schedule =
     match schedule with Some s -> s | None -> !default_schedule
@@ -255,8 +255,7 @@ let vec_phase2 (module Op : Scan_op.S) ~x ~y ~r ~chunk ~half ~n ~dt ctx =
       bufs
   end
 
-let run_vec_blocks (module Op : Scan_op.S) ?blocks ~kernel_name ~suffix device
-    x =
+let run_vec_blocks (module Op : Scan_op.S) ~kernel_name ~suffix device x =
   let dt = Global_tensor.dtype x in
   if not (List.exists (Dtype.equal dt) Op.dtypes) then
     invalid_arg
@@ -264,11 +263,7 @@ let run_vec_blocks (module Op : Scan_op.S) ?blocks ~kernel_name ~suffix device
          (Dtype.to_string dt));
   let n = Global_tensor.length x in
   if n = 0 then invalid_arg (Printf.sprintf "%s: empty input" kernel_name);
-  let blocks =
-    match blocks with
-    | Some b -> b
-    | None -> Scheduler.blocks (Scheduler.plan device ~n)
-  in
+  let blocks = Scheduler.blocks (Scheduler.plan device ~n) in
   let vpc = (Device.cost device).Cost_model.vec_per_core in
   let chunk, half =
     block_partition ~n ~blocks ~vpc ~chunk_align:ub_tile ~half_align:ub_tile

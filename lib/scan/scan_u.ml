@@ -1,6 +1,6 @@
 open Ascend
 
-let run ?(s = 128) ?(no_pipeline = false) device x =
+let run ?(s = 128) device x =
   if s <= 0 then invalid_arg "Scan_u.run: s must be positive";
   if not (Dtype.equal (Global_tensor.dtype x) Dtype.F16) then
     invalid_arg "Scan_u.run: input must be f16";
@@ -8,12 +8,7 @@ let run ?(s = 128) ?(no_pipeline = false) device x =
   let y = Device.alloc device Dtype.F16 n ~name:(Global_tensor.name x ^ "_scanu") in
   let tile = s * s in
   let body ctx =
-    (* no_pipeline is the A2 ablation hook: the Serial schedule runs
-       every copy synchronously with a full barrier between tiles, so
-       the block charges the serial sum of all engine work. *)
-    let schedule =
-      if no_pipeline then Scan_core.Serial else Scan_core.current_schedule ()
-    in
+    let schedule = Scan_core.current_schedule () in
     (* Ping-pong slots: two f16 input tiles fill L0A exactly (2 x 32 KB)
        and two f32 accumulators take half of L0C, so copy-in of tile
        [t+1], the mmad of tile [t] and copy-out of tile [t-1] all

@@ -13,10 +13,10 @@
 
 val run :
   ?s:int ->
-  ?no_pipeline:bool ->
   Ascend.Device.t ->
   Ascend.Global_tensor.t ->
   Ascend.Global_tensor.t * Ascend.Stats.t
-(** Default [s = 128]. Input must be [F16]; output is [F16].
-    [no_pipeline:true] disables the software pipelining of the tile
-    loop (the double-buffering ablation of DESIGN.md, bench A2). *)
+(** Default [s = 128]. Input must be [F16]; output is [F16]. The tile
+    loop runs under {!Scan_core.current_schedule}; the
+    double-buffering ablation of DESIGN.md (bench A2) runs it under
+    {!Scan_core.with_schedule}[ Serial]. *)

@@ -18,13 +18,9 @@ let small_ints ~seed ?(max_value = 9) n =
 let sparse_ones ~seed n =
   Array.init n (fun i -> if (i + seed) mod 53 = 0 then 1.0 else 0.0)
 
-let softmax_probs ~seed ?(temperature = 1.0) n =
-  if temperature <= 0.0 then
-    invalid_arg "Generators.softmax_probs: non-positive temperature";
+let softmax_probs ~seed n =
   let rng = Random.State.make [| seed |] in
-  let logits =
-    Array.init n (fun _ -> Random.State.float rng 8.0 /. temperature)
-  in
+  let logits = Array.init n (fun _ -> Random.State.float rng 8.0) in
   let m = Array.fold_left Float.max neg_infinity logits in
   let exps = Array.map (fun v -> Stdlib.exp (v -. m)) logits in
   let z = Array.fold_left ( +. ) 0.0 exps in

@@ -20,8 +20,7 @@ val sparse_ones : seed:int -> int -> float array
     the float workload of the CLI and {!Op_driver}. Prefix sums stay
     exact in fp16 while the total is at most 2048 (n up to ~108k). *)
 
-val softmax_probs : seed:int -> ?temperature:float -> int -> float array
+val softmax_probs : seed:int -> int -> float array
 (** A peaked LLM-style token distribution: softmax of [n] uniform
-    logits in [0, 8\] divided by [temperature] (default 1.0), rounded
-    to fp16. *)
+    logits in [0, 8\], rounded to fp16. *)
 

@@ -7,4 +7,4 @@ let giga_elements_per_second (st : Ascend.Stats.t) ~n =
 let speedup ~baseline (st : Ascend.Stats.t) =
   baseline.Ascend.Stats.seconds /. st.Ascend.Stats.seconds
 
-let percent_of_peak ?(peak = 800.0e9) b = 100.0 *. b /. peak
+let percent_of_peak b = 100.0 *. b /. 800.0e9

@@ -11,5 +11,5 @@ val speedup : baseline:Ascend.Stats.t -> Ascend.Stats.t -> float
 (** [baseline.seconds / this.seconds]. *)
 
 
-val percent_of_peak : ?peak:float -> float -> float
-(** Bandwidth as a percentage of the device peak (default 800 GB/s). *)
+val percent_of_peak : float -> float
+(** Bandwidth as a percentage of the 800 GB/s device peak. *)

@@ -41,7 +41,7 @@ let print t =
 
 let fmt_time_us s = Printf.sprintf "%.1f" (s *. 1e6)
 let fmt_gbs b = Printf.sprintf "%.1f" (b /. 1e9)
-let fmt_float ?(digits = 2) v = Printf.sprintf "%.*f" digits v
+let fmt_float v = Printf.sprintf "%.2f" v
 
 let slug title =
   let b = Buffer.create (String.length title) in

@@ -21,4 +21,5 @@ val fmt_time_us : float -> string
 val fmt_gbs : float -> string
 (** Bytes/s to a GB/s cell. *)
 
-val fmt_float : ?digits:int -> float -> string
+val fmt_float : float -> string
+(** Two decimals. *)

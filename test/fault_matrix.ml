@@ -78,7 +78,7 @@ let () =
       let fallback = if is_sum algo then Some vec_only else None in
       match
         Runtime.Resilient.scan
-          ~ctl:Runtime.Degrade_ctl.(create ~config:(fixed ~max_attempts:5 ()) ())
+          ~ctl:Runtime.Degrade_ctl.(create ~policy:(fixed ~max_attempts:5 ()) ())
           ~oracle:Runtime.Resilient.Reference ?fallback ~algo (make_device ())
           ~input
       with
@@ -96,7 +96,7 @@ let () =
    in
    match
      Runtime.Resilient.batched_scan ~granularity:4
-       ~ctl:Runtime.Degrade_ctl.(create ~config:(fixed ~max_attempts:6 ()) ())
+       ~ctl:Runtime.Degrade_ctl.(create ~policy:(fixed ~max_attempts:6 ()) ())
        (make_device ()) ~batch ~len ~input:binput
    with
    | r ->

@@ -226,7 +226,7 @@ let test_controller_is_deterministic () =
   in
   check_bool "same outcome sequence, same decisions" true (run () = run ())
 
-(* The fixed policy is a configuration of the same controller: over
+(* The fixed policy is the other case of the same controller: over
    any outcome sequence the breaker stays closed at [Normal], nothing
    is logged, the budget is [max_attempts] and the k-th retry of a
    group backs off [b * 2^(k-1)]. *)
@@ -239,7 +239,7 @@ let prop_fixed_policy =
     (fun (max_attempts, b, outcomes) ->
       let ctl =
         Degrade_ctl.create
-          ~config:(Degrade_ctl.fixed ~max_attempts ~backoff_s:b ())
+          ~policy:(Degrade_ctl.fixed ~max_attempts ~backoff_s:b ())
           ()
       in
       let attempt = ref 1 in
@@ -261,8 +261,19 @@ let prop_fixed_policy =
           && Degrade_ctl.level ctl = Degrade_ctl.Normal
           && Degrade_ctl.decisions ctl = []
           && Degrade_ctl.attempts_allowed ctl = max_attempts
-          && not (Degrade_ctl.can_open ctl))
+          && Degrade_ctl.opens ctl = 0)
         outcomes)
+
+let test_fixed_validates () =
+  let rejects what f =
+    check_bool what true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "zero attempts" (fun () -> Degrade_ctl.fixed ~max_attempts:0 ());
+  rejects "negative backoff" (fun () ->
+      Degrade_ctl.fixed ~backoff_s:(-1e-6) ());
+  check_bool "defaults" true
+    (Degrade_ctl.fixed () = Degrade_ctl.Fixed { max_attempts = 3; backoff_s = 0.0 })
 
 (* The committed cube-storm scenario, run in process as [chaos run]
    runs it (32 rows of 4096, s = 128, workload seed 1), pins the
@@ -584,6 +595,7 @@ let () =
           Alcotest.test_case "deterministic decisions" `Quick
             test_controller_is_deterministic;
           QCheck_alcotest.to_alcotest prop_fixed_policy;
+          Alcotest.test_case "fixed validates" `Quick test_fixed_validates;
           Alcotest.test_case "cube-storm storyline" `Quick
             test_cube_storm_storyline;
         ] );

@@ -127,7 +127,7 @@ let prop_cp_equals_makespan =
    Critical path a, b, d (makespan 40); only c has slack (15). *)
 let diamond_trace () =
   let tr = Trace.create () in
-  let b = Trace.block_builder tr ~idx:0 ~core:0 in
+  let b = Trace.block_builder ~idx:0 ~core:0 in
   let span ~track ~engine ~queue ~op ~start ~cycles =
     Trace.Block_builder.span b ~track ~engine ~queue ~op ~start ~cycles
       ~bytes:0

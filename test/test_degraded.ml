@@ -265,7 +265,7 @@ let test_resilient_absorbs_deadline () =
   in
   let r =
     Runtime.Resilient.run
-      ~ctl:Runtime.Degrade_ctl.(create ~config:(fixed ~max_attempts:2 ()) ())
+      ~ctl:Runtime.Degrade_ctl.(create ~policy:(fixed ~max_attempts:2 ()) ())
       ~fallback:loose ~validate tight
   in
   check_bool "recovered via fallback" true r.Runtime.Resilient.ok;
@@ -330,7 +330,7 @@ let prop_segmented_any_subset =
       let d = degraded_device ks in
       let x = Device.of_array d Dtype.F16 ~name:"x" scan_input in
       let flags = Device.of_array d Dtype.I8 ~name:"f" flags_input in
-      let y, _ = Scan.Segmented_scan.run d ~x ~flags () in
+      let y, _ = Scan.Segmented_scan.run d ~x ~flags in
       let expect =
         (* Host oracle: running sum resetting at raised flags. *)
         let acc = ref 0.0 in
@@ -425,7 +425,7 @@ let test_checkpointed_batched_replays_only_pending () =
     Runtime.Resilient.batched_scan ~granularity:4
       ~ctl:
         Runtime.Degrade_ctl.(
-          create ~config:(fixed ~max_attempts:6 ~backoff_s:1e-7 ()) ())
+          create ~policy:(fixed ~max_attempts:6 ~backoff_s:1e-7 ()) ())
       d ~batch ~len ~input
   in
   check_bool "complete despite faults" true r.Runtime.Resilient.bok;

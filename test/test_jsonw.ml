@@ -472,7 +472,7 @@ let prop_trace_fuzz =
 let test_backward_edge () =
   let module T = Ascend.Trace in
   let tr = T.create () in
-  let b = T.block_builder tr ~idx:0 ~core:0 in
+  let b = T.block_builder ~idx:0 ~core:0 in
   let span () =
     T.Block_builder.span b ~track:0 ~engine:"vec0" ~queue:"V" ~op:"nop" ~start:0.0
       ~cycles:0.0 ~bytes:0

@@ -12,7 +12,7 @@ let n = 65536
 let input = Array.init n (fun i -> if (i + 3) mod 53 = 0 then 1.0 else 0.0)
 
 let fixed max_attempts =
-  Degrade_ctl.create ~config:(Degrade_ctl.fixed ~max_attempts ()) ()
+  Degrade_ctl.create ~policy:(Degrade_ctl.fixed ~max_attempts ()) ()
 
 let reference_ok output =
   Scan.Scan_api.check_against_reference ~round:Fp16.round ~input ~output ()

@@ -5,9 +5,8 @@
      byte-identical across host domain counts, for every registered
      operator (the trace is keyed by simulated cycles and block ids,
      never by host scheduling);
-   - the recorder is internally consistent for every operator: zero
-     dropped events, monotone per-engine tracks, spans inside their
-     block window;
+   - the recorder is internally consistent for every operator:
+     monotone per-engine tracks, spans inside their block window;
    - the exported JSON survives its own validator and parser, and the
      occupancy summary derived from it never exceeds 100% per engine;
    - [trace summary] is a view of the profile: its occupancy and
@@ -53,7 +52,6 @@ let test_consistency (entry : Scan.Op_registry.entry) () =
   (match Trace.check tr with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "inconsistent trace: %s" msg);
-  check_int "no dropped events" 0 (Trace.dropped tr);
   check_bool "events recorded" true (Trace.event_count tr > 0);
   match Obs.Chrome_trace.validate (Obs.Chrome_trace.json tr) with
   | Ok counts -> check_bool "validator accepts" true (counts.Obs.Chrome_trace.events > 0)
