@@ -307,7 +307,7 @@ let () =
   register
     {
       name = "dist_scan";
-      aliases = [ "dscan"; "pod_scan" ];
+      aliases = [ "dscan" ];
       kind = `Scan;
       caps = caps ();
       monoid = sum;
