@@ -46,6 +46,11 @@ type t = {
   mutable n_records : int;
 }
 
+(* Whether rows [lo, hi) share a row with one of [groups]: a store's
+   records are row-disjoint. *)
+let overlaps ~lo ~hi groups =
+  List.exists (fun (lo', hi', _) -> lo < hi' && lo' < hi) groups
+
 let path t = t.st_path
 let rows t = t.st_rows
 let len t = t.st_len
@@ -106,6 +111,10 @@ let commit t ~lo ~hi ~values =
       (Printf.sprintf
          "Checkpoint_store.commit: payload length %d, expected %d rows * %d"
          (Array.length values) (hi - lo) t.st_len);
+  if overlaps ~lo ~hi t.records then
+    invalid_arg
+      (Printf.sprintf "Checkpoint_store.commit: rows %d-%d already committed"
+         lo hi);
   t.records <- (lo, hi, Array.copy values) :: t.records;
   t.n_records <- t.n_records + 1;
   persist t
@@ -243,9 +252,11 @@ let load ~path =
           let stop = ref false in
           while (not !stop) && !pos < String.length s do
             match parse_record ~rows ~len s pos with
-            | Some g -> groups := g :: !groups
-            | None ->
-                (* Torn or corrupt record: drop it and the rest. *)
+            | Some ((lo, hi, _) as g) when not (overlaps ~lo ~hi !groups) ->
+                groups := g :: !groups
+            | Some _ | None ->
+                (* Torn or corrupt record, or rows an earlier record
+                   already holds: drop it and the rest. *)
                 torn := true;
                 stop := true
           done;

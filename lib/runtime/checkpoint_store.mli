@@ -31,7 +31,9 @@
     truncated or corrupt tail (a torn write under a filesystem without
     atomic rename, or bit rot) as the end of the log: the damaged
     record and everything after it are discarded and reported through
-    [torn], rather than poisoning the resume. *)
+    [torn], rather than poisoning the resume. The records hold
+    pairwise disjoint rows: a record whose rows overlap an earlier
+    one's (a duplicated record, say) is damage like a bad CRC. *)
 
 type t
 
@@ -50,7 +52,9 @@ type loaded = {
       (** Validated commits in commit order: rows [lo, hi) and their
           [(hi-lo)*len] payload values. *)
   l_torn : bool;
-      (** A truncated or CRC-corrupt tail was detected and dropped. *)
+      (** A truncated or CRC-corrupt tail, or a record overlapping an
+          earlier one, was detected and dropped with everything after
+          it. *)
 }
 
 val load : path:string -> (loaded, string) result
@@ -75,7 +79,8 @@ val commit : t -> lo:int -> hi:int -> values:float array -> unit
 (** Durably append one validated row group (rows [lo <= r < hi],
     [values] their row-major payload of length [(hi-lo)*len]) with the
     atomic snapshot-rename protocol above. Raises [Invalid_argument]
-    on a bad range or payload length. *)
+    on a bad range or payload length, or when a row of the range is
+    already committed. *)
 
 val path : t -> string
 val rows : t -> int

@@ -435,6 +435,50 @@ let crash_resume_is_byte_identical (name, text) =
 let test_crash_resume_is_byte_identical () =
   List.iter crash_resume_is_byte_identical crash_storylines
 
+(* A crashed run's store with its first record appended again: the
+   copy overlaps the original, so reopening drops it as a damaged
+   tail, the store counts the crashed run's commits, and the resume
+   restores each durable row once and ends on the reference bytes. *)
+let test_duplicated_record_resumes () =
+  let name, text = List.hd crash_storylines in
+  let sc = parse_ok text in
+  let ref_r, _ = run_batched ~skip_crashes:true sc in
+  let path = Filename.temp_file "test_chaos_dup_" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove path with Sys_error _ -> ());
+      try Sys.remove (path ^ ".tmp") with Sys_error _ -> ())
+    (fun () ->
+      let store = Checkpoint_store.create ~path ~rows:batch ~len () in
+      (match run_batched ~store ~skip_crashes:false sc with
+      | _ -> Alcotest.failf "%s: expected Host_crash mid-batch" name
+      | exception Chaos.Host_crash _ -> ());
+      let groups = Checkpoint_store.groups store in
+      let lo, hi, _ = List.hd groups in
+      let full = In_channel.with_open_bin path In_channel.input_all in
+      (* header: magic, version, rows, len, meta length, empty meta, crc *)
+      let header = 6 + 2 + 4 + 4 + 4 + 4 in
+      let first = String.sub full header (12 + ((hi - lo) * len * 8) + 4) in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (full ^ first));
+      let resumed, l =
+        match Checkpoint_store.reopen ~path with
+        | Ok v -> v
+        | Error e -> Alcotest.failf "reopen: %s" e
+      in
+      check_bool "duplicate dropped as torn" true l.Checkpoint_store.l_torn;
+      check_int "commits" (List.length groups)
+        (Checkpoint_store.commits resumed);
+      let distinct =
+        List.fold_left (fun acc (lo, hi, _) -> acc + hi - lo) 0 groups
+      in
+      let res_r, _ = run_batched ~store:resumed ~skip_crashes:true sc in
+      check_bool "resume completes" true res_r.Resilient.bok;
+      check_int "restored rows = distinct durable rows" distinct
+        res_r.Resilient.restored_rows;
+      check_bool "resume equals replay, byte for byte" true
+        (bytes_of ref_r = bytes_of res_r))
+
 let test_fully_covered_store_launches_nothing () =
   let sc = parse_ok "seed 1\n" in
   let path = Filename.temp_file "test_chaos_full_" ".ckpt" in
@@ -605,6 +649,8 @@ let () =
             test_crash_resume_is_byte_identical;
           Alcotest.test_case "full store launches nothing" `Quick
             test_fully_covered_store_launches_nothing;
+          Alcotest.test_case "duplicated record resumes" `Quick
+            test_duplicated_record_resumes;
           Alcotest.test_case "trace stays consistent" `Quick
             test_trace_stays_consistent_under_chaos;
         ] );

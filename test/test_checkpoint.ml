@@ -88,22 +88,31 @@ let prop_commits_counts_marks =
       Checkpoint.commits (replay case) = List.length ranges)
 
 (* Store roundtrip: commit random groups with random payloads, reload,
-   and require the exact (bit-level) groups back in commit order. *)
+   and require the exact (bit-level) groups back in commit order. A
+   store's groups are row-disjoint, so a case commits some of the
+   pieces of a random partition of the rows, in random order. *)
+let rec adjacent_pairs = function
+  | a :: (b :: _ as rest) -> (a, b) :: adjacent_pairs rest
+  | _ -> []
+
 let store_case_gen =
   QCheck.Gen.(
     let* rows = int_range 1 16 in
     let* len = int_range 1 8 in
-    let* n = int_range 0 8 in
+    let* cuts = list_size (int_range 0 8) (int_range 1 rows) in
+    let* pieces =
+      shuffle_l (adjacent_pairs (List.sort_uniq compare ((0 :: cuts) @ [ rows ])))
+    in
+    let* n = int_range 0 (List.length pieces) in
     let* groups =
-      list_size (return n)
-        (let* lo = int_range 0 (rows - 1) in
-         let* hi = int_range (lo + 1) rows in
-         let* values =
-           array_size
-             (return ((hi - lo) * len))
-             (map (fun f -> Ascend.Fp16.round f) (float_range (-8.0) 8.0))
-         in
-         return (lo, hi, values))
+      flatten_l
+        (List.filteri (fun i _ -> i < n) pieces
+        |> List.map (fun (lo, hi) ->
+               map
+                 (fun values -> (lo, hi, values))
+                 (array_size
+                    (return ((hi - lo) * len))
+                    (map (fun f -> Ascend.Fp16.round f) (float_range (-8.0) 8.0)))))
     in
     return (rows, len, groups))
 
@@ -168,10 +177,12 @@ let prop_store_torn_tail_is_prefix =
                  = List.filteri (fun i _ -> i < k) groups))
 
 (* Byte mutations of a whole store file: bit flips, records swapped,
-   a record duplicated. [load] must return a typed error or groups
-   whose records passed their CRC (each one a committed group), and
-   never raise. Swapped and duplicated records are intact, so they
-   load as exactly the mutated record sequence. *)
+   a record duplicated. [load] must return a typed error or pairwise
+   row-disjoint groups whose records passed their CRC (each one a
+   committed group), and never raise; a reopened store counts exactly
+   those groups as its commits. Swapped records are intact, so they
+   load as exactly the swapped sequence. A duplicated record overlaps
+   its original, so it is dropped as a damaged tail. *)
 let header_len meta = String.length "ASCKPT" + 2 + 4 + 4 + 4 + String.length meta + 4
 let record_len len (lo, hi, _) = 12 + ((hi - lo) * len * 8) + 4
 
@@ -241,9 +252,7 @@ let prop_store_mutations_never_raise =
                 let perm l = List.map (fun x -> List.nth l x) order in
                 ( String.sub full 0 h ^ String.concat "" (perm records),
                   Some (perm groups) )
-            | Dup i ->
-                ( full ^ String.concat "" (pick records i),
-                  Some (groups @ pick groups i) )
+            | Dup i -> (full ^ String.concat "" (pick records i), Some groups)
           in
           Out_channel.with_open_bin path (fun oc ->
               Out_channel.output_string oc bytes);
@@ -252,11 +261,27 @@ let prop_store_mutations_never_raise =
           | exception e ->
               QCheck.Test.fail_reportf "load raised %s" (Printexc.to_string e)
           | Error _ -> expected = None
-          | Ok l -> (
-              let got = List.map bits_of_group l.Checkpoint_store.l_groups in
-              match expected with
-              | Some e -> got = List.map bits_of_group e
-              | None -> List.for_all (fun g -> List.mem g committed) got)))
+          | Ok l ->
+              let groups = l.Checkpoint_store.l_groups in
+              let got = List.map bits_of_group groups in
+              let rec disjoint = function
+                | [] -> true
+                | (lo, hi, _) :: rest ->
+                    List.for_all (fun (lo', hi', _) -> hi <= lo' || hi' <= lo) rest
+                    && disjoint rest
+              in
+              let commits_after_reopen =
+                match Checkpoint_store.reopen ~path with
+                | Ok (st, _) -> Checkpoint_store.commits st
+                | Error _ -> -1
+              in
+              disjoint groups
+              && commits_after_reopen = List.length groups
+              && (match (expected, mutation) with
+                 | Some e, Dup _ ->
+                     l.Checkpoint_store.l_torn && got = List.map bits_of_group e
+                 | Some e, _ -> got = List.map bits_of_group e
+                 | None, _ -> List.for_all (fun g -> List.mem g committed) got)))
 
 (* The standard check value of IEEE 802.3 CRC-32 over the ASCII
    digits 1..9. *)
