@@ -15,6 +15,14 @@
      accepts still exits 0.
    - [chaos report]: a scenario using a retired multi-device action
      ([kill device=D], [link ...]) exits 2.
+   - Argument mutations: 120 seeded cases, one process at a time, each
+     a valid command with one token dropped, duplicated, swapped with
+     another or replaced by a negative, huge, empty or non-numeric
+     value. The commands are [run --op] for every entry with its
+     declared parameters at N = 4096, and [chaos report] and [chaos run
+     --crash-mode raise] on the committed scenarios. Each case must
+     exit 0, 1 or 2 within 10 s, with no uncaught exception or
+     backtrace.
 
    Usage: cli_harness.exe PATH/TO/ascend_scan_cli.exe *)
 
@@ -31,8 +39,29 @@ let fail fmt =
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
 
-(* Run the CLI; its exit code, stdout and stderr lines. *)
-let run_cli args =
+(* The child's status, or [None] once [timeout] seconds have passed
+   (the child is then killed). *)
+let wait_child ?timeout pid =
+  match timeout with
+  | None -> Some (snd (Unix.waitpid [] pid))
+  | Some t ->
+      let deadline = Unix.gettimeofday () +. t in
+      let rec poll () =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ when Unix.gettimeofday () > deadline ->
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid);
+            None
+        | 0, _ ->
+            Unix.sleepf 0.002;
+            poll ()
+        | _, st -> Some st
+      in
+      poll ()
+
+(* Run the CLI; its exit code (-1 on a [timeout]), stdout and stderr
+   lines. *)
+let run_cli ?timeout args =
   let out = Filename.temp_file "cli_harness" ".out" in
   let err = Filename.temp_file "cli_harness" ".err" in
   let open_w f = Unix.openfile f [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
@@ -43,9 +72,10 @@ let run_cli args =
   Unix.close fo;
   Unix.close fe;
   let code =
-    match snd (Unix.waitpid [] pid) with
-    | Unix.WEXITED c -> c
-    | Unix.WSIGNALED s | Unix.WSTOPPED s -> 128 + s
+    match wait_child ?timeout pid with
+    | Some (Unix.WEXITED c) -> c
+    | Some (Unix.WSIGNALED s | Unix.WSTOPPED s) -> 128 + s
+    | None -> -1
   in
   let stdout = read_file out in
   let lines =
@@ -255,9 +285,96 @@ let check_profile () =
       ~expect:`Either (flip good i (1 lsl bit))
   done
 
+(* ------------------------------------------------------------------ *)
+(* Argument mutations                                                  *)
+
+type mutation =
+  | Drop of int
+  | Dup of int
+  | Swap of int * int
+  | Replace of int * string
+
+(* A negative, huge, empty or non-numeric value. *)
+let bad_values =
+  [ "-1"; "-4096"; "4611686018427387903"; "1e308"; ""; "abc"; "nan" ]
+
+(* A valid command: [head] is the subcommand, never mutated; [tail]
+   is the flags and values a mutation edits. *)
+let fuzz_bases entries scenarios =
+  List.map
+    (fun (name, params) ->
+      ( [ "run" ],
+        [ "--op"; name; "-n"; n ]
+        @ List.concat_map (fun p -> List.assoc p param_args) params ))
+    entries
+  @ List.concat_map
+      (fun file ->
+        [
+          ([ "chaos"; "report" ], [ "--scenario"; file ]);
+          ([ "chaos"; "run" ], [ "--scenario"; file; "--crash-mode"; "raise" ]);
+        ])
+      scenarios
+
+let mutation_gen st tail =
+  let k = List.length tail in
+  let i = Random.State.int st k in
+  match Random.State.int st 4 with
+  | 0 -> Drop i
+  | 1 -> Dup i
+  | 2 -> Swap (i, Random.State.int st k)
+  | _ ->
+      (* N stays at most 4096: a huge N is a long simulation, not a
+         malformed argument. *)
+      let values =
+        if i > 0 && List.nth tail (i - 1) = "-n" then
+          List.filter (fun v -> v <> "4611686018427387903" && v <> "1e308")
+            bad_values
+        else bad_values
+      in
+      Replace (i, List.nth values (Random.State.int st (List.length values)))
+
+let apply tail = function
+  | Drop i -> List.filteri (fun j _ -> j <> i) tail
+  | Dup i -> List.concat (List.mapi (fun j t -> if j = i then [ t; t ] else [ t ]) tail)
+  | Swap (i, j) ->
+      let a = List.nth tail i and b = List.nth tail j in
+      List.mapi (fun k t -> if k = i then b else if k = j then a else t) tail
+  | Replace (i, v) -> List.mapi (fun j t -> if j = i then v else t) tail
+
+let contains ~sub s = Option.is_some (index_of_opt ~sub s)
+
+let check_fuzz () =
+  let scenarios =
+    Sys.readdir "../scenarios" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".chaos")
+    |> List.sort compare
+    |> List.map (Filename.concat "../scenarios")
+  in
+  if scenarios = [] then fail "fuzz: no committed scenarios";
+  let bases = Array.of_list (fuzz_bases (list_ops ()) scenarios) in
+  let st = Random.State.make [| 28 |] in
+  for case = 0 to 119 do
+    let head, tail = bases.(case mod Array.length bases) in
+    let args = head @ apply tail (mutation_gen st tail) in
+    let code, stdout, lines = run_cli ~timeout:10.0 args in
+    let out = stdout ^ String.concat "\n" lines in
+    let what = String.concat " " (List.map (Printf.sprintf "%S") args) in
+    if code = -1 then fail "fuzz %d (%s): no exit within 10 s" case what
+    else if code < 0 || code > 2 then
+      fail "fuzz %d (%s): exit %d, stderr:\n  %s" case what code
+        (String.concat "\n  " lines)
+    else if
+      List.exists (fun sub -> contains ~sub out)
+        [ "Fatal error"; "Raised at"; "Called from"; "Re-raised at" ]
+    then
+      fail "fuzz %d (%s): exception or backtrace:\n  %s" case what
+        (String.concat "\n  " lines)
+  done
+
 let () =
   check_run ();
   check_profile ();
+  check_fuzz ();
   if !failures > 0 then begin
     Printf.eprintf "cli_harness: %d failure(s)\n" !failures;
     exit 1
