@@ -513,7 +513,7 @@ let ablation_extensions () =
       let x = alloc_f16 d n in
       let flags = alloc_i8 d n in
       let _, smc = Scan.Mcscan.run d x in
-      let _, sseg = Scan.Segmented_scan.run d ~x ~flags in
+      let _, sseg = Scan.Segmented_scan.run d ~x ~flags () in
       let _, _, scr = Scan.Cube_reduce.run_cube d x in
       let _, _, svr = Scan.Cube_reduce.run_vec d x in
       Table.add_row t

@@ -39,7 +39,7 @@ let () =
     (Array.fold_left max 0 lengths);
 
   (* One launch scans every sequence independently. *)
-  let y, stats = Scan.Segmented_scan.run device ~x ~flags:f in
+  let y, stats = Scan.Segmented_scan.run device ~x ~flags:f () in
   Format.printf "segmented scan:  %a@." Stats.pp_summary stats;
 
   (* Per-sequence totals are the scan values at each sequence end. *)

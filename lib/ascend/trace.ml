@@ -143,14 +143,7 @@ module Block_builder = struct
 end
 
 let block_builder ~idx ~core =
-  {
-    Block_builder.idx;
-    core;
-    rspans = [];
-    redges = [];
-    rmarks = [];
-    next_id = 0;
-  }
+  { Block_builder.idx; core; rspans = []; redges = []; rmarks = []; next_id = 0 }
 
 let record_launch t ~name ~seconds ~latency_cycles ~sync_cycles ~phases =
   let phases =

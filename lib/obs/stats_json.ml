@@ -12,8 +12,9 @@ let phase_json (p : Stats.phase) =
       ("bandwidth_bound", Jsonw.Bool p.Stats.bandwidth_bound);
     ]
 
-let json (st : Stats.t) =
-  Jsonw.Obj
+let to_string (st : Stats.t) =
+  Jsonw.to_string
+  @@ Jsonw.Obj
     [
       ("name", Jsonw.String st.Stats.name);
       ("seconds", Jsonw.Float st.Stats.seconds);
@@ -45,5 +46,3 @@ let json (st : Stats.t) =
       ("domains", Jsonw.Int st.Stats.domains);
       ("launches", Jsonw.Int st.Stats.launches);
     ]
-
-let to_string st = Jsonw.to_string (json st)

@@ -76,7 +76,6 @@ type breaker = {
   mutable next_cooldown : float;  (* doubles on every re-open *)
   mutable n_opens : int;
   mutable log : decision list;  (* newest first *)
-  mutable n_decisions : int;
 }
 
 (* A fixed controller has no state: its breaker never opens. *)
@@ -100,7 +99,6 @@ let create ?(policy = Adaptive) ?(on_decision = fun _ -> ()) () =
           next_cooldown = cooldown_s;
           n_opens = 0;
           log = [];
-          n_decisions = 0;
         }
 
 let policy = function
@@ -115,7 +113,7 @@ let decisions = function Budget _ -> [] | Breaker t -> List.rev t.log
 let decide t ?(cooldown = 0.0) reason =
   let d =
     {
-      seq = t.n_decisions;
+      seq = List.length t.log;
       d_state = t.st;
       d_level = t.lvl;
       d_cooldown_s = cooldown;
@@ -123,7 +121,6 @@ let decide t ?(cooldown = 0.0) reason =
     }
   in
   t.log <- d :: t.log;
-  t.n_decisions <- t.n_decisions + 1;
   t.on_decision d
 
 let push_outcome t ~failed =
@@ -244,14 +241,12 @@ let pp_decision fmt d =
 
 let pp fmt ctl =
   let ds = decisions ctl in
-  let n_opens = opens ctl and n_decisions = List.length ds in
+  let n_opens = opens ctl and n_ds = List.length ds in
+  let plural k = if k = 1 then "" else "s" in
   Format.fprintf fmt
     "@[<v>degrade controller: %s/%s, %d opening%s, %d decision%s"
     (state_to_string (state ctl))
     (level_to_string (level ctl))
-    n_opens
-    (if n_opens = 1 then "" else "s")
-    n_decisions
-    (if n_decisions = 1 then "" else "s");
+    n_opens (plural n_opens) n_ds (plural n_ds);
   List.iter (fun d -> Format.fprintf fmt "@   %a" pp_decision d) ds;
   Format.fprintf fmt "@]"

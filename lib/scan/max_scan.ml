@@ -2,7 +2,7 @@
    with the Max operator (max has no matmul encoding, so the cube
    kernels do not apply). *)
 
-let run device x =
+let run ?blocks device x =
   Scan_core.run_vec_blocks
     (module Scan_op.Max)
-    ~kernel_name:"max_scan" ~suffix:"_maxscan" device x
+    ?blocks ~kernel_name:"max_scan" ~suffix:"_maxscan" device x

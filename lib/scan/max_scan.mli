@@ -12,6 +12,7 @@
     segment boundary, and generally useful for running-max features. *)
 
 val run :
+  ?blocks:int ->
   Ascend.Device.t ->
   Ascend.Global_tensor.t ->
   Ascend.Global_tensor.t * Ascend.Stats.t

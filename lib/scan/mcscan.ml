@@ -160,7 +160,7 @@ let phase2 ~loc ~y ~r ~s ~chunk ~half ~n ~out_dt ~exclusive ctx =
     done
   end
 
-let run ?(s = 128) ?(exclusive = false) device x =
+let run ?(s = 128) ?blocks ?(exclusive = false) device x =
   if s <= 0 || s land 1 = 1 then
     invalid_arg "Mcscan.run: s must be positive and even";
   let in_dt = Global_tensor.dtype x in
@@ -175,7 +175,12 @@ let run ?(s = 128) ?(exclusive = false) device x =
   in
   let n = Global_tensor.length x in
   if n = 0 then invalid_arg "Mcscan.run: empty input";
-  let blocks = Scheduler.blocks (Scheduler.plan device ~n) in
+  let blocks =
+    match blocks with
+    | Some b -> b
+    | None -> Scheduler.blocks (Scheduler.plan device ~n)
+  in
+  if blocks < 1 then invalid_arg "Mcscan.run: blocks must be >= 1";
   let vpc = (Device.cost device).Cost_model.vec_per_core in
   let tile = s * s in
   (* Block chunks are tile-aligned; vector sub-blocks are row-aligned

@@ -27,10 +27,10 @@
 
 val run :
   ?s:int ->
+  ?blocks:int ->
   ?exclusive:bool ->
   Ascend.Device.t ->
   Ascend.Global_tensor.t ->
   Ascend.Global_tensor.t * Ascend.Stats.t
-(** Defaults: [s = 128], [exclusive = false]; one block per
-    surviving AI core ({!Ascend.Scheduler.plan}). Input must be [F16]
-    or [I8]. *)
+(** Defaults: [s = 128], [blocks] = the device's AI-core count,
+    [exclusive = false]. Input must be [F16] or [I8]. *)

@@ -11,6 +11,7 @@ type caps = {
 type config = {
   s : int option;
   exclusive : bool;
+  blocks : int option;
   batch : int option;
   len : int option;
   bits : int option;
@@ -25,6 +26,7 @@ let default_config =
   {
     s = None;
     exclusive = false;
+    blocks = None;
     batch = None;
     len = None;
     bits = None;
@@ -234,7 +236,8 @@ let () =
       describe = "Algorithm 3: two-phase multi-core scan";
       run =
         simple (fun cfg device x ->
-            Mcscan.run ?s:cfg.s ~exclusive:cfg.exclusive device x);
+            Mcscan.run ?s:cfg.s ?blocks:cfg.blocks ~exclusive:cfg.exclusive
+              device x);
     };
   register
     {
@@ -256,7 +259,7 @@ let () =
       monoid = Some (module Scan_op.Max : Scan_op.S);
       params = [];
       describe = "Running maximum: vector-only two-phase engine";
-      run = simple (fun _ device x -> Max_scan.run device x);
+      run = simple (fun cfg device x -> Max_scan.run ?blocks:cfg.blocks device x);
     };
   register
     {
@@ -268,10 +271,12 @@ let () =
       params = [];
       describe = "Segmented sum over (value, start-flag) pairs";
       run =
-        (fun _ device input ->
+        (fun cfg device input ->
           match input with
           | Masked { x; mask } ->
-              let y, st = Segmented_scan.run device ~x ~flags:mask in
+              let y, st =
+                Segmented_scan.run ?blocks:cfg.blocks device ~x ~flags:mask ()
+              in
               ({ y = Some y; aux = [] }, st)
           | Tensor _ ->
               invalid_arg "segmented_scan requires a mask/flags input");

@@ -24,6 +24,7 @@ type caps = {
 type config = {
   s : int option;  (** Tile side (kernel default when [None]). *)
   exclusive : bool;
+  blocks : int option;
   batch : int option;
   len : int option;
   bits : int option;  (** Radix key width. *)

@@ -255,7 +255,8 @@ let vec_phase2 (module Op : Scan_op.S) ~x ~y ~r ~chunk ~half ~n ~dt ctx =
       bufs
   end
 
-let run_vec_blocks (module Op : Scan_op.S) ~kernel_name ~suffix device x =
+let run_vec_blocks (module Op : Scan_op.S) ?blocks ~kernel_name ~suffix device
+    x =
   let dt = Global_tensor.dtype x in
   if not (List.exists (Dtype.equal dt) Op.dtypes) then
     invalid_arg
@@ -263,7 +264,11 @@ let run_vec_blocks (module Op : Scan_op.S) ~kernel_name ~suffix device x =
          (Dtype.to_string dt));
   let n = Global_tensor.length x in
   if n = 0 then invalid_arg (Printf.sprintf "%s: empty input" kernel_name);
-  let blocks = Scheduler.blocks (Scheduler.plan device ~n) in
+  let blocks =
+    match blocks with
+    | Some b -> b
+    | None -> Scheduler.blocks (Scheduler.plan device ~n)
+  in
   let vpc = (Device.cost device).Cost_model.vec_per_core in
   let chunk, half =
     block_partition ~n ~blocks ~vpc ~chunk_align:ub_tile ~half_align:ub_tile

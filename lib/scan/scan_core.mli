@@ -154,6 +154,7 @@ val ub_tile : int
 
 val run_vec_blocks :
   (module Scan_op.S) ->
+  ?blocks:int ->
   kernel_name:string ->
   suffix:string ->
   Device.t ->

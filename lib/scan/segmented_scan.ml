@@ -150,7 +150,7 @@ let phase2 ~x ~flags ~y ~rv ~rf ~chunk ~half ~n ctx =
       bufs
   end
 
-let run device ~x ~flags =
+let run ?blocks device ~x ~flags () =
   if not (Dtype.equal (Global_tensor.dtype x) Dtype.F16) then
     invalid_arg "Segmented_scan.run: x must be f16";
   if not (Dtype.equal (Global_tensor.dtype flags) Dtype.I8) then
@@ -159,7 +159,11 @@ let run device ~x ~flags =
   if Global_tensor.length flags <> n then
     invalid_arg "Segmented_scan.run: length mismatch";
   if n = 0 then invalid_arg "Segmented_scan.run: empty input";
-  let blocks = Scheduler.blocks (Scheduler.plan device ~n) in
+  let blocks =
+    match blocks with
+    | Some b -> b
+    | None -> Scheduler.blocks (Scheduler.plan device ~n)
+  in
   let vpc = (Device.cost device).Cost_model.vec_per_core in
   let chunk, half =
     Scan_core.block_partition ~n ~blocks ~vpc ~chunk_align:ub_tile

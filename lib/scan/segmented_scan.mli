@@ -15,9 +15,11 @@
     boundary) in place of plain sums. *)
 
 val run :
+  ?blocks:int ->
   Ascend.Device.t ->
   x:Ascend.Global_tensor.t ->
   flags:Ascend.Global_tensor.t ->
+  unit ->
   Ascend.Global_tensor.t * Ascend.Stats.t
 (** [x] must be [F16], [flags] an [I8] 0/1 array of the same length;
     the output is [F16]. *)

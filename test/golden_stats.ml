@@ -119,7 +119,7 @@ let run_cases dev =
   (* Segmented scan. *)
   let x = of_array Dtype.F16 "x" scan_data in
   let flags = of_array Dtype.I8 "f" flags_data in
-  let y, st = Scan.Segmented_scan.run dev ~x ~flags in
+  let y, st = Scan.Segmented_scan.run dev ~x ~flags () in
   case "segmented_f16" ~digest:(digest_tensor y) st;
   (* Batched scans. *)
   let batch = 4 and blen = 8192 in

@@ -191,9 +191,8 @@ let test_cost_only_runs_everything () =
    Cost_only run charges exactly what a functional run does — the same
    [seconds] bit for bit, engine busy cycles and op counts in order —
    so the paper-scale Cost_only sweeps cost what golden_timing pins on
-   functional devices. At n = 99,996 on a two-core device (two
-   blocks per launch) the vector sub-blocks span several UB tiles, the
-   last one ragged. *)
+   functional devices. At n = 99,996 over two blocks the vector
+   sub-blocks span several UB tiles, the last one ragged. *)
 let data_independent =
   [ "vec_only"; "scanu"; "scanul1"; "mcscan"; "tcu"; "max_scan";
     "segmented_scan"; "batched_u"; "batched_ul1"; "dist_scan"; "cube_reduce" ]
@@ -202,14 +201,13 @@ let test_cost_only_equals_functional () =
   let n = 99_996 and batch = 4 in
   let cfg =
     { Scan.Op_registry.default_config with
-      batch = Some batch; len = Some (n / batch) }
+      blocks = Some 2; batch = Some batch; len = Some (n / batch) }
   in
-  let cost = { Cost_model.default with Cost_model.num_ai_cores = 2 } in
   List.iter
     (fun name ->
       let e = Option.get (Scan.Op_registry.find name) in
       let stats mode =
-        let d = Device.create ~cost ~mode () in
+        let d = Device.create ~mode () in
         let tensor dt f =
           if mode = Device.Functional then
             Device.of_array d dt ~name:"x" (Array.init n f)

@@ -330,7 +330,7 @@ let prop_segmented_any_subset =
       let d = degraded_device ks in
       let x = Device.of_array d Dtype.F16 ~name:"x" scan_input in
       let flags = Device.of_array d Dtype.I8 ~name:"f" flags_input in
-      let y, _ = Scan.Segmented_scan.run d ~x ~flags in
+      let y, _ = Scan.Segmented_scan.run d ~x ~flags () in
       let expect =
         (* Host oracle: running sum resetting at raised flags. *)
         let acc = ref 0.0 in

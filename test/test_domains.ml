@@ -150,7 +150,7 @@ let test_segmented_domain_invariant () =
       let d = Device.create ~domains () in
       let x = Device.of_array d Dtype.F16 ~name:"x" scan_input in
       let flags = Device.of_array d Dtype.I8 ~name:"f" flags_input in
-      let y, st = Scan.Segmented_scan.run d ~x ~flags in
+      let y, st = Scan.Segmented_scan.run d ~x ~flags () in
       (tensor_bits y (Array.length scan_input), st))
 
 (* Stateful features must force the sequential path: a degraded run

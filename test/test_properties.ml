@@ -190,7 +190,7 @@ let prop_segmented_no_flags_is_plain_scan =
       let dev = Device.create () in
       let x = Device.of_array dev Dtype.F16 ~name:"x" data in
       let f = Device.of_array dev Dtype.I8 ~name:"f" (Array.make n 0.0) in
-      let y, _ = Scan.Segmented_scan.run dev ~x ~flags:f in
+      let y, _ = Scan.Segmented_scan.run dev ~x ~flags:f () in
       let expect = Scan.Reference.inclusive_scan data in
       Array.for_all Fun.id
         (Array.init n (fun i -> Global_tensor.get y i = expect.(i))))
@@ -207,7 +207,7 @@ let prop_segmented_concat_independence =
       flags.(na) <- 1.0;
       let x = Device.of_array dev Dtype.F16 ~name:"x" data in
       let f = Device.of_array dev Dtype.I8 ~name:"f" flags in
-      let y, _ = Scan.Segmented_scan.run dev ~x ~flags:f in
+      let y, _ = Scan.Segmented_scan.run dev ~x ~flags:f () in
       let ea = Scan.Reference.inclusive_scan a in
       let eb = Scan.Reference.inclusive_scan b in
       Array.for_all Fun.id (Array.init na (fun i -> Global_tensor.get y i = ea.(i)))

@@ -21,7 +21,7 @@ let run_case ~name x flags =
   let dev = Device.create () in
   let xt = Device.of_array dev Dtype.F16 ~name:"x" x in
   let ft = Device.of_array dev Dtype.I8 ~name:"f" flags in
-  let y, stats = Scan.Segmented_scan.run dev ~x:xt ~flags:ft in
+  let y, stats = Scan.Segmented_scan.run dev ~x:xt ~flags:ft () in
   let expect = segmented_oracle x flags in
   Array.iteri
     (fun i e ->
@@ -60,7 +60,7 @@ let test_single_segment_equals_scan () =
   let dev = Device.create () in
   let xt = Device.of_array dev Dtype.F16 ~name:"x" x in
   let ft = Device.of_array dev Dtype.I8 ~name:"f" flags in
-  let y, _ = Scan.Segmented_scan.run dev ~x:xt ~flags:ft in
+  let y, _ = Scan.Segmented_scan.run dev ~x:xt ~flags:ft () in
   let plain, _ = Scan.Mcscan.run dev xt in
   for i = 0 to n - 1 do
     if Global_tensor.get y i <> Global_tensor.get plain i then
@@ -74,7 +74,7 @@ let test_all_boundaries_is_identity () =
   let dev = Device.create () in
   let xt = Device.of_array dev Dtype.F16 ~name:"x" x in
   let ft = Device.of_array dev Dtype.I8 ~name:"f" flags in
-  let y, _ = Scan.Segmented_scan.run dev ~x:xt ~flags:ft in
+  let y, _ = Scan.Segmented_scan.run dev ~x:xt ~flags:ft () in
   for i = 0 to n - 1 do
     if Global_tensor.get y i <> x.(i) then Alcotest.failf "not identity at %d" i
   done
@@ -100,7 +100,7 @@ let test_implicit_first_segment () =
   let dev = Device.create () in
   let xt = Device.of_array dev Dtype.F16 ~name:"x" x in
   let ft = Device.of_array dev Dtype.I8 ~name:"f" flags in
-  let y, _ = Scan.Segmented_scan.run dev ~x:xt ~flags:ft in
+  let y, _ = Scan.Segmented_scan.run dev ~x:xt ~flags:ft () in
   check_bool "prefix before flag" true (Global_tensor.get y 499 = 500.0);
   check_bool "restart at flag" true (Global_tensor.get y 500 = 1.0)
 
@@ -110,7 +110,7 @@ let test_validation () =
   let f2 = Device.of_array dev Dtype.I8 ~name:"f" [| 1.0; 0.0 |] in
   check_bool "length mismatch" true
     (try
-       ignore (Scan.Segmented_scan.run dev ~x ~flags:f2);
+       ignore (Scan.Segmented_scan.run dev ~x ~flags:f2 ());
        false
      with Invalid_argument _ -> true)
 
