@@ -249,11 +249,16 @@ let emit_obs ?extra device obs st =
 let n_arg =
   Arg.(value & opt int 65536 & info [ "n"; "length" ] ~docv:"N" ~doc:"Input length.")
 
+(* What the kernels check before their first launch (Kernel_util.check_s). *)
+let s_doc =
+  "Matrix tile size: s x s cube tiles. At least 1, and two tiles must fit \
+   the 64 KiB L0A buffer: at most 128 for f16 tiles, 180 for the i8 flag \
+   scans of compress, split, radix_sort, topk and radix_select. The \
+   MCScan-based entries need an even s. A value out of range exits 2 \
+   with the entry's own limit."
+
 let s_arg =
-  Arg.(
-    value
-    & opt int 128
-    & info [ "s"; "tile" ] ~docv:"S" ~doc:"Matrix tile size (16..128).")
+  Arg.(value & opt int 128 & info [ "s"; "tile" ] ~docv:"S" ~doc:s_doc)
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed.")
@@ -378,7 +383,7 @@ let params_term =
             set R.Devices (fun c v -> { c with R.devices = Some v }) devices;
             set R.Batch (fun c v -> { c with R.batch = Some v }) batch;
           ])
-    $ opt Arg.int R.S ~docv:"S" ~doc:"Matrix tile size (16..128)."
+    $ opt Arg.int R.S ~docv:"S" ~doc:s_doc
     $ Arg.(
         value & flag
         & info [ R.param_name R.Exclusive ] ~doc:"Exclusive scan.")
@@ -572,9 +577,12 @@ let run_cmd =
     term
 
 (* Argument checks of the chaos run/resume commands. *)
-let check_geometry ~batch ~len granularity =
+let check_geometry ~batch ~len ~s granularity =
   if batch < 1 then raise (Usage_error "--batch must be >= 1");
   if len < 1 then raise (Usage_error "--len must be >= 1");
+  (* The rows are f16 batched scans. *)
+  (try Scan.Kernel_util.check_s ~who:"chaos" Ascend.Dtype.F16 s
+   with Invalid_argument msg -> raise (Usage_error msg));
   match granularity with
   | Some g when g < 1 -> raise (Usage_error "--granularity must be >= 1")
   | _ -> ()
@@ -731,7 +739,7 @@ let chaos_cmd =
   in
   let run_or_resume ~resume scenario_file store_path batch len s granularity
       crash_mode seed obs =
-    check_geometry ~batch ~len granularity;
+    check_geometry ~batch ~len ~s granularity;
     let sc = load_scenario scenario_file in
     let device =
       Ascend.Device.create ~mode:Ascend.Device.Functional

@@ -39,22 +39,25 @@ type touched = {
 
 type t = {
   device : Device.t;
+  (* What the device fixes, read here instead of through [Device]. *)
+  cost : Cost_model.t;
+  functional : bool;
+  sanitizer : Sanitizer.t option;
+  fault : Fault.t option;
   mutable idx : int;
   num_blocks : int;
   mutable core : int;
   health : Health.t;
   mutable kill_at : float;  (* seeded kill threshold of [core]; infinity = never *)
   mutable clock0 : float;  (* [core]'s cumulative busy cycles at block start *)
-  mutable copy_bytes : int;
-  mutable copy_cycles : float;
-      (* [Cost_model.mte_copy_cycles] of the last GM copy size: a tile
-         loop copies one size over and over, and reusing the boxed cost
-         keeps a repeated copy from allocating *)
   charged : float array;
       (* one cell: busy cycles charged by this block so far (a float
          array cell updates in place; a mutable float field would box) *)
   vec_per_core : int;
+  eidx : int array;  (* [Engine.index] of the engine in each [cell] *)
+  elan : int array;  (* [Engine.lane] of the engine in each [cell] *)
   names : string array;  (* engine names by index, for trace spans *)
+  queues : string array;  (* [Engine.queue] by index, for trace spans *)
   busy_total : float array;
   (* --- event timeline --- *)
   lanes : float array;  (* program cursor per lane (Engine.lane) *)
@@ -121,6 +124,56 @@ let new_tally cap =
     index = Array.make (2 * cap) 0;
   }
 
+(* The cycle formulas, each written once ([Cost_model] holds only the
+   constants) and evaluated here, where every instruction is charged. *)
+let[@inline] vec_op_cycles (cm : Cost_model.t) ~bytes =
+  cm.vec_issue_cycles +. (float_of_int bytes /. cm.vec_bytes_per_cycle)
+
+let vec_shift_cycles cm ~len ~esize dst ~pos ~stride =
+  let d = ref 1 and k = ref pos in
+  while !d < len do
+    dst.(!k) <- vec_op_cycles cm ~bytes:((len - !d) * esize);
+    d := 2 * !d;
+    k := !k + stride
+  done
+
+let[@inline] mte_copy_cycles (cm : Cost_model.t) ~bytes =
+  cm.mte_issue_cycles
+  +. (float_of_int bytes *. cm.clock_hz /. cm.mte_stream_bandwidth)
+
+let[@inline] local_copy_cycles (cm : Cost_model.t) ~bytes =
+  cm.mte_issue_cycles
+  +. (float_of_int bytes *. cm.clock_hz /. cm.local_stream_bandwidth)
+
+let[@inline] mmad_cycles (cm : Cost_model.t) ~m ~k ~n ~int8 =
+  let rate =
+    if int8 then cm.cube_macs_per_cycle_i8 else cm.cube_macs_per_cycle_f16
+  in
+  cm.mmad_issue_cycles +. (float_of_int (m * k * n) /. rate)
+
+(* The cache cell of vector core [v]'s engine [k] (0 MTE in, 1 vector,
+   2 MTE out), after the AI core's four engines. An out-of-range core
+   has no cell: [Engine.index] raises its own message for it. *)
+let[@inline] vec_cell ~vec_per_core v k =
+  if v < 0 || v >= vec_per_core then
+    ignore (Engine.index ~vec_per_core (Engine.Vec v));
+  4 + (3 * v) + k
+
+let[@inline] cell ~vec_per_core (e : Engine.t) =
+  match e with
+  | Cube_mte_in -> 0 | Cube -> 1 | Cube_mte_out -> 2 | Scalar -> 3
+  | Vec_mte_in v -> vec_cell ~vec_per_core v 0
+  | Vec v -> vec_cell ~vec_per_core v 1
+  | Vec_mte_out v -> vec_cell ~vec_per_core v 2
+
+(* [f] ([Engine.index] or [Engine.lane]) of every engine, by [cell]. *)
+let by_cell ~vec_per_core f =
+  let a = Array.make (Engine.count ~vec_per_core) 0 in
+  List.iter
+    (fun e -> a.(cell ~vec_per_core e) <- f ~vec_per_core e)
+    (Engine.all ~vec_per_core);
+  a
+
 let make_on ~core ~device ~idx ~num_blocks =
   check_idx ~idx ~num_blocks;
   let cm = Device.cost device in
@@ -129,17 +182,22 @@ let make_on ~core ~device ~idx ~num_blocks =
   let n = Engine.count ~vec_per_core in
   {
     device;
+    cost = cm;
+    functional = Device.functional device;
+    sanitizer = Device.sanitizer device;
+    fault = Device.fault device;
     idx;
     num_blocks;
     core;
     health;
     kill_at = Health.kill_threshold health core;
     clock0 = Health.cycles_done health core;
-    copy_bytes = -1;
-    copy_cycles = 0.0;
     charged = [| 0.0 |];
     vec_per_core;
+    eidx = by_cell ~vec_per_core Engine.index;
+    elan = by_cell ~vec_per_core Engine.lane;
     names = Engine.names ~vec_per_core;
+    queues = Array.of_list (List.map Engine.queue (Engine.all ~vec_per_core));
     busy_total = Array.make n 0.0;
     lanes = Array.make (Engine.lane_count ~vec_per_core) 0.0;
     avail = Array.make n 0.0;
@@ -212,42 +270,45 @@ let release t =
 
 let idx t = t.idx
 let num_blocks t = t.num_blocks
-let cost t = Device.cost t.device
-let functional t = Device.functional t.device
-let sanitizer t = Device.sanitizer t.device
+let cost t = t.cost
+let functional t = t.functional
+let sanitizer t = t.sanitizer
 
 let assume_disjoint_writes t gt ~reason =
-  match sanitizer t with
+  match t.sanitizer with
   | None -> ()
   | Some san ->
-      Sanitizer.exempt_tensor san ~tensor_id:(Global_tensor.id gt) ~reason
+      Sanitizer.exempt_tensor san ~tensor_id:gt.Global_tensor.id ~reason
 
-let eindex t e = Engine.index ~vec_per_core:t.vec_per_core e
-let elane t e = Engine.lane ~vec_per_core:t.vec_per_core e
+let ecell t e = cell ~vec_per_core:t.vec_per_core e
+let engine_index t e = t.eidx.(ecell t e)
+let engine_lane t e = t.elan.(ecell t e)
 
-let engine_clock t engine = t.avail.(eindex t engine)
-let lane_clock t engine = t.lanes.(elane t engine)
+let engine_clock t engine = t.avail.(engine_index t engine)
+let lane_clock t engine = t.lanes.(engine_lane t engine)
+
+(* The charge that carried the core past its kill threshold: sync the
+   health clock to the kill point so the death record carries the
+   seeded cycle, let note_cycles mark it dead, and raise. *)
+let kill t =
+  Health.note_cycles t.health ~core:t.core
+    (Float.max 0.0 (t.kill_at -. Health.cycles_done t.health t.core));
+  (match t.tb with
+  | Some tb ->
+      Trace.Block_builder.mark tb Trace.Death
+        ~name:(Printf.sprintf "core %d dead" t.core)
+        ~cycle:t.charged.(0)
+  | None -> ());
+  raise (Health.Core_dead { core = t.core; cycle = t.kill_at })
 
 (* Busy accounting and the kill check, shared by every charge path.
    [busy_total] and [charged] see the same values in the same
    per-accumulator addition order as before the event model, so
    Stats.engine_busy and the Health kill clock stay bit-identical. *)
-let bump_busy t i cycles =
+let[@inline] bump_busy t i cycles =
   t.busy_total.(i) <- t.busy_total.(i) +. cycles;
   t.charged.(0) <- t.charged.(0) +. cycles;
-  if t.clock0 +. t.charged.(0) >= t.kill_at then begin
-    (* Sync the health clock to the kill point so the death record
-       carries the seeded cycle, then let note_cycles mark it dead. *)
-    Health.note_cycles t.health ~core:t.core
-      (Float.max 0.0 (t.kill_at -. Health.cycles_done t.health t.core));
-    (match t.tb with
-    | Some tb ->
-        Trace.Block_builder.mark tb Trace.Death
-          ~name:(Printf.sprintf "core %d dead" t.core)
-          ~cycle:t.charged.(0)
-    | None -> ());
-    raise (Health.Core_dead { core = t.core; cycle = t.kill_at })
-  end
+  if t.clock0 +. t.charged.(0) >= t.kill_at then kill t
 
 (* Issue time of the next op on engine [i] from lane [l]'s point of
    view: after both the lane cursor and the engine clock. *)
@@ -283,23 +344,25 @@ let issue_src t i l = (t.last_id.(i), Trace.Queue) :: t.lane_src.(l)
    its dependency edges, and make it the engine's last span. Called
    only with a trace armed: the untraced charge path keeps [start] and
    [stop] unboxed and allocates nothing. *)
-let record_issue t tb ~op ~bytes engine i l ~start ~cycles =
+let record_issue t tb ~op ~bytes i l ~start ~cycles =
   let id =
     Trace.Block_builder.span tb ~track:i ~engine:t.names.(i)
-      ~queue:(Engine.queue engine) ~op ~start ~cycles ~bytes
+      ~queue:t.queues.(i) ~op ~start ~cycles ~bytes
   in
   emit_edges t ~dst:id (issue_src t i l);
   t.last_id.(i) <- id;
   id
 
-let issue t ~op ~bytes engine cycles =
-  let i = eindex t engine in
-  let l = elane t engine in
+(* The issue of one synchronous charge on the engine of cache cell [c].
+   Inlined into every step that charges, so the cycles computed there
+   stay unboxed on the untraced path. *)
+let[@inline] issue t ~op ~bytes c cycles =
+  let i = t.eidx.(c) and l = t.elan.(c) in
   let start = issue_start t i l in
   (match t.tb with
   | None -> ()
   | Some tb ->
-      let id = record_issue t tb ~op ~bytes engine i l ~start ~cycles in
+      let id = record_issue t tb ~op ~bytes i l ~start ~cycles in
       t.lane_src.(l) <- [ (id, Trace.Lane) ]);
   let stop = start +. cycles in
   t.avail.(i) <- stop;
@@ -307,32 +370,30 @@ let issue t ~op ~bytes engine cycles =
   bump_busy t i cycles
 
 let charge ?(op = "charge") ?(bytes = 0) t engine cycles =
-  issue t ~op ~bytes engine cycles
+  issue t ~op ~bytes (ecell t engine) cycles
 
-let issue_async t ~op ~bytes dst engine cycles =
-  let i = eindex t engine in
-  let l = elane t engine in
+let[@inline] issue_async t ~op ~bytes dst c cycles =
+  let i = t.eidx.(c) and l = t.elan.(c) in
   let start = issue_start t i l in
   (match t.tb with
   | None -> ()
   | Some tb ->
-      t.pend_last.(i) <-
-        record_issue t tb ~op ~bytes engine i l ~start ~cycles);
+      t.pend_last.(i) <- record_issue t tb ~op ~bytes i l ~start ~cycles);
   let stop = start +. cycles in
   t.avail.(i) <- stop;
   t.pend_count.(i) <- t.pend_count.(i) + 1;
   if stop > t.pend_end.(i) then t.pend_end.(i) <- stop;
   (match dst with
-  | Some lt when Option.is_some (sanitizer t) ->
+  | Some lt when Option.is_some t.sanitizer ->
       t.pend_dsts.(i) <- lt :: t.pend_dsts.(i)
   | _ -> ());
   bump_busy t i cycles
 
 let charge_async ?(op = "charge") ?(bytes = 0) ?dst t engine cycles =
-  issue_async t ~op ~bytes dst engine cycles
+  issue_async t ~op ~bytes dst (ecell t engine) cycles
 
 let commit_group t engine =
-  let i = eindex t engine in
+  let i = engine_index t engine in
   if t.pend_count.(i) > 0 then begin
     Queue.push
       {
@@ -350,8 +411,8 @@ let commit_group t engine =
 let wait_group t engine ~outstanding =
   if outstanding < 0 then
     invalid_arg "Block.wait_group: outstanding must be >= 0";
-  let i = eindex t engine in
-  let l = elane t engine in
+  let i = engine_index t engine in
+  let l = engine_lane t engine in
   while Queue.length t.groups.(i) > outstanding do
     let g = Queue.pop t.groups.(i) in
     if g.g_end > t.lanes.(l) then t.lanes.(l) <- g.g_end;
@@ -364,8 +425,8 @@ let await_engine t ~lane_of ~on =
      issued so far on engine [on] (typically another lane's MTE) has
      completed. Does not retire [on]'s groups — they still belong to
      the producing lane's wait discipline. *)
-  let l = elane t lane_of in
-  let i = eindex t on in
+  let l = engine_lane t lane_of in
+  let i = engine_index t on in
   if t.avail.(i) > t.lanes.(l) then t.lanes.(l) <- t.avail.(i);
   if recording t && t.last_id.(i) >= 0 then
     t.lane_src.(l) <- (t.last_id.(i), Trace.Await) :: t.lane_src.(l)
@@ -417,12 +478,12 @@ let async_in_flight t lt =
   !hit
 
 let check_async_use t ~op lt =
-  match sanitizer t with
+  match t.sanitizer with
   | None -> ()
   | Some san ->
       if async_in_flight t lt then
         Sanitizer.record_async_hazard san ~block:t.idx ~op
-          ~tensor:(Mem_kind.to_string (Local_tensor.kind lt))
+          ~tensor:(Mem_kind.to_string lt.Local_tensor.kind)
           ~message:
             (Printf.sprintf
                "%s touches a tile with an asynchronous DataCopy still in \
@@ -525,11 +586,12 @@ let charge_rows ?counts t engine ~count ~names cycles =
     if Option.is_some t.tb || Float.is_finite t.kill_at then begin
       let counted = Option.is_some counts in
       let m = Array.length names in
+      let c = ecell t engine in
       for _ = 1 to count do
         for j = 0 to n - 1 do
           let op = names.(j mod m) in
           if counted then count_op t op;
-          issue t ~op ~bytes:0 engine cycles.(j)
+          issue t ~op ~bytes:0 c cycles.(j)
         done
       done
     end
@@ -541,8 +603,8 @@ let charge_rows ?counts t engine ~count ~names cycles =
             count_op_n t name c
           done
       | None -> ());
-      let i = eindex t engine in
-      let l = elane t engine in
+      let i = engine_index t engine in
+      let l = engine_lane t engine in
       (* The three accumulators live in registers for the whole batch
          and are stored once; each still adds every charge in order. *)
       let clock = ref (issue_start t i l) in
@@ -578,7 +640,7 @@ let rec has_id ids id h =
 (* A repeated tensor costs one probe of the id set (almost always),
    however many tensors the block has touched. *)
 let note_touched (t : t) gt =
-  let id = Global_tensor.id gt in
+  let id = gt.Global_tensor.id in
   let tc = t.touched in
   if not (has_id tc.ids id (id land (Array.length tc.ids - 1))) then begin
     tc.list <- (id, Global_tensor.size_bytes gt) :: tc.list;
@@ -590,48 +652,81 @@ let note_touched (t : t) gt =
     else ids_add tc.ids id
   end
 
-let charge_copy t ~async ~op ~bytes dst engine cycles =
-  if async then issue_async t ~op ~bytes dst engine cycles
-  else issue t ~op ~bytes engine cycles
-
 (* One GM copy on an MTE queue, after the caller's range, async-use and
    sanitizer checks. The fault is drawn after the count and before the
    charge, and a drawn fault is scored against the core's quarantine
-   budget before the payload lands. The copy's cost is passed on boxed
-   as [copy_cycles] holds it (or stretched by a stall), so an
-   unfaulted copy allocates nothing. *)
+   budget before the payload lands. *)
 let gm_copy t engine ~async ~write gt lt ~dst_off ~len =
   let op = if write then "datacopy_out" else "datacopy_in" in
   count_op t op;
-  let bytes = len * Dtype.size_bytes (Global_tensor.dtype gt) in
+  let bytes = len * Dtype.size_bytes gt.Global_tensor.dtype in
   let act =
-    match Device.fault t.device with
+    match t.fault with
     | None -> Fault.No_fault
     | Some f ->
-        let dst_dtype =
-          if write then Global_tensor.dtype gt else Local_tensor.dtype lt
-        in
+        let dst_dtype = if write then gt.dtype else lt.Local_tensor.dtype in
         let act =
-          Fault.draw f ~engine ~op ~tensor:(Global_tensor.name gt) ~dst_off
-            ~len ~elem_bits:(8 * Dtype.size_bytes dst_dtype)
+          Fault.draw f ~engine ~op ~tensor:gt.name ~dst_off ~len
+            ~elem_bits:(8 * Dtype.size_bytes dst_dtype)
         in
         (match act with Fault.No_fault -> () | _ -> note_fault t);
         act
   in
-  if bytes <> t.copy_bytes then begin
-    t.copy_cycles <- Cost_model.mte_copy_cycles (cost t) ~bytes;
-    t.copy_bytes <- bytes
-  end;
-  (* Only a copy into the tile is tracked, and only for a sanitizer. *)
-  let dst = if write || Option.is_none (sanitizer t) then None else Some lt in
-  (match act with
-  | Fault.Stall m ->
-      charge_copy t ~async ~op ~bytes dst engine (t.copy_cycles *. m)
-  | _ -> charge_copy t ~async ~op ~bytes dst engine t.copy_cycles);
+  let cycles =
+    match act with
+    | Fault.Stall m -> mte_copy_cycles t.cost ~bytes *. m
+    | _ -> mte_copy_cycles t.cost ~bytes
+  in
+  let c = ecell t engine in
+  if async then
+    (* Only a copy into the tile is tracked, and only for a sanitizer. *)
+    let dst = if write || Option.is_none t.sanitizer then None else Some lt in
+    issue_async t ~op ~bytes dst c cycles
+  else issue t ~op ~bytes c cycles;
   if write then t.gm_write <- t.gm_write + bytes
   else t.gm_read <- t.gm_read + bytes;
   note_touched t gt;
   act
+
+(* The one-step issues of the other engine ops, after their checks:
+   count, cycles from the formulas above, charge. *)
+let vec_op ?(counted = true) t ~vec ~op ~instrs ~bytes =
+  if counted then count_op t op;
+  let c = vec_cell ~vec_per_core:t.vec_per_core vec 1 in
+  issue t ~op ~bytes:0 c (float_of_int instrs *. vec_op_cycles t.cost ~bytes)
+
+let vec_scalar ?(counted = true) t ~vec ~op =
+  if counted then count_op t op;
+  let c = vec_cell ~vec_per_core:t.vec_per_core vec 1 in
+  issue t ~op ~bytes:0 c t.cost.scalar_access_cycles
+
+let local_copy t engine ~bytes =
+  count_op t "datacopy_local";
+  issue t ~op:"datacopy_local" ~bytes (ecell t engine)
+    (local_copy_cycles t.cost ~bytes)
+
+let const_copy t engine ~bytes =
+  issue t ~op:"datacopy_const" ~bytes (ecell t engine)
+    (mte_copy_cycles t.cost ~bytes);
+  t.gm_read <- t.gm_read + bytes
+
+let mmad t ~m ~k ~n ~int8 =
+  count_op t "mmad";
+  issue t ~op:"mmad" ~bytes:0 (ecell t Engine.Cube)
+    (mmad_cycles t.cost ~m ~k ~n ~int8)
+
+let scalar_ops t ~count =
+  issue t ~op:"scalar_ops" ~bytes:0 (ecell t Engine.Scalar)
+    (float_of_int count *. t.cost.scalar_op_cycles)
+
+let scalar_gm t gt ~write =
+  count_op t "scalar_gm_access";
+  issue t ~op:"scalar_gm_access" ~bytes:0 (ecell t Engine.Scalar)
+    t.cost.scalar_gm_cycles_per_access;
+  note_touched t gt;
+  let bytes = Dtype.size_bytes gt.Global_tensor.dtype in
+  if write then t.gm_write <- t.gm_write + bytes
+  else t.gm_read <- t.gm_read + bytes
 
 let elapsed_cycles t =
   (* Makespan: queued async work is covered by the engine clocks. *)
@@ -665,9 +760,8 @@ let mem_slot t kind =
 let take_tile t kind dtype length =
   match t.spare with
   | lt :: rest
-    when Mem_kind.equal (Local_tensor.kind lt) kind
-         && Dtype.equal (Local_tensor.dtype lt) dtype
-         && Local_tensor.length lt = length ->
+    when Mem_kind.equal lt.Local_tensor.kind kind
+         && Dtype.equal lt.dtype dtype && lt.length = length ->
       t.spare <- rest;
       Local_tensor.recycle lt;
       lt

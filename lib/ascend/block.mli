@@ -231,13 +231,66 @@ val gm_copy :
     ["datacopy_out"]) instruction; draws the copy's fault from the
     device fault model, if any (a drawn fault counts against the
     core's {!Health} quarantine budget and may raise
-    {!Health.Core_dead}); charges {!Cost_model.mte_copy_cycles} of
+    {!Health.Core_dead}); charges {!mte_copy_cycles} of
     [gt]'s bytes, stretched by a [Stall], with {!charge} or, when
     [async], {!charge_async} (an async copy into [lt] leaves it tracked
     for {!check_async_use}); and records the GM traffic and [gt] as
     touched. Returns the drawn fault, which the caller applies to the
     payload ([dst_off] is the destination offset the fault model
     sees). *)
+
+(** {2 One-step issue}
+
+    An engine op, after its own checks, issues its instruction in one
+    step: count it, cost it with a formula below and {!charge} it on its
+    engine, whose {!Engine.index} and {!Engine.lane} the context caches.
+    [~counted:false] charges the tail of an instruction counted before. *)
+
+val vec_op :
+  ?counted:bool -> t -> vec:int -> op:string -> instrs:int -> bytes:int -> unit
+(** [instrs] times {!vec_op_cycles} of [bytes] on [Engine.Vec vec]. *)
+
+val vec_scalar : ?counted:bool -> t -> vec:int -> op:string -> unit
+(** One UB element to a scalar register on [Engine.Vec vec]. *)
+
+val local_copy : t -> Engine.t -> bytes:int -> unit
+(** One ["datacopy_local"]: {!local_copy_cycles}. *)
+
+val const_copy : t -> Engine.t -> bytes:int -> unit
+(** An uncounted ["datacopy_const"] GM read: {!mte_copy_cycles}. *)
+
+val mmad : t -> m:int -> k:int -> n:int -> int8:bool -> unit
+(** One ["mmad"] on [Engine.Cube]: {!mmad_cycles}. *)
+
+val scalar_ops : t -> count:int -> unit
+(** [count] uncounted scalar ALU operations on [Engine.Scalar]. *)
+
+val scalar_gm : t -> Global_tensor.t -> write:bool -> unit
+(** One ["scalar_gm_access"] reading (or writing) an element of [gt]. *)
+
+val engine_index : t -> Engine.t -> int
+val engine_lane : t -> Engine.t -> int
+
+(** {2 Cycle formulas over {!Cost_model.t}'s constants} *)
+
+val vec_op_cycles : Cost_model.t -> bytes:int -> float
+(** One vector instruction processing [bytes]. *)
+
+val vec_shift_cycles :
+  Cost_model.t ->
+  len:int -> esize:int -> float array -> pos:int -> stride:int -> unit
+(** One instruction column of a log-step network over [len] elements:
+    for each shift [d = 2^k < len], [dst.(pos + k * stride)] becomes
+    the {!vec_op_cycles} of [len - d] elements of [esize] bytes. *)
+
+val mte_copy_cycles : Cost_model.t -> bytes:int -> float
+(** One DataCopy of [bytes] through a single MTE queue. *)
+
+val local_copy_cycles : Cost_model.t -> bytes:int -> float
+(** One on-chip DataCopy of [bytes] (L1/L0 paths). *)
+
+val mmad_cycles : Cost_model.t -> m:int -> k:int -> n:int -> int8:bool -> float
+(** One [m*k @ k*n] matrix multiply-accumulate. *)
 
 val alloc : t -> Mem_kind.t -> Dtype.t -> int -> Local_tensor.t
 (** Bump-allocate a local tensor, all +0.0; raises [Failure] when the

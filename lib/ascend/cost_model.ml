@@ -53,29 +53,6 @@ let default =
 let cycles_to_seconds t c = c /. t.clock_hz
 let seconds_to_cycles t s = s *. t.clock_hz
 
-let vec_op_cycles t ~bytes =
-  t.vec_issue_cycles +. (float_of_int bytes /. t.vec_bytes_per_cycle)
-
-let vec_shift_cycles t ~len ~esize dst ~pos ~stride =
-  let d = ref 1 and k = ref pos in
-  while !d < len do
-    dst.(!k) <- vec_op_cycles t ~bytes:((len - !d) * esize);
-    d := 2 * !d;
-    k := !k + stride
-  done
-
-let mte_copy_cycles t ~bytes =
-  t.mte_issue_cycles
-  +. (float_of_int bytes *. t.clock_hz /. t.mte_stream_bandwidth)
-
-let local_copy_cycles t ~bytes =
-  t.mte_issue_cycles
-  +. (float_of_int bytes *. t.clock_hz /. t.local_stream_bandwidth)
-
-let mmad_cycles t ~m ~k ~n ~int8 =
-  let rate = if int8 then t.cube_macs_per_cycle_i8 else t.cube_macs_per_cycle_f16 in
-  t.mmad_issue_cycles +. (float_of_int (m * k * n) /. rate)
-
 let pp fmt t =
   Format.fprintf fmt
     "@[<v>cost model:@ clock %.2f GHz, %d AI cores (x%d vec)@ HBM %.0f GB/s, \

@@ -4,7 +4,9 @@
     throughputs in bytes per second. {!default} is calibrated once
     against the anchor points published in the paper (see DESIGN.md §4)
     and shared by every benchmark; the ablation benches construct
-    variants with {!with_} style record updates. *)
+    variants with {!with_} style record updates. The cycle formulas
+    over these constants live in {!Block}, next to the charges, so an
+    instruction's cost takes no call into this module. *)
 
 type t = {
   clock_hz : float;  (** Core clock of AIC/AIV cores (1.8 GHz). *)
@@ -47,27 +49,5 @@ val default : t
 
 val cycles_to_seconds : t -> float -> float
 val seconds_to_cycles : t -> float -> float
-
-val vec_op_cycles : t -> bytes:int -> float
-(** Cost of one vector instruction processing [bytes] of data. *)
-
-val vec_shift_cycles :
-  t -> len:int -> esize:int -> float array -> pos:int -> stride:int -> unit
-(** [vec_shift_cycles t ~len ~esize dst ~pos ~stride] costs one
-    instruction column of a log-step network over [len] elements: for
-    each shift [d = 2^k < len], [dst.(pos + k * stride)] becomes the
-    {!vec_op_cycles} of an instruction over [len - d] elements of
-    [esize] bytes. A tile-batched network ({!Vec.hillis_steele}) fills
-    its per-step costs with one call per column, not one per
-    instruction. *)
-
-val mte_copy_cycles : t -> bytes:int -> float
-(** Cost of one DataCopy of [bytes] through a single MTE queue. *)
-
-val local_copy_cycles : t -> bytes:int -> float
-(** Cost of one on-chip DataCopy of [bytes] (L1/L0 paths). *)
-
-val mmad_cycles : t -> m:int -> k:int -> n:int -> int8:bool -> float
-(** Cost of one [m*k @ k*n] matrix multiply-accumulate. *)
 
 val pp : Format.formatter -> t -> unit

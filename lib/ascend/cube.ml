@@ -1,15 +1,14 @@
-let require what lt kind =
-  if not (Mem_kind.equal (Local_tensor.kind lt) kind) then
+let require what (lt : Local_tensor.t) kind =
+  if not (Mem_kind.equal lt.kind kind) then
     invalid_arg
       (Printf.sprintf "Cube.mmad: %s operand must live in %s (got %s)" what
-         (Mem_kind.to_string kind)
-         (Mem_kind.to_string (Local_tensor.kind lt)))
+         (Mem_kind.to_string kind) (Mem_kind.to_string lt.kind))
 
-let check_shape what lt elems =
-  if Local_tensor.length lt < elems then
+let check_shape what (lt : Local_tensor.t) elems =
+  if lt.length < elems then
     invalid_arg
       (Printf.sprintf "Cube.mmad: %s operand too short (%d < %d)" what
-         (Local_tensor.length lt) elems)
+         lt.length elems)
 
 (* Functional evaluation. The structure tags of the constant scan
    matrices admit O(m*n) evaluation; the general path is the O(m*k*n)
@@ -61,7 +60,7 @@ let[@inline] round_acc dt (tmp : f32cell) f =
 
 let eval_general a b c ~m ~k ~n ~accumulate =
   let ab = raw a and bb = raw b and cb = raw_out c ~m ~n in
-  let dt = Local_tensor.dtype c and tmp = f32scratch () in
+  let dt = c.Local_tensor.dtype and tmp = f32scratch () in
   for i = 0 to m - 1 do
     for j = 0 to n - 1 do
       let acc = ref (if accumulate then BA1.unsafe_get cb ((i * n) + j) else 0.0) in
@@ -79,7 +78,7 @@ let eval_general a b c ~m ~k ~n ~accumulate =
    scan and the simulator's hottest cube path. *)
 let eval_b_upper_ones a c ~m ~k ~n ~accumulate =
   let ab = raw a and cb = raw_out c ~m ~n in
-  let dt = Local_tensor.dtype c and tmp = f32scratch () in
+  let dt = c.Local_tensor.dtype and tmp = f32scratch () in
   if k = n && not accumulate then
     (* McScan's exact shape: every element of the row contributes and
        the output overwrites — no per-element branches left. *)
@@ -105,7 +104,7 @@ let eval_b_upper_ones a c ~m ~k ~n ~accumulate =
 (* C[i,j] (+)= sum_{t >= j} A[i,t]  — B = L (lower-triangular ones). *)
 let eval_b_lower_ones a c ~m ~k ~n ~accumulate =
   let ab = raw a and cb = raw_out c ~m ~n in
-  let dt = Local_tensor.dtype c and tmp = f32scratch () in
+  let dt = c.Local_tensor.dtype and tmp = f32scratch () in
   for i = 0 to m - 1 do
     (* suffix sums of row i of A *)
     let run = ref 0.0 in
@@ -123,7 +122,7 @@ let eval_b_lower_ones a c ~m ~k ~n ~accumulate =
 (* C[i,j] (+)= sum_t A[i,t]  — B = all-ones. *)
 let eval_b_all_ones a c ~m ~k ~n ~accumulate =
   let ab = raw a and cb = raw_out c ~m ~n in
-  let dt = Local_tensor.dtype c and tmp = f32scratch () in
+  let dt = c.Local_tensor.dtype and tmp = f32scratch () in
   for i = 0 to m - 1 do
     let sum = ref 0.0 in
     for t = 0 to k - 1 do
@@ -139,7 +138,7 @@ let eval_b_all_ones a c ~m ~k ~n ~accumulate =
    column-wise exclusive prefix sums of B. *)
 let eval_a_strict_lower_ones b c ~m ~k ~n ~accumulate =
   let bb = raw b and cb = raw_out c ~m ~n in
-  let dt = Local_tensor.dtype c and tmp = f32scratch () in
+  let dt = c.Local_tensor.dtype and tmp = f32scratch () in
   for j = 0 to n - 1 do
     let run = ref 0.0 in
     for i = 0 to m - 1 do
@@ -152,7 +151,7 @@ let eval_a_strict_lower_ones b c ~m ~k ~n ~accumulate =
 (* C[i,j] (+)= sum_{t <= i} B[t,j]  — A = lower-triangular ones. *)
 let eval_a_lower_ones b c ~m ~k ~n ~accumulate =
   let bb = raw b and cb = raw_out c ~m ~n in
-  let dt = Local_tensor.dtype c and tmp = f32scratch () in
+  let dt = c.Local_tensor.dtype and tmp = f32scratch () in
   for j = 0 to n - 1 do
     let run = ref 0.0 in
     for i = 0 to m - 1 do
@@ -172,7 +171,7 @@ let mmad ctx ~a ~b ~c ~m ~k ~n ~accumulate =
   check_shape "right" b (k * n);
   check_shape "output" c (m * n);
   let int8 =
-    match Local_tensor.dtype a, Local_tensor.dtype b, Local_tensor.dtype c with
+    match a.dtype, b.dtype, c.dtype with
     | Dtype.F16, Dtype.F16, Dtype.F32 -> false
     | Dtype.I8, Dtype.I8, Dtype.I32 -> true
     | da, db, dc ->
@@ -181,12 +180,9 @@ let mmad ctx ~a ~b ~c ~m ~k ~n ~accumulate =
              "Cube.mmad: unsupported dtype combination %s x %s -> %s"
              (Dtype.to_string da) (Dtype.to_string db) (Dtype.to_string dc))
   in
-  Block.check_async_use ctx ~op:"Cube.mmad" a;
-  Block.check_async_use ctx ~op:"Cube.mmad" b;
-  Block.check_async_use ctx ~op:"Cube.mmad" c;
-  Block.count_op ctx "mmad";
-  Block.charge ~op:"mmad" ctx Engine.Cube
-    (Cost_model.mmad_cycles (Block.cost ctx) ~m ~k ~n ~int8);
+  if Option.is_some (Block.sanitizer ctx) then
+    List.iter (Block.check_async_use ctx ~op:"Cube.mmad") [ a; b; c ];
+  Block.mmad ctx ~m ~k ~n ~int8;
   if Block.functional ctx then begin
     Local_tensor.touch c;
     match Local_tensor.structure b, Local_tensor.structure a with

@@ -8,7 +8,14 @@
     tensor carries no backing storage, allowing benchmarks to model
     multi-hundred-megabyte inputs; host-side accessors then raise. *)
 
-type t
+(** Private, like {!Local_tensor.t}: an MTE copy reads fields. *)
+type t = private {
+  id : int;
+  name : string;
+  dtype : Dtype.t;
+  length : int;
+  data : Host_buffer.t option;  (** [None] on a cost-only device. *)
+}
 
 val make :
   id:int -> name:string -> dtype:Dtype.t -> length:int -> backed:bool -> t

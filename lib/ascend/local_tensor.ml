@@ -8,16 +8,16 @@ type structure =
 
 type t = {
   kind : Mem_kind.t;
+  dtype : Dtype.t;
+  length : int;
   buf : Host_buffer.t;
   mutable structure : structure;
 }
 
 let make ~kind ~dtype ~length =
-  { kind; buf = Host_buffer.create dtype length; structure = General }
+  let buf = Host_buffer.create dtype length in
+  { kind; dtype; length; buf; structure = General }
 
-let kind t = t.kind
-let dtype t = Host_buffer.dtype t.buf
-let length t = Host_buffer.length t.buf
 let size_bytes t = Host_buffer.size_bytes t.buf
 let buffer t = t.buf
 let structure t = t.structure
@@ -36,5 +36,4 @@ let set t i v =
   Host_buffer.set t.buf i v
 
 let pp fmt t =
-  Format.fprintf fmt "%a:%a[%d]" Mem_kind.pp t.kind Dtype.pp (dtype t)
-    (length t)
+  Format.fprintf fmt "%a:%a[%d]" Mem_kind.pp t.kind Dtype.pp t.dtype t.length

@@ -20,14 +20,19 @@ type structure =
   | All_ones  (** 1_s. *)
   | Identity
 
-type t
+(** Private, so the engine ops' per-operand checks read fields rather
+    than call accessors; the tag changes through {!set_structure}. *)
+type t = private {
+  kind : Mem_kind.t;
+  dtype : Dtype.t;
+  length : int;
+  buf : Host_buffer.t;  (** {!buffer}. *)
+  mutable structure : structure;
+}
 
 val make : kind:Mem_kind.t -> dtype:Dtype.t -> length:int -> t
 (** Used by {!Block.alloc}; not intended for direct use. *)
 
-val kind : t -> Mem_kind.t
-val dtype : t -> Dtype.t
-val length : t -> int
 val size_bytes : t -> int
 val buffer : t -> Host_buffer.t
 

@@ -1,4 +1,4 @@
-let local_bytes lt len = len * Dtype.size_bytes (Local_tensor.dtype lt)
+let local_bytes (lt : Local_tensor.t) len = len * Dtype.size_bytes lt.dtype
 
 let check ctx what ~tensor ~len ~src_off ~dst_off ~src_len ~dst_len =
   if len < 0 || src_off < 0 || dst_off < 0 || src_off + len > src_len
@@ -89,8 +89,8 @@ let land_strided act ~src ~src_off ~src_stride ~dst ~dst_off ~dst_stride
    between sync and async schedules; the sanitizer's async-hazard check
    is what models the race a real device would expose. *)
 let copy_in_impl ~async ctx ~engine ~src ~src_off ~dst ~dst_off ~len =
-  check ctx "copy_in" ~tensor:(Global_tensor.name src) ~len ~src_off ~dst_off
-    ~src_len:(Global_tensor.length src) ~dst_len:(Local_tensor.length dst);
+  check ctx "copy_in" ~tensor:src.Global_tensor.name ~len ~src_off ~dst_off
+    ~src_len:src.Global_tensor.length ~dst_len:dst.Local_tensor.length;
   let act =
     issue_gm ~async ~write:false ctx ~engine ~what:"copy_in" src ~gt_off:src_off
       dst ~dst_off ~len
@@ -134,8 +134,8 @@ let copy_in_strided ctx ~engine ~src ~src_off ~src_stride ~dst ~dst_off
   end
 
 let copy_out_impl ~async ctx ~engine ~src ~src_off ~dst ~dst_off ~len =
-  check ctx "copy_out" ~tensor:(Global_tensor.name dst) ~len ~src_off ~dst_off
-    ~src_len:(Local_tensor.length src) ~dst_len:(Global_tensor.length dst);
+  check ctx "copy_out" ~tensor:dst.Global_tensor.name ~len ~src_off ~dst_off
+    ~src_len:src.Local_tensor.length ~dst_len:dst.Global_tensor.length;
   (* The destination is GM, so there is no local tile to track: an
      outbound group is only ever waited to pace the store queue. *)
   let act =
@@ -171,19 +171,15 @@ let copy_out_strided ctx ~engine ~src ~src_off ~src_stride ~dst ~dst_off
 (* On-chip transfers: the scratchpad SRAM paths are assumed reliable,
    so the fault model only targets the GM<->UB copies above. *)
 let copy_local ctx ~engine ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~len () =
-  Block.count_op ctx "datacopy_local";
   check ctx "copy_local" ~tensor:"(local)" ~len ~src_off ~dst_off
-    ~src_len:(Local_tensor.length src) ~dst_len:(Local_tensor.length dst);
-  Block.check_async_use ctx ~op:"Mte.copy_local" src;
-  Block.check_async_use ctx ~op:"Mte.copy_local" dst;
-  let bytes = max (local_bytes src len) (local_bytes dst len) in
-  Block.charge ~op:"datacopy_local" ~bytes ctx engine
-    (Cost_model.local_copy_cycles (Block.cost ctx) ~bytes);
+    ~src_len:src.Local_tensor.length ~dst_len:dst.Local_tensor.length;
+  if Option.is_some (Block.sanitizer ctx) then
+    List.iter (Block.check_async_use ctx ~op:"Mte.copy_local") [ src; dst ];
+  Block.local_copy ctx engine
+    ~bytes:(max (local_bytes src len) (local_bytes dst len));
   if Block.functional ctx then begin
     let whole =
-      src_off = 0 && dst_off = 0
-      && len = Local_tensor.length src
-      && len = Local_tensor.length dst
+      src_off = 0 && dst_off = 0 && len = src.length && len = dst.length
     in
     let src_structure = Local_tensor.structure src in
     Local_tensor.touch dst;

@@ -1,23 +1,9 @@
-let ops ctx ~count =
-  let cm = Block.cost ctx in
-  Block.charge ~op:"scalar_ops" ctx Engine.Scalar
-    (float_of_int count *. cm.Cost_model.scalar_op_cycles)
-
-let access ctx gt =
-  Block.count_op ctx "scalar_gm_access";
-  let cm = Block.cost ctx in
-  Block.charge ~op:"scalar_gm_access" ctx Engine.Scalar
-    cm.Cost_model.scalar_gm_cycles_per_access;
-  Block.note_touched ctx gt
+let ops ctx ~count = Block.scalar_ops ctx ~count
 
 let gm_read ctx gt i =
-  access ctx gt;
-  Block.note_gm_traffic ctx ~read:(Dtype.size_bytes (Global_tensor.dtype gt))
-    ~write:0;
+  Block.scalar_gm ctx gt ~write:false;
   if Block.functional ctx then Global_tensor.get gt i else 0.0
 
 let gm_write ctx gt i v =
-  access ctx gt;
-  Block.note_gm_traffic ctx ~read:0
-    ~write:(Dtype.size_bytes (Global_tensor.dtype gt));
+  Block.scalar_gm ctx gt ~write:true;
   if Block.functional ctx then Global_tensor.set gt i v

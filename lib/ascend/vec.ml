@@ -1,25 +1,24 @@
 type binop = Add | Sub | Mul | Max | Min
 type cmp = Host_buffer.cmp = Eq | Ne | Lt | Le | Gt | Ge
 
-let require_ub what lt =
-  match Local_tensor.kind lt with
+let require_ub what (lt : Local_tensor.t) =
+  match lt.kind with
   | Mem_kind.Ub _ -> ()
   | k ->
       invalid_arg
         (Printf.sprintf "Vec.%s: operand in %s; vector engines only access UB"
            what (Mem_kind.to_string k))
 
-let check_range ctx what lt off len =
-  if off < 0 || len < 0 || off + len > Local_tensor.length lt then begin
+let check_range ctx what (lt : Local_tensor.t) off len =
+  if off < 0 || len < 0 || off + len > lt.length then begin
     let msg =
       Printf.sprintf "Vec.%s: range %d+%d out of bounds [0,%d)" what off len
-        (Local_tensor.length lt)
+        lt.length
     in
     (match Block.sanitizer ctx with
     | Some san ->
         Sanitizer.record_oob san ~block:(Block.idx ctx) ~op:("Vec." ^ what)
-          ~tensor:(Mem_kind.to_string (Local_tensor.kind lt))
-          ~message:msg
+          ~tensor:(Mem_kind.to_string lt.kind) ~message:msg
     | None -> ());
     invalid_arg msg
   end;
@@ -30,20 +29,7 @@ let check_range ctx what lt off len =
   if Option.is_some (Block.sanitizer ctx) then
     Block.check_async_use ctx ~op:("Vec." ^ what) lt
 
-(* Charge [instrs] vector instructions processing [len] elements of the
-   widest operand involved. *)
-let charge_op ctx ~vec ~op ~instrs ~len ~esize =
-  let cm = Block.cost ctx in
-  let per = Cost_model.vec_op_cycles cm ~bytes:(len * esize) in
-  Block.charge ~op ctx (Engine.Vec vec) (float_of_int instrs *. per)
-
-let tick = Block.count_op
-
-let charge_scalar ctx ~vec ~op =
-  let cm = Block.cost ctx in
-  Block.charge ~op ctx (Engine.Vec vec) cm.Cost_model.scalar_access_cycles
-
-let esize lt = Dtype.size_bytes (Local_tensor.dtype lt)
+let esize (lt : Local_tensor.t) = Dtype.size_bytes lt.dtype
 
 let hb_binop = function
   | Add -> Host_buffer.Add
@@ -65,8 +51,7 @@ let binop ctx ?(vec = 0) op ~src0 ?(src0_off = 0) ~src1 ?(src1_off = 0) ~dst
   check_range ctx "binop" src1 src1_off len;
   check_range ctx "binop" dst dst_off len;
   let name = binop_name op in
-  tick ctx name;
-  charge_op ctx ~vec ~op:name ~instrs:1 ~len ~esize:(esize dst);
+  Block.vec_op ctx ~vec ~op:name ~instrs:1 ~bytes:(len * esize dst);
   if Block.functional ctx then begin
     Local_tensor.touch dst;
     Host_buffer.map2_binop (hb_binop op)
@@ -78,15 +63,14 @@ let binop ctx ?(vec = 0) op ~src0 ?(src0_off = 0) ~src1 ?(src1_off = 0) ~dst
 let add ctx ?(vec = 0) ~src0 ~src1 ~dst ~len () =
   binop ctx ~vec Add ~src0 ~src1 ~dst ~len ()
 
-(* Shared tick / UB-residency / bounds / cost prologue of the
-   tensor-scalar ops; the data path varies per caller. *)
+(* Shared UB-residency / bounds / issue prologue of the tensor-scalar
+   ops; the data path varies per caller. *)
 let scalar_prologue name ctx ~vec ~src ~src_off ~dst ~dst_off ~len =
-  tick ctx name;
   require_ub name src;
   require_ub name dst;
   check_range ctx name src src_off len;
   check_range ctx name dst dst_off len;
-  charge_op ctx ~vec ~op:name ~instrs:1 ~len ~esize:(esize dst)
+  Block.vec_op ctx ~vec ~op:name ~instrs:1 ~bytes:(len * esize dst)
 
 let scalar_map_spec name op ctx ~vec ~src ~src_off ~dst ~dst_off ~scalar ~len =
   scalar_prologue name ctx ~vec ~src ~src_off ~dst ~dst_off ~len;
@@ -139,8 +123,7 @@ let compare ctx ?(vec = 0) cmp ~src0 ~src1 ~dst ~len () =
   check_range ctx "compare" src0 0 len;
   check_range ctx "compare" src1 0 len;
   check_range ctx "compare" dst 0 len;
-  tick ctx "vcompare";
-  charge_op ctx ~vec ~op:"vcompare" ~instrs:1 ~len ~esize:(esize src0);
+  Block.vec_op ctx ~vec ~op:"vcompare" ~instrs:1 ~bytes:(len * esize src0);
   if Block.functional ctx then begin
     Local_tensor.touch dst;
     Host_buffer.map2_compare cmp
@@ -159,8 +142,7 @@ let select ctx ?(vec = 0) ?(mask_off = 0) ~mask ?(src0_off = 0) ~src0
   check_range ctx "select" src0 src0_off len;
   check_range ctx "select" src1 src1_off len;
   check_range ctx "select" dst dst_off len;
-  tick ctx "vselect";
-  charge_op ctx ~vec ~op:"vselect" ~instrs:1 ~len ~esize:(esize dst);
+  Block.vec_op ctx ~vec ~op:"vselect" ~instrs:1 ~bytes:(len * esize dst);
   if Block.functional ctx then begin
     Local_tensor.touch dst;
     Host_buffer.select_range
@@ -171,7 +153,7 @@ let select ctx ?(vec = 0) ?(mask_off = 0) ~mask ?(src0_off = 0) ~src0
   end
 
 let require_integer what lt =
-  if not (Dtype.is_integer (Local_tensor.dtype lt)) then
+  if not (Dtype.is_integer lt.Local_tensor.dtype) then
     invalid_arg
       (Printf.sprintf "Vec.%s: bit-wise ops require an integer data type" what)
 
@@ -212,7 +194,7 @@ let bit_xors ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~mask ~len (
 
 let bit_not ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~len () =
   require_integer "bit_not" src;
-  let bits = Dtype.size_bytes (Local_tensor.dtype src) * 8 in
+  let bits = Dtype.size_bytes src.Local_tensor.dtype * 8 in
   bit_map "bit_not" Host_buffer.Xors ~arg:((1 lsl bits) - 1) ctx ~vec ~src
     ~src_off ~dst ~dst_off ~len
 
@@ -229,8 +211,7 @@ let bit_op ctx ?(vec = 0) op ~src0 ?(src0_off = 0) ~src1 ?(src1_off = 0) ~dst
   check_range ctx "bit_op" src0 src0_off len;
   check_range ctx "bit_op" src1 src1_off len;
   check_range ctx "bit_op" dst dst_off len;
-  tick ctx "vbitop";
-  charge_op ctx ~vec ~op:"vbitop" ~instrs:1 ~len ~esize:(esize dst);
+  Block.vec_op ctx ~vec ~op:"vbitop" ~instrs:1 ~bytes:(len * esize dst);
   if Block.functional ctx then begin
     Local_tensor.touch dst;
     Host_buffer.map2_bits op
@@ -242,8 +223,7 @@ let bit_op ctx ?(vec = 0) op ~src0 ?(src0_off = 0) ~src1 ?(src1_off = 0) ~dst
 let arange ctx ?(vec = 0) ~dst ?(dst_off = 0) ~start ~len () =
   require_ub "arange" dst;
   check_range ctx "arange" dst dst_off len;
-  tick ctx "arange";
-  charge_op ctx ~vec ~op:"arange" ~instrs:1 ~len ~esize:(esize dst);
+  Block.vec_op ctx ~vec ~op:"arange" ~instrs:1 ~bytes:(len * esize dst);
   if Block.functional ctx then begin
     Local_tensor.touch dst;
     Host_buffer.arange_range (Local_tensor.buffer dst) ~off:dst_off ~start ~len
@@ -254,8 +234,8 @@ let cast ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~len () =
   require_ub "cast" dst;
   check_range ctx "cast" src src_off len;
   check_range ctx "cast" dst dst_off len;
-  tick ctx "vcast";
-  charge_op ctx ~vec ~op:"vcast" ~instrs:1 ~len ~esize:(max (esize src) (esize dst));
+  Block.vec_op ctx ~vec ~op:"vcast" ~instrs:1
+    ~bytes:(len * max (esize src) (esize dst));
   if Block.functional ctx then begin
     Local_tensor.touch dst;
     (* Host_buffer.blit applies {!Dtype.cast} from the source dtype,
@@ -267,8 +247,7 @@ let cast ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~len () =
 let dup ctx ?(vec = 0) ~dst ?(dst_off = 0) ~scalar ~len () =
   require_ub "dup" dst;
   check_range ctx "dup" dst dst_off len;
-  tick ctx "duplicate";
-  charge_op ctx ~vec ~op:"duplicate" ~instrs:1 ~len ~esize:(esize dst);
+  Block.vec_op ctx ~vec ~op:"duplicate" ~instrs:1 ~bytes:(len * esize dst);
   if Block.functional ctx then begin
     Local_tensor.touch dst;
     Host_buffer.fill_range (Local_tensor.buffer dst) ~off:dst_off ~len scalar
@@ -287,9 +266,8 @@ let copy ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~len () =
 let reduce_sum ctx ?(vec = 0) ~src ?(src_off = 0) ~len () =
   require_ub "reduce_sum" src;
   check_range ctx "reduce_sum" src src_off len;
-  tick ctx "reduce_sum";
-  charge_op ctx ~vec ~op:"reduce_sum" ~instrs:1 ~len ~esize:(esize src);
-  charge_scalar ctx ~vec ~op:"reduce_sum";
+  Block.vec_op ctx ~vec ~op:"reduce_sum" ~instrs:1 ~bytes:(len * esize src);
+  Block.vec_scalar ~counted:false ctx ~vec ~op:"reduce_sum";
   if Block.functional ctx then
     Dtype.round Dtype.F32
       (Host_buffer.reduce_add (Local_tensor.buffer src) ~off:src_off ~len)
@@ -299,9 +277,8 @@ let reduce_max ctx ?(vec = 0) ~src ?(src_off = 0) ~len () =
   require_ub "reduce_max" src;
   check_range ctx "reduce_max" src src_off len;
   if len = 0 then invalid_arg "Vec.reduce_max: empty range";
-  tick ctx "reduce_max";
-  charge_op ctx ~vec ~op:"reduce_max" ~instrs:1 ~len ~esize:(esize src);
-  charge_scalar ctx ~vec ~op:"reduce_max";
+  Block.vec_op ctx ~vec ~op:"reduce_max" ~instrs:1 ~bytes:(len * esize src);
+  Block.vec_scalar ~counted:false ctx ~vec ~op:"reduce_max";
   if Block.functional ctx then
     Host_buffer.reduce_max (Local_tensor.buffer src) ~off:src_off ~len
   else 0.0
@@ -313,16 +290,17 @@ let cumsum ctx ?(vec = 0) ~src ~dst ~rows ~cols () =
   check_range ctx "cumsum" src 0 len;
   check_range ctx "cumsum" dst 0 len;
   let cm = Block.cost ctx in
-  tick ctx "cumsum_api";
   let instrs =
     int_of_float (Float.ceil (cm.Cost_model.cumsum_instrs_per_row *. float_of_int rows))
   in
-  charge_op ctx ~vec ~op:"cumsum_api" ~instrs:1 ~len:(instrs * cols) ~esize:(esize src);
+  Block.vec_op ctx ~vec ~op:"cumsum_api" ~instrs:1
+    ~bytes:(instrs * cols * esize src);
   (* The per-row instruction count is charged through a single composite
      call above: [instrs] row-sized instructions. Re-express the issue
-     overhead explicitly since charge_op only adds one issue cost. *)
-  Block.charge ~op:"cumsum_api" ctx (Engine.Vec vec)
-    (float_of_int (instrs - 1) *. cm.Cost_model.vec_issue_cycles);
+     overhead explicitly since that call only adds one issue cost: an
+     instruction over 0 bytes costs exactly its issue. *)
+  Block.vec_op ~counted:false ctx ~vec ~op:"cumsum_api" ~instrs:(instrs - 1)
+    ~bytes:0;
   if Block.functional ctx then begin
     Local_tensor.touch dst;
     ignore
@@ -336,13 +314,13 @@ let sort_region ctx ?(vec = 0) ?(descending = false) ~src ~dst ~len () =
   check_range ctx "sort_region" src 0 len;
   check_range ctx "sort_region" dst 0 len;
   if len = 0 then invalid_arg "Vec.sort_region: empty region";
-  tick ctx "sort_region";
   (* One Sort32 sweep plus log4 merge passes, each region-sized. *)
   let merge_passes =
     let rec go runs acc = if runs <= 1 then acc else go ((runs + 3) / 4) (acc + 1) in
     go ((len + 31) / 32) 0
   in
-  charge_op ctx ~vec ~op:"sort_region" ~instrs:(1 + (2 * merge_passes)) ~len ~esize:(esize src);
+  Block.vec_op ctx ~vec ~op:"sort_region" ~instrs:(1 + (2 * merge_passes))
+    ~bytes:(len * esize src);
   if Block.functional ctx then begin
     let sb = Local_tensor.buffer src and db = Local_tensor.buffer dst in
     let a = Array.init len (fun i -> Host_buffer.get sb i) in
@@ -365,12 +343,11 @@ let gather_mask ctx ?(vec = 0) ~src ?(src_off = 0) ~mask ?(mask_off = 0) ~dst
      device they are counted when it cannot hold all [len], so an
      overflow is a range error here, before anything is written. *)
   check_range ctx "gather_mask" dst dst_off
-    (if Block.functional ctx && dst_off + len > Local_tensor.length dst then
+    (if Block.functional ctx && dst_off + len > dst.length then
        Host_buffer.count_nonzero (Local_tensor.buffer mask) ~off:mask_off ~len
      else 0);
-  tick ctx "gather_mask";
-  charge_op ctx ~vec ~op:"gather_mask" ~instrs:2 ~len ~esize:(esize src);
-  charge_scalar ctx ~vec ~op:"gather_mask";
+  Block.vec_op ctx ~vec ~op:"gather_mask" ~instrs:2 ~bytes:(len * esize src);
+  Block.vec_scalar ~counted:false ctx ~vec ~op:"gather_mask";
   if Block.functional ctx then begin
     Local_tensor.touch dst;
     Host_buffer.gather_mask
@@ -387,8 +364,7 @@ let gather_elements ctx ?(vec = 0) ~src ~idx ~dst ~len () =
   require_integer "gather_elements" idx;
   check_range ctx "gather_elements" idx 0 len;
   check_range ctx "gather_elements" dst 0 len;
-  tick ctx "gather";
-  charge_op ctx ~vec ~op:"gather" ~instrs:2 ~len ~esize:(esize dst);
+  Block.vec_op ctx ~vec ~op:"gather" ~instrs:2 ~bytes:(len * esize dst);
   if Block.functional ctx then begin
     let sb = Local_tensor.buffer src
     and ib = Local_tensor.buffer idx
@@ -396,7 +372,7 @@ let gather_elements ctx ?(vec = 0) ~src ~idx ~dst ~len () =
     Local_tensor.touch dst;
     for i = 0 to len - 1 do
       let j = int_of_float (Host_buffer.get ib i) in
-      if j < 0 || j >= Local_tensor.length src then
+      if j < 0 || j >= src.length then
         invalid_arg
           (Printf.sprintf "Vec.gather_elements: index %d out of range" j);
       Host_buffer.set db i (Host_buffer.get sb j)
@@ -406,15 +382,13 @@ let gather_elements ctx ?(vec = 0) ~src ~idx ~dst ~len () =
 let get ctx ?(vec = 0) lt i =
   require_ub "get" lt;
   check_range ctx "get" lt i 0;
-  tick ctx "scalar_get";
-  charge_scalar ctx ~vec ~op:"scalar_get";
+  Block.vec_scalar ctx ~vec ~op:"scalar_get";
   if Block.functional ctx then Local_tensor.get lt i else 0.0
 
 let set ctx ?(vec = 0) lt i v =
   require_ub "set" lt;
   check_range ctx "set" lt i 0;
-  tick ctx "scalar_set";
-  charge_scalar ctx ~vec ~op:"scalar_set";
+  Block.vec_scalar ctx ~vec ~op:"scalar_set";
   if Block.functional ctx then Local_tensor.set lt i v
 
 (* Tile-batched row-carry propagation: semantically, for each row of
@@ -446,17 +420,13 @@ let scan_rows ctx ?(vec = 0) ~op ~buf ~len ~s ~init () =
     let esz = esize buf in
     let full = len / s in
     let rem = len - (full * s) in
-    let c_scalar = cm.Cost_model.scalar_access_cycles in
     Block.charge_rows ctx (Engine.Vec vec) ~count:full
       ~counts:[| (name, full); ("scalar_get", full) |]
       ~names:[| name; "scalar_get" |]
-      [| Cost_model.vec_op_cycles cm ~bytes:(s * esz); c_scalar |];
+      [| Block.vec_op_cycles cm ~bytes:(s * esz); cm.scalar_access_cycles |];
     if rem > 0 then begin
-      tick ctx name;
-      Block.charge ~op:name ctx (Engine.Vec vec)
-        (Cost_model.vec_op_cycles cm ~bytes:(rem * esz));
-      tick ctx "scalar_get";
-      Block.charge ~op:"scalar_get" ctx (Engine.Vec vec) c_scalar
+      Block.vec_op ctx ~vec ~op:name ~instrs:1 ~bytes:(rem * esz);
+      Block.vec_scalar ctx ~vec ~op:"scalar_get"
     end;
     if Block.functional ctx then begin
       Local_tensor.touch buf;
@@ -525,9 +495,9 @@ let hillis_steele ctx ?(vec = 0) ~op ~buf ~tmp ~len () =
     let cm = Block.cost ctx in
     let steps = net_steps len in
     let cycles = Array.make (2 * steps) 0.0 in
-    Cost_model.vec_shift_cycles cm ~len ~esize:(esize tmp) cycles ~pos:0
+    Block.vec_shift_cycles cm ~len ~esize:(esize tmp) cycles ~pos:0
       ~stride:2;
-    Cost_model.vec_shift_cycles cm ~len ~esize:(esize buf) cycles ~pos:1
+    Block.vec_shift_cycles cm ~len ~esize:(esize buf) cycles ~pos:1
       ~stride:2;
     Block.charge_rows ctx (Engine.Vec vec) ~count:1
       ~counts:[| (name, steps); ("copy", steps) |]
@@ -580,13 +550,13 @@ let segmented_hillis_steele ctx ?(vec = 0) ~v ~f ~tmp_v ~tmp_f ~zero ~len () =
     (* The flag copy moves the whole tile at every step. *)
     let cycles =
       Array.make (4 * steps)
-        (Cost_model.vec_op_cycles cm ~bytes:(len * esize tmp_f))
+        (Block.vec_op_cycles cm ~bytes:(len * esize tmp_f))
     in
-    Cost_model.vec_shift_cycles cm ~len ~esize:(esize tmp_v) cycles ~pos:0
+    Block.vec_shift_cycles cm ~len ~esize:(esize tmp_v) cycles ~pos:0
       ~stride:4;
-    Cost_model.vec_shift_cycles cm ~len ~esize:(esize v) cycles ~pos:1
+    Block.vec_shift_cycles cm ~len ~esize:(esize v) cycles ~pos:1
       ~stride:4;
-    Cost_model.vec_shift_cycles cm ~len ~esize:(esize f) cycles ~pos:3
+    Block.vec_shift_cycles cm ~len ~esize:(esize f) cycles ~pos:3
       ~stride:4;
     Block.charge_rows ctx (Engine.Vec vec) ~count:1
       ~counts:

@@ -230,7 +230,7 @@ let bitonic_fused_stage ~x ~n ~k ~tile ctx =
           (* Generic vector code for the in-tile network. *)
           Block.charge ~op:"scan_network" ctx (Engine.Vec v)
             (float_of_int (local_substage_instrs * substages)
-            *. Cost_model.vec_op_cycles cm
+            *. Block.vec_op_cycles cm
                  ~bytes:(len * Dtype.size_bytes dt));
           if Block.functional ctx then begin
             Local_tensor.touch tiles.(v).(slot);

@@ -43,6 +43,7 @@ let run ?(s = 128) device x ~k =
     invalid_arg "Radix_select.run: k out of range (1 .. min n 4096)";
   if not (Dtype.equal (Global_tensor.dtype x) Dtype.F16) then
     invalid_arg "Radix_select.run: input must be f16";
+  Scan.Kernel_util.check_s ~who:"Radix_select.run" ~even:true Dtype.I8 s;
   let all_stats = ref [] in
   let note st = all_stats := st :: !all_stats in
   (* Encode so that unsigned order equals value order. *)

@@ -90,6 +90,7 @@ let run ?(s = 128) ?(with_indices = false) ?(descending = false) ?(bits = 16)
   in
   if is_float && bits <> 16 then
     invalid_arg "Radix_sort.run: f16 keys require all 16 bits";
+  Scan.Kernel_util.check_s ~who:"Radix_sort.run" ~even:true Dtype.I8 s;
   let all_stats = ref [] in
   let note st = all_stats := st :: !all_stats in
   (* Bitcast to u16 patterns (zero cost) and encode when needed. *)

@@ -37,6 +37,7 @@ let run ?(s = 128) ?(seed = 7) device x ~k =
     invalid_arg "Topk.run: k out of range (1 .. min n 4096)";
   if not (Dtype.equal (Global_tensor.dtype x) Dtype.F16) then
     invalid_arg "Topk.run: input must be f16";
+  Scan.Kernel_util.check_s ~who:"Topk.run" ~even:true Dtype.I8 s;
   let rng = Random.State.make [| seed |] in
   let all_stats = ref [] in
   let note st = all_stats := st :: !all_stats in

@@ -34,10 +34,17 @@ let mask_and_sample ?(s = 128) device ~sorted ~cdf ~p ~theta =
   let j, st_sample = Weighted_sampling.sample ~s device ~weights:masked ~theta in
   (j, kept, [ st_mask; st_sample ])
 
+(* Written so that a NaN parameter fails them. *)
+let check_params who ~p ~theta =
+  if not (0.0 < p && p <= 1.0) then invalid_arg (who ^ ": p out of (0, 1]");
+  if not (0.0 <= theta && theta < 1.0) then
+    invalid_arg (who ^ ": theta out of [0, 1)")
+
 let sample ?(s = 128) device ~probs ~p ~theta =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Topp.sample: p out of (0, 1]";
-  if theta < 0.0 || theta >= 1.0 then
-    invalid_arg "Topp.sample: theta out of [0, 1)";
+  check_params "Topp.sample" ~p ~theta;
+  (* The sort's flag scans are i8, the cdf scan f16: the f16 bound holds
+     both. *)
+  Scan.Kernel_util.check_s ~who:"Topp.sample" ~even:true Dtype.F16 s;
   let r = Radix_sort.run ~s ~descending:true ~with_indices:true device probs in
   let sorted = r.Radix_sort.values in
   let cdf, st_scan = Scan.Mcscan.run ~s device sorted in
@@ -57,8 +64,7 @@ let sample ?(s = 128) device ~probs ~p ~theta =
   }
 
 let sample_baseline device ~probs ~p ~theta =
-  if p <= 0.0 || p > 1.0 then
-    invalid_arg "Topp.sample_baseline: p out of (0, 1]";
+  check_params "Topp.sample_baseline" ~p ~theta;
   let sorted, st_sort = Baseline.sort ~descending:true device probs in
   let cdf, st_scan = Baseline.cumsum device sorted in
   let j, kept, sts = mask_and_sample device ~sorted ~cdf ~p ~theta in
@@ -76,6 +82,8 @@ let sample_batch ?(s = 128) device ~probs ~batch ~len ~p ~thetas =
     invalid_arg "Topp.sample_batch: tensor shorter than batch * len";
   if Array.length thetas <> batch then
     invalid_arg "Topp.sample_batch: one theta per row required";
+  Array.iter (fun theta -> check_params "Topp.sample_batch" ~p ~theta) thetas;
+  Scan.Kernel_util.check_s ~who:"Topp.sample_batch" ~even:true Dtype.F16 s;
   Array.init batch (fun row ->
       let slice, st_slice =
         Ops_util.slice device probs ~off:(row * len) ~len

@@ -1,7 +1,7 @@
 open Ascend
 
 let sample ?(s = 128) device ~weights ~theta =
-  if theta < 0.0 || theta >= 1.0 then
+  if not (0.0 <= theta && theta < 1.0) then
     invalid_arg "Weighted_sampling.sample: theta out of [0, 1)";
   if not (Dtype.equal (Global_tensor.dtype weights) Dtype.F16) then
     invalid_arg "Weighted_sampling.sample: weights must be f16";
@@ -47,7 +47,7 @@ let sample_many ?(s = 128) device ~weights ~thetas =
   if k = 0 then invalid_arg "Weighted_sampling.sample_many: no draws";
   Array.iter
     (fun theta ->
-      if theta < 0.0 || theta >= 1.0 then
+      if not (0.0 <= theta && theta < 1.0) then
         invalid_arg "Weighted_sampling.sample_many: theta out of [0, 1)")
     thetas;
   if not (Dtype.equal (Global_tensor.dtype weights) Dtype.F16) then

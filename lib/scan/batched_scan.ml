@@ -42,7 +42,7 @@ let resolve ~batch ~len ~rows ~y ~suffix device x =
    the cube core interleaves the tile-local scans of both rows of the
    pair, vector core [v] finishes row [2p + v]. *)
 let run_u ?(s = 128) ?rows ?y device ~batch ~len x =
-  if s <= 0 then invalid_arg "Batched_scan.run_u: s must be positive";
+  Kernel_util.check_s ~who:"Batched_scan.run_u" Dtype.F16 s;
   check ~batch ~len x;
   let row_lo, row_hi, y =
     resolve ~batch ~len ~rows ~y ~suffix:"_bscanu" device x
@@ -126,7 +126,7 @@ let run_u ?(s = 128) ?rows ?y device ~batch ~len x =
 (* ScanUL1-based schedule: block [i] runs a full ScanUL1 on every row
    [j = i, i+B, ...] using its cube core and vector core 0. *)
 let run_ul1 ?(s = 128) ?rows ?y device ~batch ~len x =
-  if s <= 0 then invalid_arg "Batched_scan.run_ul1: s must be positive";
+  Kernel_util.check_s ~who:"Batched_scan.run_ul1" Dtype.F16 s;
   check ~batch ~len x;
   let row_lo, row_hi, y =
     resolve ~batch ~len ~rows ~y ~suffix:"_bscanul1" device x

@@ -47,7 +47,7 @@ let fill_into ~zeroed lt ~s which =
   Local_tensor.set_structure lt (structure_of which)
 
 let fill lt ~s which =
-  if Local_tensor.length lt < s * s then
+  if lt.Local_tensor.length < s * s then
     invalid_arg "Const_mat.fill: tensor shorter than s*s";
   fill_into ~zeroed:false lt ~s which
 
@@ -56,10 +56,7 @@ let load ctx ~engine ~kind ~dtype ~s which =
   let lt = Block.alloc ctx kind dtype (s * s) in
   (* Charged as one DataCopy of the statically pre-allocated GM
      constant into the cube hierarchy. *)
-  let bytes = s * s * Dtype.size_bytes dtype in
-  Block.charge ~op:"datacopy_const" ~bytes ctx engine
-    (Cost_model.mte_copy_cycles (Block.cost ctx) ~bytes);
-  Block.note_gm_traffic ctx ~read:bytes ~write:0;
+  Block.const_copy ctx engine ~bytes:(s * s * Dtype.size_bytes dtype);
   if Block.functional ctx then fill_into ~zeroed:true lt ~s which
   else Local_tensor.set_structure lt (structure_of which);
   lt

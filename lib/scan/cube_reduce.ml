@@ -20,6 +20,7 @@ let finalize device ~name ~partials ~count =
 let run_cube ?(s = 128) device x =
   if not (Dtype.equal (Global_tensor.dtype x) Dtype.F16) then
     invalid_arg "Cube_reduce.run_cube: input must be f16";
+  Kernel_util.check_s ~who:"Cube_reduce.run_cube" Dtype.F16 s;
   let n = Global_tensor.length x in
   if n = 0 then invalid_arg "Cube_reduce.run_cube: empty input";
   let tile = s * s in
@@ -87,7 +88,7 @@ let run_cube ?(s = 128) device x =
       end
       else Local_tensor.set_structure row1 Local_tensor.All_ones;
       Block.charge ~op:"l1_to_l0" ctx Engine.Cube
-        (Cost_model.local_copy_cycles (Block.cost ctx) ~bytes:(2 * s));
+        (Block.local_copy_cycles (Block.cost ctx) ~bytes:(2 * s));
       Cube.mmad ctx ~a:row1 ~b:l0b ~c:c2 ~m:1 ~k:s ~n:s ~accumulate:false;
       Mte.copy_out ctx ~engine:Engine.Cube_mte_out ~src:c2 ~dst:partials
         ~dst_off:i ~len:1 ()

@@ -5,3 +5,8 @@ val ceil_div : int -> int -> int
 
 val round_up : int -> int -> int
 (** Smallest multiple of [m] that is [>= a]. *)
+
+val check_s : who:string -> ?even:bool -> Ascend.Dtype.t -> int -> unit
+(** Raise [Invalid_argument], naming [who], [s] and the largest
+    accepted value, unless [s >= 1] ([~even]: even) and two s x s tiles
+    of the dtype fit L0A: 128 for f16, 181 (180 even) for i8. *)

@@ -161,8 +161,6 @@ let phase2 ~loc ~y ~r ~s ~chunk ~half ~n ~out_dt ~exclusive ctx =
   end
 
 let run ?(s = 128) ?blocks ?(exclusive = false) device x =
-  if s <= 0 || s land 1 = 1 then
-    invalid_arg "Mcscan.run: s must be positive and even";
   let in_dt = Global_tensor.dtype x in
   let loc_dt, out_dt =
     match in_dt with
@@ -173,6 +171,7 @@ let run ?(s = 128) ?blocks ?(exclusive = false) device x =
           (Printf.sprintf "Mcscan.run: unsupported input dtype %s"
              (Dtype.to_string d))
   in
+  Kernel_util.check_s ~who:"Mcscan.run" ~even:true in_dt s;
   let n = Global_tensor.length x in
   if n = 0 then invalid_arg "Mcscan.run: empty input";
   let blocks =

@@ -1,7 +1,7 @@
 open Ascend
 
 let run ?(s = 128) device x =
-  if s <= 0 then invalid_arg "Scan_u.run: s must be positive";
+  Kernel_util.check_s ~who:"Scan_u.run" Dtype.F16 s;
   if not (Dtype.equal (Global_tensor.dtype x) Dtype.F16) then
     invalid_arg "Scan_u.run: input must be f16";
   let n = Global_tensor.length x in

@@ -71,7 +71,7 @@ let compute_tile ctx ~schedule ~y ~off ~len ~s ~bufs ~slot =
     ~dst_off:off ~len ()
 
 let run ?(s = 128) device x =
-  if s <= 0 then invalid_arg "Scan_ul1.run: s must be positive";
+  Kernel_util.check_s ~who:"Scan_ul1.run" Dtype.F16 s;
   if not (Dtype.equal (Global_tensor.dtype x) Dtype.F16) then
     invalid_arg "Scan_ul1.run: input must be f16";
   let n = Global_tensor.length x in

@@ -118,7 +118,7 @@ let rec scan_rec ?(s = 128) device x ~depth =
   end
 
 let run ?(s = 128) device x =
-  if s <= 0 then invalid_arg "Tcu_scan.run: s must be positive";
+  Kernel_util.check_s ~who:"Tcu_scan.run" Dtype.F16 s;
   if not (Dtype.equal (Global_tensor.dtype x) Dtype.F16) then
     invalid_arg "Tcu_scan.run: input must be f16";
   if Global_tensor.length x = 0 then invalid_arg "Tcu_scan.run: empty input";

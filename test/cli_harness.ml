@@ -23,6 +23,10 @@
      --crash-mode raise] on the committed scenarios. Each case must
      exit 0, 1 or 2 within 10 s, with no uncaught exception or
      backtrace.
+   - Bad values that would run: a NaN [--theta] or [-p], [-p 0], and a
+     tile size [-s] past the limit of every entry that declares it (and
+     of [chaos run]) must each exit 2 like any other out-of-range
+     parameter.
 
    Usage: cli_harness.exe PATH/TO/ascend_scan_cli.exe *)
 
@@ -343,7 +347,41 @@ let apply tail = function
 
 let contains ~sub s = Option.is_some (index_of_opt ~sub s)
 
+(* Values a mutation can make that parse and used to run: each must be
+   a usage error, exit 2. 182 is the smallest even tile size past every
+   entry's limit (128 for f16 tiles, 180 for i8 flag scans), 4096 far
+   past it at a small N. *)
+let check_bad_values entries =
+  let run args = "run" :: "--op" :: args in
+  List.iter
+    (fun args -> expect_usage ~what:(String.concat " " args) (run args))
+    [
+      [ "topp"; "-n"; n; "-p"; "0.9"; "--theta"; "nan" ];
+      [ "topp"; "-n"; n; "-p"; "nan"; "--theta"; "0.3" ];
+      [ "topp"; "-n"; n; "-p"; "0"; "--theta"; "0.3" ];
+      [ "weighted_sampling"; "-n"; n; "--theta"; "nan" ];
+    ];
+  List.iter
+    (fun (name, params) ->
+      if List.mem "s" params then
+        List.iter
+          (fun (len, s) ->
+            let args =
+              [ name; "-n"; len; "-s"; s ]
+              @ List.concat_map
+                  (fun p -> if p = "s" then [] else List.assoc p param_args)
+                  params
+            in
+            expect_usage ~what:(String.concat " " args) (run args))
+          [ (n, "182"); ("64", "4096") ])
+    entries;
+  expect_usage ~what:"chaos run -s 182"
+    [ "chaos"; "run"; "--scenario"; "../scenarios/cube-storm.chaos";
+      "--crash-mode"; "raise"; "-s"; "182" ]
+
 let check_fuzz () =
+  let entries = list_ops () in
+  check_bad_values entries;
   let scenarios =
     Sys.readdir "../scenarios" |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".chaos")
@@ -351,7 +389,7 @@ let check_fuzz () =
     |> List.map (Filename.concat "../scenarios")
   in
   if scenarios = [] then fail "fuzz: no committed scenarios";
-  let bases = Array.of_list (fuzz_bases (list_ops ()) scenarios) in
+  let bases = Array.of_list (fuzz_bases entries scenarios) in
   let st = Random.State.make [| 28 |] in
   for case = 0 to 119 do
     let head, tail = bases.(case mod Array.length bases) in

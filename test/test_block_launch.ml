@@ -82,7 +82,7 @@ let test_alloc_capacity () =
      with Failure _ -> true);
   Block.reset_mem ctx Mem_kind.L0a;
   let t = Block.alloc ctx Mem_kind.L0a Dtype.F16 32768 in
-  check_int "post-reset full alloc" 32768 (Local_tensor.length t)
+  check_int "post-reset full alloc" 32768 t.Local_tensor.length
 
 let test_gm_traffic_and_touched () =
   let dev = device () in
@@ -121,10 +121,11 @@ let test_op_counts () =
     "merged, first-seen order" ((a1, 5) :: expected) r.Block.op_counts
 
 (* Counting an op the block has seen, charging an engine, a batch of
-   rows, or a GM copy of a size, tensor and direction the block has
-   seen, with no trace armed, allocates nothing: a deterministic count
-   of minor words, not a timing, so a closure, an option or a boxed
-   float on that path shows up as a failure. *)
+   rows, a GM copy of a size, tensor and direction the block has seen,
+   or any engine op's one-step issue, with no trace armed, allocates
+   nothing: a deterministic count of minor words, not a timing, so a
+   closure, an option or a boxed float on that path shows up as a
+   failure. *)
 let test_charge_allocates_nothing () =
   let dev = Device.create ~mode:Device.Cost_only () in
   let ctx = Block.make ~device:dev ~idx:0 ~num_blocks:1 in
@@ -187,7 +188,206 @@ let test_charge_allocates_nothing () =
   check_int "all counted" 10_001 (List.assoc "vadd" r.Block.op_counts);
   check_int "copies counted" 20_001
     (List.assoc "datacopy_in" r.Block.op_counts);
-  check_int "rows counted" (64 * 1_001) (List.assoc "adds" r.Block.op_counts)
+  check_int "rows counted" (64 * 1_001) (List.assoc "adds" r.Block.op_counts);
+  (* Every engine op's one-step issue on a Cost_only device: checks,
+     count, cycles and charge, with no boxed float, engine value or
+     closure on the way. *)
+  let ctx = Block.make ~device:dev ~idx:0 ~num_blocks:1 in
+  let lt = Block.alloc ctx (Mem_kind.Ub 0) Dtype.F16 256 in
+  let ub n = Block.alloc ctx (Mem_kind.Ub 0) Dtype.F16 n in
+  let a = ub 256 and b = ub 256 and d = ub 256 and mask = ub 256 in
+  let l1 = Block.alloc ctx Mem_kind.L1 Dtype.F16 256 in
+  let l0a = Block.alloc ctx Mem_kind.L0a Dtype.F16 256 in
+  let l0b = Block.alloc ctx Mem_kind.L0b Dtype.F16 256 in
+  let l0c = Block.alloc ctx Mem_kind.L0c Dtype.F32 256 in
+  let per name op =
+    (* The first issue lists the op's name, which may grow the tally. *)
+    op ();
+    check_floatish name 0.0
+      (words (fun () ->
+           for _ = 1 to 10_000 do
+             op ()
+           done)
+      -. overhead)
+  in
+  per "Vec.adds" (fun () ->
+      Vec.adds ctx ~src:a ~dst:d ~scalar:1.0 ~len:256 ());
+  per "Vec.add" (fun () -> Vec.add ctx ~src0:a ~src1:b ~dst:d ~len:256 ());
+  per "Vec.compare_scalar" (fun () ->
+      Vec.compare_scalar ctx Vec.Lt ~src:a ~dst:d ~scalar:0.5 ~len:256 ());
+  per "Vec.select" (fun () ->
+      Vec.select ctx ~mask ~src0:a ~src1:b ~dst:d ~len:256 ());
+  per "Vec.gather_mask" (fun () ->
+      ignore (Vec.gather_mask ctx ~src:a ~mask ~dst:d ~len:256 ()));
+  per "Vec.reduce_sum" (fun () ->
+      ignore (Vec.reduce_sum ctx ~src:a ~len:256 ()));
+  per "Mte.copy_in" (fun () ->
+      Mte.copy_in ctx ~engine:(Engine.Vec_mte_in 0) ~src:g ~dst:lt ~len:128 ());
+  per "Mte.copy_out" (fun () ->
+      Mte.copy_out ctx ~engine:(Engine.Vec_mte_out 0) ~src:lt ~dst:g ~len:64 ());
+  per "Mte.copy_local" (fun () ->
+      Mte.copy_local ctx ~engine:Engine.Cube_mte_in ~src:l1 ~dst:l0a ~len:256
+        ());
+  per "Cube.mmad" (fun () ->
+      Cube.mmad ctx ~a:l0a ~b:l0b ~c:l0c ~m:16 ~k:16 ~n:16 ~accumulate:false)
+
+(* A context caches every engine's index and lane at [make]; the cache
+   must read as [Engine] numbers them, on a fresh and on a reset
+   context, at every vector-core count, and a vector core out of range
+   must still raise [Engine]'s own message from every issue path. *)
+let test_engine_cache () =
+  List.iter
+    (fun vec_per_core ->
+      let cost = { Cost_model.default with vec_per_core } in
+      let dev = Device.create ~cost ~mode:Device.Cost_only () in
+      let ctx = Block.make ~device:dev ~idx:0 ~num_blocks:2 in
+      let check_all what =
+        List.iter
+          (fun e ->
+            let name = Printf.sprintf "%s vpc=%d %s" what vec_per_core
+                (Engine.to_string e) in
+            check_int (name ^ " index") (Engine.index ~vec_per_core e)
+              (Block.engine_index ctx e);
+            check_int (name ^ " lane") (Engine.lane ~vec_per_core e)
+              (Block.engine_lane ctx e))
+          (Engine.all ~vec_per_core)
+      in
+      check_all "fresh";
+      Block.charge ctx (Engine.Vec (vec_per_core - 1)) 5.0;
+      ignore (Block.finish ctx);
+      Block.reset ctx ~core:1 ~idx:1;
+      check_all "reset";
+      let expected =
+        match Engine.index ~vec_per_core (Engine.Vec vec_per_core) with
+        | _ -> Alcotest.fail "Engine.index accepted an out-of-range core"
+        | exception Invalid_argument msg -> msg
+      in
+      let raises what f =
+        Alcotest.check_raises
+          (Printf.sprintf "%s vpc=%d" what vec_per_core)
+          (Invalid_argument expected) f
+      in
+      let v = vec_per_core in
+      let ub = Block.alloc ctx (Mem_kind.Ub 0) Dtype.F16 64 in
+      let g = Device.alloc dev Dtype.F16 64 ~name:"g" in
+      raises "engine_index" (fun () ->
+          ignore (Block.engine_index ctx (Engine.Vec_mte_out v)));
+      raises "charge" (fun () -> Block.charge ctx (Engine.Vec v) 1.0);
+      raises "Vec.adds" (fun () ->
+          Vec.adds ctx ~vec:v ~src:ub ~dst:ub ~scalar:1.0 ~len:64 ());
+      raises "Vec.get" (fun () -> ignore (Vec.get ctx ~vec:v ub 0));
+      raises "Mte.copy_in" (fun () ->
+          Mte.copy_in ctx ~engine:(Engine.Vec_mte_in v) ~src:g ~dst:ub
+            ~len:64 ()))
+    [ 1; 2; 3; 4 ]
+
+(* The cycle formulas moved from Cost_model into Block. The reference
+   definitions below are Cost_model's as they were; the moved ones must
+   match them bit for bit over a grid of byte counts and shapes. *)
+module Old_cost_model = struct
+  open Cost_model
+
+  let vec_op_cycles t ~bytes =
+    t.vec_issue_cycles +. (float_of_int bytes /. t.vec_bytes_per_cycle)
+
+  let vec_shift_cycles t ~len ~esize dst ~pos ~stride =
+    let d = ref 1 and k = ref pos in
+    while !d < len do
+      dst.(!k) <- vec_op_cycles t ~bytes:((len - !d) * esize);
+      d := 2 * !d;
+      k := !k + stride
+    done
+
+  let mte_copy_cycles t ~bytes =
+    t.mte_issue_cycles
+    +. (float_of_int bytes *. t.clock_hz /. t.mte_stream_bandwidth)
+
+  let local_copy_cycles t ~bytes =
+    t.mte_issue_cycles
+    +. (float_of_int bytes *. t.clock_hz /. t.local_stream_bandwidth)
+
+  let mmad_cycles t ~m ~k ~n ~int8 =
+    let rate =
+      if int8 then t.cube_macs_per_cycle_i8 else t.cube_macs_per_cycle_f16
+    in
+    t.mmad_issue_cycles +. (float_of_int (m * k * n) /. rate)
+end
+
+let test_formulas_bit_identical () =
+  let bits x = Int64.bits_of_float x in
+  let same what a b =
+    if bits a <> bits b then Alcotest.failf "%s: %h <> %h" what a b
+  in
+  let models =
+    [
+      Cost_model.default;
+      {
+        Cost_model.default with
+        clock_hz = 1.1e9;
+        mte_stream_bandwidth = 97.3e9;
+        local_stream_bandwidth = 333.3e9;
+        vec_bytes_per_cycle = 96.0;
+        vec_issue_cycles = 7.25;
+        mte_issue_cycles = 13.1;
+        mmad_issue_cycles = 0.3;
+        cube_macs_per_cycle_f16 = 3000.0;
+        cube_macs_per_cycle_i8 = 6001.0;
+      };
+    ]
+  in
+  let byte_grid =
+    List.concat_map
+      (fun b -> [ b - 1; b; b + 1 ])
+      [ 1; 2; 3; 31; 64; 127; 256; 1000; 4096; 32768; 65536; 196608; 1 lsl 24 ]
+    @ [ 0 ]
+  in
+  let dims = [ 1; 2; 3; 15; 16; 17; 64; 100; 128; 181; 256 ] in
+  List.iter
+    (fun cm ->
+      List.iter
+        (fun bytes ->
+          let w = Printf.sprintf "bytes=%d" bytes in
+          same ("vec_op " ^ w)
+            (Old_cost_model.vec_op_cycles cm ~bytes)
+            (Block.vec_op_cycles cm ~bytes);
+          same ("mte_copy " ^ w)
+            (Old_cost_model.mte_copy_cycles cm ~bytes)
+            (Block.mte_copy_cycles cm ~bytes);
+          same ("local_copy " ^ w)
+            (Old_cost_model.local_copy_cycles cm ~bytes)
+            (Block.local_copy_cycles cm ~bytes))
+        byte_grid;
+      List.iter
+        (fun m ->
+          List.iter
+            (fun k ->
+              List.iter
+                (fun n ->
+                  List.iter
+                    (fun int8 ->
+                      same
+                        (Printf.sprintf "mmad %dx%dx%d int8=%b" m k n int8)
+                        (Old_cost_model.mmad_cycles cm ~m ~k ~n ~int8)
+                        (Block.mmad_cycles cm ~m ~k ~n ~int8))
+                    [ false; true ])
+                dims)
+            dims)
+        dims;
+      List.iter
+        (fun len ->
+          List.iter
+            (fun esize ->
+              let a = Array.make 64 nan and b = Array.make 64 nan in
+              Old_cost_model.vec_shift_cycles cm ~len ~esize a ~pos:1 ~stride:3;
+              Block.vec_shift_cycles cm ~len ~esize b ~pos:1 ~stride:3;
+              Array.iteri
+                (fun i x ->
+                  same (Printf.sprintf "vec_shift len=%d esize=%d [%d]" len esize i)
+                    x b.(i))
+                a)
+            [ 1; 2; 4 ])
+        [ 1; 2; 3; 100; 128; 8192; 16384 ])
+    models
 
 (* A GM copy is counted before its fault is drawn: a fault that trips
    the core's quarantine budget kills the block at that copy, and the
@@ -442,7 +642,7 @@ let reads_fresh lt =
   Local_tensor.structure lt = Local_tensor.General
   &&
   let ok = ref true in
-  for i = 0 to Local_tensor.length lt - 1 do
+  for i = 0 to lt.Local_tensor.length - 1 do
     if Int64.bits_of_float (Local_tensor.get lt i) <> 0L then ok := false
   done;
   !ok
@@ -708,6 +908,9 @@ let () =
             test_gm_copy_quarantined;
           Alcotest.test_case "charge allocates nothing" `Quick
             test_charge_allocates_nothing;
+          Alcotest.test_case "engine cache = Engine" `Quick test_engine_cache;
+          Alcotest.test_case "formulas = Cost_model's" `Quick
+            test_formulas_bit_identical;
         ] );
       ( "launch",
         [

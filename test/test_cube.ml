@@ -159,8 +159,8 @@ let test_int8_path () =
 let test_int8_faster_than_f16 () =
   let dev = Device.create () in
   let cm = Device.cost dev in
-  let f = Cost_model.mmad_cycles cm ~m:128 ~k:128 ~n:128 ~int8:false in
-  let i = Cost_model.mmad_cycles cm ~m:128 ~k:128 ~n:128 ~int8:true in
+  let f = Block.mmad_cycles cm ~m:128 ~k:128 ~n:128 ~int8:false in
+  let i = Block.mmad_cycles cm ~m:128 ~k:128 ~n:128 ~int8:true in
   check_bool "int8 mmad cheaper" true (i < f)
 
 let test_validation () =

@@ -111,7 +111,7 @@ let test_costs_scale_with_bytes () =
   let c2 = Block.elapsed_cycles ctx -. t0 -. c1 in
   check_bool "larger copy costs more" true (c2 > c1);
   check_bool "cost near linear" true
-    (Float.abs (c2 -. (2.0 *. c1) +. Cost_model.mte_copy_cycles cm ~bytes:0)
+    (Float.abs (c2 -. (2.0 *. c1) +. Block.mte_copy_cycles cm ~bytes:0)
      < 2.0)
 
 let test_cost_only_skips_data () =

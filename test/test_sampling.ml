@@ -85,6 +85,14 @@ let test_validation () =
   let raises f = try f (); false with Invalid_argument _ -> true in
   check_bool "theta range" true
     (raises (fun () -> ignore (Ops.Weighted_sampling.sample dev ~weights:w ~theta:1.0)));
+  check_bool "theta nan" true
+    (raises (fun () ->
+         ignore (Ops.Weighted_sampling.sample dev ~weights:w ~theta:Float.nan)));
+  check_bool "theta nan, many draws" true
+    (raises (fun () ->
+         ignore
+           (Ops.Weighted_sampling.sample_many dev ~weights:w
+              ~thetas:[| 0.5; Float.nan |])));
   let zero = Device.of_array dev Dtype.F16 ~name:"z" [| 0.0; 0.0 |] in
   check_bool "zero weights" true
     (raises (fun () ->
@@ -188,6 +196,39 @@ let test_topp_batch () =
        false
      with Invalid_argument _ -> true)
 
+(* A NaN p or theta fails the parameter's own range check, naming it,
+   in every top-p entry point. *)
+let test_topp_nan_params () =
+  let dev, _, pt = topp_setup ~seed:3 ~vocab:64 in
+  let expect what f =
+    match f () with
+    | () -> Alcotest.failf "NaN %s accepted" what
+    | exception Invalid_argument msg ->
+        let needle = what ^ " out of" in
+        let n = String.length needle and m = String.length msg in
+        let rec has i =
+          i + n <= m && (String.sub msg i n = needle || has (i + 1))
+        in
+        check_bool (Printf.sprintf "%S names %s" msg what) true (has 0)
+  in
+  let nan = Float.nan in
+  expect "theta" (fun () ->
+      ignore (Ops.Topp.sample dev ~probs:pt ~p:0.9 ~theta:nan));
+  expect "p" (fun () ->
+      ignore (Ops.Topp.sample dev ~probs:pt ~p:nan ~theta:0.3));
+  expect "theta" (fun () ->
+      ignore (Ops.Topp.sample_baseline dev ~probs:pt ~p:0.9 ~theta:nan));
+  expect "p" (fun () ->
+      ignore (Ops.Topp.sample_baseline dev ~probs:pt ~p:nan ~theta:0.3));
+  expect "theta" (fun () ->
+      ignore
+        (Ops.Topp.sample_batch dev ~probs:pt ~batch:2 ~len:32 ~p:0.9
+           ~thetas:[| 0.3; nan |]));
+  expect "p" (fun () ->
+      ignore
+        (Ops.Topp.sample_batch dev ~probs:pt ~batch:2 ~len:32 ~p:nan
+           ~thetas:[| 0.3; 0.6 |]))
+
 let test_topp_17_scans () =
   (* The headline structural claim: 16 radix scans + 1 cumsum, visible
      as at least 17 two-phase MCScan launches in the combined stats. *)
@@ -225,5 +266,6 @@ let () =
             test_topp_baseline_agrees_roughly;
           Alcotest.test_case "batched rows" `Quick test_topp_batch;
           Alcotest.test_case "17 scans" `Quick test_topp_17_scans;
+          Alcotest.test_case "NaN p and theta" `Quick test_topp_nan_params;
         ] );
     ]

@@ -203,7 +203,7 @@ let eq_nets =
   Segmented :: List.map (fun op -> Plain op) Vec.[ Add; Max; Min; Mul ]
 
 let bits lt n =
-  List.init (min n (Local_tensor.length lt)) (fun i ->
+  List.init (min n lt.Local_tensor.length) (fun i ->
       Int64.bits_of_float (Local_tensor.get lt i))
 
 (* How one named operand tile departs from a well-formed network. *)
@@ -229,7 +229,7 @@ let run_net ?(pre = fun _ ~value:_ ~flag:_ -> ()) ?(prelude = false)
   in
   let fill lt f =
     if Block.functional ctx then
-      for i = 0 to Local_tensor.length lt - 1 do
+      for i = 0 to lt.Local_tensor.length - 1 do
         Local_tensor.set lt i (f i)
       done
   in
@@ -378,7 +378,7 @@ let launch_run ?mode ?sanitize ?kills ?trace ?hazard ?odd ?(prelude = false)
     Option.iter
       (fun which ->
         let dst = match which with `Value -> value | `Flag -> flag in
-        let src = Device.alloc dev (Local_tensor.dtype dst) 1 ~name:"g" in
+        let src = Device.alloc dev dst.Local_tensor.dtype 1 ~name:"g" in
         Mte.copy_in_async ctx ~engine:(Engine.Vec_mte_in 0) ~src ~dst ~len:1 ())
       hazard
   in
