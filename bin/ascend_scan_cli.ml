@@ -191,19 +191,12 @@ let recorded_profile = function
       Format.eprintf "profile: %s@." e;
       exit 1
 
-(* One recording, one export, one profile: --trace writes the exported
-   bytes, and --profile and --metrics share the profile of their parse,
-   so the three flags cannot disagree. *)
+(* One recording, one profile: --profile and --metrics share the
+   profile of the recorder's records, and only --trace exports them,
+   to its file. *)
 let emit_obs ?extra device obs st =
   let trace = Ascend.Device.trace device in
-  let exported = lazy (Option.map Obs.Chrome_trace.to_string trace) in
-  let profile =
-    lazy
-      (Option.map
-         (fun bytes ->
-           Result.bind (Obs.Jsonw.parse bytes) Obs.Critical_path.of_json)
-         (Lazy.force exported))
-  in
+  let profile = lazy (Option.map Obs.Critical_path.of_trace trace) in
   (match (obs.trace_file, trace) with
   | Some file, Some tr ->
       (match Ascend.Trace.check tr with
@@ -212,7 +205,7 @@ let emit_obs ?extra device obs st =
           (* A consistency failure is a simulator bug, not a user error:
              still write the file (it is the evidence), but say so. *)
           Format.eprintf "trace: internal consistency check FAILED: %s@." e);
-      write_file file (Option.get (Lazy.force exported));
+      write_file file (Obs.Chrome_trace.to_string tr);
       Format.printf "trace: %d events -> %s@."
         (Ascend.Trace.event_count tr)
         file

@@ -70,5 +70,3 @@ let to_string = function
   | I16 -> "i16"
   | U16 -> "u16"
   | I32 -> "i32"
-
-let pp fmt dt = Format.pp_print_string fmt (to_string dt)

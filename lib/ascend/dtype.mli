@@ -45,7 +45,6 @@ val max_value : t -> float
 (** Largest representable finite value. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val cast : from:t -> into:t -> float -> float

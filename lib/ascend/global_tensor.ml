@@ -38,7 +38,3 @@ let load t a =
 let fill t v = Host_buffer.fill (buffer t) v
 
 let to_array t = Host_buffer.to_array (buffer t)
-
-let pp fmt t =
-  Format.fprintf fmt "%s:%a[%d]%s" t.name Dtype.pp t.dtype t.length
-    (if is_backed t then "" else " (cost-only)")

@@ -56,4 +56,3 @@ val retire : t -> unit
     {!Host_buffer.retire}). *)
 
 val to_array : t -> float array
-val pp : Format.formatter -> t -> unit

@@ -715,14 +715,3 @@ let gather_mask ~src ~src_off ~mask ~mask_off ~dst ~dst_off ~len =
     done;
   mark dst !k;
   !k - dst_off
-
-let pp fmt t =
-  let n = length t in
-  let shown = min n 8 in
-  Format.fprintf fmt "@[<h>%a[%d] = [" Dtype.pp t.dtype n;
-  for i = 0 to shown - 1 do
-    if i > 0 then Format.pp_print_string fmt "; ";
-    Format.fprintf fmt "%g" (BA1.get t.data i)
-  done;
-  if shown < n then Format.pp_print_string fmt "; ...";
-  Format.pp_print_string fmt "]@]"

@@ -214,6 +214,3 @@ val gather_mask :
     [i < len] with [mask.(mask_off + i) <> 0], in order; returns the
     count. [dst] needs room for the selected elements only; an
     overflow raises [Invalid_argument] before anything is written. *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug printer showing dtype, length and the first few elements. *)

@@ -18,7 +18,6 @@ let make ~kind ~dtype ~length =
   let buf = Host_buffer.create dtype length in
   { kind; dtype; length; buf; structure = General }
 
-let size_bytes t = Host_buffer.size_bytes t.buf
 let buffer t = t.buf
 let structure t = t.structure
 let set_structure t s = t.structure <- s
@@ -34,6 +33,3 @@ let get t i = Host_buffer.get t.buf i
 let set t i v =
   touch t;
   Host_buffer.set t.buf i v
-
-let pp fmt t =
-  Format.fprintf fmt "%a:%a[%d]" Mem_kind.pp t.kind Dtype.pp t.dtype t.length

@@ -33,7 +33,6 @@ type t = private {
 val make : kind:Mem_kind.t -> dtype:Dtype.t -> length:int -> t
 (** Used by {!Block.alloc}; not intended for direct use. *)
 
-val size_bytes : t -> int
 val buffer : t -> Host_buffer.t
 
 val structure : t -> structure
@@ -56,5 +55,3 @@ val recycle : t -> unit
 
 val get : t -> int -> float
 val set : t -> int -> float -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -29,5 +29,3 @@ let to_string = function
   | L0a -> "L0A"
   | L0b -> "L0B"
   | L0c -> "L0C"
-
-let pp fmt k = Format.pp_print_string fmt (to_string k)

@@ -18,5 +18,4 @@ val owner : vec_per_core:int -> t -> Engine.t
     [Cube] for the L1/L0 hierarchy. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

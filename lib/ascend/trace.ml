@@ -30,6 +30,9 @@ let edge_kind_to_string = function
   | Await -> "await"
   | Join -> "join"
 
+let edge_kind_of_string s =
+  List.find_opt (fun k -> edge_kind_to_string k = s) [ Lane; Queue; Group; Await; Join ]
+
 type edge = { e_src : int; e_dst : int; e_kind : edge_kind }
 
 type mark = {

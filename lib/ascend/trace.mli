@@ -67,6 +67,10 @@ type edge_kind =
   | Await  (** A {!Block.await_engine} cross-lane join. *)
   | Join  (** A {!Block.wait_all} full-block barrier. *)
 
+val edge_kind_of_string : string -> edge_kind option
+(** The kind the Chrome export names ["lane"], ["queue"], ["group"],
+    ["await"] or ["join"]. *)
+
 type edge = {
   e_src : int;  (** {!span.sp_id} of the predecessor. *)
   e_dst : int;  (** {!span.sp_id} of the dependent span. *)

@@ -1,42 +1,29 @@
-(* Critical-path reconstruction from trace JSON alone.
+(* Critical-path reconstruction over the recorder's own records.
 
    The event-timeline engine model ({!Ascend.Block}) records, next to
-   every span, the dependency edges that explain its issue time; the
-   Chrome export carries them as flow events plus exact cycle
-   endpoints (args [c0]/[c1] — the microsecond ts/dur do not round-trip
-   to cycles). This module rebuilds the per-block launch DAG from those
-   bytes, recomputes every span's issue time as the max end of its
-   predecessors (bit-identical to the engine model: [Float.max] over
-   non-negative floats is order-independent and the endpoints are the
-   very floats the model produced), extracts the critical path and
-   per-span slack, and rolls the whole run up into a blame table —
-   cycles of end-to-end makespan attributed to each engine, op and
-   queue, plus the launch latency, SyncAll and bandwidth terms of the
-   phase composition. *)
+   every span, the dependency edges that explain its issue time
+   ({!Ascend.Trace}). The builder takes those records, rebuilds each
+   block's launch DAG, recomputes every span's issue time as the max
+   end of its predecessors (bit-identical to the engine model:
+   [Float.max] over non-negative floats is order-independent and the
+   endpoints are the very floats the model produced), extracts the
+   critical path and per-span slack, and rolls the whole run up into a
+   blame table — cycles of end-to-end makespan attributed to each
+   engine, op and queue, plus the launch latency, SyncAll and
+   bandwidth terms of the phase composition. JSON is read only at the
+   file boundary: the decoder turns a Chrome trace back into the same
+   records (the exact cycle endpoints ride in args [c0]/[c1]; the
+   microsecond ts/dur do not round-trip to cycles). *)
 
-type span = {
-  x_sid : int;
-  x_binst : int;
-  x_pid : int;
-  x_tid : int;
-  x_track : string;
-  x_queue : string;
-  x_op : string;
-  x_c0 : float;
-  x_c1 : float;
-  x_bytes : int;
-  x_ts : float; (* file ts (us), for phase attribution *)
-}
-
-type edge = { ed_src : int; ed_dst : int; ed_kind : string }
+module Trace = Ascend.Trace
+module Stats = Ascend.Stats
 
 type block = {
-  bk_binst : int;
   bk_core : int;
-  bk_spans : span array; (* ascending sid = issue (topological) order *)
-  bk_edges : edge array;
+  bk_spans : Trace.span array; (* block-local ids: bk_spans.(i).sp_id = i *)
+  bk_edges : Trace.edge array; (* in recording order *)
   bk_cycles : float; (* reconstructed critical-path length (makespan) *)
-  bk_cp : int list; (* sids on the critical path, in time order *)
+  bk_cp : int list; (* span ids on the critical path, in time order *)
   bk_slack : float array; (* per-span slack, aligned with bk_spans *)
 }
 
@@ -47,9 +34,8 @@ type phase = {
   ph_compute_seconds : float;
   ph_bandwidth_seconds : float;
   ph_bound : string;
-  ph_dur_us : float; (* the phase span's window length in the file *)
   ph_gm_bytes : int;
-  ph_blocks : block list; (* in assembly order *)
+  ph_blocks : block list; (* by occurrence *)
   ph_cores : (int * float) list; (* core -> serialised chain cycles *)
   ph_bounding_core : int; (* -1 when the phase recorded no blocks *)
 }
@@ -75,11 +61,6 @@ type t = {
   cp_spans : int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* JSON helpers. *)
-
-let member k j = Jsonw.member k j
-
 let tally tbl key v =
   Hashtbl.replace tbl key (v +. Option.value ~default:0.0 (Hashtbl.find_opt tbl key))
 
@@ -92,51 +73,40 @@ let sorted_blame tbl =
 
 (* ------------------------------------------------------------------ *)
 (* Per-block DAG analysis: forward pass (verifying the recorded issue
-   times), critical-path extraction, backward slack pass. *)
+   times), critical-path extraction, backward slack pass. Span ids are
+   block-local, so they index [spans]. *)
 
 exception Inconsistent of string
 
-let analyze_block ~binst ~core spans edges =
+let inconsistent fmt = Printf.ksprintf (fun s -> raise (Inconsistent s)) fmt
+
+let analyze_block ~core (spans : Trace.span array) (edges : Trace.edge array) =
   let n = Array.length spans in
-  let lo = if n = 0 then 0 else spans.(0).x_sid in
-  let idx sid = sid - lo in
-  let in_range sid = sid >= lo && sid < lo + n in
-  (* Predecessor / successor adjacency over local indices. *)
   let preds = Array.make n [] in
   let succs = Array.make n [] in
   Array.iter
-    (fun e ->
-      if not (in_range e.ed_src && in_range e.ed_dst) then
-        raise
-          (Inconsistent
-             (Printf.sprintf "block %d: edge %d->%d outside span range" binst
-                e.ed_src e.ed_dst));
+    (fun { Trace.e_src = src; e_dst = dst; _ } ->
+      if not (src >= 0 && src < n && dst >= 0 && dst < n) then
+        inconsistent "edge %d->%d outside span range" src dst;
       (* The recorder only emits edges in issue order; a backward one
          could close a cycle the critical-path walk would never leave. *)
-      if e.ed_src >= e.ed_dst then
-        raise
-          (Inconsistent
-             (Printf.sprintf "block %d: edge %d->%d not in issue order" binst
-                e.ed_src e.ed_dst));
-      preds.(idx e.ed_dst) <- idx e.ed_src :: preds.(idx e.ed_dst);
-      succs.(idx e.ed_src) <- idx e.ed_dst :: succs.(idx e.ed_src))
+      if src >= dst then inconsistent "edge %d->%d not in issue order" src dst;
+      preds.(dst) <- src :: preds.(dst);
+      succs.(src) <- dst :: succs.(src))
     edges;
-  (* Forward: recomputed issue time must equal the recorded c0 bitwise
-     — the reconstruction contract. *)
+  (* Forward: recomputed issue time must equal the recorded start
+     bitwise — the reconstruction contract. *)
   for i = 0 to n - 1 do
     let s = spans.(i) in
     let start =
-      List.fold_left (fun m p -> Float.max m spans.(p).x_c1) 0.0 preds.(i)
+      List.fold_left (fun m p -> Float.max m spans.(p).Trace.sp_end) 0.0 preds.(i)
     in
-    if not (Float.equal start s.x_c0) then
-      raise
-        (Inconsistent
-           (Printf.sprintf
-              "block %d span %d (%s %s): recomputed start %h <> recorded %h"
-              binst s.x_sid s.x_track s.x_op start s.x_c0))
+    if not (Float.equal start s.Trace.sp_start) then
+      inconsistent "span %d (%s %s): recomputed start %h <> recorded %h" i
+        s.Trace.sp_engine s.Trace.sp_op start s.Trace.sp_start
   done;
   let makespan =
-    Array.fold_left (fun m s -> Float.max m s.x_c1) 0.0 spans
+    Array.fold_left (fun m s -> Float.max m s.Trace.sp_end) 0.0 spans
   in
   (* Critical path: walk back from the (deterministically first) span
      achieving the makespan, at each step to the first predecessor
@@ -145,21 +115,21 @@ let analyze_block ~binst ~core spans edges =
      ends, and the root starts at 0. *)
   let sink = ref (-1) in
   for i = n - 1 downto 0 do
-    if Float.equal spans.(i).x_c1 makespan then sink := i
+    if Float.equal spans.(i).Trace.sp_end makespan then sink := i
   done;
   let cp = ref [] in
   (if n > 0 then
      let cur = ref !sink in
      let continue = ref true in
      while !continue do
-       cp := spans.(!cur).x_sid :: !cp;
+       cp := !cur :: !cp;
        let s = spans.(!cur) in
-       if s.x_c0 = 0.0 && preds.(!cur) = [] then continue := false
+       if s.Trace.sp_start = 0.0 && preds.(!cur) = [] then continue := false
        else begin
          let next =
            List.fold_left
              (fun best p ->
-               if Float.equal spans.(p).x_c1 s.x_c0 then
+               if Float.equal spans.(p).Trace.sp_end s.Trace.sp_start then
                  match best with
                  | Some b when b <= p -> Some b
                  | _ -> Some p
@@ -180,19 +150,17 @@ let analyze_block ~binst ~core spans edges =
   let lat_end = Array.make n 0.0 in
   let slack = Array.make n 0.0 in
   for i = n - 1 downto 0 do
-    let s = spans.(i) in
     let le =
       List.fold_left
         (fun m j ->
           let d = spans.(j) in
-          Float.min m (lat_end.(j) -. (d.x_c1 -. d.x_c0)))
+          Float.min m (lat_end.(j) -. (d.Trace.sp_end -. d.Trace.sp_start)))
         makespan succs.(i)
     in
     lat_end.(i) <- le;
-    slack.(i) <- le -. s.x_c1
+    slack.(i) <- le -. spans.(i).Trace.sp_end
   done;
   {
-    bk_binst = binst;
     bk_core = core;
     bk_spans = spans;
     bk_edges = edges;
@@ -202,40 +170,26 @@ let analyze_block ~binst ~core spans edges =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Device-trace profile. *)
+(* Builder: the profile of a list of recorded launches. *)
 
-type raw_phase = {
-  rp_launch : string;
-  rp_index : int;
-  rp_ts : float;
-  rp_dur : float;
-  rp_seconds : float;
-  rp_compute : float;
-  rp_bandwidth : float;
-  rp_bound : string;
-  rp_gm : int;
-  mutable rp_binsts : int list; (* newest first *)
-}
+(* A block that issued nothing (an idle tail block of a launch wider
+   than the work) has no DAG, and a trace file never shows it. *)
+let block_of ~launch ~phase (b : Trace.block_rec) =
+  match b.Trace.b_spans with
+  | [] -> None
+  | spans -> (
+      try
+        Some
+          (analyze_block ~core:b.Trace.b_core (Array.of_list spans)
+             (Array.of_list b.Trace.b_edges))
+      with Inconsistent msg ->
+        inconsistent "launch %s phase %d block %d: %s" launch phase
+          b.Trace.b_idx msg)
 
-(* Phase windows and the events are both in file (= time) order, so
-   the window holding a start [ts] is found by a cursor that only moves
-   forward: past a window once [ts] reaches both its end and the next
-   window's start. *)
-let eps = 1e-6
-
-let advance phases cursor ts =
-  while
-    !cursor < Array.length phases - 1
-    && ts >= phases.(!cursor).rp_ts +. phases.(!cursor).rp_dur -. eps
-    && ts >= phases.(!cursor + 1).rp_ts -. eps
-  do
-    incr cursor
-  done
-
-(* A phase with its blocks (by occurrence, [rp_binsts] newest first)
-   and the per-core serial chains they form. *)
-let phase_of block rp =
-  let blks = List.rev_map block rp.rp_binsts in
+(* A phase with its blocks and the per-core serial chains they form. *)
+let phase_of ~launch index (p : Trace.phase_rec) =
+  let st = p.Trace.ph_stats in
+  let blks = List.filter_map (block_of ~launch ~phase:index) p.Trace.ph_blocks in
   let cores = Hashtbl.create 16 in
   List.iter (fun b -> tally cores b.bk_core b.bk_cycles) blks;
   let cores =
@@ -249,18 +203,157 @@ let phase_of block rp =
       (-1, neg_infinity) cores
   in
   {
-    ph_launch = rp.rp_launch;
-    ph_index = rp.rp_index;
-    ph_seconds = rp.rp_seconds;
-    ph_compute_seconds = rp.rp_compute;
-    ph_bandwidth_seconds = rp.rp_bandwidth;
-    ph_bound = rp.rp_bound;
-    ph_dur_us = rp.rp_dur;
-    ph_gm_bytes = rp.rp_gm;
+    ph_launch = launch;
+    ph_index = index;
+    ph_seconds = st.Stats.seconds;
+    ph_compute_seconds = st.Stats.compute_seconds;
+    ph_bandwidth_seconds = st.Stats.bandwidth_seconds;
+    ph_bound = (if st.Stats.bandwidth_bound then "bandwidth" else "compute");
+    ph_gm_bytes = st.Stats.gm_bytes;
     ph_blocks = blks;
     ph_cores = cores;
     ph_bounding_core = (if blks = [] then -1 else bounding_core);
   }
+
+let build ~clock_hz (launches : Trace.launch_rec list) =
+  match
+    List.map
+      (fun (l : Trace.launch_rec) ->
+        let name = l.Trace.ln_name in
+        {
+          ln_name = name;
+          ln_cycles = l.Trace.ln_seconds *. clock_hz;
+          ln_latency_cycles = l.Trace.ln_latency_cycles;
+          ln_sync_cycles = l.Trace.ln_sync_cycles;
+          ln_phases = List.mapi (phase_of ~launch:name) l.Trace.ln_phases;
+        })
+      launches
+  with
+  | exception Inconsistent msg -> Error msg
+  | launch_list ->
+      (* Blame: decompose the end-to-end makespan. *)
+      let blame = Hashtbl.create 32 in
+      let op_blame = Hashtbl.create 64 in
+      let queue_blame = Hashtbl.create 16 in
+      let cp_spans = ref 0 and spans = ref 0 and edges = ref 0 in
+      let total = ref 0.0 in
+      List.iter
+        (fun ln ->
+          total := !total +. ln.ln_cycles;
+          tally blame "launch latency" ln.ln_latency_cycles;
+          let nph = List.length ln.ln_phases in
+          if nph > 1 then
+            tally blame "sync_all" (float_of_int (nph - 1) *. ln.ln_sync_cycles);
+          let covered = ref ln.ln_latency_cycles in
+          if nph > 1 then
+            covered := !covered +. (float_of_int (nph - 1) *. ln.ln_sync_cycles);
+          List.iter
+            (fun p ->
+              List.iter
+                (fun b ->
+                  spans := !spans + Array.length b.bk_spans;
+                  edges := !edges + Array.length b.bk_edges)
+                p.ph_blocks;
+              let pc = p.ph_seconds *. clock_hz in
+              covered := !covered +. pc;
+              if p.ph_bound = "bandwidth" then tally blame "HBM/L2 bandwidth" pc
+              else begin
+                (* Blame the bounding core's serialised block chain;
+                   within each block, its critical-path spans. *)
+                let chain = ref 0.0 in
+                List.iter
+                  (fun b ->
+                    if b.bk_core = p.ph_bounding_core then begin
+                      chain := !chain +. b.bk_cycles;
+                      List.iter
+                        (fun i ->
+                          let s = b.bk_spans.(i) in
+                          incr cp_spans;
+                          let d = s.Trace.sp_end -. s.Trace.sp_start in
+                          tally blame s.Trace.sp_engine d;
+                          tally op_blame s.Trace.sp_op d;
+                          tally queue_blame s.Trace.sp_queue d)
+                        b.bk_cp
+                    end)
+                  p.ph_blocks;
+                (* Replay delays, launch-composition padding and the
+                   cycles-to-seconds round trip land here. *)
+                tally blame "phase overhead" (pc -. !chain)
+              end)
+            ln.ln_phases;
+          tally blame "launch overhead" (ln.ln_cycles -. !covered))
+        launch_list;
+      Ok
+        {
+          schema = "ascend-trace-1";
+          clock_hz;
+          total_cycles = !total;
+          launches = launch_list;
+          blame = sorted_blame blame;
+          op_blame = sorted_blame op_blame;
+          queue_blame = sorted_blame queue_blame;
+          spans_total = !spans;
+          edges_total = !edges;
+          cp_spans = !cp_spans;
+        }
+
+let of_trace tr = build ~clock_hz:(Trace.clock_hz tr) (Trace.launches tr)
+
+(* ------------------------------------------------------------------ *)
+(* Decoder: a Chrome trace file back into the recorder's records.
+
+   Every span carries its trace-unique [sid], its block occurrence
+   [binst] and its exact endpoints; the sids of one block are
+   contiguous, so [sid - first] is the block-local id the recorder
+   gave it. Flow ids number the edges 0, 1, 2, ... in recording order,
+   so placing each flow at its id gives every block its edges back in
+   the recorder's order. *)
+
+type raw_block = {
+  rb_binst : int;
+  rb_pid : int;
+  rb_ts : float; (* first span's file ts, for phase attribution *)
+  mutable rb_spans : Trace.span list; (* sp_id = sid, newest first *)
+  mutable rb_first : int; (* lowest sid, once [local_spans] ran *)
+  mutable rb_edges : Trace.edge list; (* block-local ids, newest first *)
+}
+
+type raw_phase = {
+  rp_launch : string;
+  rp_ts : float;
+  rp_dur : float;
+  rp_stats : Stats.phase;
+  mutable rp_blocks : (raw_block * Trace.span array) list; (* newest first *)
+}
+
+(* Phase windows and the blocks' first spans are both in file (= time)
+   order, so the window holding a start [ts] is found by a cursor that
+   only moves forward: past a window once [ts] reaches both its end and
+   the next window's start. *)
+let eps = 1e-6
+
+let advance phases cursor ts =
+  while
+    !cursor < Array.length phases - 1
+    && ts >= phases.(!cursor).rp_ts +. phases.(!cursor).rp_dur -. eps
+    && ts >= phases.(!cursor + 1).rp_ts -. eps
+  do
+    incr cursor
+  done
+
+(* A block's spans in id order with block-local ids, each named after
+   its track. *)
+let local_spans ~track_name rb =
+  let spans = Array.of_list rb.rb_spans in
+  Array.sort (fun a b -> Int.compare a.Trace.sp_id b.Trace.sp_id) spans;
+  rb.rb_first <- spans.(0).Trace.sp_id;
+  Array.mapi
+    (fun i (s : Trace.span) ->
+      if s.Trace.sp_id <> rb.rb_first + i then
+        inconsistent "block %d: span ids are not contiguous (%d after %d)"
+          rb.rb_binst s.Trace.sp_id (rb.rb_first + i - 1);
+      { s with Trace.sp_id = i; sp_engine = track_name rb.rb_pid s.Trace.sp_track })
+    spans
 
 (* Events are decoded in one pass over each member list, into local
    refs (no allocation); as with [Jsonw.member], the first occurrence
@@ -271,11 +364,12 @@ let str ~default v = Option.value ~default (Jsonw.string_opt v)
 let int ~default v = Option.value ~default (Jsonw.int_opt v)
 let num ~default v = Option.value ~default (Jsonw.number_opt v)
 
-(* A span event's profiler args: [Some span] when it carries its sid,
+(* A span event's profiler args: [Some (binst, span)], the span
+   carrying its sid as [sp_id] and named later, when it has its sid,
    block occurrence and exact cycle endpoints. *)
-let span_of ~pid ~tid ~track ~cat ~name ~ts args =
+let span_of ~tid ~cat ~name args =
   let sid = ref absent and binst = ref absent and c0 = ref absent in
-  let c1 = ref absent and bytes = ref absent in
+  let c1 = ref absent and bytes = ref absent and block = ref absent in
   let members = ref (members_of args) in
   while match !members with [] -> false | _ -> true do
     match !members with
@@ -284,6 +378,7 @@ let span_of ~pid ~tid ~track ~cat ~name ~ts args =
         (match k with
         | "sid" -> if !sid == absent then sid := v
         | "binst" -> if !binst == absent then binst := v
+        | "block" -> if !block == absent then block := v
         | "c0" -> if !c0 == absent then c0 := v
         | "c1" -> if !c1 == absent then c1 := v
         | "bytes" -> if !bytes == absent then bytes := v
@@ -298,30 +393,32 @@ let span_of ~pid ~tid ~track ~cat ~name ~ts args =
   with
   | Some sid, Some binst, Some c0, Some c1 ->
       Some
-        {
-          x_sid = sid;
-          x_binst = binst;
-          x_pid = pid;
-          x_tid = tid;
-          x_track = track;
-          x_queue = str ~default:"?" cat;
-          x_op = str ~default:"?" name;
-          x_c0 = c0;
-          x_c1 = c1;
-          x_bytes = int ~default:0 !bytes;
-          x_ts = num ~default:0.0 ts;
-        }
+        ( binst,
+          {
+            Trace.sp_id = sid;
+            sp_block = int ~default:0 !block;
+            sp_track = tid;
+            sp_engine = "";
+            sp_queue = str ~default:"?" cat;
+            sp_op = str ~default:"?" name;
+            sp_start = c0;
+            sp_end = c1;
+            sp_bytes = int ~default:0 !bytes;
+          } )
   | _ -> None
 
-(* A flow start's args: its src/dst sids and the edge kind. *)
+(* A flow start's args: its id and the edge between sids [src] and
+   [dst]. *)
 let edge_of args =
-  let src = ref absent and dst = ref absent and kind = ref absent in
+  let id = ref absent and src = ref absent and dst = ref absent in
+  let kind = ref absent in
   let members = ref (members_of args) in
   while match !members with [] -> false | _ -> true do
     match !members with
     | [] -> ()
     | (k, v) :: rest ->
         (match k with
+        | "id" -> if !id == absent then id := v
         | "src" -> if !src == absent then src := v
         | "dst" -> if !dst == absent then dst := v
         | "kind" -> if !kind == absent then kind := v
@@ -329,31 +426,104 @@ let edge_of args =
         members := rest
   done;
   match (Jsonw.int_opt !src, Jsonw.int_opt !dst) with
-  | Some src, Some dst ->
-      Some { ed_src = src; ed_dst = dst; ed_kind = str ~default:"?" !kind }
+  | Some src, Some dst -> (
+      let kind = str ~default:"" !kind in
+      match Trace.edge_kind_of_string kind with
+      | Some e_kind ->
+          Some (int ~default:(-1) !id, { Trace.e_src = src; e_dst = dst; e_kind })
+      | None -> inconsistent "flow %d->%d: %S is not an edge kind" src dst kind)
   | _ -> None
 
 (* Launch and phase spans are few: their args go through [member]. *)
 let arg k args = Option.value ~default:absent (Jsonw.member k args)
 
-let of_device_json ~clock_hz events =
+(* The recorder's block of a decoded one: the file does not carry the
+   block's elapsed cycles, so they are its spans' makespan. *)
+let block_rec (rb, spans) =
+  {
+    Trace.b_idx = spans.(0).Trace.sp_block;
+    b_core = rb.rb_pid - 1;
+    b_cycles = Array.fold_left (fun m s -> Float.max m s.Trace.sp_end) 0.0 spans;
+    b_spans = Array.to_list spans;
+    b_edges = List.rev rb.rb_edges;
+    b_marks = [];
+  }
+
+(* Group phases under their launch occurrences. Both lists are in file
+   (= time) order and launches are sequential, so each launch owns the
+   next run of phases — exactly the count its span advertises. A kernel
+   that re-launches under one name (radix passes, the scans inside
+   top-p) must NOT see its phases pooled by name: that would repeat
+   every block under every same-named occurrence. Traces without the
+   count fall back to consuming the maximal run of matching names. A
+   phase's blocks are listed by occurrence, as the recorder holds
+   them. *)
+let group_launches launches phases =
+  let remaining = ref phases in
+  let take_while keep =
+    let rec go i acc = function
+      | p :: tl when keep i p -> go (i + 1) (p :: acc) tl
+      | rest ->
+          remaining := rest;
+          List.rev acc
+    in
+    go 0 [] !remaining
+  in
+  let by_binst (a, _) (b, _) = Int.compare a.rb_binst b.rb_binst in
+  List.map
+    (fun (name, seconds, latency, sync, nphases) ->
+      let taken =
+        match nphases with
+        | Some k -> take_while (fun i _ -> i < k)
+        | None -> take_while (fun _ p -> p.rp_launch = name)
+      in
+      {
+        Trace.ln_name = name;
+        ln_seconds = seconds;
+        ln_latency_cycles = latency;
+        ln_sync_cycles = sync;
+        ln_phases =
+          List.map
+            (fun rp ->
+              {
+                Trace.ph_stats = rp.rp_stats;
+                ph_blocks = List.map block_rec (List.sort by_binst rp.rp_blocks);
+              })
+            taken;
+      })
+    launches
+
+(* The block holding [sid], by binary search over blocks sorted by
+   their first sid. *)
+let find_block (blocks : (raw_block * Trace.span array) array) sid =
+  let lo = ref 0 and hi = ref (Array.length blocks) in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if (fst blocks.(mid)).rb_first <= sid then lo := mid else hi := mid
+  done;
+  if !hi = 0 then None
+  else
+    let rb, spans = blocks.(!lo) in
+    if sid >= rb.rb_first && sid < rb.rb_first + Array.length spans then Some rb
+    else None
+
+let decode events =
   (* One pass: launches, phases (file order = time order), spans with
-     profiler args, flow edges. The span's op is its event name; the
-     engine (track) name rides on thread_name metadata keyed by (pid,
-     tid), which the export writes before any span. *)
+     profiler args grouped by block occurrence, flow edges. The span's
+     op is its event name; the engine (track) name rides on
+     thread_name metadata keyed by (pid, tid), which the export writes
+     before any span. *)
   let launches = ref [] in
   let phases = ref [] in
-  let spans = ref [] in
-  let edges = ref [] in
+  let blocks : (int, raw_block) Hashtbl.t = Hashtbl.create 64 in
+  let block_order = ref [] in
+  let flows = ref [] and nflows = ref 0 in
   let track_names : (int, (int, string) Hashtbl.t) Hashtbl.t = Hashtbl.create 32 in
   let track_name pid tid =
     match Hashtbl.find (Hashtbl.find track_names pid) tid with
     | name -> name
     | exception Not_found -> "?"
   in
-  (* A name that arrives after a span was read renames every span at
-     the end. *)
-  let late_names = ref false in
   List.iter
     (fun ev ->
       let ph = ref absent and cat = ref absent and name = ref absent in
@@ -392,28 +562,47 @@ let of_device_json ~clock_hz events =
               phases :=
                 {
                   rp_launch = str ~default:"?" (arg "launch" args);
-                  rp_index = int ~default:0 (arg "index" args);
                   rp_ts = num ~default:0.0 !ts;
                   rp_dur = num ~default:0.0 !dur;
-                  rp_seconds = num ~default:0.0 (arg "seconds" args);
-                  rp_compute = num ~default:0.0 (arg "compute_seconds" args);
-                  rp_bandwidth = num ~default:0.0 (arg "bandwidth_seconds" args);
-                  rp_bound = str ~default:"compute" (arg "bound" args);
-                  rp_gm = int ~default:0 (arg "gm_bytes" args);
-                  rp_binsts = [];
+                  rp_stats =
+                    {
+                      Stats.seconds = num ~default:0.0 (arg "seconds" args);
+                      compute_seconds = num ~default:0.0 (arg "compute_seconds" args);
+                      bandwidth_seconds = num ~default:0.0 (arg "bandwidth_seconds" args);
+                      bandwidth_bound = str ~default:"compute" (arg "bound" args) = "bandwidth";
+                      gm_bytes = int ~default:0 (arg "gm_bytes" args);
+                      footprint_bytes = int ~default:0 (arg "footprint_bytes" args);
+                    };
+                  rp_blocks = [];
                 }
                 :: !phases
           | _, Some pid when pid > 0 -> (
               let tid = int ~default:0 !tid in
-              match
-                span_of ~pid ~tid ~track:(track_name pid tid) ~cat:!cat
-                  ~name:!name ~ts:!ts args
-              with
-              | Some s -> spans := s :: !spans
+              match span_of ~tid ~cat:!cat ~name:!name args with
+              | Some (binst, s) -> (
+                  match Hashtbl.find_opt blocks binst with
+                  | Some rb -> rb.rb_spans <- s :: rb.rb_spans
+                  | None ->
+                      let rb =
+                        {
+                          rb_binst = binst;
+                          rb_pid = pid;
+                          rb_ts = num ~default:0.0 !ts;
+                          rb_spans = [ s ];
+                          rb_first = 0;
+                          rb_edges = [];
+                        }
+                      in
+                      Hashtbl.add blocks binst rb;
+                      block_order := rb :: !block_order)
               | None -> ())
           | _ -> ())
       | Jsonw.String "s" -> (
-          match edge_of args with Some e -> edges := e :: !edges | None -> ())
+          match edge_of args with
+          | Some flow ->
+              flows := flow :: !flows;
+              incr nflows
+          | None -> ())
       | Jsonw.String "M" when Jsonw.string_opt !name = Some "thread_name" -> (
           match
             ( Jsonw.int_opt !pid,
@@ -421,7 +610,6 @@ let of_device_json ~clock_hz events =
               Jsonw.string_opt (arg "name" args) )
           with
           | Some pid, Some tid, Some name ->
-              if !spans != [] then late_names := true;
               Hashtbl.replace
                 (match Hashtbl.find track_names pid with
                 | t -> t
@@ -434,209 +622,67 @@ let of_device_json ~clock_hz events =
       | _ -> ())
     events;
   let phases = Array.of_list (List.rev !phases) in
-  let spans =
-    if !late_names then
-      List.rev_map (fun s -> { s with x_track = track_name s.x_pid s.x_tid }) !spans
-    else List.rev !spans
-  in
-  let edges = List.rev !edges in
-  if Array.length phases = 0 then Error "not a simulator trace: no phase spans"
-  else begin
-    (* Group spans into blocks and attribute each block (by its first
-       span, in ts order — the file is ts-sorted) to the phase window
-       containing it. *)
-    let by_binst : (int, span list) Hashtbl.t = Hashtbl.create 64 in
-    let binst_order = ref [] in
-    let cursor = ref 0 in
-    List.iter
-      (fun s ->
-        (match Hashtbl.find_opt by_binst s.x_binst with
-        | Some l -> Hashtbl.replace by_binst s.x_binst (s :: l)
-        | None ->
-            Hashtbl.add by_binst s.x_binst [ s ];
-            binst_order := s.x_binst :: !binst_order;
-            (* phase attribution by the block's first span *)
-            advance phases cursor s.x_ts;
-            phases.(!cursor).rp_binsts <-
-              s.x_binst :: phases.(!cursor).rp_binsts))
-      spans;
-    (* Edges grouped by the block of their source sid. *)
-    let sid_binst : (int, int) Hashtbl.t = Hashtbl.create 256 in
-    List.iter (fun s -> Hashtbl.replace sid_binst s.x_sid s.x_binst) spans;
-    let block_edges : (int, edge list) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun e ->
-        match Hashtbl.find_opt sid_binst e.ed_src with
-        | Some b ->
-            Hashtbl.replace block_edges b
-              (e :: Option.value ~default:[] (Hashtbl.find_opt block_edges b))
-        | None -> ())
-      edges;
-    match
-      List.rev_map
-        (fun binst ->
-          let sp =
-            Array.of_list (List.rev (Hashtbl.find by_binst binst))
-          in
-          Array.sort (fun a b -> Int.compare a.x_sid b.x_sid) sp;
-          let ed =
-            Array.of_list
-              (List.rev (Option.value ~default:[] (Hashtbl.find_opt block_edges binst)))
-          in
-          analyze_block ~binst ~core:(sp.(0).x_pid - 1) sp ed)
-        !binst_order
-    with
-    | exception Inconsistent msg -> Error msg
-    | blocks_rev ->
-        let blocks = List.rev blocks_rev in
-        let block_tbl = Hashtbl.create 64 in
-        List.iter (fun b -> Hashtbl.add block_tbl b.bk_binst b) blocks;
-        let phase_list =
-          Array.to_list (Array.map (phase_of (Hashtbl.find block_tbl)) phases)
-        in
-        (* Group phases under their launch occurrences. Both lists are
-           in file (= time) order and launches are sequential, so each
-           launch owns the next run of phases — exactly the count its
-           span advertises. A kernel that re-launches under one name
-           (radix passes, the scans inside top-p) must NOT see its
-           phases pooled by name: that would repeat every block under
-           every same-named occurrence. Traces without the count fall
-           back to consuming the maximal run of matching names. *)
-        let remaining = ref phase_list in
-        let consume_phases name = function
-          | Some n ->
-              let rec take n acc rest =
-                if n = 0 then (List.rev acc, rest)
-                else
-                  match rest with
-                  | [] -> (List.rev acc, [])
-                  | p :: tl -> take (n - 1) (p :: acc) tl
-              in
-              let taken, rest = take n [] !remaining in
-              remaining := rest;
-              taken
-          | None ->
-              let rec take acc rest =
-                match rest with
-                | p :: tl when p.ph_launch = name -> take (p :: acc) tl
-                | _ -> (List.rev acc, rest)
-              in
-              let taken, rest = take [] !remaining in
-              remaining := rest;
-              taken
-        in
-        let launch_list =
-          List.rev
-            (List.fold_left
-               (fun acc (name, seconds, latency, sync, nphases) ->
-                 {
-                   ln_name = name;
-                   ln_cycles = seconds *. clock_hz;
-                   ln_latency_cycles = latency;
-                   ln_sync_cycles = sync;
-                   ln_phases = consume_phases name nphases;
-                 }
-                 :: acc)
-               []
-               (List.rev !launches))
-        in
-        (* Blame: decompose the end-to-end makespan. *)
-        let blame = Hashtbl.create 32 in
-        let op_blame = Hashtbl.create 64 in
-        let queue_blame = Hashtbl.create 16 in
-        let cp_spans = ref 0 in
-        let total = ref 0.0 in
-        List.iter
-          (fun ln ->
-            total := !total +. ln.ln_cycles;
-            tally blame "launch latency" ln.ln_latency_cycles;
-            let nph = List.length ln.ln_phases in
-            if nph > 1 then
-              tally blame "sync_all"
-                (float_of_int (nph - 1) *. ln.ln_sync_cycles);
-            let covered = ref ln.ln_latency_cycles in
-            if nph > 1 then
-              covered :=
-                !covered +. (float_of_int (nph - 1) *. ln.ln_sync_cycles);
-            List.iter
-              (fun p ->
-                let pc = p.ph_seconds *. clock_hz in
-                covered := !covered +. pc;
-                if p.ph_bound = "bandwidth" then
-                  tally blame "HBM/L2 bandwidth" pc
-                else begin
-                  (* Blame the bounding core's serialised block chain;
-                     within each block, its critical-path spans. *)
-                  let chain = ref 0.0 in
-                  List.iter
-                    (fun b ->
-                      if b.bk_core = p.ph_bounding_core then begin
-                        chain := !chain +. b.bk_cycles;
-                        let on_cp = Hashtbl.create 64 in
-                        List.iter
-                          (fun sid -> Hashtbl.replace on_cp sid ())
-                          b.bk_cp;
-                        Array.iter
-                          (fun s ->
-                            if Hashtbl.mem on_cp s.x_sid then begin
-                              incr cp_spans;
-                              let d = s.x_c1 -. s.x_c0 in
-                              tally blame s.x_track d;
-                              tally op_blame s.x_op d;
-                              tally queue_blame s.x_queue d
-                            end)
-                          b.bk_spans
-                      end)
-                    p.ph_blocks;
-                  (* Replay delays, launch-composition padding and the
-                     cycles-to-seconds round trip land here. *)
-                  tally blame "phase overhead" (pc -. !chain)
-                end)
-              ln.ln_phases;
-            tally blame "launch overhead" (ln.ln_cycles -. !covered))
-          launch_list;
-        Ok
-          {
-            schema = "ascend-trace-1";
-            clock_hz;
-            total_cycles = !total;
-            launches = launch_list;
-            blame = sorted_blame blame;
-            op_blame = sorted_blame op_blame;
-            queue_blame = sorted_blame queue_blame;
-            spans_total = List.length spans;
-            edges_total = List.length edges;
-            cp_spans = !cp_spans;
-          }
-  end
+  if Array.length phases = 0 then
+    inconsistent "not a simulator trace: no phase spans";
+  let blocks = List.rev_map (fun rb -> (rb, local_spans ~track_name rb)) !block_order in
+  (* Each flow at its id, then into the block of its source span. *)
+  let by_first = Array.of_list blocks in
+  Array.sort (fun (a, _) (b, _) -> Int.compare a.rb_first b.rb_first) by_first;
+  let placed = Array.make !nflows None in
+  List.iter
+    (fun (id, e) ->
+      if id < 0 || id >= !nflows || Option.is_some placed.(id) then
+        inconsistent "flow id %d does not number the flows 0..%d once" id (!nflows - 1);
+      placed.(id) <- Some e)
+    !flows;
+  Array.iter
+    (Option.iter (fun { Trace.e_src = src; e_dst = dst; e_kind } ->
+         Option.iter
+           (fun rb ->
+             rb.rb_edges <-
+               { Trace.e_src = src - rb.rb_first; e_dst = dst - rb.rb_first; e_kind }
+               :: rb.rb_edges)
+           (find_block by_first src)))
+    placed;
+  (* Attribute each block, by its first span in file order, to the
+     phase window containing it. *)
+  let cursor = ref 0 in
+  List.iter
+    (fun ((rb, _) as b) ->
+      advance phases cursor rb.rb_ts;
+      phases.(!cursor).rp_blocks <- b :: phases.(!cursor).rp_blocks)
+    blocks;
+  group_launches (List.rev !launches) (Array.to_list phases)
 
 let of_json doc =
-  match Option.bind (member "traceEvents" doc) Jsonw.to_list_opt with
+  match Option.bind (Jsonw.member "traceEvents" doc) Jsonw.to_list_opt with
   | None -> Error "not a trace: missing traceEvents array"
   | Some events -> (
-      let schema =
-        Option.bind (member "otherData" doc) (fun o ->
-            Option.bind (member "schema" o) Jsonw.string_opt)
+      let other k =
+        Option.bind (Jsonw.member "otherData" doc) (Jsonw.member k)
       in
-      match schema with
+      match Option.bind (other "schema") Jsonw.string_opt with
       | Some ("ascend-pod-trace-1" as sc) ->
           Error
             (Printf.sprintf
                "schema %S is a multi-device pod trace, which this build no \
                 longer reads"
                sc)
-      | _ ->
+      | _ -> (
           let clock_hz =
-            Option.value ~default:1.8e9
-              (Option.bind (member "otherData" doc) (fun o ->
-                   Option.bind (member "clock_hz" o) Jsonw.number_opt))
+            Option.value ~default:1.8e9 (Option.bind (other "clock_hz") Jsonw.number_opt)
           in
-          of_device_json ~clock_hz events)
+          match decode events with
+          | launches -> build ~clock_hz launches
+          | exception Inconsistent msg -> Error msg))
 
 (* ------------------------------------------------------------------ *)
 (* Reports. *)
 
 let us_of t cycles = cycles /. t.clock_hz *. 1e6
+
+(* The phase span's window in trace microseconds. *)
+let window_us p = p.ph_seconds *. 1e6
 
 (* Interval unions: [merge] sorts and coalesces spans into disjoint
    ones; [length] and [intersection] measure them. *)
@@ -669,9 +715,9 @@ let overlap p =
       let mte = ref [] and compute = ref [] in
       Array.iter
         (fun s ->
-          if s.x_c1 > s.x_c0 then
-            let iv = (s.x_c0, s.x_c1) in
-            match s.x_queue with
+          if s.Trace.sp_end > s.Trace.sp_start then
+            let iv = (s.Trace.sp_start, s.Trace.sp_end) in
+            match s.Trace.sp_queue with
             | "MTE2" | "MTE3" -> mte := iv :: !mte
             | _ -> compute := iv :: !compute)
         b.bk_spans;
@@ -690,26 +736,30 @@ type summary = {
 let summaries t =
   let phases = List.concat_map (fun l -> l.ln_phases) t.launches in
   let iter_spans f p =
-    List.iter (fun b -> Array.iter f b.bk_spans) p.ph_blocks
+    List.iter (fun b -> Array.iter (f b) b.bk_spans) p.ph_blocks
   in
   (* An engine's occupancy is a mean over every track of that name in
      the trace (one per core that ran it). *)
   let tracks = Hashtbl.create 64 in
   List.iter
-    (iter_spans (fun s -> Hashtbl.replace tracks (s.x_track, s.x_pid, s.x_tid) ()))
+    (iter_spans (fun b s ->
+         Hashtbl.replace tracks (s.Trace.sp_engine, b.bk_core, s.Trace.sp_track) ()))
     phases;
   let n_tracks = Hashtbl.create 32 in
   Hashtbl.iter (fun (name, _, _) () -> tally n_tracks name 1.0) tracks;
   List.map
     (fun p ->
       let busy = Hashtbl.create 16 in
-      iter_spans (fun s -> tally busy s.x_track (us_of t (s.x_c1 -. s.x_c0))) p;
+      iter_spans
+        (fun _ s -> tally busy s.Trace.sp_engine (us_of t (s.Trace.sp_end -. s.Trace.sp_start)))
+        p;
+      let dur_us = window_us p in
       let occupancy = Hashtbl.create 16 in
       Hashtbl.iter
         (fun name us ->
           Hashtbl.replace occupancy name
-            (if p.ph_dur_us <= 0.0 then 0.0
-             else us /. (p.ph_dur_us *. Hashtbl.find n_tracks name)))
+            (if dur_us <= 0.0 then 0.0
+             else us /. (dur_us *. Hashtbl.find n_tracks name)))
         busy;
       let engines = sorted_blame occupancy in
       let bounding =
@@ -728,7 +778,7 @@ let pp_summary ppf t =
         Format.fprintf ppf "launch %s@." p.ph_launch
       end;
       Format.fprintf ppf "  phase %d: %.3f us, %s-bound, bounded by %s@."
-        p.ph_index p.ph_dur_us p.ph_bound s.bounding;
+        p.ph_index (window_us p) p.ph_bound s.bounding;
       match List.filter (fun (_, o) -> o > 0.0005) s.engines with
       | [] -> ()
       | engines ->

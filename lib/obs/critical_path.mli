@@ -1,46 +1,36 @@
-(** Critical-path reconstruction and bottleneck attribution from trace
-    JSON alone.
+(** Critical-path reconstruction and bottleneck attribution over the
+    recorder's own records.
 
     The engine model records, for every span, the dependency edges
     (lane program order, engine queue order, commit/wait-group
-    retirement, [await_engine], [wait_all] joins) that
-    explain its issue time, and the
-    Chrome export carries them as flow events together with exact
-    block-local cycle endpoints ([args.c0]/[args.c1]). This module
-    parses those bytes back, re-runs the forward pass over the DAG and
-    insists the recomputed issue times match the recorded ones
-    {e bitwise} — the reconstruction contract — then extracts the
-    critical path of every block, per-span slack, and a blame table
-    attributing cycles of the end-to-end makespan to engines, ops and
-    queues alongside the launch-latency, SyncAll and HBM-bandwidth
-    terms of the launch composition. *)
+    retirement, [await_engine], [wait_all] joins) that explain its
+    issue time ({!Ascend.Trace}). The builder ({!of_trace}) re-runs the
+    forward pass over each block's DAG and insists the recomputed
+    issue times match the recorded ones {e bitwise} — the
+    reconstruction contract — then extracts the critical path of every
+    block, per-span slack, and a blame table attributing cycles of the
+    end-to-end makespan to engines, ops and queues alongside the
+    launch-latency, SyncAll and HBM-bandwidth terms of the launch
+    composition.
 
-type span = {
-  x_sid : int;  (** Trace-unique span id (issue order within block). *)
-  x_binst : int;  (** Block occurrence the span belongs to. *)
-  x_pid : int;  (** Trace process: core + 1. *)
-  x_tid : int;  (** Trace track: engine index. *)
-  x_track : string;  (** Engine name from thread_name metadata. *)
-  x_queue : string;  (** Queue class (event [cat]): MTE2, V, M, ... *)
-  x_op : string;  (** Op label (event name). *)
-  x_c0 : float;  (** Exact block-local issue cycle. *)
-  x_c1 : float;  (** Exact block-local completion cycle. *)
-  x_bytes : int;  (** Bytes moved (data ops), else 0. *)
-  x_ts : float;  (** File timestamp (us), for phase attribution. *)
-}
-
-type edge = { ed_src : int; ed_dst : int; ed_kind : string }
+    JSON is read only at the file boundary: {!of_json} decodes a Chrome
+    trace (spans with their exact block-local cycle endpoints
+    [args.c0]/[args.c1], flow events as edges) back into the same
+    records and builds from them, so a live run and an offline profile
+    of the trace it wrote are the same value. *)
 
 type block = {
-  bk_binst : int;
   bk_core : int;
-  bk_spans : span array;  (** Ascending sid — a topological order. *)
-  bk_edges : edge array;
+  bk_spans : Ascend.Trace.span array;
+      (** In issue order — a topological order — with block-local ids:
+          [bk_spans.(i).sp_id = i]. *)
+  bk_edges : Ascend.Trace.edge array;
+      (** Block-local ids, in recording order. *)
   bk_cycles : float;  (** Reconstructed critical-path length; equals the
                           engine-model block makespan bitwise. *)
-  bk_cp : int list;  (** Sids on the critical path, in time order. The
-                         path is temporally contiguous from cycle 0 to
-                         the makespan. *)
+  bk_cp : int list;  (** Span ids on the critical path, in time order.
+                         The path is temporally contiguous from cycle 0
+                         to the makespan. *)
   bk_slack : float array;  (** Per-span slack (cycles each span could
                                slip without growing the makespan),
                                aligned with [bk_spans]. *)
@@ -53,10 +43,9 @@ type phase = {
   ph_compute_seconds : float;
   ph_bandwidth_seconds : float;
   ph_bound : string;  (** ["compute"] or ["bandwidth"]. *)
-  ph_dur_us : float;  (** Length of the phase span's window in the trace
-                          (us). *)
   ph_gm_bytes : int;
-  ph_blocks : block list;
+  ph_blocks : block list;  (** By occurrence; blocks that issued
+                               nothing are left out. *)
   ph_cores : (int * float) list;
       (** Core -> serialised block-chain cycles, ascending core. *)
   ph_bounding_core : int;  (** Slowest core; [-1] if no blocks. *)
@@ -87,12 +76,21 @@ type t = {
   cp_spans : int;
 }
 
+val of_trace : Ascend.Trace.t -> (t, string) result
+(** Profile a live recording. Fails only on a recording that breaks the
+    reconstruction contract, a recorder bug {!Ascend.Trace.check} also
+    reports. *)
+
 val of_json : Jsonw.t -> (t, string) result
-(** Profile a parsed trace document. Fails if the trace is not a
-    simulator trace, if [otherData.schema] names the retired
-    multi-device pod trace (["ascend-pod-trace-1"]; the error names the
-    schema), or if any span's recomputed issue time differs bitwise
-    from the recorded one (a corrupted or hand-edited trace). *)
+(** Decode a parsed trace document into the recorder's records and
+    profile them. Fails if the trace is not a simulator trace, if
+    [otherData.schema] names the retired multi-device pod trace
+    (["ascend-pod-trace-1"]; the error names the schema), if a block's
+    span ids are not contiguous, if a flow's kind is not an edge kind
+    or its id does not number the flows [0, 1, ...] once, or if any
+    span's recomputed issue time differs bitwise from the recorded one
+    (a corrupted or hand-edited trace). On the export of a recording
+    it equals {!of_trace} of that recording. *)
 
 val report : t -> Jsonw.t
 (** Deterministic profile document (schema ["ascend-profile-1"]) — the
@@ -105,7 +103,7 @@ val pp : Format.formatter -> t -> unit
 
 (** {2 Per-phase occupancy (the CLI's [trace summary])}
 
-    Computed on demand from a profile: {!of_json} does none of this
+    Computed on demand from a profile: building one does none of this
     work. *)
 
 val overlap : phase -> float
@@ -121,7 +119,8 @@ val overlap : phase -> float
 
 type summary = {
   engines : (string * float) list;
-      (** Busy time per engine name as a fraction of the phase window,
+      (** Busy time per engine name as a fraction of the phase window
+          ([ph_seconds]),
           averaged over every track of that name in the trace; sorted
           descending. *)
   bounding : string;

@@ -12,6 +12,7 @@
    gain. *)
 
 module Cp = Critical_path
+module Trace = Ascend.Trace
 
 type scenario =
   | Speedup of { label : string; queues : string list; factor : float }
@@ -41,113 +42,105 @@ let scenarios =
 (* ------------------------------------------------------------------ *)
 (* Block re-timing. *)
 
-let dur_scale scenario (s : Cp.span) =
+let dur_scale scenario (s : Trace.span) =
   match scenario with
-  | Speedup { queues; factor; _ } when List.mem s.Cp.x_queue queues -> factor
+  | Speedup { queues; factor; _ } when List.mem s.Trace.sp_queue queues -> factor
   | _ -> 1.0
 
 (* Forward pass over (possibly restructured) edges with scaled
-   durations; returns the new block makespan. Topological order is sid
+   durations; returns the new block makespan. Topological order is id
    order (edges always point forward). *)
 let retime_block scenario (b : Cp.block) =
-  let n = Array.length b.Cp.bk_spans in
-  if n = 0 then 0.0
-  else begin
-    let lo = b.Cp.bk_spans.(0).Cp.x_sid in
-    let edges =
-      match scenario with
-      | Pipeline ->
-          (* Load positions per MTE2 engine (track, not queue class —
-             each engine paces its own slots; mixing engines would
-             serialise independent lanes against each other). *)
-          let qpos : (string, int list) Hashtbl.t = Hashtbl.create 8 in
+  let spans = b.Cp.bk_spans in
+  let n = Array.length spans in
+  let preds = Array.make n [] in
+  let add src dst =
+    if src >= 0 && src < dst && dst < n then preds.(dst) <- src :: preds.(dst)
+  in
+  let is_load i = spans.(i).Trace.sp_queue = "MTE2" in
+  (match scenario with
+  | Pipeline ->
+      (* Load positions per MTE2 engine (track, not queue class — each
+         engine paces its own slots; mixing engines would serialise
+         independent lanes against each other). *)
+      let qpos : (string, int list) Hashtbl.t = Hashtbl.create 8 in
+      Array.iteri
+        (fun i (s : Trace.span) ->
+          if is_load i then
+            let q = s.Trace.sp_engine in
+            Hashtbl.replace qpos q
+              (i :: Option.value ~default:[] (Hashtbl.find_opt qpos q)))
+        spans;
+      (* First non-MTE2 consumer of each span, via lane/group edges:
+         the compute span that reads the loaded tile. *)
+      let consumer = Array.make n (-1) in
+      Array.iter
+        (fun { Trace.e_src = si; e_dst = di; e_kind } ->
+          match e_kind with
+          | Trace.Lane | Trace.Group ->
+              if
+                si >= 0 && si < n && di >= 0 && di < n
+                && (not (is_load di))
+                && (consumer.(si) < 0 || di < consumer.(si))
+              then consumer.(si) <- di
+          | Trace.Queue | Trace.Await | Trace.Join -> ())
+        b.Cp.bk_edges;
+      (* Keep RAW structure, drop serial artifacts:
+         - every queue edge stays (engines issue in order);
+         - lane/group/await edges into non-load spans stay
+           (work needs its load, store needs its work);
+         - join barriers and lane edges into loads go
+           (those are the serial schedule, not the dataflow). *)
+      Array.iter
+        (fun { Trace.e_src = si; e_dst = di; e_kind } ->
+          let dst_is_load = di >= 0 && di < n && is_load di in
+          match e_kind with
+          | Trace.Join -> ()
+          | Trace.Queue -> add si di
+          | Trace.Lane | Trace.Group | Trace.Await ->
+              if not dst_is_load then add si di)
+        b.Cp.bk_edges;
+      (* Double-buffer pacing: load k reuses the slot load k-2 filled,
+         so it waits for load k-2's consumer. *)
+      Hashtbl.iter
+        (fun _track rev_members ->
+          let members = Array.of_list (List.rev rev_members) in
           Array.iteri
-            (fun i s ->
-              if s.Cp.x_queue = "MTE2" then
-                let q = s.Cp.x_track in
-                Hashtbl.replace qpos q
-                  (i :: Option.value ~default:[] (Hashtbl.find_opt qpos q)))
-            b.Cp.bk_spans;
-          (* First non-MTE2 consumer of each span, via lane/group
-             edges: the compute span that reads the loaded tile. *)
-          let consumer = Array.make n (-1) in
-          Array.iter
-            (fun (e : Cp.edge) ->
-              match e.Cp.ed_kind with
-              | "lane" | "group" ->
-                  let si = e.Cp.ed_src - lo and di = e.Cp.ed_dst - lo in
-                  if
-                    si >= 0 && si < n && di >= 0 && di < n
-                    && b.Cp.bk_spans.(di).Cp.x_queue <> "MTE2"
-                    && (consumer.(si) < 0 || di < consumer.(si))
-                  then consumer.(si) <- di
-              | _ -> ())
-            b.Cp.bk_edges;
-          (* Keep RAW structure, drop serial artifacts:
-             - every queue edge stays (engines issue in order);
-             - lane/group/await edges into non-load spans stay
-               (work needs its load, store needs its work);
-             - join barriers and lane edges into loads go
-               (those are the serial schedule, not the dataflow). *)
-          let kept =
-            Array.to_list b.Cp.bk_edges
-            |> List.filter (fun (e : Cp.edge) ->
-                   let di = e.Cp.ed_dst - lo in
-                   let dst_is_load =
-                     di >= 0 && di < n
-                     && b.Cp.bk_spans.(di).Cp.x_queue = "MTE2"
-                   in
-                   match e.Cp.ed_kind with
-                   | "join" -> false
-                   | "lane" -> not dst_is_load
-                   | _ -> not dst_is_load || e.Cp.ed_kind = "queue")
-          in
-          (* Double-buffer pacing: load k reuses the slot load k-2
-             filled, so it waits for load k-2's consumer. *)
-          let pacing = ref [] in
-          Hashtbl.iter
-            (fun _track rev_members ->
-              let members = Array.of_list (List.rev rev_members) in
-              Array.iteri
-                (fun k i ->
-                  if k >= 2 then
-                    let c = consumer.(members.(k - 2)) in
-                    if c >= 0 && c < i then
-                      pacing :=
-                        { Cp.ed_src = c + lo; ed_dst = i + lo; ed_kind = "slot" }
-                        :: !pacing)
-                members)
-            qpos;
-          kept @ !pacing
-      | _ -> Array.to_list b.Cp.bk_edges
+            (fun k i ->
+              if k >= 2 then
+                let c = consumer.(members.(k - 2)) in
+                if c >= 0 && c < i then add c i)
+            members)
+        qpos
+  | _ -> Array.iter (fun e -> add e.Trace.e_src e.Trace.e_dst) b.Cp.bk_edges);
+  let finish = Array.make n 0.0 in
+  let makespan = ref 0.0 in
+  for i = 0 to n - 1 do
+    let s = spans.(i) in
+    let scale = dur_scale scenario s in
+    let dur =
+      if scale = infinity then 0.0 else (s.Trace.sp_end -. s.Trace.sp_start) /. scale
     in
-    let preds = Array.make n [] in
-    List.iter
-      (fun (e : Cp.edge) ->
-        let si = e.Cp.ed_src - lo and di = e.Cp.ed_dst - lo in
-        if si >= 0 && si < n && di >= 0 && di < n && si < di then
-          preds.(di) <- si :: preds.(di))
-      edges;
-    let finish = Array.make n 0.0 in
-    let makespan = ref 0.0 in
-    for i = 0 to n - 1 do
-      let s = b.Cp.bk_spans.(i) in
-      let scale = dur_scale scenario s in
-      let dur =
-        if scale = infinity then 0.0
-        else (s.Cp.x_c1 -. s.Cp.x_c0) /. scale
-      in
-      let start =
-        List.fold_left (fun m p -> Float.max m finish.(p)) 0.0 preds.(i)
-      in
-      finish.(i) <- start +. dur;
-      if finish.(i) > !makespan then makespan := finish.(i)
-    done;
-    !makespan
-  end
+    let start = List.fold_left (fun m p -> Float.max m finish.(p)) 0.0 preds.(i) in
+    finish.(i) <- start +. dur;
+    if finish.(i) > !makespan then makespan := finish.(i)
+  done;
+  !makespan
 
 (* ------------------------------------------------------------------ *)
 (* Phase / launch recomposition. *)
+
+(* The retimed serialised block chain of each core; the slowest core
+   bounds the phase. *)
+let chain_cycles scenario blocks =
+  let cores = Hashtbl.create 16 in
+  List.iter
+    (fun (b : Cp.block) ->
+      Hashtbl.replace cores b.Cp.bk_core
+        (retime_block scenario b
+        +. Option.value ~default:0.0 (Hashtbl.find_opt cores b.Cp.bk_core)))
+    blocks;
+  Hashtbl.fold (fun _ cy m -> Float.max m cy) cores 0.0
 
 let predict_cycles (t : Cp.t) scenario =
   let clock = t.Cp.clock_hz in
@@ -160,20 +153,7 @@ let predict_cycles (t : Cp.t) scenario =
             let compute' =
               match p.Cp.ph_blocks with
               | [] -> p.Cp.ph_compute_seconds
-              | blocks ->
-                  (* Serialised chain per core; the slowest core bounds
-                     the phase. *)
-                  let cores = Hashtbl.create 16 in
-                  List.iter
-                    (fun (b : Cp.block) ->
-                      let cy = retime_block scenario b in
-                      Hashtbl.replace cores b.Cp.bk_core
-                        (cy
-                        +. Option.value ~default:0.0
-                             (Hashtbl.find_opt cores b.Cp.bk_core)))
-                    blocks;
-                  Hashtbl.fold (fun _ cy m -> Float.max m cy) cores 0.0
-                  /. clock
+              | blocks -> chain_cycles scenario blocks /. clock
             in
             let bandwidth' =
               match scenario with
@@ -216,16 +196,7 @@ let predict_compute_cycles (t : Cp.t) scenario =
         (fun acc (p : Cp.phase) ->
           match p.Cp.ph_blocks with
           | [] -> acc +. (p.Cp.ph_compute_seconds *. t.Cp.clock_hz)
-          | blocks ->
-              let cores = Hashtbl.create 16 in
-              List.iter
-                (fun (b : Cp.block) ->
-                  Hashtbl.replace cores b.Cp.bk_core
-                    (retime_block scenario b
-                    +. Option.value ~default:0.0
-                         (Hashtbl.find_opt cores b.Cp.bk_core)))
-                blocks;
-              acc +. Hashtbl.fold (fun _ cy m -> Float.max m cy) cores 0.0)
+          | blocks -> acc +. chain_cycles scenario blocks)
         acc l.Cp.ln_phases)
     0.0 t.Cp.launches
 
@@ -282,15 +253,15 @@ let roofline (t : Cp.t) =
           List.iter
             (fun (b : Cp.block) ->
               Array.iter
-                (fun (s : Cp.span) ->
-                  if s.Cp.x_bytes > 0 then
+                (fun (s : Trace.span) ->
+                  if s.Trace.sp_bytes > 0 then
                     let q, by, cy =
                       Option.value
-                        ~default:(s.Cp.x_queue, 0, 0.0)
-                        (Hashtbl.find_opt tracks s.Cp.x_track)
+                        ~default:(s.Trace.sp_queue, 0, 0.0)
+                        (Hashtbl.find_opt tracks s.Trace.sp_engine)
                     in
-                    Hashtbl.replace tracks s.Cp.x_track
-                      (q, by + s.Cp.x_bytes, cy +. (s.Cp.x_c1 -. s.Cp.x_c0)))
+                    Hashtbl.replace tracks s.Trace.sp_engine
+                      (q, by + s.Trace.sp_bytes, cy +. (s.Trace.sp_end -. s.Trace.sp_start)))
                 b.Cp.bk_spans)
             p.Cp.ph_blocks)
         l.Cp.ln_phases)

@@ -128,9 +128,15 @@ let validate e cfg input =
       else if e.caps.batched && (cfg.batch = None || cfg.len = None) then
         Error (Printf.sprintf "%s requires batch and len" e.name)
       else
+        let n = match input with Tensor x | Masked { x; _ } -> Global_tensor.length x in
         match cfg.devices with
         | Some v when v < 1 ->
             Error (Printf.sprintf "devices: device count must be >= 1 (got %d)" v)
+        | Some v when v > n ->
+            Error
+              (Printf.sprintf
+                 "devices: device count must be at most the input length %d (got %d)"
+                 n v)
         | _ -> Ok ()
 
 (* The one source of truth for the README operator table: the CLI's

@@ -13,6 +13,11 @@
      the retired pod-trace schema. Every rejection exits 2 the same
      way, never with an uncaught exception, and a flip the profiler
      accepts still exits 0.
+   - Live = offline: [run --profile P --metrics] (the recorder's
+     records, no export) writes the same bytes as [profile T -o Q] of
+     the trace [run --trace T --metrics] writes, prints the same
+     report, and its metrics text equals the traced run's, for mcscan
+     and for scanu with core 0 killed at cycle 3000.
    - [chaos report]: a scenario using a retired multi-device action
      ([kill device=D], [link ...]) exits 2.
    - Argument mutations: 120 seeded cases, one process at a time, each
@@ -176,6 +181,8 @@ let out_of_range =
     [ "--op"; "cube_reduce"; "-n"; "0" ];
     [ "--op"; "batched_u"; "--batch"; "0" ];
     [ "--op"; "dist_scan"; "--devices"; "0" ];
+    [ "--op"; "dist_scan"; "-n"; "100"; "--devices"; "101" ];
+    [ "--op"; "dist_scan"; "--devices"; "4611686018427387903" ];
     [ "--op"; "mcscan"; "-n"; "128"; "--deadline=-5" ];
     [ "--op"; "topp"; "--check" ];
     [ "--op"; "split"; "--resilient" ];
@@ -218,6 +225,8 @@ let index_of_opt ~sub s =
     else go (i + 1)
   in
   go 0
+
+let contains ~sub s = Option.is_some (index_of_opt ~sub s)
 
 (* Feed [bytes] to [profile] and to [trace summary], which read a trace
    file the same way; [expect] is [`Reject] (exit 2) or [`Either] (exit
@@ -289,6 +298,53 @@ let check_profile () =
       ~expect:`Either (flip good i (1 lsl bit))
   done
 
+(* A live run profiles the recorder's records; [profile] decodes the
+   trace file a run writes. Both must print and write the same
+   profile, and the --metrics text must not depend on --trace. *)
+let check_live_profile () =
+  List.iter
+    (fun args ->
+      let what = String.concat " " args in
+      let p = Filename.temp_file "cli_harness" ".live.json" in
+      let t = Filename.temp_file "cli_harness" ".trace.json" in
+      let q = Filename.temp_file "cli_harness" ".offline.json" in
+      let run extra = run_cli (("run" :: args) @ extra) in
+      (match
+         ( run [ "--profile"; p; "--metrics" ],
+           run [ "--trace"; t; "--metrics" ],
+           run_cli [ "profile"; t; "-o"; q ] )
+       with
+      | (0, live, _), (0, traced, _), (0, offline, _) ->
+          if read_file p <> read_file q then
+            fail "%s: --profile document differs from profile of its --trace" what;
+          (* The Prometheus text, less the host wall-clock. *)
+          let metrics out =
+            match index_of_opt ~sub:"# HELP " out with
+            | Some i ->
+                String.sub out i (String.length out - i)
+                |> String.split_on_char '\n'
+                |> List.filter (fun l -> not (contains ~sub:"host_seconds" l))
+                |> String.concat "\n"
+            | None -> ""
+          in
+          if metrics live = "" || metrics live <> metrics traced then
+            fail "%s: --metrics text differs with and without --trace" what;
+          (* The offline report, up to its "profile json -> FILE" line. *)
+          let report =
+            match index_of_opt ~sub:"profile json -> " offline with
+            | Some i -> String.sub offline 0 i
+            | None -> offline
+          in
+          if report = "" || not (contains ~sub:report live) then
+            fail "%s: --profile report differs from profile of its --trace" what
+      | (a, _, _), (b, _, _), (c, _, _) ->
+          fail "%s: live and offline profile exit %d, %d, %d" what a b c);
+      List.iter Sys.remove [ p; t; q ])
+    [
+      [ "--op"; "mcscan"; "-n"; n ];
+      [ "--op"; "scanu"; "-n"; "30000"; "--kill-core"; "0@3000" ];
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Argument mutations                                                  *)
 
@@ -344,8 +400,6 @@ let apply tail = function
       let a = List.nth tail i and b = List.nth tail j in
       List.mapi (fun k t -> if k = i then b else if k = j then a else t) tail
   | Replace (i, v) -> List.mapi (fun j t -> if j = i then v else t) tail
-
-let contains ~sub s = Option.is_some (index_of_opt ~sub s)
 
 (* Values a mutation can make that parse and used to run: each must be
    a usage error, exit 2. 182 is the smallest even tile size past every
@@ -412,6 +466,7 @@ let check_fuzz () =
 let () =
   check_run ();
   check_profile ();
+  check_live_profile ();
   check_fuzz ();
   if !failures > 0 then begin
     Printf.eprintf "cli_harness: %d failure(s)\n" !failures;

@@ -7,6 +7,9 @@
      every pipeline schedule (Serial / Double / Triple) — checked both
      exhaustively at a fixed size and as a QCheck property over random
      input lengths;
+   - one data model: [of_trace] of a recording equals [of_json] of its
+     export, as whole values and as report bytes, for every registered
+     operator under every schedule and for a run with a core killed;
    - the analysis itself: a hand-built diamond DAG produces the known
      critical path and the known per-span slack values;
    - derived outputs: the profile report is byte-identical across host
@@ -177,26 +180,15 @@ let test_diamond () =
     | l -> Alcotest.failf "expected 1 block, profiled %d" (List.length l)
   in
   check_bool "makespan 40" true (same_float 40.0 blk.Obs.Critical_path.bk_cycles);
-  (* sid of each fixture span, recovered by op label. *)
-  let sid op =
-    let s =
-      List.find
-        (fun s -> s.Obs.Critical_path.x_op = op)
-        (Array.to_list blk.Obs.Critical_path.bk_spans)
-    in
-    s.Obs.Critical_path.x_sid
-  in
+  (* Profiled span ids are the recorder's block-local ones. *)
   Alcotest.(check (list int))
-    "critical path is a -> b -> d"
-    [ sid "a"; sid "b"; sid "d" ]
-    blk.Obs.Critical_path.bk_cp;
-  (* Slack aligns with bk_spans (ascending sid = issue order). *)
-  let slack_of id =
-    let spans = blk.Obs.Critical_path.bk_spans in
-    let i = ref (-1) in
-    Array.iteri (fun j s -> if s.Obs.Critical_path.x_sid = id then i := j) spans;
-    blk.Obs.Critical_path.bk_slack.(!i)
-  in
+    "critical path is a -> b -> d" [ a; bb; d ] blk.Obs.Critical_path.bk_cp;
+  Alcotest.(check (list string))
+    "spans in id order" [ "a"; "b"; "c"; "d" ]
+    (Array.to_list
+       (Array.map (fun s -> s.Trace.sp_op) blk.Obs.Critical_path.bk_spans));
+  (* Slack aligns with bk_spans, which ids index. *)
+  let slack_of id = blk.Obs.Critical_path.bk_slack.(id) in
   List.iter
     (fun (label, id, expect) ->
       let got = slack_of id in
@@ -204,6 +196,48 @@ let test_diamond () =
         Alcotest.failf "slack(%s): expected %g, got %g" label expect got)
     [ ("a", a, 0.0); ("b", bb, 0.0); ("c", c, 15.0); ("d", d, 0.0) ];
   check_int "cp spans counted" 3 p.Obs.Critical_path.cp_spans
+
+(* ------------------------------------------------------------------ *)
+(* A live recording and its Chrome export profile to the same value:
+   the decoder hands the builder the recorder's own records, blocks by
+   occurrence, edges in recording order.                              *)
+
+let check_live_equals_file ~what tr =
+  let live =
+    match Obs.Critical_path.of_trace tr with
+    | Ok p -> p
+    | Error msg -> Alcotest.failf "%s: of_trace: %s" what msg
+  in
+  let file = profile_of tr in
+  let report p = Obs.Jsonw.to_string (Obs.Critical_path.report p) in
+  check_string (what ^ ": report bytes") (report file) (report live);
+  check_bool (what ^ ": profile values") true (compare live file = 0)
+
+let test_live_equals_file schedule () =
+  List.iter
+    (fun (e : Scan.Op_registry.entry) ->
+      check_live_equals_file ~what:e.Scan.Op_registry.name (trace_of e ~schedule))
+    (Scan.Op_registry.all ())
+
+(* A core killed mid-run appends its partial blocks after the phase's
+   full set, so the file lists blocks out of occurrence order. *)
+let test_live_equals_file_killed () =
+  let entry = Option.get (Scan.Op_registry.find "scanu") in
+  let n = 30000 in
+  let dev =
+    Device.create ~fault:(Fault.config ~seed:0 ~rate:0.0 ~kills:[ (0, 3000.0) ] ()) ()
+  in
+  let tr = Device.arm_trace dev in
+  (match
+     Scan.Op_registry.run entry
+       (Workload.Op_driver.config_for entry ~n ~s:None)
+       dev
+       (Workload.Op_driver.input entry dev ~n)
+   with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "scanu: %s" msg);
+  check_bool "core 0 died" false (Health.alive (Device.health dev) 0);
+  check_live_equals_file ~what:"scanu, core 0 killed at 3000" tr
 
 (* ------------------------------------------------------------------ *)
 (* Profile report bytes are host-domain independent.                  *)
@@ -338,6 +372,13 @@ let () =
   Alcotest.run "critical_path"
     [
       ("cp=makespan", matrix);
+      ( "of_trace = of_json",
+        List.map
+          (fun schedule ->
+            Alcotest.test_case (Scan.Scan_core.schedule_name schedule) `Quick
+              (test_live_equals_file schedule))
+          schedules
+        @ [ Alcotest.test_case "core killed" `Quick test_live_equals_file_killed ] );
       ("property", [ QCheck_alcotest.to_alcotest prop_cp_equals_makespan ]);
       ( "analysis",
         [

@@ -465,11 +465,8 @@ let prop_trace_fuzz =
        QCheck.Gen.(list_size (int_range 1 3) gen_mutation))
     (fun ms -> readers_total (List.fold_left apply (Lazy.force trace_text) ms))
 
-(* Two zero-length spans and their recorded edge 0 -> 1, plus a flow
-   event for the edge 1 -> 0: every issue time still checks out, but
-   the critical-path walk from span 1 back to span 0 could now go round
-   the cycle for ever. *)
-let test_backward_edge () =
+(* The export of two zero-length spans and their recorded edge 0 -> 1. *)
+let two_span_text () =
   let module T = Ascend.Trace in
   let tr = T.create () in
   let b = T.block_builder ~idx:0 ~core:0 in
@@ -492,19 +489,61 @@ let test_backward_edge () =
   in
   T.record_launch tr ~name:"nop" ~seconds:0.0 ~latency_cycles:0.0 ~sync_cycles:0.0
     ~phases:[ (phase, [ T.Block_builder.finish b ~cycles:0.0 ]) ];
-  let text = Obs.Chrome_trace.to_string tr in
-  let head = {|{"traceEvents":[|} in
-  let back =
-    {|{"name":"lane","cat":"flow","ph":"s","id":9,"pid":1,"tid":0,"ts":0,"args":{"id":9,"kind":"lane","src":1,"dst":0}},|}
+  Obs.Chrome_trace.to_string tr
+
+let index_of ~sub s =
+  let m = String.length sub in
+  let rec go i =
+    if i + m > String.length s then None
+    else if String.sub s i m = sub then Some i
+    else go (i + 1)
   in
-  let n = String.length head in
-  Alcotest.(check string) "export starts with traceEvents" head (String.sub text 0 n);
-  match J.parse (head ^ back ^ String.sub text n (String.length text - n)) with
+  go 0
+
+(* [of_json] of [text] with the first occurrence of [sub] replaced by
+   [by] must be an error whose message holds [needle]. *)
+let expect_profile_error ~what ~needle text ~sub ~by =
+  let i =
+    match index_of ~sub text with
+    | Some i -> i
+    | None -> Alcotest.failf "%s: %s not in the export" what sub
+  in
+  let n = String.length sub in
+  match J.parse (String.sub text 0 i ^ by ^ String.sub text (i + n) (String.length text - i - n)) with
   | Error e -> Alcotest.fail e
   | Ok doc -> (
       match Obs.Critical_path.of_json doc with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "a backward edge was accepted")
+      | exception e -> Alcotest.failf "%s: of_json raised %s" what (Printexc.to_string e)
+      | Ok _ -> Alcotest.failf "%s was accepted" what
+      | Error e ->
+          if index_of ~sub:needle e = None then
+            Alcotest.failf "%s: error %S does not say %S" what e needle)
+
+(* A flow event for the edge 1 -> 0, numbered after the recorded one:
+   every issue time still checks out, but the critical-path walk from
+   span 1 back to span 0 could now go round the cycle for ever. *)
+let test_backward_edge () =
+  let head = {|{"traceEvents":[|} in
+  expect_profile_error ~what:"a backward edge" ~needle:"not in issue order"
+    (two_span_text ()) ~sub:head
+    ~by:
+      (head
+     ^ {|{"name":"lane","cat":"flow","ph":"s","id":1,"pid":1,"tid":0,"ts":0,"args":{"id":1,"kind":"lane","src":1,"dst":0}},|}
+      )
+
+let test_bad_flow_kind () =
+  expect_profile_error ~what:"an unknown flow kind" ~needle:"not an edge kind"
+    (two_span_text ()) ~sub:{|"kind":"lane"|} ~by:{|"kind":"slot"|}
+
+(* Span 1's sid made 2 (a gap) or 0 (a duplicate). *)
+let test_sids_not_contiguous () =
+  List.iter
+    (fun sid ->
+      expect_profile_error
+        ~what:("span sid " ^ sid)
+        ~needle:"not contiguous" (two_span_text ()) ~sub:{|"sid":1,|}
+        ~by:(Printf.sprintf {|"sid":%s,|} sid))
+    [ "2"; "0" ]
 
 let test_unmutated_trace () =
   let text = Lazy.force trace_text in
@@ -545,5 +584,8 @@ let () =
         Alcotest.test_case "unmutated trace reads" `Quick test_unmutated_trace
         :: Alcotest.test_case "backward edge is an error, not a hang" `Quick
              test_backward_edge
+        :: Alcotest.test_case "unknown flow kind is an error" `Quick test_bad_flow_kind
+        :: Alcotest.test_case "non-contiguous sids are an error" `Quick
+             test_sids_not_contiguous
         :: qc [ prop_trace_fuzz ] );
     ]

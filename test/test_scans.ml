@@ -287,15 +287,23 @@ let test_registry_dist_scan () =
         (bits_of (single_device_scan input)
         = bits_of (Option.get out.Scan.Op_registry.y))
   | Error e -> Alcotest.failf "registry run failed: %s" e);
-  match
-    Scan.Op_registry.run e
-      { cfg with Scan.Op_registry.devices = Some 0 }
-      dev (Scan.Op_registry.Tensor x)
-  with
-  | Error msg ->
-      Alcotest.(check string)
-        "validation message" "devices: device count must be >= 1 (got 0)" msg
-  | Ok _ -> Alcotest.fail "devices=0 accepted"
+  List.iter
+    (fun (d, expect) ->
+      match
+        Scan.Op_registry.run e
+          { cfg with Scan.Op_registry.devices = Some d }
+          dev (Scan.Op_registry.Tensor x)
+      with
+      | Error msg -> Alcotest.(check string) "validation message" expect msg
+      | Ok _ -> Alcotest.failf "devices=%d accepted" d)
+    [
+      (0, "devices: device count must be >= 1 (got 0)");
+      (778, "devices: device count must be at most the input length 777 (got 778)");
+      ( max_int,
+        Printf.sprintf
+          "devices: device count must be at most the input length 777 (got %d)"
+          max_int );
+    ]
 
 let test_dist_rejects_zero_devices () =
   let dev = Device.create () in
