@@ -372,7 +372,7 @@ let () =
   Alcotest.run "critical_path"
     [
       ("cp=makespan", matrix);
-      ( "of_trace = of_json",
+      ( "trace=json",
         List.map
           (fun schedule ->
             Alcotest.test_case (Scan.Scan_core.schedule_name schedule) `Quick
