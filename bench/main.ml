@@ -34,27 +34,48 @@ let fail_verify name msg =
   Printf.eprintf "VERIFICATION FAILED (%s): %s\n%!" name msg;
   exit 1
 
-(* Functional validation of a scan kernel at a moderate size. *)
-let verify_scan ~name ?s algo =
+module R = Scan.Op_registry
+
+(* The [ops] entries join the registry only once this is forced. *)
+let () = Ops.Ops_registry.install ()
+
+(* Run an entry once on a functional device and check the output with
+   the entry's own oracle; any failure ends the harness. *)
+let verify ~name (e : R.entry) cfg d input host =
+  match R.run e cfg d input with
+  | Error msg -> fail_verify name msg
+  | Ok (out, _) -> (
+      match e.R.check cfg host out with
+      | Ok () -> ()
+      | Error msg -> fail_verify name msg)
+
+(* Every registry entry on the driver's inputs at a moderate size, plus
+   MCScan on int8 flags (the widening path of Figure 9), before any
+   figure is printed. *)
+let verify_entries () =
   let n = 30000 in
-  let data = Array.init n (fun i -> if i mod 37 = 0 then 1.0 else 0.0) in
+  List.iter
+    (fun (e : R.entry) ->
+      let d = dev_fn () in
+      verify ~name:e.R.name e
+        (Op_driver.config_for e ~n ~s:None)
+        d (Op_driver.input e d ~n) (Op_driver.host e ~n);
+      note_verified e.R.name)
+    (R.all ());
+  let n = 50000 in
+  let data = Array.init n (fun i -> if (i * 7) mod 11 < 5 then 1.0 else 0.0) in
   let d = dev_fn () in
-  let x = Ascend.Device.of_array d Ascend.Dtype.F16 ~name:"x" data in
-  let y, _ = Scan.Scan_api.run ?s ~algo d x in
-  match
-    Scan.Scan_api.check_scan ~round:Ascend.Fp16.round ~algo
-      ~dtype:Ascend.Dtype.F16 ~input:data ~output:y ()
-  with
-  | Ok () -> note_verified name
-  | Error e -> fail_verify name e
+  verify ~name:"mcscan_i8"
+    (Option.get (R.find "mcscan"))
+    R.default_config d
+    (R.Tensor (Ascend.Device.of_array d Ascend.Dtype.I8 ~name:"m" data))
+    { R.x = data; mask = None };
+  note_verified "mcscan_i8"
 
 (* ------------------------------------------------------------------ *)
 (* Figure 3: single-cube scans versus the vector-only CumSum API.     *)
 
 let fig3 () =
-  List.iter
-    (fun name -> verify_scan ~name (Scan.Scan_api.get name))
-    [ "vec_only"; "scanu"; "scanul1" ];
   let t =
     Table.create
       ~title:
@@ -83,29 +104,7 @@ let fig3 () =
 (* ------------------------------------------------------------------ *)
 (* Figure 5: batched ScanUL1 / ScanU time ratio heatmap.              *)
 
-let verify_batched () =
-  let batch = 6 and len = 3000 in
-  let data =
-    Array.init (batch * len) (fun i -> if i mod 31 = 0 then 1.0 else 0.0)
-  in
-  let d = dev_fn () in
-  let x = Ascend.Device.of_array d Ascend.Dtype.F16 ~name:"xb" data in
-  let expect =
-    Scan.Reference.batched_inclusive ~round:Ascend.Fp16.round ~batch ~len data
-  in
-  List.iter
-    (fun (name, run) ->
-      let y, _ = run d ~batch ~len x in
-      for i = 0 to (batch * len) - 1 do
-        if Ascend.Global_tensor.get y i <> expect.(i) then
-          fail_verify name (Printf.sprintf "mismatch at %d" i)
-      done;
-      note_verified name)
-    [ ("batched_u", fun d ~batch ~len x -> Scan.Batched_scan.run_u d ~batch ~len x);
-      ("batched_ul1", fun d ~batch ~len x -> Scan.Batched_scan.run_ul1 d ~batch ~len x) ]
-
 let fig5 () =
-  verify_batched ();
   let lens = [ 256; 1024; 4096; 16384; 65536 ] in
   let batches = [ 1; 2; 4; 8; 16; 18; 24; 32; 48; 64 ] in
   let t =
@@ -135,7 +134,6 @@ let fig5 () =
 (* Figure 8: MCScan bandwidth for s = 32/64/128 versus torch.clone.   *)
 
 let fig8 () =
-  verify_scan ~name:"mcscan" (Scan.Scan_api.get "mcscan");
   let t =
     Table.create
       ~title:
@@ -164,21 +162,7 @@ let fig8 () =
 (* ------------------------------------------------------------------ *)
 (* Figure 9: MCScan giga-elements per second, fp16 vs int8.           *)
 
-let verify_mcscan_i8 () =
-  let n = 50000 in
-  let data = Array.init n (fun i -> if (i * 7) mod 11 < 5 then 1.0 else 0.0) in
-  let d = dev_fn () in
-  let x = Ascend.Device.of_array d Ascend.Dtype.I8 ~name:"m" data in
-  let y, _ = Scan.Mcscan.run d x in
-  let expect = Scan.Reference.inclusive_scan data in
-  for i = 0 to n - 1 do
-    if Ascend.Global_tensor.get y i <> expect.(i) then
-      fail_verify "mcscan_i8" (Printf.sprintf "mismatch at %d" i)
-  done;
-  note_verified "mcscan_i8"
-
 let fig9 () =
-  verify_mcscan_i8 ();
   let t =
     Table.create
       ~title:"Figure 9: MCScan GElems/s, fp16 vs int8 input (s = 128)"
@@ -204,26 +188,7 @@ let fig9 () =
 (* ------------------------------------------------------------------ *)
 (* Figure 10: compress bandwidth versus torch.masked_select.          *)
 
-let verify_compress () =
-  let n = 30000 in
-  let data = Generators.uniform_f16 ~seed:5 n in
-  let mask = Generators.ones_and_zeros ~seed:6 ~density:0.5 n in
-  let d = dev_fn () in
-  let x = Ascend.Device.of_array d Ascend.Dtype.F16 ~name:"x" data in
-  let m = Ascend.Device.of_array d Ascend.Dtype.I8 ~name:"m" mask in
-  let r = Ops.Compress.run d ~x ~mask:m () in
-  let expect = Scan.Reference.compress data ~mask in
-  if r.Ops.Compress.count <> Array.length expect then
-    fail_verify "compress" "count mismatch";
-  Array.iteri
-    (fun i v ->
-      if Ascend.Global_tensor.get r.Ops.Compress.values i <> v then
-        fail_verify "compress" (Printf.sprintf "mismatch at %d" i))
-    expect;
-  note_verified "compress"
-
 let fig10 () =
-  verify_compress ();
   let t =
     Table.create
       ~title:
@@ -253,20 +218,12 @@ let fig10 () =
 (* ------------------------------------------------------------------ *)
 (* Figure 11: radix sort versus torch.sort (fp16 keys).               *)
 
-let verify_radix () =
-  let n = 20000 in
-  let data = Generators.uniform_f16 ~seed:7 ~lo:(-100.0) ~hi:100.0 n in
-  let d = dev_fn () in
-  let x = Ascend.Device.of_array d Ascend.Dtype.F16 ~name:"x" data in
-  let r = Ops.Radix_sort.run ~with_indices:true d x in
-  let expect, _ = Scan.Reference.stable_sort_with_indices data in
-  for i = 0 to n - 1 do
-    if Ascend.Global_tensor.get r.Ops.Radix_sort.values i <> expect.(i) then
-      fail_verify "radix_sort" (Printf.sprintf "mismatch at %d" i)
-  done;
-  note_verified "radix_sort";
+(* The torch.sort baseline is not a registry entry: check it against
+   the sort reference directly. *)
+let verify_torch_sort () =
   let b = pow2 14 in
   let data = Generators.uniform_f16 ~seed:8 b in
+  let d = dev_fn () in
   let x = Ascend.Device.of_array d Ascend.Dtype.F16 ~name:"x2" data in
   let y, _ = Ops.Baseline.sort d x in
   let expect, _ = Scan.Reference.stable_sort_with_indices data in
@@ -277,7 +234,7 @@ let verify_radix () =
   note_verified "torch_sort"
 
 let fig11 () =
-  verify_radix ();
+  verify_torch_sort ();
   let t =
     Table.create
       ~title:"Figure 11: radix sort vs torch.sort, fp16 keys (time in us)"
@@ -329,21 +286,7 @@ let fig12 () =
 (* ------------------------------------------------------------------ *)
 (* Figure 13: top-p (nucleus) sampling, ours vs the stock pipeline.   *)
 
-let verify_topp () =
-  let vocab = 4096 in
-  let probs = Generators.softmax_probs ~seed:11 vocab in
-  let d = dev_fn () in
-  let pt = Ascend.Device.of_array d Ascend.Dtype.F16 ~name:"p" probs in
-  let r = Ops.Topp.sample d ~probs:pt ~p:0.9 ~theta:0.35 in
-  (match r.Ops.Topp.token with
-  | Some tok when tok >= 0 && tok < vocab && probs.(tok) > 0.0 -> ()
-  | _ -> fail_verify "topp" "invalid token");
-  if r.Ops.Topp.kept < 1 || r.Ops.Topp.kept >= vocab then
-    fail_verify "topp" "implausible nucleus size";
-  note_verified "topp"
-
 let fig13 () =
-  verify_topp ();
   let t =
     Table.create
       ~title:
@@ -597,14 +540,13 @@ let robustness () =
   (* Every sum-monoid unary scan in the registry: the coverage table
      grows with new entries, and the reference oracle below stays
      valid (it checks a running sum). *)
-  let algos =
-    List.filter_map
-      (fun (algo : Scan.Scan_api.algo) ->
-        match algo.Scan.Op_registry.monoid with
-        | Some (module Op : Scan.Scan_op.S) when String.equal Op.name "sum" ->
-            Some (Scan.Scan_api.algo_to_string algo, algo)
-        | _ -> None)
-      Scan.Scan_api.all_algos
+  let algos = List.filter R.is_sum (R.unary_scans ()) in
+  let host = { R.x = input; mask = None } in
+  let run_scan (algo : R.entry) d =
+    let x = Ascend.Device.of_array d Ascend.Dtype.F16 ~name:"x" input in
+    match R.run algo R.default_config d (R.Tensor x) with
+    | Ok (out, st) -> (out, st)
+    | Error msg -> fail_verify algo.R.name msg
   in
   let trials = 24 in
   let rate = 0.02 in
@@ -624,7 +566,7 @@ let robustness () =
           "resilient us"; "overhead" ]
   in
   List.iter
-    (fun (name, algo) ->
+    (fun (algo : R.entry) ->
       let corrupted = ref 0 and detected = ref 0 in
       for seed = 1 to trials do
         let d =
@@ -632,8 +574,7 @@ let robustness () =
             ~fault:(Ascend.Fault.config ~seed ~rate ())
             ()
         in
-        let x = Ascend.Device.of_array d Ascend.Dtype.F16 ~name:"x" input in
-        let y, st = Scan.Scan_api.run ~algo d x in
+        let out, st = run_scan algo d in
         let corrupting =
           List.exists
             (fun (e : Ascend.Fault.event) -> Ascend.Fault.corrupts_data e.kind)
@@ -641,19 +582,14 @@ let robustness () =
         in
         if corrupting then begin
           incr corrupted;
-          match
-            Scan.Scan_api.check_against_reference ~round:Ascend.Fp16.round
-              ~input ~output:y ()
-          with
+          match algo.R.check R.default_config host out with
           | Error _ -> incr detected
           | Ok () -> ()
         end
       done;
       (* Overhead: at fault rate 0 the resilient launcher runs exactly
          one attempt; its simulated time should match a plain run. *)
-      let d = dev_fn () in
-      let x = Ascend.Device.of_array d Ascend.Dtype.F16 ~name:"x" input in
-      let _, plain = Scan.Scan_api.run ~algo d x in
+      let _, plain = run_scan algo (dev_fn ()) in
       let r = Runtime.Resilient.scan ~algo (dev_fn ()) ~input in
       let overhead =
         100.0
@@ -662,7 +598,7 @@ let robustness () =
         /. plain.Ascend.Stats.seconds
       in
       Table.add_row t
-        [ name; string_of_int !corrupted; string_of_int !detected;
+        [ algo.R.name; string_of_int !corrupted; string_of_int !detected;
           (if !corrupted = 0 then "n/a"
            else
              Table.fmt_float
@@ -684,6 +620,7 @@ let robustness_degraded () =
      count must match the reference exactly. *)
   let vn = 30000 in
   let input = Array.init vn (fun i -> if i mod 37 = 0 then 1.0 else 0.0) in
+  let mcscan = Option.get (R.find "mcscan") in
   List.iter
     (fun k ->
       let d =
@@ -692,16 +629,10 @@ let robustness_degraded () =
           ()
       in
       let x = Ascend.Device.of_array d Ascend.Dtype.F16 ~name:"x" input in
-      let y, _ = Scan.Scan_api.run ~algo:(Scan.Scan_api.get "mcscan") d x in
-      match
-        Scan.Scan_api.check_against_reference ~round:Ascend.Fp16.round ~input
-          ~output:y ()
-      with
-      | Ok () -> ()
-      | Error e ->
-          fail_verify
-            (Printf.sprintf "mcscan_degraded(%d dead)" k)
-            e)
+      verify
+        ~name:(Printf.sprintf "mcscan_degraded(%d dead)" k)
+        mcscan R.default_config d (R.Tensor x)
+        { R.x = input; mask = None })
     dead_counts;
   note_verified "mcscan_degraded(0..19 dead)";
   let n = pow2 20 in
@@ -820,6 +751,7 @@ let () =
   let t0 = Sys.time () in
   Format.printf "Ascend parallel-scan reproduction benchmark harness@.";
   Format.printf "%a@." Ascend.Cost_model.pp Ascend.Cost_model.default;
+  verify_entries ();
   fig3 ();
   fig5 ();
   fig8 ();

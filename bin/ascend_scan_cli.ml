@@ -25,11 +25,6 @@ let () = Ops.Ops_registry.install ()
    exit 2 with a usage pointer, unlike runtime kernel errors (exit 1). *)
 exception Usage_error of string
 
-let is_sum_monoid (algo : Scan.Scan_api.algo) =
-  match algo.Scan.Op_registry.monoid with
-  | Some (module Op : Scan.Scan_op.S) -> String.equal Op.name "sum"
-  | None -> false
-
 let check_n n =
   if n < 1 then
     raise (Usage_error (Printf.sprintf "N must be >= 1 (got %d)" n))
@@ -404,7 +399,9 @@ let run_cmd =
     Arg.(
       value & flag
       & info [ "check" ]
-          ~doc:"Validate a unary scan against the reference oracle.")
+          ~doc:
+            "Check the output against the entry's reference oracle \
+             (exit 1 when it differs). Requires functional mode.")
   in
   let resilient_arg =
     Arg.(
@@ -455,13 +452,13 @@ let run_cmd =
       | Some b when entry.R.caps.R.batched -> { cfg with R.len = Some (n / b) }
       | _ -> cfg
     in
-    let unary = Scan.Scan_api.algo_of_string entry.R.name <> None in
-    if check && not unary then
-      usage "--check: %s has no reference oracle (unary scans only)" entry.R.name;
+    let unary = List.exists (R.equal entry) (R.unary_scans ()) in
     if resilient && not (unary || entry.R.caps.R.batched) then
       usage "--resilient: %s is not a unary or batched scan" entry.R.name;
     if resilient && cost_only then
       usage "--resilient requires functional mode (drop --cost-only)";
+    if check && cost_only then
+      usage "--check requires functional mode (drop --cost-only)";
     (match granularity with
     | Some g when g < 1 -> usage "--granularity must be >= 1"
     | Some _ when not (resilient && entry.R.caps.R.batched) ->
@@ -473,7 +470,15 @@ let run_cmd =
     in
     arm_obs device obs;
     let dtype = Workload.Op_driver.dtype entry in
-    let data () = Workload.Op_driver.data ~seed entry ~n in
+    let host () = Workload.Op_driver.host ~seed entry ~n in
+    let report_check out =
+      if check then
+        match entry.R.check cfg (host ()) out with
+        | Ok () -> Format.printf "check: ok@."
+        | Error e ->
+            Format.printf "check: FAILED (%s)@." e;
+            exit 1
+    in
     if resilient && unary then begin
       let oracle =
         if check then Runtime.Resilient.Reference else Runtime.Resilient.Checksum
@@ -481,11 +486,11 @@ let run_cmd =
       (* The vector-only kernel is a valid degradation target only for
          entries computing the same (sum) monoid. *)
       let fallback =
-        if is_sum_monoid entry then Some (Scan.Scan_api.get "vec_only") else None
+        if R.is_sum entry then R.find "vec_only" else None
       in
       let r =
         Runtime.Resilient.scan ?s:cfg.R.s ~exclusive:cfg.R.exclusive ~oracle
-          ?fallback ~algo:entry device ~input:(data ())
+          ?fallback ~algo:entry device ~input:(host ()).R.x
       in
       Format.printf "%a@."
         (Runtime.Resilient.pp_report (fun fmt y ->
@@ -509,14 +514,15 @@ let run_cmd =
           ~ctl:
             Runtime.Degrade_ctl.(create ~policy:(fixed ~backoff_s:1e-6 ()) ())
           ~schedule device ~batch:(Option.get cfg.R.batch)
-          ~len:(Option.get cfg.R.len) ~input:(data ())
+          ~len:(Option.get cfg.R.len) ~input:(host ()).R.x
       in
       Format.printf "%a@." Runtime.Resilient.pp_batched_report r;
       print_stats r.Runtime.Resilient.bstats;
       print_robustness device;
       emit_obs device obs r.Runtime.Resilient.bstats
         ~extra:(fun m -> Obs.Metrics.observe_batched_report m r);
-      if not r.Runtime.Resilient.bok then exit 1
+      if not r.Runtime.Resilient.bok then exit 1;
+      report_check { R.y = Some r.Runtime.Resilient.y; aux = [] }
     end
     else begin
       let input = Workload.Op_driver.input ~seed entry device ~n in
@@ -541,17 +547,7 @@ let run_cmd =
         List.iter (fun (k, v) -> Format.printf "%s: %g@." k v) out.R.aux;
       print_robustness device;
       emit_obs device obs st;
-      if check && not cost_only then
-        match
-          Scan.Scan_api.check_scan
-            ~round:(Ascend.Dtype.round dtype) ~exclusive:cfg.R.exclusive
-            ~algo:entry ~dtype ~input:(data ())
-            ~output:(Option.get out.R.y) ()
-        with
-        | Ok () -> Format.printf "check: ok@."
-        | Error e ->
-            Format.printf "check: FAILED (%s)@." e;
-            exit 1
+      report_check out
     end
   in
   let term =

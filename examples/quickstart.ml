@@ -17,24 +17,24 @@ let () =
 
   Format.printf "Scanning %d fp16 elements on %a@.@." n Device.pp device;
 
-  (* Run each registered scan algorithm through the unified front end.
-     The checker derives each algorithm's reference from its registered
-     monoid, so the running-maximum scan validates alongside the sums. *)
+  (* Run each registered unary scan through the registry and check it
+     with the entry's own oracle, which derives the reference from the
+     entry's monoid: the running-maximum scan validates alongside the
+     sums. *)
+  let module R = Scan.Op_registry in
+  let cfg = R.default_config in
   List.iter
-    (fun algo ->
-      let y, stats = Scan.Scan_api.run ~algo device x in
-      let ok =
-        match
-          Scan.Scan_api.check_scan ~round:Fp16.round ~algo ~dtype:Dtype.F16
-            ~input:data ~output:y ()
-        with
-        | Ok () -> "ok"
-        | Error e -> "MISMATCH: " ^ e
-      in
-      Format.printf "%-9s %a  [%s]@."
-        (Scan.Scan_api.algo_to_string algo)
-        Stats.pp_summary stats ok)
-    Scan.Scan_api.all_algos;
+    (fun (algo : R.entry) ->
+      match R.run algo cfg device (R.Tensor x) with
+      | Error e -> Format.printf "%-9s error: %s@." algo.R.name e
+      | Ok (out, stats) ->
+          let ok =
+            match algo.R.check cfg { R.x = data; mask = None } out with
+            | Ok () -> "ok"
+            | Error e -> "MISMATCH: " ^ e
+          in
+          Format.printf "%-9s %a  [%s]@." algo.R.name Stats.pp_summary stats ok)
+    (R.unary_scans ());
 
   (* Exclusive scans and int8 masks work through MCScan. *)
   let mask =

@@ -77,8 +77,6 @@ let queue = function
   | Vec _ -> "V"
   | Scalar -> "S"
 
-let pp fmt e = Format.pp_print_string fmt (to_string e)
-
 let all ~vec_per_core =
   let vec_engines =
     List.concat_map

@@ -42,7 +42,6 @@ val queue : t -> string
     ["S"] (scalar) — used as the span category in traces. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val all : vec_per_core:int -> t list

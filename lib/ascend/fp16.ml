@@ -100,5 +100,3 @@ let compare_value a b =
   | true, false -> 1
   | false, true -> -1
   | false, false -> Float.compare fa fb
-
-let pp fmt h = Format.fprintf fmt "%h(0x%04X)" (to_float h) h

@@ -64,5 +64,3 @@ val sub : float -> float -> float
 val compare_value : t -> t -> int
 (** Total order on bit patterns by represented value (IEEE semantics,
     with [-0 = +0]; NaNs ordered last). *)
-
-val pp : Format.formatter -> t -> unit

@@ -15,9 +15,3 @@ let chunk t ~n ~grain =
   if grain < 1 then invalid_arg "Scheduler.chunk: grain must be >= 1";
   let per = (n + t.blocks - 1) / t.blocks in
   (per + grain - 1) / grain * grain
-
-let pp fmt t =
-  if degraded t then
-    Format.fprintf fmt "plan(%d blocks on %d/%d cores)" t.blocks t.blocks
-      t.total_cores
-  else Format.fprintf fmt "plan(%d blocks, all cores healthy)" t.blocks

@@ -31,5 +31,3 @@ val degraded : t -> bool
 val chunk : t -> n:int -> grain:int -> int
 (** Per-block contiguous chunk: [ceil (n / blocks)] rounded up to a
     multiple of [grain] (a tile size or vector width). *)
-
-val pp : Format.formatter -> t -> unit

@@ -27,6 +27,34 @@ let required name field = function
   | Some v -> v
   | None -> invalid_arg (Printf.sprintf "%s requires %s" name field)
 
+(* Oracles over the host input. Copies (compress, split, sort,
+   selection) compare values; samplers check that the token indexes an
+   item with mass. *)
+
+let ( let* ) = Result.bind
+
+let aux key out =
+  match List.assoc_opt key out.aux with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "no %s result" key)
+
+let check_token host out =
+  let* t = aux "token" out in
+  let i = int_of_float t in
+  if i < 0 || i >= Array.length host.x then
+    Error (Printf.sprintf "token %d out of range [0,%d)" i (Array.length host.x))
+  else if host.x.(i) <= 0.0 then
+    Error (Printf.sprintf "index %d: token has no mass (x = %g)" i host.x.(i))
+  else Ok ()
+
+let given what = function
+  | Some v -> Ok v
+  | None -> Error ("no " ^ what)
+
+let check_top_k cfg host out =
+  let* k = given "k" cfg.k in
+  check_prefix (fst (Scan.Reference.top_k host.x ~k)) out
+
 let () =
   register
     {
@@ -36,6 +64,17 @@ let () =
       caps = caps ~dtypes:[ Dtype.F16; Dtype.I16; Dtype.U16 ] ~masked:true ();
       monoid = None;
       params = [ S ];
+      check =
+        (fun _cfg host out ->
+          let* mask = given "mask" host.mask in
+          let expected = Scan.Reference.compress host.x ~mask in
+          let* count = aux "count" out in
+          if count = float_of_int (Array.length expected) then
+            check_prefix expected out
+          else
+            Error
+              (Printf.sprintf "count: expected %d, got %g"
+                 (Array.length expected) count));
       describe = "Mask-compaction via exclusive-scan addressing";
       run =
         (fun cfg device input ->
@@ -55,6 +94,10 @@ let () =
       caps = caps ~dtypes:[ Dtype.F16; Dtype.I16; Dtype.U16 ] ~masked:true ();
       monoid = None;
       params = [ S ];
+      check =
+        (fun _cfg host out ->
+          let* flags = given "mask" host.mask in
+          check_prefix (fst (Scan.Reference.split host.x ~flags)) out);
       describe = "Stable flag-partition (trues first, then falses)";
       run =
         (fun cfg device input ->
@@ -74,6 +117,9 @@ let () =
       caps = caps ~dtypes:[ Dtype.F16; Dtype.U16 ] ();
       monoid = None;
       params = [ S; Bits ];
+      check =
+        (fun _cfg host ->
+          check_prefix (fst (Scan.Reference.stable_sort_with_indices host.x)));
       describe = "LSD radix sort from repeated split";
       run =
         (fun cfg device input ->
@@ -89,6 +135,7 @@ let () =
       caps = caps ();
       monoid = None;
       params = [ S; K ];
+      check = check_top_k;
       describe = "Top-k selection by iterative quickselect";
       run =
         (fun cfg device input ->
@@ -105,6 +152,7 @@ let () =
       caps = caps ();
       monoid = None;
       params = [ S; K ];
+      check = check_top_k;
       describe = "Top-k selection by bitwise radix descent";
       run =
         (fun cfg device input ->
@@ -121,6 +169,17 @@ let () =
       caps = caps ();
       monoid = None;
       params = [ S; P; Theta ];
+      (* The kept count only has to be near the sequential one: the
+         kernel sums in a different order and in fp16. *)
+      check =
+        (fun cfg host out ->
+          let* () = check_token host out in
+          let* kept = aux "kept" out in
+          let* p = given "p" cfg.p in
+          let o = Scan.Reference.top_p_threshold_count host.x ~p in
+          let fo = float_of_int o in
+          if kept >= 0.5 *. fo && kept <= (2.0 *. fo) +. 4.0 then Ok ()
+          else Error (Printf.sprintf "kept: expected about %d, got %g" o kept));
       describe = "Nucleus (top-p) sampling via sort + cumsum";
       run =
         (fun cfg device input ->
@@ -146,6 +205,7 @@ let () =
       caps = caps ();
       monoid = None;
       params = [ S; Theta ];
+      check = (fun _cfg host -> check_token host);
       describe = "Inverse-CDF weighted sampling over a scan";
       run =
         (fun cfg device input ->

@@ -127,7 +127,7 @@ let scan_checksum ?(combine = ( +. )) ?(init = 0.0) ~round ~exclusive ~input
       in
       if (i mod step = 0 || i = n - 1) && !bad = None then begin
         let got = Global_tensor.get output i in
-        if not (Scan.Scan_api.float_eq got expect) then
+        if not (Scan.Reference.float_eq got expect) then
           bad := Some (i, expect, got)
       end
     done;
@@ -139,7 +139,7 @@ let scan_checksum ?(combine = ( +. )) ?(init = 0.0) ~round ~exclusive ~input
              i want got)
   end
 
-let validate_scan ~oracle ~round ~exclusive ~algo ~input output =
+let validate_scan ~oracle ~cfg ~(algo : Scan.Op_registry.entry) ~input output =
   match oracle with
   | Checksum ->
       let combine, init =
@@ -148,39 +148,42 @@ let validate_scan ~oracle ~round ~exclusive ~algo ~input output =
             (Op.combine, Op.identity Dtype.F16)
         | None -> (( +. ), 0.0)
       in
-      scan_checksum ~combine ~init ~round ~exclusive ~input output
+      scan_checksum ~combine ~init ~round:Fp16.round
+        ~exclusive:cfg.Scan.Op_registry.exclusive ~input output
   | Reference ->
-      Scan.Scan_api.check_scan ~round ~exclusive ~algo ~dtype:Dtype.F16 ~input
-        ~output ()
+      algo.Scan.Op_registry.check cfg
+        { Scan.Op_registry.x = input; mask = None }
+        { Scan.Op_registry.y = Some output; aux = [] }
 
 let scan ?(s = 128) ?ctl ?(oracle = Checksum) ?fallback
-    ?(exclusive = false) ~algo device ~input =
+    ?(exclusive = false) ~(algo : Scan.Op_registry.entry) device ~input =
   if not (Device.functional device) then
     invalid_arg "Resilient.scan: requires a functional-mode device";
-  let round = Fp16.round in
-  let validate = validate_scan ~oracle ~round ~exclusive ~algo ~input in
-  let attempt () =
-    let x = Device.of_array device Dtype.F16 ~name:"resilient_x" input in
-    Scan.Scan_api.run ~s ~exclusive ~algo device x
+  let cfg =
+    { Scan.Op_registry.default_config with
+      Scan.Op_registry.s = Some s; exclusive }
+  in
+  let validate = validate_scan ~oracle ~cfg ~algo ~input in
+  let launch entry name =
+    let x = Device.of_array device Dtype.F16 ~name input in
+    match Scan.Op_registry.run entry cfg device (Scan.Op_registry.Tensor x) with
+    | Ok ({ Scan.Op_registry.y = Some y; _ }, st) -> (y, st)
+    | Ok ({ y = None; _ }, _) ->
+        invalid_arg
+          ("Resilient.scan: " ^ entry.Scan.Op_registry.name
+         ^ " returned no output tensor")
+    | Error msg -> invalid_arg ("Resilient.scan: " ^ msg)
   in
   let fallback =
     (* Entries hold closures: compare by name, never structurally. *)
     match fallback with
     | Some fb when not (Scan.Op_registry.equal fb algo) ->
-        Some
-          (fun () ->
-            let x =
-              Device.of_array device Dtype.F16 ~name:"resilient_x_fb" input
-            in
-            Scan.Scan_api.run ~s ~exclusive ~algo:fb device x)
+        Some (fun () -> launch fb "resilient_x_fb")
     | _ -> None
   in
-  run
-    ~name:("resilient_" ^ Scan.Scan_api.algo_to_string algo)
-    ~on_event:
-      (trace_events device
-         ("resilient_" ^ Scan.Scan_api.algo_to_string algo))
-    ?ctl ?fallback ~validate attempt
+  let name = "resilient_" ^ algo.Scan.Op_registry.name in
+  run ~name ~on_event:(trace_events device name) ?ctl ?fallback ~validate
+    (fun () -> launch algo "resilient_x")
 
 type batched_schedule = U | Ul1
 
@@ -211,7 +214,7 @@ let validate_rows ~input ~len y ~lo ~hi =
         if
           (i land 63 = 0 || i = len - 1)
           && not
-               (Scan.Scan_api.float_eq
+               (Scan.Reference.float_eq
                   (Global_tensor.get y ((r * len) + i))
                   !acc)
         then ok := false

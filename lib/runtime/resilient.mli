@@ -23,7 +23,9 @@ type oracle =
   | Checksum
       (** One host pass chaining the dtype rounding, compared at 64
           strided sample positions plus the last element. O(1) space. *)
-  | Reference  (** Full element-wise comparison against {!Scan.Reference}. *)
+  | Reference
+      (** The entry's own oracle ({!Scan.Op_registry.entry.check}): a
+          full element-wise comparison against {!Scan.Reference}. *)
 
 type 'a report = {
   value : 'a;  (** Result of the last attempt (the validated one if [ok]). *)
@@ -63,17 +65,19 @@ val scan :
   ?s:int ->
   ?ctl:Degrade_ctl.t ->
   ?oracle:oracle ->
-  ?fallback:Scan.Scan_api.algo ->
+  ?fallback:Scan.Op_registry.entry ->
   ?exclusive:bool ->
-  algo:Scan.Scan_api.algo ->
+  algo:Scan.Op_registry.entry ->
   Ascend.Device.t ->
   input:float array ->
   Ascend.Global_tensor.t report
 (** Resilient scan: each attempt loads [input] into a fresh f16 global
-    tensor and dispatches {!Scan.Scan_api.run}; outputs validate
+    tensor and dispatches {!Scan.Op_registry.run}; outputs validate
     against the selected oracle (default [Checksum]). A [fallback]
-    algorithm (typically [Vec_only]) is tried once when all primary
-    attempts fail. Requires a functional-mode device. *)
+    entry (typically [vec_only]) is tried once when all primary
+    attempts fail. Requires a functional-mode device; a registry
+    [Error] (an unsupported [exclusive], a bad [s]) raises
+    [Invalid_argument]. *)
 
 val pp_report :
   (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a report -> unit

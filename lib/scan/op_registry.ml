@@ -54,6 +54,7 @@ type input =
   | Masked of { x : Global_tensor.t; mask : Global_tensor.t }
 
 type output = { y : Global_tensor.t option; aux : (string * float) list }
+type host = { x : float array; mask : float array option }
 
 type entry = {
   name : string;
@@ -62,6 +63,7 @@ type entry = {
   caps : caps;
   monoid : (module Scan_op.S) option;
   params : param list;
+  check : config -> host -> output -> (unit, string) result;
   describe : string;
   run : config -> Device.t -> input -> output * Stats.t;
 }
@@ -87,6 +89,11 @@ let register e =
 let all () = List.rev !order
 let find name = Hashtbl.find_opt registry name
 let scans () = List.filter (fun e -> e.kind = `Scan) (all ())
+
+let is_sum e =
+  match e.monoid with
+  | Some (module Op : Scan_op.S) -> String.equal Op.name "sum"
+  | None -> false
 
 (* Unary scans: one tensor in, one tensor out — the entries a generic
    cross-kernel test matrix or CLI scan dispatch can enumerate. *)
@@ -178,6 +185,59 @@ let run e cfg device input =
       | exception Invalid_argument msg -> Error msg)
 
 (* ------------------------------------------------------------------ *)
+(* Oracles. *)
+
+let check_prefix expected out =
+  match out.y with
+  | None -> Error "no output tensor"
+  | Some y ->
+      let n = Array.length expected in
+      if Global_tensor.length y < n then
+        Error
+          (Printf.sprintf "length: expected at least %d, got %d" n
+             (Global_tensor.length y))
+      else
+        let round = Dtype.round (Global_tensor.dtype y) in
+        let rec go i =
+          if i >= n then Ok ()
+          else
+            let want = round expected.(i) and got = Global_tensor.get y i in
+            if Reference.float_eq got want then go (i + 1)
+            else
+              Error (Printf.sprintf "index %d: expected %g, got %g" i want got)
+        in
+        go 0
+
+(* Every scan entry's oracle: the sequential host scan under the
+   entry's monoid, rounded after each step to the output dtype; per row
+   for batched entries, restarting at each flag for segmented ones. *)
+let scan_check caps (module Op : Scan_op.S) cfg host out =
+  match out.y with
+  | None -> Error "no output tensor"
+  | Some y -> (
+      let dt = Global_tensor.dtype y in
+      let round = Dtype.round dt in
+      match (host.mask, cfg.batch, cfg.len) with
+      | Some flags, _, _ when caps.segmented ->
+          check_prefix (Reference.segmented_inclusive ~round host.x ~flags) out
+      | None, Some batch, Some len when caps.batched ->
+          check_prefix
+            (Reference.batched_inclusive ~round ~batch ~len host.x)
+            out
+      | None, _, _ when not (caps.segmented || caps.batched) ->
+          let inc =
+            Reference.inclusive_scan_op ~round ~combine:Op.combine
+              ~init:(Op.identity dt) host.x
+          in
+          check_prefix
+            (if cfg.exclusive then
+               Array.init (Array.length inc) (fun i ->
+                   if i = 0 then Op.identity dt else inc.(i - 1))
+             else inc)
+            out
+      | _ -> Error "host input does not match the entry's capabilities")
+
+(* ------------------------------------------------------------------ *)
 (* The scan kernels register here (in the defining library, so linking
    the library always populates them — side-effect registration in a
    separate unreferenced module would be dropped by the linker). *)
@@ -194,144 +254,80 @@ let caps ?(dtypes = [ Dtype.F16 ]) ?(exclusive = false) ?(batched = false)
     ?(segmented = false) ?(masked = false) () =
   { dtypes; exclusive; batched; segmented; masked }
 
-let sum = Some (module Scan_op.Sum : Scan_op.S)
+(* A scan entry: the sum monoid unless told otherwise, and the oracle
+   that follows from its monoid and capabilities. *)
+let scan ~name ~aliases ?(caps = caps ())
+    ?(monoid = (module Scan_op.Sum : Scan_op.S)) ~params ~describe run =
+  register
+    {
+      name;
+      aliases;
+      kind = `Scan;
+      caps;
+      monoid = Some monoid;
+      params;
+      check = scan_check caps monoid;
+      describe;
+      run;
+    }
 
 let () =
-  register
-    {
-      name = "vec_only";
-      aliases = [ "cumsum" ];
-      kind = `Scan;
-      caps = caps ~dtypes:[ Dtype.F16; Dtype.F32 ] ();
-      monoid = sum;
-      params = [];
-      describe = "CumSum baseline: single block, vector core only";
-      (* [s] is ignored: the CumSum tile shape is fixed at 128 x 128. *)
-      run = simple (fun _cfg device x -> Scan_vec_only.run device x);
-    };
-  register
-    {
-      name = "scanu";
-      aliases = [ "u"; "scan_u" ];
-      kind = `Scan;
-      caps = caps ();
-      monoid = sum;
-      params = [ S ];
-      describe = "Algorithm 1: cube local scans + vector propagation";
-      run = simple (fun cfg device x -> Scan_u.run ?s:cfg.s device x);
-    };
-  register
-    {
-      name = "scanul1";
-      aliases = [ "ul1"; "scan_ul1" ];
-      kind = `Scan;
-      caps = caps ();
-      monoid = sum;
-      params = [ S ];
-      describe = "Algorithm 2: three-matmul tiles staged through L1";
-      run = simple (fun cfg device x -> Scan_ul1.run ?s:cfg.s device x);
-    };
-  register
-    {
-      name = "mcscan";
-      aliases = [ "mc" ];
-      kind = `Scan;
-      caps = caps ~dtypes:[ Dtype.F16; Dtype.I8 ] ~exclusive:true ();
-      monoid = sum;
-      params = [ S; Exclusive ];
-      describe = "Algorithm 3: two-phase multi-core scan";
-      run =
-        simple (fun cfg device x ->
-            Mcscan.run ?s:cfg.s ?blocks:cfg.blocks ~exclusive:cfg.exclusive
-              device x);
-    };
-  register
-    {
-      name = "tcu";
-      aliases = [];
-      kind = `Scan;
-      caps = caps ();
-      monoid = sum;
-      params = [ S ];
-      describe = "Recursive matmul-only scan (TCU-model extension)";
-      run = simple (fun cfg device x -> Tcu_scan.run ?s:cfg.s device x);
-    };
-  register
-    {
-      name = "max_scan";
-      aliases = [ "maxscan"; "max" ];
-      kind = `Scan;
-      caps = caps ~dtypes:Scan_op.Max.(dtypes) ();
-      monoid = Some (module Scan_op.Max : Scan_op.S);
-      params = [];
-      describe = "Running maximum: vector-only two-phase engine";
-      run = simple (fun cfg device x -> Max_scan.run ?blocks:cfg.blocks device x);
-    };
-  register
-    {
-      name = "segmented_scan";
-      aliases = [ "segscan" ];
-      kind = `Scan;
-      caps = caps ~segmented:true ~masked:true ();
-      monoid = sum;
-      params = [];
-      describe = "Segmented sum over (value, start-flag) pairs";
-      run =
-        (fun cfg device input ->
-          match input with
-          | Masked { x; mask } ->
-              let y, st =
-                Segmented_scan.run ?blocks:cfg.blocks device ~x ~flags:mask ()
-              in
-              ({ y = Some y; aux = [] }, st)
-          | Tensor _ ->
-              invalid_arg "segmented_scan requires a mask/flags input");
-    };
-  register
-    {
-      name = "batched_u";
-      aliases = [ "bu" ];
-      kind = `Scan;
-      caps = caps ~batched:true ();
-      monoid = sum;
-      params = [ S; Batch ];
-      describe = "Batched ScanU: row pairs per block, both vector cores";
-      run =
-        simple (fun cfg device x ->
-            let batch = Option.get cfg.batch and len = Option.get cfg.len in
-            Batched_scan.run_u ?s:cfg.s device ~batch ~len x);
-    };
-  register
-    {
-      name = "batched_ul1";
-      aliases = [ "bul1" ];
-      kind = `Scan;
-      caps = caps ~batched:true ();
-      monoid = sum;
-      params = [ S; Batch ];
-      describe = "Batched ScanUL1: one full row scan per block";
-      run =
-        simple (fun cfg device x ->
-            let batch = Option.get cfg.batch and len = Option.get cfg.len in
-            Batched_scan.run_ul1 ?s:cfg.s device ~batch ~len x);
-    };
-  register
-    {
-      name = "dist_scan";
-      aliases = [ "dscan" ];
-      kind = `Scan;
-      caps = caps ();
-      monoid = sum;
-      params = [ S; Devices ];
-      describe = "Sharded scan over N devices: local scans + prefix fixup";
-      (* The caller's device is the primary, so its armed trace, faults
-         and deadline apply to the shard it executes. *)
-      run =
-        simple (fun cfg device x ->
-            Dist_scan.run ?s:cfg.s
-              ~devices:(Option.value ~default:2 cfg.devices)
-              device x);
-    };
+  scan ~name:"vec_only" ~aliases:[ "cumsum" ]
+    ~caps:(caps ~dtypes:[ Dtype.F16; Dtype.F32 ] ())
+    ~params:[] ~describe:"CumSum baseline: single block, vector core only"
+    (* [s] is ignored: the CumSum tile shape is fixed at 128 x 128. *)
+    (simple (fun _cfg device x -> Scan_vec_only.run device x));
+  scan ~name:"scanu" ~aliases:[ "u"; "scan_u" ] ~params:[ S ]
+    ~describe:"Algorithm 1: cube local scans + vector propagation"
+    (simple (fun cfg device x -> Scan_u.run ?s:cfg.s device x));
+  scan ~name:"scanul1" ~aliases:[ "ul1"; "scan_ul1" ] ~params:[ S ]
+    ~describe:"Algorithm 2: three-matmul tiles staged through L1"
+    (simple (fun cfg device x -> Scan_ul1.run ?s:cfg.s device x));
+  scan ~name:"mcscan" ~aliases:[ "mc" ]
+    ~caps:(caps ~dtypes:[ Dtype.F16; Dtype.I8 ] ~exclusive:true ())
+    ~params:[ S; Exclusive ] ~describe:"Algorithm 3: two-phase multi-core scan"
+    (simple (fun cfg device x ->
+         Mcscan.run ?s:cfg.s ?blocks:cfg.blocks ~exclusive:cfg.exclusive device
+           x));
+  scan ~name:"tcu" ~aliases:[] ~params:[ S ]
+    ~describe:"Recursive matmul-only scan (TCU-model extension)"
+    (simple (fun cfg device x -> Tcu_scan.run ?s:cfg.s device x));
+  scan ~name:"max_scan" ~aliases:[ "maxscan"; "max" ]
+    ~caps:(caps ~dtypes:Scan_op.Max.(dtypes) ())
+    ~monoid:(module Scan_op.Max : Scan_op.S)
+    ~params:[] ~describe:"Running maximum: vector-only two-phase engine"
+    (simple (fun cfg device x -> Max_scan.run ?blocks:cfg.blocks device x));
+  scan ~name:"segmented_scan" ~aliases:[ "segscan" ]
+    ~caps:(caps ~segmented:true ~masked:true ())
+    ~params:[] ~describe:"Segmented sum over (value, start-flag) pairs"
+    (fun cfg device input ->
+      match input with
+      | Masked { x; mask } ->
+          let y, st =
+            Segmented_scan.run ?blocks:cfg.blocks device ~x ~flags:mask ()
+          in
+          ({ y = Some y; aux = [] }, st)
+      | Tensor _ -> invalid_arg "segmented_scan requires a mask/flags input");
+  scan ~name:"batched_u" ~aliases:[ "bu" ] ~caps:(caps ~batched:true ())
+    ~params:[ S; Batch ]
+    ~describe:"Batched ScanU: row pairs per block, both vector cores"
+    (simple (fun cfg device x ->
+         let batch = Option.get cfg.batch and len = Option.get cfg.len in
+         Batched_scan.run_u ?s:cfg.s device ~batch ~len x));
+  scan ~name:"batched_ul1" ~aliases:[ "bul1" ] ~caps:(caps ~batched:true ())
+    ~params:[ S; Batch ]
+    ~describe:"Batched ScanUL1: one full row scan per block"
+    (simple (fun cfg device x ->
+         let batch = Option.get cfg.batch and len = Option.get cfg.len in
+         Batched_scan.run_ul1 ?s:cfg.s device ~batch ~len x));
+  (* The caller's device is the primary, so its armed trace, faults and
+     deadline apply to the shard it executes. *)
+  scan ~name:"dist_scan" ~aliases:[ "dscan" ] ~params:[ S; Devices ]
+    ~describe:"Sharded scan over N devices: local scans + prefix fixup"
+    (simple (fun cfg device x ->
+         Dist_scan.run ?s:cfg.s
+           ~devices:(Option.value ~default:2 cfg.devices)
+           device x));
   register
     {
       name = "cube_reduce";
@@ -340,6 +336,8 @@ let () =
       caps = caps ();
       monoid = None;
       params = [ S ];
+      check =
+        (fun _cfg host out -> check_prefix [| Reference.sum host.x |] out);
       describe = "Matmul-only sum reduction (tensor-core reduction lineage)";
       run =
         (fun cfg device input ->

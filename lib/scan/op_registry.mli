@@ -2,11 +2,11 @@
 
     Every scan kernel (this library) and scan-based operator (the [ops]
     library, via its [Ops_registry.install]) registers a named entry
-    with its aliases, capabilities, operator monoid, and a uniform run
-    function. Front-ends — CLI subcommands, bench tables, cross-kernel
-    test matrices — enumerate the registry instead of keeping parallel
-    hand-maintained lists, and capability queries replace ad-hoc
-    pattern matching on a closed variant.
+    with its aliases, capabilities, operator monoid, oracle and a
+    uniform run function. Front-ends — CLI subcommands, bench tables,
+    cross-kernel test matrices — enumerate the registry instead of
+    keeping parallel hand-maintained lists, and capability queries
+    replace ad-hoc pattern matching on a closed variant.
 
     The scan kernels register at module initialisation of this module
     itself, so merely linking the [scan] library populates them. *)
@@ -60,6 +60,10 @@ type output = {
       (** Scalar results (e.g. [("token", 42.)], [("count", n)]). *)
 }
 
+type host = { x : float array; mask : float array option }
+(** The host arrays an {!input} is staged from: the values and, for
+    masked entries, the mask/flags. *)
+
 type entry = {
   name : string;  (** Canonical name, unique across the registry. *)
   aliases : string list;  (** Alternate spellings, also unique. *)
@@ -72,6 +76,15 @@ type entry = {
   params : param list;
       (** The parameters the entry reads; a front-end rejects the others
           ([validate] does not, so sweeps may set one config for all). *)
+  check : config -> host -> output -> (unit, string) result;
+      (** The entry's oracle: whether [output], computed under [config]
+          from the input staged from [host], is right. Values compare
+          bit for bit ({!Reference.float_eq}) with a sequential host
+          reference rounded to the output dtype; an [Error] names the
+          first wrong index and both values. Sampling entries check
+          that the token carries mass (and top-p that its kept count is
+          near {!Reference.top_p_threshold_count}). Needs a functional
+          output. *)
   describe : string;  (** One-line description for [--list-ops]. *)
   run : config -> Device.t -> input -> output * Stats.t;
       (** May raise [Invalid_argument] on bad parameters; use {!run}
@@ -94,6 +107,11 @@ val find : string -> entry option
 val scans : unit -> entry list
 (** The [`Scan]-kind entries. *)
 
+val is_sum : entry -> bool
+(** Whether the entry scans under the sum monoid: the entries whose
+    outputs agree with each other, and with [vec_only], on exact
+    inputs. *)
+
 val unary_scans : unit -> entry list
 (** Scan entries taking one tensor in, one tensor out (not batched,
     not masked) — what a cross-kernel matrix enumerates. *)
@@ -108,6 +126,12 @@ val pp_markdown_table : Format.formatter -> unit -> unit
     dtypes, capabilities, params, description) in registration order —
     what the CLI's [--list-ops] prints and what the README embeds; CI
     diffs the two. *)
+
+val check_prefix : float array -> output -> (unit, string) result
+(** [Ok] when the output tensor starts with the expected values, each
+    rounded to the output dtype and compared with {!Reference.float_eq};
+    otherwise the first wrong index and both values. The building block
+    of the registered oracles. *)
 
 val run :
   entry ->

@@ -41,7 +41,24 @@ let batched_inclusive ?(round = Fun.id) ~batch ~len x =
   done;
   y
 
+let segmented_inclusive ~round x ~flags =
+  let acc = ref 0.0 in
+  Array.mapi
+    (fun i v ->
+      if flags.(i) <> 0.0 then acc := 0.0;
+      acc := round (!acc +. v);
+      !acc)
+    x
+
 let sum x = Array.fold_left ( +. ) 0.0 x
+
+(* Bit-pattern float equality: agrees with [=] on ordinary values
+   (including 0.0 vs -0.0, which share no bits but compare equal) and,
+   unlike [=], treats a NaN as equal to itself, so a NaN-producing
+   input reports the first index where the bits genuinely differ
+   instead of flagging every NaN position. *)
+let float_eq a b =
+  a = b || Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let split x ~flags =
   let n = Array.length x in

@@ -24,7 +24,17 @@ val batched_inclusive :
   ?round:(float -> float) -> batch:int -> len:int -> float array -> float array
 (** Row-major [(batch, len)] layout; each row scanned independently. *)
 
+val segmented_inclusive :
+  round:(float -> float) -> float array -> flags:float array -> float array
+(** Segmented inclusive sum: the running sum restarts at every index
+    whose flag is non-zero. *)
+
 val sum : float array -> float
+
+val float_eq : float -> float -> bool
+(** Bit-pattern float equality: [=] on ordinary values (so [0.0] and
+    [-0.0] agree) that also treats a NaN as equal to itself. Every
+    oracle compares through it. *)
 
 val split : float array -> flags:float array -> float array * int array
 (** Stable split oracle: true-flag elements first, then false-flag

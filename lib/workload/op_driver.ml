@@ -9,16 +9,21 @@ module Reg = Scan.Op_registry
 let dtype (entry : Reg.entry) =
   match entry.Reg.caps.Reg.dtypes with d :: _ -> d | [] -> Dtype.F16
 
-let data ?(seed = 0) entry ~n =
+let host ?(seed = 0) entry ~n =
   let int_data gen = Array.init n (fun i -> float_of_int (gen i)) in
-  match dtype entry with
-  | Dtype.I8 -> int_data (fun i -> (i mod 7) - 3)
-  | Dtype.U16 -> int_data (fun i -> (i * 131) mod 251)
-  | Dtype.I16 | Dtype.I32 -> int_data (fun i -> ((i * 131) mod 251) - 125)
-  | Dtype.F16 | Dtype.F32 -> Generators.sparse_ones ~seed n
-
-let flags_data n =
-  Array.init n (fun i -> if (i * 7) mod 13 < 2 then 1.0 else 0.0)
+  let x =
+    match dtype entry with
+    | Dtype.I8 -> int_data (fun i -> (i mod 7) - 3)
+    | Dtype.U16 -> int_data (fun i -> (i * 131) mod 251)
+    | Dtype.I16 | Dtype.I32 -> int_data (fun i -> ((i * 131) mod 251) - 125)
+    | Dtype.F16 | Dtype.F32 -> Generators.sparse_ones ~seed n
+  in
+  let mask =
+    if entry.Reg.caps.Reg.masked then
+      Some (Array.init n (fun i -> if (i * 7) mod 13 < 2 then 1.0 else 0.0))
+    else None
+  in
+  { Reg.x; mask }
 
 let config_for (entry : Reg.entry) ~n ~s =
   let batched = entry.Reg.caps.Reg.batched in
@@ -36,13 +41,15 @@ let config_for (entry : Reg.entry) ~n ~s =
 (* A Cost_only device gets unbacked tensors: no host array is built,
    whatever [n]. *)
 let input ?seed (entry : Reg.entry) device ~n =
-  let stage dt name data =
-    if Device.functional device then Device.of_array device dt ~name (data ())
-    else Device.alloc device dt n ~name
+  let h = if Device.functional device then Some (host ?seed entry ~n) else None in
+  let stage dt name = function
+    | Some data -> Device.of_array device dt ~name data
+    | None -> Device.alloc device dt n ~name
   in
-  let x = stage (dtype entry) "x" (fun () -> data ?seed entry ~n) in
+  let x = stage (dtype entry) "x" (Option.map (fun h -> h.Reg.x) h) in
   if entry.Reg.caps.Reg.masked then
-    Reg.Masked { x; mask = stage Dtype.I8 "mask" (fun () -> flags_data n) }
+    Reg.Masked
+      { x; mask = stage Dtype.I8 "mask" (Option.bind h (fun h -> h.Reg.mask)) }
   else Reg.Tensor x
 
 let run ?(n = 4096) ?s ?domains ?(traced = true) (entry : Reg.entry) =

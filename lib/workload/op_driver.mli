@@ -17,10 +17,13 @@ val config_for :
 val dtype : Scan.Op_registry.entry -> Ascend.Dtype.t
 (** The input dtype: the entry's first supported one. *)
 
-val data : ?seed:int -> Scan.Op_registry.entry -> n:int -> float array
-(** The [n] input values {!input} stages: {!Generators.sparse_ones}
-    under [seed] (default 0, so index 0 carries mass at any [n]) for
-    float dtypes, a fixed integer pattern otherwise. *)
+val host : ?seed:int -> Scan.Op_registry.entry -> n:int -> Scan.Op_registry.host
+(** The host arrays {!input} stages, which an entry's
+    {!Scan.Op_registry.entry.check} takes: [n] values,
+    {!Generators.sparse_ones} under [seed] (default 0, so index 0
+    carries mass at any [n]) for float dtypes and a fixed integer
+    pattern otherwise, plus a fixed 0/1 flag pattern for masked
+    entries. *)
 
 val input :
   ?seed:int ->
@@ -28,10 +31,10 @@ val input :
   Ascend.Device.t ->
   n:int ->
   Scan.Op_registry.input
-(** The input tensors {!run} stages on [device]: {!data} in the entry's
-    {!dtype}, plus an I8 flags tensor for masked entries. On a
-    [Cost_only] device the tensors are unbacked and no host data is
-    built. *)
+(** The input tensors {!run} stages on [device]: {!host}'s values in
+    the entry's {!dtype}, plus its flags as an I8 tensor for masked
+    entries. On a [Cost_only] device the tensors are unbacked and no
+    host data is built. *)
 
 val run :
   ?n:int ->

@@ -1,11 +1,13 @@
 (* CLI harness: exit codes and error lines of ascend_scan_cli.
 
    - [run --op]: every [--list-ops] entry exits 0 functionally (with
-     every device, fault and observability flag given) and on
-     [--cost-only] (with every parameter it declares), and its [--trace]
-     passes [trace validate]. A per-op flag the entry does not declare,
-     each out-of-range parameter, a [--batch] that does not divide N,
-     and an output path that cannot be written ([--trace],
+     every device, fault and observability flag given), under [--check]
+     at the default N, and on [--cost-only] (with every parameter it
+     declares), and its [--trace] passes [trace validate]. [--check]
+     exits 1 with [check: FAILED] when injected faults corrupt a
+     split. [--check --cost-only], a per-op flag the entry does not
+     declare, each out-of-range parameter, a [--batch] that does not
+     divide N, and an output path that cannot be written ([--trace],
      [--stats-json], [--profile], [chaos run --store]) exits 2 with one
      error line (plus the usage pointer).
    - [profile] and [trace summary]: a small trace, then truncated and
@@ -157,6 +159,7 @@ let check_entry (name, params) =
          profile; "--sanitize"; "--inject-faults"; "7:0"; "--kill-core";
          "1@0"; "--quarantine"; "3"; "--deadline"; "1e12"; "--domains"; "2" ]);
   expect_ok ~what:(name ^ " trace validate") [ "trace"; "validate"; trace ];
+  expect_ok ~what:(name ^ " --check") [ "run"; "--op"; name; "--check" ];
   List.iter Sys.remove [ trace; stats; profile ];
   expect_ok ~what:(name ^ " --cost-only, every declared param")
     (run ("--cost-only" :: List.concat_map (fun p -> List.assoc p param_args) params));
@@ -184,7 +187,8 @@ let out_of_range =
     [ "--op"; "dist_scan"; "-n"; "100"; "--devices"; "101" ];
     [ "--op"; "dist_scan"; "--devices"; "4611686018427387903" ];
     [ "--op"; "mcscan"; "-n"; "128"; "--deadline=-5" ];
-    [ "--op"; "topp"; "--check" ];
+    [ "--op"; "topp"; "--check"; "--cost-only" ];
+    [ "--op"; "mcscan"; "--check"; "--cost-only" ];
     [ "--op"; "split"; "--resilient" ];
     [ "--op"; "batched_u"; "-n"; "100"; "--batch"; "3" ];
     (* Unwritable output paths. *)
@@ -463,8 +467,21 @@ let check_fuzz () =
         (String.concat "\n  " lines)
   done
 
+(* A fault that corrupts a non-scan entry's output: its oracle catches
+   it. *)
+let check_catches_fault () =
+  match
+    run_cli
+      [ "run"; "--op"; "split"; "-n"; n; "--inject-faults"; "2:0.01"; "--check" ]
+  with
+  | 1, out, _ when contains ~sub:"check: FAILED" out -> ()
+  | c, _, lines ->
+      fail "split --inject-faults 2:0.01 --check: exit %d, stderr:\n  %s" c
+        (String.concat "\n  " lines)
+
 let () =
   check_run ();
+  check_catches_fault ();
   check_profile ();
   check_live_profile ();
   check_fuzz ();

@@ -66,16 +66,11 @@ let () =
      fallback — the sum fallback would compute the wrong function).
      The matrix enumerates the registry, so new scan entries are
      covered without edits here. *)
-  let vec_only = Scan.Scan_api.get "vec_only" in
-  let is_sum (algo : Scan.Scan_api.algo) =
-    match algo.Scan.Op_registry.monoid with
-    | Some (module Op : Scan.Scan_op.S) -> String.equal Op.name "sum"
-    | None -> false
-  in
+  let module R = Scan.Op_registry in
   List.iter
-    (fun algo ->
-      let name = "scan/" ^ Scan.Scan_api.algo_to_string algo in
-      let fallback = if is_sum algo then Some vec_only else None in
+    (fun (algo : R.entry) ->
+      let name = "scan/" ^ algo.R.name in
+      let fallback = if R.is_sum algo then R.find "vec_only" else None in
       match
         Runtime.Resilient.scan
           ~ctl:Runtime.Degrade_ctl.(create ~policy:(fixed ~max_attempts:5 ()) ())
@@ -88,7 +83,7 @@ let () =
                r.Runtime.Resilient.attempts r.Runtime.Resilient.detections)
       | exception (Health.All_cores_dead as e) ->
           report name false (Printexc.to_string e))
-    Scan.Scan_api.all_algos;
+    (R.unary_scans ());
   (* Checkpointed batched scan. *)
   (let batch = 16 and len = 2048 in
    let binput =
@@ -100,12 +95,12 @@ let () =
        (make_device ()) ~batch ~len ~input:binput
    with
    | r ->
-       let expect =
-         Scan.Reference.batched_inclusive ~round:Fp16.round ~batch ~len binput
-       in
        let identical =
-         Array.init (batch * len) (Global_tensor.get r.Runtime.Resilient.y)
-         = expect
+         (Option.get (R.find "batched_u")).R.check
+           { R.default_config with R.batch = Some batch; len = Some len }
+           { R.x = binput; mask = None }
+           { R.y = Some r.Runtime.Resilient.y; aux = [] }
+         = Ok ()
        in
        report "batched/checkpointed" (r.Runtime.Resilient.bok && identical)
          (Printf.sprintf "%d group attempts, %d rows replayed"

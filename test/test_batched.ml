@@ -12,14 +12,9 @@ let check_batched ~name ~batch ~len runner =
   let dev = Device.create () in
   let x = Device.of_array dev Dtype.F16 ~name:"xb" data in
   let y, stats = runner dev ~batch ~len x in
-  let expect =
-    Scan.Reference.batched_inclusive ~round:Fp16.round ~batch ~len data
-  in
-  for i = 0 to (batch * len) - 1 do
-    if Global_tensor.get y i <> expect.(i) then
-      Alcotest.failf "%s batch=%d len=%d idx=%d: %g <> %g" name batch len i
-        (Global_tensor.get y i) expect.(i)
-  done;
+  (match Registry_util.check_rows ~batch ~len data y with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s batch=%d len=%d: %s" name batch len e);
   stats
 
 let shapes =

@@ -177,7 +177,7 @@ let test_cost_only_runs_everything () =
   let n = 1 lsl 18 in
   let x = Device.alloc d Dtype.F16 n ~name:"x" in
   let mask = Device.alloc d Dtype.I8 n ~name:"m" in
-  ignore (Scan.Scan_api.run ~algo:(Scan.Scan_api.get "mcscan") d x);
+  ignore (Scan.Mcscan.run d x);
   ignore (Ops.Split.run d ~x ~flags:mask ());
   ignore (Ops.Compress.run d ~x ~mask ());
   ignore (Ops.Radix_sort.run ~with_indices:true d x);

@@ -14,6 +14,8 @@ let check_bool = Alcotest.(check bool)
 
 let num_cores = Cost_model.default.Cost_model.num_ai_cores
 
+let mcscan = Registry_util.entry "mcscan"
+
 let dev_with_kills kills =
   Device.create ~fault:(Fault.config ~seed:0 ~rate:0.0 ~kills ()) ()
 
@@ -141,8 +143,7 @@ let test_healthy_path_identical () =
   check_int "full launch width" num_cores st.Stats.blocks;
   check_int "all cores used" num_cores st.Stats.cores_used;
   (match
-     Scan.Scan_api.check_against_reference ~round:Fp16.round ~input:data
-       ~output:y ()
+     Registry_util.check mcscan data y
    with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
@@ -167,8 +168,7 @@ let test_mid_run_kill_bit_identical () =
       let x = Device.of_array d Dtype.F16 ~name:"x" data in
       let y, _ = Scan.Mcscan.run d x in
       (match
-         Scan.Scan_api.check_against_reference ~round:Fp16.round ~input:data
-           ~output:y ()
+         Registry_util.check mcscan data y
        with
       | Ok () -> ()
       | Error e -> Alcotest.failf "kill@%g: %s" kill_cycle e);
@@ -215,8 +215,7 @@ let test_quarantine_self_heals () =
   let x = Device.of_array d Dtype.F16 ~name:"x" data in
   let y, _ = Scan.Mcscan.run d x in
   (match
-     Scan.Scan_api.check_against_reference ~round:Fp16.round ~input:data
-       ~output:y ()
+     Registry_util.check mcscan data y
    with
   | Ok () -> ()
   | Error e -> Alcotest.failf "self-heal failed: %s" e);
@@ -253,15 +252,15 @@ let test_resilient_absorbs_deadline () =
   let tight () =
     let d = Device.create ~deadline_cycles:500.0 () in
     let x = Device.of_array d Dtype.F16 ~name:"x" input in
-    Scan.Scan_api.run ~algo:(Scan.Scan_api.get "mcscan") d x
+    Registry_util.run mcscan d x
   in
   let loose () =
     let d = Device.create () in
     let x = Device.of_array d Dtype.F16 ~name:"x" input in
-    Scan.Scan_api.run ~algo:(Scan.Scan_api.get "mcscan") d x
+    Registry_util.run mcscan d x
   in
   let validate y =
-    Scan.Scan_api.check_against_reference ~round:Fp16.round ~input ~output:y ()
+    Registry_util.check mcscan input y
   in
   let r =
     Runtime.Resilient.run
@@ -307,8 +306,7 @@ let prop_mcscan_any_subset =
       let d = degraded_device ks in
       let x = Device.of_array d Dtype.F16 ~name:"x" scan_input in
       let y, _ = Scan.Mcscan.run d x in
-      Scan.Scan_api.check_against_reference ~round:Fp16.round ~input:scan_input
-        ~output:y ()
+      Registry_util.check mcscan scan_input y
       = Ok ())
 
 let prop_scan_algos_any_subset =
@@ -318,11 +316,9 @@ let prop_scan_algos_any_subset =
         (fun algo ->
           let d = degraded_device ks in
           let x = Device.of_array d Dtype.F16 ~name:"x" scan_input in
-          let y, _ = Scan.Scan_api.run ~algo d x in
-          Scan.Scan_api.check_against_reference ~round:Fp16.round
-            ~input:scan_input ~output:y ()
-          = Ok ())
-        [ (Scan.Scan_api.get "scanu"); (Scan.Scan_api.get "scanul1"); (Scan.Scan_api.get "tcu") ])
+          let y, _ = Registry_util.run algo d x in
+          Registry_util.check algo scan_input y = Ok ())
+        (List.map Registry_util.entry [ "scanu"; "scanul1"; "tcu" ]))
 
 let prop_segmented_any_subset =
   QCheck.Test.make ~name:"segmented scan bit-identical on any subset"
@@ -331,17 +327,9 @@ let prop_segmented_any_subset =
       let x = Device.of_array d Dtype.F16 ~name:"x" scan_input in
       let flags = Device.of_array d Dtype.I8 ~name:"f" flags_input in
       let y, _ = Scan.Segmented_scan.run d ~x ~flags () in
-      let expect =
-        (* Host oracle: running sum resetting at raised flags. *)
-        let acc = ref 0.0 in
-        Array.mapi
-          (fun i v ->
-            if flags_input.(i) <> 0.0 then acc := 0.0;
-            acc := !acc +. v;
-            !acc)
-          scan_input
-      in
-      Array.init (Array.length scan_input) (Global_tensor.get y) = expect)
+      Registry_util.(check ~mask:flags_input (entry "segmented_scan"))
+        scan_input y
+      = Ok ())
 
 let prop_max_scan_any_subset =
   QCheck.Test.make ~name:"max scan bit-identical on any subset" ~count:15
@@ -349,15 +337,7 @@ let prop_max_scan_any_subset =
       let d = degraded_device ks in
       let x = Device.of_array d Dtype.F16 ~name:"x" scan_input in
       let y, _ = Scan.Max_scan.run d x in
-      let expect =
-        let acc = ref neg_infinity in
-        Array.map
-          (fun v ->
-            acc := Float.max !acc v;
-            !acc)
-          scan_input
-      in
-      Array.init (Array.length scan_input) (Global_tensor.get y) = expect)
+      Registry_util.(check (entry "max_scan")) scan_input y = Ok ())
 
 let prop_split_any_subset =
   QCheck.Test.make ~name:"split bit-identical on any subset" ~count:15
@@ -366,10 +346,9 @@ let prop_split_any_subset =
       let x = Device.of_array d Dtype.F16 ~name:"x" scan_input in
       let flags = Device.of_array d Dtype.I8 ~name:"f" flags_input in
       let r = Ops.Split.run d ~x ~flags () in
-      let expect, _ = Scan.Reference.split scan_input ~flags:flags_input in
-      Array.init (Array.length scan_input)
-        (Global_tensor.get r.Ops.Split.values)
-      = expect)
+      Registry_util.(check ~mask:flags_input (entry "split"))
+        scan_input r.Ops.Split.values
+      = Ok ())
 
 let prop_batched_any_subset =
   QCheck.Test.make ~name:"batched scans bit-identical on any subset" ~count:10
@@ -378,15 +357,12 @@ let prop_batched_any_subset =
       let data =
         Array.init (batch * len) (fun i -> if i mod 31 = 0 then 1.0 else 0.0)
       in
-      let expect =
-        Scan.Reference.batched_inclusive ~round:Fp16.round ~batch ~len data
-      in
       List.for_all
         (fun run ->
           let d = degraded_device ks in
           let x = Device.of_array d Dtype.F16 ~name:"x" data in
           let y, _ = run d ~batch ~len x in
-          Array.init (batch * len) (Global_tensor.get y) = expect)
+          Registry_util.check_rows ~batch ~len data y = Ok ())
         [ (fun d ~batch ~len x -> Scan.Batched_scan.run_u d ~batch ~len x);
           (fun d ~batch ~len x -> Scan.Batched_scan.run_ul1 d ~batch ~len x) ])
 
@@ -405,12 +381,8 @@ let test_checkpointed_batched_with_kill () =
   check_bool "complete" true r.Runtime.Resilient.bok;
   check_int "all rows" batch
     (Runtime.Checkpoint.done_count r.Runtime.Resilient.checkpoint);
-  let expect =
-    Scan.Reference.batched_inclusive ~round:Fp16.round ~batch ~len input
-  in
   check_bool "bit-identical" true
-    (Array.init (batch * len) (Global_tensor.get r.Runtime.Resilient.y)
-    = expect)
+    (Registry_util.check_rows ~batch ~len input r.Runtime.Resilient.y = Ok ())
 
 let test_checkpointed_batched_replays_only_pending () =
   (* Under transient corruption the failed groups are retried; rows
@@ -434,12 +406,8 @@ let test_checkpointed_batched_replays_only_pending () =
     (r.Runtime.Resilient.bstats.Stats.retries
     = r.Runtime.Resilient.group_attempts
       - Runtime.Checkpoint.commits r.Runtime.Resilient.checkpoint);
-  let expect =
-    Scan.Reference.batched_inclusive ~round:Fp16.round ~batch ~len input
-  in
   check_bool "bit-identical" true
-    (Array.init (batch * len) (Global_tensor.get r.Runtime.Resilient.y)
-    = expect)
+    (Registry_util.check_rows ~batch ~len input r.Runtime.Resilient.y = Ok ())
 
 let () =
   Alcotest.run "degraded"

@@ -109,20 +109,22 @@ let test_scan_algos_domain_invariant () =
      the domain-invariance contract automatically. *)
   List.iter
     (fun algo ->
-      check_domain_invariant (Scan.Scan_api.algo_to_string algo)
+      check_domain_invariant algo.Scan.Op_registry.name
         (fun domains ->
           let d = Device.create ~domains () in
           let x = Device.of_array d Dtype.F16 ~name:"x" scan_input in
-          let y, st = Scan.Scan_api.run ~algo d x in
+          let y, st = Registry_util.run algo d x in
           (tensor_bits y (Array.length scan_input), st)))
-    Scan.Scan_api.all_algos
+    (Scan.Op_registry.unary_scans ())
 
 let test_mcscan_exclusive_domain_invariant () =
   check_domain_invariant "mcscan exclusive" (fun domains ->
       let d = Device.create ~domains () in
       let x = Device.of_array d Dtype.F16 ~name:"x" scan_input in
       let y, st =
-        Scan.Scan_api.run ~exclusive:true ~algo:(Scan.Scan_api.get "mcscan") d x
+        Registry_util.run
+          ~cfg:{ Scan.Op_registry.default_config with exclusive = true }
+          (Registry_util.entry "mcscan") d x
       in
       (tensor_bits y (Array.length scan_input), st))
 

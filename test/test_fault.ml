@@ -130,9 +130,7 @@ let test_drop_corrupts () =
   in
   let y, st = run_mcscan ~fault () in
   check_bool "drops fired" true (List.length st.Stats.faults > 0);
-  match
-    Scan.Scan_api.check_against_reference ~round:Fp16.round ~input ~output:y ()
-  with
+  match Registry_util.(check (entry "mcscan")) input y with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "dropped copies went undetected"
 

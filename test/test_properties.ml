@@ -148,20 +148,15 @@ let prop_scan_algos_agree =
     arb_ints (fun data ->
       let dev = Device.create () in
       let x = Device.of_array dev Dtype.F16 ~name:"x" data in
+      (* Cross-kernel agreement only holds within one monoid: the
+         registry also carries e.g. the max scan. *)
       let sum_algos =
-        (* Cross-kernel agreement only holds within one monoid: the
-           registry also carries e.g. the max scan. *)
-        List.filter
-          (fun (algo : Scan.Scan_api.algo) ->
-            match algo.Scan.Op_registry.monoid with
-            | Some (module Op : Scan.Scan_op.S) -> String.equal Op.name "sum"
-            | None -> false)
-          Scan.Scan_api.all_algos
+        List.filter Scan.Op_registry.is_sum (Scan.Op_registry.unary_scans ())
       in
       let outs =
         List.map
           (fun algo ->
-            let y, _ = Scan.Scan_api.run ~algo dev x in
+            let y, _ = Registry_util.run algo dev x in
             Array.init (Array.length data) (Global_tensor.get y))
           sum_algos
       in

@@ -46,17 +46,6 @@ let prop_alias_resolution =
       | Some e' -> Scan.Op_registry.equal e e'
       | None -> false)
 
-let prop_scan_api_roundtrip =
-  QCheck.Test.make ~name:"Scan_api: of_string (to_string k) = Some k"
-    ~count:(4 * List.length Scan.Scan_api.all_algos)
-    (QCheck.make
-       ~print:Scan.Scan_api.algo_to_string
-       QCheck.Gen.(oneofl Scan.Scan_api.all_algos))
-    (fun a ->
-      match Scan.Scan_api.algo_of_string (Scan.Scan_api.algo_to_string a) with
-      | Some b -> Scan.Op_registry.equal a b
-      | None -> false)
-
 let test_names_unique () =
   (* Name and alias sets are globally disjoint — [register] enforces it
      at registration time; this asserts the final state. *)
@@ -79,7 +68,7 @@ let test_duplicate_registration_rejected () =
      with Invalid_argument _ -> true)
 
 let test_equal_is_by_name () =
-  let a = Scan.Scan_api.get "scanu" and b = Scan.Scan_api.get "scanul1" in
+  let a = Registry_util.entry "scanu" and b = Registry_util.entry "scanul1" in
   check_bool "same entry equal" true (Scan.Op_registry.equal a a);
   check_bool "distinct entries differ" false (Scan.Op_registry.equal a b);
   (* The whole point of [equal]: a looked-up entry equals itself even
@@ -120,7 +109,7 @@ let test_unsupported_dtype_rejected () =
   let xi = Device.of_array d Dtype.I32 ~name:"xi" [| 1.0 |] in
   List.iter
     (fun name ->
-      let e = Scan.Scan_api.get name in
+      let e = Registry_util.entry name in
       match Scan.Op_registry.run e cfg d (Scan.Op_registry.Tensor xi) with
       | Error msg ->
           check_bool (name ^ " error names the dtype") true (contains msg "i32")
@@ -138,7 +127,7 @@ let test_input_arity_checked () =
        cfg d (Scan.Op_registry.Tensor x));
   (* ... and a unary scan given a masked pair. *)
   expect_error "scanu" "masked input"
-    (Scan.Op_registry.run (Scan.Scan_api.get "scanu") cfg d
+    (Scan.Op_registry.run (Registry_util.entry "scanu") cfg d
        (Scan.Op_registry.Masked { x; mask }))
 
 let test_batched_requires_shape () =
@@ -161,22 +150,67 @@ let test_op_param_errors_are_errors () =
 
 (* The acceptance path for new monoids: the max scan registered like
    any other kernel is reachable by name, runs over f32, and checks
-   against its own (max) reference with the generic checker. *)
+   against its own (max) reference with its registered oracle. *)
 let test_max_scan_through_registry () =
   let d = dev () in
   let data = Array.init 5000 (fun i -> float_of_int ((i * 13 mod 101) - 50)) in
   let x = Device.of_array d Dtype.F32 ~name:"x" data in
-  let algo = Scan.Scan_api.get "max_scan" in
-  match Scan.Op_registry.run algo cfg d (Scan.Op_registry.Tensor x) with
-  | Error msg -> Alcotest.failf "max_scan via registry: %s" msg
-  | Ok (out, _) -> (
-      let y = Option.get out.Scan.Op_registry.y in
-      match
-        Scan.Scan_api.check_scan ~algo ~dtype:Dtype.F32 ~input:data ~output:y
-          ()
-      with
+  let algo = Registry_util.entry "max_scan" in
+  let y, _ = Registry_util.run algo d x in
+  match Registry_util.check algo data y with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "max_scan reference check: %s" e
+
+(* Every entry's oracle, on the driver's inputs: it accepts the entry's
+   own output and rejects a copy with one value changed, naming that
+   index. A token-only entry's copy points the token at an item with no
+   mass instead. *)
+let test_oracle_per_entry () =
+  let module R = Scan.Op_registry in
+  let n = 4096 in
+  List.iter
+    (fun (e : R.entry) ->
+      let d = dev () in
+      let cfg = Workload.Op_driver.config_for e ~n ~s:None in
+      let host = Workload.Op_driver.host e ~n in
+      let out =
+        match R.run e cfg d (Workload.Op_driver.input e d ~n) with
+        | Ok (out, _) -> out
+        | Error msg -> Alcotest.failf "%s: %s" e.R.name msg
+      in
+      (match e.R.check cfg host out with
       | Ok () -> ()
-      | Error e -> Alcotest.failf "max_scan reference check: %s" e)
+      | Error msg -> Alcotest.failf "%s rejects its own output: %s" e.R.name msg);
+      let i, bad =
+        match out.R.y with
+        | Some y ->
+            let len =
+              match List.assoc_opt "count" out.R.aux with
+              | Some c -> int_of_float c
+              | None -> Global_tensor.length y
+            in
+            let i = len / 2 in
+            let a = Global_tensor.to_array y in
+            a.(i) <- a.(i) +. 1.0;
+            let y = Device.of_array d (Global_tensor.dtype y) ~name:"bad" a in
+            (i, { out with R.y = Some y })
+        | None ->
+            let i = ref 0 in
+            while host.R.x.(!i) > 0.0 do incr i done;
+            ( !i,
+              { out with
+                R.aux =
+                  ("token", float_of_int !i) :: List.remove_assoc "token" out.R.aux
+              } )
+      in
+      match e.R.check cfg host bad with
+      | Ok () -> Alcotest.failf "%s accepts a wrong value at %d" e.R.name i
+      | Error msg ->
+          check_bool
+            (Printf.sprintf "%s names index %d (%s)" e.R.name i msg)
+            true
+            (contains msg (Printf.sprintf "index %d:" i)))
+    entries
 
 (* Recycled scratch storage is invisible. Every entry runs twice in
    one process, the second pass on tiles the first pass retired: at
@@ -227,7 +261,7 @@ let () =
     [
       ( "roundtrip",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_name_roundtrip; prop_alias_resolution; prop_scan_api_roundtrip ]
+          [ prop_name_roundtrip; prop_alias_resolution ]
         @ [
             Alcotest.test_case "names unique" `Quick test_names_unique;
             Alcotest.test_case "duplicate rejected" `Quick
@@ -257,5 +291,7 @@ let () =
         [
           Alcotest.test_case "max scan f32 via registry" `Quick
             test_max_scan_through_registry;
+          Alcotest.test_case "every entry's oracle" `Quick
+            test_oracle_per_entry;
         ] );
     ]

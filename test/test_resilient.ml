@@ -14,8 +14,8 @@ let input = Array.init n (fun i -> if (i + 3) mod 53 = 0 then 1.0 else 0.0)
 let fixed max_attempts =
   Degrade_ctl.create ~policy:(Degrade_ctl.fixed ~max_attempts ()) ()
 
-let reference_ok output =
-  Scan.Scan_api.check_against_reference ~round:Fp16.round ~input ~output ()
+let mcscan = Registry_util.entry "mcscan"
+let reference_ok output = Registry_util.check mcscan input output
 
 (* Acceptance (a): with a pinned seed an injected fault corrupts the
    first mcscan attempt; the launcher detects it against the reference
@@ -24,8 +24,8 @@ let reference_ok output =
 let test_bitflip_caught_and_retried () =
   let d = Device.create ~fault:(Fault.config ~seed:3 ~rate:0.05 ()) () in
   let r =
-    Resilient.scan ~oracle:Resilient.Reference ~fallback:(Scan.Scan_api.get "vec_only")
-      ~algo:(Scan.Scan_api.get "mcscan") d ~input
+    Resilient.scan ~oracle:Resilient.Reference
+      ~fallback:(Registry_util.entry "vec_only") ~algo:mcscan d ~input
   in
   check_bool "recovered" true r.Resilient.ok;
   check_bool "fault was detected" true (r.Resilient.detections >= 1);
@@ -46,8 +46,8 @@ let test_bitflip_caught_and_retried () =
 let test_rate_zero_overhead () =
   let plain_d = Device.create () in
   let x = Device.of_array plain_d Dtype.F16 ~name:"x" input in
-  let y_plain, st_plain = Scan.Scan_api.run ~algo:(Scan.Scan_api.get "mcscan") plain_d x in
-  let r = Resilient.scan ~algo:(Scan.Scan_api.get "mcscan") (Device.create ()) ~input in
+  let y_plain, st_plain = Registry_util.run mcscan plain_d x in
+  let r = Resilient.scan ~algo:mcscan (Device.create ()) ~input in
   check_bool "validated" true r.Resilient.ok;
   check_int "single attempt" 1 r.Resilient.attempts;
   check_int "no retries" 0 r.Resilient.stats.Stats.retries;
@@ -73,7 +73,8 @@ let test_degrade_to_vec_only () =
   let d = Device.create ~fault () in
   let r =
     Resilient.scan ~ctl:(fixed 2) ~oracle:Resilient.Reference
-      ~fallback:(Scan.Scan_api.get "vec_only") ~algo:(Scan.Scan_api.get "scanu") d ~input
+      ~fallback:(Registry_util.entry "vec_only") ~algo:(Registry_util.entry "scanu")
+      d ~input
   in
   check_bool "fallback saved the run" true r.Resilient.ok;
   check_bool "degraded" true r.Resilient.degraded;
@@ -124,7 +125,7 @@ let test_run_validation () =
   check_bool "cost-only device rejected" true
     (try
        ignore
-         (Resilient.scan ~algo:(Scan.Scan_api.get "mcscan")
+         (Resilient.scan ~algo:mcscan
             (Device.create ~mode:Device.Cost_only ())
             ~input:[| 1.0 |]);
        false
@@ -140,7 +141,7 @@ let test_nan_input_validates () =
         if i = 1000 then Float.nan else if i mod 53 = 0 then 1.0 else 0.0)
   in
   let r =
-    Resilient.scan ~algo:(Scan.Scan_api.get "scanu") (Device.create ()) ~input
+    Resilient.scan ~algo:(Registry_util.entry "scanu") (Device.create ()) ~input
   in
   check_bool "scan ok" true r.Resilient.ok;
   check_int "scan single attempt" 1 r.Resilient.attempts;

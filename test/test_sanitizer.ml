@@ -182,9 +182,7 @@ let test_mcscan_clean () =
   let input = Array.init n (fun i -> if i mod 37 = 0 then 1.0 else 0.0) in
   let x = Device.of_array d Dtype.F16 ~name:"x" input in
   let y, _ = Scan.Mcscan.run d x in
-  (match
-     Scan.Scan_api.check_against_reference ~round:Fp16.round ~input ~output:y ()
-   with
+  (match Registry_util.(check (entry "mcscan")) input y with
   | Ok () -> ()
   | Error e -> Alcotest.failf "mcscan wrong under sanitizer: %s" e);
   check_int "mcscan clean" 0 (Sanitizer.count (san d))

@@ -15,25 +15,18 @@ let input_01 n = Array.init n (fun i -> if i mod 37 = 0 then 1.0 else 0.0)
 let input_ternary n =
   Array.init n (fun i -> float_of_int ((i * 11 mod 3) - 1))
 
+module R = Scan.Op_registry
+
 let run_and_check ?(exclusive = false) ~name ~algo ?s data =
   let dev = Device.create () in
   let x = Device.of_array dev Dtype.F16 ~name:"x" data in
-  let y, stats = Scan.Scan_api.run ?s ~exclusive ~algo dev x in
-  (match
-     Scan.Scan_api.check_scan ~round:Fp16.round ~exclusive ~algo
-       ~dtype:Dtype.F16 ~input:data ~output:y ()
-   with
+  let cfg = { R.default_config with R.s; exclusive } in
+  let y, stats = Registry_util.run ~cfg algo dev x in
+  (match Registry_util.check ~cfg algo data y with
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: %s" name e);
   check_bool (name ^ " time positive") true (stats.Stats.seconds > 0.0);
   stats
-
-(* Entries running under the sum monoid — the ones whose outputs must
-   agree bit-for-bit with each other on exact inputs. *)
-let is_sum algo =
-  match algo.Scan.Op_registry.monoid with
-  | Some (module Op : Scan.Scan_op.S) -> String.equal Op.name "sum"
-  | None -> false
 
 let lengths = [ 1; 2; 127; 128; 129; 4095; 4096; 4097; 16384; 16385; 50000 ]
 
@@ -59,14 +52,13 @@ let test_exclusive_mcscan () =
     (fun n ->
       ignore
         (run_and_check ~exclusive:true ~name:"mcscan excl"
-           ~algo:(Scan.Scan_api.get "mcscan")
+           ~algo:(Registry_util.entry "mcscan")
            (input_01 n)))
     [ 1; 2; 128; 4097; 50000 ]
 
 let test_exclusive_unsupported () =
   (* Capability violations surface uniformly as [Error] from the
-     registry for every non-supporting entry, and as [Invalid_argument]
-     through the legacy [Scan_api.run] wrapper. *)
+     registry for every non-supporting entry. *)
   let dev = Device.create () in
   let x = Device.of_array dev Dtype.F16 ~name:"x" (input_01 16) in
   let cfg =
@@ -74,20 +66,11 @@ let test_exclusive_unsupported () =
   in
   List.iter
     (fun algo ->
-      let name = Scan.Scan_api.algo_to_string algo in
-      if not algo.Scan.Op_registry.caps.Scan.Op_registry.exclusive then begin
-        (match
-           Scan.Op_registry.run algo cfg dev (Scan.Op_registry.Tensor x)
-         with
+      if not algo.R.caps.R.exclusive then
+        match R.run algo cfg dev (R.Tensor x) with
         | Error _ -> ()
-        | Ok _ -> Alcotest.failf "%s: exclusive accepted" name);
-        check_bool (name ^ " exclusive raises via Scan_api") true
-          (try
-             ignore (Scan.Scan_api.run ~exclusive:true ~algo dev x);
-             false
-           with Invalid_argument _ -> true)
-      end)
-    Scan.Scan_api.all_algos
+        | Ok _ -> Alcotest.failf "%s: exclusive accepted" algo.R.name)
+    (R.unary_scans ())
 
 let test_int8_mcscan () =
   let dev = Device.create () in
@@ -136,10 +119,7 @@ let test_mcscan_block_counts () =
       let data = input_01 40000 in
       let x = Device.of_array dev Dtype.F16 ~name:"x" data in
       let y, _ = Scan.Mcscan.run ~blocks dev x in
-      match
-        Scan.Scan_api.check_against_reference ~round:Fp16.round ~input:data
-          ~output:y ()
-      with
+      match Registry_util.(check (entry "mcscan")) data y with
       | Ok () -> ()
       | Error e -> Alcotest.failf "blocks=%d: %s" blocks e)
     [ 1; 2; 3; 7; 20; 33 ]
@@ -150,8 +130,8 @@ let test_all_algorithms_agree () =
   let x = Device.of_array dev Dtype.F16 ~name:"x" data in
   let outputs =
     List.map
-      (fun algo -> fst (Scan.Scan_api.run ~algo dev x))
-      (List.filter is_sum Scan.Scan_api.all_algos)
+      (fun algo -> fst (Registry_util.run algo dev x))
+      (List.filter R.is_sum (R.unary_scans ()))
   in
   match outputs with
   | first :: rest ->
@@ -187,16 +167,12 @@ let test_traffic_accounting () =
     (fun algo ->
       let dev = Device.create () in
       let x = Device.of_array dev Dtype.F16 ~name:"x" data in
-      let _, st = Scan.Scan_api.run ~algo dev x in
-      check_bool
-        (Scan.Scan_api.algo_to_string algo ^ " reads >= input")
-        true
+      let _, st = Registry_util.run algo dev x in
+      check_bool (algo.R.name ^ " reads >= input") true
         (st.Stats.gm_read_bytes >= 2 * n);
-      check_bool
-        (Scan.Scan_api.algo_to_string algo ^ " writes >= output")
-        true
+      check_bool (algo.R.name ^ " writes >= output") true
         (st.Stats.gm_write_bytes >= 2 * n))
-    Scan.Scan_api.all_algos
+    (R.unary_scans ())
 
 let test_vec_only_tile_shapes () =
   let data = input_01 20000 in
@@ -205,10 +181,7 @@ let test_vec_only_tile_shapes () =
       let dev = Device.create () in
       let x = Device.of_array dev Dtype.F16 ~name:"x" data in
       let y, _ = Scan.Scan_vec_only.run ~rows ~cols dev x in
-      match
-        Scan.Scan_api.check_against_reference ~round:Fp16.round ~input:data
-          ~output:y ()
-      with
+      match Registry_util.(check (entry "vec_only")) data y with
       | Ok () -> ()
       | Error e -> Alcotest.failf "rows=%d cols=%d: %s" rows cols e)
     [ (32, 32); (64, 64); (128, 128); (64, 256); (1, 512) ]
@@ -233,16 +206,6 @@ let test_instruction_mix () =
   let _, st_m = Scan.Mcscan.run dev x in
   check_int "mcscan mmads" 5 (Stats.op_count st_m "mmad");
   check_bool "mcscan reduces" true (Stats.op_count st_m "reduce_sum" > 0)
-
-let test_algo_names_roundtrip () =
-  List.iter
-    (fun a ->
-      match Scan.Scan_api.(algo_of_string (algo_to_string a)) with
-      | Some b when Scan.Op_registry.equal b a -> ()
-      | _ -> Alcotest.fail "name roundtrip")
-    Scan.Scan_api.all_algos;
-  check_int "unknown" 0
-    (match Scan.Scan_api.algo_of_string "nope" with Some _ -> 1 | None -> 0)
 
 (* dist_scan's oracle: on 0/1 inputs every partial sum is exact in
    fp16, so the sharded scan equals the single-device MCScan bit for
@@ -328,7 +291,7 @@ let small_s_algos = [ "scanu"; "scanul1"; "mcscan" ]
 let per_algo_suites =
   List.map
     (fun algo ->
-      let name = Scan.Scan_api.algo_to_string algo in
+      let name = algo.R.name in
       let cases =
         algo_cases algo name
         @
@@ -336,7 +299,7 @@ let per_algo_suites =
       in
       let cases = if name = "dist_scan" then cases @ dist_scan_cases else cases in
       (name, cases))
-    Scan.Scan_api.all_algos
+    (R.unary_scans ())
 
 let () =
   Alcotest.run "scans"
@@ -360,6 +323,5 @@ let () =
           Alcotest.test_case "cumsum tile shapes" `Quick
             test_vec_only_tile_shapes;
           Alcotest.test_case "instruction mix" `Quick test_instruction_mix;
-          Alcotest.test_case "algo names" `Quick test_algo_names_roundtrip;
         ] );
       ])

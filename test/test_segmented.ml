@@ -5,30 +5,16 @@ open Ascend
 
 let check_bool = Alcotest.(check bool)
 
-(* Host oracle. *)
-let segmented_oracle x flags =
-  let n = Array.length x in
-  let y = Array.make n 0.0 in
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    if flags.(i) <> 0.0 then acc := 0.0;
-    acc := !acc +. x.(i);
-    y.(i) <- !acc
-  done;
-  y
-
 let run_case ~name x flags =
   let dev = Device.create () in
   let xt = Device.of_array dev Dtype.F16 ~name:"x" x in
   let ft = Device.of_array dev Dtype.I8 ~name:"f" flags in
   let y, stats = Scan.Segmented_scan.run dev ~x:xt ~flags:ft () in
-  let expect = segmented_oracle x flags in
-  Array.iteri
-    (fun i e ->
-      if Global_tensor.get y i <> e then
-        Alcotest.failf "%s: mismatch at %d (%g <> %g)" name i
-          (Global_tensor.get y i) e)
-    expect;
+  (match
+     Registry_util.(check ~mask:flags (entry "segmented_scan")) x y
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: %s" name e);
   stats
 
 (* Exact fp16 data: values in {-1, 0, 1}; segments short enough that
@@ -151,7 +137,7 @@ let test_segmented_network_tile () =
   Array.iteri (fun i x -> Local_tensor.set f i x) flags;
   Vec.dup ctx ~dst:zero ~scalar:0.0 ~len:512 ();
   Vec.segmented_hillis_steele ctx ~v ~f ~tmp_v ~tmp_f ~zero ~len:n ();
-  let expect = segmented_oracle data flags in
+  let expect = Scan.Reference.segmented_inclusive ~round:Fun.id data ~flags in
   for i = 0 to n - 1 do
     if Local_tensor.get v i <> expect.(i) then
       Alcotest.failf "segmented network mismatch at %d" i
