@@ -20,6 +20,9 @@
      the trace [run --trace T --metrics] writes, prints the same
      report, and its metrics text equals the traced run's, for mcscan
      and for scanu with core 0 killed at cycle 3000.
+   - [--trace] bytes: the MD5 of the trace file of every entry at N =
+     30000, functional and [--cost-only], and of runs carrying fault
+     and core-death marks and a chaos run's notes, is pinned.
    - [chaos report]: a scenario using a retired multi-device action
      ([kill device=D], [link ...]) exits 2.
    - Argument mutations: 120 seeded cases, one process at a time, each
@@ -350,6 +353,93 @@ let check_live_profile () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* --trace bytes pinned                                                *)
+
+(* The MD5 of the file [--trace] writes, per run: every entry at N =
+   30000, functional and on a Cost_only device, plus the runs whose
+   traces carry marks and notes (a fault, a core death inside a block,
+   and the checkpoint and info notes of a chaos run). A trace file is
+   read back by [profile] and by Perfetto, so its bytes change only
+   with the schedule the simulator claims, never with how the export
+   is written. *)
+let pinned_traces =
+  [
+    ("--op vec_only -n 30000", "3676af870c1deee21e1cd9fd3db89584");
+    ("--op vec_only -n 30000 --cost-only", "3676af870c1deee21e1cd9fd3db89584");
+    ("--op scanu -n 30000", "dae3731acc318edba6745aaddf4ef1de");
+    ("--op scanu -n 30000 --cost-only", "dae3731acc318edba6745aaddf4ef1de");
+    ("--op scanul1 -n 30000", "08a2324df7e3ce433dbd6f35c6e5903d");
+    ("--op scanul1 -n 30000 --cost-only", "08a2324df7e3ce433dbd6f35c6e5903d");
+    ("--op mcscan -n 30000", "5399d56f09df875229ba04a89c1e0d8e");
+    ("--op mcscan -n 30000 --cost-only", "5399d56f09df875229ba04a89c1e0d8e");
+    ("--op tcu -n 30000", "be32fb2c8a1523cde8c413d98dc5b617");
+    ("--op tcu -n 30000 --cost-only", "be32fb2c8a1523cde8c413d98dc5b617");
+    ("--op max_scan -n 30000", "123e819724a00b141a9ed5d20ba1ae22");
+    ("--op max_scan -n 30000 --cost-only", "123e819724a00b141a9ed5d20ba1ae22");
+    ("--op segmented_scan -n 30000", "ad79763773b7bc61ba831e4b9ec91903");
+    ("--op segmented_scan -n 30000 --cost-only", "ad79763773b7bc61ba831e4b9ec91903");
+    ("--op batched_u -n 30000", "6c2b78405f125b4029d1f2931648e386");
+    ("--op batched_u -n 30000 --cost-only", "6c2b78405f125b4029d1f2931648e386");
+    ("--op batched_ul1 -n 30000", "fa3386e645b61175b5c36b69e8a1a79b");
+    ("--op batched_ul1 -n 30000 --cost-only", "fa3386e645b61175b5c36b69e8a1a79b");
+    ("--op dist_scan -n 30000", "d5343e7f64b7a08a0b64b0c887cef793");
+    ("--op dist_scan -n 30000 --cost-only", "d5343e7f64b7a08a0b64b0c887cef793");
+    ("--op cube_reduce -n 30000", "2fac4d5f4192055c35df77b0cc617ccd");
+    ("--op cube_reduce -n 30000 --cost-only", "2fac4d5f4192055c35df77b0cc617ccd");
+    ("--op compress -n 30000", "d940fb33293d4cf3be6b9c6339d635e4");
+    ("--op compress -n 30000 --cost-only", "a1632471c4d6747d4b6e8eb6df249921");
+    ("--op split -n 30000", "91a600a5a940b054d29bc254730ceeea");
+    ("--op split -n 30000 --cost-only", "1e59804eca1ddef5caeb0f11f850dbee");
+    ("--op radix_sort -n 30000", "83a0dba8d65c76517121306b625413ca");
+    ("--op radix_sort -n 30000 --cost-only", "93b3d8487bf218237b7017ab654e2b71");
+    ("--op topk -n 30000", "2068959f2c7a55b306e1929af50f81ee");
+    ("--op topk -n 30000 --cost-only", "8794ffe8531531ce537aba99d84c901d");
+    ("--op radix_select -n 30000", "cb70a0aa7ef1521ce388b97d5be41b61");
+    ("--op radix_select -n 30000 --cost-only", "eeca5b625305a54c107a25e50610011b");
+    ("--op topp -n 30000", "bbeb7cb509b576000a4fdf1c1e2dac98");
+    ("--op topp -n 30000 --cost-only", "753374e3b80b5ac773482e279bf25f28");
+    ("--op weighted_sampling -n 30000", "8dcd02ec28d6ea22773ee8c973e131b6");
+    ("--op weighted_sampling -n 30000 --cost-only", "9e7304b5f92898e4d8104dbdd676479d");
+    ("--op mcscan -n 65536 --inject-faults 3:0.02", "a91e8c83a1164c110f2c66109cde00d0");
+    ("--op mcscan -n 30000 --inject-faults 9:0.1", "7cff52fd86928dfbdf0780f7c3c2c406");
+    ("--op mcscan -n 30000 --kill-core 0@3000", "2aed2cce0de9c8408c39940d6b8f1661");
+    ("--op segmented_scan -n 30000 --kill-core 0@300", "0817a217206e1f09b245d19d05d36d89");
+    ("run --scenario ../scenarios/core-attrition.chaos --crash-mode raise", "744633a74f702ecb7991731f589fdb92");
+  ]
+
+let trace_runs entries =
+  List.concat_map
+    (fun (name, _) ->
+      let run = [ "run"; "--op"; name; "-n"; "30000" ] in
+      [ run; run @ [ "--cost-only" ] ])
+    entries
+  @ [
+      [ "run"; "--op"; "mcscan"; "-n"; "65536"; "--inject-faults"; "3:0.02" ];
+      [ "run"; "--op"; "mcscan"; "-n"; "30000"; "--inject-faults"; "9:0.1" ];
+      [ "run"; "--op"; "mcscan"; "-n"; "30000"; "--kill-core"; "0@3000" ];
+      [ "run"; "--op"; "segmented_scan"; "-n"; "30000"; "--kill-core"; "0@300" ];
+      [ "chaos"; "run"; "--scenario"; "../scenarios/core-attrition.chaos";
+        "--crash-mode"; "raise" ];
+    ]
+
+let check_trace_digests () =
+  List.iter
+    (fun args ->
+      let what = String.concat " " (List.tl args) in
+      let trace = Filename.temp_file "cli_harness" ".trace.json" in
+      (match run_cli (args @ [ "--trace"; trace ]) with
+      | 0, _, _ -> (
+          let md5 = Digest.to_hex (Digest.file trace) in
+          match List.assoc_opt what pinned_traces with
+          | Some pinned when pinned = md5 -> ()
+          | Some pinned -> fail "%s --trace: md5 %s, pinned %s" what md5 pinned
+          | None -> fail "%s --trace: md5 %s, none pinned" what md5)
+      | c, _, lines ->
+          fail "%s --trace: exit %d, stderr:\n  %s" what c (String.concat "\n  " lines));
+      Sys.remove trace)
+    (trace_runs (list_ops ()))
+
+(* ------------------------------------------------------------------ *)
 (* Argument mutations                                                  *)
 
 type mutation =
@@ -484,6 +574,7 @@ let () =
   check_catches_fault ();
   check_profile ();
   check_live_profile ();
+  check_trace_digests ();
   check_fuzz ();
   if !failures > 0 then begin
     Printf.eprintf "cli_harness: %d failure(s)\n" !failures;
