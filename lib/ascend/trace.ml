@@ -30,8 +30,13 @@ let edge_kind_to_string = function
   | Await -> "await"
   | Join -> "join"
 
-let edge_kind_of_string s =
-  List.find_opt (fun k -> edge_kind_to_string k = s) [ Lane; Queue; Group; Await; Join ]
+let edge_kind_of_string = function
+  | "lane" -> Some Lane
+  | "queue" -> Some Queue
+  | "group" -> Some Group
+  | "await" -> Some Await
+  | "join" -> Some Join
+  | _ -> None
 
 type edge = { e_src : int; e_dst : int; e_kind : edge_kind }
 
@@ -92,6 +97,8 @@ let span_count t = t.spans
 let edge_count t = t.edges
 let mark_count t = t.marks
 let event_count t = t.spans + t.marks + t.notes
+
+let items t = List.rev t.items
 
 let launches t =
   List.rev
@@ -183,77 +190,73 @@ let note t kind ~name =
    stalls where the lane waited on another engine). Tracks of the same
    block DO overlap each other; that is the pipelining the model
    exists to express. An overlap within one track means recording and
-   queue accounting have diverged. *)
+   queue accounting have diverged.
+
+   {!Block_builder.span} numbers a block's spans 0..n-1 in issue
+   order, so a span's id is its position and per-span state lives in
+   arrays indexed by it; tracks are engine indices, small and dense. *)
 let check t =
   let eps = 1e-9 in
   let bad = ref None in
   let fail fmt = Format.kasprintf (fun s -> bad := Some s) fmt in
   let check_block ln b =
-    (* last seen end per engine track *)
-    let tracks = Hashtbl.create 8 in
-    List.iter
+    let spans = Array.of_list b.b_spans in
+    let n = Array.length spans in
+    let recorded id = id >= 0 && id < n && spans.(id).sp_id = id in
+    (* Last end per engine track; [neg_infinity] until its first span. *)
+    let track_end =
+      Array.make (Array.fold_left (fun m s -> max m (s.sp_track + 1)) 0 spans) neg_infinity
+    in
+    Array.iter
       (fun s ->
         if !bad = None then begin
           if s.sp_end < s.sp_start -. eps then
             fail "launch %s block %d %s: span %s has negative duration" ln
               b.b_idx s.sp_engine s.sp_op;
-          match Hashtbl.find_opt tracks s.sp_track with
-          | Some prev_end when s.sp_start < prev_end -. eps ->
-              fail
-                "launch %s block %d %s: span %s starts at %.3f before track \
-                 end %.3f"
-                ln b.b_idx s.sp_engine s.sp_op s.sp_start prev_end
-          | _ -> Hashtbl.replace tracks s.sp_track s.sp_end
+          let prev_end = track_end.(s.sp_track) in
+          if s.sp_start < prev_end -. eps then
+            fail
+              "launch %s block %d %s: span %s starts at %.3f before track \
+               end %.3f"
+              ln b.b_idx s.sp_engine s.sp_op s.sp_start prev_end
+          else track_end.(s.sp_track) <- s.sp_end
         end)
-      b.b_spans;
-    Hashtbl.iter
-      (fun _ last ->
+      spans;
+    Array.iter
+      (fun last ->
         if !bad = None && last > b.b_cycles +. eps then
           fail "launch %s block %d: engine track ends at %.3f after block \
                 elapsed %.3f"
             ln b.b_idx last b.b_cycles)
-      tracks;
+      track_end;
     (* Dependency edges must fully explain every span's issue time: a
        span starts exactly (bitwise — Float.max over non-negative ends
        is order-independent) at the max end of its edge predecessors,
        0.0 with none. This is the contract the critical-path profiler
        rebuilds the timeline from. *)
-    let by_id = Hashtbl.create 64 in
-    List.iter (fun s -> Hashtbl.replace by_id s.sp_id s) b.b_spans;
-    let preds = Hashtbl.create 64 in
+    let pred_end = Array.make n 0.0 in
     List.iter
       (fun e ->
-        if !bad = None then begin
-          if not (Hashtbl.mem by_id e.e_src) then
+        if !bad = None then
+          if not (recorded e.e_src) then
             fail "launch %s block %d: edge source span %d not recorded" ln
               b.b_idx e.e_src
-          else if not (Hashtbl.mem by_id e.e_dst) then
+          else if not (recorded e.e_dst) then
             fail "launch %s block %d: edge target span %d not recorded" ln
               b.b_idx e.e_dst
           else if e.e_src >= e.e_dst then
             fail "launch %s block %d: edge %d -> %d not in issue order" ln
-              b.b_idx e.e_src e.e_dst;
-          Hashtbl.add preds e.e_dst e.e_src
-        end)
+              b.b_idx e.e_src e.e_dst
+          else pred_end.(e.e_dst) <- Float.max pred_end.(e.e_dst) spans.(e.e_src).sp_end)
       b.b_edges;
-    List.iter
-      (fun s ->
-        if !bad = None then
-          let start =
-            List.fold_left
-              (fun m src ->
-                match Hashtbl.find_opt by_id src with
-                | Some p -> Float.max m p.sp_end
-                | None -> m)
-              0.0
-              (Hashtbl.find_all preds s.sp_id)
-          in
-          if not (Float.equal start s.sp_start) then
-            fail
-              "launch %s block %d %s: span %d (%s) starts at %h but its edge \
-               predecessors end at %h"
-              ln b.b_idx s.sp_engine s.sp_id s.sp_op s.sp_start start)
-      b.b_spans
+    Array.iteri
+      (fun i s ->
+        if !bad = None && not (Float.equal pred_end.(i) s.sp_start) then
+          fail
+            "launch %s block %d %s: span %d (%s) starts at %h but its edge \
+             predecessors end at %h"
+            ln b.b_idx s.sp_engine s.sp_id s.sp_op s.sp_start pred_end.(i))
+      spans
   in
   List.iter
     (function
@@ -264,249 +267,3 @@ let check t =
             l.ln_phases)
     t.items;
   match !bad with None -> Ok () | Some msg -> Error msg
-
-(* ------------------------------------------------------------------ *)
-(* Assembly: compute the global timeline in simulated cycles.          *)
-
-type arg = I of int | F of float | S of string | B of bool
-
-type placed = {
-  p_pid : int;
-  p_tid : int;
-  p_tname : string;
-  p_name : string;
-  p_cat : string;
-  p_ts : float;
-  p_dur : float option;
-  p_args : (string * arg) list;
-}
-
-(* Device-level track ids (pid 0). *)
-let device_timeline_tid = 0
-let device_events_tid = 1
-
-(* Per-core instant track sits after the engine tracks. *)
-let core_events_tid = 1000
-
-let assemble t =
-  let out = ref [] in
-  let emit e = out := e :: !out in
-  let cursor = ref 0.0 in
-  (* Global counters for the profiler-facing identities: every placed
-     span gets a trace-unique [sid], every placed block occurrence a
-     [binst] (the grouping key of the per-block dependency DAG), every
-     flow a trace-unique id. All three are assigned in assembly order,
-     which is deterministic. *)
-  let next_sid = ref 0 in
-  let next_binst = ref 0 in
-  let next_flow = ref 0 in
-  let seconds_to_cycles s = s *. t.clock_hz in
-  let place_launch l =
-    let launch_start = !cursor in
-    let launch_cycles = seconds_to_cycles l.ln_seconds in
-    emit
-      {
-        p_pid = 0;
-        p_tid = device_timeline_tid;
-        p_tname = "timeline";
-        p_name = l.ln_name;
-        p_cat = "launch";
-        p_ts = launch_start;
-        p_dur = Some launch_cycles;
-        p_args =
-          [
-            ("seconds", F l.ln_seconds);
-            ("phases", I (List.length l.ln_phases));
-            ("latency_cycles", F l.ln_latency_cycles);
-            ("sync_cycles", F l.ln_sync_cycles);
-          ];
-      };
-    (* Phases start after the launch latency and are separated by
-       SyncAll barriers. *)
-    let ph_cursor = ref (launch_start +. l.ln_latency_cycles) in
-    List.iteri
-      (fun i p ->
-        let st = p.ph_stats in
-        if i > 0 then begin
-          emit
-            {
-              p_pid = 0;
-              p_tid = device_events_tid;
-              p_tname = "events";
-              p_name = "sync_all";
-              p_cat = kind_to_string Barrier;
-              p_ts = !ph_cursor;
-              p_dur = None;
-              p_args = [ ("launch", S l.ln_name) ];
-            };
-          ph_cursor := !ph_cursor +. l.ln_sync_cycles
-        end;
-        let phase_start = !ph_cursor in
-        let phase_cycles = seconds_to_cycles st.Stats.seconds in
-        let bound = if st.Stats.bandwidth_bound then "bandwidth" else "compute" in
-        emit
-          {
-            p_pid = 0;
-            p_tid = device_timeline_tid;
-            p_tname = "timeline";
-            p_name = l.ln_name ^ "/phase" ^ string_of_int i;
-            p_cat = "phase";
-            p_ts = phase_start;
-            p_dur = Some phase_cycles;
-            p_args =
-              [
-                ("launch", S l.ln_name);
-                ("index", I i);
-                ("seconds", F st.Stats.seconds);
-                ("compute_seconds", F st.Stats.compute_seconds);
-                ("bandwidth_seconds", F st.Stats.bandwidth_seconds);
-                ("bound", S bound);
-                ("gm_bytes", I st.Stats.gm_bytes);
-                ("footprint_bytes", I st.Stats.footprint_bytes);
-              ];
-          };
-        (* Blocks of one core serialise in block order; distinct cores
-           overlap. Per-core cursors start at the phase start. *)
-        let core_cursor = Hashtbl.create 32 in
-        List.iter
-          (fun b ->
-            let start =
-              match Hashtbl.find_opt core_cursor b.b_core with
-              | Some c -> c
-              | None -> phase_start
-            in
-            Hashtbl.replace core_cursor b.b_core (start +. b.b_cycles);
-            let pid = b.b_core + 1 in
-            let binst = !next_binst in
-            incr next_binst;
-            (* Local span id -> global sid and span, for this block
-               occurrence; edges then resolve through it. Local ids
-               count up from 0 per block, so arrays index them. *)
-            let ids =
-              List.fold_left (fun m s -> max m (s.sp_id + 1)) 0 b.b_spans
-            in
-            let sids = Array.make ids (-1) in
-            let by_id = Array.make ids None in
-            (* Args every span of the block carries, built once. *)
-            let block_arg = ("block", I b.b_idx) and binst_arg = ("binst", I binst) in
-            List.iter
-              (fun s ->
-                let sid = !next_sid in
-                incr next_sid;
-                sids.(s.sp_id) <- sid;
-                by_id.(s.sp_id) <- Some s;
-                emit
-                  {
-                    p_pid = pid;
-                    p_tid = s.sp_track;
-                    p_tname = s.sp_engine;
-                    p_name = s.sp_op;
-                    p_cat = s.sp_queue;
-                    p_ts = start +. s.sp_start;
-                    p_dur = Some (s.sp_end -. s.sp_start);
-                    p_args =
-                      ((if s.sp_block = b.b_idx then block_arg
-                        else ("block", I s.sp_block))
-                      :: ("sid", I sid)
-                      :: binst_arg
-                      :: ("c0", F s.sp_start)
-                      :: ("c1", F s.sp_end)
-                      ::
-                      (if s.sp_bytes > 0 then [ ("bytes", I s.sp_bytes) ]
-                       else []));
-                  })
-              b.b_spans;
-            (* Dependency edges as paired flow points: one at the source
-               span's end on its track, one at the target's start on
-               its. The Chrome writer turns them into ph "s"/"f" flow
-               events; the profiler reads src/dst sids directly. *)
-            List.iter
-              (fun e ->
-                let find id = if id >= 0 && id < ids then by_id.(id) else None in
-                match (find e.e_src, find e.e_dst) with
-                | Some src, Some dst ->
-                    let src_sid = sids.(e.e_src) and dst_sid = sids.(e.e_dst) in
-                    let fid = !next_flow in
-                    incr next_flow;
-                    let args =
-                      [
-                        ("id", I fid);
-                        ("kind", S (edge_kind_to_string e.e_kind));
-                        ("src", I src_sid);
-                        ("dst", I dst_sid);
-                      ]
-                    in
-                    emit
-                      {
-                        p_pid = pid;
-                        p_tid = src.sp_track;
-                        p_tname = src.sp_engine;
-                        p_name = edge_kind_to_string e.e_kind;
-                        p_cat = "flow_out";
-                        p_ts = start +. src.sp_end;
-                        p_dur = None;
-                        p_args = args;
-                      };
-                    emit
-                      {
-                        p_pid = pid;
-                        p_tid = dst.sp_track;
-                        p_tname = dst.sp_engine;
-                        p_name = edge_kind_to_string e.e_kind;
-                        p_cat = "flow_in";
-                        p_ts = start +. dst.sp_start;
-                        p_dur = None;
-                        p_args = args;
-                      }
-                | _ -> ())
-              b.b_edges;
-            List.iter
-              (fun m ->
-                (* Clamp into the block window: a death mark carries the
-                   cycle position at which the threshold tripped, which
-                   the block's elapsed time already includes. *)
-                let c = Float.min m.mk_cycle b.b_cycles in
-                emit
-                  {
-                    p_pid = pid;
-                    p_tid = core_events_tid;
-                    p_tname = "events";
-                    p_name = m.mk_name;
-                    p_cat = kind_to_string m.mk_kind;
-                    p_ts = start +. c;
-                    p_dur = None;
-                    p_args = [ ("block", I m.mk_block) ];
-                  })
-              b.b_marks)
-          p.ph_blocks;
-        ph_cursor := phase_start +. phase_cycles)
-      l.ln_phases;
-    cursor := launch_start +. launch_cycles
-  in
-  List.iter
-    (function
-      | Launch l -> place_launch l
-      | Note (kind, name) ->
-          emit
-            {
-              p_pid = 0;
-              p_tid = device_events_tid;
-              p_tname = "events";
-              p_name = name;
-              p_cat = kind_to_string kind;
-              p_ts = !cursor;
-              p_dur = None;
-              p_args = [];
-            })
-    (List.rev t.items);
-  List.stable_sort
-    (fun a b ->
-      let c = Float.compare a.p_ts b.p_ts in
-      if c <> 0 then c
-      else
-        let c = Int.compare a.p_pid b.p_pid in
-        if c <> 0 then c
-        else
-          let c = Int.compare a.p_tid b.p_tid in
-          if c <> 0 then c else String.compare a.p_name b.p_name)
-    (List.rev !out)

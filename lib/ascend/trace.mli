@@ -19,14 +19,14 @@
     engine-track positions computed inside each block (identical on any
     schedule), blocks are folded into the trace in block-id order (the
     same deterministic post-join merge {!Launch} uses for stats), and
-    {!assemble} sorts events by simulated time and track before any
-    writer sees them. Serialising the same kernel's trace at
+    the Chrome export sorts events by simulated time and track before
+    it writes them. Serialising the same kernel's trace at
     [--domains 1] and [--domains 4] yields byte-identical output — the
     {!Stats.equal_simulated} contract extended to traces.
 
     {2 Timeline model}
 
-    Global placement is reconstructed at {!assemble} time: launches are
+    Global placement is reconstructed at export time: launches are
     laid end to end; inside a launch, phases follow the launch latency
     and are separated by SyncAll instants; inside a phase, the blocks
     of one core serialise in block order while different cores (and
@@ -41,7 +41,7 @@ type kind =
   | Retry  (** A resilient-runner re-execution. *)
   | Degrade  (** A resilient-runner fallback switch. *)
   | Checkpoint  (** A validated row group committed. *)
-  | Barrier  (** A SyncAll between launch phases (assembly-generated). *)
+  | Barrier  (** A SyncAll between launch phases (export-generated). *)
   | Info
 
 val kind_to_string : kind -> string
@@ -67,9 +67,12 @@ type edge_kind =
   | Await  (** A {!Block.await_engine} cross-lane join. *)
   | Join  (** A {!Block.wait_all} full-block barrier. *)
 
+val edge_kind_to_string : edge_kind -> string
+(** ["lane"], ["queue"], ["group"], ["await"] or ["join"]: the name
+    of the Chrome export's flow events. *)
+
 val edge_kind_of_string : string -> edge_kind option
-(** The kind the Chrome export names ["lane"], ["queue"], ["group"],
-    ["await"] or ["join"]. *)
+(** The inverse of {!edge_kind_to_string}. *)
 
 type edge = {
   e_src : int;  (** {!span.sp_id} of the predecessor. *)
@@ -129,6 +132,13 @@ val mark_count : t -> int
 val event_count : t -> int
 (** [span_count + mark_count] plus one note per global instant. *)
 
+(** One recorded item: a launch, or a global instant ({!note}) at the
+    end of the timeline so far. *)
+type item = Launch of launch_rec | Note of kind * string
+
+val items : t -> item list
+(** Everything recorded, oldest first. *)
+
 val launches : t -> launch_rec list
 (** Recorded launches, oldest first. *)
 
@@ -180,7 +190,8 @@ val note : t -> kind -> name:string -> unit
     at the current end of the timeline. *)
 
 val check : t -> (unit, string) result
-(** Recorder invariants: non-negative span durations, and per-(block, engine-track) non-overlap — each span
+(** Recorder invariants: non-negative span durations, and
+    per-(block, engine-track) non-overlap — each span
     starts at or after the previous one on its track ended (engines
     are in-order queues; gaps are stalls), and no span outruns the
     block's makespan. Tracks of one block are allowed — expected — to
@@ -188,36 +199,8 @@ val check : t -> (unit, string) result
     in issue order, and every span's issue time must equal — bitwise —
     the max end of its edge predecessors (0.0 with none): the recorded
     DAG fully explains the timeline. [Error] carries the first
-    violation. *)
-
-(** {2 Assembly} *)
-
-type arg = I of int | F of float | S of string | B of bool
-
-type placed = {
-  p_pid : int;  (** 0 = device-level track; core [c] = [c + 1]. *)
-  p_tid : int;  (** Track id within the process (engine index). *)
-  p_tname : string;  (** Track label, e.g. ["cube.mte_in"], ["events"]. *)
-  p_name : string;
-  p_cat : string;  (** Span category (issue queue) or instant kind. *)
-  p_ts : float;  (** Global position, simulated cycles. *)
-  p_dur : float option;  (** [None] = instant event. *)
-  p_args : (string * arg) list;
-}
-
-val assemble : t -> placed list
-(** The full trace as globally-placed events, sorted by
-    [(ts, pid, tid, name)] — deterministic for a given recording
-    regardless of host schedule. Device-level events (pid 0) include
-    one span per launch, one span per phase (with compute/bandwidth
-    attribution in its args) and SyncAll {!Barrier} instants.
-
-    Profiler-facing identities ride in the args: every span carries a
-    trace-unique [sid], its block occurrence [binst], and its
-    block-local cycle endpoints [c0]/[c1] (exact — the microsecond
-    [ts]/[dur] do not round-trip to cycles); every dependency edge
-    becomes a pair of zero-duration events with [p_cat] ["flow_out"]
-    (at the source span's end) and ["flow_in"] (at the target's start),
-    both carrying [id]/[kind]/[src]/[dst] args — the Chrome writer maps
-    them onto ph ["s"]/["f"] flow events. *)
-
+    violation: launches newest first, their blocks in phase order, and
+    within a block the spans in issue order (a span that both has a
+    negative duration and overlaps its track reports the overlap),
+    then the track ends in engine-index order, then the edges in
+    recording order, then the issue times. *)

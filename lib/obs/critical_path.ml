@@ -303,19 +303,21 @@ let of_trace tr = build ~clock_hz:(Trace.clock_hz tr) (Trace.launches tr)
 (* Decoder: a Chrome trace file back into the recorder's records.
 
    Every span carries its trace-unique [sid], its block occurrence
-   [binst] and its exact endpoints; the sids of one block are
-   contiguous, so [sid - first] is the block-local id the recorder
-   gave it. Flow ids number the edges 0, 1, 2, ... in recording order,
-   so placing each flow at its id gives every block its edges back in
-   the recorder's order. *)
+   [binst] and its exact endpoints. The export numbers the spans 0, 1,
+   2, ... and those of one block are contiguous, so each span's fields
+   go to slot [sid] of flat arrays as it is read, and [sid - first] is
+   the block-local id the recorder gave it. Flow ids number the edges
+   0, 1, 2, ... in recording order, so each flow goes to slot [id],
+   and walking the slots gives every block its edges back in the
+   recorder's order. *)
 
 type raw_block = {
   rb_binst : int;
   rb_pid : int;
   rb_ts : float; (* first span's file ts, for phase attribution *)
-  mutable rb_spans : Trace.span list; (* sp_id = sid, newest first *)
-  mutable rb_first : int; (* lowest sid, once [local_spans] ran *)
-  mutable rb_edges : Trace.edge list; (* block-local ids, newest first *)
+  mutable rb_first : int; (* lowest sid *)
+  mutable rb_count : int; (* spans read *)
+  mutable rb_edges : Trace.edge list; (* block-local ids, in recording order *)
 }
 
 type raw_phase = {
@@ -323,8 +325,81 @@ type raw_phase = {
   rp_ts : float;
   rp_dur : float;
   rp_stats : Stats.phase;
-  mutable rp_blocks : (raw_block * Trace.span array) list; (* newest first *)
+  mutable rp_blocks : (int * Trace.block_rec) list; (* binst, block; newest first *)
 }
+
+(* Span fields by sid and flows by id. Sized from the counts the file
+   declares; an index past them grows the arrays once to the event
+   count, which bounds every index a well-formed file uses. *)
+type slots = {
+  mutable sp_binst : int array; (* [min_int]: no span read at this sid *)
+  mutable sp_block : int array;
+  mutable sp_track : int array;
+  mutable sp_queue : string array;
+  mutable sp_op : string array;
+  mutable sp_c0 : float array;
+  mutable sp_c1 : float array;
+  mutable sp_bytes : int array;
+  mutable fl_src : int array;
+  mutable fl_dst : int array;
+  mutable fl_kind : Trace.edge_kind array;
+  fl_ids : int array; (* flow ids in file order *)
+  mutable nflows : int;
+  limit : int; (* event count *)
+}
+
+let grow a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let slots ~spans ~flows ~limit =
+  let spans = if spans >= 0 && spans <= limit then spans else limit in
+  let flows = if flows >= 0 && flows <= limit then flows else limit in
+  {
+    sp_binst = Array.make spans min_int;
+    sp_block = Array.make spans 0;
+    sp_track = Array.make spans 0;
+    sp_queue = Array.make spans "";
+    sp_op = Array.make spans "";
+    sp_c0 = Array.make spans 0.0;
+    sp_c1 = Array.make spans 0.0;
+    sp_bytes = Array.make spans 0;
+    fl_src = Array.make flows 0;
+    fl_dst = Array.make flows 0;
+    fl_kind = Array.make flows Trace.Lane;
+    fl_ids = Array.make limit 0;
+    nflows = 0;
+    limit;
+  }
+
+(* Room for span slot [sid]: false when past the event count. *)
+let span_room sl sid =
+  sid < Array.length sl.sp_binst
+  || sid < sl.limit
+     && begin
+          let n = sl.limit in
+          sl.sp_binst <- grow sl.sp_binst n min_int;
+          sl.sp_block <- grow sl.sp_block n 0;
+          sl.sp_track <- grow sl.sp_track n 0;
+          sl.sp_queue <- grow sl.sp_queue n "";
+          sl.sp_op <- grow sl.sp_op n "";
+          sl.sp_c0 <- grow sl.sp_c0 n 0.0;
+          sl.sp_c1 <- grow sl.sp_c1 n 0.0;
+          sl.sp_bytes <- grow sl.sp_bytes n 0;
+          true
+        end
+
+let flow_room sl id =
+  id < Array.length sl.fl_src
+  || id < sl.limit
+     && begin
+          let n = sl.limit in
+          sl.fl_src <- grow sl.fl_src n 0;
+          sl.fl_dst <- grow sl.fl_dst n 0;
+          sl.fl_kind <- grow sl.fl_kind n Trace.Lane;
+          true
+        end
 
 (* Phase windows and the blocks' first spans are both in file (= time)
    order, so the window holding a start [ts] is found by a cursor that
@@ -341,33 +416,34 @@ let advance phases cursor ts =
     incr cursor
   done
 
-(* A block's spans in id order with block-local ids, each named after
-   its track. *)
-let local_spans ~track_name rb =
-  let spans = Array.of_list rb.rb_spans in
-  Array.sort (fun a b -> Int.compare a.Trace.sp_id b.Trace.sp_id) spans;
-  rb.rb_first <- spans.(0).Trace.sp_id;
-  Array.mapi
-    (fun i (s : Trace.span) ->
-      if s.Trace.sp_id <> rb.rb_first + i then
-        inconsistent "block %d: span ids are not contiguous (%d after %d)"
-          rb.rb_binst s.Trace.sp_id (rb.rb_first + i - 1);
-      { s with Trace.sp_id = i; sp_engine = track_name rb.rb_pid s.Trace.sp_track })
-    spans
-
 (* Events are decoded in one pass over each member list, into local
-   refs (no allocation); as with [Jsonw.member], the first occurrence
-   of a key counts, and [absent] stands for a missing one. *)
+   refs; as with [Jsonw.member], the first occurrence of a key counts,
+   and [absent] stands for a missing one. The tests and reads below
+   split [Jsonw.int_opt]/[number_opt]/[string_opt] so that reading a
+   span or a flow allocates nothing. *)
 let absent = Jsonw.Obj []
 let members_of = function Jsonw.Obj m -> m | _ -> []
-let str ~default v = Option.value ~default (Jsonw.string_opt v)
-let int ~default v = Option.value ~default (Jsonw.int_opt v)
-let num ~default v = Option.value ~default (Jsonw.number_opt v)
+let str ~default = function Jsonw.String s -> s | _ -> default
 
-(* A span event's profiler args: [Some (binst, span)], the span
-   carrying its sid as [sp_id] and named later, when it has its sid,
-   block occurrence and exact cycle endpoints. *)
-let span_of ~tid ~cat ~name args =
+let is_int = function
+  | Jsonw.Int _ -> true
+  | Jsonw.Float f -> Float.is_integer f
+  | _ -> false
+
+let int_of = function Jsonw.Int i -> i | Jsonw.Float f -> int_of_float f | _ -> 0
+let int ~default v = if is_int v then int_of v else default
+let is_num = function Jsonw.Int _ | Jsonw.Float _ -> true | _ -> false
+
+let[@inline] num_of = function
+  | Jsonw.Int i -> float_of_int i
+  | Jsonw.Float f -> f
+  | _ -> 0.0
+
+let num ~default v = if is_num v then num_of v else default
+
+(* A span event's profiler args, into slot [sid] when it has its sid,
+   block occurrence and exact cycle endpoints; its binst, or -1. *)
+let read_span sl ~tid ~cat ~name args =
   let sid = ref absent and binst = ref absent and c0 = ref absent in
   let c1 = ref absent and bytes = ref absent and block = ref absent in
   let members = ref (members_of args) in
@@ -385,31 +461,27 @@ let span_of ~tid ~cat ~name args =
         | _ -> ());
         members := rest
   done;
-  match
-    ( Jsonw.int_opt !sid,
-      Jsonw.int_opt !binst,
-      Jsonw.number_opt !c0,
-      Jsonw.number_opt !c1 )
-  with
-  | Some sid, Some binst, Some c0, Some c1 ->
-      Some
-        ( binst,
-          {
-            Trace.sp_id = sid;
-            sp_block = int ~default:0 !block;
-            sp_track = tid;
-            sp_engine = "";
-            sp_queue = str ~default:"?" cat;
-            sp_op = str ~default:"?" name;
-            sp_start = c0;
-            sp_end = c1;
-            sp_bytes = int ~default:0 !bytes;
-          } )
-  | _ -> None
+  if is_int !sid && is_int !binst && is_num !c0 && is_num !c1 then begin
+    let sid = int_of !sid and binst = int_of !binst in
+    if sid < 0 || not (span_room sl sid) then
+      inconsistent "span sid %d is not below the event count %d" sid sl.limit;
+    if sl.sp_binst.(sid) <> min_int then
+      inconsistent "block %d: span ids are not contiguous (%d after %d)" binst sid sid;
+    sl.sp_binst.(sid) <- binst;
+    sl.sp_block.(sid) <- int ~default:0 !block;
+    sl.sp_track.(sid) <- tid;
+    sl.sp_queue.(sid) <- str ~default:"?" cat;
+    sl.sp_op.(sid) <- str ~default:"?" name;
+    sl.sp_c0.(sid) <- num_of !c0;
+    sl.sp_c1.(sid) <- num_of !c1;
+    sl.sp_bytes.(sid) <- int ~default:0 !bytes;
+    sid
+  end
+  else -1
 
 (* A flow start's args: its id and the edge between sids [src] and
-   [dst]. *)
-let edge_of args =
+   [dst], into slot [id]. *)
+let read_flow sl args =
   let id = ref absent and src = ref absent and dst = ref absent in
   let kind = ref absent in
   let members = ref (members_of args) in
@@ -425,27 +497,85 @@ let edge_of args =
         | _ -> ());
         members := rest
   done;
-  match (Jsonw.int_opt !src, Jsonw.int_opt !dst) with
-  | Some src, Some dst -> (
-      let kind = str ~default:"" !kind in
-      match Trace.edge_kind_of_string kind with
-      | Some e_kind ->
-          Some (int ~default:(-1) !id, { Trace.e_src = src; e_dst = dst; e_kind })
-      | None -> inconsistent "flow %d->%d: %S is not an edge kind" src dst kind)
-  | _ -> None
+  if is_int !src && is_int !dst then begin
+    let src = int_of !src and dst = int_of !dst in
+    let kind = str ~default:"" !kind in
+    match Trace.edge_kind_of_string kind with
+    | Some e_kind ->
+        let id = int ~default:(-1) !id in
+        sl.fl_ids.(sl.nflows) <- id;
+        sl.nflows <- sl.nflows + 1;
+        if id >= 0 && flow_room sl id then begin
+          sl.fl_src.(id) <- src;
+          sl.fl_dst.(id) <- dst;
+          sl.fl_kind.(id) <- e_kind
+        end
+    | None -> inconsistent "flow %d->%d: %S is not an edge kind" src dst kind
+  end
+
+(* Flow ids must number the flows 0..n-1 once each. The id reported is
+   the last in file order that is out of range or repeated later. *)
+let check_flow_ids sl =
+  let n = sl.nflows in
+  let seen = Array.make n false in
+  for j = n - 1 downto 0 do
+    let id = sl.fl_ids.(j) in
+    if id < 0 || id >= n || seen.(id) then
+      inconsistent "flow id %d does not number the flows 0..%d once" id (n - 1);
+    seen.(id) <- true
+  done
 
 (* Launch and phase spans are few: their args go through [member]. *)
 let arg k args = Option.value ~default:absent (Jsonw.member k args)
 
-(* The recorder's block of a decoded one: the file does not carry the
-   block's elapsed cycles, so they are its spans' makespan. *)
-let block_rec (rb, spans) =
+(* A block's sids must run from its lowest one without a gap (a
+   repeated sid was refused as it was read). *)
+let check_contiguous sl rb =
+  let first = rb.rb_first in
+  for i = 0 to rb.rb_count - 1 do
+    if sl.sp_binst.(first + i) <> rb.rb_binst then begin
+      (* The block's next sid after [first + i - 1]. *)
+      let next = ref (first + i) in
+      while sl.sp_binst.(!next) <> rb.rb_binst do
+        incr next
+      done;
+      inconsistent "block %d: span ids are not contiguous (%d after %d)" rb.rb_binst
+        !next (first + i - 1)
+    end
+  done
+
+(* The recorder's block of a decoded one, each span named after its
+   track: the file does not carry the block's elapsed cycles, so they
+   are its spans' makespan. *)
+let block_rec sl ~track_name rb =
+  let first = rb.rb_first in
+  let names = track_name rb.rb_pid in
+  let spans = ref [] and cycles = ref 0.0 in
+  for i = rb.rb_count - 1 downto 0 do
+    let sid = first + i in
+    let track = sl.sp_track.(sid) in
+    cycles := Float.max !cycles sl.sp_c1.(sid);
+    spans :=
+      {
+        Trace.sp_id = i;
+        sp_block = sl.sp_block.(sid);
+        sp_track = track;
+        sp_engine =
+          (match Hashtbl.find names track with n -> n | exception Not_found -> "?");
+        sp_queue = sl.sp_queue.(sid);
+        sp_op = sl.sp_op.(sid);
+        sp_start = sl.sp_c0.(sid);
+        sp_end = sl.sp_c1.(sid);
+        sp_bytes = sl.sp_bytes.(sid);
+      }
+      :: !spans
+  done;
   {
-    Trace.b_idx = spans.(0).Trace.sp_block;
+    Trace.b_idx = sl.sp_block.(first);
     b_core = rb.rb_pid - 1;
-    b_cycles = Array.fold_left (fun m s -> Float.max m s.Trace.sp_end) 0.0 spans;
-    b_spans = Array.to_list spans;
-    b_edges = List.rev rb.rb_edges;
+    b_cycles = !cycles;
+    b_spans = !spans;
+    b_edges = rb.rb_edges;
     b_marks = [];
   }
 
@@ -469,7 +599,7 @@ let group_launches launches phases =
     in
     go 0 [] !remaining
   in
-  let by_binst (a, _) (b, _) = Int.compare a.rb_binst b.rb_binst in
+  let by_binst (a, _) (b, _) = Int.compare a b in
   List.map
     (fun (name, seconds, latency, sync, nphases) ->
       let taken =
@@ -487,42 +617,31 @@ let group_launches launches phases =
             (fun rp ->
               {
                 Trace.ph_stats = rp.rp_stats;
-                ph_blocks = List.map block_rec (List.sort by_binst rp.rp_blocks);
+                ph_blocks = List.map snd (List.sort by_binst rp.rp_blocks);
               })
             taken;
       })
     launches
 
-(* The block holding [sid], by binary search over blocks sorted by
-   their first sid. *)
-let find_block (blocks : (raw_block * Trace.span array) array) sid =
-  let lo = ref 0 and hi = ref (Array.length blocks) in
-  while !hi - !lo > 1 do
-    let mid = (!lo + !hi) / 2 in
-    if (fst blocks.(mid)).rb_first <= sid then lo := mid else hi := mid
-  done;
-  if !hi = 0 then None
-  else
-    let rb, spans = blocks.(!lo) in
-    if sid >= rb.rb_first && sid < rb.rb_first + Array.length spans then Some rb
-    else None
-
-let decode events =
+let decode ~spans ~flows events =
   (* One pass: launches, phases (file order = time order), spans with
-     profiler args grouped by block occurrence, flow edges. The span's
-     op is its event name; the engine (track) name rides on
-     thread_name metadata keyed by (pid, tid), which the export writes
-     before any span. *)
+     profiler args into their slots, grouped by block occurrence, and
+     flow edges into theirs. The span's op is its event name; the
+     engine (track) name rides on thread_name metadata keyed by (pid,
+     tid), which the export writes before any span. *)
+  let sl = slots ~spans ~flows ~limit:(List.length events) in
   let launches = ref [] in
   let phases = ref [] in
   let blocks : (int, raw_block) Hashtbl.t = Hashtbl.create 64 in
   let block_order = ref [] in
-  let flows = ref [] and nflows = ref 0 in
   let track_names : (int, (int, string) Hashtbl.t) Hashtbl.t = Hashtbl.create 32 in
-  let track_name pid tid =
-    match Hashtbl.find (Hashtbl.find track_names pid) tid with
-    | name -> name
-    | exception Not_found -> "?"
+  let track_name pid =
+    match Hashtbl.find track_names pid with
+    | t -> t
+    | exception Not_found ->
+        let t = Hashtbl.create 16 in
+        Hashtbl.add track_names pid t;
+        t
   in
   List.iter
     (fun ev ->
@@ -549,8 +668,8 @@ let decode events =
       let args = !args in
       match !ph with
       | Jsonw.String "X" -> (
-          match (Jsonw.string_opt !cat, Jsonw.int_opt !pid) with
-          | Some "launch", _ ->
+          match !cat with
+          | Jsonw.String "launch" ->
               launches :=
                 ( str ~default:"?" !name,
                   num ~default:0.0 (arg "seconds" args),
@@ -558,7 +677,7 @@ let decode events =
                   num ~default:0.0 (arg "sync_cycles" args),
                   Jsonw.int_opt (arg "phases" args) )
                 :: !launches
-          | Some "phase", _ ->
+          | Jsonw.String "phase" ->
               phases :=
                 {
                   rp_launch = str ~default:"?" (arg "launch" args);
@@ -576,82 +695,65 @@ let decode events =
                   rp_blocks = [];
                 }
                 :: !phases
-          | _, Some pid when pid > 0 -> (
-              let tid = int ~default:0 !tid in
-              match span_of ~tid ~cat:!cat ~name:!name args with
-              | Some (binst, s) -> (
-                  match Hashtbl.find_opt blocks binst with
-                  | Some rb -> rb.rb_spans <- s :: rb.rb_spans
-                  | None ->
-                      let rb =
-                        {
-                          rb_binst = binst;
-                          rb_pid = pid;
-                          rb_ts = num ~default:0.0 !ts;
-                          rb_spans = [ s ];
-                          rb_first = 0;
-                          rb_edges = [];
-                        }
-                      in
-                      Hashtbl.add blocks binst rb;
-                      block_order := rb :: !block_order)
-              | None -> ())
-          | _ -> ())
-      | Jsonw.String "s" -> (
-          match edge_of args with
-          | Some flow ->
-              flows := flow :: !flows;
-              incr nflows
-          | None -> ())
-      | Jsonw.String "M" when Jsonw.string_opt !name = Some "thread_name" -> (
-          match
-            ( Jsonw.int_opt !pid,
-              Jsonw.int_opt !tid,
-              Jsonw.string_opt (arg "name" args) )
-          with
-          | Some pid, Some tid, Some name ->
-              Hashtbl.replace
-                (match Hashtbl.find track_names pid with
-                | t -> t
+          | _ when is_int !pid && int_of !pid > 0 ->
+              let sid = read_span sl ~tid:(int ~default:0 !tid) ~cat:!cat ~name:!name args in
+              if sid >= 0 then begin
+                let binst = sl.sp_binst.(sid) in
+                match Hashtbl.find blocks binst with
+                | rb ->
+                    if sid < rb.rb_first then rb.rb_first <- sid;
+                    rb.rb_count <- rb.rb_count + 1
                 | exception Not_found ->
-                    let t = Hashtbl.create 16 in
-                    Hashtbl.add track_names pid t;
-                    t)
-                tid name
+                    let rb =
+                      {
+                        rb_binst = binst;
+                        rb_pid = int_of !pid;
+                        rb_ts = num ~default:0.0 !ts;
+                        rb_first = sid;
+                        rb_count = 1;
+                        rb_edges = [];
+                      }
+                    in
+                    Hashtbl.add blocks binst rb;
+                    block_order := rb :: !block_order
+              end
+          | _ -> ())
+      | Jsonw.String "s" -> read_flow sl args
+      | Jsonw.String "M" when str ~default:"" !name = "thread_name" -> (
+          match (!pid, !tid, arg "name" args) with
+          | pid, tid, Jsonw.String name when is_int pid && is_int tid ->
+              Hashtbl.replace (track_name (int_of pid)) (int_of tid) name
           | _ -> ())
       | _ -> ())
     events;
   let phases = Array.of_list (List.rev !phases) in
   if Array.length phases = 0 then
     inconsistent "not a simulator trace: no phase spans";
-  let blocks = List.rev_map (fun rb -> (rb, local_spans ~track_name rb)) !block_order in
-  (* Each flow at its id, then into the block of its source span. *)
-  let by_first = Array.of_list blocks in
-  Array.sort (fun (a, _) (b, _) -> Int.compare a.rb_first b.rb_first) by_first;
-  let placed = Array.make !nflows None in
-  List.iter
-    (fun (id, e) ->
-      if id < 0 || id >= !nflows || Option.is_some placed.(id) then
-        inconsistent "flow id %d does not number the flows 0..%d once" id (!nflows - 1);
-      placed.(id) <- Some e)
-    !flows;
-  Array.iter
-    (Option.iter (fun { Trace.e_src = src; e_dst = dst; e_kind } ->
-         Option.iter
-           (fun rb ->
-             rb.rb_edges <-
-               { Trace.e_src = src - rb.rb_first; e_dst = dst - rb.rb_first; e_kind }
-               :: rb.rb_edges)
-           (find_block by_first src)))
-    placed;
+  List.iter (check_contiguous sl) !block_order;
+  check_flow_ids sl;
+  (* Each flow, last id first, onto the block of its source span. *)
+  for id = sl.nflows - 1 downto 0 do
+    let src = sl.fl_src.(id) in
+    if src >= 0 && src < Array.length sl.sp_binst && sl.sp_binst.(src) <> min_int then begin
+      let rb = Hashtbl.find blocks sl.sp_binst.(src) in
+      rb.rb_edges <-
+        {
+          Trace.e_src = src - rb.rb_first;
+          e_dst = sl.fl_dst.(id) - rb.rb_first;
+          e_kind = sl.fl_kind.(id);
+        }
+        :: rb.rb_edges
+    end
+  done;
   (* Attribute each block, by its first span in file order, to the
      phase window containing it. *)
   let cursor = ref 0 in
   List.iter
-    (fun ((rb, _) as b) ->
+    (fun rb ->
       advance phases cursor rb.rb_ts;
-      phases.(!cursor).rp_blocks <- b :: phases.(!cursor).rp_blocks)
-    blocks;
+      phases.(!cursor).rp_blocks <-
+        (rb.rb_binst, block_rec sl ~track_name rb) :: phases.(!cursor).rp_blocks)
+    (List.rev !block_order);
   group_launches (List.rev !launches) (Array.to_list phases)
 
 let of_json doc =
@@ -672,7 +774,8 @@ let of_json doc =
           let clock_hz =
             Option.value ~default:1.8e9 (Option.bind (other "clock_hz") Jsonw.number_opt)
           in
-          match decode events with
+          let count k = Option.value ~default:(-1) (Option.bind (other k) Jsonw.int_opt) in
+          match decode ~spans:(count "spans") ~flows:(count "edges") events with
           | launches -> build ~clock_hz launches
           | exception Inconsistent msg -> Error msg))
 

@@ -40,7 +40,7 @@ let pow10_at =
 (* floor(log10 a), exactly, for [a] in the decimal range. With 2^e <= a
    < 2^(e+1), floor(e·log10 2) (78913/2^18 is log10 2 to 6 digits) is
    floor(log10 a) or one below it. *)
-let decimal_exponent a =
+let[@inline] decimal_exponent a =
   let e = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float a) 52) - 1023 in
   let x = ref ((e * 78913) asr 18) in
   if !x < -6 then x := -6;
@@ -65,7 +65,7 @@ let decimal_exponent a =
 
    k < 0 (a >= 10^11): [a = i + f] with [i] an integer below 2^50 and
    [f] its fraction; [i mod 10^-k + f] is exact (26 bits at most). *)
-let scaled_round a k =
+let[@inline] scaled_round a k =
   if k >= 0 then begin
     let p = Array.unsafe_get exact_pow10 k in
     let hi = a *. p in
@@ -233,19 +233,27 @@ let write_string buf s =
   Buffer.add_substring buf s !run (String.length s - !run);
   Buffer.add_char buf '"'
 
+(* Per-domain scratch for a number's digits, copied into the buffer
+   in one blit: writing a number allocates nothing. *)
+let scratch = Domain.DLS.new_key (fun () -> Bytes.create max_decimal_len)
+
 let write_int buf i =
   if i >= 0 && i < 10 then Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + i))
-  else if i < 0 then Buffer.add_string buf (string_of_int i)
+  else if i = min_int then Buffer.add_string buf (string_of_int i)
   else begin
-    (* Digits right to left into a local buffer, then one blit. *)
-    let b = Bytes.create 20 in
-    let v = ref i and o = ref 20 in
+    (* Digits right to left, then the sign. *)
+    let b = Domain.DLS.get scratch in
+    let v = ref (abs i) and o = ref max_decimal_len in
     while !v > 0 do
       decr o;
       Bytes.unsafe_set b !o (Char.unsafe_chr (Char.code '0' + (!v mod 10)));
       v := !v / 10
     done;
-    Buffer.add_subbytes buf b !o (20 - !o)
+    if i < 0 then begin
+      decr o;
+      Bytes.unsafe_set b !o '-'
+    end;
+    Buffer.add_subbytes buf b !o (max_decimal_len - !o)
   end
 
 let write_float buf f =
@@ -257,7 +265,7 @@ let write_float buf f =
     if f = 0.0 && Float.sign_bit f then Buffer.add_string buf "-0"
     else write_int buf (int_of_float f)
   else
-    let b = Bytes.create max_decimal_len in
+    let b = Domain.DLS.get scratch in
     let n = format_decimal b f in
     if n >= 0 then Buffer.add_subbytes buf b 0 n
     else Buffer.add_string buf (format_outside_range f)

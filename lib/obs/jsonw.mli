@@ -39,8 +39,13 @@ val write_string : Buffer.t -> string -> unit
 (** A quoted, escaped string. *)
 
 val write_int : Buffer.t -> int -> unit
+
 val write_float : Buffer.t -> float -> unit
-(** Through {!float_to_string}. *)
+(** The bytes of {!float_to_string}. Neither writer allocates, beyond
+    the buffer's own growth, except for [min_int] and for a float
+    whose magnitude lies outside [\[10^-6, 10^15)] and is not an
+    integer (those go through the C formatter): digits are formatted
+    in a per-domain scratch and copied into the buffer. *)
 
 val write_field : Buffer.t -> string -> unit
 (** An object key and its [:]. *)

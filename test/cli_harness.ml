@@ -404,7 +404,8 @@ let pinned_traces =
     ("--op mcscan -n 30000 --inject-faults 9:0.1", "7cff52fd86928dfbdf0780f7c3c2c406");
     ("--op mcscan -n 30000 --kill-core 0@3000", "2aed2cce0de9c8408c39940d6b8f1661");
     ("--op segmented_scan -n 30000 --kill-core 0@300", "0817a217206e1f09b245d19d05d36d89");
-    ("run --scenario ../scenarios/core-attrition.chaos --crash-mode raise", "744633a74f702ecb7991731f589fdb92");
+    ( "run --scenario ../scenarios/core-attrition.chaos --crash-mode raise",
+      "744633a74f702ecb7991731f589fdb92" );
   ]
 
 let trace_runs entries =

@@ -545,6 +545,11 @@ let test_sids_not_contiguous () =
         ~by:(Printf.sprintf {|"sid":%s,|} sid))
     [ "2"; "0" ]
 
+(* Sids number the spans from 0: one past every event cannot be. *)
+let test_sid_out_of_range () =
+  expect_profile_error ~what:"span sid 99999" ~needle:"not below the event count"
+    (two_span_text ()) ~sub:{|"sid":1,|} ~by:{|"sid":99999,|}
+
 let test_unmutated_trace () =
   let text = Lazy.force trace_text in
   match J.parse text with
@@ -587,5 +592,7 @@ let () =
         :: Alcotest.test_case "unknown flow kind is an error" `Quick test_bad_flow_kind
         :: Alcotest.test_case "non-contiguous sids are an error" `Quick
              test_sids_not_contiguous
+        :: Alcotest.test_case "sid past the event count is an error" `Quick
+             test_sid_out_of_range
         :: qc [ prop_trace_fuzz ] );
     ]

@@ -202,6 +202,157 @@ let test_summary_pinned () =
     (without_overlap (profile_at_64k "compress"))
 
 (* ------------------------------------------------------------------ *)
+(* Recorder check: each violation's message.                           *)
+
+let no_phase =
+  {
+    Stats.compute_seconds = 0.0;
+    bandwidth_seconds = 0.0;
+    seconds = 0.0;
+    gm_bytes = 0;
+    footprint_bytes = 0;
+    bandwidth_bound = false;
+  }
+
+(* A recorder holding one launch [k] of one block (block 3 on core 0,
+   [cycles] elapsed), whose spans and edges [build] records. *)
+let recorded ?(cycles = 10.0) build =
+  let tr = Trace.create () in
+  let b = Trace.block_builder ~idx:3 ~core:0 in
+  build b;
+  Trace.record_launch tr ~name:"k" ~seconds:0.0 ~latency_cycles:0.0
+    ~sync_cycles:0.0
+    ~phases:[ (no_phase, [ Trace.Block_builder.finish b ~cycles ]) ];
+  tr
+
+(* A span on track 0 ("vec0") or 1 ("vec0.mte_in"). *)
+let span ?(track = 0) b ~start ~cycles =
+  ignore
+    (Trace.Block_builder.span b ~track
+       ~engine:(if track = 0 then "vec0" else "vec0.mte_in")
+       ~queue:"V" ~op:"vadd" ~start ~cycles ~bytes:0)
+
+let edge b src dst = Trace.Block_builder.edge b ~kind:Trace.Lane ~src ~dst
+
+let check_fails expected tr =
+  match Trace.check tr with
+  | Ok () -> Alcotest.failf "accepted; expected %S" expected
+  | Error msg -> check_string "first violation" expected msg
+
+let test_check_failures () =
+  check_fails "launch k block 3 vec0: span vadd has negative duration"
+    (recorded (fun b -> span b ~start:0.0 ~cycles:(-1.0)));
+  check_fails "launch k block 3 vec0: span vadd starts at 2.000 before track end 5.000"
+    (recorded (fun b ->
+         span b ~start:0.0 ~cycles:5.0;
+         span b ~start:2.0 ~cycles:1.0));
+  check_fails "launch k block 3: engine track ends at 12.000 after block elapsed 10.000"
+    (recorded (fun b -> span b ~start:0.0 ~cycles:12.0));
+  check_fails "launch k block 3: edge source span 5 not recorded"
+    (recorded (fun b ->
+         span b ~start:0.0 ~cycles:1.0;
+         edge b 5 0));
+  check_fails "launch k block 3: edge target span 7 not recorded"
+    (recorded (fun b ->
+         span b ~start:0.0 ~cycles:1.0;
+         edge b 0 7));
+  check_fails "launch k block 3: edge 1 -> 0 not in issue order"
+    (recorded (fun b ->
+         span b ~start:0.0 ~cycles:1.0;
+         span b ~track:1 ~start:0.0 ~cycles:1.0;
+         edge b 1 0));
+  check_fails
+    "launch k block 3 vec0.mte_in: span 1 (vadd) starts at 0x1.4p+2 but its \
+     edge predecessors end at 0x1p+2"
+    (recorded (fun b ->
+         span b ~start:0.0 ~cycles:4.0;
+         span b ~track:1 ~start:5.0 ~cycles:1.0;
+         edge b 0 1))
+
+(* Which violation wins: a span both negative and overlapping reports
+   the overlap; a track fault beats an edge fault; an edge fault beats
+   an issue time; and the newest launch is checked first. *)
+let test_check_first_violation () =
+  check_fails "launch k block 3 vec0: span vadd starts at 2.000 before track end 5.000"
+    (recorded (fun b ->
+         span b ~start:0.0 ~cycles:5.0;
+         span b ~start:2.0 ~cycles:(-1.0)));
+  check_fails "launch k block 3: engine track ends at 12.000 after block elapsed 10.000"
+    (recorded (fun b ->
+         span b ~start:0.0 ~cycles:12.0;
+         edge b 0 9));
+  check_fails "launch k block 3: edge source span 4 not recorded"
+    (recorded (fun b ->
+         span b ~start:0.0 ~cycles:1.0;
+         span b ~track:1 ~start:3.0 ~cycles:1.0;
+         edge b 4 1));
+  let tr = recorded (fun b -> span b ~start:0.0 ~cycles:(-1.0)) in
+  let b = Trace.block_builder ~idx:0 ~core:1 in
+  span b ~start:0.0 ~cycles:12.0;
+  Trace.record_launch tr ~name:"later" ~seconds:0.0 ~latency_cycles:0.0
+    ~sync_cycles:0.0
+    ~phases:[ (no_phase, [ Trace.Block_builder.finish b ~cycles:10.0 ]) ];
+  check_fails
+    "launch later block 0: engine track ends at 12.000 after block elapsed \
+     10.000"
+    tr
+
+(* ------------------------------------------------------------------ *)
+(* Export allocation.                                                  *)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* The export of mcscan at 64K allocates a few minor words per event
+   (a boxed ts and dur), not a record and an arg list: 119 per event
+   when events were placed in a sorted list and each number went
+   through a fresh [Bytes]. *)
+let test_export_allocation () =
+  let entry = Option.get (Scan.Op_registry.find "mcscan") in
+  let tr =
+    match Workload.Op_driver.run ~n:65536 ~domains:1 entry with
+    | Ok (_, Some tr) -> tr
+    | _ -> Alcotest.fail "mcscan: no trace"
+  in
+  let text = ref "" in
+  let words = minor_words (fun () -> text := Obs.Chrome_trace.to_string tr) in
+  let events =
+    match Obs.Chrome_trace.validate (Obs.Chrome_trace.json tr) with
+    | Ok c -> c.Obs.Chrome_trace.events
+    | Error e -> Alcotest.fail e
+  in
+  if words /. float_of_int events > 16.0 then
+    Alcotest.failf "to_string: %.1f minor words per event (%d events), over 16"
+      (words /. float_of_int events) events;
+  (* Numbers go through a scratch, not an allocation each. *)
+  let buf = Buffer.create (1 lsl 20) in
+  let ints = [ 0; 7; 10; 42; 1118; -1; -123_456; max_int; 1 lsl 40 ] in
+  let floats =
+    [ 0.0; -0.0; 1.5; 0.1; 1.0 /. 3.0; 3.14159; 1e-5; 123456.789; -2.5e14;
+      5e14 +. 0.5; 1.8e9; 0.000_555_555_555_6 ]
+  in
+  let write_int i = Obs.Jsonw.write_int buf i in
+  let write_float f = Obs.Jsonw.write_float buf f in
+  let overhead = minor_words (fun () -> ()) in
+  let per_call name write values =
+    List.iter write values;
+    let w =
+      minor_words (fun () ->
+          for _ = 1 to 1_000 do
+            Buffer.clear buf;
+            List.iter write values
+          done)
+      -. overhead
+    in
+    if w <> 0.0 then Alcotest.failf "%s: %g minor words in %d calls" name w
+        (1_000 * List.length values)
+  in
+  per_call "Jsonw.write_int" write_int ints;
+  per_call "Jsonw.write_float" write_float floats
+
+(* ------------------------------------------------------------------ *)
 (* Stats satellites: combine launch counting and zero-time guards.    *)
 
 let stats_of name =
@@ -273,6 +424,14 @@ let () =
           Alcotest.test_case "span accounting" `Quick test_span_accounting;
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "occupancy bounds" `Quick test_occupancy_bounds;
+          Alcotest.test_case "allocation per event and number" `Quick
+            test_export_allocation;
+        ] );
+      ( "check",
+        [
+          Alcotest.test_case "each violation's message" `Quick test_check_failures;
+          Alcotest.test_case "first violation reported" `Quick
+            test_check_first_violation;
         ] );
       ( "summary",
         [
