@@ -464,7 +464,8 @@ let read_span sl ~tid ~cat ~name args =
   if is_int !sid && is_int !binst && is_num !c0 && is_num !c1 then begin
     let sid = int_of !sid and binst = int_of !binst in
     if sid < 0 || not (span_room sl sid) then
-      inconsistent "span sid %d is not below the event count %d" sid sl.limit;
+      inconsistent "block %d: span ids are not contiguous (sid %d of %d events)" binst
+        sid sl.limit;
     if sl.sp_binst.(sid) <> min_int then
       inconsistent "block %d: span ids are not contiguous (%d after %d)" binst sid sid;
     sl.sp_binst.(sid) <- binst;

@@ -85,9 +85,9 @@ val of_json : Jsonw.t -> (t, string) result
 (** Decode a parsed trace document into the recorder's records and
     profile them. Fails if the trace is not a simulator trace, if
     [otherData.schema] names the retired multi-device pod trace
-    (["ascend-pod-trace-1"]; the error names the schema), if a span's
-    sid is not below the trace's event count or repeats, if a block's
-    span ids are not contiguous, if a flow's kind is not an edge kind
+    (["ascend-pod-trace-1"]; the error names the schema), if the span
+    ids do not number the spans 0, 1, ... once each, contiguously per
+    block, if a flow's kind is not an edge kind
     or its id does not number the flows [0, 1, ...] once, or if any
     span's recomputed issue time differs bitwise from the recorded one
     (a corrupted or hand-edited trace). On the export of a recording

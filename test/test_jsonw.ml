@@ -500,16 +500,18 @@ let index_of ~sub s =
   in
   go 0
 
+(* [text] with the first occurrence of [sub] replaced by [by]. *)
+let substitute ~what text ~sub ~by =
+  match index_of ~sub text with
+  | None -> Alcotest.failf "%s: %s not in the export" what sub
+  | Some i ->
+      let n = String.length sub in
+      String.sub text 0 i ^ by ^ String.sub text (i + n) (String.length text - i - n)
+
 (* [of_json] of [text] with the first occurrence of [sub] replaced by
    [by] must be an error whose message holds [needle]. *)
 let expect_profile_error ~what ~needle text ~sub ~by =
-  let i =
-    match index_of ~sub text with
-    | Some i -> i
-    | None -> Alcotest.failf "%s: %s not in the export" what sub
-  in
-  let n = String.length sub in
-  match J.parse (String.sub text 0 i ^ by ^ String.sub text (i + n) (String.length text - i - n)) with
+  match J.parse (substitute ~what text ~sub ~by) with
   | Error e -> Alcotest.fail e
   | Ok doc -> (
       match Obs.Critical_path.of_json doc with
@@ -535,20 +537,18 @@ let test_bad_flow_kind () =
   expect_profile_error ~what:"an unknown flow kind" ~needle:"not an edge kind"
     (two_span_text ()) ~sub:{|"kind":"lane"|} ~by:{|"kind":"slot"|}
 
-(* Span 1's sid made 2 (a gap) or 0 (a duplicate). *)
+(* Span 1's sid made 2 (past the two spans the trace declares, or a
+   gap when it declares three), 0 (a duplicate) or 99999. *)
 let test_sids_not_contiguous () =
+  let text = two_span_text () in
+  let three = substitute ~what:"span count" text ~sub:{|"spans":2|} ~by:{|"spans":3|} in
   List.iter
-    (fun sid ->
+    (fun (text, sid) ->
       expect_profile_error
         ~what:("span sid " ^ sid)
-        ~needle:"not contiguous" (two_span_text ()) ~sub:{|"sid":1,|}
+        ~needle:"not contiguous" text ~sub:{|"sid":1,|}
         ~by:(Printf.sprintf {|"sid":%s,|} sid))
-    [ "2"; "0" ]
-
-(* Sids number the spans from 0: one past every event cannot be. *)
-let test_sid_out_of_range () =
-  expect_profile_error ~what:"span sid 99999" ~needle:"not below the event count"
-    (two_span_text ()) ~sub:{|"sid":1,|} ~by:{|"sid":99999,|}
+    [ (text, "2"); (three, "2"); (text, "0"); (text, "99999") ]
 
 let test_unmutated_trace () =
   let text = Lazy.force trace_text in
@@ -592,7 +592,5 @@ let () =
         :: Alcotest.test_case "unknown flow kind is an error" `Quick test_bad_flow_kind
         :: Alcotest.test_case "non-contiguous sids are an error" `Quick
              test_sids_not_contiguous
-        :: Alcotest.test_case "sid past the event count is an error" `Quick
-             test_sid_out_of_range
         :: qc [ prop_trace_fuzz ] );
     ]
