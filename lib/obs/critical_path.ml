@@ -442,7 +442,7 @@ let[@inline] num_of = function
 let num ~default v = if is_num v then num_of v else default
 
 (* A span event's profiler args, into slot [sid] when it has its sid,
-   block occurrence and exact cycle endpoints; its binst, or -1. *)
+   block occurrence and exact cycle endpoints; the sid, or -1. *)
 let read_span sl ~tid ~cat ~name args =
   let sid = ref absent and binst = ref absent and c0 = ref absent in
   let c1 = ref absent and bytes = ref absent and block = ref absent in

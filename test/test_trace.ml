@@ -306,9 +306,9 @@ let minor_words f =
   Gc.minor_words () -. w0
 
 (* The export of mcscan at 64K allocates a few minor words per event
-   (a boxed ts and dur), not a record and an arg list: 119 per event
-   when events were placed in a sorted list and each number went
-   through a fresh [Bytes]. *)
+   (the sort's buffers, a boxed ts and dur), not a record and an arg
+   list: 119 per event when events were placed in a sorted list and
+   each number went through a fresh [Bytes]. *)
 let test_export_allocation () =
   let entry = Option.get (Scan.Op_registry.find "mcscan") in
   let tr =
